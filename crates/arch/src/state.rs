@@ -275,27 +275,25 @@ impl Default for Fingerprint {
 }
 
 /// Records, for every field in traversal order, whether the owning
-/// component reported it live and what value it held — the liveness
-/// oracle's snapshot of a machine.
+/// component reported it live — an occupancy snapshot of a machine at
+/// one cycle.
 ///
 /// Field numbering matches [`RangeRecorder::fields`] exactly (both push
-/// one entry per [`StateVisitor::word`] call), so `live[i]` and
-/// `values[i]` describe `catalog.fields[i]`.
+/// one entry per [`StateVisitor::word`] call), so `live[i]` describes
+/// `catalog.fields[i]`.
 #[derive(Debug, Default)]
 pub struct OccupancyRecorder {
     /// Per-field liveness, in traversal order. `false` means the
     /// component's occupancy metadata proves the field is dead:
     /// unreadable before its next overwrite.
     pub live: Vec<bool>,
-    /// Per-field value at visit time, in traversal order.
-    pub values: Vec<u64>,
     current: bool,
 }
 
 impl OccupancyRecorder {
     /// Fresh recorder.
     pub fn new() -> OccupancyRecorder {
-        OccupancyRecorder { live: Vec::new(), values: Vec::new(), current: true }
+        OccupancyRecorder { live: Vec::new(), current: true }
     }
 
     /// Fields reported dead.
@@ -308,9 +306,8 @@ impl StateVisitor for OccupancyRecorder {
     fn region(&mut self, _name: &'static str, _kind: StateKind) {
         self.current = true;
     }
-    fn word(&mut self, value: &mut u64, _width: u32, _class: FieldClass) {
+    fn word(&mut self, _value: &mut u64, _width: u32, _class: FieldClass) {
         self.live.push(self.current);
-        self.values.push(*value);
     }
     fn occupancy(&mut self, live: bool) {
         self.current = live;
@@ -394,39 +391,6 @@ impl StateVisitor for MaskRecorder {
     }
     fn wants_masks(&self) -> bool {
         true
-    }
-}
-
-/// XORs every field marked dead in a prior [`OccupancyRecorder`] pass
-/// with its full width mask — the audit probe behind the liveness
-/// oracle: if dead fields truly cannot be read before being rewritten,
-/// a machine perturbed this way must evolve identically to the
-/// unperturbed one on every live observable.
-#[derive(Debug)]
-pub struct DeadStatePerturber<'a> {
-    live: &'a [bool],
-    idx: usize,
-}
-
-impl<'a> DeadStatePerturber<'a> {
-    /// Perturber over `live` flags recorded from the same machine state.
-    pub fn new(live: &'a [bool]) -> DeadStatePerturber<'a> {
-        DeadStatePerturber { live, idx: 0 }
-    }
-
-    /// Fields visited so far (must equal `live.len()` after the walk).
-    pub fn visited(&self) -> usize {
-        self.idx
-    }
-}
-
-impl StateVisitor for DeadStatePerturber<'_> {
-    fn region(&mut self, _name: &'static str, _kind: StateKind) {}
-    fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
-        if !self.live[self.idx] {
-            *value ^= width_mask(width);
-        }
-        self.idx += 1;
     }
 }
 
@@ -759,12 +723,11 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_recorder_tracks_liveness_and_values() {
+    fn occupancy_recorder_tracks_liveness() {
         let mut d = HalfDead { live_word: 0xAB, dead_word: 0xCD, flag: true };
         let mut rec = OccupancyRecorder::new();
         d.visit_state(&mut rec);
         assert_eq!(rec.live, vec![true, true, false, true]);
-        assert_eq!(rec.values, vec![1, 0xAB, 0xCD, 3]);
         assert_eq!(rec.dead_fields(), 1);
     }
 
@@ -881,19 +844,6 @@ mod tests {
         let f = cat.field_index_of(9).unwrap();
         let (start, _, _) = cat.fields[f];
         assert_ne!(rec.masks[f] & (1 << (9 - start)), 0);
-    }
-
-    #[test]
-    fn dead_state_perturber_flips_only_dead_fields() {
-        let mut d = HalfDead { live_word: 0xAB, dead_word: 0xCD, flag: true };
-        let mut rec = OccupancyRecorder::new();
-        d.visit_state(&mut rec);
-        let mut p = DeadStatePerturber::new(&rec.live);
-        d.visit_state(&mut p);
-        assert_eq!(p.visited(), rec.live.len());
-        assert_eq!(d.live_word, 0xAB);
-        assert!(d.flag);
-        assert_eq!(d.dead_word, 0xCD ^ 0xFFFF);
     }
 
     #[test]

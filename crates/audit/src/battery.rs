@@ -12,7 +12,8 @@
 //! `campaign_digest_tracks_result_shaping_fields_only` pin tests that
 //! previously lived in `uarch_campaign.rs`/`arch_campaign.rs`; the
 //! historical digest values those tests implicitly froze are pinned
-//! explicitly in [`restore_core::digest`] and asserted in
+//! explicitly as [`restore_core::PINNED_UARCH_DEFAULT_DIGEST`] and
+//! [`restore_core::PINNED_ARCH_DEFAULT_DIGEST`] and asserted in
 //! `tests/digest_battery.rs`.
 
 use restore_inject::{

@@ -15,9 +15,9 @@
 //!   (`simulated + saved + pruned + cached = planned`).
 //!
 //! Set `CRITERION_JSON=/path/file.json` for machine-readable results
-//! (see `BENCH_cache.json` at the repo root for the recorded baseline —
-//! the warm replay is well over an order of magnitude faster than the
-//! cold run it replaces).
+//! (the recorded 1-core baseline is the `BENCH_cache.json` rows of
+//! `ledger/history/bench_1core.jsonl` — the warm replay is well over an
+//! order of magnitude faster than the cold run it replaces).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use restore_inject::{

@@ -8,8 +8,8 @@
 //! fast each thread count gets there.
 //!
 //! Set `CRITERION_JSON=/path/file.json` to append machine-readable
-//! results (see `BENCH_campaign.json` at the repo root for the recorded
-//! baseline).
+//! results (the recorded 1-core baseline is the `BENCH_campaign.json`
+//! rows of `ledger/history/bench_1core.jsonl`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use restore_inject::{

@@ -13,8 +13,8 @@
 //! late. The stats line printed per stride shows the trade.
 //!
 //! Set `CRITERION_JSON=/path/file.json` to append machine-readable
-//! results (see `BENCH_trial.json` at the repo root for the recorded
-//! baseline).
+//! results (the recorded 1-core baseline is the `BENCH_trial.json` rows
+//! of `ledger/history/bench_1core.jsonl`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use restore_inject::{run_uarch_campaign_with_stats, UarchCampaignConfig};

@@ -17,8 +17,9 @@
 //!
 //! A warm-library scaling table (threads 1/2/4/8) is printed to stderr;
 //! `EXPERIMENTS.md` records the numbers. Set
-//! `CRITERION_JSON=/path/file.json` for machine-readable results (see
-//! `BENCH_faststart.json` at the repo root for the recorded baseline).
+//! `CRITERION_JSON=/path/file.json` for machine-readable results (the
+//! recorded 1-core baseline is the `BENCH_faststart.json` rows of
+//! `ledger/history/bench_1core.jsonl`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use restore_inject::{run_uarch_campaign_with_stats, UarchCampaignConfig};

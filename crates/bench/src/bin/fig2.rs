@@ -1,7 +1,7 @@
 //! Figure 2 — virtual machine fault injection: propagation of a single
 //! bit flip in an instruction result to symptoms, by latency.
 //!
-//! Usage: `fig2 [--trials N] [--seed S] [--low32] [--size N] [--threads N] [--cutoff K] [--prune off|on|interval|audit] [--ckpt-stride K]`
+//! Usage: `fig2 [--trials N] [--seed S] [--low32] [--size N] [--threads N] [--cutoff K] [--prune off|interval|audit] [--ckpt-stride K]`
 
 use restore_bench::{arch_table, cli, FIG2_LATENCIES};
 use restore_inject::{
@@ -9,7 +9,7 @@ use restore_inject::{
 };
 
 const USAGE: &str = "fig2 [--trials N] [--seed S] [--low32] [--size N] [--threads N] [--cutoff K] \
-                     [--prune off|on|interval|audit] [--ckpt-stride K] [--store DIR] \
+                     [--prune off|interval|audit] [--ckpt-stride K] [--store DIR] \
                      [--sig-chunk N] [--dup-mask M]";
 
 fn main() {

@@ -4,13 +4,13 @@
 //! §5.1.2 latch-targeted campaign instead.
 //!
 //! Usage: `fig4 [--points N] [--trials N] [--seed S] [--latches-only] [--threads N]
-//! [--cutoff K] [--prune off|on|interval|audit]`
+//! [--cutoff K] [--prune off|interval|audit]`
 
 use restore_bench::{cli, coverage_summary, uarch_table, FIG46_INTERVALS};
 use restore_inject::{run_uarch_campaign_io, CfvMode, InjectionTarget, Shard, UarchCampaignConfig};
 
 const USAGE: &str = "fig4 [--points N] [--trials N] [--seed S] [--latches-only] \
-                     [--threads N] [--cutoff K] [--prune off|on|interval|audit] [--ckpt-stride K] \
+                     [--threads N] [--cutoff K] [--prune off|interval|audit] [--ckpt-stride K] \
                      [--store DIR]";
 
 fn main() {

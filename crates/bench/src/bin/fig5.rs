@@ -3,13 +3,13 @@
 //! count as cfv symptoms.
 //!
 //! Usage: `fig5 [--points N] [--trials N] [--seed S] [--threads N] [--cutoff K]
-//! [--prune off|on|interval|audit]`
+//! [--prune off|interval|audit]`
 
 use restore_bench::{cli, coverage_summary, uarch_table, FIG46_INTERVALS};
 use restore_inject::{run_uarch_campaign_io, CfvMode, Shard, UarchCampaignConfig, UarchCategory};
 
 const USAGE: &str = "fig5 [--points N] [--trials N] [--seed S] [--threads N] [--cutoff K] \
-                     [--prune off|on|interval|audit] [--ckpt-stride K] [--store DIR]";
+                     [--prune off|interval|audit] [--ckpt-stride K] [--store DIR]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -4,7 +4,7 @@
 //! symptom-based detection.
 //!
 //! Usage: `fig6 [--points N] [--trials N] [--seed S] [--threads N] [--cutoff K]
-//! [--prune off|on|interval|audit]`
+//! [--prune off|interval|audit]`
 
 use restore_bench::{cli, coverage_summary, uarch_table, FIG46_INTERVALS};
 use restore_inject::{run_uarch_campaign_io, CfvMode, Shard, UarchCampaignConfig};
@@ -12,7 +12,7 @@ use restore_uarch::{Pipeline, UarchConfig};
 use restore_workloads::WorkloadId;
 
 const USAGE: &str = "fig6 [--points N] [--trials N] [--seed S] [--threads N] [--cutoff K] \
-                     [--prune off|on|interval|audit] [--ckpt-stride K] [--store DIR]";
+                     [--prune off|interval|audit] [--ckpt-stride K] [--store DIR]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -7,14 +7,14 @@
 //! `--points/--trials` scale the measurement.
 //!
 //! Usage: `fig8 [--paper] [--points N] [--trials N] [--seed S] [--threads N]
-//! [--cutoff K] [--prune off|on|interval|audit]`
+//! [--cutoff K] [--prune off|interval|audit]`
 
 use restore_bench::{cli, coverage_summary};
 use restore_core::fit::{figure8_sizes, FitScaling, MTBF_GOAL_FIT};
 use restore_inject::{run_uarch_campaign_io, CfvMode, Shard, UarchCampaignConfig};
 
 const USAGE: &str = "fig8 [--paper] [--points N] [--trials N] [--seed S] [--threads N] \
-                     [--cutoff K] [--prune off|on|interval|audit] [--ckpt-stride K] [--store DIR]";
+                     [--cutoff K] [--prune off|interval|audit] [--ckpt-stride K] [--store DIR]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -4,7 +4,7 @@
 //! section reports, in one pass.
 //!
 //! Usage: `figs_all [--points N] [--trials N] [--arch-trials N] [--seed S] [--threads N]
-//! [--cutoff K] [--prune off|on|interval|audit]`
+//! [--cutoff K] [--prune off|interval|audit]`
 
 use restore_bench::*;
 use restore_core::fit::{figure8_sizes, FitScaling, MTBF_GOAL_FIT};
@@ -16,7 +16,7 @@ use restore_perf::{profile_all, PerfModel, Policy, FIGURE7_INTERVALS};
 use restore_uarch::UarchConfig;
 
 const USAGE: &str = "figs_all [--points N] [--trials N] [--arch-trials N] [--seed S] \
-                     [--threads N] [--cutoff K] [--prune off|on|interval|audit] [--ckpt-stride K] \
+                     [--threads N] [--cutoff K] [--prune off|interval|audit] [--ckpt-stride K] \
                      [--store DIR]";
 
 fn main() {

@@ -35,9 +35,9 @@ use restore_inject::{
 
 const USAGE: &str = "restore-campaign --domain arch|uarch --store DIR [--shard i/N] [--resume]\n\
     arch knobs:  [--trials N] [--size N] [--low32] [--seed S] [--threads N] [--cutoff K] \
-    [--prune off|on|interval|audit] [--ckpt-stride K] [--sig-chunk N] [--dup-mask M]\n\
+    [--prune off|interval|audit] [--ckpt-stride K] [--sig-chunk N] [--dup-mask M]\n\
     uarch knobs: [--points N] [--trials N] [--latches-only] [--seed S] [--threads N] \
-    [--cutoff K] [--prune off|on|interval|audit] [--ckpt-stride K] [--sig-chunk N] \
+    [--cutoff K] [--prune off|interval|audit] [--ckpt-stride K] [--sig-chunk N] \
     [--dup-mask M]";
 
 /// Parses the flags every domain shares; returns `(store dir, shard,

@@ -11,7 +11,7 @@
 //! select among recorded first-firing latencies.
 //!
 //! Usage: `restore-sweep [--points N] [--trials N] [--seed S]
-//! [--threads N] [--cutoff K] [--prune off|on|interval|audit]
+//! [--threads N] [--cutoff K] [--prune off|interval|audit]
 //! [--ckpt-stride K] [--store DIR] [--json PATH] [--profile-cycles N]
 //! [--intervals A,B,..]`
 
@@ -26,7 +26,7 @@ use restore_workloads::WorkloadId;
 use std::collections::BTreeMap;
 
 const USAGE: &str = "restore-sweep [--points N] [--trials N] [--seed S] [--threads N] \
-                     [--cutoff K] [--prune off|on|interval|audit] [--ckpt-stride K] \
+                     [--cutoff K] [--prune off|interval|audit] [--ckpt-stride K] \
                      [--store DIR] [--json PATH] [--profile-cycles N] [--intervals A,B,..]";
 
 /// Parses `--intervals 25,100,500` (defaults to the Figures 4–6 axis).

@@ -11,7 +11,7 @@
 //! positives; raw mispredictions and cache misses fail metric 3.
 //!
 //! Usage: `symptom_metrics [--points N] [--trials N] [--seed S] [--threads N] [--cutoff K]
-//! [--prune off|on|interval|audit]`
+//! [--prune off|interval|audit]`
 
 use restore_bench::cli;
 use restore_inject::{run_uarch_campaign_io, Shard, UarchCampaignConfig, UarchTrial};
@@ -36,7 +36,7 @@ fn median(v: &mut [u64]) -> Option<u64> {
 }
 
 const USAGE: &str = "symptom_metrics [--points N] [--trials N] [--seed S] [--threads N] \
-                     [--cutoff K] [--prune off|on|interval|audit] [--ckpt-stride K] [--store DIR]";
+                     [--cutoff K] [--prune off|interval|audit] [--ckpt-stride K] [--store DIR]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

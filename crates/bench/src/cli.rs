@@ -84,15 +84,14 @@ pub fn nonzero_u64(args: &[String], name: &str) -> Result<Option<u64>, CliError>
     }
 }
 
-/// Parses `--prune off|on|interval|audit`.
+/// Parses `--prune off|interval|audit`.
 pub fn prune_mode(args: &[String]) -> Result<Option<PruneMode>, CliError> {
     value(args, "--prune")?
         .map(|v| match v {
             "off" => Ok(PruneMode::Off),
-            "on" => Ok(PruneMode::On),
             "interval" => Ok(PruneMode::Interval),
             "audit" => Ok(PruneMode::Audit),
-            _ => Err(CliError(format!("--prune: `{v}` is not one of off|on|interval|audit"))),
+            _ => Err(CliError(format!("--prune: `{v}` is not one of off|interval|audit"))),
         })
         .transpose()
 }
@@ -180,7 +179,7 @@ pub fn uarch_flags_plus(extra: &[&'static str]) -> Vec<&'static str> {
 
 /// Applies the shared µarch campaign knobs to `cfg`:
 /// `--points N` / `--trials N` (nonzero), `--seed S`, `--threads N`
-/// (0 = auto), `--cutoff K` (0 = off), `--prune off|on|interval|audit`,
+/// (0 = auto), `--cutoff K` (0 = off), `--prune off|interval|audit`,
 /// `--ckpt-stride K` (0 = serial producer, no checkpoint library),
 /// `--sig-chunk N` (0 = signature checking off) and `--dup-mask M`
 /// (0 = duplication off) for the software-only detector sources.
@@ -220,7 +219,7 @@ pub fn apply_uarch_flags(cfg: &mut UarchCampaignConfig, args: &[String]) -> Resu
 
 /// Applies the architectural (Figure 2) campaign knobs to `cfg`:
 /// `--trials N` / `--size N` (nonzero), `--seed S`, `--threads N`
-/// (0 = auto), `--cutoff K` (0 = off), `--prune off|on|interval|audit`,
+/// (0 = auto), `--cutoff K` (0 = off), `--prune off|interval|audit`,
 /// `--ckpt-stride K` (0 = serial producer), `--sig-chunk N` /
 /// `--dup-mask M` (software detector sources, 0 = off), `--low32`.
 /// `--store DIR` doubles as the masking-map directory. Pass
@@ -335,6 +334,10 @@ mod tests {
         assert_eq!(cfg.ckpt_stride, 1_500);
         assert_eq!(cfg.map_dir, None, "no --store means no map directory");
         assert!(apply_uarch_flags(&mut cfg, &args(&["--prune", "maybe"])).is_err());
+        assert!(
+            apply_uarch_flags(&mut cfg, &args(&["--prune", "on"])).is_err(),
+            "the retired liveness-oracle mode is rejected"
+        );
 
         let a = args(&["--prune", "interval", "--store", "/tmp/trials"]);
         apply_uarch_flags(&mut cfg, &a).unwrap();
@@ -378,6 +381,7 @@ mod tests {
         assert_eq!(cfg.prune, PruneMode::Interval);
         assert_eq!(cfg.map_dir, Some(PathBuf::from("/tmp/trials")));
         assert!(apply_arch_flags(&mut cfg, &args(&["--prune", "maybe"]), "--trials").is_err());
+        assert!(apply_arch_flags(&mut cfg, &args(&["--prune", "on"]), "--trials").is_err());
     }
 
     #[test]

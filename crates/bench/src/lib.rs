@@ -19,10 +19,11 @@
 //! minutes. Campaign binaries also take `--threads N` (default: the
 //! `RESTORE_THREADS` env var, then all available cores), `--cutoff K`
 //! (reconvergence-cutoff stride; 0 disables) and
-//! `--prune off|on|interval|audit` (dead-state pruning; `interval`
-//! adds the static masking-interval map, `audit` re-simulates every
-//! pruned trial and asserts the prediction); results are bit-identical
-//! at every thread count and with every optimisation on or off. With
+//! `--prune off|interval|audit` (`interval` classifies the trials the
+//! static masking-interval map proves without simulating them, `audit`
+//! re-simulates every pruned trial and asserts the prediction; `off`
+//! is the default); results are bit-identical at every thread count
+//! and with every optimisation on or off. With
 //! `--store DIR` the masking maps persist next to the trial segments
 //! and are reused by later runs. This library holds the shared flag
 //! parsing ([`cli`]), aggregation and table rendering.

@@ -32,7 +32,7 @@
 //! bit-identical to `Off`; `PruneMode::Audit` proves it trial-by-trial.
 
 use crate::cache::TrialCache;
-use crate::campaign::{self, CampaignIo, FaultModel, PointStats, TrialCost};
+use crate::campaign::{self, CampaignIo, FaultModel, TrialCost};
 use crate::classify::{ArchCategory, Symptom, SymptomLatencies};
 use crate::engine::{effective_ckpt_stride, CampaignStats};
 use crate::seeding::DOMAIN_ARCH;
@@ -83,9 +83,7 @@ pub struct ArchCampaignConfig {
     pub cutoff_stride: u64,
     /// Static interval pruning: skip simulating register-result trials
     /// the per-workload [`restore_maskmap::ArchMaskMap`] proves masked
-    /// or residue-unmasked. There is no architectural liveness oracle,
-    /// so [`PruneMode::On`] behaves exactly like [`PruneMode::Off`]
-    /// here; [`PruneMode::Interval`] consults the map and
+    /// or residue-unmasked. [`PruneMode::Interval`] consults the map and
     /// [`PruneMode::Audit`] additionally re-simulates every
     /// map-classified trial and asserts the prediction. Results are
     /// bit-identical across all modes.
@@ -244,8 +242,6 @@ struct ArchGolden {
     /// digest that excludes the prune mode, so a map there would leak
     /// across prune settings.
     map: Option<Arc<ArchMaskMap>>,
-    /// Trials at this point the map classified statically.
-    interval_pruned: u64,
 }
 
 impl FaultModel for ArchModel<'_> {
@@ -297,12 +293,12 @@ impl FaultModel for ArchModel<'_> {
         points
     }
 
-    fn golden(&self, fork: &mut ArchMachine, id: WorkloadId) -> ArchGolden {
+    fn golden(&self, fork: &ArchMachine, id: WorkloadId) -> ArchGolden {
         // The map registry memoizes per (workload, digest): the build
         // cost is one golden replay per process (or a load from
         // `map_dir`), so fetching per point is an `Arc` clone.
         let map = match self.cfg.prune {
-            PruneMode::Off | PruneMode::On => None,
+            PruneMode::Off => None,
             PruneMode::Interval | PruneMode::Audit => {
                 Some(restore_maskmap::arch_map(id, self.cfg.scale, self.cfg.map_dir.as_deref()))
             }
@@ -313,25 +309,18 @@ impl FaultModel for ArchModel<'_> {
                 .window
                 .min(fork.run_len.saturating_sub(fork.cpu.retired() + 1)),
             map,
-            interval_pruned: 0,
         }
     }
 
     fn run_trial(
         &self,
         fork: &ArchMachine,
-        golden: &mut ArchGolden,
+        golden: &ArchGolden,
         id: WorkloadId,
         mut rng: StdRng,
     ) -> (Option<ArchTrial>, TrialCost) {
         let bit = if self.cfg.low32 { rng.gen_range(0..32) } else { rng.gen_range(0..64) };
         run_trial(&fork.cpu, id, bit, self.cfg, golden)
-    }
-
-    fn point_stats(&self, golden: &ArchGolden) -> PointStats {
-        // No architectural liveness oracle exists, so there are no
-        // shadow runs to pay or avoid at this level.
-        PointStats { interval_pruned: golden.interval_pruned, ..PointStats::default() }
     }
 }
 
@@ -409,7 +398,7 @@ fn run_trial(
     id: WorkloadId,
     bit: u32,
     cfg: &ArchCampaignConfig,
-    point: &mut ArchGolden,
+    point: &ArchGolden,
 ) -> (Option<ArchTrial>, TrialCost) {
     let window_executed = point.window_executed;
     if let Some(map) = &point.map {
@@ -418,7 +407,6 @@ fn run_trial(
         let r = probe.step().expect("golden never faults");
         if let Some((reg, _)) = r.reg_write {
             if let Some(masked) = map.verdict(idx, reg, window_executed) {
-                point.interval_pruned += 1;
                 // A write-before-read (or never-accessed) victim register
                 // produces no symptom stream of its own, and the
                 // corrupted value is never read, so no downstream write
@@ -433,16 +421,16 @@ fn run_trial(
                     masked,
                 };
                 if cfg.prune == PruneMode::Audit {
-                    let (actual, mut cost) = lockstep_trial(at, id, bit, cfg, window_executed);
+                    let (actual, cost) = lockstep_trial(at, id, bit, cfg, window_executed);
                     assert_eq!(
                         actual,
                         Some(predicted),
                         "interval map disagrees with simulation \
                          (workload {id:?}, reg {reg:?}, point {idx})"
                     );
-                    cost.pruned = true;
-                    cost.pruned_cycles = window_executed;
-                    return (actual, cost);
+                    // The simulation already charged the window;
+                    // `pruned` only counts the checked prediction.
+                    return (actual, TrialCost { pruned: true, ..cost });
                 }
                 return (
                     Some(predicted),
@@ -681,14 +669,12 @@ mod tests {
         let (t_off, s_off) = run_arch_campaign_with_stats(&off);
         let (t_int, s_int) = run_arch_campaign_with_stats(&interval);
         assert_eq!(t_off, t_int, "interval pruning changed trial records");
-        assert_eq!(s_off.trials_interval_pruned, 0);
+        assert_eq!(s_off.trials_pruned, 0);
         assert_eq!(
-            s_int.trials_pruned, s_int.trials_interval_pruned,
-            "every arch pruned trial must come from the map — there is no oracle here"
+            s_int.cycles_simulated + s_int.cycles_saved + s_int.cycles_pruned,
+            s_off.cycles_simulated + s_off.cycles_saved,
+            "pruned instructions must account for the unpruned run's instructions"
         );
-        // No oracle at this level: shadow-run accounting stays silent.
-        assert_eq!(s_int.shadow_runs, 0);
-        assert_eq!(s_int.shadow_runs_avoided, 0);
     }
 
     /// Sweeps the whole Gapx golden run and, at *every* point the map
@@ -728,15 +714,18 @@ mod tests {
             while cpu.retired() < p {
                 cpu.step().expect("golden never faults");
             }
-            let mut golden = ArchGolden {
+            let golden = ArchGolden {
                 window_executed: cfg.window.min(run_len.saturating_sub(p + 1)),
                 map: Some(Arc::clone(&map)),
-                interval_pruned: 0,
             };
-            let (trial, cost) = run_trial(&cpu, id, 13, &cfg, &mut golden);
+            let (trial, cost) = run_trial(&cpu, id, 13, &cfg, &golden);
             assert!(trial.is_some_and(|t| t.symptoms == SymptomLatencies::default()));
             assert!(cost.pruned, "map-classified point {p} did not prune");
-            assert_eq!(golden.interval_pruned, 1);
+            assert_eq!(
+                cost.planned(),
+                golden.window_executed,
+                "an audited prune charges its window exactly once, as simulation"
+            );
         }
     }
 

@@ -56,24 +56,6 @@ impl<R> UnitOutput<R> {
     }
 }
 
-/// Per-point instrumentation a model reports after a point's trials
-/// finish — the static-pruning and shadow-run accounting that lives in
-/// the model's `Golden` state rather than in any one trial's
-/// [`TrialCost`]. (Persisted trial records stay unchanged: an
-/// interval-pruned trial is a pruned trial; these counters only refine
-/// the in-memory stats.)
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PointStats {
-    /// Trials at this point the masking-interval map classified
-    /// statically.
-    pub interval_pruned: u64,
-    /// 1 if the point's liveness oracle paid its shadow run.
-    pub shadow_runs: u64,
-    /// 1 if the point drew dead bits (which would have forced the
-    /// shadow run) but the interval map answered every one.
-    pub shadow_runs_avoided: u64,
-}
-
 /// A fault model: the primitives one abstraction level contributes to
 /// the shared campaign loop. Everything order- or thread-sensitive
 /// (plan enumeration, seeding, reassembly, stats) stays in
@@ -84,9 +66,7 @@ pub(crate) trait FaultModel: Sync {
     /// forward (by the serial sweeper, or by workers finishing the
     /// residual from a checkpoint) in between.
     type Machine: Send + SnapshotMachine + 'static;
-    /// Per-point golden observation shared by the point's trials
-    /// (mutable so lazy per-point work — e.g. a liveness oracle's
-    /// shadow run — can live inside it).
+    /// Per-point golden observation shared by the point's trials.
     type Golden;
     /// One trial's record.
     type Trial: Send;
@@ -127,12 +107,7 @@ pub(crate) trait FaultModel: Sync {
     fn plan(&self, walker: &Self::Machine, point_seed: u64) -> Vec<u64>;
     /// The golden observation at a fork (runs once per point, on the
     /// worker).
-    fn golden(&self, fork: &mut Self::Machine, id: WorkloadId) -> Self::Golden;
-    /// Per-point instrumentation, read once after the point's trials
-    /// complete. The default reports nothing.
-    fn point_stats(&self, _golden: &Self::Golden) -> PointStats {
-        PointStats::default()
-    }
+    fn golden(&self, fork: &Self::Machine, id: WorkloadId) -> Self::Golden;
     /// Runs one injected trial against the fork and its golden
     /// observation. `rng` is seeded from the trial's plan coordinates.
     /// `None` means the drawn injection had no effect to corrupt (e.g.
@@ -141,7 +116,7 @@ pub(crate) trait FaultModel: Sync {
     fn run_trial(
         &self,
         fork: &Self::Machine,
-        golden: &mut Self::Golden,
+        golden: &Self::Golden,
         id: WorkloadId,
         rng: StdRng,
     ) -> (Option<Self::Trial>, TrialCost);
@@ -316,7 +291,7 @@ where
             assert!(live, "emitted units are live at their injection coordinate");
 
             let g0 = Instant::now();
-            let mut golden = model.golden(&mut unit.machine, unit.id);
+            let golden = model.golden(&unit.machine, unit.id);
             let golden_secs = g0.elapsed().as_secs_f64();
 
             let t0 = Instant::now();
@@ -333,17 +308,13 @@ where
                     continue;
                 }
                 let rng = StdRng::seed_from_u64(seed);
-                let (trial, cost) = model.run_trial(&unit.machine, &mut golden, unit.id, rng);
+                let (trial, cost) = model.run_trial(&unit.machine, &golden, unit.id, rng);
                 if let Some(cache) = io.cache {
                     cache.record(Stored { key, cost, trial: trial.clone() });
                 }
                 out.absorb(cost);
                 out.results.extend(trial);
             }
-            let ps = model.point_stats(&golden);
-            out.trials_interval_pruned += ps.interval_pruned;
-            out.shadow_runs += ps.shadow_runs;
-            out.shadow_runs_avoided += ps.shadow_runs_avoided;
             out.trial_secs = t0.elapsed().as_secs_f64();
             out
         },

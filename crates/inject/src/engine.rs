@@ -96,26 +96,21 @@ pub struct CampaignStats {
     pub cycles_saved: u64,
     /// Trials cut short by the reconvergence cutoff.
     pub trials_cut: u64,
-    /// Trials classified by the liveness oracle without simulating
-    /// their window (dead-state pruning). Includes the
-    /// `trials_interval_pruned` subset, so the
-    /// `simulated + saved + pruned + cached = planned` invariant is
-    /// unchanged by interval pruning.
+    /// Trials the masking-interval map classified (`--prune interval`)
+    /// without simulating their window. Under `--prune audit` these
+    /// trials are simulated as well, and their cycles count as
+    /// simulated/saved, not pruned.
     pub trials_pruned: u64,
     /// Window cycles those pruned trials would have needed.
     pub cycles_pruned: u64,
-    /// The subset of `trials_pruned` decided by the static
-    /// masking-interval map (`--prune interval`) — zero simulated
-    /// cycles *and* zero shadow runs.
+    /// Always equal to `trials_pruned`: the map is the only pruner.
+    /// Kept because the benchmark's traced run reads it as its
+    /// `maskmap.pruned_frac` numerator.
     pub trials_interval_pruned: u64,
-    /// Injection points whose per-point liveness oracle actually paid
-    /// its shadow run (window + drain replay) this run.
+    /// Always 0: no pruner runs shadow simulations any more. Kept
+    /// because the benchmark's traced run reports it as
+    /// `maskmap.shadow_runs`.
     pub shadow_runs: u64,
-    /// Injection points where at least one drawn bit was occupancy-dead
-    /// — which under `--prune on` forces the point's shadow run — but
-    /// the interval map answered every such draw statically, so no
-    /// shadow ran.
-    pub shadow_runs_avoided: u64,
     /// Trials served from the on-disk trial store without simulating
     /// anything (content-addressed cache hits).
     pub trials_cached: u64,
@@ -181,7 +176,6 @@ impl CampaignStats {
         self.cycles_pruned += other.cycles_pruned;
         self.trials_interval_pruned += other.trials_interval_pruned;
         self.shadow_runs += other.shadow_runs;
-        self.shadow_runs_avoided += other.shadow_runs_avoided;
         self.trials_cached += other.trials_cached;
         self.cycles_cached += other.cycles_cached;
     }
@@ -230,17 +224,12 @@ impl fmt::Display for CampaignStats {
             )?;
         }
         if self.trials_pruned > 0 {
+            // The clause's wording predates the interval map; the
+            // benchmark's stats parser matches it verbatim.
             write!(
                 f,
                 "; liveness oracle pruned {}/{} trials, skipping {} window cycles",
                 self.trials_pruned, self.trials, self.cycles_pruned,
-            )?;
-        }
-        if self.trials_interval_pruned > 0 {
-            write!(
-                f,
-                " ({} statically, via the interval map; {} shadow runs paid, {} avoided)",
-                self.trials_interval_pruned, self.shadow_runs, self.shadow_runs_avoided,
             )?;
         }
         if self.trials_cached > 0 {
@@ -293,17 +282,10 @@ pub(crate) struct UnitOutput<R> {
     pub cycles_saved: u64,
     /// Trials this unit cut short at a fingerprint match.
     pub trials_cut: u64,
-    /// Trials this unit classified via the liveness oracle.
+    /// Trials this unit classified via the masking-interval map.
     pub trials_pruned: u64,
     /// Trial window cycles the pruned trials would have needed.
     pub cycles_pruned: u64,
-    /// Trials this unit classified statically via the interval map.
-    pub trials_interval_pruned: u64,
-    /// 1 when this unit's liveness oracle paid its shadow run.
-    pub shadow_runs: u64,
-    /// 1 when this unit had dead draws but the interval map answered
-    /// them all, so the shadow run never happened.
-    pub shadow_runs_avoided: u64,
     /// Trials this unit served from the trial store.
     pub trials_cached: u64,
     /// Planned window cycles those cached trials replayed.
@@ -327,9 +309,6 @@ impl<R> Default for UnitOutput<R> {
             trials_cut: 0,
             trials_pruned: 0,
             cycles_pruned: 0,
-            trials_interval_pruned: 0,
-            shadow_runs: 0,
-            shadow_runs_avoided: 0,
             trials_cached: 0,
             cycles_cached: 0,
         }
@@ -360,7 +339,7 @@ where
     let (tx, rx) = channel::bounded::<(usize, U)>(threads * 2);
     let collected: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
     let stage_secs: Mutex<(f64, f64, f64)> = Mutex::new((0.0, 0.0, 0.0));
-    let cycle_counts: Mutex<[u64; 13]> = Mutex::new([0; 13]);
+    let cycle_counts: Mutex<[u64; 10]> = Mutex::new([0; 10]);
 
     let wall0 = Instant::now();
     let mut produce_secs = 0.0;
@@ -394,9 +373,6 @@ where
                         cc[7] += out.warmup_cycles_saved;
                         cc[8] += out.trials_cached;
                         cc[9] += out.cycles_cached;
-                        cc[10] += out.trials_interval_pruned;
-                        cc[11] += out.shadow_runs;
-                        cc[12] += out.shadow_runs_avoided;
                     }
                     collected.lock().push((index, out.results));
                 }
@@ -424,7 +400,7 @@ where
     debug_assert!(collected.iter().enumerate().all(|(i, (idx, _))| i == *idx));
 
     let (sweep_secs, golden_secs, trial_secs) = stage_secs.into_inner();
-    let [cycles_simulated, cycles_saved, trials_cut, trials_pruned, cycles_pruned, checkpoint_hits, checkpoint_misses, warmup_cycles_saved, trials_cached, cycles_cached, trials_interval_pruned, shadow_runs, shadow_runs_avoided] =
+    let [cycles_simulated, cycles_saved, trials_cut, trials_pruned, cycles_pruned, checkpoint_hits, checkpoint_misses, warmup_cycles_saved, trials_cached, cycles_cached] =
         cycle_counts.into_inner();
     let results: Vec<R> = collected.into_iter().flat_map(|(_, r)| r).collect();
     let stats = CampaignStats {
@@ -441,9 +417,8 @@ where
         trials_cut,
         trials_pruned,
         cycles_pruned,
-        trials_interval_pruned,
-        shadow_runs,
-        shadow_runs_avoided,
+        trials_interval_pruned: trials_pruned,
+        shadow_runs: 0,
         checkpoint_hits,
         checkpoint_misses,
         warmup_cycles_saved,
@@ -471,9 +446,6 @@ mod tests {
             trials_cut: 1,
             trials_pruned: 1,
             cycles_pruned: 25,
-            trials_interval_pruned: 1,
-            shadow_runs: u64::from(u.is_multiple_of(3)),
-            shadow_runs_avoided: u64::from(!u.is_multiple_of(3)),
             trials_cached: 1,
             cycles_cached: 40,
         }
@@ -504,9 +476,8 @@ mod tests {
             assert_eq!(stats.trials_cut, 57);
             assert_eq!(stats.trials_pruned, 57);
             assert_eq!(stats.cycles_pruned, 57 * 25);
-            assert_eq!(stats.trials_interval_pruned, 57);
-            assert_eq!(stats.shadow_runs, 19, "unit indices divisible by 3 in 0..57");
-            assert_eq!(stats.shadow_runs_avoided, 38);
+            assert_eq!(stats.trials_interval_pruned, stats.trials_pruned);
+            assert_eq!(stats.shadow_runs, 0);
             assert_eq!(stats.checkpoint_hits, 29, "even unit indices 0..57");
             assert_eq!(stats.checkpoint_misses, 28);
             assert_eq!(stats.checkpoint_hits + stats.checkpoint_misses, stats.units);
@@ -517,11 +488,8 @@ mod tests {
             let line = stats.to_string();
             assert_eq!(line, stats.summary());
             assert!(line.contains("cutoff ended 57/114 trials early"), "{line}");
-            assert!(line.contains("pruned 57/114 trials"), "{line}");
             assert!(
-                line.contains(
-                    "(57 statically, via the interval map; 19 shadow runs paid, 38 avoided)"
-                ),
+                line.contains("liveness oracle pruned 57/114 trials, skipping 1425 window cycles"),
                 "{line}"
             );
             assert!(line.contains("trial mix: 0% simulated / 50% cut / 50% pruned"), "{line}");
@@ -555,14 +523,13 @@ mod tests {
             trials_pruned: 57,
             cycles_pruned: 1_425,
             trials_interval_pruned: 57,
-            shadow_runs: 19,
-            shadow_runs_avoided: 38,
+            shadow_runs: 0,
             trials_cached: 57,
             cycles_cached: 2_280,
         };
         // Three shards: counters split 19/19/19 (and 1.25s/0.5s/… for
         // the times); every field of `single` is divisible that way.
-        let shard = |units: u64, hits, shadow, wall, produce, sweep, golden, trial| CampaignStats {
+        let shard = |units: u64, hits, wall, produce, sweep, golden, trial| CampaignStats {
             threads: 4,
             units,
             trials: units * 2,
@@ -580,15 +547,14 @@ mod tests {
             trials_pruned: units,
             cycles_pruned: units * 25,
             trials_interval_pruned: units,
-            shadow_runs: shadow,
-            shadow_runs_avoided: units - shadow,
+            shadow_runs: 0,
             trials_cached: units,
             cycles_cached: units * 40,
         };
         let shards = [
-            shard(19, 10, 7, 1.25, 0.5, 0.25, 0.75, 2.0),
-            shard(19, 10, 6, 1.25, 0.5, 0.125, 0.75, 2.0),
-            shard(19, 9, 6, 1.25, 0.5, 0.125, 0.75, 2.0),
+            shard(19, 10, 1.25, 0.5, 0.25, 0.75, 2.0),
+            shard(19, 10, 1.25, 0.5, 0.125, 0.75, 2.0),
+            shard(19, 9, 1.25, 0.5, 0.125, 0.75, 2.0),
         ];
         let mut merged = CampaignStats::default();
         for s in &shards {

@@ -44,7 +44,6 @@ mod cache;
 mod campaign;
 mod classify;
 mod engine;
-mod liveness;
 mod seeding;
 pub mod stats;
 mod uarch_campaign;

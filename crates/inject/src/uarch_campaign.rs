@@ -17,18 +17,19 @@
 //!   the simulator is deterministic, so equal complete state at equal
 //!   cycle means identical futures, and the remaining observables are
 //!   back-filled from the golden record;
-//! * **dead-state pruning** ([`UarchCampaignConfig::prune`]) classifies
-//!   flips into provably dead fields from one shared shadow run per
-//!   point ([`crate::liveness`]) without simulating their window at all.
-//!   `PruneMode::Audit` simulates every pruned trial anyway and asserts
-//!   the prediction was exact.
+//! * **interval pruning** ([`UarchCampaignConfig::prune`]) classifies
+//!   flips the per-workload masking-interval map
+//!   ([`restore_maskmap::UarchMaskMap`]) proves masked or residue without
+//!   simulating their window at all. `PruneMode::Audit` simulates every
+//!   pruned trial anyway and asserts the prediction was exact.
 
 use crate::cache::TrialCache;
-use crate::campaign::{self, CampaignIo, FaultModel, PointStats, TrialCost};
+use crate::campaign::{self, CampaignIo, FaultModel, TrialCost};
 use crate::engine::{effective_ckpt_stride, CampaignStats};
-use crate::liveness::{predict_dead_trial, PointOracle};
 use crate::seeding::DOMAIN_UARCH;
-use crate::uarch_trial::{draw_bit, golden_run, run_trial, GoldenRun, UarchTrial};
+use crate::uarch_trial::{
+    draw_bit, golden_run, predict_dead_trial, run_trial, GoldenRun, UarchTrial,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use restore_core::{config_digest, ConfigDigest, DetectorConfig};
@@ -52,28 +53,23 @@ pub enum InjectionTarget {
 // `SymptomSource`; re-exported here for the historical path.
 pub use restore_core::CfvMode;
 
-/// Dead-state injection pruning mode ([`UarchCampaignConfig::prune`]).
+/// Injection pruning mode ([`UarchCampaignConfig::prune`],
+/// [`crate::ArchCampaignConfig::prune`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PruneMode {
     /// Every trial simulates its full observation window (modulo the
     /// reconvergence cutoff).
     #[default]
     Off,
-    /// Trials whose flipped bit the liveness oracle proves dead are
-    /// classified from the per-point shadow run with zero simulated
-    /// window cycles. Results are bit-identical to `Off`.
-    On,
-    /// `On`, plus the static masking-interval map
-    /// ([`restore_maskmap::UarchMaskMap`]) consulted first: an
-    /// injection the map proves masked is classified with zero
-    /// simulated cycles *and* zero shadow runs — the per-point oracle
-    /// survives only as the fallback for draws the map cannot decide.
+    /// The static masking-interval map ([`restore_maskmap::UarchMaskMap`],
+    /// [`restore_maskmap::ArchMaskMap`]) is consulted first: an
+    /// injection the map proves masked (or residue) is classified with
+    /// zero simulated window cycles, and every other draw is simulated.
     /// Results are bit-identical to `Off`.
     Interval,
-    /// Like `Interval`, but every statically- or oracle-pruned trial is
-    /// *also* simulated exhaustively and the predicted record is
-    /// asserted identical — both predictors' equivalence check, at full
-    /// cost.
+    /// Like `Interval`, but every map-pruned trial is *also* simulated
+    /// exhaustively and the predicted record is asserted identical — the
+    /// map's equivalence check, at full cost.
     Audit,
 }
 
@@ -115,8 +111,8 @@ pub struct UarchCampaignConfig {
     /// Results are bit-identical either way — only throughput changes.
     // digest: neutral -- reconvergence cutoff is bit-identical on/off
     pub cutoff_stride: u64,
-    /// Dead-state pruning: skip simulating trials whose flipped bit the
-    /// liveness oracle proves dead at the injection point. Results are
+    /// Interval pruning: skip simulating trials whose flip the
+    /// masking-interval map proves masked or residue. Results are
     /// bit-identical to [`PruneMode::Off`]; [`PruneMode::Audit`]
     /// verifies that claim trial-by-trial at full simulation cost.
     // digest: neutral -- pruning is bit-identical across all modes
@@ -239,23 +235,16 @@ impl SnapshotMachine for UarchMachine {
     }
 }
 
-/// Per-point golden observation plus the lazily-built liveness oracle
-/// and (in interval mode) the workload's shared masking-interval map.
+/// Per-point golden observation plus (in interval mode) the workload's
+/// shared masking-interval map.
 struct UarchGolden {
     run: GoldenRun,
-    oracle: Option<PointOracle>,
     /// The workload's masking-interval map ([`PruneMode::Interval`] and
     /// [`PruneMode::Audit`]). Deliberately *not* carried by
     /// [`UarchMachine`]: machines are cached in the process-wide
     /// checkpoint library under a config digest that excludes the prune
     /// mode, so a map there would leak across prune settings.
     map: Option<Arc<UarchMaskMap>>,
-    /// Trials at this point the map classified statically.
-    interval_pruned: u64,
-    /// Map-pruned draws whose bit was occupancy-dead at injection —
-    /// exactly the draws that would have forced the oracle's shadow
-    /// run under [`PruneMode::On`].
-    interval_dead_draws: u64,
 }
 
 impl FaultModel for UarchModel<'_> {
@@ -299,23 +288,12 @@ impl FaultModel for UarchModel<'_> {
         plan_points(self.cfg, point_seed)
     }
 
-    fn golden(&self, fork: &mut UarchMachine, id: WorkloadId) -> UarchGolden {
-        let run = golden_run(&fork.pipe, self.cfg);
-        // Occupancy capture is cheap; the oracle's shadow run only
-        // happens if a trial actually draws a dead bit the interval map
-        // cannot answer, and its cost lands in trial time where the
-        // work it replaces would have been.
-        let oracle = match self.cfg.prune {
-            PruneMode::Off => None,
-            PruneMode::On | PruneMode::Interval | PruneMode::Audit => {
-                Some(PointOracle::capture(&mut fork.pipe))
-            }
-        };
+    fn golden(&self, fork: &UarchMachine, id: WorkloadId) -> UarchGolden {
         // The map registry memoizes per (workload, digest): the build
         // cost is paid once per process (or loaded from `map_dir`), so
         // fetching per point is an `Arc` clone.
         let map = match self.cfg.prune {
-            PruneMode::Off | PruneMode::On => None,
+            PruneMode::Off => None,
             PruneMode::Interval | PruneMode::Audit => Some(restore_maskmap::uarch_map(
                 id,
                 self.cfg.scale,
@@ -324,67 +302,47 @@ impl FaultModel for UarchModel<'_> {
                 self.cfg.map_dir.as_deref(),
             )),
         };
-        UarchGolden { run, oracle, map, interval_pruned: 0, interval_dead_draws: 0 }
+        UarchGolden { run: golden_run(&fork.pipe, self.cfg), map }
     }
 
     fn run_trial(
         &self,
         fork: &UarchMachine,
-        golden: &mut UarchGolden,
+        golden: &UarchGolden,
         id: WorkloadId,
         mut rng: StdRng,
     ) -> (Option<UarchTrial>, TrialCost) {
-        let UarchGolden { run, oracle, map, interval_pruned, interval_dead_draws } = golden;
+        let UarchGolden { run, map } = golden;
         let bit = draw_bit(&mut rng, &fork.catalog, self.cfg.target);
-        // Interval pruning: a statically-provable draw never touches
-        // the oracle, so the point's shadow run may never happen.
-        if let Some(map) = map {
-            let cycle = fork.pipe.cycles();
-            if let Some(p) = map.proves(bit, cycle, cycle + run.window_executed) {
-                *interval_pruned += 1;
-                *interval_dead_draws += u64::from(p.dead_at_injection);
-                // The map proves either that the bit is overwritten
-                // from a value independent of the flip before the
-                // window closes (`written`), or that the flip survives
-                // untouched and unread through the end-of-trial hash
-                // (residue) — both of the oracle's verdicts, predicted
-                // without its shadow run.
-                let predicted =
-                    predict_dead_trial(run, &fork.catalog, id, bit, fork.pipe.retired(), p.written);
-                let pruned_cycles = run.window_executed;
-                if self.cfg.prune == PruneMode::Audit {
-                    let (actual, mut cost) =
-                        run_trial(&fork.pipe, run, &fork.catalog, id, bit, self.cfg, None);
-                    assert_eq!(
-                        actual, predicted,
-                        "interval map disagrees with simulation (workload {id:?}, bit {bit}, \
-                         cycle {cycle})"
-                    );
-                    cost.pruned = true;
-                    cost.pruned_cycles = pruned_cycles;
-                    return (Some(actual), cost);
-                }
-                let cost = TrialCost { pruned: true, pruned_cycles, ..TrialCost::default() };
-                return (Some(predicted), cost);
-            }
+        let cycle = fork.pipe.cycles();
+        let Some(p) = map.as_ref().and_then(|m| m.proves(bit, cycle, cycle + run.window_executed))
+        else {
+            let (trial, cost) = run_trial(&fork.pipe, run, &fork.catalog, id, bit, self.cfg);
+            return (Some(trial), cost);
+        };
+        // The map proves either that the bit is overwritten from a value
+        // independent of the flip before the window closes (`written`),
+        // or that the flip survives untouched and unread through the
+        // end-of-trial hash (residue).
+        let predicted =
+            predict_dead_trial(run, &fork.catalog, id, bit, fork.pipe.retired(), p.written);
+        if self.cfg.prune == PruneMode::Audit {
+            let (actual, cost) = run_trial(&fork.pipe, run, &fork.catalog, id, bit, self.cfg);
+            assert_eq!(
+                actual, predicted,
+                "interval map disagrees with simulation (workload {id:?}, bit {bit}, \
+                 cycle {cycle})"
+            );
+            // The simulation already charged the window (simulated +
+            // saved); `pruned` only counts the checked prediction.
+            return (Some(actual), TrialCost { pruned: true, ..cost });
         }
-        if let Some(o) = oracle.as_mut() {
-            if o.dead_field(&fork.catalog, bit).is_some() {
-                o.ensure_written(&fork.pipe, run, &fork.catalog, self.cfg);
-            }
-        }
-        let (trial, cost) =
-            run_trial(&fork.pipe, run, &fork.catalog, id, bit, self.cfg, oracle.as_ref());
-        (Some(trial), cost)
-    }
-
-    fn point_stats(&self, golden: &UarchGolden) -> PointStats {
-        let shadow_ran = golden.oracle.as_ref().is_some_and(PointOracle::shadow_ran);
-        PointStats {
-            interval_pruned: golden.interval_pruned,
-            shadow_runs: u64::from(shadow_ran),
-            shadow_runs_avoided: u64::from(!shadow_ran && golden.interval_dead_draws > 0),
-        }
+        // A proved trial's live evolution is the golden run's, so the
+        // exhaustive trial would have simulated (or been cut across)
+        // exactly the golden run's window cycles.
+        let cost =
+            TrialCost { pruned: true, pruned_cycles: run.window_executed, ..TrialCost::default() };
+        (Some(predicted), cost)
     }
 }
 

@@ -14,13 +14,12 @@
 
 use crate::campaign::TrialCost;
 use crate::classify::{Symptom, SymptomLatencies, UarchCategory};
-use crate::liveness::{predict_dead_trial, PointOracle};
-use crate::uarch_campaign::{CfvMode, InjectionTarget, PruneMode, UarchCampaignConfig};
+use crate::uarch_campaign::{CfvMode, InjectionTarget, UarchCampaignConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
 use restore_arch::Retired;
 use restore_core::{DetectorSet, Observation, RetiredCompare, SourceSet, SymptomKind};
-use restore_uarch::{FaultState, OccupancyRecorder, Pipeline, StateCatalog, Stop};
+use restore_uarch::{Pipeline, StateCatalog, Stop};
 use restore_workloads::WorkloadId;
 use std::collections::BTreeSet;
 
@@ -160,15 +159,15 @@ pub(crate) struct GoldenRun {
     /// `(retired_before, pc)` of all golden conditional mispredicts.
     all_events: BTreeSet<(u64, u64)>,
     end_state_hash: u64,
-    pub(crate) end_regs: [u64; 32],
+    end_regs: [u64; 32],
     /// Digest of the end memory image ([`restore_arch::Memory::content_hash`]);
     /// keeping the full golden `Memory` alive per point was the campaign's
     /// largest resident allocation.
-    pub(crate) end_mem_hash: u64,
-    /// Status after the end-of-window drain (a trial cut at reconvergence
-    /// back-fills its ending from this).
-    pub(crate) end_status: Stop,
-    pub(crate) retired: u64,
+    end_mem_hash: u64,
+    /// Status after the end-of-window drain (a trial cut at reconvergence,
+    /// or predicted from the masking map, back-fills its ending from this).
+    end_status: Stop,
+    retired: u64,
     dcache_misses: u64,
     dtlb_misses: u64,
     /// Full-machine fingerprint at each `cutoff_stride` boundary of the
@@ -183,16 +182,12 @@ pub(crate) struct GoldenRun {
     /// included, so this is exactly what the exhaustive trial would have
     /// simulated.
     pub(crate) window_executed: u64,
-    /// Per-field end-of-trial values in catalog order (the state the
-    /// classifier hashes), for the liveness oracle's written/untouched
-    /// verdicts. Empty unless pruning is enabled.
-    pub(crate) end_fields: Vec<u64>,
 }
 
 /// Stops fetch and runs until the machine is empty (or `max` cycles).
 /// An empty machine must stop cycling before the retirement watchdog
 /// misreads the idle period as a deadlock.
-pub(crate) fn drain(pipe: &mut Pipeline, max: u64) {
+fn drain(pipe: &mut Pipeline, max: u64) {
     pipe.set_fetch_enabled(false);
     for _ in 0..max {
         if pipe.status() != Stop::Running || pipe.in_flight() == 0 {
@@ -245,13 +240,6 @@ pub(crate) fn golden_run(at: &Pipeline, cfg: &UarchCampaignConfig) -> GoldenRun 
         }
     }
     drain(&mut g, cfg.drain_cycles);
-    let end_fields = if cfg.prune != PruneMode::Off {
-        let mut rec = OccupancyRecorder::new();
-        g.visit_state(&mut rec);
-        rec.values
-    } else {
-        Vec::new()
-    };
     GoldenRun {
         trace,
         hc_events: hc,
@@ -265,7 +253,6 @@ pub(crate) fn golden_run(at: &Pipeline, cfg: &UarchCampaignConfig) -> GoldenRun 
         dtlb_misses: g.miss_counters().3,
         fingerprints,
         window_executed,
-        end_fields,
     }
 }
 
@@ -277,6 +264,61 @@ pub(crate) fn draw_bit(rng: &mut StdRng, catalog: &StateCatalog, target: Injecti
     }
 }
 
+/// Predicts the exact trial record for an injection the masking map
+/// proves ([`restore_maskmap::UarchMaskMap::proves`]) without simulating
+/// it.
+///
+/// A proved flip is never read before it is destroyed or the trial ends,
+/// so it produces no symptom of its own: the live trajectory, retired
+/// stream, mispredictions and miss counters are the golden run's. Every
+/// latency stays `None`, the counter deltas are zero, and the ending
+/// depends only on how the golden run ended and whether the flip is
+/// overwritten before the end-of-trial hash (mirroring the
+/// reconvergence cutoff's back-fill for the terminated cases).
+pub(crate) fn predict_dead_trial(
+    golden: &GoldenRun,
+    catalog: &StateCatalog,
+    id: WorkloadId,
+    bit: u64,
+    base_retired: u64,
+    written: bool,
+) -> UarchTrial {
+    let mut trial = UarchTrial {
+        workload: id,
+        bit,
+        region: catalog.region_of(bit).map(|r| r.name).unwrap_or("?"),
+        lhf_protected: catalog.lhf_protected(bit),
+        symptoms: SymptomLatencies::default(),
+        value_divergence: None,
+        hc_mispredict: None,
+        any_mispredict: None,
+        // A proved flip never perturbs the retired stream, so the
+        // software sources (signature, duplication) see only aligned,
+        // matching events and stay silent.
+        sig_mismatch: None,
+        dup_mismatch: None,
+        extra_dcache_misses: 0,
+        extra_dtlb_misses: 0,
+        end: EndState::MaskedClean,
+    };
+    trial.end = match (golden.end_status, written) {
+        (Stop::Halted, true) => EndState::Completed,
+        (Stop::Running, true) => EndState::MaskedClean,
+        (Stop::Halted | Stop::Running, false) => EndState::DeadResidue,
+        (Stop::Deadlock, _) => {
+            trial.symptoms.deadlock = Some(golden.retired - base_retired);
+            EndState::Terminated
+        }
+        (Stop::Exception(_), _) => {
+            trial.symptoms.exception = Some(golden.retired - base_retired);
+            EndState::Terminated
+        }
+    };
+    trial
+}
+
+/// Runs one injected trial: flips `bit` in a clone of `at` and monitors
+/// it in lockstep with `golden` for the observation window.
 pub(crate) fn run_trial(
     at: &Pipeline,
     golden: &GoldenRun,
@@ -284,30 +326,7 @@ pub(crate) fn run_trial(
     id: WorkloadId,
     bit: u64,
     cfg: &UarchCampaignConfig,
-    oracle: Option<&PointOracle>,
 ) -> (UarchTrial, TrialCost) {
-    if let Some(oracle) = oracle {
-        if let Some(field) = oracle.dead_field(catalog, bit) {
-            let predicted =
-                predict_dead_trial(golden, catalog, id, bit, at.retired(), oracle.written(field));
-            // A dead trial's live evolution is the golden run's, so the
-            // exhaustive trial would have simulated (or been cut across)
-            // exactly the golden run's window cycles.
-            let pruned_cycles = golden.window_executed;
-            if cfg.prune == PruneMode::Audit {
-                let (actual, mut cost) = run_trial(at, golden, catalog, id, bit, cfg, None);
-                assert_eq!(
-                    actual, predicted,
-                    "liveness oracle disagrees with simulation (workload {id:?}, bit {bit})"
-                );
-                cost.pruned = true;
-                cost.pruned_cycles = pruned_cycles;
-                return (actual, cost);
-            }
-            let cost = TrialCost { pruned: true, pruned_cycles, ..TrialCost::default() };
-            return (predicted, cost);
-        }
-    }
     let mut pipe = at.clone();
     let base_retired = pipe.retired();
     pipe.flip_bit(bit);
@@ -495,6 +514,76 @@ pub(crate) fn run_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::uarch_campaign::maskmap_horizon;
+    use proptest::prelude::*;
+    use restore_maskmap::UarchMaskMap;
+    use restore_workloads::Scale;
+    use std::sync::OnceLock;
+
+    /// Long-running workload so sampled cycles stay inside the live
+    /// region, with the small cycle geometry of the equivalence suites.
+    fn map_cfg() -> UarchCampaignConfig {
+        UarchCampaignConfig {
+            scale: Scale::smoke(),
+            warmup_cycles: 500,
+            window_cycles: 1_500,
+            drain_cycles: 1_000,
+            ..UarchCampaignConfig::default()
+        }
+    }
+
+    /// One shared map (a full horizon replay) for all proptest cases.
+    fn shared_map() -> &'static UarchMaskMap {
+        static MAP: OnceLock<UarchMaskMap> = OnceLock::new();
+        MAP.get_or_init(|| {
+            let c = map_cfg();
+            let program = WorkloadId::Parserx.build(c.scale);
+            UarchMaskMap::build(&c.uarch, &program, maskmap_horizon(&c), 0)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// A map-proved injection's predicted record is exactly the
+        /// record simulation produces. Each case scans forward from a
+        /// random bit at a random plan cycle to the first bit the map
+        /// proves, so every case checks a real prune. (The occupancy
+        /// half of the map's argument — dead-at-injection verdicts land
+        /// on occupancy-dead fields — is pinned in `restore-maskmap`.)
+        #[test]
+        fn map_predictions_equal_simulated_trials(
+            cycle_frac in 0.0f64..1.0,
+            bit_frac in 0.0f64..1.0,
+        ) {
+            let c = map_cfg();
+            let id = WorkloadId::Parserx;
+            let program = id.build(c.scale);
+            let mut pipe = Pipeline::new(c.uarch.clone(), &program);
+            let catalog = pipe.catalog();
+            let cycle = c.warmup_cycles + ((4 * c.window_cycles) as f64 * cycle_frac) as u64;
+            while pipe.cycles() < cycle {
+                assert_eq!(pipe.status(), Stop::Running, "workload died inside the plan span");
+                pipe.cycle();
+            }
+            let run = golden_run(&pipe, &c);
+            let total = catalog.total_bits;
+            let start = ((total as f64 - 1.0) * bit_frac) as u64;
+            let Some((bit, proof)) = (0..total).map(|o| (start + o) % total).find_map(|b| {
+                shared_map().proves(b, cycle, cycle + run.window_executed).map(|p| (b, p))
+            }) else {
+                // No provable bit at this cycle at all — nothing to check.
+                return;
+            };
+            let predicted =
+                predict_dead_trial(&run, &catalog, id, bit, pipe.retired(), proof.written);
+            let (simulated, _) = run_trial(&pipe, &run, &catalog, id, bit, &c);
+            prop_assert_eq!(
+                predicted, simulated,
+                "map prediction disagrees with simulation at bit {} cycle {}", bit, cycle
+            );
+        }
+    }
 
     #[test]
     fn event_key_saturates_below_baseline() {

@@ -106,14 +106,17 @@ fn arch_library_on_equals_off_at_every_thread_count() {
 }
 
 /// The three result-neutral optimisations compose: checkpoint library +
-/// reconvergence cutoff + dead-state pruning against the fully serial,
+/// reconvergence cutoff + interval pruning against the fully serial,
 /// exhaustive, unpruned reference — trials bit-identical and the
 /// extended cycle invariant `simulated + saved + pruned` intact.
 #[test]
 fn library_composes_with_cutoff_and_pruning() {
     let plain = UarchCampaignConfig { cutoff_stride: 0, prune: PruneMode::Off, ..uarch_cfg(1, 0) };
-    let stacked =
-        UarchCampaignConfig { cutoff_stride: 100, prune: PruneMode::On, ..uarch_cfg(4, 1_210) };
+    let stacked = UarchCampaignConfig {
+        cutoff_stride: 100,
+        prune: PruneMode::Interval,
+        ..uarch_cfg(4, 1_210)
+    };
     let (baseline, s_plain) = run_uarch_campaign_with_stats(&plain);
     let (got, s_stacked) = run_uarch_campaign_with_stats(&stacked);
     assert_eq!(got, baseline, "stacked optimisations changed trial results");

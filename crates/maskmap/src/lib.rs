@@ -1,10 +1,11 @@
 //! # restore-maskmap — static masking-interval analysis
 //!
-//! The liveness oracle (`restore-inject`'s `PointOracle`) proves bits
-//! dead *dynamically*: one occupancy snapshot plus one shadow run per
-//! injection point. This crate derives the same class of verdict
-//! *statically over whole cycle ranges*, from a single instrumented
-//! golden run per `(workload, configuration)`:
+//! Most injected flips land in state that is never read before it is
+//! overwritten, or never read at all inside the trial. This crate proves
+//! those verdicts *statically over whole cycle ranges*, from a single
+//! instrumented golden run per `(workload, configuration)`, so a
+//! campaign (`restore-inject`'s `--prune interval`) can classify such a
+//! trial without simulating it:
 //!
 //! * **Microarchitectural map** ([`UarchMaskMap`]) — replays the golden
 //!   [`Pipeline`] once, walking every catalog field every cycle with a
@@ -34,15 +35,13 @@
 //! # Soundness
 //!
 //! The µarch map's pruning argument rests on two axioms beyond the
-//! visitor contract. **Occupancy axiom** (shared with the dynamic
-//! oracle): an occupancy-dead field's current value is never read
-//! before the field's next write — so a flip there is invisible until
-//! that write and destroyed by it. The build verifies it continuously:
-//! the shadow replica carries *every* dead field flipped at *every*
-//! cycle, and any non-flipped field disagreeing with golden (or a
-//! status divergence) aborts the build loudly, which is the dynamic
-//! oracle's per-point shadow-run check amortised over the whole
-//! horizon. **Wholesale-write axiom**: protected fields are only ever
+//! visitor contract. **Occupancy axiom**: an occupancy-dead field's
+//! current value is never read before the field's next write — so a
+//! flip there is invisible until that write and destroyed by it. The
+//! build verifies it continuously: the shadow replica carries *every*
+//! dead field flipped at *every* cycle, and any non-flipped field
+//! disagreeing with golden (or a status divergence) aborts the build
+//! loudly. **Wholesale-write axiom**: protected fields are only ever
 //! written wholesale, from values independent of their previous
 //! contents (no read-modify-write of a dead or masked field; pointer
 //! fields that *are* RMW'd are never dead or masked). Under that
@@ -57,9 +56,10 @@
 //! provably carries the flip into the end-of-trial hash.
 //! The arch map needs no axiom at all: `Inst::sources` /
 //! `Retired::reg_write` are the complete architectural read/write sets.
-//! Both maps are cross-checked three ways — against the dynamic
-//! `PointOracle` wherever both apply (proptest), against the audit bit
-//! census ([`UarchMaskMap::census_check`]), and by `--prune audit` full
+//! Both maps are cross-checked three ways — map-predicted trial records
+//! against simulated ones at random proved `(cycle, bit)` pairs
+//! (proptest, in `restore-inject`), against the audit bit census
+//! ([`UarchMaskMap::census_check`]), and by `--prune audit` full
 //! re-simulation of every map-pruned trial.
 //!
 //! Maps are memoized process-wide (like the golden checkpoint library)
@@ -357,18 +357,14 @@ impl Shape {
 /// A successful static-prune verdict from [`UarchMaskMap::proves`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MapPrune {
-    /// The bit's occupancy group was dead at the injection cycle itself —
-    /// exactly the case the dynamic `PointOracle` would have classified
-    /// as a dead draw and paid a shadow run to resolve. `false` means
-    /// the bit was live but mask-covered (a verdict the oracle cannot
-    /// reach at all).
+    /// The bit's occupancy group was dead at the injection cycle itself.
+    /// `false` means the bit was live but mask-covered.
     pub dead_at_injection: bool,
     /// `true`: the flip is provably destroyed by a wholesale overwrite
-    /// before the symptom window closes — the oracle's `written = true`
-    /// (`MaskedClean` / `Completed`) prediction. `false`: the flip
-    /// provably survives, intact and unread, through the end-of-trial
-    /// hash point — the oracle's `written = false` (`DeadResidue`)
-    /// prediction, reached without its shadow run.
+    /// before the symptom window closes (the `MaskedClean` /
+    /// `Completed` prediction). `false`: the flip provably survives,
+    /// intact and unread, through the end-of-trial hash point (the
+    /// `DeadResidue` prediction).
     pub written: bool,
 }
 
@@ -397,9 +393,7 @@ pub struct UarchMaskMap {
     mask_runs: Vec<Vec<(u32, u32, u64)>>,
     /// Per field: cycles at which the field was **written**, detected
     /// by the build's shadow replica (golden replayed with every dead
-    /// field flipped, re-flipped after each detected write — the
-    /// dynamic oracle's written-test run continuously instead of once
-    /// per point). Unlike value-change stamps this sees *same-value*
+    /// field flipped, re-flipped after each detected write). Unlike value-change stamps this sees *same-value*
     /// rewrites, and it is exact for the query that matters: for any
     /// cycle `c` inside a dead run, the first entry after `c` is the
     /// first write after `c` (the field stays flipped from `c` until
@@ -595,14 +589,13 @@ impl UarchMaskMap {
     /// Attempts to statically prove the fate of flipping `bit` at
     /// `cycle`, given that the trial's symptom window closes at
     /// `deadline` (`cycle + window_executed`). Returns `None` when
-    /// nothing is provable (the campaign falls back to the dynamic
-    /// oracle or full simulation).
+    /// nothing is provable (the campaign falls back to full
+    /// simulation).
     ///
     /// Two verdicts are reachable.
     ///
-    /// **Dead at injection** (the draws that force the dynamic
-    /// oracle's shadow run): the oracle's own pruning axiom applies —
-    /// an occupancy-dead field's current value is never read before
+    /// **Dead at injection**: the occupancy axiom applies — an
+    /// occupancy-dead field's current value is never read before
     /// the field's next write, so the flip is invisible until that
     /// write and destroyed by it. The build's shadow replica holds the
     /// field flipped from the injection cycle until that write, so the
@@ -622,8 +615,7 @@ impl UarchMaskMap {
     /// the trial's drain never dispatches) and blocks the proof
     /// rather than upgrading it.
     ///
-    /// **Live but mask-covered at injection** (a verdict the oracle
-    /// cannot reach at all): a wholesale overwrite lands before the
+    /// **Live but mask-covered at injection**: a wholesale overwrite lands before the
     /// window closes and a protected walk covers every cycle up to
     /// it, so the injected machine provably tracks golden from the
     /// overwriting stamp on (`written = true`).

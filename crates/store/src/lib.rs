@@ -107,7 +107,9 @@ pub struct TrialCost {
     pub saved: u64,
     /// Whether the cutoff ended this trial early.
     pub cut: bool,
-    /// Whether the dead-trial predictor skipped this trial entirely.
+    /// Whether the masking map predicted this trial. The prediction
+    /// replaces the simulation, except under `--prune audit`, where the
+    /// trial is simulated as well and `pruned_cycles` stays 0.
     pub pruned: bool,
     /// Cycles the prune skipped (planned but not simulated).
     pub pruned_cycles: u64,

@@ -59,6 +59,6 @@ pub mod uop;
 pub use config::UarchConfig;
 pub use pipeline::{role_of, CycleReport, MispredictEvent, Pipeline, Stop};
 pub use state::{
-    DeadStatePerturber, FaultState, FieldClass, Fingerprint, MaskRecorder, OccupancyRecorder,
-    StateCatalog, StateKind, StateRegion,
+    FaultState, FieldClass, Fingerprint, MaskRecorder, OccupancyRecorder, StateCatalog, StateKind,
+    StateRegion,
 };

@@ -5,8 +5,8 @@
 //! outlier analysis, keeps no history, and draws no plots.
 //!
 //! If `CRITERION_JSON` is set, every measurement is appended to that
-//! file as one JSON object per line (used to record campaign baselines
-//! in `BENCH_campaign.json`).
+//! file as one JSON object per line (the historical campaign baselines
+//! recorded this way are the rows of `ledger/history/bench_1core.jsonl`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
