@@ -317,83 +317,6 @@ impl StateVisitor for OccupancyRecorder {
     }
 }
 
-/// Records, for every field in traversal order, its liveness, value,
-/// static mask, and *occupancy group* — the masking-interval map
-/// builder's per-cycle snapshot of a machine (one strictly richer walk
-/// than [`OccupancyRecorder`]).
-///
-/// Field numbering matches [`RangeRecorder::fields`] exactly. The group
-/// index increments on every [`StateVisitor::region`] and
-/// [`StateVisitor::occupancy`] call, so fields governed by the same
-/// occupancy declaration share a group; because every component issues
-/// a structurally fixed number of those calls per walk (occupancy is
-/// emitted per slot, not per *live* slot), group numbering is stable
-/// across cycles of the same machine.
-#[derive(Debug, Default)]
-pub struct MaskRecorder {
-    /// Per-field liveness, in traversal order (see
-    /// [`OccupancyRecorder::live`]).
-    pub live: Vec<bool>,
-    /// Per-field value at visit time, in traversal order.
-    pub values: Vec<u64>,
-    /// Per-field static mask: set bits are provably unobservable while
-    /// the declaring control state holds; `0` means nothing provable.
-    pub masks: Vec<u64>,
-    /// Per-field occupancy-group index, in traversal order.
-    pub groups: Vec<u32>,
-    current: bool,
-    pending_mask: u64,
-    group: u32,
-}
-
-impl MaskRecorder {
-    /// Fresh recorder.
-    pub fn new() -> MaskRecorder {
-        MaskRecorder::default()
-    }
-
-    /// Clears the recording for reuse on the next walk, keeping the
-    /// vectors' capacity — a map builder walks the same machine tens of
-    /// thousands of times, one walk per cycle.
-    pub fn reset(&mut self) {
-        self.live.clear();
-        self.values.clear();
-        self.masks.clear();
-        self.groups.clear();
-        self.current = false;
-        self.pending_mask = 0;
-        self.group = 0;
-    }
-}
-
-impl StateVisitor for MaskRecorder {
-    fn region(&mut self, _name: &'static str, _kind: StateKind) {
-        self.current = true;
-        self.pending_mask = 0;
-        self.group += 1;
-    }
-    fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
-        self.live.push(self.current);
-        self.values.push(*value);
-        self.masks.push(self.pending_mask & width_mask(width));
-        self.groups.push(self.group);
-        self.pending_mask = 0;
-    }
-    fn occupancy(&mut self, live: bool) {
-        self.current = live;
-        self.group += 1;
-    }
-    fn wants_occupancy(&self) -> bool {
-        true
-    }
-    fn masked(&mut self, mask: u64) {
-        self.pending_mask = mask;
-    }
-    fn wants_masks(&self) -> bool {
-        true
-    }
-}
-
 /// One named region of the global bit space.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateRegion {
@@ -780,27 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_recorder_captures_masks_liveness_and_groups() {
-        let mut d = PartMasked { flag: false, imm: 0xABCD, spare: 0x55 };
-        let mut rec = MaskRecorder::new();
-        d.visit_state(&mut rec);
-        assert_eq!(rec.live, vec![true, true, false]);
-        assert_eq!(rec.values, vec![0, 0xABCD, 0x55]);
-        assert_eq!(rec.masks, vec![0, 0xFF00, 0], "one-shot mask hits only the next field");
-        // flag and imm precede the occupancy call; spare follows it.
-        assert_eq!(rec.groups[0], rec.groups[1]);
-        assert_ne!(rec.groups[1], rec.groups[2]);
-    }
-
-    #[test]
-    fn mask_declaration_is_conditional_on_machine_state() {
-        let mut d = PartMasked { flag: true, imm: 0xABCD, spare: 0 };
-        let mut rec = MaskRecorder::new();
-        d.visit_state(&mut rec);
-        assert_eq!(rec.masks, vec![0, 0, 0], "flag set ⇒ no mask declared");
-    }
-
-    #[test]
     fn mask_channel_is_invisible_to_bit_numbering_and_flipping() {
         let mut c = BitCounter::default();
         PartMasked { flag: false, imm: 0, spare: 0 }.visit_state(&mut c);
@@ -813,37 +715,6 @@ mod tests {
         assert!(f.flipped);
         assert_eq!(d.imm, 0xABCD ^ 0x100);
         assert!(!f.wants_masks(), "hot-path visitors skip mask computation");
-    }
-
-    #[test]
-    fn mask_recorder_is_masked_to_field_width() {
-        struct Wide(u64);
-        impl FaultState for Wide {
-            fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
-                v.region("wide", StateKind::Latch);
-                v.masked(u64::MAX);
-                v.word(&mut self.0, 12, FieldClass::Data);
-            }
-        }
-        let mut rec = MaskRecorder::new();
-        Wide(0).visit_state(&mut rec);
-        assert_eq!(rec.masks, vec![0xFFF], "declared mask clipped to the field width");
-    }
-
-    #[test]
-    fn mask_recorder_field_order_matches_catalog() {
-        let mut rec = MaskRecorder::new();
-        PartMasked { flag: false, imm: 0, spare: 0 }.visit_state(&mut rec);
-        let mut ranges = RangeRecorder::new();
-        PartMasked { flag: false, imm: 0, spare: 0 }.visit_state(&mut ranges);
-        let cat = ranges.into_catalog();
-        assert_eq!(rec.masks.len(), cat.fields.len());
-        assert_eq!(rec.groups.len(), cat.fields.len());
-        // Global bit 9 lands in the masked imm field; its mask covers
-        // relative bit 8.
-        let f = cat.field_index_of(9).unwrap();
-        let (start, _, _) = cat.fields[f];
-        assert_ne!(rec.masks[f] & (1 << (9 - start)), 0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use restore_core::{
     config_digest, ConfigDigest, DetectorConfig, DetectorSet, Observation, RetiredCompare,
     SourceSet, SymptomKind,
 };
-use restore_maskmap::ArchMaskMap;
+use restore_maskmap::{ArchMaskMap, MapSource};
 use restore_snapshot::SnapshotMachine;
 use restore_store::Shard;
 use restore_workloads::{run_length, Scale, WorkloadId};
@@ -283,8 +283,8 @@ impl FaultModel for ArchModel<'_> {
     /// Duplicate draws are kept: unlike the µarch plan, each point runs
     /// exactly one trial, so a duplicate is an independent trial at the
     /// same instruction, not a double-weighted point.
-    fn plan(&self, walker: &ArchMachine, point_seed: u64) -> Vec<u64> {
-        let run_len = walker.run_len;
+    fn plan(&self, id: WorkloadId, point_seed: u64) -> Vec<u64> {
+        let run_len = run_length(id, self.cfg.scale);
         let mut rng = StdRng::seed_from_u64(point_seed);
         let mut points: Vec<u64> = (0..self.cfg.trials_per_workload)
             .map(|_| rng.gen_range(run_len / 20..run_len.saturating_sub(10).max(run_len / 20 + 1)))
@@ -293,10 +293,18 @@ impl FaultModel for ArchModel<'_> {
         points
     }
 
+    fn prepare(&self, live: &[WorkloadId], threads: usize) -> Vec<MapSource> {
+        if self.cfg.prune == PruneMode::Off {
+            return Vec::new();
+        }
+        restore_maskmap::resolve_maps(live, threads, |id| {
+            restore_maskmap::arch_map_sourced(id, self.cfg.scale, self.cfg.map_dir.as_deref()).1
+        })
+    }
+
     fn golden(&self, fork: &ArchMachine, id: WorkloadId) -> ArchGolden {
-        // The map registry memoizes per (workload, digest): the build
-        // cost is one golden replay per process (or a load from
-        // `map_dir`), so fetching per point is an `Arc` clone.
+        // `prepare` resolved the map before any unit ran, so fetching
+        // it per point is a registry hit and an `Arc` clone.
         let map = match self.cfg.prune {
             PruneMode::Off => None,
             PruneMode::Interval | PruneMode::Audit => {

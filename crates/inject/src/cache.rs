@@ -54,6 +54,12 @@ impl<T: Payload> TrialCache<T> {
         self.store.lock().get(key).cloned()
     }
 
+    /// Whether the store holds a trial under `key`, without decoding
+    /// or cloning it.
+    pub(crate) fn contains(&self, key: &TrialKey) -> bool {
+        self.store.lock().contains(key)
+    }
+
     /// Records one finished trial (idempotent on duplicate keys).
     ///
     /// # Panics

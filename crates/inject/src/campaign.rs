@@ -32,6 +32,7 @@ use crate::engine::{effective_threads, run_ordered, CampaignStats, UnitOutput};
 use crate::seeding::Seeder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use restore_maskmap::MapSource;
 use restore_snapshot::{with_library, GoldenCheckpointLibrary, LibraryKey, SnapshotMachine};
 use restore_store::{Payload, Shard, Stored, TrialKey};
 use restore_workloads::WorkloadId;
@@ -104,7 +105,15 @@ pub(crate) trait FaultModel: Sync {
     /// Sorted injection coordinates for one workload, drawn from
     /// `point_seed` (the per-workload stream — never from shared state,
     /// so plans are independent of execution order).
-    fn plan(&self, walker: &Self::Machine, point_seed: u64) -> Vec<u64>;
+    fn plan(&self, id: WorkloadId, point_seed: u64) -> Vec<u64>;
+    /// Resolves, over up to `threads` threads, whatever per-workload
+    /// state the `live` workloads' golden observations share — the
+    /// masking maps of an interval-pruned campaign — before any unit
+    /// runs. Reports how each map was served; models with nothing to
+    /// resolve keep the default.
+    fn prepare(&self, _live: &[WorkloadId], _threads: usize) -> Vec<MapSource> {
+        Vec::new()
+    }
     /// The golden observation at a fork (runs once per point, on the
     /// worker).
     fn golden(&self, fork: &Self::Machine, id: WorkloadId) -> Self::Golden;
@@ -224,14 +233,17 @@ where
     run_campaign(model, &[(workload_index(id), id)], io)
 }
 
-/// The one campaign loop. The [`run_ordered`] producer materializes
-/// each workload's planned points — from the golden checkpoint library
-/// when the model's stride is non-zero (O(1) per point, warm across
-/// campaigns), by the historical serial forward walk when it is 0 —
-/// and forks a [`PointUnit`] at each; workers finish the residual
-/// sweep to the injection coordinate, run the point's golden
-/// observation and its coordinate-seeded trials, and results
-/// reassemble in plan order `(workload, point, trial)`.
+/// The one campaign loop. It first draws every workload's plan and has
+/// the model [`FaultModel::prepare`] the workloads with at least one
+/// owned, not-fully-cached point, over the campaign's worker threads.
+/// The [`run_ordered`] producer then materializes each workload's
+/// planned points — from the golden checkpoint library when the model's
+/// stride is non-zero (O(1) per point, warm across campaigns), by the
+/// historical serial forward walk when it is 0 — and forks a
+/// [`PointUnit`] at each; workers finish the residual sweep to the
+/// injection coordinate, run the point's golden observation and its
+/// coordinate-seeded trials, and results reassemble in plan order
+/// `(workload, point, trial)`.
 ///
 /// Equivalence of the two producers (proved bit-exact by
 /// `tests/ckpt_equivalence.rs`): a unit is emitted iff the golden run
@@ -258,19 +270,45 @@ where
             "trial cache was opened under a different campaign digest"
         );
     }
-    run_ordered(
-        effective_threads(model.threads()),
+    let threads = effective_threads(model.threads());
+    let prep0 = Instant::now();
+    // Plan position across every workload, in plan order, is the shard
+    // coordinate: each workload's plan starts where the previous one's
+    // ended, whatever actually runs, so every shard numbers every point
+    // identically.
+    let mut base = 0u64;
+    let plans: Vec<Points> = workloads
+        .iter()
+        .map(|&(wl, id)| {
+            let plan = model.plan(id, seeder.points(wl));
+            let points = Points { wl, id, base, plan };
+            base += points.plan.len() as u64;
+            points
+        })
+        .collect();
+    let live: Vec<WorkloadId> = plans
+        .iter()
+        .filter(|p| {
+            p.plan.iter().enumerate().any(|(point, &coord)| {
+                io.shard.owns(p.base + point as u64)
+                    && !point_cached(model, io.cache, &seeder, p.wl, point, coord)
+            })
+        })
+        .map(|p| p.id)
+        .collect();
+    let m0 = Instant::now();
+    let maps = model.prepare(&live, threads);
+    let maskmap_secs = m0.elapsed().as_secs_f64();
+    let prep_secs = prep0.elapsed().as_secs_f64();
+
+    let (results, mut stats) = run_ordered(
+        threads,
         |emit| {
-            // Plan position across every workload, in plan order — the
-            // shard coordinate. Advanced by full plan lengths (never by
-            // what actually ran), so every shard numbers every point
-            // identically.
-            let mut pos = 0u64;
-            for &(wl, id) in workloads {
+            for points in &plans {
                 if stride == 0 {
-                    serial_produce(model, wl, id, &seeder, io, &mut pos, emit);
+                    serial_produce(model, points, &seeder, io, emit);
                 } else {
-                    library_produce(model, wl, id, stride, &seeder, io, &mut pos, emit);
+                    library_produce(model, points, stride, &seeder, io, emit);
                 }
             }
         },
@@ -318,7 +356,24 @@ where
             out.trial_secs = t0.elapsed().as_secs_f64();
             out
         },
-    )
+    );
+    stats.wall_secs += prep_secs;
+    stats.maskmap_secs = maskmap_secs;
+    stats.maps_built = maps.iter().filter(|&&s| s == MapSource::Built).count() as u64;
+    stats.maps_loaded = maps.iter().filter(|&&s| s == MapSource::Loaded).count() as u64;
+    (results, stats)
+}
+
+/// One workload's plan, as the producers walk it.
+struct Points {
+    /// Workload index in [`WorkloadId::ALL`] (a seeding coordinate).
+    wl: usize,
+    id: WorkloadId,
+    /// Plan position of the workload's first point (the shard
+    /// coordinate).
+    base: u64,
+    /// Sorted injection coordinates.
+    plan: Vec<u64>,
 }
 
 /// Replays one stored record into a unit's output: the record's full
@@ -350,15 +405,46 @@ where
     let cache = cache?;
     let mut recs = Vec::with_capacity(model.trials_per_point());
     for t in 0..model.trials_per_point() {
-        let key = TrialKey {
-            config: cache.config(),
-            workload: wl as u64,
-            point: coord,
-            seed: seeder.trial(wl, point, t),
-        };
-        recs.push(cache.lookup(&key)?);
+        recs.push(cache.lookup(&trial_key(cache, seeder, wl, point, coord, t))?);
     }
     Some(recs)
+}
+
+/// Whether [`cached_point`] would serve the point, without decoding
+/// its records.
+fn point_cached<F: FaultModel>(
+    model: &F,
+    cache: Option<&TrialCache<F::Trial>>,
+    seeder: &Seeder,
+    wl: usize,
+    point: usize,
+    coord: u64,
+) -> bool
+where
+    F::Trial: Payload,
+{
+    cache.is_some_and(|cache| {
+        (0..model.trials_per_point())
+            .all(|t| cache.contains(&trial_key(cache, seeder, wl, point, coord, t)))
+    })
+}
+
+/// The store address of trial `t` at plan point `point` (coordinate
+/// `coord`) of workload `wl`.
+fn trial_key<T: Payload>(
+    cache: &TrialCache<T>,
+    seeder: &Seeder,
+    wl: usize,
+    point: usize,
+    coord: u64,
+    t: usize,
+) -> TrialKey {
+    TrialKey {
+        config: cache.config(),
+        workload: wl as u64,
+        point: coord,
+        seed: seeder.trial(wl, point, t),
+    }
 }
 
 /// The historical producer: one walker swept serially forward through
@@ -366,23 +452,18 @@ where
 /// outside the shard — and fully-cached points — are skipped without
 /// stepping: `step_to` is absolute, so the walker jumps straight to
 /// the next coordinate this run actually simulates.
-#[allow(clippy::too_many_arguments)]
 fn serial_produce<F: FaultModel>(
     model: &F,
-    wl: usize,
-    id: WorkloadId,
+    points: &Points,
     seeder: &Seeder,
     io: &CampaignIo<'_, F::Trial>,
-    pos: &mut u64,
     emit: &mut dyn FnMut(Unit<F::Machine, F::Trial>),
 ) where
     F::Trial: Payload,
 {
+    let Points { wl, id, base, ref plan } = *points;
     let mut walker = model.spawn(id);
-    let plan = model.plan(&walker, seeder.points(wl));
-    let base = *pos;
-    *pos += plan.len() as u64;
-    for (point, coord) in plan.into_iter().enumerate() {
+    for (point, &coord) in plan.iter().enumerate() {
         if !io.shard.owns(base + point as u64) {
             continue;
         }
@@ -411,19 +492,17 @@ fn serial_produce<F: FaultModel>(
 /// workload's golden prefix is simulated at most once per process, and
 /// emission stops at exactly the first unreachable coordinate — the
 /// same abandonment point as the serial walk.
-#[allow(clippy::too_many_arguments)]
 fn library_produce<F: FaultModel>(
     model: &F,
-    wl: usize,
-    id: WorkloadId,
+    points: &Points,
     stride: u64,
     seeder: &Seeder,
     io: &CampaignIo<'_, F::Trial>,
-    pos: &mut u64,
     emit: &mut dyn FnMut(Unit<F::Machine, F::Trial>),
 ) where
     F::Trial: Payload,
 {
+    let Points { wl, id, base, ref plan } = *points;
     let key = LibraryKey {
         domain: model.domain(),
         workload: wl as u64,
@@ -438,10 +517,7 @@ fn library_produce<F: FaultModel>(
             // entirely; a just-created library's origin snapshot is as
             // cold as the captures that follow it.
             let warm_snaps = if created { 0 } else { lib.len() };
-            let plan = model.plan(lib.origin(), seeder.points(wl));
-            let base = *pos;
-            *pos += plan.len() as u64;
-            for (point, coord) in plan.into_iter().enumerate() {
+            for (point, &coord) in plan.iter().enumerate() {
                 if !io.shard.owns(base + point as u64) {
                     continue;
                 }

@@ -119,6 +119,13 @@ pub struct CampaignStats {
     /// the invariant `simulated + saved + pruned + cached = planned`
     /// holds across any cold/warm mix.
     pub cycles_cached: u64,
+    /// Wall seconds spent resolving the masking maps before any unit
+    /// ran (part of `wall_secs`).
+    pub maskmap_secs: f64,
+    /// Masking maps this run built by replaying a golden run.
+    pub maps_built: u64,
+    /// Masking maps this run loaded from persisted files.
+    pub maps_loaded: u64,
 }
 
 impl CampaignStats {
@@ -178,12 +185,16 @@ impl CampaignStats {
         self.shadow_runs += other.shadow_runs;
         self.trials_cached += other.trials_cached;
         self.cycles_cached += other.cycles_cached;
+        self.maskmap_secs += other.maskmap_secs;
+        self.maps_built += other.maps_built;
+        self.maps_loaded += other.maps_loaded;
     }
 }
 
 /// One-line human summary: throughput, stage times, and — when the
 /// optimisations fired — the cutoff/pruning breakdown plus the trial
-/// mix (fully simulated vs. cut vs. pruned).
+/// mix (fully simulated vs. cut vs. pruned), then the masking maps the
+/// run built or loaded.
 impl fmt::Display for CampaignStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -251,6 +262,13 @@ impl fmt::Display for CampaignStats {
                 pct(full),
                 pct(self.trials_cut),
                 pct(self.trials_pruned),
+            )?;
+        }
+        if self.maps_built + self.maps_loaded > 0 {
+            write!(
+                f,
+                "; masking maps: {} built, {} loaded in {:.2}s",
+                self.maps_built, self.maps_loaded, self.maskmap_secs,
             )?;
         }
         Ok(())
@@ -424,6 +442,9 @@ where
         warmup_cycles_saved,
         trials_cached,
         cycles_cached,
+        maskmap_secs: 0.0,
+        maps_built: 0,
+        maps_loaded: 0,
     };
     (results, stats)
 }
@@ -496,7 +517,27 @@ mod tests {
             assert!(line.contains("checkpoints served 57 units (29 warm / 28 cold)"), "{line}");
             assert!(line.contains("skipping 570 warm-up cycles"), "{line}");
             assert!(line.contains("trial store served 57 trials, replaying 2280"), "{line}");
+            assert!(!line.contains("masking maps"), "no maps resolved, no clause: {line}");
         }
+    }
+
+    /// The map clause trails every other clause, whose text it leaves
+    /// untouched, and appears once a map was built or loaded.
+    #[test]
+    fn map_clause_trails_the_stats_line() {
+        let base = CampaignStats {
+            threads: 2,
+            units: 10,
+            trials: 40,
+            wall_secs: 10.0,
+            trials_pruned: 27,
+            cycles_pruned: 176_343,
+            ..CampaignStats::default()
+        };
+        let with_maps = CampaignStats { maskmap_secs: 9.5, maps_built: 6, maps_loaded: 1, ..base };
+        let (line, plain) = (with_maps.to_string(), base.to_string());
+        assert_eq!(line, format!("{plain}; masking maps: 6 built, 1 loaded in 9.50s"));
+        assert!(line.starts_with("40 trials over 10 units on 2 threads in 10.00s"), "{line}");
     }
 
     /// Merging per-shard stats reproduces the single-run stats exactly:
@@ -526,10 +567,13 @@ mod tests {
             shadow_runs: 0,
             trials_cached: 57,
             cycles_cached: 2_280,
+            maskmap_secs: 4.5,
+            maps_built: 6,
+            maps_loaded: 3,
         };
         // Three shards: counters split 19/19/19 (and 1.25s/0.5s/… for
         // the times); every field of `single` is divisible that way.
-        let shard = |units: u64, hits, wall, produce, sweep, golden, trial| CampaignStats {
+        let shard = |units: u64, hits, wall, produce, sweep, golden, trial, built| CampaignStats {
             threads: 4,
             units,
             trials: units * 2,
@@ -550,11 +594,14 @@ mod tests {
             shadow_runs: 0,
             trials_cached: units,
             cycles_cached: units * 40,
+            maskmap_secs: 1.5,
+            maps_built: built,
+            maps_loaded: 1,
         };
         let shards = [
-            shard(19, 10, 1.25, 0.5, 0.25, 0.75, 2.0),
-            shard(19, 10, 1.25, 0.5, 0.125, 0.75, 2.0),
-            shard(19, 9, 1.25, 0.5, 0.125, 0.75, 2.0),
+            shard(19, 10, 1.25, 0.5, 0.25, 0.75, 2.0, 3),
+            shard(19, 10, 1.25, 0.5, 0.125, 0.75, 2.0, 2),
+            shard(19, 9, 1.25, 0.5, 0.125, 0.75, 2.0, 1),
         ];
         let mut merged = CampaignStats::default();
         for s in &shards {

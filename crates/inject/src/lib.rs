@@ -62,7 +62,7 @@ pub use restore_store::{Payload, Shard, Stored, TrialCost, TrialKey};
 pub use stats::{worst_case_ci95, Proportion};
 pub use uarch_campaign::run_workload as run_uarch_workload;
 pub use uarch_campaign::{
-    run_uarch_campaign, run_uarch_campaign_io, run_uarch_campaign_with_stats,
+    maskmap_horizon, run_uarch_campaign, run_uarch_campaign_io, run_uarch_campaign_with_stats,
     uarch_campaign_digest, CfvMode, InjectionTarget, PruneMode, UarchCampaignConfig,
 };
 pub use uarch_trial::{EndState, UarchTrial};

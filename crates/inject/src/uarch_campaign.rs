@@ -33,7 +33,7 @@ use crate::uarch_trial::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use restore_core::{config_digest, ConfigDigest, DetectorConfig};
-use restore_maskmap::UarchMaskMap;
+use restore_maskmap::{MapSource, UarchMaskMap};
 use restore_snapshot::SnapshotMachine;
 use restore_store::Shard;
 use restore_uarch::{Pipeline, StateCatalog, UarchConfig};
@@ -197,12 +197,10 @@ fn plan_points(cfg: &UarchCampaignConfig, seed: u64) -> Vec<u64> {
     points
 }
 
-/// Cycle horizon a masking-interval map must cover for `cfg`: the plan
-/// samples points over `[warmup, warmup + 4·window)`, each trial
-/// observes at most one more window past its point, and residue proofs
-/// need the drain margin past the latest window close.
-pub(crate) fn maskmap_horizon(cfg: &UarchCampaignConfig) -> u64 {
-    cfg.warmup_cycles + 5 * cfg.window_cycles + cfg.drain_cycles
+/// Cycle horizon the campaign's masking-interval maps cover
+/// ([`restore_maskmap::map_horizon`] of its warm-up, window and drain).
+pub fn maskmap_horizon(cfg: &UarchCampaignConfig) -> u64 {
+    restore_maskmap::map_horizon(cfg.warmup_cycles, cfg.window_cycles, cfg.drain_cycles)
 }
 
 /// The microarchitectural campaign as a [`FaultModel`] instance.
@@ -284,14 +282,24 @@ impl FaultModel for UarchModel<'_> {
         UarchMachine { pipe, catalog }
     }
 
-    fn plan(&self, _walker: &UarchMachine, point_seed: u64) -> Vec<u64> {
+    fn plan(&self, _id: WorkloadId, point_seed: u64) -> Vec<u64> {
         plan_points(self.cfg, point_seed)
     }
 
+    fn prepare(&self, live: &[WorkloadId], threads: usize) -> Vec<MapSource> {
+        if self.cfg.prune == PruneMode::Off {
+            return Vec::new();
+        }
+        let (cfg, horizon) = (self.cfg, maskmap_horizon(self.cfg));
+        restore_maskmap::resolve_maps(live, threads, |id| {
+            let dir = cfg.map_dir.as_deref();
+            restore_maskmap::uarch_map_sourced(id, cfg.scale, &cfg.uarch, horizon, dir).1
+        })
+    }
+
     fn golden(&self, fork: &UarchMachine, id: WorkloadId) -> UarchGolden {
-        // The map registry memoizes per (workload, digest): the build
-        // cost is paid once per process (or loaded from `map_dir`), so
-        // fetching per point is an `Arc` clone.
+        // `prepare` resolved the map before any unit ran, so fetching
+        // it per point is a registry hit and an `Arc` clone.
         let map = match self.cfg.prune {
             PruneMode::Off => None,
             PruneMode::Interval | PruneMode::Audit => Some(restore_maskmap::uarch_map(

@@ -14,7 +14,10 @@
 //!
 //! The map is also exercised through its persistence path: campaigns
 //! given a `map_dir` must write the per-workload map files there and
-//! produce the same trial vector when a later run loads them back.
+//! produce the same trial vector when a later run loads them back. A
+//! campaign resolves maps only for the workloads it will simulate: a
+//! shard resolves none for workloads it owns no point of, and a fully
+//! warm replay resolves none at all.
 
 use restore_inject::{
     run_arch_campaign_with_stats, run_uarch_campaign_io, run_uarch_campaign_with_stats,
@@ -177,19 +180,23 @@ fn interval_runs_share_stores_with_unpruned_runs_and_persist_maps() {
         "prune mode and map_dir must not rekey the trial store"
     );
 
-    // Cold interval run recording into the store: the maps land beside
-    // the trial segments, one per workload.
+    // A shard owning plan position 0 alone simulates only the first
+    // workload's first point, so it builds (and persists) that
+    // workload's map and no other.
     let cache = TrialCache::<UarchTrial>::open(&dir, "all", digest).unwrap();
+    let first = Shard { index: 0, count: 14 };
+    let (_, ss) = run_uarch_campaign_io(&record_cfg, Some(&cache), first);
+    assert_eq!((ss.units, ss.maps_built, ss.maps_loaded), (1, 1, 0));
+    assert_eq!(persisted_maps(&dir), vec!["maskmap-uarch-bzip2x"]);
+
+    // Cold interval run recording into the store: the maps land beside
+    // the trial segments, one per workload. The shard's map is already
+    // in the process-wide registry, so six are built.
     let (recorded, stats) = run_uarch_campaign_io(&record_cfg, Some(&cache), Shard::ALL);
     assert!(stats.trials_pruned > 0);
-    let maps = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter(|e| {
-            let name = e.as_ref().unwrap().file_name();
-            let name = name.to_string_lossy().into_owned();
-            name.starts_with("maskmap-uarch-") && name.ends_with(".json")
-        })
-        .count();
+    assert_eq!((stats.maps_built, stats.maps_loaded), (6, 0));
+    assert!(stats.maskmap_secs > 0.0 && stats.maskmap_secs <= stats.wall_secs);
+    let maps = persisted_maps(&dir).len();
     assert_eq!(maps, 7, "one persisted map per workload, got {maps}");
 
     // Warm replay under Off: the prune mode is digest-neutral, so the
@@ -200,6 +207,47 @@ fn interval_runs_share_stores_with_unpruned_runs_and_persist_maps() {
     assert_eq!(ws.cycles_simulated, 0, "warm replay simulates nothing");
     assert_eq!(ws.trials_cached, ws.trials);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The other direction: a store recorded under `Off` serves an
+/// `Interval` run, and because every point is cached that run resolves
+/// no map at all. Its geometry is its own, so no map for it is in the
+/// process-wide registry or on disk: resolving one would mean
+/// building it.
+#[test]
+fn fully_warm_interval_replay_resolves_no_maps() {
+    let geometry = |prune, map_dir| UarchCampaignConfig {
+        warmup_cycles: 540,
+        window_cycles: 1_540,
+        map_dir,
+        ..small_cfg(2, prune)
+    };
+    let dir = tmp("warm");
+    let record_cfg = geometry(PruneMode::Off, None);
+    let replay_cfg = geometry(PruneMode::Interval, Some(dir.clone()));
+    let cache =
+        TrialCache::<UarchTrial>::open(&dir, "all", uarch_campaign_digest(&record_cfg)).unwrap();
+    let (recorded, _) = run_uarch_campaign_io(&record_cfg, Some(&cache), Shard::ALL);
+    let (warm, ws) = run_uarch_campaign_io(&replay_cfg, Some(&cache), Shard::ALL);
+    assert_eq!(warm, recorded);
+    assert_eq!(ws.trials_cached, ws.trials, "the replay is fully warm");
+    assert_eq!((ws.maps_built, ws.maps_loaded), (0, 0));
+    assert!(persisted_maps(&dir).is_empty());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The µarch map files in `dir`, as `maskmap-uarch-<workload>`, sorted.
+fn persisted_maps(dir: &std::path::Path) -> Vec<String> {
+    let mut maps: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| {
+            let name = e.unwrap().file_name().to_string_lossy().into_owned();
+            let stem = name.strip_suffix(".json")?;
+            stem.starts_with("maskmap-uarch-").then(|| stem.rsplit_once('-').unwrap().0.to_owned())
+        })
+        .collect();
+    maps.sort();
+    maps
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! trial without simulating it:
 //!
 //! * **Microarchitectural map** ([`UarchMaskMap`]) — replays the golden
-//!   [`Pipeline`] once, walking every catalog field every cycle with a
-//!   [`MaskRecorder`], and records four families: *dead runs* (cycle
+//!   [`Pipeline`] once, walking every catalog field every cycle and
+//!   folding each visit straight into four families: *dead runs* (cycle
 //!   ranges an occupancy group is vacant), *mask runs* (cycle ranges a
 //!   field's statically-masked bits hold a constant nonzero mask —
 //!   unoccupied operand latches, dead ROB bookkeeping, non-control
@@ -66,6 +66,9 @@
 //! and persisted next to the trial store as
 //! `maskmap-<domain>-<workload>-<digest>.json`, varint+hex delta-encoded
 //! so sharded campaign runs compute each map once per shard *set*.
+//! Each `(workload, digest)` key builds at most once per process, and
+//! distinct keys build concurrently: campaigns resolve their maps up
+//! front over their worker threads ([`resolve_maps`]).
 //!
 //! The same intervals fold into a per-structure AVF-style vulnerability
 //! report ([`UarchMaskMap::avf`], `restore-maskmap --avf`).
@@ -79,12 +82,11 @@ use restore_core::config_digest;
 use restore_isa::{Program, Reg};
 use restore_store::Json;
 use restore_uarch::state::{width_mask, StateVisitor};
-use restore_uarch::{
-    FaultState, FieldClass, MaskRecorder, Pipeline, StateCatalog, StateKind, Stop, UarchConfig,
-};
+use restore_uarch::{FaultState, FieldClass, Pipeline, StateCatalog, StateKind, Stop, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// On-disk map format version (bumped on any encoding change; stale
@@ -110,9 +112,11 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     s
 }
@@ -262,9 +266,161 @@ fn mask_run_end(runs: &[(u32, u32, u64)], rel_bit: u32, pos: u32) -> Option<u32>
     (pos < e && (m >> rel_bit) & 1 == 1).then_some(e)
 }
 
+/// One field's build state, updated in place by each cycle's golden
+/// walk and read by the shadow walk that follows it.
+#[derive(Debug, Default)]
+struct FieldTrack {
+    /// Golden value at the latest walk.
+    value: u64,
+    /// Mask of the field's open mask run (`0`: no run open).
+    mask: u64,
+    /// Cycle the open mask run started.
+    mask_start: u32,
+    /// Dead or masked at the previous walk: a value change at this walk
+    /// is a wholesale overwrite of protected state (a stamp).
+    armed: bool,
+    /// The field's occupancy group is dead at the latest walk.
+    dead: bool,
+    /// The shadow replica holds this field flipped.
+    flipped: bool,
+}
+
+/// The build's golden walk: visits every field once per cycle and folds
+/// it straight into the map's dead runs, stamps and mask runs, with no
+/// per-cycle snapshot in between.
+///
+/// The first walk also lays out the field table. A field's occupancy
+/// group is the count of [`StateVisitor::region`] and
+/// [`StateVisitor::occupancy`] calls before it, so fields governed by
+/// the same occupancy declaration share a group. Every component issues
+/// a structurally fixed number of those calls per walk (occupancy is
+/// emitted per slot, not per *live* slot), so every later walk must
+/// number the groups identically; the walk asserts it does.
+#[derive(Debug, Default)]
+struct GoldenWalk {
+    /// Per field: its occupancy group.
+    group_of: Vec<u32>,
+    fields: Vec<FieldTrack>,
+    /// Per group: start of its open dead run.
+    dead_since: Vec<Option<u32>>,
+    dead_runs: Vec<Vec<(u32, u32)>>,
+    stamps: Vec<Vec<u32>>,
+    mask_runs: Vec<Vec<(u32, u32, u64)>>,
+    /// Cycle of the walk in progress.
+    t: u32,
+    /// Next field index.
+    idx: usize,
+    /// Current occupancy group.
+    group: u32,
+    /// Group of the previous field this walk.
+    prev_group: Option<u32>,
+    /// Liveness the latest region/occupancy call declared.
+    live: bool,
+    /// One-shot mask declared for the next field.
+    pending_mask: u64,
+}
+
+impl GoldenWalk {
+    /// Walks `machine` as its state at cycle `t`; the walk at cycle 0
+    /// lays out the field table.
+    fn walk(&mut self, machine: &mut impl FaultState, t: u32) {
+        self.t = t;
+        self.idx = 0;
+        self.group = 0;
+        self.prev_group = None;
+        self.live = false;
+        self.pending_mask = 0;
+        machine.visit_state(self);
+        assert_eq!(self.idx, self.fields.len(), "field numbering drifted at cycle {t}");
+    }
+
+    /// Appends field `f` in group `g` to the table (cycle 0 only).
+    #[cold]
+    #[inline(never)]
+    fn lay_out(&mut self, f: usize, g: u32) {
+        assert_eq!(self.t, 0, "field count grew to {} at cycle {}", f + 1, self.t);
+        self.group_of.push(g);
+        self.fields.push(FieldTrack::default());
+        self.stamps.push(Vec::new());
+        self.mask_runs.push(Vec::new());
+        let groups = g as usize + 1;
+        if self.dead_runs.len() < groups {
+            self.dead_runs.resize(groups, Vec::new());
+            self.dead_since.resize(groups, None);
+        }
+    }
+}
+
+impl StateVisitor for GoldenWalk {
+    fn region(&mut self, _name: &'static str, _kind: StateKind) {
+        self.live = true;
+        self.pending_mask = 0;
+        self.group += 1;
+    }
+
+    #[inline]
+    fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
+        let (f, g, t) = (self.idx, self.group, self.t);
+        self.idx += 1;
+        if f == self.fields.len() {
+            self.lay_out(f, g);
+        }
+        if self.group_of[f] != g {
+            drifted(f, t, "occupancy group numbering drifted");
+        }
+        let dead = !self.live;
+        // Every field of a group shares its liveness, so the group's
+        // first field opens or closes the group's dead run.
+        if self.prev_group != Some(g) {
+            self.prev_group = Some(g);
+            let open = &mut self.dead_since[g as usize];
+            match (*open, dead) {
+                (None, true) => *open = Some(t),
+                (Some(s), false) => {
+                    self.dead_runs[g as usize].push((s, t));
+                    *open = None;
+                }
+                _ => {}
+            }
+        }
+        let mask = std::mem::take(&mut self.pending_mask) & width_mask(width);
+        let track = &mut self.fields[f];
+        if track.armed && *value != track.value {
+            self.stamps[f].push(t);
+        }
+        if mask != track.mask {
+            if track.mask != 0 {
+                self.mask_runs[f].push((track.mask_start, t, track.mask));
+            }
+            track.mask_start = t;
+            track.mask = mask;
+        }
+        track.value = *value;
+        track.dead = dead;
+        track.armed = dead || mask != 0;
+    }
+
+    fn occupancy(&mut self, live: bool) {
+        self.live = live;
+        self.group += 1;
+    }
+
+    fn wants_occupancy(&self) -> bool {
+        true
+    }
+
+    fn masked(&mut self, mask: u64) {
+        self.pending_mask = mask;
+    }
+
+    fn wants_masks(&self) -> bool {
+        true
+    }
+}
+
 /// One build-loop walk over the shadow replica: detects writes and
-/// re-arms flips, field by field, against the golden values recorded
-/// in the same cycle.
+/// re-arms flips, field by field, against the golden walk of the same
+/// cycle.
 ///
 /// A field flipped on a previous walk converging back to its golden
 /// value can only mean the machine wrote it (the live trajectories are
@@ -272,42 +428,47 @@ fn mask_run_end(runs: &[(u32, u32, u64)], rel_bit: u32, pos: u32) -> Option<u32>
 /// same value). A field that is *not* flipped must always equal
 /// golden: any mismatch means a dead flip steered live computation,
 /// which falsifies the occupancy axiom, so the walk fails loudly.
-struct ShadowTracer<'a> {
-    /// Golden per-field values at this cycle, traversal order.
-    golden: &'a [u64],
-    /// Per-field deadness at this cycle (the field's occupancy group).
-    dead: &'a [bool],
-    /// Per-field "shadow still holds a flip" state, across cycles.
-    flipped: &'a mut [bool],
+struct ShadowWalk<'a> {
+    /// Golden values, deadness and flip state, traversal order.
+    fields: &'a mut [FieldTrack],
     /// Per-field detected write cycles (output).
     writes: &'a mut [Vec<u32>],
     t: u32,
     idx: usize,
 }
 
-impl StateVisitor for ShadowTracer<'_> {
+impl StateVisitor for ShadowWalk<'_> {
     fn region(&mut self, _name: &'static str, _kind: StateKind) {}
+    #[inline]
     fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
         let f = self.idx;
         self.idx += 1;
-        if self.flipped[f] {
-            if *value == self.golden[f] {
+        let track = &mut self.fields[f];
+        if track.flipped {
+            if *value == track.value {
                 self.writes[f].push(self.t);
-                self.flipped[f] = false;
+                track.flipped = false;
             }
-        } else {
-            assert_eq!(
-                *value, self.golden[f],
-                "shadow replica diverged from golden at field {f}, cycle {}: \
-                 a dead-field flip steered live computation",
-                self.t
+        } else if *value != track.value {
+            drifted(
+                f,
+                self.t,
+                "shadow replica diverged from golden (a dead-field flip steered live computation)",
             );
         }
-        if self.dead[f] && !self.flipped[f] {
+        if track.dead && !track.flipped {
             *value ^= width_mask(width);
-            self.flipped[f] = true;
+            track.flipped = true;
         }
     }
+}
+
+/// The build's per-field consistency failure, kept out of line: both
+/// walks check every field every cycle.
+#[cold]
+#[inline(never)]
+fn drifted(f: usize, t: u32, what: &str) -> ! {
+    panic!("{what} at field {f}, cycle {t}")
 }
 
 /// Total length of `runs` clipped to `[0, clip)`.
@@ -324,9 +485,10 @@ fn overlap_len(runs: &[(u32, u32)], lo: u32, hi: u32) -> u64 {
 // The microarchitectural map.
 
 /// Field-table shape of one machine: per-field global bit offset, width
-/// and occupancy group, derived from one catalog + one recorder walk.
-/// Build and load both derive it fresh (it is cheap and config-pinned),
-/// so the on-disk format only carries the interval arrays.
+/// and occupancy group, derived from one catalog + the first golden
+/// walk. Build and load both derive it fresh (it is cheap and
+/// config-pinned), so the on-disk format only carries the interval
+/// arrays.
 struct Shape {
     field_starts: Vec<u64>,
     widths: Vec<u32>,
@@ -335,21 +497,25 @@ struct Shape {
 }
 
 impl Shape {
+    /// The shape of a fresh machine.
     fn of_pipeline(pipe: &mut Pipeline) -> Shape {
-        let catalog = pipe.catalog();
-        let mut rec = MaskRecorder::new();
-        pipe.visit_state(&mut rec);
+        let mut walk = GoldenWalk::default();
+        walk.walk(pipe, 0);
+        Shape::of_walk(&pipe.catalog(), &walk)
+    }
+
+    /// The shape a cycle-0 golden walk laid out.
+    fn of_walk(catalog: &StateCatalog, walk: &GoldenWalk) -> Shape {
         assert_eq!(
-            rec.values.len(),
+            walk.fields.len(),
             catalog.fields.len(),
-            "recorder walk and catalog disagree on field count"
+            "golden walk and catalog disagree on field count"
         );
-        let ngroups = rec.groups.iter().max().map_or(0, |&g| g as usize + 1);
         Shape {
             field_starts: catalog.fields.iter().map(|&(s, _, _)| s).collect(),
             widths: catalog.fields.iter().map(|&(_, w, _)| w).collect(),
-            group_of: rec.groups,
-            ngroups,
+            group_of: walk.group_of.clone(),
+            ngroups: walk.dead_runs.len(),
         }
     }
 }
@@ -412,9 +578,10 @@ pub struct UarchMaskMap {
 
 impl UarchMaskMap {
     /// Builds the map by replaying the golden run from cycle 0 up to
-    /// `horizon` (or the run's end), one [`MaskRecorder`] walk per
-    /// cycle. `digest` is the caller's configuration digest, embedded
-    /// so persisted maps can never be misapplied.
+    /// `horizon` (or the run's end), one fused golden walk per cycle
+    /// plus one walk of the shadow replica. `digest` is the caller's
+    /// configuration digest, embedded so persisted maps can never be
+    /// misapplied.
     pub fn build(
         uarch: &UarchConfig,
         program: &Program,
@@ -422,37 +589,16 @@ impl UarchMaskMap {
         digest: u64,
     ) -> UarchMaskMap {
         let mut pipe = Pipeline::new(uarch.clone(), program);
-        let shape = Shape::of_pipeline(&mut pipe);
+        let mut golden = GoldenWalk::default();
+        golden.walk(&mut pipe, 0);
+        let shape = Shape::of_walk(&pipe.catalog(), &golden);
         let nfields = shape.field_starts.len();
-
-        let mut map = UarchMaskMap {
-            digest,
-            last: 0,
-            dead_runs: vec![Vec::new(); shape.ngroups],
-            stamps: vec![Vec::new(); nfields],
-            mask_runs: vec![Vec::new(); nfields],
-            writes: vec![Vec::new(); nfields],
-            drain_end: Vec::new(),
-            field_starts: shape.field_starts,
-            widths: shape.widths,
-            group_of: shape.group_of,
-        };
-
         // The shadow replica: the same machine replayed in lockstep
         // with every dead field flipped, re-flipped after each
         // detected write. Convergence back to the golden value is the
-        // write detector behind `map.writes`.
+        // write detector behind `writes`.
         let mut shadow = Pipeline::new(uarch.clone(), program);
-        let mut flipped = vec![false; nfields];
-        let mut dead_field = vec![false; nfields];
-
-        let mut rec = MaskRecorder::new();
-        pipe.visit_state(&mut rec);
-        let mut prev_values: Vec<u64> = Vec::new();
-        let mut armed = vec![false; nfields];
-        let mut group_dead = vec![false; shape.ngroups];
-        let mut dead_since: Vec<Option<u32>> = vec![None; shape.ngroups];
-        let mut open_mask: Vec<(u32, u64)> = vec![(0, 0); nfields];
+        let mut writes: Vec<Vec<u32>> = vec![Vec::new(); nfields];
         let mut retired_at: Vec<u32> = Vec::new();
         let mut inflight_at: Vec<u32> = Vec::new();
 
@@ -461,63 +607,14 @@ impl UarchMaskMap {
             retired_at
                 .push(u32::try_from(pipe.retired()).expect("retired fits interval coordinates"));
             inflight_at.push(u32::try_from(pipe.in_flight()).expect("in-flight count fits a u32"));
-            // Group deadness: every field between two occupancy calls
-            // shares the recorder's sticky liveness, so any member's
-            // flag is the group's.
-            group_dead.iter_mut().for_each(|g| *g = false);
-            for (f, &live) in rec.live.iter().enumerate() {
-                if !live {
-                    group_dead[map.group_of[f] as usize] = true;
-                }
-            }
-            for (g, open) in dead_since.iter_mut().enumerate() {
-                match (*open, group_dead[g]) {
-                    (None, true) => *open = Some(t),
-                    (Some(s), false) => {
-                        map.dead_runs[g].push((s, t));
-                        *open = None;
-                    }
-                    _ => {}
-                }
-            }
-            if t > 0 {
-                for (f, (&v, &pv)) in rec.values.iter().zip(prev_values.iter()).enumerate() {
-                    if v != pv && armed[f] {
-                        map.stamps[f].push(t);
-                    }
-                }
-            }
             // Walk the shadow replica against this cycle's golden
             // values: detect writes (flipped fields converging back to
             // golden), assert the live trajectory is undisturbed, and
             // re-arm flips in every currently-dead field.
-            for (f, df) in dead_field.iter_mut().enumerate() {
-                *df = group_dead[map.group_of[f] as usize];
-            }
-            let mut tracer = ShadowTracer {
-                golden: &rec.values,
-                dead: &dead_field,
-                flipped: &mut flipped,
-                writes: &mut map.writes,
-                t,
-                idx: 0,
-            };
+            let mut tracer =
+                ShadowWalk { fields: &mut golden.fields, writes: &mut writes, t, idx: 0 };
             shadow.visit_state(&mut tracer);
-            assert_eq!(tracer.idx, nfields, "shadow walk and recorder disagree on field count");
-            for (f, &m) in rec.masks.iter().enumerate() {
-                let (start, cur) = open_mask[f];
-                if m != cur {
-                    if cur != 0 {
-                        map.mask_runs[f].push((start, t, cur));
-                    }
-                    open_mask[f] = (t, m);
-                }
-            }
-            for (f, a) in armed.iter_mut().enumerate() {
-                *a = group_dead[map.group_of[f] as usize] || rec.masks[f] != 0;
-            }
-            std::mem::swap(&mut prev_values, &mut rec.values);
-
+            assert_eq!(tracer.idx, nfields, "shadow walk and golden walk disagree on field count");
             assert_eq!(
                 shadow.status(),
                 pipe.status(),
@@ -529,22 +626,22 @@ impl UarchMaskMap {
             pipe.cycle();
             shadow.cycle();
             t += 1;
-            rec.reset();
-            pipe.visit_state(&mut rec);
-            assert_eq!(rec.values.len(), nfields, "field numbering drifted at cycle {t}");
+            golden.walk(&mut pipe, t);
         }
+        let GoldenWalk { fields, dead_since, mut dead_runs, mut stamps, mut mask_runs, .. } =
+            golden;
         // Close runs still open at the end of the recording. Their ends
         // are never consulted past a stamp (stamps stop at `last` too),
         // so the clip to `last + 1` cannot over-claim protection.
         let end = t + 1;
-        for (g, open) in dead_since.iter_mut().enumerate() {
-            if let Some(s) = open.take() {
-                map.dead_runs[g].push((s, end));
+        for (runs, open) in dead_runs.iter_mut().zip(dead_since) {
+            if let Some(s) = open {
+                runs.push((s, end));
             }
         }
-        for (f, &(start, cur)) in open_mask.iter().enumerate() {
-            if cur != 0 {
-                map.mask_runs[f].push((start, end, cur));
+        for (runs, track) in mask_runs.iter_mut().zip(&fields) {
+            if track.mask != 0 {
+                runs.push((track.mask_start, end, track.mask));
             }
         }
         // Drain horizon per cycle: first recorded cycle whose retired
@@ -559,7 +656,7 @@ impl UarchMaskMap {
         // horizon is also always sound) so it delta-encodes like the
         // stamp streams.
         let unreachable = if pipe.status() == Stop::Running { u32::MAX } else { t };
-        map.drain_end = vec![u32::MAX; retired_at.len()];
+        let mut drain_end = vec![u32::MAX; retired_at.len()];
         let mut floor = 0u32;
         for (tc, (&r, &fl)) in retired_at.iter().zip(inflight_at.iter()).enumerate() {
             let target = u64::from(r) + u64::from(fl);
@@ -570,10 +667,28 @@ impl UarchMaskMap {
                 unreachable
             };
             floor = floor.max(horizon);
-            map.drain_end[tc] = floor;
+            drain_end[tc] = floor;
         }
-        map.last = t;
-        map
+        // The per-field streams grew by doubling; the registry keeps
+        // every map for the life of the process, so return the slack.
+        for runs in &mut mask_runs {
+            runs.shrink_to_fit();
+        }
+        for cycles in stamps.iter_mut().chain(&mut writes) {
+            cycles.shrink_to_fit();
+        }
+        UarchMaskMap {
+            digest,
+            last: t,
+            field_starts: shape.field_starts,
+            widths: shape.widths,
+            group_of: shape.group_of,
+            dead_runs,
+            stamps,
+            mask_runs,
+            writes,
+            drain_end,
+        }
     }
 
     /// The configuration digest this map was built under.
@@ -1086,15 +1201,82 @@ fn read_json(path: &Path) -> Option<Json> {
     Json::parse(&std::fs::read_to_string(path).ok()?).ok()
 }
 
-/// One process-wide registry per map type, keyed by `(workload, digest)`.
+/// Cycle horizon a µarch map must cover for a campaign that samples
+/// injection points over `[warmup, warmup + 4·window)`: each trial
+/// observes at most one more window past its point, and residue proofs
+/// need the `drain` margin past the latest window close. The campaign
+/// drivers and the `restore-maskmap` CLI both key their maps at this
+/// horizon, so maps one persists the other loads.
+pub fn map_horizon(warmup: u64, window: u64, drain: u64) -> u64 {
+    warmup + 5 * window + drain
+}
+
+/// How a registry request was served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MapSource {
+    /// Already in the process-wide registry, or resolved by a
+    /// concurrent caller while this one waited.
+    Memo,
+    /// Decoded from a persisted map file.
+    Loaded,
+    /// Built by replaying the golden run (and persisted, given a
+    /// directory).
+    Built,
+}
+
+/// One registry slot per `(workload, digest)`: the map lock is held
+/// only to find or insert the slot, and the slot's `OnceLock` runs the
+/// load-or-build exactly once while every other caller for the same
+/// key waits on it. Distinct keys resolve concurrently.
 // determinism: allow -- keyed lookup only; the registry is never iterated for output
-type Registry<M> = OnceLock<Mutex<HashMap<(WorkloadId, u64), Arc<M>>>>;
+type Registry<M> = OnceLock<Mutex<HashMap<(WorkloadId, u64), Arc<OnceLock<Arc<M>>>>>>;
+
+/// Serves `key` from `registry`, running `resolve` if no caller has.
+fn resolve_slot<M>(
+    registry: &'static Registry<M>,
+    key: (WorkloadId, u64),
+    resolve: impl FnOnce() -> (M, MapSource),
+) -> (Arc<M>, MapSource) {
+    let slot = Arc::clone(
+        registry
+            .get_or_init(Mutex::default)
+            .lock()
+            .expect("maskmap registry poisoned")
+            .entry(key)
+            .or_default(),
+    );
+    let mut source = MapSource::Memo;
+    let map = slot.get_or_init(|| {
+        let (map, how) = resolve();
+        source = how;
+        Arc::new(map)
+    });
+    (Arc::clone(map), source)
+}
+
+/// Loads `path`'s map if it decodes, else builds and persists one.
+fn load_or_build<M>(
+    path: Option<PathBuf>,
+    decode: impl FnOnce(&Json) -> Option<M>,
+    build: impl FnOnce() -> M,
+    encode: impl FnOnce(&M) -> Json,
+) -> (M, MapSource) {
+    if let Some(map) = path.as_deref().and_then(read_json).and_then(|v| decode(&v)) {
+        return (map, MapSource::Loaded);
+    }
+    let map = build();
+    if let Some(p) = &path {
+        persist(p, &encode(&map));
+    }
+    (map, MapSource::Built)
+}
 
 /// The process-wide µarch map registry: one [`UarchMaskMap`] per
 /// `(workload, digest)`, built (or loaded from `map_dir`) on first use
-/// and shared by every campaign in the process. The registry lock is
-/// held across the build so concurrent workers block on the first
-/// builder instead of duplicating a multi-second replay.
+/// and shared by every campaign in the process. Each key has its own
+/// slot, so maps of distinct workloads build concurrently while
+/// callers of the same key block on its one builder instead of
+/// duplicating a multi-second replay.
 pub fn uarch_map(
     workload: WorkloadId,
     scale: Scale,
@@ -1102,55 +1284,91 @@ pub fn uarch_map(
     horizon: u64,
     map_dir: Option<&Path>,
 ) -> Arc<UarchMaskMap> {
+    uarch_map_sourced(workload, scale, uarch, horizon, map_dir).0
+}
+
+/// [`uarch_map`], also reporting how the request was served.
+pub fn uarch_map_sourced(
+    workload: WorkloadId,
+    scale: Scale,
+    uarch: &UarchConfig,
+    horizon: u64,
+    map_dir: Option<&Path>,
+) -> (Arc<UarchMaskMap>, MapSource) {
     static CACHE: Registry<UarchMaskMap> = OnceLock::new();
     let digest = uarch_map_digest(scale, uarch, horizon);
-    let mut cache = CACHE.get_or_init(Mutex::default).lock().expect("maskmap registry poisoned");
-    if let Some(m) = cache.get(&(workload, digest)) {
-        return Arc::clone(m);
-    }
-    let program = workload.build(scale);
-    let path = map_dir.map(|d| map_path(d, "uarch", workload, digest));
-    let loaded = path
-        .as_deref()
-        .and_then(read_json)
-        .and_then(|v| UarchMaskMap::from_json(&v, uarch, &program, digest));
-    let map = Arc::new(loaded.unwrap_or_else(|| {
-        let m = UarchMaskMap::build(uarch, &program, horizon, digest);
-        if let Some(p) = &path {
-            persist(p, &m.to_json());
-        }
-        m
-    }));
-    cache.insert((workload, digest), Arc::clone(&map));
-    map
+    resolve_slot(&CACHE, (workload, digest), || {
+        let program = workload.build(scale);
+        load_or_build(
+            map_dir.map(|d| map_path(d, "uarch", workload, digest)),
+            |v| UarchMaskMap::from_json(v, uarch, &program, digest),
+            || UarchMaskMap::build(uarch, &program, horizon, digest),
+            UarchMaskMap::to_json,
+        )
+    })
 }
 
 /// The process-wide arch map registry; see [`uarch_map`].
 pub fn arch_map(workload: WorkloadId, scale: Scale, map_dir: Option<&Path>) -> Arc<ArchMaskMap> {
+    arch_map_sourced(workload, scale, map_dir).0
+}
+
+/// [`arch_map`], also reporting how the request was served.
+pub fn arch_map_sourced(
+    workload: WorkloadId,
+    scale: Scale,
+    map_dir: Option<&Path>,
+) -> (Arc<ArchMaskMap>, MapSource) {
     static CACHE: Registry<ArchMaskMap> = OnceLock::new();
     let digest = arch_map_digest(scale);
-    let mut cache = CACHE.get_or_init(Mutex::default).lock().expect("maskmap registry poisoned");
-    if let Some(m) = cache.get(&(workload, digest)) {
-        return Arc::clone(m);
+    resolve_slot(&CACHE, (workload, digest), || {
+        load_or_build(
+            map_dir.map(|d| map_path(d, "arch", workload, digest)),
+            |v| ArchMaskMap::from_json(v, digest),
+            || ArchMaskMap::build(&workload.build(scale), digest),
+            ArchMaskMap::to_json,
+        )
+    })
+}
+
+/// Calls `resolve` on every workload over up to `threads` scoped
+/// threads, each taking the next unclaimed workload, and returns the
+/// results in `workloads` order. One thread resolves inline, serially.
+/// A panicking resolve propagates once every thread has stopped.
+pub fn resolve_maps<R: Send>(
+    workloads: &[WorkloadId],
+    threads: usize,
+    resolve: impl Fn(WorkloadId) -> R + Sync,
+) -> Vec<R> {
+    let threads = threads.clamp(1, workloads.len().max(1));
+    if threads == 1 {
+        return workloads.iter().map(|&id| resolve(id)).collect();
     }
-    let path = map_dir.map(|d| map_path(d, "arch", workload, digest));
-    let loaded =
-        path.as_deref().and_then(read_json).and_then(|v| ArchMaskMap::from_json(&v, digest));
-    let map = Arc::new(loaded.unwrap_or_else(|| {
-        let m = ArchMaskMap::build(&workload.build(scale), digest);
-        if let Some(p) = &path {
-            persist(p, &m.to_json());
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = workloads.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| loop {
+                // Relaxed: the counter only hands out indices; results
+                // travel through the slot mutexes.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&id) = workloads.get(i) else { break };
+                let r = resolve(id);
+                *slots[i].lock().expect("resolve slot poisoned") = Some(r);
+            });
         }
-        m
-    }));
-    cache.insert((workload, digest), Arc::clone(&map));
-    map
+    });
+    slots
+        .into_iter()
+        .map(|m| m.into_inner().expect("resolve slot poisoned").expect("every workload resolved"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use restore_isa::{layout, Asm};
+    use restore_uarch::state::RangeRecorder;
     use restore_uarch::OccupancyRecorder;
 
     fn smoke_map(horizon: u64) -> (UarchMaskMap, Pipeline) {
@@ -1341,6 +1559,205 @@ mod tests {
         assert!(map_path(&dir, "arch", WorkloadId::Bzip2x, arch_map_digest(scale)).exists());
         assert!(Arc::ptr_eq(&am, &arch_map(WorkloadId::Bzip2x, scale, Some(&dir))));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A device that declares a static mask on one field, conditioned on
+    /// its flag (mirroring "role proves these bits unread" in the
+    /// pipeline), with a dead slot after it.
+    struct PartMasked {
+        flag: bool,
+        imm: u64,
+        spare: u64,
+    }
+
+    impl FaultState for PartMasked {
+        fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+            v.region("part-masked", StateKind::Latch);
+            v.flag(&mut self.flag);
+            if v.wants_masks() && !self.flag {
+                v.masked(0xFF00);
+            }
+            v.word(&mut self.imm, 16, FieldClass::Data);
+            v.occupancy(false);
+            v.word(&mut self.spare, 8, FieldClass::Data);
+        }
+    }
+
+    fn walked(machine: &mut impl FaultState) -> GoldenWalk {
+        let mut walk = GoldenWalk::default();
+        walk.walk(machine, 0);
+        walk
+    }
+
+    #[test]
+    fn golden_walk_captures_masks_liveness_and_groups() {
+        let walk = walked(&mut PartMasked { flag: false, imm: 0xABCD, spare: 0x55 });
+        let values: Vec<u64> = walk.fields.iter().map(|f| f.value).collect();
+        let masks: Vec<u64> = walk.fields.iter().map(|f| f.mask).collect();
+        let dead: Vec<bool> = walk.fields.iter().map(|f| f.dead).collect();
+        assert_eq!(values, vec![0, 0xABCD, 0x55]);
+        assert_eq!(masks, vec![0, 0xFF00, 0], "one-shot mask hits only the next field");
+        assert_eq!(dead, vec![false, false, true]);
+        let armed: Vec<bool> = walk.fields.iter().map(|f| f.armed).collect();
+        assert_eq!(armed, vec![false, true, true], "masked or dead fields arm their stamps");
+        // flag and imm precede the occupancy call; spare follows it.
+        assert_eq!(walk.group_of[0], walk.group_of[1]);
+        assert_ne!(walk.group_of[1], walk.group_of[2]);
+    }
+
+    #[test]
+    fn golden_walk_mask_is_conditional_on_machine_state() {
+        let walk = walked(&mut PartMasked { flag: true, imm: 0xABCD, spare: 0 });
+        let masks: Vec<u64> = walk.fields.iter().map(|f| f.mask).collect();
+        assert_eq!(masks, vec![0, 0, 0], "flag set ⇒ no mask declared");
+    }
+
+    #[test]
+    fn golden_walk_clips_masks_to_field_width() {
+        struct Wide(u64);
+        impl FaultState for Wide {
+            fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+                v.region("wide", StateKind::Latch);
+                v.masked(u64::MAX);
+                v.word(&mut self.0, 12, FieldClass::Data);
+            }
+        }
+        let walk = walked(&mut Wide(0));
+        assert_eq!(walk.fields[0].mask, 0xFFF, "declared mask clipped to the field width");
+    }
+
+    /// Groups count `region` and `occupancy` calls: fields between two
+    /// such calls share one, a group with no fields still takes a
+    /// number, and only groups that own fields get dead-run slots.
+    #[test]
+    fn golden_walk_numbers_groups_across_region_and_occupancy_calls() {
+        struct Grouped([u64; 4]);
+        impl FaultState for Grouped {
+            fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+                let [a, b, c, d] = &mut self.0;
+                v.region("first", StateKind::Latch); // group 1
+                v.word(a, 8, FieldClass::Data);
+                v.word(b, 8, FieldClass::Data);
+                v.occupancy(false); // group 2, no fields
+                v.occupancy(true); // group 3
+                v.word(c, 8, FieldClass::Data);
+                v.region("second", StateKind::Ram); // group 4
+                v.word(d, 8, FieldClass::Data);
+                v.occupancy(false); // group 5, trailing, no fields
+            }
+        }
+        let mut machine = Grouped([1, 2, 3, 4]);
+        let mut walk = walked(&mut machine);
+        assert_eq!(walk.group_of, vec![1, 1, 3, 4]);
+        assert_eq!(walk.dead_runs.len(), 5, "groups 0..=4; the trailing empty one is not counted");
+        // Later walks must number identically, and do.
+        machine.0 = [9, 9, 9, 9];
+        walk.walk(&mut machine, 1);
+        assert_eq!(walk.group_of, vec![1, 1, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "occupancy group numbering drifted at field 1, cycle 1")]
+    fn golden_walk_rejects_drifting_group_numbering() {
+        struct Drifting(bool, [u64; 2]);
+        impl FaultState for Drifting {
+            fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+                v.region("drifting", StateKind::Latch);
+                v.word(&mut self.1[0], 8, FieldClass::Data);
+                // Occupancy emitted per *live* slot: the defect the
+                // group-stability assertion exists to catch.
+                if self.0 {
+                    v.occupancy(true);
+                }
+                v.word(&mut self.1[1], 8, FieldClass::Data);
+            }
+        }
+        let mut machine = Drifting(false, [0, 0]);
+        let mut walk = walked(&mut machine);
+        machine.0 = true;
+        walk.walk(&mut machine, 1);
+    }
+
+    #[test]
+    fn golden_walk_field_order_matches_catalog() {
+        let walk = walked(&mut PartMasked { flag: false, imm: 0, spare: 0 });
+        let mut ranges = RangeRecorder::new();
+        PartMasked { flag: false, imm: 0, spare: 0 }.visit_state(&mut ranges);
+        let cat = ranges.into_catalog();
+        assert_eq!(walk.fields.len(), cat.fields.len());
+        assert_eq!(walk.group_of.len(), cat.fields.len());
+        // Global bit 9 lands in the masked imm field; its mask covers
+        // relative bit 8.
+        let f = cat.field_index_of(9).unwrap();
+        let (start, _, _) = cat.fields[f];
+        assert_ne!(walk.fields[f].mask & (1 << (9 - start)), 0);
+        // The real machine, too: the walk lays out exactly the catalog.
+        let program = WorkloadId::Mcfx.build(Scale::smoke());
+        let mut pipe = Pipeline::new(UarchConfig::default(), &program);
+        let walk = walked(&mut pipe);
+        assert_eq!(walk.fields.len(), pipe.catalog().fields.len());
+    }
+
+    /// The build's output, pinned by digest of its rendered JSON: the
+    /// values were recorded from the per-cycle snapshot build the fused
+    /// walk replaced, so they prove the two byte-identical.
+    #[test]
+    fn build_renders_pinned_bytes() {
+        let pins = [
+            (WorkloadId::Mcfx, 595_215, 0x366b_526a_78c0_f32f_u64),
+            (WorkloadId::Gccx, 544_317, 0x06ef_107f_76aa_c488),
+        ];
+        for (id, len, digest) in pins {
+            let program = id.build(Scale::smoke());
+            let text = UarchMaskMap::build(&UarchConfig::default(), &program, 1_500, 0x5EED)
+                .to_json()
+                .render();
+            assert_eq!((text.len(), config_digest(&text)), (len, digest), "{id:?} map bytes moved");
+        }
+    }
+
+    /// Every thread count resolves the seven maps a serial build does,
+    /// and persists them byte for byte.
+    #[test]
+    fn concurrent_resolution_equals_serial_builds() {
+        let (scale, uarch) = (Scale::smoke(), UarchConfig::default());
+        for threads in [1, 2, 4] {
+            // A horizon per thread count: each resolves fresh keys.
+            let horizon = 200 + threads as u64;
+            let digest = uarch_map_digest(scale, &uarch, horizon);
+            let dir = std::env::temp_dir()
+                .join(format!("restore-maskmap-resolve-{threads}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let resolved = resolve_maps(&WorkloadId::ALL, threads, |id| {
+                uarch_map_sourced(id, scale, &uarch, horizon, Some(&dir))
+            });
+            for (&id, (map, source)) in WorkloadId::ALL.iter().zip(&resolved) {
+                let serial = UarchMaskMap::build(&uarch, &id.build(scale), horizon, digest);
+                assert_eq!(*source, MapSource::Built, "{id:?} at {threads} threads");
+                assert_eq!(**map, serial, "{id:?} at {threads} threads");
+                let persisted =
+                    std::fs::read_to_string(map_path(&dir, "uarch", id, digest)).unwrap();
+                assert_eq!(persisted, serial.to_json().render(), "{id:?} at {threads} threads");
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Callers racing on one key block on a single builder.
+    #[test]
+    fn racing_callers_build_a_key_once() {
+        let uarch = UarchConfig::default();
+        let start = std::sync::Barrier::new(4);
+        let resolved = resolve_maps(&[WorkloadId::Gccx; 4], 4, |id| {
+            start.wait();
+            uarch_map_sourced(id, Scale::smoke(), &uarch, 77, None)
+        });
+        let built = resolved.iter().filter(|(_, s)| *s == MapSource::Built).count();
+        assert_eq!(built, 1, "{:?}", resolved.iter().map(|(_, s)| s).collect::<Vec<_>>());
+        assert!(resolved.iter().all(|(m, _)| Arc::ptr_eq(m, &resolved[0].0)));
+        let (_, again) = uarch_map_sourced(WorkloadId::Gccx, Scale::smoke(), &uarch, 77, None);
+        assert_eq!(again, MapSource::Memo);
     }
 
     #[test]

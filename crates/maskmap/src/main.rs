@@ -13,8 +13,14 @@
 //! same rows as a JSON report. `--census` cross-checks every µarch
 //! map's field table against the state catalog's bit census and exits
 //! nonzero on the first mismatch.
+//!
+//! Maps are keyed at the horizon a µarch campaign with the same
+//! `--warmup` and `--window` (and the default drain) uses, so the maps
+//! `--map-dir DIR` persists are the ones `--prune interval` campaigns
+//! given `--store DIR` load instead of building. The workloads' maps
+//! resolve concurrently, one per available core.
 
-use restore_maskmap::{arch_map, uarch_map, AvfRow};
+use restore_maskmap::{arch_map, map_horizon, resolve_maps, uarch_map, AvfRow};
 use restore_store::Json;
 use restore_uarch::{Pipeline, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
@@ -40,17 +46,37 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// The µarch campaigns' default drain allowance, which their maps'
+/// horizon includes.
+const DRAIN_CYCLES: u64 = 3_000;
+
+impl Default for Opts {
+    /// The µarch campaigns' default geometry, all seven workloads.
+    fn default() -> Opts {
+        Opts {
+            workloads: WorkloadId::ALL.to_vec(),
+            scale: Scale::campaign(),
+            warmup: 2_000,
+            window: 10_000,
+            map_dir: None,
+            avf: false,
+            census: false,
+            json: None,
+        }
+    }
+}
+
+impl Opts {
+    /// The horizon a campaign at this warm-up and window keys its maps
+    /// at, so maps persisted here load in `--prune interval` campaigns
+    /// given the same directory as `--store`.
+    fn horizon(&self) -> u64 {
+        map_horizon(self.warmup, self.window, DRAIN_CYCLES)
+    }
+}
+
 fn parse_args() -> Opts {
-    let mut opts = Opts {
-        workloads: WorkloadId::ALL.to_vec(),
-        scale: Scale::campaign(),
-        warmup: 2_000,
-        window: 10_000,
-        map_dir: None,
-        avf: false,
-        census: false,
-        json: None,
-    };
+    let mut opts = Opts::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
@@ -102,16 +128,25 @@ fn parse_num(s: &str) -> u64 {
 
 fn main() -> ExitCode {
     let opts = parse_args();
-    // Mirror the campaign drivers: plans span warmup + 4x window, plus
-    // one observation window past the last injection point.
-    let horizon = opts.warmup + 5 * opts.window;
+    let horizon = opts.horizon();
     let uarch = UarchConfig::default();
     let map_dir = opts.map_dir.as_deref();
+    if let Some(dir) = map_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create {}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
+    }
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    // The census needs only the µarch maps.
+    let maps = resolve_maps(&opts.workloads, threads, |id| {
+        let arch = (!opts.census).then(|| arch_map(id, opts.scale, map_dir));
+        (uarch_map(id, opts.scale, &uarch, horizon, map_dir), arch)
+    });
 
     let mut failures = 0u32;
     let mut report: Vec<(WorkloadId, Vec<AvfRow>)> = Vec::new();
-    for &id in &opts.workloads {
-        let map = uarch_map(id, opts.scale, &uarch, horizon, map_dir);
+    for (&id, (map, arch)) in opts.workloads.iter().zip(&maps) {
         let mut pipe = Pipeline::new(uarch.clone(), &id.build(opts.scale));
         let catalog = pipe.catalog();
         if opts.census {
@@ -125,7 +160,7 @@ fn main() -> ExitCode {
             continue;
         }
         let mut rows = map.avf(&catalog);
-        rows.extend(arch_map(id, opts.scale, map_dir).avf());
+        rows.extend(arch.iter().flat_map(|a| a.avf()));
         if opts.avf {
             println!("{} (span {} cycles)", id.name(), map.last_cycle());
             println!(
@@ -192,5 +227,18 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Opts;
+    use restore_inject::{maskmap_horizon, UarchCampaignConfig};
+
+    /// Maps the CLI persists at its defaults must be the ones a default
+    /// campaign given the same directory loads.
+    #[test]
+    fn default_horizon_is_the_default_campaigns() {
+        assert_eq!(Opts::default().horizon(), maskmap_horizon(&UarchCampaignConfig::default()));
     }
 }
