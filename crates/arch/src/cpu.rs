@@ -6,7 +6,7 @@
 //! is compared against (§4.2).
 
 use crate::alu::{self, AluOut};
-use crate::state::{FaultState, FieldClass, StateKind, StateVisitor};
+use crate::state::{FaultState, FieldClass, Fingerprint, StateKind, StateVisitor};
 use crate::{Exception, Memory, Perm};
 use restore_isa::{decode, Inst, PalFunc, Program, Reg};
 
@@ -321,41 +321,32 @@ impl Cpu {
 
     /// Full-machine fingerprint for reconvergence detection, analogous
     /// to the pipeline's: registers, PC, halt flag, retirement count,
-    /// the output log and the memory-image digest, folded with full
-    /// avalanche. Equal fingerprints mean — up to 64-bit collisions,
-    /// negligible at campaign scale — equal machines, and the simulator
-    /// is deterministic, so equal machines have identical futures
-    /// *including* the masking judgement (the output log is part of the
-    /// digest precisely so a converged pair cannot still differ in
-    /// anything the end-of-trial comparison reads).
+    /// the output log and the memory-image digest, folded one word at a
+    /// time through [`Fingerprint::mix`]. Equal fingerprints mean — up to
+    /// 64-bit collisions, negligible at campaign scale — equal machines,
+    /// and the simulator is deterministic, so equal machines have
+    /// identical futures *including* the masking judgement (the output
+    /// log is part of the digest precisely so a converged pair cannot
+    /// still differ in anything the end-of-trial comparison reads).
     ///
     /// `&mut self` because the memory digest reuses cached per-page
     /// digests ([`Memory::fingerprint`]), refreshed incrementally for
     /// pages dirtied since the last call — so a steady-state call costs
     /// O(registers + output + dirty pages), not O(memory image).
     pub fn fingerprint(&mut self) -> u64 {
-        #[inline]
-        fn fold(acc: u64, word: u64) -> u64 {
-            // splitmix64 finalizer over an accumulator (public-domain
-            // constants; same mixer the seeding module uses).
-            let mut z = acc ^ word.wrapping_mul(0xA24B_AED4_963E_E407);
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        let mut h = 0x5245_5354_4F52_4543; // "RESTOREC"
+        let mut f = Fingerprint::new();
         for &r in self.regs.as_array() {
-            h = fold(h, r);
+            f.mix(r);
         }
-        h = fold(h, self.pc);
-        h = fold(h, self.retired);
-        h = fold(h, self.halted as u64);
-        h = fold(h, self.output.len() as u64);
+        f.mix(self.pc);
+        f.mix(self.retired);
+        f.mix(self.halted as u64);
+        f.mix(self.output.len() as u64);
         for &v in &self.output {
-            h = fold(h, v);
+            f.mix(v);
         }
-        fold(h, self.mem.fingerprint())
+        f.mix(self.mem.fingerprint());
+        f.finish()
     }
 
     /// Builds the catalog of this machine's injectable state — the

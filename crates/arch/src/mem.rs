@@ -6,8 +6,10 @@
 //! a pointer almost always lands in unmapped space and faults, which is why
 //! the exception symptom covers so many failures.
 
+use crate::state::Fingerprint;
 use core::fmt;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Page size in bytes (4 KiB).
@@ -132,27 +134,56 @@ struct PageSlot {
     digest: Option<u64>,
 }
 
-/// FNV-1a digest of one page: base, permissions, contents. Each page's
-/// digest is independent of every other page's, so whole-image digests
-/// can XOR-combine them (the base address keys each term).
+impl PageSlot {
+    /// The page body, un-shared for writing (copy-on-write), with its
+    /// cached digest retired into `clean_xor` and its base put on the
+    /// owning [`Memory`]'s `dirty` list.
+    fn writable(&mut self, base: u64, clean_xor: &mut u64, dirty: &mut Vec<u64>) -> &mut Page {
+        if let Some(d) = self.digest.take() {
+            *clean_xor ^= d;
+            dirty.push(base);
+        }
+        Arc::make_mut(&mut self.page)
+    }
+}
+
+/// Digest of one page: base, permissions and contents, one
+/// [`Fingerprint::mix`] per word. Each page's digest is independent of
+/// every other page's, so whole-image digests can XOR-combine them (the
+/// base address keys each term), and a change to any one word of a page
+/// always changes its digest (the mixer is a bijection per step).
 fn page_digest(base: u64, page: &Page) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(PRIME);
-    };
-    for b in base.to_le_bytes() {
-        eat(b);
+    let mut f = Fingerprint::new();
+    f.mix(base);
+    f.mix(page.perm.read as u64 | (page.perm.write as u64) << 1 | (page.perm.execute as u64) << 2);
+    f.mix_bytes(&page.data);
+    f.finish()
+}
+
+/// Whether `perm` allows `access`.
+#[inline]
+fn permits(perm: Perm, access: AccessKind) -> bool {
+    match access {
+        AccessKind::Load => perm.read,
+        AccessKind::Store => perm.write,
+        AccessKind::Fetch => perm.execute,
     }
-    eat(page.perm.read as u8);
-    eat(page.perm.write as u8);
-    eat(page.perm.execute as u8);
-    for &b in page.data.iter() {
-        eat(b);
-    }
-    h
+}
+
+/// Splits `[addr, addr + len)` into its per-page pieces: `(page base,
+/// offset in the page, range of the caller's buffer)`.
+fn page_spans(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let a = addr + done as u64;
+            let base = Memory::page_base(a);
+            let off = (a - base) as usize;
+            let n = (PAGE_SIZE as usize - off).min(len - done);
+            done += n;
+            (base, off, done - n..done)
+        })
+    })
 }
 
 /// Sparse, permission-checked paged memory.
@@ -162,10 +193,11 @@ fn page_digest(base: u64, page: &Page) -> u64 {
 /// that page, so campaigns fork golden and injected runs at the cost of
 /// the page *table*, not the image.
 ///
-/// The image also maintains an incremental digest: each page caches an
-/// FNV digest of its contents, invalidated on the store path, and
+/// The image also maintains an incremental digest: each page caches a
+/// digest of its contents, invalidated on the store path, and
 /// [`Memory::fingerprint`] recombines them in O(dirty pages) — cheap
-/// enough to sample every few dozen cycles during a trial.
+/// enough to sample every few hundred cycles during a trial and to
+/// compare end-of-trial images against the golden run's.
 ///
 /// # Examples
 ///
@@ -227,11 +259,7 @@ impl Memory {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     let slot = e.get_mut();
                     if slot.page.perm != perm {
-                        if let Some(d) = slot.digest.take() {
-                            self.clean_xor ^= d;
-                            self.dirty.push(p);
-                        }
-                        Arc::make_mut(&mut slot.page).perm = perm;
+                        slot.writable(p, &mut self.clean_xor, &mut self.dirty).perm = perm;
                     }
                 }
                 std::collections::btree_map::Entry::Vacant(e) => {
@@ -274,42 +302,33 @@ impl Memory {
     ///
     /// The same errors the corresponding load/store/fetch would produce.
     pub fn check(&self, addr: u64, len: u64, access: AccessKind) -> Result<(), MemError> {
+        self.checked_page(addr, len, access).map(|_| ())
+    }
+
+    /// Alignment check shared by every access.
+    #[inline]
+    fn aligned(addr: u64, len: u64, access: AccessKind) -> Result<(), MemError> {
         if len > 1 && addr & (len - 1) != 0 {
-            return Err(MemError::Misaligned { addr, access });
+            Err(MemError::Misaligned { addr, access })
+        } else {
+            Ok(())
         }
-        // An aligned power-of-two access never crosses a page.
+    }
+
+    /// The page an access of `len` bytes at `addr` touches, after the
+    /// [`Memory::check`] tests in its order — the one page lookup behind
+    /// every load and fetch. An aligned power-of-two access never
+    /// crosses a page.
+    #[inline]
+    fn checked_page(&self, addr: u64, len: u64, access: AccessKind) -> Result<&Page, MemError> {
+        Self::aligned(addr, len, access)?;
         let slot =
             self.pages.get(&Self::page_base(addr)).ok_or(MemError::Unmapped { addr, access })?;
-        let ok = match access {
-            AccessKind::Load => slot.page.perm.read,
-            AccessKind::Store => slot.page.perm.write,
-            AccessKind::Fetch => slot.page.perm.execute,
-        };
-        if ok {
-            Ok(())
+        if permits(slot.page.perm, access) {
+            Ok(&slot.page)
         } else {
             Err(MemError::Protection { addr, access })
         }
-    }
-
-    fn read_raw(&self, addr: u64, buf: &mut [u8]) {
-        let base = Self::page_base(addr);
-        let off = (addr - base) as usize;
-        let page = &self.pages[&base].page;
-        buf.copy_from_slice(&page.data[off..off + buf.len()]);
-    }
-
-    fn write_raw(&mut self, addr: u64, buf: &[u8]) {
-        let base = Self::page_base(addr);
-        let off = (addr - base) as usize;
-        let slot = self.pages.get_mut(&base).expect("checked");
-        if let Some(d) = slot.digest.take() {
-            self.clean_xor ^= d;
-            self.dirty.push(base);
-        }
-        // Copy-on-write: un-share the page body before mutating it.
-        let page = Arc::make_mut(&mut slot.page);
-        page.data[off..off + buf.len()].copy_from_slice(buf);
     }
 
     /// Loads a zero-extended little-endian value of `len` bytes (1, 2, 4
@@ -319,9 +338,10 @@ impl Memory {
     ///
     /// Alignment, mapping and permission errors per [`Memory::check`].
     pub fn load(&self, addr: u64, len: u64) -> Result<u64, MemError> {
-        self.check(addr, len, AccessKind::Load)?;
+        let page = self.checked_page(addr, len, AccessKind::Load)?;
+        let (off, len) = ((addr & (PAGE_SIZE - 1)) as usize, len as usize);
         let mut buf = [0u8; 8];
-        self.read_raw(addr, &mut buf[..len as usize]);
+        buf[..len].copy_from_slice(&page.data[off..off + len]);
         Ok(u64::from_le_bytes(buf))
     }
 
@@ -331,9 +351,16 @@ impl Memory {
     ///
     /// Alignment, mapping and permission errors per [`Memory::check`].
     pub fn store(&mut self, addr: u64, len: u64, value: u64) -> Result<(), MemError> {
-        self.check(addr, len, AccessKind::Store)?;
-        let bytes = value.to_le_bytes();
-        self.write_raw(addr, &bytes[..len as usize]);
+        let access = AccessKind::Store;
+        Self::aligned(addr, len, access)?;
+        let base = Self::page_base(addr);
+        let slot = self.pages.get_mut(&base).ok_or(MemError::Unmapped { addr, access })?;
+        if !permits(slot.page.perm, access) {
+            return Err(MemError::Protection { addr, access });
+        }
+        let (off, len) = ((addr - base) as usize, len as usize);
+        let page = slot.writable(base, &mut self.clean_xor, &mut self.dirty);
+        page.data[off..off + len].copy_from_slice(&value.to_le_bytes()[..len]);
         Ok(())
     }
 
@@ -354,13 +381,9 @@ impl Memory {
     /// Misalignment, unmapped or non-executable pages report under
     /// [`AccessKind::Fetch`].
     pub fn fetch(&self, pc: u64) -> Result<u32, MemError> {
-        if pc & 3 != 0 {
-            return Err(MemError::Misaligned { addr: pc, access: AccessKind::Fetch });
-        }
-        self.check(pc, 4, AccessKind::Fetch)?;
-        let mut buf = [0u8; 4];
-        self.read_raw(pc, &mut buf);
-        Ok(u32::from_le_bytes(buf))
+        let page = self.checked_page(pc, 4, AccessKind::Fetch)?;
+        let off = (pc & (PAGE_SIZE - 1)) as usize;
+        Ok(u32::from_le_bytes(page.data[off..off + 4].try_into().expect("4 bytes")))
     }
 
     /// Writes raw bytes ignoring permissions — used by the program loader
@@ -371,9 +394,12 @@ impl Memory {
     /// Panics if any byte of the destination is unmapped; callers map
     /// regions before initialising them.
     pub fn poke_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (a, chunk) in (addr..).zip(bytes.chunks(1)) {
-            assert!(self.is_mapped(a), "poke to unmapped {a:#x}");
-            self.write_raw(a, chunk);
+        for (base, off, span) in page_spans(addr, bytes.len()) {
+            let a = base + off as u64;
+            let slot =
+                self.pages.get_mut(&base).unwrap_or_else(|| panic!("poke to unmapped {a:#x}"));
+            let page = slot.writable(base, &mut self.clean_xor, &mut self.dirty);
+            page.data[off..off + span.len()].copy_from_slice(&bytes[span]);
         }
     }
 
@@ -383,12 +409,11 @@ impl Memory {
     ///
     /// Panics if unmapped.
     pub fn peek_bytes(&self, addr: u64, out: &mut [u8]) {
-        for (i, b) in out.iter_mut().enumerate() {
-            let a = addr + i as u64;
-            assert!(self.is_mapped(a), "peek of unmapped {a:#x}");
-            let mut tmp = [0u8; 1];
-            self.read_raw(a, &mut tmp);
-            *b = tmp[0];
+        for (base, off, span) in page_spans(addr, out.len()) {
+            let a = base + off as u64;
+            let slot = self.pages.get(&base).unwrap_or_else(|| panic!("peek of unmapped {a:#x}"));
+            let n = span.len();
+            out[span].copy_from_slice(&slot.page.data[off..off + n]);
         }
     }
 
@@ -424,43 +449,16 @@ impl Memory {
             .count()
     }
 
-    /// FNV-1a digest of the full memory image — bases, permissions and
-    /// page contents in address order. Equal images hash equal, so a
-    /// campaign can compare an end state against a golden reference
-    /// without keeping the golden `Memory` alive (64-bit collisions are
-    /// negligible at campaign scale).
-    ///
-    /// This walks the whole image every call; for the per-stride
-    /// reconvergence fingerprint use [`Memory::fingerprint`], which
-    /// reuses cached per-page digests.
-    pub fn content_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |byte: u8| {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        };
-        for (base, slot) in self.pages.iter() {
-            for b in base.to_le_bytes() {
-                eat(b);
-            }
-            eat(slot.page.perm.read as u8);
-            eat(slot.page.perm.write as u8);
-            eat(slot.page.perm.execute as u8);
-            for &b in slot.page.data.iter() {
-                eat(b);
-            }
-        }
-        h
-    }
-
     /// Incremental digest of the full memory image: the XOR of every
     /// page's digest (each keyed by its base and permissions) plus the
     /// page count. Stores invalidate only the written page's cached
     /// digest, so this recomputes O(pages dirtied since the last call)
     /// rather than re-walking the image — equal images always produce
-    /// equal fingerprints, regardless of store history.
+    /// equal fingerprints, regardless of store history, and a changed
+    /// word on any one page always changes it. Campaigns compare an end
+    /// state against a golden reference through it, without keeping the
+    /// golden `Memory` alive (64-bit collisions are negligible at
+    /// campaign scale).
     pub fn fingerprint(&mut self) -> u64 {
         while let Some(base) = self.dirty.pop() {
             let slot = self.pages.get_mut(&base).expect("dirty page is mapped");
@@ -475,6 +473,7 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn map_rounds_to_pages() {
@@ -610,8 +609,19 @@ mod tests {
         assert_eq!(a.shared_page_count(&c), 0);
     }
 
+    /// The same image built from scratch: every page mapped with its
+    /// permissions and filled, with no digest ever cached.
+    fn rebuilt(m: &Memory) -> Memory {
+        let mut fresh = Memory::new();
+        for (base, bytes) in m.pages() {
+            fresh.map(base, PAGE_SIZE, m.perm_at(base).expect("mapped"));
+            fresh.poke_bytes(base, bytes);
+        }
+        fresh
+    }
+
     #[test]
-    fn fingerprint_tracks_equality_like_content_hash() {
+    fn fingerprint_tracks_equality() {
         let mut a = Memory::new();
         a.map(0x1000, 0x1000, Perm::RW);
         a.store_u64(0x1000, 7).unwrap();
@@ -626,10 +636,41 @@ mod tests {
         // Same contents, different permissions.
         a.map(0x1000, 0x1000, Perm::R);
         assert_ne!(a.fingerprint(), b.fingerprint());
-        // And the digest cache never drifts from the full walk's verdict.
+        // And the digest cache never drifts from a from-scratch digest.
         a.map(0x1000, 0x1000, Perm::RW);
-        assert_eq!(a.content_hash(), b.content_hash());
+        assert_eq!(a.fingerprint(), rebuilt(&a).fingerprint());
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_tracks_equality_of_independent_images() {
+        let build = |value: u64, perm: Perm| {
+            let mut m = Memory::new();
+            m.map(0x1000, 2 * PAGE_SIZE, Perm::RW);
+            m.store_u64(0x1ff8, value).unwrap();
+            m.map(0x2000, PAGE_SIZE, perm);
+            m
+        };
+        assert_eq!(build(7, Perm::RW).fingerprint(), build(7, Perm::RW).fingerprint());
+        assert_ne!(build(7, Perm::RW).fingerprint(), build(8, Perm::RW).fingerprint());
+        // Same contents, different permissions.
+        assert_ne!(build(7, Perm::RW).fingerprint(), build(7, Perm::R).fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_sees_every_bit_of_a_mapped_page() {
+        let mut m = Memory::new();
+        m.map(0x1000, 2 * PAGE_SIZE, Perm::RW);
+        m.store_u64(0x2010, 0xdead_beef).unwrap();
+        let before = m.fingerprint();
+        for addr in 0x2000..0x2000 + PAGE_SIZE {
+            for bit in 0..8 {
+                m.flip_bit(addr, bit);
+                assert_ne!(m.fingerprint(), before, "flip of bit {bit} at {addr:#x} unseen");
+                m.flip_bit(addr, bit);
+            }
+        }
+        assert_eq!(m.fingerprint(), before);
     }
 
     #[test]
@@ -660,19 +701,46 @@ mod tests {
     }
 
     #[test]
-    fn content_hash_tracks_equality() {
-        let mut a = Memory::new();
-        a.map(0x1000, 0x1000, Perm::RW);
-        a.store_u64(0x1000, 7).unwrap();
-        let b = a.clone();
-        assert_eq!(a.content_hash(), b.content_hash());
-        a.store_u64(0x1000, 8).unwrap();
-        assert_ne!(a.content_hash(), b.content_hash());
-        a.store_u64(0x1000, 7).unwrap();
-        assert_eq!(a.content_hash(), b.content_hash());
-        // Same contents, different permissions.
-        a.map(0x1000, 0x1000, Perm::R);
-        assert_ne!(a.content_hash(), b.content_hash());
+    fn fused_accesses_fail_in_check_order() {
+        let mut m = Memory::new();
+        m.map(0x1000, PAGE_SIZE, Perm::R);
+        m.map(0x2000, PAGE_SIZE, Perm::RW);
+        m.map(0x3000, PAGE_SIZE, Perm::RX);
+        for addr in [0x0ffe, 0x1000, 0x1002, 0x1ffc, 0x2001, 0x2004, 0x3002, 0x3ffc, 0x4000] {
+            for len in [1, 2, 4, 8] {
+                let load = m.check(addr, len, AccessKind::Load);
+                assert_eq!(m.load(addr, len).map(|_| ()), load, "load {addr:#x}/{len}");
+                let store = m.check(addr, len, AccessKind::Store);
+                assert_eq!(m.clone().store(addr, len, 1), store, "store {addr:#x}/{len}");
+            }
+            let fetch = m.check(addr, 4, AccessKind::Fetch);
+            assert_eq!(m.fetch(addr).map(|_| ()), fetch, "fetch {addr:#x}");
+        }
+    }
+
+    #[test]
+    fn peek_and_poke_span_pages() {
+        let mut m = Memory::new();
+        m.map(0x1000, 2 * PAGE_SIZE, Perm::R);
+        let bytes: Vec<u8> = (0..=255).collect();
+        m.poke_bytes(0x1f80, &bytes);
+        let mut out = vec![0u8; bytes.len()];
+        m.peek_bytes(0x1f80, &mut out);
+        assert_eq!(out, bytes);
+        assert_eq!(
+            m.load(0x1ff8, 8).unwrap(),
+            u64::from_le_bytes(bytes[120..128].try_into().unwrap())
+        );
+        assert_eq!(m.load(0x2000, 1).unwrap(), 128);
+        assert_eq!(m.fingerprint(), rebuilt(&m).fingerprint());
+    }
+
+    #[test]
+    #[should_panic(expected = "peek of unmapped 0x2000")]
+    fn peek_past_the_last_page_panics_at_the_first_unmapped_byte() {
+        let mut m = Memory::new();
+        m.map(0x1000, PAGE_SIZE, Perm::RW);
+        m.peek_bytes(0x1ffc, &mut [0u8; 8]);
     }
 
     #[test]
@@ -683,5 +751,65 @@ mod tests {
         m.map(0x1000, 0x1000, Perm::R);
         assert_eq!(m.load_u64(0x1000).unwrap(), 99);
         assert!(m.store_u64(0x1000, 1).is_err());
+    }
+
+    /// One step of [`incremental_fingerprint_matches_a_fresh_image`].
+    #[derive(Debug, Clone)]
+    enum Op {
+        Store { slot: u64, len_log2: u64, value: u64 },
+        Fingerprint,
+        Fork,
+        Remap { page: u64, writable: bool },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            4 => (0u64..3 * 512, 0u64..4, any::<u64>())
+                .prop_map(|(slot, len_log2, value)| Op::Store { slot, len_log2, value }),
+            1 => Just(Op::Fingerprint),
+            1 => Just(Op::Fork),
+            1 => (0u64..3, any::<bool>()).prop_map(|(page, writable)| Op::Remap { page, writable }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A digest kept incrementally — across clones, random stores and
+        /// permission changes, with fingerprints taken at arbitrary points
+        /// — equals the digest of the same image built from scratch.
+        #[test]
+        fn incremental_fingerprint_matches_a_fresh_image(
+            ops in proptest::collection::vec(op(), 1..64),
+        ) {
+            let mut m = Memory::new();
+            m.map(0x1000, 3 * PAGE_SIZE, Perm::RW);
+            let mut forks = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Store { slot, len_log2, value } => {
+                        let _ = m.store(0x1000 + slot * 8, 1 << len_log2, value);
+                    }
+                    Op::Fingerprint => {
+                        m.fingerprint();
+                    }
+                    Op::Fork => {
+                        let fork = m.clone();
+                        forks.push(std::mem::replace(&mut m, fork));
+                    }
+                    Op::Remap { page, writable } => {
+                        let perm = if writable { Perm::RW } else { Perm::R };
+                        m.map(0x1000 + page * PAGE_SIZE, PAGE_SIZE, perm);
+                    }
+                }
+            }
+            let mut fresh = rebuilt(&m);
+            prop_assert!(fresh == m);
+            prop_assert_eq!(m.fingerprint(), fresh.fingerprint());
+            // Every fork left behind still digests like its own contents.
+            for mut f in forks {
+                prop_assert_eq!(f.fingerprint(), rebuilt(&f).fingerprint());
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@
 //!   "~46,000 bits of interesting state"),
 //! * [`BitFlipper`] — flip exactly one globally-indexed bit,
 //! * [`StateHasher`] — order-sensitive digest for golden-run masking
-//!   comparison,
+//!   comparison (one [`Fingerprint::mix`] per field),
 //! * [`RangeRecorder`] — build the [`StateCatalog`] of named regions with
 //!   latch/RAM classification and parity/ECC protection domains (§5.2.2's
 //!   "low hanging fruit").
@@ -175,56 +175,51 @@ impl StateVisitor for BitFlipper {
     }
 }
 
-/// FNV-1a digest of the visited state, order- and width-sensitive.
-#[derive(Debug)]
+/// Digest of the visited state, order- and width-sensitive: one
+/// [`Fingerprint::mix`] per region and per field.
+///
+/// Every mixer step is a bijection of the running hash for a fixed input
+/// word (and of the word for a fixed running hash), so two walks that
+/// differ in exactly one field's value never collide.
+#[derive(Debug, Default)]
 pub struct StateHasher {
-    hash: u64,
+    f: Fingerprint,
 }
 
 impl StateHasher {
     /// Fresh hasher.
     pub fn new() -> StateHasher {
-        StateHasher { hash: 0xcbf2_9ce4_8422_2325 }
+        StateHasher::default()
     }
 
     /// The digest so far.
     pub fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-}
-
-impl Default for StateHasher {
-    fn default() -> Self {
-        StateHasher::new()
+        self.f.finish()
     }
 }
 
 impl StateVisitor for StateHasher {
     fn region(&mut self, name: &'static str, _kind: StateKind) {
-        self.mix(name.len() as u64);
+        self.f.mix(name.len() as u64);
     }
     fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
         debug_assert!(width == 64 || *value < (1u64 << width), "field exceeds declared width");
-        self.mix(*value ^ ((width as u64) << 56));
+        self.f.mix(*value ^ ((width as u64) << 56));
     }
 }
 
-/// Order-sensitive word accumulator for the full-machine reconvergence
-/// fingerprint (`Pipeline::fingerprint` in `restore-uarch`).
+/// Order-sensitive word accumulator: the one mixer behind every
+/// in-process digest — [`StateHasher`], the per-page digest behind
+/// `Memory::fingerprint`, `Cpu::fingerprint` and the full-machine
+/// reconvergence fingerprint (`Pipeline::fingerprint` in
+/// `restore-uarch`).
 ///
-/// Unlike [`StateHasher`] — which byte-feeds FNV-1a because it doubles as
-/// the end-of-trial masking digest and changes there are cheap — this is
-/// sampled every few dozen cycles over tens of thousands of words
-/// (predictor tables, cache tag arrays), so it mixes one multiply per
-/// word (splitmix64-style avalanche) instead of eight FNV rounds.
+/// It mixes one word per step (a splitmix64-style avalanche), because
+/// those digests are sampled every few hundred cycles over tens of
+/// thousands of words (predictor tables, cache tag arrays, dirty memory
+/// pages). None of them is persisted: the digests that outlive a process
+/// (the trial store's check hash, `ConfigDigest`, masking-map files)
+/// stay FNV-1a and unchanged.
 #[derive(Debug)]
 pub struct Fingerprint {
     hash: u64,
@@ -236,7 +231,9 @@ impl Fingerprint {
         Fingerprint { hash: 0x9e37_79b9_7f4a_7c15 }
     }
 
-    /// Folds one word into the digest; ordering matters.
+    /// Folds one word into the digest; ordering matters. For a fixed
+    /// `v` the step is a bijection of the running hash, and for a fixed
+    /// running hash it is a bijection of `v`.
     #[inline]
     pub fn mix(&mut self, v: u64) {
         let mut x = self.hash ^ v.wrapping_mul(0x9e37_79b9_7f4a_7c15);

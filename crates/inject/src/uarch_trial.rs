@@ -160,9 +160,11 @@ pub(crate) struct GoldenRun {
     all_events: BTreeSet<(u64, u64)>,
     end_state_hash: u64,
     end_regs: [u64; 32],
-    /// Digest of the end memory image ([`restore_arch::Memory::content_hash`]);
-    /// keeping the full golden `Memory` alive per point was the campaign's
-    /// largest resident allocation.
+    /// Digest of the end memory image ([`restore_arch::Memory::fingerprint`],
+    /// whose per-page cache the stride fingerprints keep warm, so it
+    /// costs O(pages dirtied since the last one)); keeping the full
+    /// golden `Memory` alive per point was the campaign's largest
+    /// resident allocation.
     end_mem_hash: u64,
     /// Status after the end-of-window drain (a trial cut at reconvergence,
     /// or predicted from the masking map, back-fills its ending from this).
@@ -246,7 +248,7 @@ pub(crate) fn golden_run(at: &Pipeline, cfg: &UarchCampaignConfig) -> GoldenRun 
         all_events: all,
         end_state_hash: g.state_hash(),
         end_regs: g.arch_regs(),
-        end_mem_hash: g.memory().content_hash(),
+        end_mem_hash: g.memory_mut().fingerprint(),
         end_status: g.status(),
         retired: g.retired(),
         dcache_misses: g.miss_counters().1,
@@ -487,7 +489,7 @@ pub(crate) fn run_trial(
                 let arch_clean = pipe.retired() == golden.retired
                     && (pipe.status() == Stop::Halted) == (golden.end_status == Stop::Halted)
                     && pipe.arch_regs() == golden.end_regs
-                    && pipe.memory().content_hash() == golden.end_mem_hash;
+                    && pipe.memory_mut().fingerprint() == golden.end_mem_hash;
                 if !arch_clean {
                     EndState::Latent
                 } else if pipe.state_hash() == golden.end_state_hash {

@@ -10,7 +10,7 @@
 
 use crate::cache::{Cache, Tlb};
 use crate::predict::{BranchPredictor, Btb, JrsConfidence, MemDepPredictor, Ras};
-use crate::queues::{CircQ, FreeList};
+use crate::queues::{reduce, CircQ, FreeList};
 use crate::state::{FieldClass, StateVisitor};
 use crate::uop::{
     ExcCode, ExecLatch, FqEntry, LdqEntry, PredInfo, RobEntry, Role, SchedEntry, SrcTag, StqEntry,
@@ -93,9 +93,9 @@ impl DecSlot {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct BobEntry {
-    rat: Vec<u8>,
+    rat: [u8; 32],
     // audit: skip -- free-list head checkpoint: recovery metadata folded
     // into the reconvergence fingerprint, not a modelled latch array
     fl_head: u64,
@@ -121,12 +121,6 @@ impl BobEntry {
         for t in self.rat.iter_mut() {
             v.word8(t, 7, FieldClass::Control);
         }
-    }
-}
-
-impl Default for BobEntry {
-    fn default() -> Self {
-        BobEntry { rat: vec![0; 32], fl_head: 0, ghr: 0, ras_top: 0, seq: 0 }
     }
 }
 
@@ -204,11 +198,14 @@ pub struct Pipeline {
     ldq: CircQ<LdqEntry>,
     stq: CircQ<StqEntry>,
     bob: CircQ<BobEntry>,
-    spec_rat: Vec<u8>,
-    arch_rat: Vec<u8>,
+    spec_rat: [u8; 32],
+    arch_rat: [u8; 32],
     free_list: FreeList,
     phys_regs: Vec<u64>,
     phys_ready: Vec<bool>,
+    // audit: skip -- scratch list of issue/execute candidates, rebuilt
+    // inside one stage and left empty between cycles (no machine state)
+    candidates: Vec<usize>,
 
     // --- bookkeeping (simulation artifacts, fingerprint-digested) ---
     // audit: skip -- cycle counter is simulation bookkeeping
@@ -282,11 +279,12 @@ impl Pipeline {
             ldq: CircQ::new(cfg.ldq_entries),
             stq: CircQ::new(cfg.stq_entries),
             bob: CircQ::new(cfg.bob_entries),
-            spec_rat: (0..32u8).collect(),
-            arch_rat: (0..32u8).collect(),
+            spec_rat: std::array::from_fn(|r| r as u8),
+            arch_rat: std::array::from_fn(|r| r as u8),
             free_list: FreeList::new(cfg.phys_regs),
             phys_ready: vec![true; cfg.phys_regs],
             phys_regs,
+            candidates: Vec::new(),
             cycle: 0,
             seq_counter: 0,
             retired_total: 0,
@@ -393,7 +391,7 @@ impl Pipeline {
 
     #[inline]
     fn pr(&self, tag: u8) -> usize {
-        tag as usize % self.cfg.phys_regs
+        reduce(tag as u64, self.cfg.phys_regs as u64) as usize
     }
 
     // ---------------------------------------------------------------
@@ -451,9 +449,8 @@ impl Pipeline {
         self.ldq.clear();
         self.stq.clear();
         self.bob.clear();
-        self.spec_rat.clone_from(&self.arch_rat);
-        let live: Vec<u8> = self.arch_rat.clone();
-        self.free_list.rebuild(live.into_iter());
+        self.spec_rat = self.arch_rat;
+        self.free_list.rebuild(self.arch_rat.into_iter());
         self.pc = new_pc;
         self.fetch_parked = false;
         self.frontend_delay = self.cfg.frontend_depth;
@@ -849,12 +846,14 @@ impl Pipeline {
     fn stage_execute(&mut self, report: &mut CycleReport) {
         // Collect finishing slots oldest-first so an older mispredicting
         // branch squashes younger work resolving in the same cycle.
-        let mut finishing: Vec<usize> = (0..self.exec.len())
-            .filter(|&i| self.exec[i].valid && self.exec[i].finish_at <= self.cycle)
-            .collect();
+        let mut finishing = std::mem::take(&mut self.candidates);
+        finishing.extend(
+            (0..self.exec.len())
+                .filter(|&i| self.exec[i].valid && self.exec[i].finish_at <= self.cycle),
+        );
         finishing.sort_by_key(|&i| self.exec[i].seq);
 
-        for slot in finishing {
+        for &slot in &finishing {
             let e = self.exec[slot];
             if !self.exec[slot].valid {
                 continue; // squashed by an older branch this cycle
@@ -984,6 +983,8 @@ impl Pipeline {
                 }
             }
         }
+        finishing.clear();
+        self.candidates = finishing;
     }
 
     fn resolve_branch(
@@ -1043,8 +1044,8 @@ impl Pipeline {
             let snapshot = self.bob.iter().find(|(_, b)| b.seq == seq).map(|(i, _)| i);
             match snapshot {
                 Some(i) => {
-                    let b = self.bob.slot(i).clone();
-                    self.spec_rat.clone_from(&b.rat);
+                    let b = *self.bob.slot(i);
+                    self.spec_rat = b.rat;
                     self.free_list.restore_head(b.fl_head);
                     self.bpred.repair(b.ghr, taken);
                     self.ras.top = b.ras_top;
@@ -1060,7 +1061,7 @@ impl Pipeline {
                     // branch in the ROB is impossible, so resync from the
                     // architectural state at the branch itself is handled
                     // by completing it and flushing younger state only.
-                    self.spec_rat.clone_from(&self.arch_rat);
+                    self.spec_rat = self.arch_rat;
                 }
             }
         }
@@ -1073,23 +1074,24 @@ impl Pipeline {
     fn stage_issue(&mut self) {
         // Wakeup: broadcast completed physical registers into waiting
         // scheduler entries.
+        let n_phys = self.cfg.phys_regs as u64;
         for s in self.sched.iter_mut() {
             if !s.valid {
                 continue;
             }
             for st in s.src.iter_mut() {
-                if st.used && !st.ready && self.phys_ready[st.tag as usize % self.cfg.phys_regs] {
+                if st.used && !st.ready && self.phys_ready[reduce(st.tag as u64, n_phys) as usize] {
                     st.ready = true;
                 }
             }
         }
-        let mut ready: Vec<usize> =
-            (0..self.sched.len()).filter(|&i| self.sched[i].ready()).collect();
+        let mut ready = std::mem::take(&mut self.candidates);
+        ready.extend((0..self.sched.len()).filter(|&i| self.sched[i].ready()));
         ready.sort_by_key(|&i| self.sched[i].seq);
 
         let (mut alu, mut br, mut agen) =
             (self.cfg.alu_units, self.cfg.br_units, self.cfg.agen_units);
-        for i in ready {
+        for &i in &ready {
             let s = self.sched[i];
             let role = Role::from_bits(s.role);
             let unit = match role {
@@ -1103,16 +1105,16 @@ impl Pipeline {
             let Some(slot) = self.exec.iter().position(|e| !e.valid) else { break };
             *unit -= 1;
 
-            let read = |st: &SrcTag, regs: &[u64], cfg: &UarchConfig| -> u64 {
+            let read = |st: &SrcTag, regs: &[u64]| -> u64 {
                 if st.used {
-                    regs[st.tag as usize % cfg.phys_regs]
+                    regs[reduce(st.tag as u64, n_phys) as usize]
                 } else {
                     0
                 }
             };
-            let a = read(&s.src[0], &self.phys_regs, &self.cfg);
-            let b = read(&s.src[1], &self.phys_regs, &self.cfg);
-            let c = read(&s.src[2], &self.phys_regs, &self.cfg);
+            let a = read(&s.src[0], &self.phys_regs);
+            let b = read(&s.src[1], &self.phys_regs);
+            let c = read(&s.src[2], &self.phys_regs);
             let latency = match decode(s.word) {
                 Ok(Inst::Op { op, .. }) if op.is_multiply() => self.cfg.mul_latency,
                 _ => self.cfg.alu_latency,
@@ -1137,6 +1139,8 @@ impl Pipeline {
                 break;
             }
         }
+        ready.clear();
+        self.candidates = ready;
     }
 
     // ---------------------------------------------------------------
@@ -1281,7 +1285,7 @@ impl Pipeline {
         // recovery).
         if needs_bob {
             self.bob.push(BobEntry {
-                rat: self.spec_rat.clone(),
+                rat: self.spec_rat,
                 fl_head: self.free_list.head_snapshot(),
                 ghr: fe.pred.used_ghr,
                 ras_top: fe.pred.ras_top,

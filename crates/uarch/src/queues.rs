@@ -17,6 +17,32 @@
 
 use crate::state::{FieldClass, StateVisitor};
 
+/// `x mod m` for the pointer and tag reductions on the cycle's hot path:
+/// a mask when `m` is a power of two (every default queue is), `x`
+/// itself when it is already in range, and a division otherwise.
+#[inline]
+pub(crate) fn reduce(x: u64, m: u64) -> u64 {
+    if m.is_power_of_two() {
+        x & (m - 1)
+    } else if x < m {
+        x
+    } else {
+        x % m
+    }
+}
+
+/// `(to - from) mod m` for modular counters in any range — the distance
+/// from a pop pointer to a push pointer.
+#[inline]
+fn distance(from: u64, to: u64, m: u64) -> u64 {
+    let (from, to) = (reduce(from, m), reduce(to, m));
+    if to >= from {
+        to - from
+    } else {
+        to + m - from
+    }
+}
+
 /// Fixed-capacity circular queue addressed by absolute slot index.
 ///
 /// Entries are pushed at the tail and popped from the head; `slot`/`slot_mut`
@@ -48,16 +74,19 @@ impl<T: Default + Clone> CircQ<T> {
 
     #[inline]
     fn wrap(&self, x: u64) -> u64 {
-        x % self.c2()
+        reduce(x, self.c2())
+    }
+
+    #[inline]
+    fn index(&self, x: u64) -> usize {
+        reduce(x, self.cap() as u64) as usize
     }
 
     /// Occupied entries. Pointer corruption can make the raw counter
     /// distance exceed capacity; the visible length clamps there, so
     /// every iteration stays bounded without rewriting the latches.
     pub fn len(&self) -> usize {
-        let c2 = self.c2();
-        let raw = (self.tail % c2 + c2 - self.head % c2) % c2;
-        raw.min(self.cap() as u64) as usize
+        distance(self.head, self.tail, self.c2()).min(self.cap() as u64) as usize
     }
 
     /// `true` if no entries are live.
@@ -77,7 +106,7 @@ impl<T: Default + Clone> CircQ<T> {
     /// Panics if full; callers check [`CircQ::is_full`] first.
     pub fn push(&mut self, v: T) -> usize {
         assert!(!self.is_full(), "queue overflow");
-        let idx = (self.tail % self.cap() as u64) as usize;
+        let idx = self.index(self.tail);
         self.slots[idx] = v;
         self.tail = self.wrap(self.tail + 1);
         idx
@@ -85,7 +114,7 @@ impl<T: Default + Clone> CircQ<T> {
 
     /// Absolute slot index of the oldest entry, if any.
     pub fn head_idx(&self) -> Option<usize> {
-        (!self.is_empty()).then(|| (self.head % self.cap() as u64) as usize)
+        (!self.is_empty()).then(|| self.index(self.head))
     }
 
     /// Oldest entry.
@@ -112,8 +141,7 @@ impl<T: Default + Clone> CircQ<T> {
             return None;
         }
         self.tail = self.wrap(self.tail + self.c2() - 1);
-        let idx = (self.tail % self.cap() as u64) as usize;
-        Some(self.slots[idx].clone())
+        Some(self.slots[self.index(self.tail)].clone())
     }
 
     /// Youngest entry.
@@ -121,21 +149,20 @@ impl<T: Default + Clone> CircQ<T> {
         if self.is_empty() {
             return None;
         }
-        let idx = ((self.tail + self.c2() - 1) % self.cap() as u64) as usize;
-        Some(&self.slots[idx])
+        Some(&self.slots[self.index(self.tail + self.c2() - 1)])
     }
 
     /// Direct slot access (for completion by stored index). The index is
     /// reduced modulo capacity so corrupted stored indices stay in
     /// bounds.
     pub fn slot(&self, idx: usize) -> &T {
-        &self.slots[idx % self.cap()]
+        &self.slots[self.index(idx as u64)]
     }
 
     /// Direct mutable slot access.
     pub fn slot_mut(&mut self, idx: usize) -> &mut T {
-        let c = self.cap();
-        &mut self.slots[idx % c]
+        let i = self.index(idx as u64);
+        &mut self.slots[i]
     }
 
     /// Every slot (live or not) in storage order, plus the head/tail
@@ -147,10 +174,9 @@ impl<T: Default + Clone> CircQ<T> {
 
     /// Iterates `(absolute_slot_index, &entry)` oldest→youngest.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
-        let cap = self.cap() as u64;
         let head = self.head;
         (0..self.len() as u64).map(move |k| {
-            let idx = ((head + k) % cap) as usize;
+            let idx = self.index(head + k);
             (idx, &self.slots[idx])
         })
     }
@@ -215,13 +241,12 @@ impl FreeList {
     }
 
     fn wrap(&self, x: u64) -> u64 {
-        x % (2 * self.cap())
+        reduce(x, 2 * self.cap())
     }
 
     /// Free registers currently available.
     pub fn available(&self) -> u64 {
-        let c2 = 2 * self.cap();
-        (self.tail % c2 + c2 - self.head % c2) % c2
+        distance(self.head, self.tail, 2 * self.cap())
     }
 
     /// Allocates a register, or `None` if empty.
@@ -229,7 +254,7 @@ impl FreeList {
         if self.available() == 0 {
             return None;
         }
-        let t = self.slots[(self.head % self.cap()) as usize];
+        let t = self.slots[reduce(self.head, self.cap()) as usize];
         self.head = self.wrap(self.head + 1);
         Some(t)
     }
@@ -241,7 +266,7 @@ impl FreeList {
             // release mirrors hardware losing a register (deadlock fuel).
             return;
         }
-        let i = (self.tail % self.cap()) as usize;
+        let i = reduce(self.tail, self.cap()) as usize;
         self.slots[i] = tag;
         self.tail = self.wrap(self.tail + 1);
     }
@@ -271,7 +296,8 @@ impl FreeList {
     /// not in `live` becomes free, ascending.
     pub fn rebuild(&mut self, live: impl Iterator<Item = u8>) {
         let cap = self.cap();
-        let mut is_live = vec![false; self.slots.len()];
+        // Tags are `u8`, so a free list never holds more than 256 slots.
+        let mut is_live = [false; 256];
         for t in live {
             is_live[t as usize % self.slots.len()] = true;
         }
@@ -294,7 +320,7 @@ impl FreeList {
     pub fn free_tags(&self) -> impl Iterator<Item = u8> + '_ {
         let cap = self.cap();
         let n = self.available().min(cap);
-        (0..n).map(move |k| self.slots[((self.head + k) % cap) as usize])
+        (0..n).map(move |k| self.slots[reduce(self.head + k, cap) as usize])
     }
 
     /// The conservative live window of free-list *slots*: everything
@@ -305,7 +331,7 @@ impl FreeList {
     /// Returns `(start_slot, live_slots)`.
     fn restorable_window(&self, restorable_heads: &[u64]) -> (u64, u64) {
         let c2 = 2 * self.cap();
-        let dist = |h: u64| (self.tail % c2 + c2 - h % c2) % c2;
+        let dist = |h: u64| distance(h, self.tail, c2);
         let (mut best, mut best_d) = (self.head, dist(self.head));
         for &h in restorable_heads {
             let d = dist(h);
@@ -449,6 +475,19 @@ mod tests {
         let mut rec = OccupancyRecorder::new();
         q.visit_with(&mut rec, |s, v| v.word(s, 64, FieldClass::Data));
         assert_eq!(rec.live, vec![true, true, true, false, false, true]);
+    }
+
+    #[test]
+    fn reductions_match_the_remainder() {
+        for m in 1..=200u64 {
+            for x in 0..3 * m {
+                assert_eq!(reduce(x, m), x % m, "{x} mod {m}");
+                for from in [0, 1, m - 1, m, 2 * m + 1, x] {
+                    let want = (x % m + m - from % m) % m;
+                    assert_eq!(distance(from, x, m), want, "{x} - {from} mod {m}");
+                }
+            }
+        }
     }
 
     #[test]
