@@ -7,8 +7,10 @@
 
 use crate::alu::{self, AluOut};
 use crate::state::{FaultState, FieldClass, Fingerprint, StateKind, StateVisitor};
-use crate::{Exception, Memory, Perm};
+use crate::{Exception, MemError, Memory, Perm};
+use core::fmt;
 use restore_isa::{decode, Inst, PalFunc, Program, Reg};
+use std::sync::Arc;
 
 /// The 32-entry architectural register file with a hardwired zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -122,6 +124,207 @@ pub enum RunExit {
     BudgetExhausted,
 }
 
+/// The machine state an instruction reads and writes: registers, data
+/// memory and the output log. [`execute`] defines the ISA's semantics
+/// over it once; [`Cpu::step`] runs it on the CPU's own state, and a
+/// fault-injection campaign runs it on a golden machine it sees only
+/// through the injected machine plus a difference overlay.
+pub trait ExecState {
+    /// Reads a register; `r31` must read zero.
+    fn reg(&self, r: Reg) -> u64;
+    /// Writes a register; writes to `r31` must be discarded.
+    fn set_reg(&mut self, r: Reg, v: u64);
+    /// Loads `len` bytes zero-extended, as [`Memory::load`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Memory::load`].
+    fn load(&self, addr: u64, len: u64) -> Result<u64, MemError>;
+    /// Stores the low `len` bytes of `v`, as [`Memory::store`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Memory::store`].
+    fn store(&mut self, addr: u64, len: u64, v: u64) -> Result<(), MemError>;
+    /// Appends a value to the output log (`call_pal putc` / `outq`).
+    fn emit(&mut self, v: u64);
+}
+
+/// Effective address of a load or store: base register plus the
+/// sign-extended displacement.
+#[inline]
+pub fn effective_address(base: u64, disp: i16) -> u64 {
+    base.wrapping_add(disp as i64 as u64)
+}
+
+/// Executes `inst` at `pc` against `s` — the one definition of the
+/// ISA's semantics. Reads and writes go through `s`; the returned
+/// [`Retired`] carries the next PC and halt flag for the caller to
+/// commit.
+///
+/// # Errors
+///
+/// Returns the [`Exception`] if the instruction faults, before any write
+/// reaches `s` (exceptions are precise).
+#[inline]
+pub fn execute<S: ExecState>(s: &mut S, pc: u64, inst: Inst) -> Result<Retired, Exception> {
+    let mut next_pc = pc.wrapping_add(4);
+    let mut reg_write = None;
+    let mut mem_effect = None;
+    let mut branch = None;
+    let mut halted = false;
+
+    match inst {
+        Inst::Pal(f) => match f {
+            PalFunc::Halt => halted = true,
+            PalFunc::Putc => s.emit(s.reg(Reg::A0) & 0xff),
+            PalFunc::Outq => s.emit(s.reg(Reg::A0)),
+        },
+        Inst::Lda { ra, rb, disp } => {
+            let v = s.reg(rb).wrapping_add(disp as i64 as u64);
+            s.set_reg(ra, v);
+            reg_write = Some((ra, v));
+        }
+        Inst::Ldah { ra, rb, disp } => {
+            let v = s.reg(rb).wrapping_add(((disp as i64) << 16) as u64);
+            s.set_reg(ra, v);
+            reg_write = Some((ra, v));
+        }
+        Inst::Load { width, ra, rb, disp } => {
+            let addr = effective_address(s.reg(rb), disp);
+            let raw = s.load(addr, width.bytes()).map_err(Exception::from_data_error)?;
+            let v = match width {
+                restore_isa::MemWidth::Long => raw as u32 as i32 as i64 as u64,
+                _ => raw,
+            };
+            s.set_reg(ra, v);
+            reg_write = Some((ra, v));
+            mem_effect = Some(MemEffect { addr, len: width.bytes(), is_store: false, value: v });
+        }
+        Inst::Store { width, ra, rb, disp } => {
+            let addr = effective_address(s.reg(rb), disp);
+            let v = s.reg(ra);
+            s.store(addr, width.bytes(), v).map_err(Exception::from_data_error)?;
+            mem_effect = Some(MemEffect { addr, len: width.bytes(), is_store: true, value: v });
+        }
+        Inst::Op { op, ra, rb, rc } => {
+            let a = s.reg(ra);
+            let b = match rb {
+                restore_isa::Operand::Reg(r) => s.reg(r),
+                restore_isa::Operand::Lit(l) => l as u64,
+            };
+            let old_c = s.reg(rc);
+            match alu::eval(op, a, b, old_c) {
+                AluOut::Value(v) | AluOut::Value2(v) => {
+                    s.set_reg(rc, v);
+                    reg_write = Some((rc, v));
+                }
+                AluOut::Overflow => return Err(Exception::ArithmeticTrap { pc }),
+            }
+        }
+        Inst::CondBranch { cond, ra, disp } => {
+            let taken = cond.eval(s.reg(ra));
+            let target = pc.wrapping_add(4).wrapping_add((disp as i64 as u64).wrapping_mul(4));
+            if taken {
+                next_pc = target;
+            }
+            branch = Some(BranchEffect { taken, target: next_pc, conditional: true });
+        }
+        Inst::Br { ra, disp } | Inst::Bsr { ra, disp } => {
+            let link = pc.wrapping_add(4);
+            let target = link.wrapping_add((disp as i64 as u64).wrapping_mul(4));
+            s.set_reg(ra, link);
+            if !ra.is_zero() {
+                reg_write = Some((ra, link));
+            }
+            next_pc = target;
+            branch = Some(BranchEffect { taken: true, target, conditional: false });
+        }
+        Inst::Jump { ra, rb, .. } => {
+            let link = pc.wrapping_add(4);
+            let target = s.reg(rb) & !3;
+            s.set_reg(ra, link);
+            if !ra.is_zero() {
+                reg_write = Some((ra, link));
+            }
+            next_pc = target;
+            branch = Some(BranchEffect { taken: true, target, conditional: false });
+        }
+        Inst::Fence(_) => {}
+    }
+
+    Ok(Retired { pc, inst, next_pc, reg_write, mem: mem_effect, branch, halted })
+}
+
+/// A CPU's own state as an [`ExecState`].
+struct Datapath<'a> {
+    regs: &'a mut RegFile,
+    mem: &'a mut Memory,
+    output: &'a mut Vec<u64>,
+}
+
+impl ExecState for Datapath<'_> {
+    #[inline]
+    fn reg(&self, r: Reg) -> u64 {
+        self.regs.read(r)
+    }
+    #[inline]
+    fn set_reg(&mut self, r: Reg, v: u64) {
+        self.regs.write(r, v);
+    }
+    #[inline]
+    fn load(&self, addr: u64, len: u64) -> Result<u64, MemError> {
+        self.mem.load(addr, len)
+    }
+    #[inline]
+    fn store(&mut self, addr: u64, len: u64, v: u64) -> Result<(), MemError> {
+        self.mem.store(addr, len, v)
+    }
+    #[inline]
+    fn emit(&mut self, v: u64) {
+        self.output.push(v);
+    }
+}
+
+/// A program's text decoded once at load: entry `i` is what fetching and
+/// decoding `base + 4i` returned then (`None` where either failed, so
+/// the fetch path reproduces the exception). It is valid while the
+/// memory's [`Memory::exec_epoch`] still equals `epoch`.
+struct DecodedText {
+    base: u64,
+    epoch: u64,
+    insts: Box<[Option<Inst>]>,
+}
+
+impl DecodedText {
+    fn new(mem: &Memory, base: u64, words: usize) -> DecodedText {
+        let insts = (0..words as u64)
+            .map(|i| mem.fetch(base + 4 * i).ok().and_then(|w| decode(w).ok()))
+            .collect();
+        DecodedText { base, epoch: mem.exec_epoch(), insts }
+    }
+
+    /// The decoded instruction at `pc`, if the table covers it and
+    /// `epoch` is still the one it was decoded under.
+    #[inline]
+    fn get(&self, pc: u64, epoch: u64) -> Option<Inst> {
+        let off = pc.wrapping_sub(self.base);
+        if epoch != self.epoch || off & 3 != 0 {
+            return None;
+        }
+        *self.insts.get(usize::try_from(off >> 2).ok()?)?
+    }
+}
+
+impl fmt::Debug for DecodedText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DecodedText")
+            .field("base", &self.base)
+            .field("words", &self.insts.len())
+            .finish_non_exhaustive()
+    }
+}
+
 /// The architectural simulator: registers, PC, memory, output log.
 ///
 /// # Examples
@@ -140,7 +343,16 @@ pub enum RunExit {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Each program's text is decoded once, in [`Cpu::new`], into a table
+/// every clone shares, so a step fetches a pre-decoded instruction
+/// instead of reading and decoding memory. A PC outside the table — a
+/// jump past the text or into data — and any PC after an executable
+/// page was remapped or poked (the memory's
+/// [`exec_epoch`](Memory::exec_epoch) moved) take the fetch-and-decode
+/// path, with exactly its exceptions. The table is a cache: `==` and
+/// [`Cpu::fingerprint`] ignore it.
+#[derive(Debug, Clone)]
 pub struct Cpu {
     /// Architectural registers.
     pub regs: RegFile,
@@ -157,7 +369,25 @@ pub struct Cpu {
     retired: u64,
     // audit: skip -- halt flag is simulation bookkeeping, not a latch
     halted: bool,
+    // audit: skip -- decode cache of the text pages: derived from memory
+    // the walk excludes, and bypassed once an executable page changes
+    text: Arc<DecodedText>,
 }
+
+/// Equality over the architectural machine; the decoded-text cache is
+/// excluded.
+impl PartialEq for Cpu {
+    fn eq(&self, other: &Cpu) -> bool {
+        self.regs == other.regs
+            && self.pc == other.pc
+            && self.mem == other.mem
+            && self.output == other.output
+            && self.retired == other.retired
+            && self.halted == other.halted
+    }
+}
+
+impl Eq for Cpu {}
 
 impl Cpu {
     /// Builds a CPU with `program` loaded: text mapped read-execute, data
@@ -176,7 +406,8 @@ impl Cpu {
         mem.map(program.stack_top - program.stack_size, program.stack_size, Perm::RW);
         let mut regs = RegFile::new();
         regs.write(Reg::SP, program.stack_top);
-        Cpu { regs, pc: program.entry, mem, output: Vec::new(), retired: 0, halted: false }
+        let text = Arc::new(DecodedText::new(&mem, program.text_base, program.text.len()));
+        Cpu { regs, pc: program.entry, mem, output: Vec::new(), retired: 0, halted: false, text }
     }
 
     /// Number of instructions retired so far.
@@ -194,108 +425,56 @@ impl Cpu {
         &self.output
     }
 
-    /// Executes one instruction.
+    /// Executes one instruction: [`Cpu::fetch`], then
+    /// [`Cpu::step_fetched`].
     ///
     /// # Errors
     ///
     /// Returns the [`Exception`] if the instruction faults; architectural
     /// state (PC, registers, memory) is left at the faulting instruction,
     /// i.e. exceptions are precise.
+    #[inline]
     pub fn step(&mut self) -> Result<Retired, Exception> {
-        debug_assert!(!self.halted, "stepping a halted CPU");
+        let inst = self.fetch()?;
+        self.step_fetched(inst)
+    }
+
+    /// The instruction at the PC, from the decoded text when it covers
+    /// the PC and no executable page changed since it was decoded, else
+    /// fetched from memory and decoded.
+    ///
+    /// # Errors
+    ///
+    /// [`Exception::FetchFault`] if the PC is unmapped, non-executable
+    /// or misaligned; [`Exception::IllegalInstruction`] if the word does
+    /// not decode.
+    #[inline]
+    pub fn fetch(&self) -> Result<Inst, Exception> {
         let pc = self.pc;
-        let word = self.mem.fetch(pc).map_err(|_| Exception::FetchFault { pc })?;
-        let inst = decode(word).map_err(|e| Exception::IllegalInstruction { pc, word: e.word })?;
-        let mut next_pc = pc.wrapping_add(4);
-        let mut reg_write = None;
-        let mut mem_effect = None;
-        let mut branch = None;
-        let mut halted = false;
-
-        match inst {
-            Inst::Pal(f) => match f {
-                PalFunc::Halt => halted = true,
-                PalFunc::Putc => self.output.push(self.regs.read(Reg::A0) & 0xff),
-                PalFunc::Outq => self.output.push(self.regs.read(Reg::A0)),
-            },
-            Inst::Lda { ra, rb, disp } => {
-                let v = self.regs.read(rb).wrapping_add(disp as i64 as u64);
-                self.regs.write(ra, v);
-                reg_write = Some((ra, v));
-            }
-            Inst::Ldah { ra, rb, disp } => {
-                let v = self.regs.read(rb).wrapping_add(((disp as i64) << 16) as u64);
-                self.regs.write(ra, v);
-                reg_write = Some((ra, v));
-            }
-            Inst::Load { width, ra, rb, disp } => {
-                let addr = self.regs.read(rb).wrapping_add(disp as i64 as u64);
-                let raw = self.mem.load(addr, width.bytes()).map_err(Exception::from_data_error)?;
-                let v = match width {
-                    restore_isa::MemWidth::Long => raw as u32 as i32 as i64 as u64,
-                    _ => raw,
-                };
-                self.regs.write(ra, v);
-                reg_write = Some((ra, v));
-                mem_effect =
-                    Some(MemEffect { addr, len: width.bytes(), is_store: false, value: v });
-            }
-            Inst::Store { width, ra, rb, disp } => {
-                let addr = self.regs.read(rb).wrapping_add(disp as i64 as u64);
-                let v = self.regs.read(ra);
-                self.mem.store(addr, width.bytes(), v).map_err(Exception::from_data_error)?;
-                mem_effect = Some(MemEffect { addr, len: width.bytes(), is_store: true, value: v });
-            }
-            Inst::Op { op, ra, rb, rc } => {
-                let a = self.regs.read(ra);
-                let b = match rb {
-                    restore_isa::Operand::Reg(r) => self.regs.read(r),
-                    restore_isa::Operand::Lit(l) => l as u64,
-                };
-                let old_c = self.regs.read(rc);
-                match alu::eval(op, a, b, old_c) {
-                    AluOut::Value(v) | AluOut::Value2(v) => {
-                        self.regs.write(rc, v);
-                        reg_write = Some((rc, v));
-                    }
-                    AluOut::Overflow => return Err(Exception::ArithmeticTrap { pc }),
-                }
-            }
-            Inst::CondBranch { cond, ra, disp } => {
-                let taken = cond.eval(self.regs.read(ra));
-                let target = pc.wrapping_add(4).wrapping_add((disp as i64 as u64).wrapping_mul(4));
-                if taken {
-                    next_pc = target;
-                }
-                branch = Some(BranchEffect { taken, target: next_pc, conditional: true });
-            }
-            Inst::Br { ra, disp } | Inst::Bsr { ra, disp } => {
-                let link = pc.wrapping_add(4);
-                let target = link.wrapping_add((disp as i64 as u64).wrapping_mul(4));
-                self.regs.write(ra, link);
-                if !ra.is_zero() {
-                    reg_write = Some((ra, link));
-                }
-                next_pc = target;
-                branch = Some(BranchEffect { taken: true, target, conditional: false });
-            }
-            Inst::Jump { ra, rb, .. } => {
-                let link = pc.wrapping_add(4);
-                let target = self.regs.read(rb) & !3;
-                self.regs.write(ra, link);
-                if !ra.is_zero() {
-                    reg_write = Some((ra, link));
-                }
-                next_pc = target;
-                branch = Some(BranchEffect { taken: true, target, conditional: false });
-            }
-            Inst::Fence(_) => {}
+        if let Some(inst) = self.text.get(pc, self.mem.exec_epoch()) {
+            return Ok(inst);
         }
+        let word = self.mem.fetch(pc).map_err(|_| Exception::FetchFault { pc })?;
+        decode(word).map_err(|e| Exception::IllegalInstruction { pc, word: e.word })
+    }
 
-        self.pc = next_pc;
+    /// Executes `inst` as the instruction at the PC and commits it: the
+    /// second half of [`Cpu::step`], for callers that inspect the
+    /// instruction [`Cpu::fetch`] returned before running it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cpu::step`].
+    #[inline]
+    pub fn step_fetched(&mut self, inst: Inst) -> Result<Retired, Exception> {
+        debug_assert!(!self.halted, "stepping a halted CPU");
+        let mut state =
+            Datapath { regs: &mut self.regs, mem: &mut self.mem, output: &mut self.output };
+        let r = execute(&mut state, self.pc, inst)?;
+        self.pc = r.next_pc;
         self.retired += 1;
-        self.halted = halted;
-        Ok(Retired { pc, inst, next_pc, reg_write, mem: mem_effect, branch, halted })
+        self.halted = r.halted;
+        Ok(r)
     }
 
     /// Runs until halt or until `budget` instructions retire.
@@ -636,6 +815,101 @@ mod tests {
             a.halt();
         });
         assert_eq!(cpu.output(), &[0]);
+    }
+
+    /// What `step` fetched before the decoded text existed: memory, then
+    /// the decoder.
+    fn fetch_and_decode(cpu: &Cpu) -> Result<Inst, Exception> {
+        let pc = cpu.pc;
+        let word = cpu.mem.fetch(pc).map_err(|_| Exception::FetchFault { pc })?;
+        decode(word).map_err(|e| Exception::IllegalInstruction { pc, word: e.word })
+    }
+
+    #[test]
+    fn decoded_text_agrees_with_fetch_and_decode_on_every_workload() {
+        use restore_workloads::{Scale, WorkloadId};
+        for id in WorkloadId::ALL {
+            let p = id.build(Scale::campaign());
+            let mut cpu = Cpu::new(&p);
+            // The table holds a few dozen instructions: well under 1 KB.
+            assert!(std::mem::size_of_val(&*cpu.text.insts) < 1024, "{id:?}");
+            let end = p.text_base + 4 * p.text.len() as u64;
+            for pc in (p.text_base..end + 8).step_by(4).chain([p.text_base + 2]) {
+                cpu.pc = pc;
+                assert_eq!(cpu.fetch(), fetch_and_decode(&cpu), "{id:?} at {pc:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn poked_text_word_executes_on_the_next_step() {
+        let mut a = Asm::new("t", layout::TEXT_BASE);
+        a.nop();
+        a.halt();
+        let mut cpu = Cpu::new(&a.finish().unwrap());
+        let lda = Inst::Lda { ra: Reg::A0, rb: Reg::ZERO, disp: 9 };
+        cpu.mem.poke_bytes(layout::TEXT_BASE, &lda.encode().to_le_bytes());
+        let r = cpu.step().unwrap();
+        assert_eq!(r.inst, lda);
+        assert_eq!(cpu.regs.read(Reg::A0), 9);
+    }
+
+    #[test]
+    fn text_remapped_without_execute_faults_the_fetch() {
+        let mut a = Asm::new("t", layout::TEXT_BASE);
+        a.nop();
+        a.halt();
+        let mut cpu = Cpu::new(&a.finish().unwrap());
+        cpu.mem.map(layout::TEXT_BASE, crate::PAGE_SIZE, Perm::R);
+        assert_eq!(cpu.step(), Err(Exception::FetchFault { pc: layout::TEXT_BASE }));
+    }
+
+    #[test]
+    fn undecodable_text_word_raises_the_fetch_paths_exception() {
+        let mut a = Asm::new("t", layout::TEXT_BASE);
+        a.emit_raw(0x7fff_ffff);
+        a.halt();
+        let mut cpu = Cpu::new(&a.finish().unwrap());
+        let want = Exception::IllegalInstruction { pc: layout::TEXT_BASE, word: 0x7fff_ffff };
+        assert_eq!(fetch_and_decode(&cpu), Err(want));
+        assert_eq!(cpu.step(), Err(want));
+    }
+
+    #[test]
+    fn jumps_past_the_text_or_into_data_take_the_fetch_path() {
+        let data = layout::DATA_BASE;
+        for target in [layout::TEXT_BASE + 0x100, data, data + 4 * crate::PAGE_SIZE] {
+            let mut a = Asm::new("t", layout::TEXT_BASE);
+            a.la(Reg::T0, target);
+            a.jmp(Reg::ZERO, Reg::T0);
+            let mut p = a.finish().unwrap();
+            p.data.push(restore_isa::DataSegment {
+                base: data,
+                bytes: vec![1; 64],
+                writable: true,
+            });
+            let mut cpu = Cpu::new(&p);
+            while cpu.pc != target {
+                cpu.step().unwrap();
+            }
+            let want = fetch_and_decode(&cpu);
+            assert_eq!(cpu.fetch(), want, "jump to {target:#x}");
+            assert_eq!(cpu.step().map(|r| r.inst), want, "jump to {target:#x}");
+        }
+    }
+
+    #[test]
+    fn clones_share_the_decoded_text_and_equality_ignores_it() {
+        let mut a = Asm::new("t", layout::TEXT_BASE);
+        a.nop();
+        a.halt();
+        let p = a.finish().unwrap();
+        let cpu = Cpu::new(&p);
+        let clone = cpu.clone();
+        assert!(Arc::ptr_eq(&cpu.text, &clone.text));
+        let rebuilt = Cpu::new(&p);
+        assert!(!Arc::ptr_eq(&cpu.text, &rebuilt.text));
+        assert_eq!(cpu, rebuilt);
     }
 
     #[test]

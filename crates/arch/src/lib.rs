@@ -15,7 +15,9 @@
 //! The pieces: [`Memory`] (sparse 64-bit paged address space with
 //! permissions), [`Exception`] (precise ISA exceptions — a headline
 //! ReStore symptom), [`alu`] (operation semantics shared with the
-//! pipeline), [`Cpu`] (the stepper, emitting a [`Retired`] event per
+//! pipeline), [`execute`] (the ISA's instruction semantics over any
+//! [`ExecState`]), [`Cpu`] (the stepper, running [`execute`] on its own
+//! state from a once-decoded text and emitting a [`Retired`] event per
 //! instruction for trace comparison), and [`state`] — the bit-addressable
 //! state-visitor substrate shared by both machine models (the
 //! microarchitectural crate re-exports it as `restore_uarch::state`).
@@ -53,7 +55,9 @@ mod exception;
 mod mem;
 pub mod state;
 
-pub use cpu::{BranchEffect, Cpu, MemEffect, RegFile, Retired, RunExit};
+pub use cpu::{
+    effective_address, execute, BranchEffect, Cpu, ExecState, MemEffect, RegFile, Retired, RunExit,
+};
 pub use exception::Exception;
 pub use mem::{AccessKind, MemError, Memory, Perm, PAGE_SIZE};
 pub use state::{FaultState, FieldClass, StateCatalog, StateKind, StateVisitor};

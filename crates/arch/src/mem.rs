@@ -10,6 +10,7 @@ use crate::state::Fingerprint;
 use core::fmt;
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Page size in bytes (4 KiB).
@@ -136,15 +137,33 @@ struct PageSlot {
 
 impl PageSlot {
     /// The page body, un-shared for writing (copy-on-write), with its
-    /// cached digest retired into `clean_xor` and its base put on the
-    /// owning [`Memory`]'s `dirty` list.
-    fn writable(&mut self, base: u64, clean_xor: &mut u64, dirty: &mut Vec<u64>) -> &mut Page {
+    /// cached digest retired into `clean_xor`, its base put on the
+    /// owning [`Memory`]'s `dirty` list and, for an executable page, a
+    /// fresh `exec_epoch` drawn.
+    fn writable(
+        &mut self,
+        base: u64,
+        clean_xor: &mut u64,
+        dirty: &mut Vec<u64>,
+        exec_epoch: &mut u64,
+    ) -> &mut Page {
         if let Some(d) = self.digest.take() {
             *clean_xor ^= d;
             dirty.push(base);
         }
+        if self.page.perm.execute {
+            *exec_epoch = next_exec_epoch();
+        }
         Arc::make_mut(&mut self.page)
     }
+}
+
+/// A process-wide unique executable-page epoch (never 0, the epoch of an
+/// image with no executable history). Unique rather than counted, so
+/// two independently built images never share an epoch by accident.
+fn next_exec_epoch() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Digest of one page: base, permissions and contents, one
@@ -217,11 +236,14 @@ pub struct Memory {
     /// Bases of pages whose digest cache is invalid. Invariant: a base is
     /// listed here exactly once iff its slot's `digest` is `None`.
     dirty: Vec<u64>,
+    /// See [`Memory::exec_epoch`].
+    exec_epoch: u64,
 }
 
 /// Equality is over the architectural image — page bases, permissions and
-/// contents. The digest cache is excluded: two memories that differ only
-/// in which digests happen to be cached still compare equal.
+/// contents. The digest cache and the executable-page epoch are excluded:
+/// two memories that differ only in cache bookkeeping still compare
+/// equal.
 impl PartialEq for Memory {
     fn eq(&self, other: &Self) -> bool {
         self.pages.len() == other.pages.len()
@@ -251,6 +273,9 @@ impl Memory {
         if len == 0 {
             return;
         }
+        if perm.execute {
+            self.exec_epoch = next_exec_epoch();
+        }
         let first = Self::page_base(base);
         let last = Self::page_base(base + len - 1);
         let mut p = first;
@@ -259,7 +284,8 @@ impl Memory {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     let slot = e.get_mut();
                     if slot.page.perm != perm {
-                        slot.writable(p, &mut self.clean_xor, &mut self.dirty).perm = perm;
+                        let epoch = &mut self.exec_epoch;
+                        slot.writable(p, &mut self.clean_xor, &mut self.dirty, epoch).perm = perm;
                     }
                 }
                 std::collections::btree_map::Entry::Vacant(e) => {
@@ -293,6 +319,17 @@ impl Memory {
     /// Number of mapped pages.
     pub fn page_count(&self) -> usize {
         self.pages.len()
+    }
+
+    /// The executable-page epoch: a process-wide unique value drawn
+    /// afresh whenever an executable page is mapped, remapped or written
+    /// (poked, or stored to if also writable), and kept by clones. While
+    /// it is unchanged, a fetch that succeeded when the epoch was read
+    /// still returns the same word — the validity test for
+    /// decoded-instruction caches such as [`Cpu`](crate::Cpu)'s. `0`
+    /// means no executable page was ever touched.
+    pub fn exec_epoch(&self) -> u64 {
+        self.exec_epoch
     }
 
     /// Checks that an access of `len` bytes at `addr` is legal without
@@ -359,7 +396,7 @@ impl Memory {
             return Err(MemError::Protection { addr, access });
         }
         let (off, len) = ((addr - base) as usize, len as usize);
-        let page = slot.writable(base, &mut self.clean_xor, &mut self.dirty);
+        let page = slot.writable(base, &mut self.clean_xor, &mut self.dirty, &mut self.exec_epoch);
         page.data[off..off + len].copy_from_slice(&value.to_le_bytes()[..len]);
         Ok(())
     }
@@ -398,7 +435,8 @@ impl Memory {
             let a = base + off as u64;
             let slot =
                 self.pages.get_mut(&base).unwrap_or_else(|| panic!("poke to unmapped {a:#x}"));
-            let page = slot.writable(base, &mut self.clean_xor, &mut self.dirty);
+            let page =
+                slot.writable(base, &mut self.clean_xor, &mut self.dirty, &mut self.exec_epoch);
             page.data[off..off + span.len()].copy_from_slice(&bytes[span]);
         }
     }
@@ -741,6 +779,32 @@ mod tests {
         let mut m = Memory::new();
         m.map(0x1000, PAGE_SIZE, Perm::RW);
         m.peek_bytes(0x1ffc, &mut [0u8; 8]);
+    }
+
+    #[test]
+    fn exec_epoch_moves_exactly_when_an_executable_page_changes() {
+        let mut m = Memory::new();
+        assert_eq!(m.exec_epoch(), 0);
+        m.map(0x1000, PAGE_SIZE, Perm::RW);
+        m.store_u64(0x1000, 1).unwrap();
+        m.poke_bytes(0x1008, &[1]);
+        assert_eq!(m.exec_epoch(), 0, "data pages never move the epoch");
+        m.map(0x2000, PAGE_SIZE, Perm::RX);
+        let mapped = m.exec_epoch();
+        assert_ne!(mapped, 0);
+        let clone = m.clone();
+        assert_eq!(clone.exec_epoch(), mapped, "clones keep the epoch");
+        m.poke_bytes(0x2000, &[1]);
+        let poked = m.exec_epoch();
+        assert_ne!(poked, mapped);
+        m.map(0x2000, PAGE_SIZE, Perm::R);
+        assert_ne!(m.exec_epoch(), poked, "losing execute moves it");
+        let lost = m.exec_epoch();
+        m.map(0x1000, PAGE_SIZE, Perm::RX);
+        assert_ne!(m.exec_epoch(), lost, "gaining execute moves it");
+        let mut other = Memory::new();
+        other.map(0x2000, PAGE_SIZE, Perm::RX);
+        assert_ne!(other.exec_epoch(), mapped, "independent images never share an epoch");
     }
 
     #[test]

@@ -711,6 +711,16 @@ impl DetectorSet {
     /// The architectural trial monitor's detector bank: exception,
     /// immediate cfv, the two memory symptom classes, and the
     /// software-only sources from `det`.
+    ///
+    /// No source of this bank reacts to a fully matching
+    /// [`Observation::Retired`] (no PC, value or register-write
+    /// mismatch): inserting any number of them anywhere into an
+    /// observation sequence changes no firing latency. The architectural
+    /// campaign relies on this to skip the observation for every
+    /// instruction golden provably retires identically. The µarch bank
+    /// ([`DetectorSet::uarch_trial`]) has no such property: its
+    /// sustained cfv source reads matching events to clear a pending
+    /// mismatch.
     pub fn arch_trial(det: &DetectorConfig) -> DetectorSet {
         let mut set = DetectorSet::new();
         set.register(Box::new(ExceptionSource));
@@ -885,6 +895,7 @@ impl SourceSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn retired(latency: u64, pc_mismatch: bool) -> Observation {
         Observation::Retired(RetiredCompare {
@@ -978,6 +989,115 @@ mod tests {
         assert_eq!(set.first(SymptomKind::Cfv), Some(3), "first firing is latched");
         assert_eq!(set.first(SymptomKind::Signature), Some(16));
         assert_eq!(set.first(SymptomKind::Dup), None, "unregistered kinds report None");
+    }
+
+    /// Every kind a bank can report, for whole-bank comparisons.
+    const KINDS: [SymptomKind; 11] = [
+        SymptomKind::Deadlock,
+        SymptomKind::Exception,
+        SymptomKind::Cfv,
+        SymptomKind::HcMispredict,
+        SymptomKind::AnyMispredict,
+        SymptomKind::ValueDivergence,
+        SymptomKind::Signature,
+        SymptomKind::Dup,
+        SymptomKind::MemAddr,
+        SymptomKind::MemData,
+        SymptomKind::CacheMiss,
+    ];
+
+    fn reg_field() -> impl Strategy<Value = Option<u8>> {
+        (0u8..40).prop_map(|r| (r < 32).then_some(r))
+    }
+
+    /// Any observation an architectural or µarch monitor can emit.
+    fn observation() -> impl Strategy<Value = Observation> {
+        prop_oneof![
+            4 => (1u64..300, any::<bool>(), any::<bool>(), reg_field(), reg_field()).prop_map(
+                |(latency, pc_mismatch, reg_write_mismatch, trial_reg, golden_reg)| {
+                    Observation::Retired(RetiredCompare {
+                        latency,
+                        pc_mismatch,
+                        value_mismatch: reg_write_mismatch,
+                        reg_write_mismatch,
+                        trial_reg,
+                        golden_reg,
+                    })
+                }
+            ),
+            1 => (1u64..300).prop_map(|latency| Observation::Exception { latency }),
+            1 => (1u64..300).prop_map(|latency| Observation::MemAddrMismatch { latency }),
+            1 => (1u64..300).prop_map(|latency| Observation::MemDataMismatch { latency }),
+            1 => (0u8..32, 1u64..3).prop_map(|(reg, latency)| {
+                Observation::InjectedRegFlip { reg, latency }
+            }),
+            1 => (1u64..300, any::<bool>(), any::<bool>()).prop_map(
+                |(latency, any, high_confidence)| {
+                    Observation::NovelMispredict { latency, any, high_confidence }
+                }
+            ),
+            1 => (1u64..300).prop_map(|latency| Observation::Deadlock { latency }),
+        ]
+    }
+
+    /// A fully matching retirement: no mismatch, the same destination.
+    fn matching() -> impl Strategy<Value = Observation> {
+        (1u64..300, reg_field()).prop_map(|(latency, reg)| {
+            Observation::Retired(RetiredCompare {
+                latency,
+                pc_mismatch: false,
+                value_mismatch: false,
+                reg_write_mismatch: false,
+                trial_reg: reg,
+                golden_reg: reg,
+            })
+        })
+    }
+
+    fn firings(set: &DetectorSet) -> Vec<Option<u64>> {
+        KINDS.iter().map(|&k| set.first(k)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn matching_retirements_never_move_an_arch_firing(
+            seq in proptest::collection::vec(observation(), 0..40),
+            inserts in proptest::collection::vec((0usize..41, matching()), 0..40),
+            sig_chunk in 0u64..100,
+            dup_mask in any::<u32>(),
+        ) {
+            let det = DetectorConfig { sig_chunk, dup_mask };
+            let mut plain = DetectorSet::arch_trial(&det);
+            for o in &seq {
+                plain.observe(o);
+            }
+            let mut padded = DetectorSet::arch_trial(&det);
+            for at in 0..=seq.len() {
+                for (_, m) in inserts.iter().filter(|(pos, _)| *pos == at) {
+                    padded.observe(m);
+                }
+                if let Some(o) = seq.get(at) {
+                    padded.observe(o);
+                }
+            }
+            prop_assert_eq!(firings(&plain), firings(&padded));
+        }
+    }
+
+    #[test]
+    fn a_matching_retirement_clears_the_uarch_banks_pending_cfv() {
+        let uarch = restore_uarch::UarchConfig::default();
+        let run = |obs: &[Observation]| {
+            let mut set = DetectorSet::uarch_trial(&DetectorConfig::paper(), &uarch);
+            for o in obs {
+                set.observe(o);
+            }
+            set.first(SymptomKind::Cfv)
+        };
+        assert_eq!(run(&[retired(5, true), retired(6, true)]), Some(5));
+        assert_eq!(run(&[retired(5, true), retired(6, false), retired(7, true)]), None);
     }
 
     #[test]

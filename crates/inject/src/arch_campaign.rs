@@ -5,21 +5,23 @@
 //! error has already corrupted architectural state … the fault model is a
 //! single bit flip in the result of a randomly chosen instruction."
 //!
-//! Each trial forks a golden and an injected architectural simulator at a
-//! random dynamic instruction, flips one bit of that instruction's result
-//! (destination register value or stored datum), and runs the pair in
-//! lockstep, recording the latency to each symptom class. The campaign
-//! loop — planning, seeding, parallelism, stats — is the shared core in
-//! [`crate::campaign`]; this module contributes the [`FaultModel`]
-//! primitives.
+//! Each trial forks an injected architectural simulator from the golden
+//! run at a random dynamic instruction, flips one bit of that
+//! instruction's result (destination register value or stored datum),
+//! and runs it against golden, recording the latency to each symptom
+//! class. Golden is not a second machine: it is the injected machine plus
+//! a difference overlay holding golden's values where the two differ,
+//! evaluated only for instructions that read the overlay (see
+//! [`lockstep_trial`]). The campaign loop — planning, seeding,
+//! parallelism, stats — is the shared core in [`crate::campaign`]; this
+//! module contributes the [`FaultModel`] primitives.
 //!
-//! Like the microarchitectural campaign, the lockstep pair supports a
+//! Like the microarchitectural campaign, a trial supports a
 //! **reconvergence cutoff** ([`ArchCampaignConfig::cutoff_stride`]): at
-//! stride boundaries the two machines' fingerprints
-//! ([`restore_arch::Cpu::fingerprint`]) are compared, and on a match the
-//! rest of the window is skipped — both machines are bit-identical, so
-//! the simulators' determinism guarantees no further symptom and a
-//! masked verdict. Results are bit-identical with the cutoff on or off.
+//! stride boundaries an empty overlay means the injected machine is
+//! bit-identical to golden, so the rest of the window is skipped — the
+//! simulator's determinism guarantees no further symptom and a masked
+//! verdict. Results are bit-identical with the cutoff on or off.
 //!
 //! It also supports **static interval pruning**
 //! ([`ArchCampaignConfig::prune`], [`PruneMode::Interval`]): the
@@ -28,7 +30,7 @@
 //! flips whose victim register is overwritten before any read (masked)
 //! or never accessed inside the window (unmasked residue) without
 //! cloning the injected machine at all. Store victims and read-first
-//! registers fall through to the lockstep pair. Results are
+//! registers fall through to the lockstep trial. Results are
 //! bit-identical to `Off`; `PruneMode::Audit` proves it trial-by-trial.
 
 use crate::cache::TrialCache;
@@ -39,15 +41,17 @@ use crate::seeding::DOMAIN_ARCH;
 use crate::uarch_campaign::PruneMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use restore_arch::Cpu;
+use restore_arch::{effective_address, execute, AccessKind, Cpu, ExecState, MemError, Retired};
 use restore_core::{
     config_digest, ConfigDigest, DetectorConfig, DetectorSet, Observation, RetiredCompare,
     SourceSet, SymptomKind,
 };
+use restore_isa::{Inst, Reg};
 use restore_maskmap::{ArchMaskMap, MapSource};
 use restore_snapshot::SnapshotMachine;
 use restore_store::Shard;
 use restore_workloads::{run_length, Scale, WorkloadId};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Configuration of a Figure 2 campaign.
@@ -74,11 +78,11 @@ pub struct ArchCampaignConfig {
     /// count.
     // digest: neutral -- results are bit-identical at every thread count
     pub threads: usize,
-    /// Retired instructions between fingerprint comparisons of the
-    /// injected and golden machines; on a match the fault has provably
-    /// re-converged and the rest of the window is skipped. `0` disables
-    /// the cutoff. Results are bit-identical either way — only
-    /// throughput changes.
+    /// Retired instructions between reconvergence checks: at each
+    /// multiple, an empty golden overlay (the injected machine equals
+    /// golden) proves the fault re-converged, and the rest of the window
+    /// is skipped. `0` disables the cutoff. Results are bit-identical
+    /// either way — only throughput changes.
     // digest: neutral -- reconvergence cutoff is bit-identical on/off
     pub cutoff_stride: u64,
     /// Static interval pruning: skip simulating register-result trials
@@ -121,12 +125,11 @@ impl Default for ArchCampaignConfig {
             seed: 0xF162,
             low32: false,
             threads: 0,
-            // A fingerprint folds the register file plus O(dirty pages)
-            // of memory digest; every 250 retired instructions that is a
-            // few percent of stepping cost, while masked trials (the
-            // majority) typically re-converge within a few hundred
-            // instructions of a run that would otherwise continue to
-            // program completion.
+            // The check itself is free (the overlay knows whether it is
+            // empty); the stride sets how soon after reconvergence a
+            // trial ends. Masked trials typically re-converge within a
+            // few hundred instructions of a run that would otherwise
+            // continue to program completion.
             cutoff_stride: 250,
             prune: PruneMode::Off,
             map_dir: None,
@@ -454,11 +457,201 @@ fn run_trial(
     lockstep_trial(at, id, bit, cfg, window_executed)
 }
 
+/// Golden's state where it differs from the injected machine's, while
+/// their control flow agrees — so PC, retirement count, halt flag and
+/// page table are equal by construction and only registers, data bytes
+/// and the output log can differ. An empty overlay means two identical
+/// machines: exactly the condition equal [`Cpu::fingerprint`]s test.
+#[derive(Debug, Default)]
+struct Overlay {
+    /// Bit `r` set: golden's register `r` differs and holds `regs[r]`.
+    /// `r31` never differs.
+    reg_mask: u32,
+    regs: [u64; 32],
+    /// Golden's byte at every address where the memories differ. Only
+    /// stores put bytes here, and text pages are never writable, so the
+    /// two machines always fetch the same instruction.
+    mem: BTreeMap<u64, u8>,
+    /// The output logs differ. Both machines emit in lockstep, so once
+    /// they differ they always will.
+    output: bool,
+}
+
+impl Overlay {
+    fn is_empty(&self) -> bool {
+        self.reg_mask == 0 && self.mem.is_empty() && !self.output
+    }
+
+    /// Records register `r`'s value in golden and in the injected
+    /// machine after both wrote it.
+    fn reg(&mut self, r: Reg, golden: u64, injected: u64) {
+        let bit = 1 << r.index();
+        if golden == injected || r.is_zero() {
+            self.reg_mask &= !bit;
+        } else {
+            self.reg_mask |= bit;
+            self.regs[r.index()] = golden;
+        }
+    }
+
+    /// Records the byte at `addr` in golden and in the injected machine.
+    fn byte(&mut self, addr: u64, golden: u8, injected: u8) {
+        if golden == injected {
+            self.mem.remove(&addr);
+        } else {
+            self.mem.insert(addr, golden);
+        }
+    }
+
+    /// Does `inst`, about to execute on the injected machine `cpu`, read
+    /// a register or (as a load) a byte where golden differs? If not,
+    /// golden would retire it identically.
+    fn touches(&self, cpu: &Cpu, inst: &Inst) -> bool {
+        if self.reg_mask != 0 && inst.sources().any(|r| self.reg_mask & 1 << r.index() != 0) {
+            return true;
+        }
+        match *inst {
+            // The base register is not in the overlay, so both machines
+            // load from the same address.
+            Inst::Load { width, rb, disp, .. } if !self.mem.is_empty() => {
+                let addr = effective_address(cpu.regs.read(rb), disp);
+                self.mem.range(addr..=addr.saturating_add(width.bytes() - 1)).next().is_some()
+            }
+            _ => false,
+        }
+    }
+
+    /// Drops the entries an instruction overwrote when golden retired it
+    /// identically: the written register and the stored bytes now agree.
+    fn retire(&mut self, r: &Retired) {
+        if let Some((reg, _)) = r.reg_write {
+            self.reg_mask &= !(1 << reg.index());
+        }
+        if let Some(m) = r.mem.filter(|m| m.is_store && !self.mem.is_empty()) {
+            for addr in m.addr..m.addr + m.len {
+                self.mem.remove(&addr);
+            }
+        }
+    }
+
+    /// Updates the overlay after an instruction that read it, from
+    /// golden's retirement `g` (and emitted value `g_out`) and the
+    /// injected machine's `i`, already committed to `injected`. `before`
+    /// is the injected store's address and target bytes before it ran.
+    fn settle(
+        &mut self,
+        g: &Retired,
+        g_out: Option<u64>,
+        i: &Retired,
+        injected: &Cpu,
+        before: Option<(u64, [u8; 8])>,
+    ) {
+        if let (Some((r, gv)), Some((_, iv))) = (g.reg_write, i.reg_write) {
+            self.reg(r, gv, iv);
+        }
+        if g_out.is_some() && injected.output().last() != g_out.as_ref() {
+            self.output = true;
+        }
+        let (Some(gm), Some(im)) = (g.mem, i.mem) else { return };
+        if !gm.is_store {
+            return;
+        }
+        let now = |addr| {
+            let mut b = [0u8];
+            injected.mem.peek_bytes(addr, &mut b);
+            b[0]
+        };
+        let golden_range = gm.addr..gm.addr + gm.len;
+        if let Some((addr, old)) = before {
+            // A byte only the injected machine overwrote keeps golden's
+            // old value.
+            for (k, a) in (addr..addr + im.len).enumerate() {
+                if !golden_range.contains(&a) {
+                    #[cfg(test)]
+                    tests::note_golden_read("store: injected-only byte");
+                    let golden = self.mem.get(&a).copied().unwrap_or(old[k]);
+                    self.byte(a, golden, now(a));
+                }
+            }
+        }
+        for (k, a) in golden_range.enumerate() {
+            self.byte(a, gm.value.to_le_bytes()[k], now(a));
+        }
+    }
+}
+
+/// A machine seen read-only through an overlay: golden through a trial's
+/// overlay, or the injected machine itself through an empty one. Writes
+/// are not applied — callers read them off the [`Retired`] record — and
+/// an emitted output value lands in `out`.
+struct Through<'a> {
+    cpu: &'a Cpu,
+    overlay: &'a Overlay,
+    out: Option<u64>,
+}
+
+impl ExecState for Through<'_> {
+    fn reg(&self, r: Reg) -> u64 {
+        if self.overlay.reg_mask & 1 << r.index() != 0 {
+            self.overlay.regs[r.index()]
+        } else {
+            self.cpu.regs.read(r)
+        }
+    }
+
+    fn set_reg(&mut self, _: Reg, _: u64) {}
+
+    fn load(&self, addr: u64, len: u64) -> Result<u64, MemError> {
+        let mut bytes = self.cpu.mem.load(addr, len)?.to_le_bytes();
+        for (&a, &b) in self.overlay.mem.range(addr..=addr + (len - 1)) {
+            bytes[(a - addr) as usize] = b;
+        }
+        Ok(u64::from_le_bytes(bytes))
+    }
+
+    fn store(&mut self, addr: u64, len: u64, _: u64) -> Result<(), MemError> {
+        self.cpu.mem.check(addr, len, AccessKind::Store)
+    }
+
+    fn emit(&mut self, v: u64) {
+        self.out = Some(v);
+    }
+}
+
+/// The address and current target bytes of the store `inst` would do on
+/// `cpu`, if it would succeed.
+fn store_target(cpu: &Cpu, inst: Inst) -> Option<(u64, [u8; 8])> {
+    let mut view = Through { cpu, overlay: &Overlay::default(), out: None };
+    let m = execute(&mut view, cpu.pc, inst).ok()?.mem?;
+    let mut old = [0u8; 8];
+    cpu.mem.peek_bytes(m.addr, &mut old[..m.len as usize]);
+    Some((m.addr, old))
+}
+
 /// Runs one lockstep trial from a golden CPU positioned at the
 /// injection point. Returns no trial if the instruction at the point
 /// produces no result to corrupt (fences, branches without link, PAL
 /// calls). `window_executed` is the exhaustive loop's iteration count
 /// from this fork ([`ArchGolden`]), used to price a cutoff.
+///
+/// Only the injected machine is stepped. Golden is the injected machine
+/// plus an [`Overlay`] of its values where the two differ, seeded from
+/// the flipped register or stored byte. An instruction whose read set
+/// misses the overlay retires identically in golden, so it only clears
+/// the entries it overwrites, and its `Retired` observation — all
+/// matches, to which no [`DetectorSet::arch_trial`] source reacts — is
+/// skipped. An instruction that reads the overlay is evaluated for
+/// golden through it with the same [`execute`] the injected machine
+/// runs, compared exactly as two stepped machines would be, and the
+/// overlay is updated from both results. Once control flow diverges the
+/// cfv symptom has fired and only the injected side runs on, looking for
+/// a late exception.
+///
+/// At a stride boundary an empty overlay means two identical machines
+/// with identical futures, so the trial is cut as masked. Otherwise the
+/// end-of-trial judgement reads the overlay: after both halt, the output
+/// logs and memory images decide; when the window expires first, the
+/// registers and memory must agree.
 fn lockstep_trial(
     at: &Cpu,
     id: WorkloadId,
@@ -466,31 +659,29 @@ fn lockstep_trial(
     cfg: &ArchCampaignConfig,
     window_executed: u64,
 ) -> (Option<ArchTrial>, TrialCost) {
-    let mut golden = at.clone();
     let mut injected = at.clone();
+    let mut diff = Overlay::default();
 
     // The detector bank: exception, immediate cfv (whole-machine control
     // flow is directly comparable at this level), the memory symptom
     // classes and the software-only sources.
     let mut set = DetectorSet::arch_trial(&cfg.detectors);
 
-    // Execute the victim instruction on both, then corrupt its result in
-    // the injected machine.
-    let g = golden.step().expect("golden never faults");
-    let i = injected.step().expect("same instruction");
-    debug_assert_eq!(g, i);
-    if let Some((reg, _)) = i.reg_write {
+    // Execute the victim instruction (golden retires it identically),
+    // then corrupt its result in the injected machine.
+    let v = injected.step().expect("golden never faults");
+    if let Some((reg, value)) = v.reg_write {
         injected.regs.flip_bit(reg, bit);
+        diff.reg(reg, value, injected.regs.read(reg));
         // The duplicate compare at the injection site: a protected
         // victim register is caught before any subsequent instruction.
         set.observe(&Observation::InjectedRegFlip { reg: reg.index() as u8, latency: 1 });
-    } else if let Some(m) = i.mem {
-        if m.is_store {
-            let byte = (bit / 8) as u64 % m.len;
-            injected.mem.flip_bit(m.addr + byte, bit % 8);
-        } else {
-            return (None, TrialCost::default());
-        }
+    } else if let Some(m) = v.mem.filter(|m| m.is_store) {
+        let addr = m.addr + (bit / 8) as u64 % m.len;
+        let mut old = [0u8];
+        injected.mem.peek_bytes(addr, &mut old);
+        injected.mem.flip_bit(addr, bit % 8);
+        diff.byte(addr, old[0], old[0] ^ 1 << (bit % 8));
     } else {
         return (None, TrialCost::default());
     }
@@ -507,61 +698,71 @@ fn lockstep_trial(
     let mut executed = 0u64;
     let mut cut = false;
     for n in 1..=cfg.window {
-        if golden.is_halted() || injected.is_halted() {
+        // With control flow in agreement both machines halt together.
+        if injected.is_halted() {
             break;
         }
         executed += 1;
-        // golden hitting an exception means end-of-window conditions; stop
-        let Ok(g) = golden.step() else { break };
-        let Ok(i) = injected.step() else {
-            set.observe(&Observation::Exception { latency: n });
-            break;
-        };
-        let pc_mismatch = i.pc != g.pc || i.next_pc != g.next_pc;
-        let reg_write_mismatch = !pc_mismatch && i.reg_write != g.reg_write;
-        set.observe(&Observation::Retired(RetiredCompare {
-            latency: n,
-            pc_mismatch,
-            value_mismatch: reg_write_mismatch,
-            reg_write_mismatch,
-            trial_reg: i.reg_write.map(|(reg, _)| reg.index() as u8),
-            golden_reg: g.reg_write.map(|(reg, _)| reg.index() as u8),
-        }));
-        if pc_mismatch {
-            // Control flow diverged (the immediate cfv source fired at
-            // `n`): stop instruction-wise comparison of memory effects
-            // (streams no longer align) but keep running the injected
-            // side alone looking for a late exception.
-            for m in n + 1..=cfg.window {
-                if injected.is_halted() {
-                    break;
+        // Golden fetches the same word at the same PC, so a fetch fault,
+        // or a fault of an instruction that misses the overlay, is
+        // golden's too: golden faulting ends the window with no symptom.
+        let Ok(inst) = injected.fetch() else { break };
+        if !diff.touches(&injected, &inst) {
+            let Ok(r) = injected.step_fetched(inst) else { break };
+            diff.retire(&r);
+        } else {
+            #[cfg(test)]
+            tests::note_golden_eval(&inst, &diff);
+            let mut golden = Through { cpu: &injected, overlay: &diff, out: None };
+            let Ok(g) = execute(&mut golden, injected.pc, inst) else { break };
+            let g_out = golden.out;
+            let before = if inst.is_store() { store_target(&injected, inst) } else { None };
+            let Ok(i) = injected.step_fetched(inst) else {
+                set.observe(&Observation::Exception { latency: n });
+                break;
+            };
+            let pc_mismatch = i.pc != g.pc || i.next_pc != g.next_pc;
+            let reg_write_mismatch = !pc_mismatch && i.reg_write != g.reg_write;
+            set.observe(&Observation::Retired(RetiredCompare {
+                latency: n,
+                pc_mismatch,
+                value_mismatch: reg_write_mismatch,
+                reg_write_mismatch,
+                trial_reg: i.reg_write.map(|(reg, _)| reg.index() as u8),
+                golden_reg: g.reg_write.map(|(reg, _)| reg.index() as u8),
+            }));
+            if pc_mismatch {
+                // Control flow diverged (the immediate cfv source fired at
+                // `n`): stop instruction-wise comparison of memory effects
+                // (streams no longer align) but keep running the injected
+                // side alone looking for a late exception.
+                for m in n + 1..=cfg.window {
+                    if injected.is_halted() {
+                        break;
+                    }
+                    executed += 1;
+                    if injected.step().is_err() {
+                        set.observe(&Observation::Exception { latency: m });
+                        break;
+                    }
                 }
-                executed += 1;
-                if injected.step().is_err() {
-                    set.observe(&Observation::Exception { latency: m });
-                    break;
+                break;
+            }
+            if let (Some(gm), Some(im)) = (g.mem, i.mem) {
+                if im.addr != gm.addr {
+                    set.observe(&Observation::MemAddrMismatch { latency: n });
+                } else if im.is_store && im.value != gm.value {
+                    set.observe(&Observation::MemDataMismatch { latency: n });
                 }
             }
-            break;
+            diff.settle(&g, g_out, &i, &injected, before);
         }
-        if let (Some(gm), Some(im)) = (g.mem, i.mem) {
-            if im.addr != gm.addr {
-                set.observe(&Observation::MemAddrMismatch { latency: n });
-            } else if im.is_store && im.value != gm.value {
-                set.observe(&Observation::MemDataMismatch { latency: n });
-            }
-        }
-        // Reconvergence check: equal fingerprints mean bit-identical
+        // Reconvergence check: an empty overlay means bit-identical
         // machines (registers, pc, memory, retirement and the output
         // log), and the simulator is deterministic — the remaining
         // lockstep iterations can produce no divergence and the final
         // masking comparison would find equal state.
-        if stride > 0
-            && n % stride == 0
-            && !golden.is_halted()
-            && !injected.is_halted()
-            && injected.fingerprint() == golden.fingerprint()
-        {
+        if stride > 0 && n % stride == 0 && !injected.is_halted() && diff.is_empty() {
             cut = true;
             break;
         }
@@ -589,11 +790,13 @@ fn lockstep_trial(
     // application"): with both runs complete, the program's output and
     // memory image decide; register residue after halt is dead by
     // definition. If the window expired first, fall back to strict
-    // architectural equality.
-    let clean = if golden.is_halted() && injected.is_halted() {
-        injected.output() == golden.output() && injected.mem == golden.mem
+    // architectural equality. Only a trial without exception or cfv can
+    // be masked, and its control flow never diverged, so the overlay is
+    // current and both machines halted together.
+    let clean = if injected.is_halted() {
+        !diff.output && diff.mem.is_empty()
     } else {
-        injected.is_halted() == golden.is_halted() && injected.arch_state_eq(&golden)
+        diff.reg_mask == 0 && diff.mem.is_empty()
     };
     trial.masked = trial.symptoms.exception.is_none() && trial.symptoms.cfv.is_none() && clean;
     (Some(trial), cost)
@@ -602,6 +805,341 @@ fn lockstep_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+
+    thread_local! {
+        /// Read-set classes that sent an instruction through golden
+        /// evaluation on this thread.
+        static GOLDEN_READS: RefCell<BTreeSet<&'static str>> = RefCell::default();
+    }
+
+    pub(super) fn note_golden_read(class: &'static str) {
+        GOLDEN_READS.with(|c| c.borrow_mut().insert(class));
+    }
+
+    /// Notes which of `inst`'s reads hit the overlay.
+    pub(super) fn note_golden_eval(inst: &Inst, diff: &Overlay) {
+        let reg = |r: Reg| diff.reg_mask & 1 << r.index() != 0;
+        match *inst {
+            Inst::Pal(_) => note_golden_read("pal: a0"),
+            Inst::Lda { .. } | Inst::Ldah { .. } => note_golden_read("lda/ldah: rb"),
+            Inst::Load { rb, .. } if reg(rb) => note_golden_read("load: rb"),
+            Inst::Load { .. } => note_golden_read("load: loaded bytes"),
+            Inst::Store { ra, rb, .. } => {
+                if reg(ra) {
+                    note_golden_read("store: ra");
+                }
+                if reg(rb) {
+                    note_golden_read("store: rb");
+                }
+            }
+            Inst::Op { op, ra, rb, rc } => {
+                if reg(ra) {
+                    note_golden_read("op: ra");
+                }
+                if rb.reg().is_some_and(reg) {
+                    note_golden_read("op: register rb");
+                }
+                if op.is_cmov() && reg(rc) {
+                    note_golden_read("op: cmov rc");
+                }
+            }
+            Inst::CondBranch { .. } => note_golden_read("branch: ra"),
+            Inst::Jump { .. } => note_golden_read("jump: rb"),
+            Inst::Br { .. } | Inst::Bsr { .. } | Inst::Fence(_) => {
+                unreachable!("{inst:?} reads no register")
+            }
+        }
+    }
+
+    /// The reference oracle for [`lockstep_trial`]: the two-machine
+    /// engine it replaced, which clones golden, steps both CPUs in
+    /// lockstep and compares their fingerprints at stride boundaries.
+    fn two_machine_trial(
+        at: &Cpu,
+        id: WorkloadId,
+        bit: u32,
+        cfg: &ArchCampaignConfig,
+        window_executed: u64,
+    ) -> (Option<ArchTrial>, TrialCost) {
+        let mut golden = at.clone();
+        let mut injected = at.clone();
+
+        // The detector bank: exception, immediate cfv (whole-machine control
+        // flow is directly comparable at this level), the memory symptom
+        // classes and the software-only sources.
+        let mut set = DetectorSet::arch_trial(&cfg.detectors);
+
+        // Execute the victim instruction on both, then corrupt its result in
+        // the injected machine.
+        let g = golden.step().expect("golden never faults");
+        let i = injected.step().expect("same instruction");
+        debug_assert_eq!(g, i);
+        if let Some((reg, _)) = i.reg_write {
+            injected.regs.flip_bit(reg, bit);
+            // The duplicate compare at the injection site: a protected
+            // victim register is caught before any subsequent instruction.
+            set.observe(&Observation::InjectedRegFlip { reg: reg.index() as u8, latency: 1 });
+        } else if let Some(m) = i.mem {
+            if m.is_store {
+                let byte = (bit / 8) as u64 % m.len;
+                injected.mem.flip_bit(m.addr + byte, bit % 8);
+            } else {
+                return (None, TrialCost::default());
+            }
+        } else {
+            return (None, TrialCost::default());
+        }
+
+        let mut trial = ArchTrial {
+            workload: id,
+            symptoms: SymptomLatencies::default(),
+            sig_mismatch: None,
+            dup_mismatch: None,
+            masked: false,
+        };
+
+        let stride = cfg.cutoff_stride;
+        let mut executed = 0u64;
+        let mut cut = false;
+        for n in 1..=cfg.window {
+            if golden.is_halted() || injected.is_halted() {
+                break;
+            }
+            executed += 1;
+            // golden hitting an exception means end-of-window conditions; stop
+            let Ok(g) = golden.step() else { break };
+            let Ok(i) = injected.step() else {
+                set.observe(&Observation::Exception { latency: n });
+                break;
+            };
+            let pc_mismatch = i.pc != g.pc || i.next_pc != g.next_pc;
+            let reg_write_mismatch = !pc_mismatch && i.reg_write != g.reg_write;
+            set.observe(&Observation::Retired(RetiredCompare {
+                latency: n,
+                pc_mismatch,
+                value_mismatch: reg_write_mismatch,
+                reg_write_mismatch,
+                trial_reg: i.reg_write.map(|(reg, _)| reg.index() as u8),
+                golden_reg: g.reg_write.map(|(reg, _)| reg.index() as u8),
+            }));
+            if pc_mismatch {
+                // Control flow diverged (the immediate cfv source fired at
+                // `n`): stop instruction-wise comparison of memory effects
+                // (streams no longer align) but keep running the injected
+                // side alone looking for a late exception.
+                for m in n + 1..=cfg.window {
+                    if injected.is_halted() {
+                        break;
+                    }
+                    executed += 1;
+                    if injected.step().is_err() {
+                        set.observe(&Observation::Exception { latency: m });
+                        break;
+                    }
+                }
+                break;
+            }
+            if let (Some(gm), Some(im)) = (g.mem, i.mem) {
+                if im.addr != gm.addr {
+                    set.observe(&Observation::MemAddrMismatch { latency: n });
+                } else if im.is_store && im.value != gm.value {
+                    set.observe(&Observation::MemDataMismatch { latency: n });
+                }
+            }
+            // Reconvergence check: equal fingerprints mean bit-identical
+            // machines (registers, pc, memory, retirement and the output
+            // log), and the simulator is deterministic — the remaining
+            // lockstep iterations can produce no divergence and the final
+            // masking comparison would find equal state.
+            if stride > 0
+                && n % stride == 0
+                && !golden.is_halted()
+                && !injected.is_halted()
+                && injected.fingerprint() == golden.fingerprint()
+            {
+                cut = true;
+                break;
+            }
+        }
+
+        // Harvest the bank into the record (both exit paths below read it).
+        trial.symptoms.exception = set.first(SymptomKind::Exception);
+        trial.symptoms.cfv = set.first(SymptomKind::Cfv);
+        trial.symptoms.mem_addr = set.first(SymptomKind::MemAddr);
+        trial.symptoms.mem_data = set.first(SymptomKind::MemData);
+        trial.sig_mismatch = set.first(SymptomKind::Signature);
+        trial.dup_mismatch = set.first(SymptomKind::Dup);
+
+        let mut cost = TrialCost { simulated: executed, cut, ..TrialCost::default() };
+        if cut {
+            // The exhaustive loop would have run `window_executed` lockstep
+            // iterations (converged machines track the golden side to its
+            // halt), with no further symptom and a clean final comparison.
+            cost.saved = window_executed - executed;
+            trial.masked = true;
+            return (Some(trial), cost);
+        }
+
+        // Masking judgement (§3.1: "did not ultimately affect the executing
+        // application"): with both runs complete, the program's output and
+        // memory image decide; register residue after halt is dead by
+        // definition. If the window expired first, fall back to strict
+        // architectural equality.
+        let clean = if golden.is_halted() && injected.is_halted() {
+            injected.output() == golden.output() && injected.mem == golden.mem
+        } else {
+            injected.is_halted() == golden.is_halted() && injected.arch_state_eq(&golden)
+        };
+        trial.masked = trial.symptoms.exception.is_none() && trial.symptoms.cfv.is_none() && clean;
+        (Some(trial), cost)
+    }
+
+    /// A loop that also writes `r31`, which no workload does: a flip of
+    /// such a result is a no-op. Its trials are labelled as Mcfx's.
+    fn r31_program() -> restore_isa::Program {
+        use restore_isa::{layout, AluOp, Asm};
+        let mut a = Asm::new("r31", layout::TEXT_BASE);
+        a.li(Reg::T0, 100);
+        let top = a.bind_here();
+        a.nop();
+        a.op(AluOp::Addq, Reg::T0, Reg::T0, Reg::ZERO);
+        a.ldq(Reg::ZERO, -8, Reg::SP);
+        a.stq(Reg::T0, -8, Reg::SP);
+        a.subq_lit(Reg::T0, 1, Reg::T0);
+        a.bgt(Reg::T0, top);
+        a.mov(Reg::T0, Reg::A0);
+        a.outq();
+        a.halt();
+        a.finish().expect("assembles")
+    }
+
+    /// One draw of [`overlay_lockstep_equals_two_machine_lockstep`]:
+    /// program (the seven smoke workloads, then [`r31_program`]),
+    /// low-32 restriction, cutoff stride, injection point (as a fraction
+    /// of the run), bit, and an optional short window.
+    fn trial_spec() -> impl Strategy<Value = (usize, bool, u64, u64, u32, Option<u64>)> {
+        (
+            0..WorkloadId::ALL.len() + 1,
+            any::<bool>(),
+            prop::sample::select(vec![0u64, 1, 7, 250]),
+            any::<u64>(),
+            0u32..64,
+            prop_oneof![3 => Just(None), 1 => (1u64..400).prop_map(Some)],
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1))]
+
+        /// The overlay engine returns exactly the two-machine engine's
+        /// `(Option<ArchTrial>, TrialCost)` over random trials of all
+        /// seven smoke programs, and the sample reaches every outcome and
+        /// every golden-evaluation read class the overlay handles.
+        #[test]
+        fn overlay_lockstep_equals_two_machine_lockstep(
+            specs in proptest::collection::vec(trial_spec(), 240),
+        ) {
+            GOLDEN_READS.with(|c| c.borrow_mut().clear());
+            let mut programs: Vec<_> = WorkloadId::ALL
+                .iter()
+                .map(|&id| (id, id.build(Scale::smoke()), run_length(id, Scale::smoke())))
+                .collect();
+            let mut probe = Cpu::new(&r31_program());
+            probe.run(10_000).expect("runs clean");
+            programs.push((WorkloadId::Mcfx, r31_program(), probe.retired()));
+            let mut outcomes = BTreeSet::new();
+            let mut specs = specs;
+            // Sweep each program's golden run forward once.
+            specs.sort_unstable_by_key(|&(w, _, _, frac, ..)| (w, frac));
+            let mut at: Option<(usize, Cpu)> = None;
+            for (w, low32, stride, frac, bit, short) in specs {
+                let (id, program, run_len) = &programs[w];
+                let (id, run_len) = (*id, *run_len);
+                let point = ((frac as u128 * (run_len - 1) as u128) >> 64) as u64;
+                if at.as_ref().is_none_or(|(aw, _)| *aw != w) {
+                    at = Some((w, Cpu::new(program)));
+                }
+                let cpu = &mut at.as_mut().expect("swept CPU").1;
+                while cpu.retired() < point {
+                    cpu.step().expect("golden never faults");
+                }
+                let cfg = ArchCampaignConfig {
+                    low32,
+                    cutoff_stride: stride,
+                    window: short.unwrap_or(quick_cfg().window),
+                    ..quick_cfg()
+                };
+                let bit = if low32 { bit % 32 } else { bit };
+                let window_executed = cfg.window.min(run_len - point - 1);
+                let want = two_machine_trial(cpu, id, bit, &cfg, window_executed);
+                let got = lockstep_trial(cpu, id, bit, &cfg, window_executed);
+                prop_assert_eq!(got, want, "{:?} point {} bit {} stride {}", id, point, bit, stride);
+
+                let victim = cpu.clone().step().expect("golden never faults");
+                let (trial, cost) = got;
+                match victim.reg_write {
+                    Some((reg, _)) if reg.is_zero() => outcomes.insert("r31 flip"),
+                    Some(_) => outcomes.insert("register victim"),
+                    None if victim.mem.is_some_and(|m| m.is_store) => outcomes.insert("store victim"),
+                    None => outcomes.insert("no result"),
+                };
+                let Some(t) = trial else { continue };
+                let s = t.symptoms;
+                for (hit, name) in [
+                    (cost.cut, "cut"),
+                    (s.exception.is_some(), "exception"),
+                    (s.cfv.is_some_and(|c| cost.simulated > c), "cfv with a solo tail"),
+                    (s.mem_addr.is_some(), "mem-addr"),
+                    (s.mem_data.is_some(), "mem-data"),
+                    (
+                        window_executed == cfg.window
+                            && run_len - point - 1 > cfg.window
+                            && !cost.cut
+                            && s.exception.is_none()
+                            && s.cfv.is_none(),
+                        "window expiry",
+                    ),
+                ] {
+                    if hit {
+                        outcomes.insert(name);
+                    }
+                }
+            }
+            for want in [
+                "register victim",
+                "store victim",
+                "r31 flip",
+                "cut",
+                "cfv with a solo tail",
+                "exception",
+                "mem-addr",
+                "mem-data",
+                "window expiry",
+            ] {
+                prop_assert!(outcomes.contains(want), "no {} in the sample: {:?}", want, outcomes);
+            }
+            let reads = GOLDEN_READS.with(|c| c.borrow().clone());
+            for want in [
+                "pal: a0",
+                "lda/ldah: rb",
+                "load: rb",
+                "load: loaded bytes",
+                "store: ra",
+                "store: rb",
+                "store: injected-only byte",
+                "op: ra",
+                "op: register rb",
+                "op: cmov rc",
+                "branch: ra",
+                "jump: rb",
+            ] {
+                prop_assert!(reads.contains(want), "golden never evaluated {}: {:?}", want, reads);
+            }
+        }
+    }
 
     fn quick_cfg() -> ArchCampaignConfig {
         ArchCampaignConfig {
