@@ -120,7 +120,7 @@ pub fn run_battery<C: Clone>(
 }
 
 /// Declared fields of [`UarchCampaignConfig`], declaration order.
-pub const UARCH_FIELDS: [&str; 15] = [
+pub const UARCH_FIELDS: [&str; 14] = [
     "scale",
     "uarch",
     "points_per_workload",
@@ -131,7 +131,6 @@ pub const UARCH_FIELDS: [&str; 15] = [
     "seed",
     "target",
     "threads",
-    "cutoff_stride",
     "prune",
     "map_dir",
     "ckpt_stride",
@@ -139,16 +138,13 @@ pub const UARCH_FIELDS: [&str; 15] = [
 ];
 
 /// Declared fields of [`ArchCampaignConfig`], declaration order.
-pub const ARCH_FIELDS: [&str; 11] = [
+pub const ARCH_FIELDS: [&str; 8] = [
     "scale",
     "trials_per_workload",
     "window",
     "seed",
     "low32",
     "threads",
-    "cutoff_stride",
-    "prune",
-    "map_dir",
     "ckpt_stride",
     "detectors",
 ];
@@ -209,11 +205,6 @@ pub fn uarch_perturbations() -> Vec<FieldPerturbation<UarchCampaignConfig>> {
         },
         FieldPerturbation { field: "threads", shaped: false, perturb: |c| c.threads += 1 },
         FieldPerturbation {
-            field: "cutoff_stride",
-            shaped: false,
-            perturb: |c| c.cutoff_stride += 1,
-        },
-        FieldPerturbation {
             field: "prune",
             shaped: false,
             perturb: |c| c.prune = flip_prune(c.prune),
@@ -259,26 +250,6 @@ pub fn arch_perturbations() -> Vec<FieldPerturbation<ArchCampaignConfig>> {
         FieldPerturbation { field: "seed", shaped: false, perturb: |c| c.seed += 1 },
         FieldPerturbation { field: "low32", shaped: true, perturb: |c| c.low32 = !c.low32 },
         FieldPerturbation { field: "threads", shaped: false, perturb: |c| c.threads += 1 },
-        FieldPerturbation {
-            field: "cutoff_stride",
-            shaped: false,
-            perturb: |c| c.cutoff_stride += 1,
-        },
-        FieldPerturbation {
-            field: "prune",
-            shaped: false,
-            perturb: |c| c.prune = flip_prune(c.prune),
-        },
-        FieldPerturbation {
-            field: "map_dir",
-            shaped: false,
-            perturb: |c| {
-                c.map_dir = match c.map_dir.take() {
-                    Some(_) => None,
-                    None => Some("maps".into()),
-                }
-            },
-        },
         FieldPerturbation { field: "ckpt_stride", shaped: false, perturb: |c| c.ckpt_stride += 1 },
         FieldPerturbation {
             field: "detectors",

@@ -91,7 +91,7 @@ proptest! {
         (warmup, window, drain) in (0u64..10_000, 1u64..50_000, 0u64..5_000),
         seed in 0u64..1_000_000,
         threads in 0usize..8,
-        (cutoff, ckpt) in (0u64..2_000, 0u64..2_000),
+        ckpt in 1u64..2_000,
         (sig_chunk, dup_mask) in (0u64..128, 0u32..0x200),
     ) {
         let base = UarchCampaignConfig {
@@ -103,7 +103,6 @@ proptest! {
             drain_cycles: drain,
             seed,
             threads,
-            cutoff_stride: cutoff,
             ckpt_stride: ckpt,
             detectors: restore_inject::DetectorConfig { sig_chunk, dup_mask },
             ..UarchCampaignConfig::default()
@@ -119,7 +118,7 @@ proptest! {
         seed in 0u64..1_000_000,
         low32 in any::<bool>(),
         threads in 0usize..8,
-        (cutoff, ckpt) in (0u64..2_000, 0u64..2_000),
+        ckpt in 1u64..2_000,
         (sig_chunk, dup_mask) in (0u64..128, 0u32..0x200),
     ) {
         let base = ArchCampaignConfig {
@@ -129,10 +128,8 @@ proptest! {
             seed,
             low32,
             threads,
-            cutoff_stride: cutoff,
             ckpt_stride: ckpt,
             detectors: restore_inject::DetectorConfig { sig_chunk, dup_mask },
-            ..ArchCampaignConfig::default()
         };
         let r = arch_battery(&base);
         prop_assert!(r.is_clean(), "{:?}", r.failures);

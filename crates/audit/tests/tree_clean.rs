@@ -93,8 +93,8 @@ fn digest_coverage_scans_clean() {
         );
     }
     for (name, shaped, neutral) in [
-        ("UarchCampaignConfig", 6, 9),
-        ("ArchCampaignConfig", 4, 7),
+        ("UarchCampaignConfig", 6, 8),
+        ("ArchCampaignConfig", 4, 4),
         ("DetectorConfig", 2, 0),
         ("SweepCell", 1, 3),
     ] {

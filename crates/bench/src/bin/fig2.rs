@@ -1,39 +1,21 @@
 //! Figure 2 — virtual machine fault injection: propagation of a single
 //! bit flip in an instruction result to symptoms, by latency.
 //!
-//! Usage: `fig2 [--trials N] [--seed S] [--low32] [--size N] [--threads N] [--cutoff K] [--prune off|interval|audit] [--ckpt-stride K]`
+//! Usage: `fig2 [--trials N] [--seed S] [--low32] [--size N] [--threads N] [--store DIR]
+//! [--sig-chunk N] [--dup-mask M]`
 
 use restore_bench::{arch_table, cli, FIG2_LATENCIES};
 use restore_inject::{
     run_arch_campaign_io, worst_case_ci95, ArchCampaignConfig, ArchCategory, Shard,
 };
 
-const USAGE: &str = "fig2 [--trials N] [--seed S] [--low32] [--size N] [--threads N] [--cutoff K] \
-                     [--prune off|interval|audit] [--ckpt-stride K] [--store DIR] \
-                     [--sig-chunk N] [--dup-mask M]";
+const USAGE: &str = "fig2 [--trials N] [--seed S] [--low32] [--size N] [--threads N] \
+                     [--store DIR] [--sig-chunk N] [--dup-mask M]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut cfg = ArchCampaignConfig::default();
-    cli::or_exit(
-        cli::reject_unknown(
-            &args,
-            &[
-                "--trials",
-                "--seed",
-                "--low32",
-                "--size",
-                "--threads",
-                "--cutoff",
-                "--prune",
-                "--ckpt-stride",
-                "--store",
-                "--sig-chunk",
-                "--dup-mask",
-            ],
-        ),
-        USAGE,
-    );
+    cli::or_exit(cli::reject_unknown(&args, &cli::ARCH_FLAGS), USAGE);
     cli::or_exit(cli::apply_arch_flags(&mut cfg, &args, "--trials"), USAGE);
 
     eprintln!(

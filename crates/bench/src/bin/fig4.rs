@@ -4,14 +4,14 @@
 //! §5.1.2 latch-targeted campaign instead.
 //!
 //! Usage: `fig4 [--points N] [--trials N] [--seed S] [--latches-only] [--threads N]
-//! [--cutoff K] [--prune off|interval|audit]`
+//! [--prune off|interval|audit] [--store DIR] [--sig-chunk N] [--dup-mask M]`
 
 use restore_bench::{cli, coverage_summary, uarch_table, FIG46_INTERVALS};
 use restore_inject::{run_uarch_campaign_io, CfvMode, InjectionTarget, Shard, UarchCampaignConfig};
 
 const USAGE: &str = "fig4 [--points N] [--trials N] [--seed S] [--latches-only] \
-                     [--threads N] [--cutoff K] [--prune off|interval|audit] [--ckpt-stride K] \
-                     [--store DIR]";
+                     [--threads N] [--prune off|interval|audit] [--store DIR] \
+                     [--sig-chunk N] [--dup-mask M]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

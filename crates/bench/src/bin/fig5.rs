@@ -2,14 +2,14 @@
 //! control-flow detection: only JRS high-confidence branch mispredictions
 //! count as cfv symptoms.
 //!
-//! Usage: `fig5 [--points N] [--trials N] [--seed S] [--threads N] [--cutoff K]
-//! [--prune off|interval|audit]`
+//! Usage: `fig5 [--points N] [--trials N] [--seed S] [--threads N]
+//! [--prune off|interval|audit] [--store DIR] [--sig-chunk N] [--dup-mask M]`
 
 use restore_bench::{cli, coverage_summary, uarch_table, FIG46_INTERVALS};
 use restore_inject::{run_uarch_campaign_io, CfvMode, Shard, UarchCampaignConfig, UarchCategory};
 
-const USAGE: &str = "fig5 [--points N] [--trials N] [--seed S] [--threads N] [--cutoff K] \
-                     [--prune off|interval|audit] [--ckpt-stride K] [--store DIR]";
+const USAGE: &str = "fig5 [--points N] [--trials N] [--seed S] [--threads N] \
+                     [--prune off|interval|audit] [--store DIR] [--sig-chunk N] [--dup-mask M]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

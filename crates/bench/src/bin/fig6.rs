@@ -3,16 +3,16 @@
 //! other key data stores (§5.2.2's "low hanging fruit"), layered with
 //! symptom-based detection.
 //!
-//! Usage: `fig6 [--points N] [--trials N] [--seed S] [--threads N] [--cutoff K]
-//! [--prune off|interval|audit]`
+//! Usage: `fig6 [--points N] [--trials N] [--seed S] [--threads N]
+//! [--prune off|interval|audit] [--store DIR] [--sig-chunk N] [--dup-mask M]`
 
 use restore_bench::{cli, coverage_summary, uarch_table, FIG46_INTERVALS};
 use restore_inject::{run_uarch_campaign_io, CfvMode, Shard, UarchCampaignConfig};
 use restore_uarch::{Pipeline, UarchConfig};
 use restore_workloads::WorkloadId;
 
-const USAGE: &str = "fig6 [--points N] [--trials N] [--seed S] [--threads N] [--cutoff K] \
-                     [--prune off|interval|audit] [--ckpt-stride K] [--store DIR]";
+const USAGE: &str = "fig6 [--points N] [--trials N] [--seed S] [--threads N] \
+                     [--prune off|interval|audit] [--store DIR] [--sig-chunk N] [--dup-mask M]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

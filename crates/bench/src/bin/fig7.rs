@@ -9,16 +9,19 @@
 //! re-executes, so the rollback distance is measured, not assumed
 //! (`restore_core::measure_rollbacks`).
 //!
-//! Usage: `fig7 [--cycles N] [--size N] [--ckpt-stride K]`
+//! Usage: `fig7 [--cycles N] [--size N]`
 
 use restore_bench::cli;
 use restore_core::{measure_rollbacks, ReplayMeasurement, RollbackPolicy};
-use restore_inject::effective_ckpt_stride;
 use restore_perf::{profile_all, PerfModel, Policy, WorkloadProfile, FIGURE7_INTERVALS};
 use restore_uarch::UarchConfig;
 use restore_workloads::Scale;
 
-const USAGE: &str = "fig7 [--cycles N] [--size N] [--ckpt-stride K]";
+const USAGE: &str = "fig7 [--cycles N] [--size N]";
+
+/// Retired instructions between the golden checkpoints replay restores
+/// from.
+const CKPT_STRIDE: u64 = 5_000;
 
 /// Geometric-mean speedup with each workload's rollback cycles replaced
 /// by its *measured* re-execution instructions, priced at the same
@@ -40,17 +43,12 @@ fn replayed_mean_speedup(model: &PerfModel, rows: &[(WorkloadProfile, ReplayMeas
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    cli::or_exit(cli::reject_unknown(&args, &["--cycles", "--size", "--ckpt-stride"]), USAGE);
+    cli::or_exit(cli::reject_unknown(&args, &["--cycles", "--size"]), USAGE);
     let cycles = cli::or_exit(cli::nonzero_u64(&args, "--cycles"), USAGE).unwrap_or(150_000);
     let mut scale = Scale::campaign();
     if let Some(n) = cli::or_exit(cli::nonzero_u64(&args, "--size"), USAGE) {
         scale.size = n as usize;
     }
-    // Replay needs checkpoints; 0 falls back to the default stride.
-    let ckpt_stride = match cli::or_exit(cli::parsed_u64(&args, "--ckpt-stride"), USAGE) {
-        Some(k) if k > 0 => k,
-        _ => effective_ckpt_stride(5_000).max(1),
-    };
 
     eprintln!("fig7: profiling 7 workloads for {cycles} cycles each ...");
     // determinism: allow -- stderr progress timing; figure output is time-free
@@ -80,7 +78,7 @@ fn main() {
                         interval,
                         policy,
                         &p.symptom_positions,
-                        ckpt_stride,
+                        CKPT_STRIDE,
                     );
                     (p.clone(), m)
                 })
@@ -89,7 +87,7 @@ fn main() {
 
     println!("# Figure 7 — performance impact of false positive symptoms");
     println!("# rows: checkpoint interval; speedup relative to no-checkpoint baseline");
-    println!("# (replay restores the older checkpoint at stride {ckpt_stride} and re-executes)");
+    println!("# (replay restores the older checkpoint at stride {CKPT_STRIDE} and re-executes)");
     println!(
         "{:<10}{:>10}{:>12}{:>10}{:>12}",
         "interval", "imm", "imm-replay", "delayed", "del-replay"

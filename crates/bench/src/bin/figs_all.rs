@@ -4,7 +4,7 @@
 //! section reports, in one pass.
 //!
 //! Usage: `figs_all [--points N] [--trials N] [--arch-trials N] [--seed S] [--threads N]
-//! [--cutoff K] [--prune off|interval|audit]`
+//! [--prune off|interval|audit] [--store DIR] [--sig-chunk N] [--dup-mask M]`
 
 use restore_bench::*;
 use restore_core::fit::{figure8_sizes, FitScaling, MTBF_GOAL_FIT};
@@ -16,8 +16,8 @@ use restore_perf::{profile_all, PerfModel, Policy, FIGURE7_INTERVALS};
 use restore_uarch::UarchConfig;
 
 const USAGE: &str = "figs_all [--points N] [--trials N] [--arch-trials N] [--seed S] \
-                     [--threads N] [--cutoff K] [--prune off|interval|audit] [--ckpt-stride K] \
-                     [--store DIR]";
+                     [--threads N] [--prune off|interval|audit] [--store DIR] \
+                     [--sig-chunk N] [--dup-mask M]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -24,7 +24,11 @@
 //!   store is an error — a guard against accidentally reusing a store
 //!   and mistaking replayed results for a fresh measurement.
 //!
-//! Usage: `restore-campaign --domain arch|uarch --store DIR [--shard i/N] [--resume] ...`
+//! Usage: `restore-campaign --domain arch|uarch --store DIR [--shard i/N] [--resume]`
+//! plus, for `arch`, `[--trials N] [--seed S] [--low32] [--size N] [--threads N]
+//! [--sig-chunk N] [--dup-mask M]`, or, for `uarch`, `[--points N] [--trials N]
+//! [--seed S] [--latches-only] [--threads N] [--prune off|interval|audit]
+//! [--sig-chunk N] [--dup-mask M]`
 
 use restore_bench::cli;
 use restore_inject::{
@@ -34,11 +38,10 @@ use restore_inject::{
 };
 
 const USAGE: &str = "restore-campaign --domain arch|uarch --store DIR [--shard i/N] [--resume]\n\
-    arch knobs:  [--trials N] [--size N] [--low32] [--seed S] [--threads N] [--cutoff K] \
-    [--prune off|interval|audit] [--ckpt-stride K] [--sig-chunk N] [--dup-mask M]\n\
-    uarch knobs: [--points N] [--trials N] [--latches-only] [--seed S] [--threads N] \
-    [--cutoff K] [--prune off|interval|audit] [--ckpt-stride K] [--sig-chunk N] \
-    [--dup-mask M]";
+    arch knobs:  [--trials N] [--seed S] [--low32] [--size N] [--threads N] [--sig-chunk N] \
+    [--dup-mask M]\n\
+    uarch knobs: [--points N] [--trials N] [--seed S] [--latches-only] [--threads N] \
+    [--prune off|interval|audit] [--sig-chunk N] [--dup-mask M]";
 
 /// Parses the flags every domain shares; returns `(store dir, shard,
 /// resume)`.
@@ -90,22 +93,7 @@ fn main() {
             cli::or_exit(
                 cli::reject_unknown(
                     &args,
-                    &[
-                        "--domain",
-                        "--store",
-                        "--shard",
-                        "--resume",
-                        "--trials",
-                        "--size",
-                        "--low32",
-                        "--seed",
-                        "--threads",
-                        "--cutoff",
-                        "--prune",
-                        "--ckpt-stride",
-                        "--sig-chunk",
-                        "--dup-mask",
-                    ],
+                    &cli::arch_flags_plus(&["--domain", "--shard", "--resume"]),
                 ),
                 USAGE,
             );

@@ -11,8 +11,8 @@
 //! select among recorded first-firing latencies.
 //!
 //! Usage: `restore-sweep [--points N] [--trials N] [--seed S]
-//! [--threads N] [--cutoff K] [--prune off|interval|audit]
-//! [--ckpt-stride K] [--store DIR] [--json PATH] [--profile-cycles N]
+//! [--threads N] [--prune off|interval|audit] [--store DIR]
+//! [--sig-chunk N] [--dup-mask M] [--json PATH] [--profile-cycles N]
 //! [--intervals A,B,..]`
 
 use restore_bench::sweep::{
@@ -26,8 +26,8 @@ use restore_workloads::WorkloadId;
 use std::collections::BTreeMap;
 
 const USAGE: &str = "restore-sweep [--points N] [--trials N] [--seed S] [--threads N] \
-                     [--cutoff K] [--prune off|interval|audit] [--ckpt-stride K] \
-                     [--store DIR] [--json PATH] [--profile-cycles N] [--intervals A,B,..]";
+                     [--prune off|interval|audit] [--store DIR] [--sig-chunk N] \
+                     [--dup-mask M] [--json PATH] [--profile-cycles N] [--intervals A,B,..]";
 
 /// Parses `--intervals 25,100,500` (defaults to the Figures 4–6 axis).
 fn intervals(args: &[String]) -> Result<Vec<u64>, cli::CliError> {

@@ -10,8 +10,8 @@
 //! high-confidence mispredictions trade coverage for near-zero false
 //! positives; raw mispredictions and cache misses fail metric 3.
 //!
-//! Usage: `symptom_metrics [--points N] [--trials N] [--seed S] [--threads N] [--cutoff K]
-//! [--prune off|interval|audit]`
+//! Usage: `symptom_metrics [--points N] [--trials N] [--seed S] [--threads N]
+//! [--prune off|interval|audit] [--store DIR] [--sig-chunk N] [--dup-mask M]`
 
 use restore_bench::cli;
 use restore_inject::{run_uarch_campaign_io, Shard, UarchCampaignConfig, UarchTrial};
@@ -36,7 +36,7 @@ fn median(v: &mut [u64]) -> Option<u64> {
 }
 
 const USAGE: &str = "symptom_metrics [--points N] [--trials N] [--seed S] [--threads N] \
-                     [--cutoff K] [--prune off|interval|audit] [--ckpt-stride K] [--store DIR]";
+                     [--prune off|interval|audit] [--store DIR] [--sig-chunk N] [--dup-mask M]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

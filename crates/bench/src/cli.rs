@@ -10,10 +10,12 @@
 //!   error;
 //! * `--points` / `--trials` / `--size` / `--cycles` reject zero (an
 //!   empty campaign is never what was asked for);
-//! * `--threads 0` (auto) and `--cutoff 0` (cutoff off) stay legal —
-//!   zero is meaningful there;
+//! * `--threads 0` stays legal: it means the machine's available
+//!   parallelism, and `--threads` is the only way to set the workers;
 //! * unknown `--flags` are rejected, so typos fail instead of running
-//!   the default.
+//!   the default. Each binary checks against [`UARCH_FLAGS`] or
+//!   [`ARCH_FLAGS`] plus its own extras, and its usage line lists
+//!   exactly those flags.
 //!
 //! Errors print the binary's usage line and exit with status 2 via
 //! [`or_exit`].
@@ -157,14 +159,25 @@ pub fn dup_mask(args: &[String]) -> Result<Option<u32>, CliError> {
 }
 
 /// The knobs every µarch campaign binary shares.
-pub const UARCH_FLAGS: [&str; 10] = [
+pub const UARCH_FLAGS: [&str; 8] = [
     "--points",
     "--trials",
     "--seed",
     "--threads",
-    "--cutoff",
     "--prune",
-    "--ckpt-stride",
+    "--store",
+    "--sig-chunk",
+    "--dup-mask",
+];
+
+/// The knobs of the architectural (Figure 2) campaign, as `fig2` and
+/// `restore-campaign --domain arch` take them.
+pub const ARCH_FLAGS: [&str; 8] = [
+    "--trials",
+    "--seed",
+    "--low32",
+    "--size",
+    "--threads",
     "--store",
     "--sig-chunk",
     "--dup-mask",
@@ -172,19 +185,21 @@ pub const UARCH_FLAGS: [&str; 10] = [
 
 /// [`UARCH_FLAGS`] plus a binary's own extras, for [`reject_unknown`].
 pub fn uarch_flags_plus(extra: &[&'static str]) -> Vec<&'static str> {
-    let mut known = UARCH_FLAGS.to_vec();
-    known.extend_from_slice(extra);
-    known
+    [&UARCH_FLAGS[..], extra].concat()
+}
+
+/// [`ARCH_FLAGS`] plus a binary's own extras, for [`reject_unknown`].
+pub fn arch_flags_plus(extra: &[&'static str]) -> Vec<&'static str> {
+    [&ARCH_FLAGS[..], extra].concat()
 }
 
 /// Applies the shared µarch campaign knobs to `cfg`:
 /// `--points N` / `--trials N` (nonzero), `--seed S`, `--threads N`
-/// (0 = auto), `--cutoff K` (0 = off), `--prune off|interval|audit`,
-/// `--ckpt-stride K` (0 = serial producer, no checkpoint library),
-/// `--sig-chunk N` (0 = signature checking off) and `--dup-mask M`
-/// (0 = duplication off) for the software-only detector sources.
-/// `--store DIR` doubles as the masking-map directory, so sharded runs
-/// against a shared store build each workload's map once per shard set.
+/// (0 = auto), `--prune off|interval|audit`, `--sig-chunk N` (0 =
+/// signature checking off) and `--dup-mask M` (0 = duplication off) for
+/// the software-only detector sources. `--store DIR` doubles as the
+/// masking-map directory, so sharded runs against a shared store build
+/// each workload's map once per shard set.
 pub fn apply_uarch_flags(cfg: &mut UarchCampaignConfig, args: &[String]) -> Result<(), CliError> {
     if let Some(p) = nonzero_u64(args, "--points")? {
         cfg.points_per_workload = p as usize;
@@ -198,14 +213,8 @@ pub fn apply_uarch_flags(cfg: &mut UarchCampaignConfig, args: &[String]) -> Resu
     if let Some(n) = parsed_u64(args, "--threads")? {
         cfg.threads = n as usize;
     }
-    if let Some(k) = parsed_u64(args, "--cutoff")? {
-        cfg.cutoff_stride = k;
-    }
     if let Some(m) = prune_mode(args)? {
         cfg.prune = m;
-    }
-    if let Some(k) = parsed_u64(args, "--ckpt-stride")? {
-        cfg.ckpt_stride = k;
     }
     if let Some(c) = parsed_u64(args, "--sig-chunk")? {
         cfg.detectors.sig_chunk = c;
@@ -219,12 +228,10 @@ pub fn apply_uarch_flags(cfg: &mut UarchCampaignConfig, args: &[String]) -> Resu
 
 /// Applies the architectural (Figure 2) campaign knobs to `cfg`:
 /// `--trials N` / `--size N` (nonzero), `--seed S`, `--threads N`
-/// (0 = auto), `--cutoff K` (0 = off), `--prune off|interval|audit`,
-/// `--ckpt-stride K` (0 = serial producer), `--sig-chunk N` /
-/// `--dup-mask M` (software detector sources, 0 = off), `--low32`.
-/// `--store DIR` doubles as the masking-map directory. Pass
-/// `trials_flag` so `figs_all` can route its `--arch-trials` here
-/// without colliding with the µarch knob.
+/// (0 = auto), `--sig-chunk N` / `--dup-mask M` (software detector
+/// sources, 0 = off), `--low32`. Pass `trials_flag` so `figs_all` can
+/// route its `--arch-trials` here without colliding with the µarch
+/// knob.
 pub fn apply_arch_flags(
     cfg: &mut ArchCampaignConfig,
     args: &[String],
@@ -242,22 +249,12 @@ pub fn apply_arch_flags(
     if let Some(n) = parsed_u64(args, "--threads")? {
         cfg.threads = n as usize;
     }
-    if let Some(k) = parsed_u64(args, "--cutoff")? {
-        cfg.cutoff_stride = k;
-    }
-    if let Some(m) = prune_mode(args)? {
-        cfg.prune = m;
-    }
-    if let Some(k) = parsed_u64(args, "--ckpt-stride")? {
-        cfg.ckpt_stride = k;
-    }
     if let Some(c) = parsed_u64(args, "--sig-chunk")? {
         cfg.detectors.sig_chunk = c;
     }
     if let Some(m) = dup_mask(args)? {
         cfg.detectors.dup_mask = m;
     }
-    cfg.map_dir = store_path(args)?;
     cfg.low32 = flag(args, "--low32");
     Ok(())
 }
@@ -291,18 +288,13 @@ mod tests {
         let mut cfg = UarchCampaignConfig::default();
         assert!(apply_uarch_flags(&mut cfg, &args(&["--points", "0"])).is_err());
         assert!(apply_uarch_flags(&mut cfg, &args(&["--trials", "0"])).is_err());
-        // Zero means something for these three.
-        apply_uarch_flags(
-            &mut cfg,
-            &args(&["--threads", "0", "--cutoff", "0", "--ckpt-stride", "0"]),
-        )
-        .unwrap();
-        assert_eq!(cfg.threads, 0);
-        assert_eq!(cfg.cutoff_stride, 0);
-        assert_eq!(cfg.ckpt_stride, 0, "--ckpt-stride 0 must disable the library");
-        // But a malformed stride is still an error, not a silent default.
-        assert!(apply_uarch_flags(&mut cfg, &args(&["--ckpt-stride", "x"])).is_err());
-        assert!(apply_uarch_flags(&mut cfg, &args(&["--ckpt-stride"])).is_err());
+        // Zero means something for these two.
+        apply_uarch_flags(&mut cfg, &args(&["--threads", "0", "--sig-chunk", "0"])).unwrap();
+        assert_eq!(cfg.threads, 0, "--threads 0 is the available parallelism");
+        assert_eq!(cfg.detectors.sig_chunk, 0);
+        // But a malformed count is still an error, not a silent default.
+        assert!(apply_uarch_flags(&mut cfg, &args(&["--threads", "x"])).is_err());
+        assert!(apply_uarch_flags(&mut cfg, &args(&["--threads"])).is_err());
     }
 
     #[test]
@@ -317,21 +309,15 @@ mod tests {
             "9",
             "--threads",
             "2",
-            "--cutoff",
-            "100",
             "--prune",
             "audit",
-            "--ckpt-stride",
-            "1500",
         ]);
         apply_uarch_flags(&mut cfg, &a).unwrap();
         assert_eq!(cfg.points_per_workload, 3);
         assert_eq!(cfg.trials_per_point, 7);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.threads, 2);
-        assert_eq!(cfg.cutoff_stride, 100);
         assert_eq!(cfg.prune, PruneMode::Audit);
-        assert_eq!(cfg.ckpt_stride, 1_500);
         assert_eq!(cfg.map_dir, None, "no --store means no map directory");
         assert!(apply_uarch_flags(&mut cfg, &args(&["--prune", "maybe"])).is_err());
         assert!(
@@ -352,36 +338,17 @@ mod tests {
     #[test]
     fn arch_flags_apply() {
         let mut cfg = ArchCampaignConfig::default();
-        let a = args(&[
-            "--trials",
-            "5",
-            "--size",
-            "64",
-            "--low32",
-            "--seed",
-            "1",
-            "--cutoff",
-            "0",
-            "--ckpt-stride",
-            "0",
-        ]);
+        let a =
+            args(&["--trials", "5", "--size", "64", "--low32", "--seed", "1", "--threads", "3"]);
         apply_arch_flags(&mut cfg, &a, "--trials").unwrap();
         assert_eq!(cfg.trials_per_workload, 5);
         assert_eq!(cfg.scale.size, 64);
         assert_eq!(cfg.seed, 1);
-        assert_eq!(cfg.cutoff_stride, 0, "--cutoff 0 must disable the arch cutoff");
-        assert_eq!(cfg.ckpt_stride, 0, "--ckpt-stride 0 must disable the arch library");
+        assert_eq!(cfg.threads, 3);
         assert!(cfg.low32);
-        assert_eq!(cfg.prune, PruneMode::Off, "arch pruning defaults off");
         assert!(apply_arch_flags(&mut cfg, &args(&["--size", "0"]), "--trials").is_err());
-        assert!(apply_arch_flags(&mut cfg, &args(&["--ckpt-stride", "-3"]), "--trials").is_err());
-
-        let a = args(&["--prune", "interval", "--store", "/tmp/trials"]);
-        apply_arch_flags(&mut cfg, &a, "--trials").unwrap();
-        assert_eq!(cfg.prune, PruneMode::Interval);
-        assert_eq!(cfg.map_dir, Some(PathBuf::from("/tmp/trials")));
-        assert!(apply_arch_flags(&mut cfg, &args(&["--prune", "maybe"]), "--trials").is_err());
-        assert!(apply_arch_flags(&mut cfg, &args(&["--prune", "on"]), "--trials").is_err());
+        assert!(apply_arch_flags(&mut cfg, &args(&["--seed", "-3"]), "--trials").is_err());
+        assert!(reject_unknown(&args(&["--trials", "5", "--low32"]), &ARCH_FLAGS).is_ok());
     }
 
     #[test]
@@ -419,5 +386,26 @@ mod tests {
         assert!(reject_unknown(&args(&["--points", "3", "--latches-only"]), &known).is_ok());
         assert!(reject_unknown(&args(&["--latchesonly"]), &known).is_err());
         assert!(reject_unknown(&args(&["--prnue", "on"]), &known).is_err());
+    }
+
+    /// The retired knobs exit 2 everywhere: no flag list takes the
+    /// cutoff or checkpoint stride, and the arch campaign does not prune.
+    #[test]
+    fn retired_knobs_are_rejected() {
+        let lists = [
+            UARCH_FLAGS.to_vec(),
+            ARCH_FLAGS.to_vec(),
+            uarch_flags_plus(&["--arch-trials"]),
+            arch_flags_plus(&["--domain", "--shard", "--resume"]),
+        ];
+        for known in &lists {
+            for knob in ["--cutoff", "--ckpt-stride"] {
+                let err = reject_unknown(&args(&[knob, "0"]), known).unwrap_err();
+                assert_eq!(err, CliError(format!("unknown flag {knob}")), "{known:?}");
+            }
+        }
+        assert!(reject_unknown(&args(&["--prune", "interval"]), &ARCH_FLAGS).is_err());
+        assert!(reject_unknown(&args(&["--prune", "interval"]), &lists[3]).is_err());
+        assert!(reject_unknown(&args(&["--prune", "interval"]), &UARCH_FLAGS).is_ok());
     }
 }

@@ -14,19 +14,21 @@
 //! | `fig8` | Figure 8 — FIT rates with device scaling |
 //! | `figs_all` | every figure in sequence (writes the EXPERIMENTS.md data) |
 //!
-//! All binaries accept `--points N`, `--trials N` (scale knobs) and
-//! `--seed N`; defaults are sized for a single-core laptop run of
-//! minutes. Campaign binaries also take `--threads N` (default: the
-//! `RESTORE_THREADS` env var, then all available cores), `--cutoff K`
-//! (reconvergence-cutoff stride; 0 disables) and
-//! `--prune off|interval|audit` (`interval` classifies the trials the
-//! static masking-interval map proves without simulating them, `audit`
-//! re-simulates every pruned trial and asserts the prediction; `off`
-//! is the default); results are bit-identical at every thread count
-//! and with every optimisation on or off. With
-//! `--store DIR` the masking maps persist next to the trial segments
-//! and are reused by later runs. This library holds the shared flag
-//! parsing ([`cli`]), aggregation and table rendering.
+//! The campaign binaries accept `--points N`, `--trials N` (scale
+//! knobs), `--seed N` and `--threads N` (0, the default, means every
+//! available core); defaults are sized for a laptop run of minutes.
+//! Every campaign runs one fast path — the golden checkpoint library
+//! and the reconvergence cutoff — and the µarch binaries add
+//! `--prune off|interval|audit`: `interval` classifies the trials the
+//! static masking-interval map proves without simulating them, and
+//! `audit` also runs every trial as the exhaustive reference (no
+//! cutoff, no map) and asserts both return the same record; `off` is
+//! the default. Results are bit-identical at every thread count and
+//! prune mode. With `--store DIR` trials persist in a content-addressed
+//! store, and the masking maps next to the trial segments, for later
+//! runs to reuse. Each binary's usage line lists exactly the flags it
+//! accepts. This library holds the shared flag parsing ([`cli`]),
+//! aggregation and table rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

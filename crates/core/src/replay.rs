@@ -13,15 +13,17 @@
 //! exposes the saturating first-interval case (`p < interval`) the
 //! closed form rounds away.
 //!
-//! Every restore is proof-carrying: the materialized machine's
-//! fingerprint is compared against the one recorded at capture
-//! ([`ReplayMeasurement::restores_verified`]), and the architectural
+//! Every restore is proof-carrying: a machine cloned from a snapshot at
+//! the restore coordinate must reproduce the fingerprint recorded at
+//! capture ([`ReplayMeasurement::restores_verified`]), and the architectural
 //! registers the paper's hardware would snapshot are round-tripped
 //! through [`crate::Checkpoint::of_cpu`].
 
 use crate::{config_digest, Checkpoint};
 use restore_arch::Cpu;
-use restore_snapshot::{with_library, GoldenCheckpointLibrary, LibraryKey, SnapshotMachine};
+use restore_snapshot::{
+    with_library, GoldenCheckpointLibrary, LibraryKey, Served, SnapshotMachine,
+};
 use restore_workloads::{Scale, WorkloadId};
 
 /// Library-key seeding domain for replay measurements (decorrelated
@@ -141,17 +143,21 @@ pub fn measure_rollbacks(
                 let mut cpu = m.machine;
                 // Finish the residual walk to the checkpoint coordinate
                 // and prove the restore: the state must reproduce its
-                // capture fingerprint (when the snapshot itself sits on
+                // capture fingerprint (when a snapshot itself sits on
                 // the restore coordinate) and must be exactly where the
-                // paper's two-deep store would roll back to.
-                if cpu.coord() == restore_at {
-                    assert_eq!(
-                        cpu.fingerprint(),
-                        m.base_fingerprint,
-                        "restored state diverged from its capture fingerprint"
-                    );
-                } else {
-                    assert!(cpu.step_to(restore_at), "golden run is live at the restore point");
+                // paper's two-deep store would roll back to. A frontier
+                // serve is already there.
+                match m.served {
+                    Served::Snapshot { fingerprint, .. } if cpu.coord() == restore_at => {
+                        assert_eq!(
+                            cpu.fingerprint(),
+                            fingerprint,
+                            "restored state diverged from its capture fingerprint"
+                        );
+                    }
+                    _ => {
+                        assert!(cpu.step_to(restore_at), "golden run is live at the restore point");
+                    }
                 }
                 let ck = Checkpoint::of_cpu(&cpu);
                 assert_eq!(ck.retired, restore_at, "checkpoint is at the rollback coordinate");

@@ -16,29 +16,19 @@
 //! parallelism, stats — is the shared core in [`crate::campaign`]; this
 //! module contributes the [`FaultModel`] primitives.
 //!
-//! Like the microarchitectural campaign, a trial supports a
-//! **reconvergence cutoff** ([`ArchCampaignConfig::cutoff_stride`]): at
-//! stride boundaries an empty overlay means the injected machine is
-//! bit-identical to golden, so the rest of the window is skipped — the
-//! simulator's determinism guarantees no further symptom and a masked
-//! verdict. Results are bit-identical with the cutoff on or off.
-//!
-//! It also supports **static interval pruning**
-//! ([`ArchCampaignConfig::prune`], [`PruneMode::Interval`]): the
-//! per-workload [`restore_maskmap::ArchMaskMap`] — one golden replay
-//! recording every register read and write — classifies register-result
-//! flips whose victim register is overwritten before any read (masked)
-//! or never accessed inside the window (unmasked residue) without
-//! cloning the injected machine at all. Store victims and read-first
-//! registers fall through to the lockstep trial. Results are
-//! bit-identical to `Off`; `PruneMode::Audit` proves it trial-by-trial.
+//! Like the microarchitectural campaign, a trial runs a **reconvergence
+//! cutoff**: at every [`CUTOFF_STRIDE`] boundary an empty overlay means
+//! the injected machine is bit-identical to golden, so the rest of the
+//! window is skipped — the simulator's determinism guarantees no
+//! further symptom and a masked verdict. The exhaustive trial (stride 0)
+//! is the reference the in-crate tests hold it to; there is no pruning
+//! map at this level.
 
 use crate::cache::TrialCache;
-use crate::campaign::{self, CampaignIo, FaultModel, TrialCost};
+use crate::campaign::{self, CampaignIo, FaultModel, TrialCost, CUTOFF_STRIDE};
 use crate::classify::{ArchCategory, Symptom, SymptomLatencies};
-use crate::engine::{effective_ckpt_stride, CampaignStats};
+use crate::engine::CampaignStats;
 use crate::seeding::DOMAIN_ARCH;
-use crate::uarch_campaign::PruneMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use restore_arch::{effective_address, execute, AccessKind, Cpu, ExecState, MemError, Retired};
@@ -47,12 +37,10 @@ use restore_core::{
     SourceSet, SymptomKind,
 };
 use restore_isa::{Inst, Reg};
-use restore_maskmap::{ArchMaskMap, MapSource};
 use restore_snapshot::SnapshotMachine;
 use restore_store::Shard;
 use restore_workloads::{run_length, Scale, WorkloadId};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Configuration of a Figure 2 campaign.
 #[derive(Debug, Clone)]
@@ -73,41 +61,18 @@ pub struct ArchCampaignConfig {
     /// Restrict flips to the low 32 bits of each result — the §3.1
     /// virtual-address-space sensitivity study.
     pub low32: bool,
-    /// Worker threads; 0 resolves via `RESTORE_THREADS` or the machine's
-    /// available parallelism. Results are bit-identical at every thread
-    /// count.
+    /// Worker threads; 0 means the machine's available parallelism.
+    /// Results are bit-identical at every thread count.
     // digest: neutral -- results are bit-identical at every thread count
     pub threads: usize,
-    /// Retired instructions between reconvergence checks: at each
-    /// multiple, an empty golden overlay (the injected machine equals
-    /// golden) proves the fault re-converged, and the rest of the window
-    /// is skipped. `0` disables the cutoff. Results are bit-identical
-    /// either way — only throughput changes.
-    // digest: neutral -- reconvergence cutoff is bit-identical on/off
-    pub cutoff_stride: u64,
-    /// Static interval pruning: skip simulating register-result trials
-    /// the per-workload [`restore_maskmap::ArchMaskMap`] proves masked
-    /// or residue-unmasked. [`PruneMode::Interval`] consults the map and
-    /// [`PruneMode::Audit`] additionally re-simulates every
-    /// map-classified trial and asserts the prediction. Results are
-    /// bit-identical across all modes.
-    // digest: neutral -- pruning is bit-identical across all modes
-    pub prune: PruneMode,
-    /// Where to persist (and load) the per-workload masking maps used
-    /// by [`PruneMode::Interval`] — campaign runners pass their
-    /// `--store` directory so sharded runs compute each map once per
-    /// shard *set*. `None` keeps maps in the process-wide registry
-    /// only. Result-neutral.
-    // digest: neutral -- maps are deterministic functions of the config
-    pub map_dir: Option<std::path::PathBuf>,
     /// Retired instructions between golden checkpoint captures
-    /// ([`restore_snapshot::GoldenCheckpointLibrary`]): injection
-    /// points materialize from the nearest checkpoint at-or-before
-    /// their instruction instead of a serial forward walk, and the
-    /// library is shared process-wide so repeated campaigns start warm.
-    /// `0` disables the library (serial producer). Results are
-    /// bit-identical either way — only producer cost changes.
-    // digest: neutral -- checkpoint fast-start is bit-identical on/off
+    /// ([`restore_snapshot::GoldenCheckpointLibrary`]), which must be
+    /// positive. A cold campaign walks the library's frontier through
+    /// its sorted points once; a repeat campaign in the same process
+    /// materializes each point from the nearest checkpoint at-or-before
+    /// it. Results are bit-identical at every stride — only producer
+    /// cost changes.
+    // digest: neutral -- checkpoint fast-start is bit-identical at every stride
     pub ckpt_stride: u64,
     /// Observation-time software-detector configuration (signature block
     /// size, duplication mask). Result-shaping: the knobs set the
@@ -125,19 +90,11 @@ impl Default for ArchCampaignConfig {
             seed: 0xF162,
             low32: false,
             threads: 0,
-            // The check itself is free (the overlay knows whether it is
-            // empty); the stride sets how soon after reconvergence a
-            // trial ends. Masked trials typically re-converge within a
-            // few hundred instructions of a run that would otherwise
-            // continue to program completion.
-            cutoff_stride: 250,
-            prune: PruneMode::Off,
-            map_dir: None,
             // The CoW memory makes an arch snapshot O(dirty pages);
             // 5 000-instruction checkpoints over million-instruction
-            // runs keep the library small while bounding each unit's
-            // residual sweep to one stride.
-            ckpt_stride: effective_ckpt_stride(5_000),
+            // runs keep the library small while bounding each warm
+            // unit's residual sweep to one stride.
+            ckpt_stride: 5_000,
             detectors: DetectorConfig::paper(),
         }
     }
@@ -203,9 +160,13 @@ impl ArchTrial {
     }
 }
 
-/// The architectural campaign as a [`FaultModel`] instance.
+/// The architectural campaign as a [`FaultModel`] instance. Its trials
+/// cut at `stride`: [`CUTOFF_STRIDE`] from every public entry point, 0
+/// (the exhaustive reference) only in this module's tests.
 struct ArchModel<'a> {
     cfg: &'a ArchCampaignConfig,
+    // digest: neutral -- the cutoff never changes a record; only the tests' reference passes 0
+    stride: u64,
 }
 
 /// One workload's walker: the swept golden CPU plus the workload's
@@ -235,16 +196,9 @@ impl SnapshotMachine for ArchMachine {
 
 /// Per-point bookkeeping: the lockstep iterations the exhaustive loop
 /// would execute from this fork (it stops when the golden side halts or
-/// the window expires; the victim instruction retires before the loop),
-/// plus — in interval mode — the workload's shared masking map.
+/// the window expires; the victim instruction retires before the loop).
 struct ArchGolden {
     window_executed: u64,
-    /// The workload's register access map ([`PruneMode::Interval`] and
-    /// [`PruneMode::Audit`]). Not carried by [`ArchMachine`]: machines
-    /// are cached in the process-wide checkpoint library under a config
-    /// digest that excludes the prune mode, so a map there would leak
-    /// across prune settings.
-    map: Option<Arc<ArchMaskMap>>,
 }
 
 impl FaultModel for ArchModel<'_> {
@@ -296,30 +250,12 @@ impl FaultModel for ArchModel<'_> {
         points
     }
 
-    fn prepare(&self, live: &[WorkloadId], threads: usize) -> Vec<MapSource> {
-        if self.cfg.prune == PruneMode::Off {
-            return Vec::new();
-        }
-        restore_maskmap::resolve_maps(live, threads, |id| {
-            restore_maskmap::arch_map_sourced(id, self.cfg.scale, self.cfg.map_dir.as_deref()).1
-        })
-    }
-
-    fn golden(&self, fork: &ArchMachine, id: WorkloadId) -> ArchGolden {
-        // `prepare` resolved the map before any unit ran, so fetching
-        // it per point is a registry hit and an `Arc` clone.
-        let map = match self.cfg.prune {
-            PruneMode::Off => None,
-            PruneMode::Interval | PruneMode::Audit => {
-                Some(restore_maskmap::arch_map(id, self.cfg.scale, self.cfg.map_dir.as_deref()))
-            }
-        };
+    fn golden(&self, fork: &ArchMachine, _id: WorkloadId) -> ArchGolden {
         ArchGolden {
             window_executed: self
                 .cfg
                 .window
                 .min(fork.run_len.saturating_sub(fork.cpu.retired() + 1)),
-            map,
         }
     }
 
@@ -331,7 +267,7 @@ impl FaultModel for ArchModel<'_> {
         mut rng: StdRng,
     ) -> (Option<ArchTrial>, TrialCost) {
         let bit = if self.cfg.low32 { rng.gen_range(0..32) } else { rng.gen_range(0..64) };
-        run_trial(&fork.cpu, id, bit, self.cfg, golden)
+        lockstep_trial(&fork.cpu, id, bit, self.cfg, golden.window_executed, self.stride)
     }
 }
 
@@ -340,10 +276,10 @@ impl FaultModel for ArchModel<'_> {
 /// low-32 bit restriction and the software-detector knobs
 /// ([`DetectorConfig`] — they set the signature/duplication latencies a
 /// record carries). Deliberately excluded — the seed and trial count
-/// (coordinates in the [`restore_store::TrialKey`]), and thread counts,
-/// checkpoint strides and the cutoff stride (result-neutral, proved by
-/// the equivalence suites). Records written under a different digest
-/// are inert misses, never corruption.
+/// (coordinates in the [`restore_store::TrialKey`]), and thread counts
+/// and checkpoint strides (result-neutral, proved by the golden
+/// vectors). Records written under a different digest are inert
+/// misses, never corruption.
 pub fn arch_campaign_digest(cfg: &ArchCampaignConfig) -> u64 {
     ConfigDigest::new()
         .text("arch-campaign")
@@ -375,7 +311,7 @@ pub fn run_arch_campaign_io(
     cache: Option<&TrialCache<ArchTrial>>,
     shard: Shard,
 ) -> (Vec<ArchTrial>, CampaignStats) {
-    campaign::run_all_io(&ArchModel { cfg }, &CampaignIo { cache, shard })
+    campaign::run_all_io(&ArchModel { cfg, stride: CUTOFF_STRIDE }, &CampaignIo { cache, shard })
 }
 
 /// Runs the campaign and also reports throughput instrumentation.
@@ -383,78 +319,14 @@ pub fn run_arch_campaign_io(
 /// Trials come back in plan order `(workload, point)` and are
 /// bit-identical for a given `(cfg.seed, cfg)` at every thread count.
 pub fn run_arch_campaign_with_stats(cfg: &ArchCampaignConfig) -> (Vec<ArchTrial>, CampaignStats) {
-    campaign::run_all(&ArchModel { cfg })
+    campaign::run_all(&ArchModel { cfg, stride: CUTOFF_STRIDE })
 }
 
 /// Runs trials for a single workload (exposed for focused experiments).
 /// The result is exactly the workload's slice of the full campaign with
 /// the same seed.
 pub fn run_workload(cfg: &ArchCampaignConfig, id: WorkloadId) -> Vec<ArchTrial> {
-    campaign::run_single(&ArchModel { cfg }, id).0
-}
-
-/// Runs one trial from a golden CPU positioned at the injection point,
-/// consulting the masking map first when interval pruning is on.
-///
-/// The probe executes the victim instruction on a golden clone; when
-/// its result is a register write the map can classify, the whole
-/// lockstep pair is skipped — the injected machine is never cloned and
-/// the trial record follows from the verdict alone (a write-before-read
-/// victim register produces no symptom stream of its own, so every
-/// latency stays `None` and only the masked flag varies). Store
-/// victims, read-first registers and no-result instructions fall
-/// through to [`lockstep_trial`].
-fn run_trial(
-    at: &Cpu,
-    id: WorkloadId,
-    bit: u32,
-    cfg: &ArchCampaignConfig,
-    point: &ArchGolden,
-) -> (Option<ArchTrial>, TrialCost) {
-    let window_executed = point.window_executed;
-    if let Some(map) = &point.map {
-        let mut probe = at.clone();
-        let idx = at.retired();
-        let r = probe.step().expect("golden never faults");
-        if let Some((reg, _)) = r.reg_write {
-            if let Some(masked) = map.verdict(idx, reg, window_executed) {
-                // A write-before-read (or never-accessed) victim register
-                // produces no symptom stream of its own, and the
-                // corrupted value is never read, so no downstream write
-                // mismatches either. The one detector that still sees the
-                // flip is the duplicate compare at the injection site —
-                // when the victim register is protected.
-                let predicted = ArchTrial {
-                    workload: id,
-                    symptoms: SymptomLatencies::default(),
-                    sig_mismatch: None,
-                    dup_mismatch: cfg.detectors.dup_covers(reg.index() as u8).then_some(1),
-                    masked,
-                };
-                if cfg.prune == PruneMode::Audit {
-                    let (actual, cost) = lockstep_trial(at, id, bit, cfg, window_executed);
-                    assert_eq!(
-                        actual,
-                        Some(predicted),
-                        "interval map disagrees with simulation \
-                         (workload {id:?}, reg {reg:?}, point {idx})"
-                    );
-                    // The simulation already charged the window;
-                    // `pruned` only counts the checked prediction.
-                    return (actual, TrialCost { pruned: true, ..cost });
-                }
-                return (
-                    Some(predicted),
-                    TrialCost {
-                        pruned: true,
-                        pruned_cycles: window_executed,
-                        ..TrialCost::default()
-                    },
-                );
-            }
-        }
-    }
-    lockstep_trial(at, id, bit, cfg, window_executed)
+    campaign::run_single(&ArchModel { cfg, stride: CUTOFF_STRIDE }, id).0
 }
 
 /// Golden's state where it differs from the injected machine's, while
@@ -633,6 +505,9 @@ fn store_target(cpu: &Cpu, inst: Inst) -> Option<(u64, [u8; 8])> {
 /// produces no result to corrupt (fences, branches without link, PAL
 /// calls). `window_executed` is the exhaustive loop's iteration count
 /// from this fork ([`ArchGolden`]), used to price a cutoff.
+/// The campaign runs at `stride` [`CUTOFF_STRIDE`]; stride 0 is the
+/// exhaustive reference, which must return the same record and simulate
+/// `simulated + saved` of the cut trial.
 ///
 /// Only the injected machine is stepped. Golden is the injected machine
 /// plus an [`Overlay`] of its values where the two differ, seeded from
@@ -647,7 +522,7 @@ fn store_target(cpu: &Cpu, inst: Inst) -> Option<(u64, [u8; 8])> {
 /// cfv symptom has fired and only the injected side runs on, looking for
 /// a late exception.
 ///
-/// At a stride boundary an empty overlay means two identical machines
+/// At a `stride` boundary an empty overlay means two identical machines
 /// with identical futures, so the trial is cut as masked. Otherwise the
 /// end-of-trial judgement reads the overlay: after both halt, the output
 /// logs and memory images decide; when the window expires first, the
@@ -658,6 +533,7 @@ fn lockstep_trial(
     bit: u32,
     cfg: &ArchCampaignConfig,
     window_executed: u64,
+    stride: u64,
 ) -> (Option<ArchTrial>, TrialCost) {
     let mut injected = at.clone();
     let mut diff = Overlay::default();
@@ -694,7 +570,6 @@ fn lockstep_trial(
         masked: false,
     };
 
-    let stride = cfg.cutoff_stride;
     let mut executed = 0u64;
     let mut cut = false;
     for n in 1..=cfg.window {
@@ -863,6 +738,7 @@ mod tests {
         bit: u32,
         cfg: &ArchCampaignConfig,
         window_executed: u64,
+        stride: u64,
     ) -> (Option<ArchTrial>, TrialCost) {
         let mut golden = at.clone();
         let mut injected = at.clone();
@@ -901,7 +777,6 @@ mod tests {
             masked: false,
         };
 
-        let stride = cfg.cutoff_stride;
         let mut executed = 0u64;
         let mut cut = false;
         for n in 1..=cfg.window {
@@ -1037,7 +912,10 @@ mod tests {
         /// The overlay engine returns exactly the two-machine engine's
         /// `(Option<ArchTrial>, TrialCost)` over random trials of all
         /// seven smoke programs, and the sample reaches every outcome and
-        /// every golden-evaluation read class the overlay handles.
+        /// every golden-evaluation read class the overlay handles. The
+        /// cutoff at the drawn stride returns the exhaustive (stride 0)
+        /// reference's record, and its simulated plus saved
+        /// instructions are exactly what the reference simulated.
         #[test]
         fn overlay_lockstep_equals_two_machine_lockstep(
             specs in proptest::collection::vec(trial_spec(), 240),
@@ -1068,15 +946,24 @@ mod tests {
                 }
                 let cfg = ArchCampaignConfig {
                     low32,
-                    cutoff_stride: stride,
                     window: short.unwrap_or(quick_cfg().window),
                     ..quick_cfg()
                 };
                 let bit = if low32 { bit % 32 } else { bit };
                 let window_executed = cfg.window.min(run_len - point - 1);
-                let want = two_machine_trial(cpu, id, bit, &cfg, window_executed);
-                let got = lockstep_trial(cpu, id, bit, &cfg, window_executed);
+                let want = two_machine_trial(cpu, id, bit, &cfg, window_executed, stride);
+                let got = lockstep_trial(cpu, id, bit, &cfg, window_executed, stride);
                 prop_assert_eq!(got, want, "{:?} point {} bit {} stride {}", id, point, bit, stride);
+                let (reference, ref_cost) = lockstep_trial(cpu, id, bit, &cfg, window_executed, 0);
+                prop_assert_eq!(
+                    reference, got.0,
+                    "{:?} point {} bit {}: stride {} changed the record", id, point, bit, stride
+                );
+                prop_assert_eq!(
+                    ref_cost.simulated,
+                    got.1.simulated + got.1.saved,
+                    "{:?} point {} bit {}: stride {} mispriced the cut", id, point, bit, stride
+                );
 
                 let victim = cpu.clone().step().expect("golden never faults");
                 let (trial, cost) = got;
@@ -1156,6 +1043,27 @@ mod tests {
     // `restore-audit` (`crates/audit/src/battery.rs`), which also pins
     // the historical default-config digest values.
 
+    /// The cutoff changes only how many instructions a campaign
+    /// simulates: the same campaign at stride 0, the exhaustive
+    /// reference, returns the same records, never cuts, and simulates
+    /// exactly the cut campaign's simulated plus saved instructions.
+    #[test]
+    fn cutoff_saves_cycles_without_changing_trials() {
+        let cfg = quick_cfg();
+        let (t_on, s_on) = run_arch_campaign_with_stats(&cfg);
+        let (t_off, s_off) = campaign::run_all(&ArchModel { cfg: &cfg, stride: 0 });
+        assert_eq!(t_on, t_off, "cutoff changed trial records");
+        assert!(s_on.trials_cut > 0, "cutoff never fired on the smoke campaign");
+        assert!(s_on.cycles_saved > 0);
+        assert_eq!(s_off.trials_cut, 0);
+        assert_eq!(s_off.cycles_saved, 0);
+        assert_eq!(
+            s_on.cycles_simulated + s_on.cycles_saved,
+            s_off.cycles_simulated,
+            "cut trials must account for exactly the instructions the exhaustive loop runs"
+        );
+    }
+
     #[test]
     fn campaign_produces_trials_for_all_workloads() {
         let trials = run_arch_campaign(&quick_cfg());
@@ -1182,97 +1090,6 @@ mod tests {
         // Paper: ~24% of all injections raise an exception within 100
         // instructions — the dominant failing category.
         assert!(exc_100 > 0.05, "exception@100 only {exc_100:.2}");
-    }
-
-    #[test]
-    fn cutoff_saves_cycles_without_changing_trials() {
-        let on = quick_cfg();
-        let off = ArchCampaignConfig { cutoff_stride: 0, ..quick_cfg() };
-        let (t_on, s_on) = run_arch_campaign_with_stats(&on);
-        let (t_off, s_off) = run_arch_campaign_with_stats(&off);
-        assert_eq!(t_on, t_off, "cutoff changed trial records");
-        assert!(s_on.trials_cut > 0, "cutoff never fired on the smoke campaign");
-        assert!(s_on.cycles_saved > 0);
-        assert_eq!(s_off.trials_cut, 0);
-        assert_eq!(s_off.cycles_saved, 0);
-        assert_eq!(
-            s_on.cycles_simulated + s_on.cycles_saved,
-            s_off.cycles_simulated,
-            "cut trials must account for exactly the instructions the exhaustive loop runs"
-        );
-    }
-
-    /// Interval pruning must never change a trial record. The
-    /// hand-written kernels read almost every result before overwriting
-    /// it, so random smoke draws rarely land on a map-provable point —
-    /// firing is proved exhaustively in
-    /// [`map_classified_points_match_lockstep_simulation`]; here the
-    /// campaigns just have to agree bit-for-bit.
-    #[test]
-    fn interval_prune_is_bit_identical() {
-        let off = quick_cfg();
-        let interval = ArchCampaignConfig { prune: PruneMode::Interval, ..quick_cfg() };
-        let (t_off, s_off) = run_arch_campaign_with_stats(&off);
-        let (t_int, s_int) = run_arch_campaign_with_stats(&interval);
-        assert_eq!(t_off, t_int, "interval pruning changed trial records");
-        assert_eq!(s_off.trials_pruned, 0);
-        assert_eq!(
-            s_int.cycles_simulated + s_int.cycles_saved + s_int.cycles_pruned,
-            s_off.cycles_simulated + s_off.cycles_saved,
-            "pruned instructions must account for the unpruned run's instructions"
-        );
-    }
-
-    /// Sweeps the whole Gapx golden run and, at *every* point the map
-    /// classifies, runs the trial in `Audit` mode — which simulates the
-    /// lockstep pair and asserts the predicted record matches. This is
-    /// the deterministic counterpart of the random-draw campaigns,
-    /// covering all firing points instead of hoping to sample one.
-    #[test]
-    fn map_classified_points_match_lockstep_simulation() {
-        let id = WorkloadId::Gapx;
-        let cfg = ArchCampaignConfig { prune: PruneMode::Audit, ..quick_cfg() };
-        let program = id.build(cfg.scale);
-        let map = restore_maskmap::arch_map(id, cfg.scale, None);
-        let run_len = run_length(id, cfg.scale);
-
-        // First pass: collect every point whose victim result the map
-        // can classify (points are visited in order, so the trial pass
-        // below is a single forward sweep).
-        let mut cpu = Cpu::new(&program);
-        let mut firing = Vec::new();
-        while !cpu.is_halted() {
-            let point = cpu.retired();
-            let r = cpu.step().expect("golden never faults");
-            let window_executed = cfg.window.min(run_len.saturating_sub(point + 1));
-            if let Some((reg, _)) = r.reg_write {
-                if map.verdict(point, reg, window_executed).is_some() {
-                    firing.push(point);
-                }
-            }
-        }
-        assert!(firing.len() >= 50, "only {} map-classified points in Gapx", firing.len());
-
-        // Second pass: audit each firing point (the map branch inside
-        // `run_trial` asserts predicted == simulated in `Audit` mode).
-        let mut cpu = Cpu::new(&program);
-        for &p in &firing {
-            while cpu.retired() < p {
-                cpu.step().expect("golden never faults");
-            }
-            let golden = ArchGolden {
-                window_executed: cfg.window.min(run_len.saturating_sub(p + 1)),
-                map: Some(Arc::clone(&map)),
-            };
-            let (trial, cost) = run_trial(&cpu, id, 13, &cfg, &golden);
-            assert!(trial.is_some_and(|t| t.symptoms == SymptomLatencies::default()));
-            assert!(cost.pruned, "map-classified point {p} did not prune");
-            assert_eq!(
-                cost.planned(),
-                golden.window_executed,
-                "an audited prune charges its window exactly once, as simulation"
-            );
-        }
     }
 
     #[test]

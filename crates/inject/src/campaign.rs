@@ -33,7 +33,9 @@ use crate::seeding::Seeder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use restore_maskmap::MapSource;
-use restore_snapshot::{with_library, GoldenCheckpointLibrary, LibraryKey, SnapshotMachine};
+use restore_snapshot::{
+    with_library, GoldenCheckpointLibrary, LibraryKey, Served, SnapshotMachine,
+};
 use restore_store::{Payload, Shard, Stored, TrialKey};
 use restore_workloads::WorkloadId;
 use std::time::Instant;
@@ -45,6 +47,17 @@ use std::time::Instant;
 /// hits replay exact accounting — and is re-exported here so the fault
 /// models keep their historical path.
 pub(crate) use restore_store::TrialCost;
+
+/// Window units between reconvergence checks, in both fault models: at
+/// each multiple a trial whose machine equals golden's is cut, and the
+/// rest of its window is back-filled from golden. A µarch check costs a
+/// fingerprint, about a few hundred pipeline cycles of work (an arch
+/// check is free), so 250 keeps the overhead a few percent while
+/// catching reconvergence (typically a few hundred units after a masked
+/// flip) early in the window. Stride 0 — no checks — is
+/// the exhaustive reference trial that `PruneMode::Audit` and the
+/// in-crate tests compare against.
+pub(crate) const CUTOFF_STRIDE: u64 = 250;
 
 impl<R> UnitOutput<R> {
     /// Folds one trial's cost into the unit's accounting.
@@ -63,9 +76,10 @@ impl<R> UnitOutput<R> {
 /// [`run_campaign`]; implementations only ever see one machine, one
 /// golden observation, or one trial at a time.
 pub(crate) trait FaultModel: Sync {
-    /// A machine snapshot: cloned at each injection point, walked
-    /// forward (by the serial sweeper, or by workers finishing the
-    /// residual from a checkpoint) in between.
+    /// A machine snapshot: cloned at each injection point from the
+    /// golden checkpoint library, walked forward in between (by the
+    /// library's frontier, or by workers finishing the residual from a
+    /// checkpoint).
     type Machine: Send + SnapshotMachine + 'static;
     /// Per-point golden observation shared by the point's trials.
     type Golden;
@@ -81,9 +95,8 @@ pub(crate) trait FaultModel: Sync {
     fn threads(&self) -> usize;
     /// Trials per injection point.
     fn trials_per_point(&self) -> usize;
-    /// Golden checkpoint capture stride, in the model's sweep unit.
-    /// `0` disables the library: the producer falls back to the
-    /// historical serial forward walk.
+    /// Golden checkpoint capture stride, in the model's sweep unit. Must
+    /// be positive ([`GoldenCheckpointLibrary::new`] asserts it).
     fn ckpt_stride(&self) -> u64;
     /// Digest of everything that shapes the golden run's evolution
     /// (program scale, machine configuration — *not* campaign seeds,
@@ -94,8 +107,8 @@ pub(crate) trait FaultModel: Sync {
     /// configuration plus the observation-window parameters — and
     /// nothing that doesn't: seeds and coordinates live in the
     /// [`TrialKey`] itself, and thread counts, checkpoint strides and
-    /// cutoff/prune settings are result-neutral (proved by the
-    /// equivalence suites). Keys the on-disk trial store: records
+    /// prune settings are result-neutral (proved by the golden vectors
+    /// and `--prune audit`). Keys the on-disk trial store: records
     /// written under a different campaign digest are inert misses.
     fn campaign_digest(&self) -> u64;
 
@@ -141,13 +154,12 @@ struct PointUnit<M> {
     /// coordinate).
     point: usize,
     /// The injection coordinate. The worker finishes the residual
-    /// `machine.step_to(coord)` — a no-op for the serial producer, at
-    /// most one stride for the checkpoint producer.
+    /// `machine.step_to(coord)` — a no-op for a frontier serve, at most
+    /// one stride for a snapshot serve.
     coord: u64,
     machine: M,
-    /// `Some(hit)` when the machine came from the checkpoint library:
-    /// `true` if its serving snapshot predated this campaign.
-    ckpt_hit: Option<bool>,
+    /// `true` if the serving snapshot predated this campaign.
+    ckpt_hit: bool,
     /// Warm-up cycles the library skipped for this unit (hits only).
     warmup_saved: u64,
 }
@@ -237,21 +249,16 @@ where
 /// the model [`FaultModel::prepare`] the workloads with at least one
 /// owned, not-fully-cached point, over the campaign's worker threads.
 /// The [`run_ordered`] producer then materializes each workload's
-/// planned points — from the golden checkpoint library when the model's
-/// stride is non-zero (O(1) per point, warm across campaigns), by the
-/// historical serial forward walk when it is 0 — and forks a
-/// [`PointUnit`] at each; workers finish the residual sweep to the
-/// injection coordinate, run the point's golden observation and its
-/// coordinate-seeded trials, and results reassemble in plan order
-/// `(workload, point, trial)`.
+/// planned points from the golden checkpoint library
+/// ([`library_produce`]) and forks a [`PointUnit`] at each; workers
+/// finish the residual sweep to the injection coordinate, run the
+/// point's golden observation and its coordinate-seeded trials, and
+/// results reassemble in plan order `(workload, point, trial)`.
 ///
-/// Equivalence of the two producers (proved bit-exact by
-/// `tests/ckpt_equivalence.rs`): a unit is emitted iff the golden run
-/// is live *at* its coordinate — the serial walk observes that
-/// directly via `step_to`, the library via its recorded stop
-/// coordinate — and the machine a worker ends up with at the
-/// coordinate is identical either way because the simulators are
-/// deterministic and restore is fingerprint-verified.
+/// A unit is emitted iff the golden run is live *at* its coordinate,
+/// and the machine a worker ends up with there is the golden run's
+/// whichever way the library served it: the simulators are
+/// deterministic and snapshot restores are fingerprint-verified.
 fn run_campaign<F: FaultModel>(
     model: &F,
     workloads: &[(usize, WorkloadId)],
@@ -261,7 +268,6 @@ where
     F::Trial: Payload,
 {
     let seeder = Seeder::new(model.seed(), model.domain());
-    let stride = model.ckpt_stride();
     let config = model.campaign_digest();
     if let Some(cache) = io.cache {
         assert_eq!(
@@ -305,11 +311,7 @@ where
         threads,
         |emit| {
             for points in &plans {
-                if stride == 0 {
-                    serial_produce(model, points, &seeder, io, emit);
-                } else {
-                    library_produce(model, points, stride, &seeder, io, emit);
-                }
+                library_produce(model, points, &seeder, io, emit);
             }
         },
         |unit: Unit<F::Machine, F::Trial>| {
@@ -334,8 +336,8 @@ where
 
             let t0 = Instant::now();
             let mut out = UnitOutput { sweep_secs, golden_secs, ..UnitOutput::default() };
-            out.checkpoint_hits = u64::from(unit.ckpt_hit == Some(true));
-            out.checkpoint_misses = u64::from(unit.ckpt_hit == Some(false));
+            out.checkpoint_hits = u64::from(unit.ckpt_hit);
+            out.checkpoint_misses = u64::from(!unit.ckpt_hit);
             out.warmup_cycles_saved = unit.warmup_saved;
             out.results.reserve(model.trials_per_point());
             for t in 0..model.trials_per_point() {
@@ -447,55 +449,18 @@ fn trial_key<T: Payload>(
     }
 }
 
-/// The historical producer: one walker swept serially forward through
-/// the workload's sorted plan, forked at each reachable point. Points
-/// outside the shard — and fully-cached points — are skipped without
-/// stepping: `step_to` is absolute, so the walker jumps straight to
-/// the next coordinate this run actually simulates.
-fn serial_produce<F: FaultModel>(
-    model: &F,
-    points: &Points,
-    seeder: &Seeder,
-    io: &CampaignIo<'_, F::Trial>,
-    emit: &mut dyn FnMut(Unit<F::Machine, F::Trial>),
-) where
-    F::Trial: Payload,
-{
-    let Points { wl, id, base, ref plan } = *points;
-    let mut walker = model.spawn(id);
-    for (point, &coord) in plan.iter().enumerate() {
-        if !io.shard.owns(base + point as u64) {
-            continue;
-        }
-        if let Some(recs) = cached_point(model, io.cache, seeder, wl, point, coord) {
-            emit(Unit::Cached(recs));
-            continue;
-        }
-        if !walker.step_to(coord) {
-            break;
-        }
-        emit(Unit::Live(PointUnit {
-            wl,
-            id,
-            point,
-            coord,
-            machine: walker.clone(),
-            ckpt_hit: None,
-            warmup_saved: 0,
-        }));
-    }
-}
-
-/// The checkpoint producer: points materialize from the process-wide
-/// golden library for `(domain, workload, config, stride)`, each unit
-/// carrying the nearest snapshot at-or-before its coordinate. The
-/// workload's golden prefix is simulated at most once per process, and
-/// emission stops at exactly the first unreachable coordinate — the
-/// same abandonment point as the serial walk.
+/// The producer: points materialize from the process-wide golden
+/// library for `(domain, workload, config, stride)`. Points past the
+/// library's frontier are clones of the frontier walked there — for a
+/// cold library, exactly the work of one serial forward walk — and
+/// points behind it come from the nearest snapshot at-or-before them.
+/// The workload's golden prefix is simulated at most once per process.
+/// Points outside the shard, and fully-cached points, are skipped
+/// without materializing anything, and emission stops at exactly the
+/// first coordinate where the golden run is no longer live.
 fn library_produce<F: FaultModel>(
     model: &F,
     points: &Points,
-    stride: u64,
     seeder: &Seeder,
     io: &CampaignIo<'_, F::Trial>,
     emit: &mut dyn FnMut(Unit<F::Machine, F::Trial>),
@@ -503,6 +468,7 @@ fn library_produce<F: FaultModel>(
     F::Trial: Payload,
 {
     let Points { wl, id, base, ref plan } = *points;
+    let stride = model.ckpt_stride();
     let key = LibraryKey {
         domain: model.domain(),
         workload: wl as u64,
@@ -528,14 +494,14 @@ fn library_produce<F: FaultModel>(
                 let Some(m) = lib.materialize(coord) else {
                     break;
                 };
-                let hit = m.snap_index < warm_snaps;
+                let hit = matches!(m.served, Served::Snapshot { index, .. } if index < warm_snaps);
                 emit(Unit::Live(PointUnit {
                     wl,
                     id,
                     point,
                     coord,
                     machine: m.machine,
-                    ckpt_hit: Some(hit),
+                    ckpt_hit: hit,
                     warmup_saved: if hit { m.base_coord - lib.origin_coord() } else { 0 },
                 }));
             }

@@ -23,32 +23,13 @@ use parking_lot::Mutex;
 use std::fmt;
 use std::time::Instant;
 
-/// Resolves a requested worker count: an explicit request wins, then the
-/// `RESTORE_THREADS` environment variable, then the machine's available
-/// parallelism.
+/// Resolves a requested worker count: an explicit request wins, and 0
+/// means the machine's available parallelism.
 pub fn effective_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
-    if let Some(n) = std::env::var("RESTORE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
     std::thread::available_parallelism().map(std::num::NonZero::get).unwrap_or(1)
-}
-
-/// Resolves a campaign's checkpoint stride: an explicit non-default
-/// request would be set on the config directly, so this only arbitrates
-/// between the `RESTORE_CKPT_STRIDE` environment variable and the
-/// model's default. `0` disables the golden checkpoint library (the
-/// producer falls back to the historical serial sweep) and is a valid
-/// explicit setting, so — unlike [`effective_threads`] — zero from the
-/// environment is honoured, not treated as "unset".
-pub fn effective_ckpt_stride(default: u64) -> u64 {
-    std::env::var("RESTORE_CKPT_STRIDE").ok().and_then(|v| v.parse::<u64>().ok()).unwrap_or(default)
 }
 
 /// Throughput instrumentation for one campaign run.
@@ -71,8 +52,10 @@ pub struct CampaignStats {
     pub produce_secs: f64,
     /// Worker seconds spent sweeping materialized machines from their
     /// checkpoint to the injection coordinate (the residual O(stride)
-    /// walk), summed across workers. Zero when the checkpoint library is
-    /// off — the serial producer pays the whole sweep in `produce_secs`.
+    /// walk), summed across workers. Near zero on a cold campaign: the
+    /// producer pays the golden walk in `produce_secs` and hands out
+    /// machines already at their coordinates; only units served from a
+    /// snapshot behind the library's frontier have a residual to walk.
     pub sweep_secs: f64,
     /// Worker seconds spent on golden runs, summed across workers.
     pub golden_secs: f64,
@@ -81,12 +64,12 @@ pub struct CampaignStats {
     /// Units served from a checkpoint captured before this campaign
     /// started (warm library reuse across campaigns in one process).
     pub checkpoint_hits: u64,
-    /// Units whose serving checkpoint was captured by this campaign's
-    /// own frontier extension (cold capture).
+    /// Units served cold: cloned from the library's frontier as this
+    /// campaign walked it forward, or from a snapshot that walk captured.
     pub checkpoint_misses: u64,
     /// Golden warm-up cycles the library's warm checkpoints skipped:
     /// the sum over hit units of their serving checkpoint's coordinate.
-    /// A serial sweep (or a cold library) re-simulates these.
+    /// A cold library re-simulates these.
     pub warmup_cycles_saved: u64,
     /// Observation-window cycles actually simulated by trials (golden
     /// runs excluded — they run once per unit regardless of the cutoff).
@@ -287,10 +270,9 @@ pub(crate) struct UnitOutput<R> {
     /// Seconds spent running injected trials.
     pub trial_secs: f64,
     /// 1 when this unit was served from a pre-campaign (warm)
-    /// checkpoint, 0 for a cold capture or the serial producer.
+    /// checkpoint, 0 for a cold serve.
     pub checkpoint_hits: u64,
-    /// 1 when this unit's checkpoint was captured cold by this
-    /// campaign, 0 otherwise.
+    /// 1 when this unit was served cold by this campaign, 0 otherwise.
     pub checkpoint_misses: u64,
     /// Warm-up cycles the unit's warm checkpoint skipped.
     pub warmup_cycles_saved: u64,
@@ -628,18 +610,7 @@ mod tests {
     #[test]
     fn effective_threads_resolution_order() {
         assert_eq!(effective_threads(3), 3, "explicit request wins");
-        assert!(effective_threads(0) >= 1, "auto resolves to something");
-    }
-
-    #[test]
-    fn effective_ckpt_stride_defaults_without_env() {
-        // Setting the variable here would race every concurrently
-        // running test whose config `Default` reads it, so only the
-        // unset path is asserted in-process; the CLI tests cover
-        // explicit values, including zero (= library off).
-        if std::env::var_os("RESTORE_CKPT_STRIDE").is_none() {
-            assert_eq!(effective_ckpt_stride(2_000), 2_000);
-            assert_eq!(effective_ckpt_stride(0), 0);
-        }
+        let auto = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        assert_eq!(effective_threads(0), auto, "0 is the available parallelism");
     }
 }

@@ -56,7 +56,7 @@ pub use arch_campaign::{
 };
 pub use cache::TrialCache;
 pub use classify::{ArchCategory, Symptom, SymptomLatencies, UarchCategory};
-pub use engine::{effective_ckpt_stride, effective_threads, CampaignStats};
+pub use engine::{effective_threads, CampaignStats};
 pub use restore_core::{DetectorConfig, DetectorSet, SourceSet, SymptomSource, LHF_DUP_MASK};
 pub use restore_store::{Payload, Shard, Stored, TrialCost, TrialKey};
 pub use stats::{worst_case_ci95, Proportion};

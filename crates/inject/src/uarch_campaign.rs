@@ -11,8 +11,8 @@
 //!
 //! Two throughput optimisations ride on the monitor, both result-neutral:
 //!
-//! * the **reconvergence cutoff** ([`UarchCampaignConfig::cutoff_stride`])
-//!   stops a trial at the first stride boundary where its full-machine
+//! * the **reconvergence cutoff** stops a trial at the first
+//!   [`crate::campaign::CUTOFF_STRIDE`] boundary where its full-machine
 //!   fingerprint ([`Pipeline::fingerprint`]) matches the golden run's —
 //!   the simulator is deterministic, so equal complete state at equal
 //!   cycle means identical futures, and the remaining observables are
@@ -20,12 +20,15 @@
 //! * **interval pruning** ([`UarchCampaignConfig::prune`]) classifies
 //!   flips the per-workload masking-interval map
 //!   ([`restore_maskmap::UarchMaskMap`]) proves masked or residue without
-//!   simulating their window at all. `PruneMode::Audit` simulates every
-//!   pruned trial anyway and asserts the prediction was exact.
+//!   simulating their window at all.
+//!
+//! Together they are the fast path. `PruneMode::Audit` runs every trial
+//! down the fast path *and* as the reference — the exhaustive trial with
+//! no cutoff and no map — and asserts both return the same record.
 
 use crate::cache::TrialCache;
 use crate::campaign::{self, CampaignIo, FaultModel, TrialCost};
-use crate::engine::{effective_ckpt_stride, CampaignStats};
+use crate::engine::CampaignStats;
 use crate::seeding::DOMAIN_UARCH;
 use crate::uarch_trial::{
     draw_bit, golden_run, predict_dead_trial, run_trial, GoldenRun, UarchTrial,
@@ -53,23 +56,25 @@ pub enum InjectionTarget {
 // `SymptomSource`; re-exported here for the historical path.
 pub use restore_core::CfvMode;
 
-/// Injection pruning mode ([`UarchCampaignConfig::prune`],
-/// [`crate::ArchCampaignConfig::prune`]).
+/// Injection pruning mode of a µarch campaign
+/// ([`UarchCampaignConfig::prune`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PruneMode {
-    /// Every trial simulates its full observation window (modulo the
-    /// reconvergence cutoff).
+    /// Every trial simulates its observation window, up to the
+    /// reconvergence cutoff.
     #[default]
     Off,
-    /// The static masking-interval map ([`restore_maskmap::UarchMaskMap`],
-    /// [`restore_maskmap::ArchMaskMap`]) is consulted first: an
-    /// injection the map proves masked (or residue) is classified with
-    /// zero simulated window cycles, and every other draw is simulated.
-    /// Results are bit-identical to `Off`.
+    /// The static masking-interval map ([`restore_maskmap::UarchMaskMap`])
+    /// is consulted first: an injection the map proves masked (or
+    /// residue) is classified with zero simulated window cycles, and
+    /// every other draw is simulated. Results are bit-identical to `Off`.
     Interval,
-    /// Like `Interval`, but every map-pruned trial is *also* simulated
-    /// exhaustively and the predicted record is asserted identical — the
-    /// map's equivalence check, at full cost.
+    /// `Interval`, checked: every trial also runs as the exhaustive
+    /// reference (no cutoff, no map), which must return the same record
+    /// and simulate exactly the window the fast path planned. The
+    /// reference runs are not counted, so the trials and every
+    /// non-timing counter equal `Interval`'s — the cutoff's and the
+    /// map's equivalence check at any geometry, at full cost.
     Audit,
 }
 
@@ -99,22 +104,15 @@ pub struct UarchCampaignConfig {
     pub seed: u64,
     /// Eligible state.
     pub target: InjectionTarget,
-    /// Worker threads; 0 resolves via `RESTORE_THREADS` or the machine's
-    /// available parallelism. Results are bit-identical at every thread
-    /// count.
+    /// Worker threads; 0 means the machine's available parallelism.
+    /// Results are bit-identical at every thread count.
     // digest: neutral -- results are bit-identical at every thread count
     pub threads: usize,
-    /// Cycles between full-machine fingerprint comparisons against the
-    /// golden run; when a trial's fingerprint matches at a boundary its
-    /// future is identical to the golden run's, so the rest of the
-    /// window is skipped and back-filled. `0` disables the cutoff.
-    /// Results are bit-identical either way — only throughput changes.
-    // digest: neutral -- reconvergence cutoff is bit-identical on/off
-    pub cutoff_stride: u64,
     /// Interval pruning: skip simulating trials whose flip the
     /// masking-interval map proves masked or residue. Results are
     /// bit-identical to [`PruneMode::Off`]; [`PruneMode::Audit`]
-    /// verifies that claim trial-by-trial at full simulation cost.
+    /// verifies that claim, and the cutoff's, trial-by-trial at full
+    /// simulation cost.
     // digest: neutral -- pruning is bit-identical across all modes
     pub prune: PruneMode,
     /// Where to persist (and load) the per-workload masking-interval
@@ -126,13 +124,13 @@ pub struct UarchCampaignConfig {
     // digest: neutral -- maps are deterministic functions of the config
     pub map_dir: Option<std::path::PathBuf>,
     /// Cycles between golden checkpoint captures
-    /// ([`restore_snapshot::GoldenCheckpointLibrary`]): injection
-    /// points materialize from the nearest checkpoint at-or-before
-    /// their cycle instead of a serial forward walk, and the library is
-    /// shared process-wide so repeated campaigns start warm. `0`
-    /// disables the library (serial producer). Results are
-    /// bit-identical either way — only producer cost changes.
-    // digest: neutral -- checkpoint fast-start is bit-identical on/off
+    /// ([`restore_snapshot::GoldenCheckpointLibrary`]), which must be
+    /// positive. A cold campaign walks the library's frontier through
+    /// its sorted points once; a repeat campaign in the same process
+    /// materializes each point from the nearest checkpoint at-or-before
+    /// it. Results are bit-identical at every stride — only producer
+    /// cost changes.
+    // digest: neutral -- checkpoint fast-start is bit-identical at every stride
     pub ckpt_stride: u64,
     /// Observation-time software-detector configuration (signature block
     /// size, duplication mask). Result-shaping: the knobs set the
@@ -156,18 +154,13 @@ impl Default for UarchCampaignConfig {
             seed: 0xF4F5,
             target: InjectionTarget::AllState,
             threads: 0,
-            // A fingerprint costs roughly a few hundred cycles of
-            // simulation; 250 keeps that overhead a few percent while
-            // still catching reconvergence (typically a few hundred
-            // cycles after a masked flip) early in the 10k window.
-            cutoff_stride: 250,
             prune: PruneMode::Off,
             map_dir: None,
             // A campaign-scale pipeline is ~100KB, so 2 000-cycle
             // checkpoints over the ~20k-cycle sampling span cost a few
-            // MB per (workload, config) while bounding each unit's
+            // MB per (workload, config) while bounding each warm unit's
             // residual sweep to one stride.
-            ckpt_stride: effective_ckpt_stride(2_000),
+            ckpt_stride: 2_000,
             detectors: DetectorConfig::paper(),
         }
     }
@@ -323,34 +316,42 @@ impl FaultModel for UarchModel<'_> {
         let UarchGolden { run, map } = golden;
         let bit = draw_bit(&mut rng, &fork.catalog, self.cfg.target);
         let cycle = fork.pipe.cycles();
-        let Some(p) = map.as_ref().and_then(|m| m.proves(bit, cycle, cycle + run.window_executed))
-        else {
-            let (trial, cost) = run_trial(&fork.pipe, run, &fork.catalog, id, bit, self.cfg);
-            return (Some(trial), cost);
-        };
-        // The map proves either that the bit is overwritten from a value
-        // independent of the flip before the window closes (`written`),
-        // or that the flip survives untouched and unread through the
-        // end-of-trial hash (residue).
-        let predicted =
-            predict_dead_trial(run, &fork.catalog, id, bit, fork.pipe.retired(), p.written);
+        let (trial, cost) =
+            match map.as_ref().and_then(|m| m.proves(bit, cycle, cycle + run.window_executed)) {
+                // The map proves either that the bit is overwritten from a
+                // value independent of the flip before the window closes
+                // (`written`), or that the flip survives untouched and
+                // unread through the end-of-trial hash (residue). A proved
+                // trial's live evolution is the golden run's, so the
+                // exhaustive trial would have simulated (or been cut across)
+                // exactly the golden run's window cycles.
+                Some(p) => (
+                    predict_dead_trial(run, &fork.catalog, id, bit, fork.pipe.retired(), p.written),
+                    TrialCost {
+                        pruned: true,
+                        pruned_cycles: run.window_executed,
+                        ..TrialCost::default()
+                    },
+                ),
+                None => run_trial(&fork.pipe, run, &fork.catalog, id, bit, self.cfg, true),
+            };
         if self.cfg.prune == PruneMode::Audit {
-            let (actual, cost) = run_trial(&fork.pipe, run, &fork.catalog, id, bit, self.cfg);
+            let (reference, ref_cost) =
+                run_trial(&fork.pipe, run, &fork.catalog, id, bit, self.cfg, false);
             assert_eq!(
-                actual, predicted,
-                "interval map disagrees with simulation (workload {id:?}, bit {bit}, \
-                 cycle {cycle})"
+                trial, reference,
+                "fast path disagrees with the reference trial (workload {id:?}, bit {bit}, \
+                 cycle {cycle}, pruned {}, cut {})",
+                cost.pruned, cost.cut
             );
-            // The simulation already charged the window (simulated +
-            // saved); `pruned` only counts the checked prediction.
-            return (Some(actual), TrialCost { pruned: true, ..cost });
+            assert_eq!(
+                ref_cost.simulated,
+                cost.planned(),
+                "fast path planned a different window than the reference simulated \
+                 (workload {id:?}, bit {bit}, cycle {cycle})"
+            );
         }
-        // A proved trial's live evolution is the golden run's, so the
-        // exhaustive trial would have simulated (or been cut across)
-        // exactly the golden run's window cycles.
-        let cost =
-            TrialCost { pruned: true, pruned_cycles: run.window_executed, ..TrialCost::default() };
-        (Some(predicted), cost)
+        (Some(trial), cost)
     }
 }
 
@@ -362,9 +363,9 @@ impl FaultModel for UarchModel<'_> {
 /// signature/duplication latencies a record carries). Deliberately
 /// excluded — seeds, point/trial counts and warm-up (they live in the
 /// [`restore_store::TrialKey`] as coordinates), and thread counts,
-/// checkpoint strides, the reconvergence cutoff and prune settings
-/// (result-neutral, proved by the equivalence suites). Records written
-/// under a different digest are inert misses, never corruption.
+/// checkpoint strides and prune settings (result-neutral, proved by the
+/// golden vectors and `--prune audit`). Records written under a
+/// different digest are inert misses, never corruption.
 pub fn uarch_campaign_digest(cfg: &UarchCampaignConfig) -> u64 {
     ConfigDigest::new()
         .text("uarch-campaign")

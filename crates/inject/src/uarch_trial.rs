@@ -12,7 +12,7 @@
 //! parallelism — lives in [`crate::campaign`]; this module only ever sees
 //! one fork, one golden run, and one bit.
 
-use crate::campaign::TrialCost;
+use crate::campaign::{TrialCost, CUTOFF_STRIDE};
 use crate::classify::{Symptom, SymptomLatencies, UarchCategory};
 use crate::uarch_campaign::{CfvMode, InjectionTarget, UarchCampaignConfig};
 use rand::rngs::StdRng;
@@ -172,10 +172,9 @@ pub(crate) struct GoldenRun {
     retired: u64,
     dcache_misses: u64,
     dtlb_misses: u64,
-    /// Full-machine fingerprint at each `cutoff_stride` boundary of the
-    /// window (boundary `b` — i.e. after `b * stride` cycles — at index
-    /// `b - 1`); empty when the cutoff is disabled. Recording stops when
-    /// the golden run halts.
+    /// Full-machine fingerprint at each [`CUTOFF_STRIDE`] boundary of the
+    /// window (boundary `b` — i.e. after `b * CUTOFF_STRIDE` cycles — at
+    /// index `b - 1`). Recording stops when the golden run halts.
     fingerprints: Vec<u64>,
     /// Window cycles the golden run actually executed (less than
     /// `window_cycles` when the workload halts inside the window). A cut
@@ -216,9 +215,7 @@ pub(crate) fn golden_run(at: &Pipeline, cfg: &UarchCampaignConfig) -> GoldenRun 
     let mut trace = Vec::new();
     let mut hc = BTreeSet::new();
     let mut all = BTreeSet::new();
-    let stride = cfg.cutoff_stride;
-    let mut fingerprints =
-        Vec::with_capacity(cfg.window_cycles.checked_div(stride).unwrap_or(0) as usize);
+    let mut fingerprints = Vec::with_capacity((cfg.window_cycles / CUTOFF_STRIDE) as usize);
     let mut window_executed = 0u64;
     for i in 0..cfg.window_cycles {
         if g.status() != Stop::Running {
@@ -237,7 +234,7 @@ pub(crate) fn golden_run(at: &Pipeline, cfg: &UarchCampaignConfig) -> GoldenRun 
             }
         }
         trace.extend(r.retired);
-        if stride > 0 && (i + 1) % stride == 0 && g.status() == Stop::Running {
+        if (i + 1) % CUTOFF_STRIDE == 0 && g.status() == Stop::Running {
             fingerprints.push(g.fingerprint());
         }
     }
@@ -320,7 +317,10 @@ pub(crate) fn predict_dead_trial(
 }
 
 /// Runs one injected trial: flips `bit` in a clone of `at` and monitors
-/// it in lockstep with `golden` for the observation window.
+/// it in lockstep with `golden` for the observation window. With
+/// `cutoff`, a trial whose fingerprint matches golden's at a
+/// [`CUTOFF_STRIDE`] boundary is cut; without it, the trial is the
+/// exhaustive reference, which must return the same record.
 pub(crate) fn run_trial(
     at: &Pipeline,
     golden: &GoldenRun,
@@ -328,6 +328,7 @@ pub(crate) fn run_trial(
     id: WorkloadId,
     bit: u64,
     cfg: &UarchCampaignConfig,
+    cutoff: bool,
 ) -> (UarchTrial, TrialCost) {
     let mut pipe = at.clone();
     let base_retired = pipe.retired();
@@ -359,7 +360,6 @@ pub(crate) fn run_trial(
     let mut set = DetectorSet::uarch_trial(&cfg.detectors, &cfg.uarch);
     let mut idx = 0usize; // next golden trace index to compare
     let mut terminated = false;
-    let stride = cfg.cutoff_stride;
     let mut executed = 0u64;
     let mut cut = false;
     for i in 0..cfg.window_cycles {
@@ -420,10 +420,11 @@ pub(crate) fn run_trial(
         // never alias one). On a match the two machines are
         // bit-identical, so the rest of the window replays the golden
         // run — stop simulating and back-fill below.
-        if stride > 0
-            && (i + 1) % stride == 0
+        if cutoff
+            && (i + 1) % CUTOFF_STRIDE == 0
             && pipe.status() == Stop::Running
-            && golden.fingerprints.get(((i + 1) / stride - 1) as usize) == Some(&pipe.fingerprint())
+            && golden.fingerprints.get(((i + 1) / CUTOFF_STRIDE - 1) as usize)
+                == Some(&pipe.fingerprint())
         {
             cut = true;
             break;
@@ -579,7 +580,7 @@ mod tests {
             };
             let predicted =
                 predict_dead_trial(&run, &catalog, id, bit, pipe.retired(), proof.written);
-            let (simulated, _) = run_trial(&pipe, &run, &catalog, id, bit, &c);
+            let (simulated, _) = run_trial(&pipe, &run, &catalog, id, bit, &c, false);
             prop_assert_eq!(
                 predicted, simulated,
                 "map prediction disagrees with simulation at bit {} cycle {}", bit, cycle

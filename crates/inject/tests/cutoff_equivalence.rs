@@ -1,8 +1,15 @@
 //! Regression tests for the reconvergence cutoff's core guarantee: a
-//! campaign run with `cutoff_stride > 0` produces a trial vector
-//! **bit-identical** to the exhaustive run (`cutoff_stride == 0`), at
-//! every thread count — the cutoff may only change how many cycles get
-//! simulated, never what a trial reports.
+//! µarch campaign's trial vector is **bit-identical** to the exhaustive
+//! run's, at every thread count — the cutoff may only change how many
+//! cycles get simulated, never what a trial reports.
+//!
+//! Campaigns always cut, at a fixed stride. The exhaustive run is
+//! `PruneMode::Audit`'s reference: every trial also runs with no cutoff
+//! and no map, and must return the fast path's record after simulating
+//! exactly the window the fast path planned (`simulated + saved +
+//! pruned`). A passing audit run is therefore the exhaustive baseline,
+//! and `Off` runs, which put every trial through the cutoff, must
+//! reproduce it.
 //!
 //! The full-machine fingerprint makes this sound: equal fingerprints at
 //! a stride boundary mean equal complete machine state, and the
@@ -12,12 +19,12 @@
 //! state-level property).
 
 use restore_inject::{
-    run_uarch_campaign, run_uarch_campaign_with_stats, InjectionTarget, UarchCampaignConfig,
+    run_uarch_campaign_with_stats, CampaignStats, InjectionTarget, PruneMode, UarchCampaignConfig,
 };
 
-/// Small plan, small window: fast enough to run many times in debug
-/// builds. `stride` is the cutoff knob under test (0 = exhaustive).
-fn small_cfg(threads: usize, stride: u64) -> UarchCampaignConfig {
+/// Small plan, small window: fast enough to run the reference in debug
+/// builds.
+fn small_cfg(target: InjectionTarget, threads: usize, prune: PruneMode) -> UarchCampaignConfig {
     UarchCampaignConfig {
         points_per_workload: 2,
         trials_per_point: 4,
@@ -25,73 +32,69 @@ fn small_cfg(threads: usize, stride: u64) -> UarchCampaignConfig {
         window_cycles: 1_500,
         drain_cycles: 1_000,
         seed: 0xC0FF,
+        target,
         threads,
-        cutoff_stride: stride,
+        prune,
         ..UarchCampaignConfig::default()
+    }
+}
+
+fn planned(s: &CampaignStats) -> u64 {
+    s.cycles_simulated + s.cycles_saved + s.cycles_pruned
+}
+
+/// Audits `target`'s campaign once, then runs it with the cutoff alone
+/// at 1, 2 and 4 threads against the audited vector.
+fn cut_runs_match_the_reference(target: InjectionTarget) {
+    let (baseline, audited) =
+        run_uarch_campaign_with_stats(&small_cfg(target, 1, PruneMode::Audit));
+    assert!(!baseline.is_empty());
+    for threads in [1, 2, 4] {
+        let (got, stats) =
+            run_uarch_campaign_with_stats(&small_cfg(target, threads, PruneMode::Off));
+        assert_eq!(got, baseline, "{target:?}: cutoff diverged at {threads} threads");
+        assert!(
+            stats.trials_cut > 0 && stats.cycles_saved > 0,
+            "{target:?}: expected some reconvergent trials to be cut at {threads} threads"
+        );
+        assert_eq!(
+            planned(&stats),
+            planned(&audited),
+            "{target:?}: simulated + saved must account for the exhaustive run's cycles"
+        );
     }
 }
 
 #[test]
 fn cutoff_on_equals_cutoff_off_at_every_thread_count() {
-    let (baseline, stats_off) = run_uarch_campaign_with_stats(&small_cfg(1, 0));
-    assert!(!baseline.is_empty());
-    assert_eq!(stats_off.trials_cut, 0, "stride 0 must disable the cutoff");
-    assert_eq!(stats_off.cycles_saved, 0);
-    for threads in [1, 2, 4] {
-        let (got, stats_on) = run_uarch_campaign_with_stats(&small_cfg(threads, 100));
-        assert_eq!(got, baseline, "cutoff diverged at {threads} threads");
-        assert!(
-            stats_on.trials_cut > 0,
-            "expected some reconvergent trials to be cut at {threads} threads"
-        );
-        assert!(stats_on.cycles_saved > 0);
-        assert_eq!(
-            stats_on.cycles_simulated + stats_on.cycles_saved,
-            stats_off.cycles_simulated,
-            "simulated + saved must account for the exhaustive run's cycles"
-        );
-    }
+    cut_runs_match_the_reference(InjectionTarget::AllState);
 }
 
 #[test]
 fn cutoff_on_equals_cutoff_off_for_latch_campaign() {
-    let cfg = |threads, stride| UarchCampaignConfig {
-        target: InjectionTarget::LatchesOnly,
-        ..small_cfg(threads, stride)
-    };
-    let baseline = run_uarch_campaign(&cfg(1, 0));
-    assert!(!baseline.is_empty());
-    for threads in [1, 2, 4] {
-        assert_eq!(
-            run_uarch_campaign(&cfg(threads, 100)),
-            baseline,
-            "latch campaign diverged at {threads} threads"
-        );
-    }
+    cut_runs_match_the_reference(InjectionTarget::LatchesOnly);
 }
 
-/// Acceptance check for the optimisation itself: with the default
-/// 10 000-cycle window and default stride, a campaign must skip at
-/// least 30 % of its planned trial window cycles (most flips are masked
-/// and reconverge within a few hundred cycles). Plan size is shrunk so
-/// the exhaustive reference stays affordable in debug builds; window,
-/// warmup, drain and stride are the defaults that set the reconvergence
-/// behaviour.
+/// Acceptance check for the cutoff itself: with the default 10 000-cycle
+/// window and the fixed cutoff stride, a campaign skips at least 30 % of
+/// the window cycles it simulates or cuts (most flips are masked and
+/// reconverge within a few hundred cycles). An `Audit` run, so every
+/// trial is also run exhaustively and must agree with its cut record.
+/// Plan size is shrunk so the reference stays affordable in debug
+/// builds; window, warm-up and drain are the defaults that set the
+/// reconvergence behaviour.
 #[test]
 fn default_window_cutoff_saves_at_least_30_percent() {
-    let cfg = |stride| UarchCampaignConfig {
+    let cfg = UarchCampaignConfig {
         points_per_workload: 2,
         trials_per_point: 4,
         seed: 0xF4F5,
-        threads: 1,
-        cutoff_stride: stride,
+        threads: 2,
+        prune: PruneMode::Audit,
         ..UarchCampaignConfig::default()
     };
-    let default_stride = UarchCampaignConfig::default().cutoff_stride;
-    assert!(default_stride > 0, "cutoff must be on by default");
-    let (baseline, _) = run_uarch_campaign_with_stats(&cfg(0));
-    let (got, stats) = run_uarch_campaign_with_stats(&cfg(default_stride));
-    assert_eq!(got, baseline, "default-stride cutoff changed trial results");
+    let (trials, stats) = run_uarch_campaign_with_stats(&cfg);
+    assert!(!trials.is_empty());
     assert!(
         stats.cycles_saved_fraction() >= 0.30,
         "cutoff saved only {:.1}% of window cycles: {}",

@@ -1,10 +1,20 @@
-//! Golden-vector regression tests for the campaign refactor.
+//! Golden-vector regression tests: the campaigns' fixture matrix.
 //!
 //! The fixtures under `tests/golden/` were recorded from small
 //! fixed-seed campaigns **before** the shared `FaultModel`/`TrialRunner`
-//! core existed; these tests re-run the same campaigns and assert the
-//! trial records are still bit-identical, field for field. They are the
-//! proof that unifying the two campaign drivers changed no result.
+//! core existed, and before the checkpoint library, the reconvergence
+//! cutoff and the masking-interval map changed how a trial is computed.
+//! These tests re-run the same campaigns down today's fast path and
+//! assert the trial records are still bit-identical, field for field,
+//! with every fixture at 1, 2 and 4 worker threads and the two µarch
+//! fixtures under every prune mode — `Audit` also runs each trial as
+//! the exhaustive reference (no cutoff, no map) and asserts both return
+//! the same record. Every run of a µarch fixture plans the same window
+//! cycles (`simulated + saved + pruned`), and `Interval` prunes at least
+//! one trial. The layers' own suites pin the rest:
+//! `cutoff_equivalence.rs` and `arch_cutoff_equivalence.rs` that the
+//! cutoff fires and prices its cuts, and `ckpt_equivalence.rs` how the
+//! library serves.
 //!
 //! The rendering is deliberately a flat `name=value` text format rather
 //! than a `Debug` dump: the *fields* are the contract, not the struct
@@ -16,8 +26,9 @@
 //! make an unintentional difference pass.
 
 use restore_inject::{
-    run_arch_campaign, run_uarch_campaign, ArchCampaignConfig, ArchTrial, DetectorConfig,
-    InjectionTarget, UarchCampaignConfig, UarchTrial,
+    run_arch_campaign, run_uarch_campaign, run_uarch_campaign_with_stats, ArchCampaignConfig,
+    ArchTrial, CampaignStats, DetectorConfig, InjectionTarget, PruneMode, UarchCampaignConfig,
+    UarchTrial,
 };
 use restore_workloads::Scale;
 
@@ -25,6 +36,9 @@ use restore_workloads::Scale;
 /// bit-identical trial vectors at any worker count, so each rendering
 /// must match the fixture at all of them.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// Prune modes the µarch fixtures are replayed under.
+const PRUNE_MODES: [PruneMode; 3] = [PruneMode::Off, PruneMode::Interval, PruneMode::Audit];
 
 fn opt(v: Option<u64>) -> String {
     v.map(|x| x.to_string()).unwrap_or_else(|| "-".into())
@@ -83,6 +97,12 @@ fn check(name: &str, got: &str) {
     assert_eq!(got, want, "{name}: trial records diverged from the pinned pre-refactor campaign");
 }
 
+/// Window cycles a run planned: every trial's window, simulated, skipped
+/// by the cutoff or classified by the map.
+fn planned(s: &CampaignStats) -> u64 {
+    s.cycles_simulated + s.cycles_saved + s.cycles_pruned
+}
+
 fn uarch_cfg(target: InjectionTarget) -> UarchCampaignConfig {
     UarchCampaignConfig {
         points_per_workload: 2,
@@ -109,44 +129,55 @@ fn arch_cfg(low32: bool) -> ArchCampaignConfig {
     }
 }
 
+/// Replays a µarch fixture at every thread count under every prune
+/// mode.
+fn uarch_matrix(name: &str, target: InjectionTarget) {
+    let mut first = None;
+    for prune in PRUNE_MODES {
+        for threads in THREAD_COUNTS {
+            let cfg = UarchCampaignConfig { prune, threads, ..uarch_cfg(target) };
+            let (trials, stats) = run_uarch_campaign_with_stats(&cfg);
+            assert!(!trials.is_empty());
+            check(name, &render_uarch(&trials));
+            let want = *first.get_or_insert(planned(&stats));
+            assert_eq!(planned(&stats), want, "{name} {prune:?} t{threads}: planned cycles moved");
+            match prune {
+                PruneMode::Off => assert_eq!(stats.trials_pruned, 0, "{name}: Off never prunes"),
+                PruneMode::Interval | PruneMode::Audit => {
+                    assert!(stats.trials_pruned > 0, "{name}: the map classified nothing");
+                }
+            }
+        }
+    }
+}
+
+/// Replays an arch fixture at every thread count.
+fn arch_matrix(name: &str, low32: bool) {
+    for threads in THREAD_COUNTS {
+        let trials = run_arch_campaign(&ArchCampaignConfig { threads, ..arch_cfg(low32) });
+        assert!(!trials.is_empty());
+        check(name, &render_arch(&trials));
+    }
+}
+
 #[test]
 fn uarch_allstate_matches_pinned_vector() {
-    for threads in THREAD_COUNTS {
-        let cfg = UarchCampaignConfig { threads, ..uarch_cfg(InjectionTarget::AllState) };
-        let trials = run_uarch_campaign(&cfg);
-        assert!(!trials.is_empty());
-        check("uarch_allstate", &render_uarch(&trials));
-    }
+    uarch_matrix("uarch_allstate", InjectionTarget::AllState);
 }
 
 #[test]
 fn uarch_latches_matches_pinned_vector() {
-    for threads in THREAD_COUNTS {
-        let cfg = UarchCampaignConfig { threads, ..uarch_cfg(InjectionTarget::LatchesOnly) };
-        let trials = run_uarch_campaign(&cfg);
-        assert!(!trials.is_empty());
-        check("uarch_latches", &render_uarch(&trials));
-    }
+    uarch_matrix("uarch_latches", InjectionTarget::LatchesOnly);
 }
 
 #[test]
 fn arch_matches_pinned_vector() {
-    for threads in THREAD_COUNTS {
-        let cfg = ArchCampaignConfig { threads, ..arch_cfg(false) };
-        let trials = run_arch_campaign(&cfg);
-        assert!(!trials.is_empty());
-        check("arch", &render_arch(&trials));
-    }
+    arch_matrix("arch", false);
 }
 
 #[test]
 fn arch_low32_matches_pinned_vector() {
-    for threads in THREAD_COUNTS {
-        let cfg = ArchCampaignConfig { threads, ..arch_cfg(true) };
-        let trials = run_arch_campaign(&cfg);
-        assert!(!trials.is_empty());
-        check("arch_low32", &render_arch(&trials));
-    }
+    arch_matrix("arch_low32", true);
 }
 
 /// The software-only sources (signature + lhf duplication) ride a *new*

@@ -1,16 +1,15 @@
 //! Regression tests for static interval pruning's core guarantee: a
-//! campaign run with `prune: Interval` produces a trial vector
+//! µarch campaign run with `prune: Interval` produces a trial vector
 //! **bit-identical** to the unpruned run, at every thread count, for
-//! both injection targets and in both fault domains — the
-//! masking-interval map may only change how many windows get simulated,
-//! never what a trial reports. Every planned window cycle is accounted
-//! exactly once: `simulated + saved + pruned` equals the unpruned run's
-//! `simulated + saved`.
+//! both injection targets — the masking-interval map may only change
+//! how many windows get simulated, never what a trial reports. Every
+//! planned window cycle is accounted exactly once: `simulated + saved +
+//! pruned` equals the unpruned run's `simulated + saved`.
 //!
 //! `prune: Audit` is the belt-and-braces version of the same claim: it
-//! simulates every map-pruned trial anyway and asserts the predicted
-//! record inside `run_trial` itself, so a passing audit run *is* the
-//! equivalence proof for exactly the trials it pruned.
+//! runs every trial as the exhaustive reference too (no cutoff, no map)
+//! and asserts the fast path's record inside the trial loop itself, so
+//! a passing audit run *is* the equivalence proof for every trial.
 //!
 //! The map is also exercised through its persistence path: campaigns
 //! given a `map_dir` must write the per-workload map files there and
@@ -20,11 +19,9 @@
 //! warm replay resolves none at all.
 
 use restore_inject::{
-    run_arch_campaign_with_stats, run_uarch_campaign_io, run_uarch_campaign_with_stats,
-    uarch_campaign_digest, ArchCampaignConfig, CampaignStats, InjectionTarget, PruneMode, Shard,
-    TrialCache, UarchCampaignConfig, UarchTrial,
+    run_uarch_campaign_io, run_uarch_campaign_with_stats, uarch_campaign_digest, CampaignStats,
+    InjectionTarget, PruneMode, Shard, TrialCache, UarchCampaignConfig, UarchTrial,
 };
-use restore_workloads::Scale;
 use std::path::PathBuf;
 
 /// Small plan, small window: fast enough to run many times in debug
@@ -42,21 +39,6 @@ fn small_cfg(threads: usize, prune: PruneMode) -> UarchCampaignConfig {
         threads,
         prune,
         ..UarchCampaignConfig::default()
-    }
-}
-
-/// The hand-written kernels read almost every result before
-/// overwriting it, so most seeds draw no map-provable point at this
-/// size; this one draws one, which gives the audit something to check.
-fn arch_cfg(threads: usize, prune: PruneMode) -> ArchCampaignConfig {
-    ArchCampaignConfig {
-        scale: Scale::smoke(),
-        trials_per_workload: 25,
-        window: 150_000,
-        seed: 0x1A7F,
-        threads,
-        prune,
-        ..ArchCampaignConfig::default()
     }
 }
 
@@ -111,18 +93,18 @@ fn uarch_interval_equals_off_for_latch_campaign() {
     }
 }
 
-/// Audit mode re-simulates every map-pruned trial and asserts the
-/// predicted record inside `run_trial`; the campaign completing at all
-/// is the zero-disagreement proof, and its vector must still equal the
-/// baseline. An audited trial is charged its window once, as simulated
-/// (or cut) cycles — never again as pruned cycles.
+/// Audit mode runs every trial as the exhaustive reference too and
+/// asserts the fast path's record inside the trial loop; the campaign
+/// completing at all is the zero-disagreement proof, and its vector must
+/// still equal the baseline. The reference runs are not charged, so
+/// every planned window cycle is counted exactly once.
 #[test]
 fn uarch_audit_mode_verifies_map_against_simulation() {
     let (baseline, stats_off) = run_uarch_campaign_with_stats(&small_cfg(1, PruneMode::Off));
     let (got, stats) = run_uarch_campaign_with_stats(&small_cfg(1, PruneMode::Audit));
     assert_eq!(got, baseline, "audit mode changed trial results");
     assert!(stats.trials_pruned > 0, "audit found no map-classified trials to check");
-    assert!(stats.cycles_simulated > 0, "audit must still simulate pruned trials");
+    assert!(stats.cycles_simulated > 0, "trials the map cannot prove still simulate");
     assert_eq!(
         planned(&stats),
         planned(&stats_off),
@@ -130,27 +112,20 @@ fn uarch_audit_mode_verifies_map_against_simulation() {
     );
 }
 
-/// Interval pruning composes with the other throughput levers: the
-/// reconvergence cutoff disabled, and the checkpoint library disabled —
-/// the trial vector never moves, and the cycle accounting balances
-/// against a fully exhaustive run as well as a cut one.
+/// Interval pruning composes with the other fast-path layers: the
+/// reconvergence cutoff, and the checkpoint library at any stride.
+/// Audit holds every trial of the composed path to the exhaustive
+/// reference (no cutoff, no map), and the trial vector and planned
+/// cycles never move.
 #[test]
 fn interval_composes_with_cutoff_and_checkpoint_strides() {
-    for (cutoff, ckpt) in [(0u64, 0u64), (0, 450), (250, 0)] {
-        let cfg = |prune| UarchCampaignConfig {
-            cutoff_stride: cutoff,
-            ckpt_stride: ckpt,
-            ..small_cfg(1, prune)
-        };
-        let (baseline, stats_off) = run_uarch_campaign_with_stats(&cfg(PruneMode::Off));
-        let (got, stats) = run_uarch_campaign_with_stats(&cfg(PruneMode::Interval));
-        assert_eq!(got, baseline, "diverged at cutoff={cutoff} ckpt={ckpt}");
-        assert!(stats.trials_pruned > 0);
-        if cutoff == 0 {
-            assert_eq!(stats_off.cycles_saved, 0);
-            assert_eq!(stats.cycles_saved, 0);
-        }
-        assert_eq!(planned(&stats), planned(&stats_off), "cutoff={cutoff} ckpt={ckpt}");
+    let (baseline, stats_off) = run_uarch_campaign_with_stats(&small_cfg(1, PruneMode::Off));
+    for ckpt in [130, 450] {
+        let cfg = UarchCampaignConfig { ckpt_stride: ckpt, ..small_cfg(1, PruneMode::Audit) };
+        let (got, stats) = run_uarch_campaign_with_stats(&cfg);
+        assert_eq!(got, baseline, "diverged at ckpt={ckpt}");
+        assert!(stats.trials_pruned > 0 && stats.trials_cut > 0, "ckpt={ckpt}: {stats}");
+        assert_eq!(planned(&stats), planned(&stats_off), "ckpt={ckpt}");
     }
 }
 
@@ -248,24 +223,4 @@ fn persisted_maps(dir: &std::path::Path) -> Vec<String> {
         .collect();
     maps.sort();
     maps
-}
-
-#[test]
-fn arch_interval_equals_off_at_every_thread_count() {
-    let (baseline, stats_off) = run_arch_campaign_with_stats(&arch_cfg(1, PruneMode::Off));
-    assert!(!baseline.is_empty());
-    assert_eq!(stats_off.trials_pruned, 0);
-    for threads in [1, 2, 4] {
-        let (got, stats) = run_arch_campaign_with_stats(&arch_cfg(threads, PruneMode::Interval));
-        assert_eq!(got, baseline, "arch interval pruning diverged at {threads} threads");
-        assert!(stats.trials_pruned > 0, "the map classified nothing at {threads} threads");
-        assert_eq!(planned(&stats), planned(&stats_off));
-    }
-    // Audit: any map-classified trial is re-simulated and asserted
-    // identical inside the trial loop itself, and charged its window
-    // once, as simulated (or cut) instructions.
-    let (audited, stats) = run_arch_campaign_with_stats(&arch_cfg(1, PruneMode::Audit));
-    assert_eq!(audited, baseline, "arch audit mode changed trial results");
-    assert!(stats.trials_pruned > 0, "audit found no map-classified trials to check");
-    assert_eq!(planned(&stats), planned(&stats_off), "audit double-charged pruned instructions");
 }

@@ -10,13 +10,14 @@
 //!   store written by a single unsharded recording run.
 //! * **Warm replay is bit-identical and free**: a campaign run against
 //!   the merged store returns the cold run's trial vector bit-for-bit —
-//!   at 1, 2 and 4 threads, for both producers (serial and checkpoint
-//!   library) — while simulating **zero** window cycles, with the
-//!   cached-cycle counters satisfying
+//!   at 1, 2 and 4 threads — while simulating **zero** window cycles,
+//!   with the cached-cycle counters satisfying
 //!   `simulated + saved + pruned + cached = planned`.
 //! * **Partial coverage falls back per trial**: a store recorded with
 //!   fewer trials per point still serves what it has; only the missing
 //!   trials simulate.
+//! * **Audit is Interval, checked**: a `PruneMode::Audit` campaign
+//!   returns `Interval`'s trial vector and every non-timing counter.
 //!
 //! The golden checkpoint library is memoized process-wide, and warm
 //! libraries shift `checkpoint_hits`/`checkpoint_misses` — so every
@@ -28,7 +29,7 @@
 use restore_inject::{
     arch_campaign_digest, run_arch_campaign_io, run_uarch_campaign_io,
     run_uarch_campaign_with_stats, uarch_campaign_digest, ArchCampaignConfig, ArchTrial,
-    CampaignStats, Shard, TrialCache, UarchCampaignConfig, UarchTrial,
+    CampaignStats, PruneMode, Shard, TrialCache, UarchCampaignConfig, UarchTrial,
 };
 use restore_snapshot::clear_library_cache;
 use restore_workloads::Scale;
@@ -102,9 +103,9 @@ fn arch_cfg(threads: usize, ckpt: u64) -> ArchCampaignConfig {
 }
 
 #[test]
-fn uarch_three_shards_merge_to_the_cold_run_for_both_producers() {
+fn uarch_three_shards_merge_to_the_cold_run() {
     let _gate = GATE.lock().unwrap();
-    for (ckpt, tag) in [(0u64, "serial"), (450, "ckpt")] {
+    for (ckpt, tag) in [(450u64, "ckpt450"), (2_000, "ckpt2000")] {
         let cfg = uarch_cfg(1, ckpt);
         let digest = uarch_campaign_digest(&cfg);
         clear_library_cache();
@@ -197,7 +198,7 @@ fn arch_warm_replay_is_bit_identical_and_free() {
 
     clear_library_cache();
     let reopened = TrialCache::<ArchTrial>::open(&dir, "all", digest).unwrap();
-    let (warm, warm_stats) = run_arch_campaign_io(&arch_cfg(1, 0), Some(&reopened), Shard::ALL);
+    let (warm, warm_stats) = run_arch_campaign_io(&arch_cfg(1, 5_000), Some(&reopened), Shard::ALL);
     assert_eq!(warm, cold, "warm replay across a reopen must be bit-identical");
     assert_eq!(warm_stats.cycles_simulated, 0);
     assert_eq!(warm_stats.trials, cold_stats.trials);
@@ -218,8 +219,8 @@ fn arch_warm_replay_is_bit_identical_and_free() {
 #[test]
 fn partially_covered_points_replay_cached_trials_and_simulate_the_rest() {
     let _gate = GATE.lock().unwrap();
-    let record_cfg = uarch_cfg(1, 0);
-    let full_cfg = UarchCampaignConfig { trials_per_point: 5, ..uarch_cfg(1, 0) };
+    let record_cfg = uarch_cfg(1, 2_000);
+    let full_cfg = UarchCampaignConfig { trials_per_point: 5, ..uarch_cfg(1, 2_000) };
     assert_eq!(
         uarch_campaign_digest(&record_cfg),
         uarch_campaign_digest(&full_cfg),
@@ -247,4 +248,22 @@ fn partially_covered_points_replay_cached_trials_and_simulate_the_rest() {
     assert_eq!(warm, baseline);
     assert_eq!(ws.cycles_simulated, 0);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `Audit` runs every trial down the fast path and as the exhaustive
+/// reference, asserts they agree, and charges only the fast path — so
+/// its trials and every non-timing counter equal `Interval`'s. Each run
+/// starts from a cold library, so the checkpoint counters match too.
+#[test]
+fn audit_reports_interval_trials_and_counters() {
+    let _gate = GATE.lock().unwrap();
+    let cfg = |prune| UarchCampaignConfig { prune, ..uarch_cfg(2, 700) };
+    clear_library_cache();
+    let (interval, si) = run_uarch_campaign_with_stats(&cfg(PruneMode::Interval));
+    clear_library_cache();
+    let (audit, sa) = run_uarch_campaign_with_stats(&cfg(PruneMode::Audit));
+    assert!(!interval.is_empty());
+    assert_eq!(audit, interval, "audit must return the fast path's trials");
+    assert_eq!(counters(&sa), counters(&si), "audit must report the fast path's counters");
+    assert!(si.trials_pruned > 0 && si.trials_cut > 0, "both fast-path layers fired: {si}");
 }

@@ -25,12 +25,12 @@
 //!   window close's drain horizon, and provably masked when the bit
 //!   stays dead-or-masked from the injection cycle to the next armed
 //!   stamp inside the window ([`UarchMaskMap::proves`]).
-//! * **Architectural map** ([`ArchMaskMap`]) — replays the golden
-//!   [`Cpu`] once, recording every register read (via
-//!   [`restore_isa::Inst::sources`]) and write. An injected register is
-//!   provably masked when its next access inside the window is a write,
-//!   and provably *unmasked residue* when it is never accessed and the
-//!   window expires ([`ArchMaskMap::verdict`]).
+//! * **Architectural access map** ([`ArchMaskMap`]) — replays the
+//!   golden [`Cpu`] once, recording every register read (via
+//!   [`restore_isa::Inst::sources`]) and write, for the architectural
+//!   rows of the AVF report: a register is dead from an instruction
+//!   until its next access when that access is a write. Campaigns do
+//!   not prune with it.
 //!
 //! # Soundness
 //!
@@ -56,15 +56,15 @@
 //! provably carries the flip into the end-of-trial hash.
 //! The arch map needs no axiom at all: `Inst::sources` /
 //! `Retired::reg_write` are the complete architectural read/write sets.
-//! Both maps are cross-checked three ways — map-predicted trial records
-//! against simulated ones at random proved `(cycle, bit)` pairs
+//! The µarch map is cross-checked three ways — map-predicted trial
+//! records against simulated ones at random proved `(cycle, bit)` pairs
 //! (proptest, in `restore-inject`), against the audit bit census
-//! ([`UarchMaskMap::census_check`]), and by `--prune audit` full
-//! re-simulation of every map-pruned trial.
+//! ([`UarchMaskMap::census_check`]), and by `--prune audit`, which runs
+//! every trial as the exhaustive reference too.
 //!
-//! Maps are memoized process-wide (like the golden checkpoint library)
-//! and persisted next to the trial store as
-//! `maskmap-<domain>-<workload>-<digest>.json`, varint+hex delta-encoded
+//! µarch maps are memoized process-wide (like the golden checkpoint
+//! library) and persisted next to the trial store as
+//! `maskmap-uarch-<workload>-<digest>.json`, varint+hex delta-encoded
 //! so sharded campaign runs compute each map once per shard *set*.
 //! Each `(workload, digest)` key builds at most once per process, and
 //! distinct keys build concurrently: campaigns resolve their maps up
@@ -79,7 +79,7 @@
 
 use restore_arch::Cpu;
 use restore_core::config_digest;
-use restore_isa::{Program, Reg};
+use restore_isa::Program;
 use restore_store::Json;
 use restore_uarch::state::{width_mask, StateVisitor};
 use restore_uarch::{FaultState, FieldClass, Pipeline, StateCatalog, StateKind, Stop, UarchConfig};
@@ -949,17 +949,17 @@ impl UarchMaskMap {
 }
 
 // ---------------------------------------------------------------------------
-// The architectural map.
+// The architectural access map.
 
-/// Per-workload register access map over one golden architectural run.
+/// Per-workload register access record over one golden architectural
+/// run, the source of the AVF report's architectural rows.
 ///
 /// Coordinates are retired-instruction indexes: "point `p`" means the
 /// fault corrupts the result of instruction `p` (0-based), observed by
 /// instructions `p+1` onward — exactly the arch campaign's fork
 /// protocol.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub struct ArchMaskMap {
-    digest: u64,
     run_len: u64,
     /// Per writable register (`r0..r30`): sorted packed accesses,
     /// `idx << 1 | is_write`. Reads sort before writes at the same
@@ -971,7 +971,7 @@ pub struct ArchMaskMap {
 impl ArchMaskMap {
     /// Builds the map by replaying the golden run to halt, recording
     /// every architectural register read and write.
-    pub fn build(program: &Program, digest: u64) -> ArchMaskMap {
+    pub fn build(program: &Program) -> ArchMaskMap {
         let mut cpu = Cpu::new(program);
         let mut accesses: Vec<Vec<u32>> = vec![Vec::new(); 31];
         while !cpu.is_halted() {
@@ -993,49 +993,7 @@ impl ArchMaskMap {
                 }
             }
         }
-        ArchMaskMap { digest, run_len: cpu.retired(), accesses }
-    }
-
-    /// The configuration digest this map was built under.
-    pub fn digest(&self) -> u64 {
-        self.digest
-    }
-
-    /// The golden run's retired-instruction count.
-    pub fn run_len(&self) -> u64 {
-        self.run_len
-    }
-
-    /// Static verdict for corrupting register `reg`'s value right after
-    /// instruction `point` retires, with `window_executed` lockstep
-    /// instructions of observation (the campaign's `ArchGolden` value).
-    ///
-    /// * `Some(true)` — provably masked with no symptoms: the register
-    ///   is overwritten before any read inside the window (or the run
-    ///   halts inside the window with the register never accessed —
-    ///   post-halt register residue is dead by the paper's definition).
-    ///   Flips of `r31` are discarded by the hardwired zero and are
-    ///   trivially masked.
-    /// * `Some(false)` — provably *unmasked* with no symptoms: the
-    ///   register is never accessed and the window expires first, so
-    ///   the corrupt value survives into the final strict state
-    ///   comparison.
-    /// * `None` — the next access is a read: the fault propagates and
-    ///   only simulation can classify it.
-    pub fn verdict(&self, point: u64, reg: Reg, window_executed: u64) -> Option<bool> {
-        if reg.is_zero() {
-            return Some(true);
-        }
-        let list = &self.accesses[reg.index()];
-        let lo = u32::try_from((point + 1) << 1).ok()?;
-        let deadline = point + window_executed;
-        if let Some(&e) = list.get(list.partition_point(|&e| e < lo)) {
-            if u64::from(e >> 1) <= deadline {
-                return if e & 1 == 1 { Some(true) } else { None };
-            }
-        }
-        // No access inside the window: masked iff the run halts there.
-        Some(deadline == self.run_len - 1)
+        ArchMaskMap { run_len: cpu.retired(), accesses }
     }
 
     /// AVF-style report over the architectural regions: for each
@@ -1079,34 +1037,6 @@ impl ArchMaskMap {
                 masked_bitcycles: 0,
             },
         ]
-    }
-
-    /// Canonical JSON form.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("kind".to_owned(), Json::from("arch-maskmap")),
-            ("version".to_owned(), Json::UInt(VERSION)),
-            ("digest".to_owned(), Json::UInt(self.digest)),
-            ("run_len".to_owned(), Json::UInt(self.run_len)),
-            (
-                "regs".to_owned(),
-                Json::Arr(self.accesses.iter().map(|l| Json::Str(encode_stamps(l))).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes a persisted map; `None` (caller rebuilds) on mismatch.
-    pub fn from_json(v: &Json, digest: u64) -> Option<ArchMaskMap> {
-        if v.get("kind").and_then(Json::as_str) != Some("arch-maskmap")
-            || v.get("version").and_then(Json::as_u64) != Some(VERSION)
-            || v.get("digest").and_then(Json::as_u64) != Some(digest)
-        {
-            return None;
-        }
-        let run_len = v.get("run_len").and_then(Json::as_u64)?;
-        let accesses =
-            str_array(v, "regs", 31)?.into_iter().map(decode_stamps).collect::<Option<Vec<_>>>()?;
-        Some(ArchMaskMap { digest, run_len, accesses })
     }
 }
 
@@ -1175,11 +1105,6 @@ impl AvfRow {
 /// (scale), simulator configuration, and recording horizon.
 pub fn uarch_map_digest(scale: Scale, uarch: &UarchConfig, horizon: u64) -> u64 {
     config_digest(&format!("uarch-maskmap|{scale:?}|{uarch:?}|{horizon}"))
-}
-
-/// Digest pinning an arch map: the program alone.
-pub fn arch_map_digest(scale: Scale) -> u64 {
-    config_digest(&format!("arch-maskmap|{scale:?}"))
 }
 
 /// On-disk file name for a persisted map.
@@ -1304,29 +1229,6 @@ pub fn uarch_map_sourced(
             |v| UarchMaskMap::from_json(v, uarch, &program, digest),
             || UarchMaskMap::build(uarch, &program, horizon, digest),
             UarchMaskMap::to_json,
-        )
-    })
-}
-
-/// The process-wide arch map registry; see [`uarch_map`].
-pub fn arch_map(workload: WorkloadId, scale: Scale, map_dir: Option<&Path>) -> Arc<ArchMaskMap> {
-    arch_map_sourced(workload, scale, map_dir).0
-}
-
-/// [`arch_map`], also reporting how the request was served.
-pub fn arch_map_sourced(
-    workload: WorkloadId,
-    scale: Scale,
-    map_dir: Option<&Path>,
-) -> (Arc<ArchMaskMap>, MapSource) {
-    static CACHE: Registry<ArchMaskMap> = OnceLock::new();
-    let digest = arch_map_digest(scale);
-    resolve_slot(&CACHE, (workload, digest), || {
-        load_or_build(
-            map_dir.map(|d| map_path(d, "arch", workload, digest)),
-            |v| ArchMaskMap::from_json(v, digest),
-            || ArchMaskMap::build(&workload.build(scale), digest),
-            ArchMaskMap::to_json,
         )
     })
 }
@@ -1479,6 +1381,10 @@ mod tests {
         );
     }
 
+    /// Pins the access recording behind the AVF report's architectural
+    /// rows exactly: a register is dead at instruction-point `p` when its
+    /// next access after `p` is a write, or when it is never accessed
+    /// again.
     #[test]
     fn arch_map_verdicts_on_a_handcrafted_program() {
         use restore_isa::Reg;
@@ -1490,32 +1396,21 @@ mod tests {
         a.mov(Reg::T2, Reg::A0); // 4: read t2, write a0
         a.outq(); // 5: read a0
         a.halt(); // 6
-        let map = ArchMaskMap::build(&a.finish().unwrap(), 5);
-        assert_eq!(map.run_len(), 7);
-        // t0 corrupted after inst 0: read at 2 → only simulation decides.
-        assert_eq!(map.verdict(0, Reg::T0, 6), None);
-        // t0 corrupted after inst 2: overwritten at 3 before any read.
-        assert_eq!(map.verdict(2, Reg::T0, 4), Some(true));
-        // t1 corrupted after inst 2: never accessed again; run halts
-        // inside the window → dead residue, masked.
-        assert_eq!(map.verdict(2, Reg::T1, 4), Some(true));
-        // t1 corrupted after inst 2 with the window expiring before the
-        // halt: residue survives into the strict comparison.
-        assert_eq!(map.verdict(2, Reg::T1, 2), Some(false));
-        // r31 is hardwired zero.
-        assert_eq!(map.verdict(1, Reg::ZERO, 3), Some(true));
-        // cmov-free writes that also read resolve as reads (addq reads
-        // t0 and t1 at 2; verdict for t1 right after 1 must fall back).
-        assert_eq!(map.verdict(1, Reg::T1, 4), None);
-    }
-
-    #[test]
-    fn arch_map_roundtrips_through_json() {
-        let map = ArchMaskMap::build(&WorkloadId::Parserx.build(Scale::smoke()), 42);
-        let text = map.to_json().render();
-        let back = ArchMaskMap::from_json(&Json::parse(&text).unwrap(), 42).expect("decode");
-        assert_eq!(map, back);
-        assert!(ArchMaskMap::from_json(&Json::parse(&text).unwrap(), 43).is_none());
+        let rows = ArchMaskMap::build(&a.finish().unwrap()).avf();
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["arch-regfile", "arch-pc"]);
+        let (regs, pc) = (&rows[0], &rows[1]);
+        assert_eq!((regs.bits, regs.span, regs.masked_bitcycles), (31 * 64, 7, 0));
+        // Dead instruction-points per register, of the 7 (a flip of the
+        // result of instruction `p` is first seen by `p + 1`):
+        // t0 — read at 2, written at 0 and 3: dead at 2..=6, 5 points;
+        // t1 — written at 1, read at 2: dead at 0 and 2..=6, 6 points;
+        // t2 — written at 2, read at 4: dead at 0..=1 and 4..=6, 5 points;
+        // a0 — written at 4, read by `outq` at 5 (`halt` reads nothing):
+        //      dead at 0..=3 and 5..=6, 6 points;
+        // the other 27 registers are never accessed: 7 points each.
+        assert_eq!(regs.dead_bitcycles, 64 * (5 + 6 + 5 + 6 + 27 * 7));
+        assert_eq!((pc.bits, pc.span, pc.dead_bitcycles), (64, 7, 0), "the PC is always live");
     }
 
     #[test]
@@ -1533,7 +1428,7 @@ mod tests {
             rows.iter().any(|r| r.protected_bitcycles() > 0),
             "no region shows any provable masking"
         );
-        let arch_rows = ArchMaskMap::build(&WorkloadId::Mcfx.build(Scale::smoke()), 0).avf();
+        let arch_rows = ArchMaskMap::build(&WorkloadId::Mcfx.build(Scale::smoke())).avf();
         assert_eq!(arch_rows.len(), 2);
         assert!(arch_rows[0].dead_bitcycles > 0, "registers are never all-live");
     }
@@ -1555,9 +1450,6 @@ mod tests {
         let from_disk =
             UarchMaskMap::from_json(&v, &uarch, &WorkloadId::Bzip2x.build(scale), digest).unwrap();
         assert_eq!(&from_disk, &*a);
-        let am = arch_map(WorkloadId::Bzip2x, scale, Some(&dir));
-        assert!(map_path(&dir, "arch", WorkloadId::Bzip2x, arch_map_digest(scale)).exists());
-        assert!(Arc::ptr_eq(&am, &arch_map(WorkloadId::Bzip2x, scale, Some(&dir))));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

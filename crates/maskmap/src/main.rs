@@ -14,13 +14,13 @@
 //! map's field table against the state catalog's bit census and exits
 //! nonzero on the first mismatch.
 //!
-//! Maps are keyed at the horizon a µarch campaign with the same
+//! µarch maps are keyed at the horizon a µarch campaign with the same
 //! `--warmup` and `--window` (and the default drain) uses, so the maps
 //! `--map-dir DIR` persists are the ones `--prune interval` campaigns
 //! given `--store DIR` load instead of building. The workloads' maps
 //! resolve concurrently, one per available core.
 
-use restore_maskmap::{arch_map, map_horizon, resolve_maps, uarch_map, AvfRow};
+use restore_maskmap::{map_horizon, resolve_maps, uarch_map, ArchMaskMap, AvfRow};
 use restore_store::Json;
 use restore_uarch::{Pipeline, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
@@ -138,9 +138,10 @@ fn main() -> ExitCode {
         }
     }
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    // The census needs only the µarch maps.
+    // The census needs only the µarch maps; the AVF report's
+    // architectural rows come from a register access map built here.
     let maps = resolve_maps(&opts.workloads, threads, |id| {
-        let arch = (!opts.census).then(|| arch_map(id, opts.scale, map_dir));
+        let arch = (!opts.census).then(|| ArchMaskMap::build(&id.build(opts.scale)));
         (uarch_map(id, opts.scale, &uarch, horizon, map_dir), arch)
     });
 
@@ -160,7 +161,7 @@ fn main() -> ExitCode {
             continue;
         }
         let mut rows = map.avf(&catalog);
-        rows.extend(arch.iter().flat_map(|a| a.avf()));
+        rows.extend(arch.iter().flat_map(ArchMaskMap::avf));
         if opts.avf {
             println!("{} (span {} cycles)", id.name(), map.last_cycle());
             println!(

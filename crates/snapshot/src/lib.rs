@@ -5,22 +5,24 @@
 //!
 //! ReStore's own detection mechanism is checkpoint/rollback (§2.1), and
 //! the reproduction's campaigns have the mirror-image need: every
-//! injection point wants the golden machine *at* its sweep coordinate,
-//! and walking one machine serially through all points makes point
-//! production the Amdahl bottleneck. This crate records clones of the
-//! golden machine every `stride` coordinates — cheap, because the
-//! architectural [`restore_arch::Memory`] is copy-on-write, so a
-//! snapshot costs one page table plus `Arc` bumps, not an image copy —
-//! and materializes the machine nearest at-or-before any requested
-//! coordinate. A consumer finishes the residual sweep (< `stride`
-//! coordinates), so per-point setup cost is O(stride), independent of
-//! how deep into the run the point lies.
+//! injection point wants the golden machine *at* its sweep coordinate.
+//! This crate owns one *frontier* machine per golden run that only ever
+//! walks forward, and records clones of it every `stride` coordinates —
+//! cheap, because the architectural [`restore_arch::Memory`] is
+//! copy-on-write, so a snapshot costs one page table plus `Arc` bumps,
+//! not an image copy. A request past the frontier walks the frontier to
+//! it and hands out a clone of the frontier itself, so a first sweep
+//! through sorted points costs exactly one serial golden walk. A request
+//! at or behind the frontier clones the nearest snapshot at-or-before
+//! it, and the consumer finishes the residual sweep (< `stride`
+//! coordinates), so revisiting a point costs O(stride) however deep
+//! into the run it lies.
 //!
 //! Restore is *proved*, not assumed: every snapshot records the
-//! machine's full-state fingerprint at capture, every materialization
+//! machine's full-state fingerprint at capture, every snapshot serve
 //! `debug_assert`s that the clone reproduces it bit-for-bit, and the
-//! campaign equivalence tests (`crates/inject/tests/ckpt_equivalence.rs`)
-//! show trial vectors bit-identical with the library on or off.
+//! campaigns' golden vectors (`crates/inject/tests/golden_vectors.rs`)
+//! pin trial records that predate the library.
 //!
 //! Libraries are memoized process-wide by [`LibraryKey`] — (seeding
 //! domain, workload, config digest, stride) — so repeated campaigns
@@ -31,16 +33,21 @@
 //!
 //! ```
 //! use restore_arch::Cpu;
-//! use restore_snapshot::{GoldenCheckpointLibrary, SnapshotMachine};
+//! use restore_snapshot::{GoldenCheckpointLibrary, Served, SnapshotMachine};
 //! use restore_workloads::{Scale, WorkloadId};
 //!
 //! let program = WorkloadId::Mcfx.build(Scale::smoke());
 //! let mut lib = GoldenCheckpointLibrary::new(Cpu::new(&program), 500);
+//! // The first request walks the frontier there and clones it.
 //! let m = lib.materialize(1_234).expect("mcfx runs past 1234 instructions");
-//! assert!(m.base_coord <= 1_234 && 1_234 - m.base_coord < 500);
+//! assert_eq!((m.base_coord, m.served), (1_234, Served::Frontier));
+//! // A request behind the frontier clones the snapshot at 1000; the
+//! // consumer finishes the residual sweep.
+//! let m = lib.materialize(1_100).expect("still live");
+//! assert_eq!(m.base_coord, 1_000);
 //! let mut cpu = m.machine;
-//! assert!(cpu.step_to(1_234));
-//! assert_eq!(cpu.retired(), 1_234);
+//! assert!(cpu.step_to(1_100));
+//! assert_eq!(cpu.retired(), 1_100);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -151,22 +158,37 @@ struct Snapshot<M> {
     machine: M,
 }
 
-/// A machine materialized from the library, positioned at the nearest
-/// snapshot at-or-before the requested coordinate. The consumer owes
-/// the residual `step_to(requested)` — at most one stride of work.
-#[derive(Debug)]
-pub struct Materialized<M> {
-    /// The restored machine, at `base_coord`.
-    pub machine: M,
-    /// Coordinate of the snapshot the machine was cloned from.
-    pub base_coord: u64,
-    /// Fingerprint recorded when that snapshot was captured, for
-    /// release-mode restore verification by callers that want it.
-    pub base_fingerprint: u64,
-    /// Index of the serving snapshot in capture order; comparing against
+/// Where a [`Materialized`] machine was cloned from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Served {
+    /// The frontier, which this request walked forward to the requested
+    /// coordinate: the machine is the golden run itself, not a restore.
+    Frontier,
+    /// The snapshot at `index` in capture order, whose capture
+    /// fingerprint was `fingerprint`. Comparing `index` against
     /// [`GoldenCheckpointLibrary::len`] taken earlier distinguishes warm
     /// (pre-existing) from cold (freshly captured) serves.
-    pub snap_index: usize,
+    Snapshot {
+        /// Index of the serving snapshot in capture order.
+        index: usize,
+        /// Fingerprint recorded when the snapshot was captured, for
+        /// release-mode restore verification by callers that want it.
+        fingerprint: u64,
+    },
+}
+
+/// A machine materialized from the library: the frontier walked to the
+/// requested coordinate, or the nearest snapshot at-or-before it. The
+/// consumer owes the residual `step_to(requested)` — nothing for a
+/// frontier serve, at most one stride of work for a snapshot serve.
+#[derive(Debug)]
+pub struct Materialized<M> {
+    /// The machine, at `base_coord`.
+    pub machine: M,
+    /// Coordinate the machine sits at.
+    pub base_coord: u64,
+    /// What the machine was cloned from.
+    pub served: Served,
 }
 
 /// Strided full-machine snapshots of one golden run.
@@ -174,10 +196,11 @@ pub struct Materialized<M> {
 /// The library owns a *frontier* machine that sweeps forward on demand,
 /// capturing a snapshot (clone + fingerprint) at every multiple of
 /// `stride` it crosses. [`GoldenCheckpointLibrary::materialize`] then
-/// serves any coordinate the golden run reaches alive, from the nearest
-/// snapshot at-or-before it. Requests may arrive in any order; the
-/// frontier only ever moves forward, so a full campaign costs one
-/// golden sweep to its furthest point — once per process per
+/// serves any coordinate the golden run reaches alive: past the
+/// frontier by walking the frontier there and cloning it, at or behind
+/// it from the nearest snapshot at-or-before it. Requests may arrive in
+/// any order; the frontier only ever moves forward, so a full campaign
+/// costs one golden sweep to its furthest point — once per process per
 /// [`LibraryKey`], not once per campaign.
 #[derive(Debug)]
 pub struct GoldenCheckpointLibrary<M> {
@@ -197,8 +220,7 @@ impl<M: SnapshotMachine> GoldenCheckpointLibrary<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `stride` is zero — a zero stride means "no library";
-    /// callers gate on it before constructing one.
+    /// Panics if `stride` is zero: snapshots need a capture interval.
     pub fn new(mut origin: M, stride: u64) -> GoldenCheckpointLibrary<M> {
         assert!(stride > 0, "checkpoint stride must be positive");
         let origin_coord = origin.coord();
@@ -277,13 +299,16 @@ impl<M: SnapshotMachine> GoldenCheckpointLibrary<M> {
         }
     }
 
-    /// Clones the machine nearest at-or-before `coord`, extending the
-    /// frontier first if needed. `None` iff the golden run is not live
-    /// at `coord` — the exact condition under which the historical
-    /// serial sweepers stopped emitting points.
+    /// Serves the golden machine at `coord`. When `coord` lies past the
+    /// frontier, the frontier walks there (capturing the snapshots it
+    /// crosses) and is cloned as it stands, so a forward sweep through
+    /// sorted points does exactly the work of one serial walk. Otherwise
+    /// the nearest snapshot at-or-before `coord` is cloned, and the
+    /// consumer finishes the residual sweep. `None` iff the golden run
+    /// is not live at `coord`.
     ///
-    /// Every materialization re-verifies the restore in debug builds:
-    /// the clone's fingerprint must equal the one recorded at capture.
+    /// Every snapshot serve re-verifies the restore in debug builds: the
+    /// clone's fingerprint must equal the one recorded at capture.
     ///
     /// # Panics
     ///
@@ -291,12 +316,20 @@ impl<M: SnapshotMachine> GoldenCheckpointLibrary<M> {
     /// was never reachable by sweeping and indicates a planner bug.
     pub fn materialize(&mut self, coord: u64) -> Option<Materialized<M>> {
         assert!(coord >= self.origin_coord, "coordinate precedes the library origin");
+        let walked = self.stop.is_none() && self.frontier.coord() < coord;
         self.ensure(coord);
         if self.stop.is_some_and(|s| coord >= s) {
             return None;
         }
-        let idx = self.snaps.partition_point(|s| s.meta.coord <= coord) - 1;
-        let snap = &mut self.snaps[idx];
+        if walked {
+            return Some(Materialized {
+                machine: self.frontier.clone(),
+                base_coord: coord,
+                served: Served::Frontier,
+            });
+        }
+        let index = self.snaps.partition_point(|s| s.meta.coord <= coord) - 1;
+        let snap = &mut self.snaps[index];
         snap.meta.serves += 1;
         let machine = snap.machine.clone();
         if cfg!(debug_assertions) {
@@ -311,8 +344,7 @@ impl<M: SnapshotMachine> GoldenCheckpointLibrary<M> {
         Some(Materialized {
             machine,
             base_coord: snap.meta.coord,
-            base_fingerprint: snap.meta.fingerprint,
-            snap_index: idx,
+            served: Served::Snapshot { index, fingerprint: snap.meta.fingerprint },
         })
     }
 }
@@ -415,10 +447,34 @@ mod tests {
     fn snapshots_land_on_stride_boundaries() {
         let mut lib = GoldenCheckpointLibrary::new(smoke_cpu(), 300);
         let m = lib.materialize(1_000).unwrap();
-        assert_eq!(m.base_coord, 900);
-        assert_eq!(m.machine.retired(), 900);
+        assert_eq!((m.base_coord, m.served), (1_000, Served::Frontier));
+        assert_eq!(m.machine.retired(), 1_000, "a frontier serve needs no residual sweep");
         let coords: Vec<u64> = lib.metas().map(|m| m.coord).collect();
         assert_eq!(coords, vec![0, 300, 600, 900]);
+        // The frontier stands at 1000 now, so the same request is a
+        // snapshot serve from 900.
+        let again = lib.materialize(1_000).unwrap();
+        assert_eq!(again.base_coord, 900);
+        assert!(matches!(again.served, Served::Snapshot { index: 3, .. }));
+        assert_eq!(again.machine.retired(), 900);
+    }
+
+    /// Sorted requests past the frontier are all frontier serves, each
+    /// already at its coordinate, and cost the library only the
+    /// snapshots the walk crossed.
+    #[test]
+    fn forward_requests_clone_the_frontier() {
+        let mut lib = GoldenCheckpointLibrary::new(smoke_cpu(), 250);
+        let mut swept = smoke_cpu();
+        for coord in [10, 260, 261, 700] {
+            let m = lib.materialize(coord).unwrap();
+            assert_eq!((m.base_coord, m.served), (coord, Served::Frontier));
+            let mut served = m.machine;
+            assert!(swept.step_to(coord));
+            assert_eq!(served.fingerprint(), swept.fingerprint(), "coord {coord}");
+        }
+        let coords: Vec<u64> = lib.metas().map(|m| m.coord).collect();
+        assert_eq!(coords, vec![0, 250, 500]);
     }
 
     #[test]
@@ -437,13 +493,13 @@ mod tests {
     fn out_of_order_requests_reuse_the_frontier() {
         let mut lib = GoldenCheckpointLibrary::new(smoke_cpu(), 100);
         let far = lib.materialize(950).unwrap();
-        assert_eq!(far.base_coord, 900);
+        assert_eq!((far.base_coord, far.served), (950, Served::Frontier));
         let captured = lib.len();
         // An earlier coordinate must be served without new captures.
         let near = lib.materialize(150).unwrap();
         assert_eq!(near.base_coord, 100);
         assert_eq!(lib.len(), captured);
-        assert!(near.snap_index < far.snap_index);
+        assert!(matches!(near.served, Served::Snapshot { index: 1, .. }));
     }
 
     #[test]
@@ -482,7 +538,7 @@ mod tests {
             || GoldenCheckpointLibrary::new(smoke_cpu(), 350),
             |lib, created| {
                 assert!(created, "first use must initialize the library");
-                lib.materialize(700).map(|m| m.snap_index)
+                lib.materialize(700).map(|m| m.served)
             },
         );
         assert!(cached_libraries() > before);
@@ -494,7 +550,7 @@ mod tests {
                 lib.len()
             },
         );
-        assert_eq!(first, Some(2));
+        assert_eq!(first, Some(Served::Frontier));
         assert_eq!(warm_len, 3, "origin plus two strided snapshots");
     }
 

@@ -2,11 +2,13 @@
 //! whatever a materialized clone does afterwards — bit flips, further
 //! execution, stores into pages it still shares copy-on-write with the
 //! library — the snapshot it came from must keep reproducing its
-//! capture fingerprint, across randomized machine configurations.
+//! capture fingerprint, and the frontier it may have been cloned from
+//! must keep walking the golden run, across randomized machine
+//! configurations.
 
 use proptest::prelude::*;
 use restore_arch::Cpu;
-use restore_snapshot::{GoldenCheckpointLibrary, SnapshotMachine};
+use restore_snapshot::{GoldenCheckpointLibrary, Served, SnapshotMachine};
 use restore_uarch::{Pipeline, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
 
@@ -29,11 +31,13 @@ fn varied_config(width: u32, rob: usize, history_bits: u32) -> UarchConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// µarch round-trip under adversarial clone mutation: materialize,
-    /// flip a random live bit in the clone, run the corrupted clone
-    /// onward — then re-materialize the same coordinate and require the
-    /// capture fingerprint bit-for-bit. Any CoW leak from clone to
-    /// snapshot fails this immediately.
+    /// µarch round-trip under adversarial clone mutation: materialize
+    /// (a frontier serve, then a snapshot serve of the same coordinate),
+    /// flip a random live bit in each clone, run the corrupted clones
+    /// onward — then re-materialize the coordinate and require the
+    /// capture fingerprint bit-for-bit, and walk the frontier on and
+    /// require a serial sweep's fingerprint. Any CoW leak from clone to
+    /// snapshot or frontier fails this immediately.
     #[test]
     fn pipeline_snapshots_survive_clone_mutation(
         width in 1u32..=4,
@@ -45,19 +49,28 @@ proptest! {
     ) {
         let cfg = varied_config(width, [16, 32, 64][rob_sel], history_bits);
         let program = WorkloadId::Gzipx.build(Scale::smoke());
-        let mut lib = GoldenCheckpointLibrary::new(Pipeline::new(cfg, &program), stride);
+        let origin = Pipeline::new(cfg, &program);
+        let mut swept = origin.clone();
+        let mut lib = GoldenCheckpointLibrary::new(origin, stride);
         let coord = stride + extra;
-        let Some(m) = lib.materialize(coord) else {
+        let Some(first) = lib.materialize(coord) else {
             // This config halts the run before `coord`; liveness at the
             // coordinate is the library's precondition, so nothing to prove.
             return;
         };
-        let (base, want) = (m.base_coord, m.base_fingerprint);
+        prop_assert_eq!(first.served, Served::Frontier);
+        let m = lib.materialize(coord).expect("golden liveness is a property of the run");
+        let Served::Snapshot { fingerprint: want, .. } = m.served else {
+            panic!("a coordinate behind the frontier is a snapshot serve");
+        };
+        let base = m.base_coord;
 
-        let mut victim = m.machine;
-        let bits = victim.catalog().total_bits;
-        victim.flip_bit(((bits as f64 - 1.0) * bit_frac) as u64);
-        victim.step_to(coord + 200);
+        for clone in [first.machine, m.machine] {
+            let mut victim = clone;
+            let bits = victim.catalog().total_bits;
+            victim.flip_bit(((bits as f64 - 1.0) * bit_frac) as u64);
+            victim.step_to(coord + 200);
+        }
 
         let again = lib.materialize(coord).expect("golden liveness is a property of the run");
         prop_assert_eq!(again.base_coord, base);
@@ -67,6 +80,15 @@ proptest! {
             want,
             "snapshot no longer reproduces its capture fingerprint after clone mutation"
         );
+        if let Some(on) = lib.materialize(coord + 100) {
+            prop_assert!(swept.step_to(coord + 100));
+            let mut walked = on.machine;
+            prop_assert_eq!(
+                walked.fingerprint(),
+                swept.fingerprint(),
+                "the frontier left the golden run after its clone was mutated"
+            );
+        }
     }
 }
 
@@ -86,8 +108,16 @@ proptest! {
         let program = WorkloadId::Mcfx.build(Scale::smoke());
         let mut lib = GoldenCheckpointLibrary::new(Cpu::new(&program), stride);
         let coord = stride + extra;
-        let Some(m) = lib.materialize(coord) else { return };
-        let (base, want) = (m.base_coord, m.base_fingerprint);
+        // The first request walks the frontier to `coord`; the ones
+        // below are snapshot serves.
+        if lib.materialize(coord).is_none() {
+            return;
+        }
+        let m = lib.materialize(coord).expect("same coordinate, same liveness");
+        let Served::Snapshot { fingerprint: want, .. } = m.served else {
+            panic!("a coordinate behind the frontier is a snapshot serve");
+        };
+        let base = m.base_coord;
         let mut live = m.machine;
 
         // Two clones of one snapshot share every page at birth — the

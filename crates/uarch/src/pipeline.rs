@@ -1608,8 +1608,8 @@ impl Pipeline {
     /// retired stream rather than through it. With that caveat, equal
     /// fingerprints at the same cycle mean identical futures in this
     /// deterministic simulator — the property the fault-injection
-    /// campaign's reconvergence cutoff (`cutoff_stride`) relies on to
-    /// stop a trial early and back-fill the rest from the golden run.
+    /// campaign's reconvergence cutoff relies on to stop a trial early
+    /// and back-fill the rest from the golden run.
     pub fn fingerprint(&mut self) -> u64 {
         let mut f = crate::state::Fingerprint::new();
         f.mix(self.state_hash());
