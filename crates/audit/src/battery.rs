@@ -1,18 +1,18 @@
 //! Runtime per-field digest perturbation battery.
 //!
-//! The static pass ([`crate::digests`]) proves every config field is
-//! *mentioned* by a digest body or exempted; this battery proves the
-//! digest *behaves*: perturbing a shaped field must change the digest
-//! value, perturbing a neutral field must not. Together they close both
-//! failure modes — a fold that exists but is value-insensitive (static
-//! pass blind, battery catches) and a field nobody remembered at all
-//! (battery table blind until completeness fires, static pass catches).
+//! Each campaign digest body destructures its config with no `..`, so
+//! the compiler already forces every field to be folded or bound `_`
+//! with the reason it cannot shape a record. This battery proves the
+//! digest *behaves* as classified: perturbing a shaped field must
+//! change the digest value, perturbing a neutral field must not. A fold
+//! that is value-insensitive, or a field folded although the table
+//! calls it neutral, fails here; no pattern can see either.
 //!
-//! The tables below replace the hand-written
-//! `campaign_digest_tracks_result_shaping_fields_only` pin tests that
-//! previously lived in `uarch_campaign.rs`/`arch_campaign.rs`; the
-//! historical digest values those tests implicitly froze are pinned
-//! explicitly as [`restore_core::PINNED_UARCH_DEFAULT_DIGEST`] and
+//! [`UARCH_FIELDS`] and [`ARCH_FIELDS`] come from exhaustive patterns
+//! too (`declared_fields!`), so a field added to either config fails
+//! to compile here as well, and then fails the battery until its table
+//! has a perturbation. The historical default digests are pinned as
+//! [`restore_core::PINNED_UARCH_DEFAULT_DIGEST`] and
 //! [`restore_core::PINNED_ARCH_DEFAULT_DIGEST`] and asserted in
 //! `tests/digest_battery.rs`.
 
@@ -78,7 +78,7 @@ pub fn run_battery<C: Clone>(
         if !perturbations.iter().any(|p| p.field == *field) {
             failures.push(format!(
                 "{type_name}.{field}: declared field has no perturbation — extend the \
-                 battery table (and the digest fold or `// digest: neutral` exemption)"
+                 battery table to match the field's classification in the digest body"
             ));
         }
     }
@@ -119,35 +119,54 @@ pub fn run_battery<C: Clone>(
     }
 }
 
+/// A struct's field names as a `[&str; N]`, read off an exhaustive
+/// pattern of it (`Type { a: _, b: _ }`, no `..`): a field added to,
+/// removed from or renamed in the struct fails to compile at that
+/// pattern until the list follows.
+macro_rules! declared_fields {
+    (@names $ty:ident { $($field:ident: _),* $(,)? }) => {
+        [$(stringify!($field)),*]
+    };
+    (@names $($other:tt)*) => {
+        compile_error!("declared_fields! takes `Type { field: _, ... }`, every field, no `..`")
+    };
+    ($($pattern:tt)*) => {{
+        let _witness = |c: &_| {
+            let $($pattern)* = c;
+        };
+        declared_fields!(@names $($pattern)*)
+    }};
+}
+
 /// Declared fields of [`UarchCampaignConfig`], declaration order.
-pub const UARCH_FIELDS: [&str; 14] = [
-    "scale",
-    "uarch",
-    "points_per_workload",
-    "trials_per_point",
-    "warmup_cycles",
-    "window_cycles",
-    "drain_cycles",
-    "seed",
-    "target",
-    "threads",
-    "prune",
-    "map_dir",
-    "ckpt_stride",
-    "detectors",
-];
+pub const UARCH_FIELDS: [&str; 14] = declared_fields!(UarchCampaignConfig {
+    scale: _,
+    uarch: _,
+    points_per_workload: _,
+    trials_per_point: _,
+    warmup_cycles: _,
+    window_cycles: _,
+    drain_cycles: _,
+    seed: _,
+    target: _,
+    threads: _,
+    prune: _,
+    map_dir: _,
+    ckpt_stride: _,
+    detectors: _,
+});
 
 /// Declared fields of [`ArchCampaignConfig`], declaration order.
-pub const ARCH_FIELDS: [&str; 8] = [
-    "scale",
-    "trials_per_workload",
-    "window",
-    "seed",
-    "low32",
-    "threads",
-    "ckpt_stride",
-    "detectors",
-];
+pub const ARCH_FIELDS: [&str; 8] = declared_fields!(ArchCampaignConfig {
+    scale: _,
+    trials_per_workload: _,
+    window: _,
+    seed: _,
+    low32: _,
+    threads: _,
+    ckpt_stride: _,
+    detectors: _,
+});
 
 /// The perturbation table for the µarch campaign config. Multiple
 /// perturbations per field are deliberate: `uarch` and `detectors` are
@@ -293,8 +312,8 @@ pub fn arch_battery(base: &ArchCampaignConfig) -> BatteryReport {
     )
 }
 
-/// Both batteries against the default configs — the CLI's `--digests`
-/// runtime leg.
+/// Both batteries against the default configs — what `restore-audit
+/// --digests` runs and reports.
 pub fn default_batteries() -> Vec<BatteryReport> {
     vec![
         uarch_battery(&UarchCampaignConfig::default()),

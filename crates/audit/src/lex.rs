@@ -1,15 +1,15 @@
 //! The shared token stream behind every static pass in this crate.
 //!
-//! All three analyzers — the state-coverage [`crate::scanner`], the
-//! digest-coverage scanner ([`crate::digests`]) and the determinism
-//! lint ([`crate::determinism`]) — work on the same dependency-free
-//! lexical view of Rust source: identifiers, punctuation and integer
-//! literals with their source lines, plus the harvested `// <prefix>:`
-//! exemption directives. Centralizing the lexer here keeps the three
-//! passes' view of a file identical (one string-literal or lifetime
-//! mis-parse would otherwise desynchronize them) and gives each pass
-//! only the directives of its own namespace, so an `// audit:` typo can
-//! never be mistaken for a digest exemption or vice versa.
+//! Both analyzers — the state-coverage [`crate::scanner`] and the
+//! determinism lint ([`crate::determinism`]) — work on the same
+//! dependency-free lexical view of Rust source: identifiers,
+//! punctuation and integer literals with their source lines, plus the
+//! harvested `// <prefix>:` exemption directives. Centralizing the
+//! lexer here keeps the two passes' view of a file identical (one
+//! string-literal or lifetime mis-parse would otherwise desynchronize
+//! them) and gives each pass only the directives of its own namespace,
+//! so an `// audit:` typo can never be mistaken for a determinism
+//! exemption or vice versa.
 
 /// One lexical token with its source line.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,12 +50,12 @@ impl Tok {
 /// leading word is none of these is ordinary prose and never harvested,
 /// so each pass sees exactly its own grammar (plus, via
 /// [`Directive::prefix`], nothing else's).
-pub(crate) const DIRECTIVE_PREFIXES: [&str; 3] = ["audit", "digest", "determinism"];
+pub(crate) const DIRECTIVE_PREFIXES: [&str; 2] = ["audit", "determinism"];
 
 /// One `// <prefix>: …` comment found during tokenization.
 #[derive(Debug, Clone)]
 pub(crate) struct Directive {
-    /// Namespace word before the colon (`audit`, `digest`, …).
+    /// Namespace word before the colon (`audit` or `determinism`).
     pub prefix: &'static str,
     /// 1-based source line of the comment.
     pub line: u32,
@@ -65,8 +65,8 @@ pub(crate) struct Directive {
 
 impl Directive {
     /// Parses the common `<keyword> -- <reason>` grammar shared by
-    /// every namespace (`audit: skip -- r`, `digest: neutral -- r`,
-    /// `determinism: allow -- r`): `Ok(reason)` for a well-formed
+    /// every namespace (`audit: skip -- r`, `determinism: allow -- r`):
+    /// `Ok(reason)` for a well-formed
     /// directive with a non-empty reason, `Err(raw)` otherwise — the
     /// raw text lets the caller render the malformed directive.
     pub fn reason_for(&self, keyword: &str) -> Result<String, String> {
@@ -283,26 +283,27 @@ mod tests {
 
     #[test]
     fn directives_of_every_namespace_are_harvested() {
-        let src = "// audit: skip -- a\nlet x = 1; // digest: neutral -- b\n\
-                   // determinism: allow -- c\n// plain comment: not a directive\n";
+        let src = "// audit: skip -- a\nlet x = 1; // determinism: allow -- b\n\
+                   // plain comment: not a directive\n";
         let (_, dirs) = tokenize(src);
         let seen: Vec<(&str, u32)> = dirs.iter().map(|d| (d.prefix, d.line)).collect();
-        assert_eq!(seen, vec![("audit", 1), ("digest", 2), ("determinism", 3)]);
+        assert_eq!(seen, vec![("audit", 1), ("determinism", 2)]);
         assert_eq!(dirs[0].reason_for("skip").as_deref(), Ok("a"));
-        assert_eq!(dirs[1].reason_for("neutral").as_deref(), Ok("b"));
-        assert_eq!(dirs[2].reason_for("allow").as_deref(), Ok("c"));
+        assert_eq!(dirs[1].reason_for("allow").as_deref(), Ok("b"));
     }
 
     #[test]
     fn malformed_directives_surface_their_raw_text() {
-        let (_, dirs) = tokenize("// digest: neutral\n// audit: skpi -- typo\n");
-        assert_eq!(dirs[0].reason_for("neutral"), Err("digest: neutral".to_string()));
+        let (_, dirs) = tokenize("// determinism: allow\n// audit: skpi -- typo\n");
+        assert_eq!(dirs[0].reason_for("allow"), Err("determinism: allow".to_string()));
         assert_eq!(dirs[1].reason_for("skip"), Err("audit: skpi -- typo".to_string()));
     }
 
     #[test]
     fn wrong_namespace_is_not_cross_harvested() {
-        let (_, dirs) = tokenize("// digest: neutral -- fine\n");
-        assert!(dirs.iter().all(|d| d.prefix == "digest"));
+        let (_, dirs) = tokenize("// determinism: allow -- fine\n// note: skip -- prose\n");
+        assert_eq!(dirs.len(), 1, "an unknown namespace is prose: {dirs:?}");
+        assert_eq!(dirs[0].prefix, "determinism");
+        assert_eq!(dirs[0].reason_for("skip"), Err("determinism: allow -- fine".to_string()));
     }
 }

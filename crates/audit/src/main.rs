@@ -9,15 +9,15 @@
 //!   `crates/uarch/src`, `crates/arch/src`, `crates/snapshot/src`,
 //!   `crates/store/src`, `crates/maskmap/src`, `crates/core/src` and
 //!   `crates/inject/src`; exit 1 on any finding.
-//! * `--digests`: run the static digest-coverage scanner over the
-//!   crates that define campaign digests (`core`, `inject`, `bench`)
-//!   plus the per-field runtime perturbation battery; exit 1 if any
-//!   config field is neither folded nor exempted, any exemption is
-//!   malformed or lying, or any perturbation breaks the
-//!   shaped-iff-rekeys contract.
+//! * `--digests`: run the per-field perturbation battery against the
+//!   default µarch and arch campaign configs; exit 1 if perturbing a
+//!   shaped field leaves the campaign digest unchanged, perturbing a
+//!   neutral field changes it, or a declared field has no
+//!   perturbation. That every field is classified at all is checked by
+//!   the compiler: the digest bodies destructure every field.
 //! * `--determinism`: run the nondeterminism lint over the campaign,
-//!   bench, store, snapshot, maskmap and perf crate roots; exit 1 on
-//!   any unexempted banned construct.
+//!   bench, store, snapshot, maskmap, perf and core crate roots; exit 1
+//!   on any unexempted banned construct.
 //! * `--contract`: run the runtime invariant battery against a warmed
 //!   default-config pipeline and the architectural CPU; exit 1 on any
 //!   violation.
@@ -35,9 +35,7 @@ use std::process::ExitCode;
 use restore_audit::battery::default_batteries;
 use restore_audit::contract::check_contract;
 use restore_audit::scanner::{Finding, Severity};
-use restore_audit::{
-    analyze_determinism_dirs, analyze_digest_dirs, analyze_dirs, cpu_census, pipeline_census,
-};
+use restore_audit::{analyze_determinism_dirs, analyze_dirs, cpu_census, pipeline_census};
 use restore_uarch::{Pipeline, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
 
@@ -122,19 +120,7 @@ fn run_check(opts: &Options) -> bool {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"severity\":\"{}\",\"kind\":\"{}\",\"type\":\"{}\",\"field\":\"{}\",\
-                 \"file\":\"{}\",\"line\":{}}}",
-                match f.severity {
-                    Severity::Error => "error",
-                    Severity::Note => "note",
-                },
-                f.kind,
-                f.type_name,
-                f.field,
-                f.file.display(),
-                f.line,
-            ));
+            out.push_str(&finding_json(f));
         }
         out.push_str(&format!(
             "],\"files_scanned\":{},\"structs\":{},\"walks\":{},\"clean\":{}}}",
@@ -176,68 +162,29 @@ fn finding_json(f: &Finding) -> String {
     )
 }
 
-fn run_digests(opts: &Options) -> bool {
-    // Only these crates define digest roots: the builder in `core`, the
-    // campaign digests in `inject`, the sweep-cell digest in `bench`.
-    let roots = [
-        opts.root.join("crates/core/src"),
-        opts.root.join("crates/inject/src"),
-        opts.root.join("crates/bench/src"),
-    ];
-    let analysis = match analyze_digest_dirs(&roots) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("restore-audit: cannot scan {}: {e}", opts.root.display());
-            return false;
-        }
-    };
+fn run_digests(json: bool) -> bool {
     let batteries = default_batteries();
-    let battery_ok = batteries.iter().all(restore_audit::BatteryReport::is_clean);
-    if opts.json {
-        let mut out = String::from("{\"findings\":[");
-        for (i, f) in analysis.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&finding_json(f));
-        }
-        out.push_str("],\"structs\":[");
-        for (i, s) in analysis.structs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"shaped\":{},\"neutral\":{}}}",
-                s.name,
-                s.shaped.len(),
-                s.neutral.len(),
-            ));
-        }
-        out.push_str("],\"battery\":[");
+    let clean = batteries.iter().all(restore_audit::BatteryReport::is_clean);
+    if json {
+        let mut out = String::from("{\"structs\":[");
         for (i, b) in batteries.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"type\":\"{}\",\"base_digest\":\"{:#018x}\",\"checked\":{},\
-                 \"failures\":{}}}",
+                "{{\"name\":\"{}\",\"shaped\":{},\"neutral\":{},\"base_digest\":\"{:#018x}\",\
+                 \"checked\":{},\"failures\":{}}}",
                 b.type_name,
+                b.shaped_fields.len(),
+                b.neutral_fields.len(),
                 b.base_digest,
                 b.checked,
                 b.failures.len(),
             ));
         }
-        out.push_str(&format!(
-            "],\"files_scanned\":{},\"digest_fns\":{},\"clean\":{}}}",
-            analysis.files_scanned,
-            analysis.digest_fns.len(),
-            analysis.is_clean() && battery_ok,
-        ));
+        out.push_str(&format!("],\"clean\":{clean}}}"));
         println!("{out}");
     } else {
-        for f in &analysis.findings {
-            println!("{f}");
-        }
         for b in &batteries {
             for fail in &b.failures {
                 println!("error[battery]: {fail}");
@@ -253,20 +200,14 @@ fn run_digests(opts: &Options) -> bool {
                 if b.is_clean() { "contract holds" } else { "VIOLATIONS" },
             );
         }
-        let errors = analysis.errors().count();
+        let errors: usize = batteries.iter().map(|b| b.failures.len()).sum();
         println!(
-            "restore-audit: scanned {} files, {} digest fns, {} reachable structs: {}",
-            analysis.files_scanned,
-            analysis.digest_fns.len(),
-            analysis.structs.len(),
-            if errors == 0 && battery_ok {
-                "digest coverage clean".to_string()
-            } else {
-                format!("{} error(s)", errors + usize::from(!battery_ok))
-            },
+            "restore-audit: {} digest batteries: {}",
+            batteries.len(),
+            if clean { "digest coverage clean".to_string() } else { format!("{errors} error(s)") },
         );
     }
-    analysis.is_clean() && battery_ok
+    clean
 }
 
 fn run_determinism(opts: &Options) -> bool {
@@ -382,7 +323,7 @@ fn main() -> ExitCode {
         ok &= run_check(&opts);
     }
     if opts.digests {
-        ok &= run_digests(&opts);
+        ok &= run_digests(opts.json);
     }
     if opts.determinism {
         ok &= run_determinism(&opts);

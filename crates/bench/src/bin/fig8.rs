@@ -19,12 +19,13 @@ const USAGE: &str = "fig8 [--paper] [--points N] [--trials N] [--seed S] [--thre
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     cli::or_exit(cli::reject_unknown(&args, &cli::uarch_flags_plus(&["--paper"])), USAGE);
+    // Parsed before branching, so a bad value exits 2 under `--paper` too.
+    let mut cfg = UarchCampaignConfig::default();
+    cli::or_exit(cli::apply_uarch_flags(&mut cfg, &args), USAGE);
     let scaling = if cli::flag(&args, "--paper") {
         eprintln!("fig8: using the paper's reported failure fractions");
         FitScaling::paper()
     } else {
-        let mut cfg = UarchCampaignConfig::default();
-        cli::or_exit(cli::apply_uarch_flags(&mut cfg, &args), USAGE);
         eprintln!(
             "fig8: measuring failure fractions ({} points x {} trials x 7 workloads) ...",
             cfg.points_per_workload, cfg.trials_per_point

@@ -12,10 +12,11 @@
 //!   empty campaign is never what was asked for);
 //! * `--threads 0` stays legal: it means the machine's available
 //!   parallelism, and `--threads` is the only way to set the workers;
-//! * unknown `--flags` are rejected, so typos fail instead of running
-//!   the default. Each binary checks against [`UARCH_FLAGS`] or
-//!   [`ARCH_FLAGS`] plus its own extras, and its usage line lists
-//!   exactly those flags.
+//! * every token must be a known flag, or the value directly after a
+//!   known flag that takes one ([`reject_unknown`]), so a typo or a
+//!   stray word fails instead of running the default or being ignored.
+//!   Each binary checks against [`UARCH_FLAGS`] or [`ARCH_FLAGS`] plus
+//!   its own extras, and its usage line lists exactly those flags.
 //!
 //! Errors print the binary's usage line and exit with status 2 via
 //! [`or_exit`].
@@ -98,12 +99,26 @@ pub fn prune_mode(args: &[String]) -> Result<Option<PruneMode>, CliError> {
         .transpose()
 }
 
-/// Errors on any `--flag` not in `known` (a typo would otherwise run
-/// the default experiment). Values (non-`--` tokens) pass through.
+/// The switches that take no value; every other flag takes exactly one.
+pub const BARE_FLAGS: [&str; 4] = ["--low32", "--latches-only", "--resume", "--paper"];
+
+/// Errors on any token after `args[0]` that is neither a flag in
+/// `known` nor the value directly after a known flag that takes one
+/// (every flag but [`BARE_FLAGS`]). A typo would otherwise run the
+/// default experiment, and a stray word would run and be ignored. The
+/// first offending token is the one reported.
 pub fn reject_unknown(args: &[String], known: &[&str]) -> Result<(), CliError> {
-    for a in args.iter().skip(1) {
-        if a.starts_with("--") && !known.contains(&a.as_str()) {
+    let mut tokens = args.iter().skip(1).peekable();
+    while let Some(a) = tokens.next() {
+        if !a.starts_with("--") {
+            return Err(CliError(format!("unexpected argument `{a}`")));
+        }
+        if !known.contains(&a.as_str()) {
             return Err(CliError(format!("unknown flag {a}")));
+        }
+        if !BARE_FLAGS.contains(&a.as_str()) {
+            // A missing value is left to `value` to report.
+            tokens.next_if(|v| !v.starts_with("--"));
         }
     }
     Ok(())
@@ -386,6 +401,58 @@ mod tests {
         assert!(reject_unknown(&args(&["--points", "3", "--latches-only"]), &known).is_ok());
         assert!(reject_unknown(&args(&["--latchesonly"]), &known).is_err());
         assert!(reject_unknown(&args(&["--prnue", "on"]), &known).is_err());
+    }
+
+    fn stray(a: &str) -> Result<(), CliError> {
+        Err(CliError(format!("unexpected argument `{a}`")))
+    }
+
+    /// `fig4 --points 1 --trials 1 bogus`: a word no flag takes.
+    #[test]
+    fn a_stray_word_is_rejected() {
+        let known = uarch_flags_plus(&["--latches-only"]);
+        let a = args(&["--points", "1", "--trials", "1", "bogus"]);
+        assert_eq!(reject_unknown(&a, &known), stray("bogus"));
+        assert_eq!(reject_unknown(&args(&["bogus", "--points", "1"]), &known), stray("bogus"));
+    }
+
+    /// `figs_all --points 1 --trials 1 --arch-trials 1 16`: a flag
+    /// takes one value, not two, and never a `--` token.
+    #[test]
+    fn a_second_value_is_rejected() {
+        let known = uarch_flags_plus(&["--arch-trials"]);
+        let a = args(&["--points", "1", "--trials", "1", "--arch-trials", "1", "16"]);
+        assert_eq!(reject_unknown(&a, &known), stray("16"));
+        let a = args(&["--points", "1", "--trials", "1", "--arch-trials", "1"]);
+        assert_eq!(reject_unknown(&a, &known), Ok(()));
+        assert_eq!(reject_unknown(&args(&["--seed", "-3"]), &known), Ok(()));
+        let unknown = Err(CliError("unknown flag --zz".into()));
+        assert_eq!(reject_unknown(&args(&["--seed", "--zz"]), &known), unknown);
+    }
+
+    /// `restore-campaign --domain arch --trials 1 --store DIR extra`.
+    #[test]
+    fn a_trailing_word_after_a_path_is_rejected() {
+        let known = arch_flags_plus(&["--domain", "--shard", "--resume"]);
+        let a = args(&["--domain", "arch", "--trials", "1", "--store", "/tmp/s", "extra"]);
+        assert_eq!(reject_unknown(&a, &known), stray("extra"));
+        let a = args(&["--domain", "arch", "--store", "/tmp/s", "--resume", "--shard", "0/2"]);
+        assert_eq!(reject_unknown(&a, &known), Ok(()));
+    }
+
+    /// `fig2 --trials 1 --low32 7`: a bare flag takes no value, so the
+    /// `7` is not swallowed and ignored.
+    #[test]
+    fn bare_flags_take_no_value() {
+        assert_eq!(
+            reject_unknown(&args(&["--trials", "1", "--low32", "7"]), &ARCH_FLAGS),
+            stray("7")
+        );
+        let known = uarch_flags_plus(&BARE_FLAGS);
+        for bare in BARE_FLAGS {
+            assert_eq!(reject_unknown(&args(&[bare, "x"]), &known), stray("x"), "{bare}");
+            assert_eq!(reject_unknown(&args(&[bare, "--seed", "3"]), &known), Ok(()), "{bare}");
+        }
     }
 
     /// The retired knobs exit 2 everywhere: no flag list takes the

@@ -32,25 +32,29 @@ use restore_workloads::WorkloadId;
 #[derive(Debug, Clone)]
 pub struct SweepCell {
     /// Stable cell name for tables and JSON.
-    // digest: neutral -- display label; two names over one cfg record identically
     pub name: &'static str,
     /// Campaign configuration (detector knobs folded in).
     pub cfg: UarchCampaignConfig,
     /// Score with the hardened (parity/ECC) pipeline of §5.2.2: lhf
     /// bits are recovered in hardware and leave the failure population.
-    // digest: neutral -- post-hoc scoring policy over already-recorded trials
     pub hardened: bool,
     /// Post-hoc source subsets evaluated against this cell's records.
-    // digest: neutral -- post-hoc subset selection reads recorded latencies only
     pub subsets: Vec<SourceSet>,
 }
 
 /// The store identity of a cell's records: exactly its campaign
 /// configuration's digest. Cells differing only in post-hoc knobs
 /// (`name`, `hardened`, `subsets`) share one digest and therefore one
-/// (cached) campaign run.
+/// (cached) campaign run. The pattern names every field, so a new one
+/// does not compile until it is classified here.
 pub fn cell_digest(cell: &SweepCell) -> u64 {
-    restore_inject::uarch_campaign_digest(&cell.cfg)
+    let SweepCell {
+        name: _, // display label; two names over one cfg record identically
+        cfg,
+        hardened: _, // post-hoc scoring policy over already-recorded trials
+        subsets: _,  // post-hoc subset selection reads recorded latencies only
+    } = cell;
+    restore_inject::uarch_campaign_digest(cfg)
 }
 
 /// The default sweep grid over a base campaign configuration: the

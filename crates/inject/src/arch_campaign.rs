@@ -48,7 +48,6 @@ pub struct ArchCampaignConfig {
     /// Workload scale (paper: SPEC2000int reference runs).
     pub scale: Scale,
     /// Trials per workload (paper: ~1000).
-    // digest: neutral -- sample-count knob: more trials, same per-trial records
     pub trials_per_workload: usize,
     /// Maximum instructions observed after injection. The paper observes
     /// to program completion (its latency axis ends at "inf"); the
@@ -56,14 +55,12 @@ pub struct ArchCampaignConfig {
     /// trials run to halt and masking is judged on final state.
     pub window: u64,
     /// RNG seed for injection point/bit selection.
-    // digest: neutral -- per-trial seeds ride in the store key, not the campaign key
     pub seed: u64,
     /// Restrict flips to the low 32 bits of each result — the §3.1
     /// virtual-address-space sensitivity study.
     pub low32: bool,
     /// Worker threads; 0 means the machine's available parallelism.
     /// Results are bit-identical at every thread count.
-    // digest: neutral -- results are bit-identical at every thread count
     pub threads: usize,
     /// Retired instructions between golden checkpoint captures
     /// ([`restore_snapshot::GoldenCheckpointLibrary`]), which must be
@@ -72,7 +69,6 @@ pub struct ArchCampaignConfig {
     /// materializes each point from the nearest checkpoint at-or-before
     /// it. Results are bit-identical at every stride — only producer
     /// cost changes.
-    // digest: neutral -- checkpoint fast-start is bit-identical at every stride
     pub ckpt_stride: u64,
     /// Observation-time software-detector configuration (signature block
     /// size, duplication mask). Result-shaping: the knobs set the
@@ -165,7 +161,6 @@ impl ArchTrial {
 /// (the exhaustive reference) only in this module's tests.
 struct ArchModel<'a> {
     cfg: &'a ArchCampaignConfig,
-    // digest: neutral -- the cutoff never changes a record; only the tests' reference passes 0
     stride: u64,
 }
 
@@ -227,7 +222,11 @@ impl FaultModel for ArchModel<'_> {
         config_digest(&format!("{:?}", self.cfg.scale))
     }
     fn campaign_digest(&self) -> u64 {
-        arch_campaign_digest(self.cfg)
+        let ArchModel {
+            cfg,
+            stride: _, // the cutoff never changes a record; only the tests' reference passes 0
+        } = self;
+        arch_campaign_digest(cfg)
     }
 
     fn spawn(&self, id: WorkloadId) -> ArchMachine {
@@ -280,14 +279,29 @@ impl FaultModel for ArchModel<'_> {
 /// and checkpoint strides (result-neutral, proved by the golden
 /// vectors). Records written under a different digest are inert
 /// misses, never corruption.
+///
+/// The pattern below names every field with no `..`, so a field added
+/// to the config (or to [`DetectorConfig`]) does not compile until it
+/// is either folded here or bound `_` with the reason it cannot shape
+/// a record.
 pub fn arch_campaign_digest(cfg: &ArchCampaignConfig) -> u64 {
+    let ArchCampaignConfig {
+        scale,
+        trials_per_workload: _, // sample-count knob: more trials, same per-trial records
+        window,
+        seed: _, // per-trial seeds ride in the store key, not the campaign key
+        low32,
+        threads: _,     // results are bit-identical at every thread count
+        ckpt_stride: _, // checkpoint fast-start is bit-identical at every stride
+        detectors: DetectorConfig { sig_chunk, dup_mask },
+    } = cfg;
     ConfigDigest::new()
         .text("arch-campaign")
-        .debug(&cfg.scale)
-        .word(cfg.window)
-        .word(u64::from(cfg.low32))
-        .word(cfg.detectors.sig_chunk)
-        .word(u64::from(cfg.detectors.dup_mask))
+        .debug(scale)
+        .word(*window)
+        .word(u64::from(*low32))
+        .word(*sig_chunk)
+        .word(u64::from(*dup_mask))
         .finish()
 }
 

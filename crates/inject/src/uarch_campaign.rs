@@ -87,33 +87,27 @@ pub struct UarchCampaignConfig {
     pub uarch: UarchConfig,
     /// Injection points (cycles) per workload (paper: ~250–300 total
     /// across the suite).
-    // digest: neutral -- sample-count knob: more points, same per-trial records
     pub points_per_workload: usize,
     /// Trials (random bits) per injection point (paper: ~48).
-    // digest: neutral -- sample-count knob: more trials, same per-trial records
     pub trials_per_point: usize,
     /// Cycles of warm-up before the earliest injection point.
-    // digest: neutral -- only bounds where points may land; each record keys on its own cycle
     pub warmup_cycles: u64,
     /// Observation window after injection (paper: 10,000 cycles).
     pub window_cycles: u64,
     /// Extra cycles allowed for the end-of-trial pipeline drain.
     pub drain_cycles: u64,
     /// RNG seed.
-    // digest: neutral -- per-trial seeds ride in the store key, not the campaign key
     pub seed: u64,
     /// Eligible state.
     pub target: InjectionTarget,
     /// Worker threads; 0 means the machine's available parallelism.
     /// Results are bit-identical at every thread count.
-    // digest: neutral -- results are bit-identical at every thread count
     pub threads: usize,
     /// Interval pruning: skip simulating trials whose flip the
     /// masking-interval map proves masked or residue. Results are
     /// bit-identical to [`PruneMode::Off`]; [`PruneMode::Audit`]
     /// verifies that claim, and the cutoff's, trial-by-trial at full
     /// simulation cost.
-    // digest: neutral -- pruning is bit-identical across all modes
     pub prune: PruneMode,
     /// Where to persist (and load) the per-workload masking-interval
     /// maps used by [`PruneMode::Interval`] — the campaign runners pass
@@ -121,7 +115,6 @@ pub struct UarchCampaignConfig {
     /// per shard *set*. `None` keeps maps in the process-wide registry
     /// only. Result-neutral (maps are deterministic functions of the
     /// configuration).
-    // digest: neutral -- maps are deterministic functions of the config
     pub map_dir: Option<std::path::PathBuf>,
     /// Cycles between golden checkpoint captures
     /// ([`restore_snapshot::GoldenCheckpointLibrary`]), which must be
@@ -130,7 +123,6 @@ pub struct UarchCampaignConfig {
     /// materializes each point from the nearest checkpoint at-or-before
     /// it. Results are bit-identical at every stride — only producer
     /// cost changes.
-    // digest: neutral -- checkpoint fast-start is bit-identical at every stride
     pub ckpt_stride: u64,
     /// Observation-time software-detector configuration (signature block
     /// size, duplication mask). Result-shaping: the knobs set the
@@ -265,7 +257,8 @@ impl FaultModel for UarchModel<'_> {
         config_digest(&format!("{:?}|{:?}", self.cfg.scale, self.cfg.uarch))
     }
     fn campaign_digest(&self) -> u64 {
-        uarch_campaign_digest(self.cfg)
+        let UarchModel { cfg } = self;
+        uarch_campaign_digest(cfg)
     }
 
     fn spawn(&self, id: WorkloadId) -> UarchMachine {
@@ -366,16 +359,37 @@ impl FaultModel for UarchModel<'_> {
 /// checkpoint strides and prune settings (result-neutral, proved by the
 /// golden vectors and `--prune audit`). Records written under a
 /// different digest are inert misses, never corruption.
+///
+/// The pattern below names every field with no `..`, so a field added
+/// to the config (or to [`DetectorConfig`]) does not compile until it
+/// is either folded here or bound `_` with the reason it cannot shape
+/// a record.
 pub fn uarch_campaign_digest(cfg: &UarchCampaignConfig) -> u64 {
+    let UarchCampaignConfig {
+        scale,
+        uarch,
+        points_per_workload: _, // sample-count knob: more points, same per-trial records
+        trials_per_point: _,    // sample-count knob: more trials, same per-trial records
+        warmup_cycles: _, // only bounds where points may land; each record keys on its own cycle
+        window_cycles,
+        drain_cycles,
+        seed: _, // per-trial seeds ride in the store key, not the campaign key
+        target,
+        threads: _,     // results are bit-identical at every thread count
+        prune: _,       // pruning is bit-identical across all modes
+        map_dir: _,     // maps are deterministic functions of the config
+        ckpt_stride: _, // checkpoint fast-start is bit-identical at every stride
+        detectors: DetectorConfig { sig_chunk, dup_mask },
+    } = cfg;
     ConfigDigest::new()
         .text("uarch-campaign")
-        .debug(&cfg.scale)
-        .debug(&cfg.uarch)
-        .word(cfg.window_cycles)
-        .word(cfg.drain_cycles)
-        .debug(&cfg.target)
-        .word(cfg.detectors.sig_chunk)
-        .word(u64::from(cfg.detectors.dup_mask))
+        .debug(scale)
+        .debug(uarch)
+        .word(*window_cycles)
+        .word(*drain_cycles)
+        .debug(target)
+        .word(*sig_chunk)
+        .word(u64::from(*dup_mask))
         .finish()
 }
 
