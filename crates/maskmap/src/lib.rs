@@ -8,18 +8,22 @@
 //! trial without simulating it:
 //!
 //! * **Microarchitectural map** ([`UarchMaskMap`]) — replays the golden
-//!   [`Pipeline`] once, walking every catalog field every cycle and
-//!   folding each visit straight into four families: *dead runs* (cycle
-//!   ranges an occupancy group is vacant), *mask runs* (cycle ranges a
-//!   field's statically-masked bits hold a constant nonzero mask —
-//!   unoccupied operand latches, dead ROB bookkeeping, non-control
-//!   prediction state), *armed stamps* (cycles at which a previously
-//!   dead-or-masked field is wholesale overwritten), and *write
-//!   streams* (exact per-field write cycles from a **shadow replica**
-//!   run in lockstep with the golden replay, every dead field flipped
-//!   and re-flipped after each detected write — convergence back to
-//!   the golden value is the write detector, so even same-value
-//!   rewrites register). An injection `(bit, cycle)` is provably
+//!   [`Pipeline`] once. Each cycle a store-only walk captures every
+//!   catalog field's value plus the positions of the occupancy and mask
+//!   declarations, and a diff against the previous cycle's capture
+//!   updates four families only where something changed: *dead runs*
+//!   (cycle ranges an occupancy group is vacant), *mask runs* (cycle
+//!   ranges a field's statically-masked bits hold a constant nonzero
+//!   mask — unoccupied operand latches, dead ROB bookkeeping,
+//!   non-control prediction state), *armed stamps* (cycles at which a
+//!   previously dead-or-masked field is wholesale overwritten), and
+//!   *write streams* (exact per-field write cycles from a **shadow
+//!   replica** run in lockstep with the golden replay, every dead field
+//!   flipped and re-flipped after each detected write — convergence
+//!   back to the golden value is the write detector, so even same-value
+//!   rewrites register; a replica field matching the value the diff
+//!   expects, with no flip due, costs its walk one compare). An
+//!   injection `(bit, cycle)` is provably
 //!   destroyed when dead at injection and written before the window
 //!   closes, provably *residue* when dead and unwritten through the
 //!   window close's drain horizon, and provably masked when the bit
@@ -178,8 +182,8 @@ fn decode_pairs(text: &str) -> Option<Vec<(u32, u32)>> {
     let mut runs = Vec::new();
     let mut prev_end = 0u64;
     while !r.done() {
-        let s = prev_end + r.read()?;
-        let e = s + r.read()?;
+        let s = prev_end.checked_add(r.read()?)?;
+        let e = s.checked_add(r.read()?)?;
         runs.push((u32::try_from(s).ok()?, u32::try_from(e).ok()?));
         prev_end = e;
     }
@@ -202,7 +206,7 @@ fn decode_stamps(text: &str) -> Option<Vec<u32>> {
     let mut stamps = Vec::new();
     let mut prev = 0u64;
     while !r.done() {
-        prev += r.read()?;
+        prev = prev.checked_add(r.read()?)?;
         stamps.push(u32::try_from(prev).ok()?);
     }
     Some(stamps)
@@ -226,8 +230,8 @@ fn decode_mask_runs(text: &str) -> Option<Vec<(u32, u32, u64)>> {
     let mut runs = Vec::new();
     let mut prev_end = 0u64;
     while !r.done() {
-        let s = prev_end + r.read()?;
-        let e = s + r.read()?;
+        let s = prev_end.checked_add(r.read()?)?;
+        let e = s.checked_add(r.read()?)?;
         let m = r.read()?;
         runs.push((u32::try_from(s).ok()?, u32::try_from(e).ok()?, m));
         prev_end = e;
@@ -266,143 +270,86 @@ fn mask_run_end(runs: &[(u32, u32, u64)], rel_bit: u32, pos: u32) -> Option<u32>
     (pos < e && (m >> rel_bit) & 1 == 1).then_some(e)
 }
 
-/// One field's build state, updated in place by each cycle's golden
-/// walk and read by the shadow walk that follows it.
-#[derive(Debug, Default)]
-struct FieldTrack {
-    /// Golden value at the latest walk.
-    value: u64,
-    /// Mask of the field's open mask run (`0`: no run open).
-    mask: u64,
-    /// Cycle the open mask run started.
-    mask_start: u32,
-    /// Dead or masked at the previous walk: a value change at this walk
-    /// is a wholesale overwrite of protected state (a stamp).
-    armed: bool,
-    /// The field's occupancy group is dead at the latest walk.
-    dead: bool,
-    /// The shadow replica holds this field flipped.
-    flipped: bool,
-}
-
-/// The build's golden walk: visits every field once per cycle and folds
-/// it straight into the map's dead runs, stamps and mask runs, with no
-/// per-cycle snapshot in between.
+/// One store-only walk of a machine's state: the build's golden visitor.
 ///
-/// The first walk also lays out the field table. A field's occupancy
-/// group is the count of [`StateVisitor::region`] and
-/// [`StateVisitor::occupancy`] calls before it, so fields governed by
-/// the same occupancy declaration share a group. Every component issues
-/// a structurally fixed number of those calls per walk (occupancy is
-/// emitted per slot, not per *live* slot), so every later walk must
-/// number the groups identically; the walk asserts it does.
+/// A field costs one store, its value. The zero-bit side channels are
+/// logged by position rather than interpreted: each
+/// [`StateVisitor::region`] and [`StateVisitor::occupancy`] call as a
+/// *mark* (the index of the field it precedes and the liveness it
+/// declares, a region being live), each [`StateVisitor::masked`] call as
+/// a `(field, mask)` pair. A field's occupancy group is the number of
+/// marks at or before it, so the fields one occupancy declaration
+/// governs share a group, and fields before the first mark form group
+/// 0, which is dead. [`Tracker`] interprets the log.
 #[derive(Debug, Default)]
-struct GoldenWalk {
-    /// Per field: its occupancy group.
-    group_of: Vec<u32>,
-    fields: Vec<FieldTrack>,
-    /// Per group: start of its open dead run.
-    dead_since: Vec<Option<u32>>,
-    dead_runs: Vec<Vec<(u32, u32)>>,
-    stamps: Vec<Vec<u32>>,
-    mask_runs: Vec<Vec<(u32, u32, u64)>>,
-    /// Cycle of the walk in progress.
-    t: u32,
-    /// Next field index.
-    idx: usize,
-    /// Current occupancy group.
-    group: u32,
-    /// Group of the previous field this walk.
-    prev_group: Option<u32>,
-    /// Liveness the latest region/occupancy call declared.
-    live: bool,
-    /// One-shot mask declared for the next field.
-    pending_mask: u64,
+struct Capture {
+    /// Field values, traversal order.
+    values: Vec<u64>,
+    /// Per mark: the index of the next field.
+    mark_at: Vec<u32>,
+    /// Per mark: the liveness it declares.
+    mark_live: Vec<bool>,
+    /// `(field, mask)` per `masked` call that no later `region` call
+    /// cancelled, in field order; of repeated calls before one field,
+    /// the last counts.
+    masks: Vec<(u32, u64)>,
 }
 
-impl GoldenWalk {
-    /// Walks `machine` as its state at cycle `t`; the walk at cycle 0
-    /// lays out the field table.
-    fn walk(&mut self, machine: &mut impl FaultState, t: u32) {
-        self.t = t;
-        self.idx = 0;
-        self.group = 0;
-        self.prev_group = None;
-        self.live = false;
-        self.pending_mask = 0;
+impl Capture {
+    /// Replaces the log with a walk of `machine`.
+    fn take(&mut self, machine: &mut impl FaultState) {
+        self.values.clear();
+        self.mark_at.clear();
+        self.mark_live.clear();
+        self.masks.clear();
         machine.visit_state(self);
-        assert_eq!(self.idx, self.fields.len(), "field numbering drifted at cycle {t}");
     }
 
-    /// Appends field `f` in group `g` to the table (cycle 0 only).
-    #[cold]
-    #[inline(never)]
-    fn lay_out(&mut self, f: usize, g: u32) {
-        assert_eq!(self.t, 0, "field count grew to {} at cycle {}", f + 1, self.t);
-        self.group_of.push(g);
-        self.fields.push(FieldTrack::default());
-        self.stamps.push(Vec::new());
-        self.mask_runs.push(Vec::new());
-        let groups = g as usize + 1;
-        if self.dead_runs.len() < groups {
-            self.dead_runs.resize(groups, Vec::new());
-            self.dead_since.resize(groups, None);
-        }
+    /// Index of the next field.
+    fn next(&self) -> u32 {
+        self.values.len() as u32
+    }
+
+    /// The marks that precede one of the first `nfields` fields; later
+    /// ones govern no field.
+    fn governing(&self, nfields: usize) -> &[u32] {
+        &self.mark_at[..self.mark_at.partition_point(|&at| (at as usize) < nfields)]
+    }
+
+    /// Per field: its occupancy group.
+    fn group_of(&self) -> Vec<u32> {
+        let mut marks = self.mark_at.iter().peekable();
+        let mut g = 0u32;
+        (0..self.values.len())
+            .map(|f| {
+                while marks.next_if(|&&at| at as usize <= f).is_some() {
+                    g += 1;
+                }
+                g
+            })
+            .collect()
     }
 }
 
-impl StateVisitor for GoldenWalk {
+impl StateVisitor for Capture {
     fn region(&mut self, _name: &'static str, _kind: StateKind) {
-        self.live = true;
-        self.pending_mask = 0;
-        self.group += 1;
+        // A region start cancels a mask declared for the next field.
+        let at = self.next();
+        while self.masks.last().is_some_and(|&(f, _)| f == at) {
+            self.masks.pop();
+        }
+        self.mark_at.push(at);
+        self.mark_live.push(true);
     }
 
     #[inline]
-    fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
-        let (f, g, t) = (self.idx, self.group, self.t);
-        self.idx += 1;
-        if f == self.fields.len() {
-            self.lay_out(f, g);
-        }
-        if self.group_of[f] != g {
-            drifted(f, t, "occupancy group numbering drifted");
-        }
-        let dead = !self.live;
-        // Every field of a group shares its liveness, so the group's
-        // first field opens or closes the group's dead run.
-        if self.prev_group != Some(g) {
-            self.prev_group = Some(g);
-            let open = &mut self.dead_since[g as usize];
-            match (*open, dead) {
-                (None, true) => *open = Some(t),
-                (Some(s), false) => {
-                    self.dead_runs[g as usize].push((s, t));
-                    *open = None;
-                }
-                _ => {}
-            }
-        }
-        let mask = std::mem::take(&mut self.pending_mask) & width_mask(width);
-        let track = &mut self.fields[f];
-        if track.armed && *value != track.value {
-            self.stamps[f].push(t);
-        }
-        if mask != track.mask {
-            if track.mask != 0 {
-                self.mask_runs[f].push((track.mask_start, t, track.mask));
-            }
-            track.mask_start = t;
-            track.mask = mask;
-        }
-        track.value = *value;
-        track.dead = dead;
-        track.armed = dead || mask != 0;
+    fn word(&mut self, value: &mut u64, _width: u32, _class: FieldClass) {
+        self.values.push(*value);
     }
 
     fn occupancy(&mut self, live: bool) {
-        self.live = live;
-        self.group += 1;
+        self.mark_at.push(self.next());
+        self.mark_live.push(live);
     }
 
     fn wants_occupancy(&self) -> bool {
@@ -410,7 +357,7 @@ impl StateVisitor for GoldenWalk {
     }
 
     fn masked(&mut self, mask: u64) {
-        self.pending_mask = mask;
+        self.masks.push((self.next(), mask));
     }
 
     fn wants_masks(&self) -> bool {
@@ -418,53 +365,403 @@ impl StateVisitor for GoldenWalk {
     }
 }
 
-/// One build-loop walk over the shadow replica: detects writes and
-/// re-arms flips, field by field, against the golden walk of the same
-/// cycle.
+/// What the shadow walk expects of one replica field.
+#[derive(Debug, Clone, Copy)]
+struct Expect {
+    /// Golden's value, XOR the width mask while the replica holds the
+    /// field flipped.
+    value: u64,
+    /// The field is dead but not flipped yet.
+    due: bool,
+}
+
+/// The build's bookkeeping. The first capture lays out the field table;
+/// each later one is diffed against its predecessor, so stamps, mask
+/// runs, dead runs and the shadow walk's expectations move only where
+/// the capture changed.
+///
+/// Every component issues a structurally fixed number of `region` and
+/// `occupancy` calls per walk (occupancy is emitted per slot, not per
+/// *live* slot), so every walk must number the groups as the first did;
+/// [`Tracker::walk`] asserts it does.
+#[derive(Debug)]
+struct Tracker {
+    /// Cycle of the latest capture.
+    t: u32,
+    /// The latest capture, and the buffer the next one fills.
+    cur: Capture,
+    spare: Capture,
+    shape: Shape,
+    /// The layout's marks that govern fields: group `g ≥ 1` starts at
+    /// field `marks[g - 1]`.
+    marks: Vec<u32>,
+    /// Per group: live at the latest capture.
+    live: Vec<bool>,
+    /// Per group: start of its open dead run.
+    dead_since: Vec<Option<u32>>,
+    /// The latest capture's masks, clipped to the field width, zeros
+    /// dropped, one per field; and the buffer for the next.
+    masks: Vec<(u32, u64)>,
+    spare_masks: Vec<(u32, u64)>,
+    /// Per field: the mask of its open mask run (`0`: no run open), and
+    /// the cycle the run started.
+    mask: Vec<u64>,
+    mask_start: Vec<u32>,
+    /// Per field: dead or masked at the latest capture, so a value
+    /// change at the next one is a wholesale overwrite (a stamp).
+    armed: Vec<bool>,
+    /// Per field: the width mask while the shadow replica holds the
+    /// field flipped, else `0`.
+    flip: Vec<u64>,
+    expect: Vec<Expect>,
+    dead_runs: Vec<Vec<(u32, u32)>>,
+    stamps: Vec<Vec<u32>>,
+    mask_runs: Vec<Vec<(u32, u32, u64)>>,
+    writes: Vec<Vec<u32>>,
+}
+
+impl Tracker {
+    /// Lays out the field table from `machine`, whose fields `catalog`
+    /// lists, and records it as its state at cycle 0.
+    fn new(machine: &mut impl FaultState, catalog: &StateCatalog) -> Tracker {
+        let mut first = Capture::default();
+        first.take(machine);
+        let shape = Shape::of_capture(catalog, &first);
+        let nfields = shape.group_of.len();
+        let ngroups = shape.ngroups;
+        let mut tracker = Tracker {
+            t: 0,
+            // Cycle 0 is diffed against unchanged values, live groups
+            // and no masks: dead groups and masks open their runs at 0.
+            cur: Capture { values: first.values.clone(), ..Capture::default() },
+            spare: Capture::default(),
+            marks: first.governing(nfields).to_vec(),
+            live: vec![true; ngroups],
+            dead_since: vec![None; ngroups],
+            masks: Vec::new(),
+            spare_masks: Vec::new(),
+            mask: vec![0; nfields],
+            mask_start: vec![0; nfields],
+            armed: vec![false; nfields],
+            flip: vec![0; nfields],
+            expect: first.values.iter().map(|&value| Expect { value, due: false }).collect(),
+            dead_runs: vec![Vec::new(); ngroups],
+            stamps: vec![Vec::new(); nfields],
+            mask_runs: vec![Vec::new(); nfields],
+            writes: vec![Vec::new(); nfields],
+            shape,
+        };
+        if ngroups > 0 {
+            tracker.set_live(0, false);
+        }
+        tracker.diff(&first);
+        tracker.cur = first;
+        tracker
+    }
+
+    /// Captures `machine` as its state one cycle after the latest
+    /// capture and folds in what changed.
+    fn walk(&mut self, machine: &mut impl FaultState) {
+        self.t += 1;
+        let t = self.t;
+        let nfields = self.shape.group_of.len();
+        let mut next = std::mem::take(&mut self.spare);
+        next.take(machine);
+        if next.values.len() > nfields {
+            panic!("field count grew to {} at cycle {t}", nfields + 1);
+        }
+        assert_eq!(next.values.len(), nfields, "field numbering drifted at cycle {t}");
+        if next.governing(nfields) != self.marks {
+            self.group_drift(&next);
+        }
+        self.diff(&next);
+        self.spare = std::mem::replace(&mut self.cur, next);
+    }
+
+    /// Reports the first field whose group `next` numbers differently.
+    #[cold]
+    #[inline(never)]
+    fn group_drift(&self, next: &Capture) -> ! {
+        let f = (self.shape.group_of.iter().zip(next.group_of()))
+            .position(|(&was, now)| was != now)
+            .expect("governing marks that moved move some field's group");
+        drifted(f, self.t, "occupancy group numbering drifted")
+    }
+
+    /// Folds `next`, the capture at cycle `self.t`, into the
+    /// bookkeeping of `self.cur`, the one before it.
+    fn diff(&mut self, next: &Capture) {
+        let t = self.t;
+        // Value changes first: a stamp reads the previous capture's
+        // armed state.
+        let Tracker { cur, armed, stamps, flip, expect, .. } = self;
+        for_each_change(&cur.values, &next.values, |f, value| {
+            if armed[f] {
+                stamps[f].push(t);
+            }
+            expect[f].value = value ^ flip[f];
+        });
+        // Groups whose governing mark flipped liveness.
+        let live = &next.mark_live[..self.marks.len()];
+        if live != self.live.get(1..).unwrap_or_default() {
+            for (m, &l) in live.iter().enumerate() {
+                if l != self.live[m + 1] {
+                    self.set_live(m + 1, l);
+                }
+            }
+        }
+        // Fields whose effective mask changed.
+        let mut masks = std::mem::take(&mut self.spare_masks);
+        effective_masks(&next.masks, &self.shape.widths, &mut masks);
+        if masks != self.masks {
+            // Both lists are sorted by field: merge them. No field has
+            // index `u32::MAX`, which marks a drained list.
+            let old = std::mem::take(&mut self.masks);
+            let (mut was_it, mut now_it) = (old.iter().peekable(), masks.iter().peekable());
+            let field = |e: Option<&&(u32, u64)>| e.map_or(u32::MAX, |e| e.0);
+            loop {
+                let f = field(was_it.peek()).min(field(now_it.peek()));
+                if f == u32::MAX {
+                    break;
+                }
+                let was = was_it.next_if(|e| e.0 == f).map_or(0, |e| e.1);
+                let now = now_it.next_if(|e| e.0 == f).map_or(0, |e| e.1);
+                if was != now {
+                    self.set_mask(f as usize, now);
+                }
+            }
+            self.masks = old;
+        }
+        std::mem::swap(&mut self.masks, &mut masks);
+        self.spare_masks = masks;
+    }
+
+    /// Group `g` turns live or dead at the latest capture. Groups with
+    /// no fields get no dead runs.
+    fn set_live(&mut self, g: usize, live: bool) {
+        self.live[g] = live;
+        let lo = if g == 0 { 0 } else { self.marks[g - 1] as usize };
+        let hi = self.marks.get(g).map_or(self.shape.group_of.len(), |&at| at as usize);
+        if lo == hi {
+            return;
+        }
+        let t = self.t;
+        if live {
+            let s = self.dead_since[g].take().expect("a dead group has an open dead run");
+            self.dead_runs[g].push((s, t));
+            for f in lo..hi {
+                self.armed[f] = self.mask[f] != 0;
+            }
+        } else {
+            self.dead_since[g] = Some(t);
+            for f in lo..hi {
+                self.armed[f] = true;
+                // The shadow walk flips every dead field it holds
+                // unflipped.
+                self.expect[f].due = self.flip[f] == 0;
+            }
+        }
+    }
+
+    /// Field `f`'s effective mask becomes `mask` at the latest capture.
+    fn set_mask(&mut self, f: usize, mask: u64) {
+        let t = self.t;
+        let was = self.mask[f];
+        if was != 0 {
+            self.mask_runs[f].push((self.mask_start[f], t, was));
+        }
+        self.mask[f] = mask;
+        self.mask_start[f] = t;
+        self.armed[f] = mask != 0 || !self.live[self.shape.group_of[f] as usize];
+    }
+
+    /// Walks the shadow replica against the latest capture: detects
+    /// writes (flipped fields converging back to golden), asserts the
+    /// live trajectory is undisturbed, and flips every dead field it
+    /// holds unflipped.
+    fn shadow(&mut self, replica: &mut impl FaultState) {
+        let mut walk = ShadowWalk {
+            expect: &mut self.expect,
+            idx: 0,
+            slow: SlowPath {
+                golden: &self.cur.values,
+                flip: &mut self.flip,
+                live: &self.live,
+                group_of: &self.shape.group_of,
+                writes: &mut self.writes,
+                t: self.t,
+            },
+        };
+        replica.visit_state(&mut walk);
+        assert_eq!(
+            walk.idx,
+            self.shape.group_of.len(),
+            "shadow walk and golden walk disagree on field count"
+        );
+    }
+
+    /// Closes the runs still open at the latest capture and returns the
+    /// map's field table and interval families. The closed ends are
+    /// never consulted past a stamp (stamps stop at the latest capture
+    /// too), so the clip to one past it cannot over-claim protection.
+    fn finish(self) -> Families {
+        let Tracker {
+            t,
+            shape,
+            dead_since,
+            mut dead_runs,
+            mut stamps,
+            mut mask_runs,
+            mut writes,
+            mask,
+            mask_start,
+            ..
+        } = self;
+        let end = t + 1;
+        for (runs, open) in dead_runs.iter_mut().zip(dead_since) {
+            if let Some(s) = open {
+                runs.push((s, end));
+            }
+        }
+        for (f, runs) in mask_runs.iter_mut().enumerate() {
+            if mask[f] != 0 {
+                runs.push((mask_start[f], end, mask[f]));
+            }
+        }
+        // The per-field streams grew by doubling; the registry keeps
+        // every map for the life of the process, so return the slack.
+        for runs in &mut mask_runs {
+            runs.shrink_to_fit();
+        }
+        for cycles in stamps.iter_mut().chain(&mut writes) {
+            cycles.shrink_to_fit();
+        }
+        Families { shape, dead_runs, stamps, mask_runs, writes }
+    }
+}
+
+/// A finished build's field table and interval families.
+struct Families {
+    shape: Shape,
+    dead_runs: Vec<Vec<(u32, u32)>>,
+    stamps: Vec<Vec<u32>>,
+    mask_runs: Vec<Vec<(u32, u32, u64)>>,
+    writes: Vec<Vec<u32>>,
+}
+
+/// Calls `f(index, new value)` for each position where `new` differs
+/// from `old`, skipping equal blocks a vector compare at a time.
+#[inline]
+fn for_each_change(old: &[u64], new: &[u64], mut f: impl FnMut(usize, u64)) {
+    const BLOCK: usize = 8;
+    let (old_blocks, old_tail) = old.as_chunks::<BLOCK>();
+    let (new_blocks, new_tail) = new.as_chunks::<BLOCK>();
+    for (b, (o, n)) in old_blocks.iter().zip(new_blocks).enumerate() {
+        if o != n {
+            for i in 0..BLOCK {
+                if o[i] != n[i] {
+                    f(b * BLOCK + i, n[i]);
+                }
+            }
+        }
+    }
+    let base = old_blocks.len() * BLOCK;
+    for (i, (o, &n)) in old_tail.iter().zip(new_tail).enumerate() {
+        if *o != n {
+            f(base + i, n);
+        }
+    }
+}
+
+/// Normalizes a capture's `(field, mask)` log into `out`: one entry per
+/// field (the last call counts), clipped to the field's width, zero
+/// masks and positions past the last field dropped.
+fn effective_masks(log: &[(u32, u64)], widths: &[u32], out: &mut Vec<(u32, u64)>) {
+    out.clear();
+    for &(f, mask) in log {
+        let Some(&width) = widths.get(f as usize) else { break };
+        let mask = mask & width_mask(width);
+        if out.last().is_some_and(|&(prev, _)| prev == f) {
+            out.pop();
+        }
+        if mask != 0 {
+            out.push((f, mask));
+        }
+    }
+}
+
+/// The shadow replica's walk: fields matching their expectation with no
+/// flip due pass at the cost of one compare; the rest take
+/// [`SlowPath::visit`].
+struct ShadowWalk<'a> {
+    expect: &'a mut [Expect],
+    idx: usize,
+    slow: SlowPath<'a>,
+}
+
+impl StateVisitor for ShadowWalk<'_> {
+    fn region(&mut self, _name: &'static str, _kind: StateKind) {}
+
+    #[inline]
+    fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
+        let f = self.idx;
+        self.idx += 1;
+        match self.expect.get(f) {
+            Some(e) if *value == e.value && !e.due => {}
+            _ => self.slow.visit(f, value, width, self.expect),
+        }
+    }
+}
+
+/// The per-field shadow logic for fields off the fast path.
 ///
 /// A field flipped on a previous walk converging back to its golden
 /// value can only mean the machine wrote it (the live trajectories are
 /// identical, so golden's write lands in the shadow too — with the
 /// same value). A field that is *not* flipped must always equal
 /// golden: any mismatch means a dead flip steered live computation,
-/// which falsifies the occupancy axiom, so the walk fails loudly.
-struct ShadowWalk<'a> {
-    /// Golden values, deadness and flip state, traversal order.
-    fields: &'a mut [FieldTrack],
+/// which falsifies the occupancy axiom, so the walk fails loudly. A
+/// flipped field holding neither value stays flipped.
+struct SlowPath<'a> {
+    golden: &'a [u64],
+    flip: &'a mut [u64],
+    live: &'a [bool],
+    group_of: &'a [u32],
     /// Per-field detected write cycles (output).
     writes: &'a mut [Vec<u32>],
     t: u32,
-    idx: usize,
 }
 
-impl StateVisitor for ShadowWalk<'_> {
-    fn region(&mut self, _name: &'static str, _kind: StateKind) {}
-    #[inline]
-    fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
-        let f = self.idx;
-        self.idx += 1;
-        let track = &mut self.fields[f];
-        if track.flipped {
-            if *value == track.value {
+impl SlowPath<'_> {
+    #[cold]
+    #[inline(never)]
+    fn visit(&mut self, f: usize, value: &mut u64, width: u32, expect: &mut [Expect]) {
+        // A field past the layout is reported once the walk ends.
+        let Some(e) = expect.get_mut(f) else { return };
+        let golden = self.golden[f];
+        let mut flipped = self.flip[f] != 0;
+        if flipped {
+            if *value == golden {
                 self.writes[f].push(self.t);
-                track.flipped = false;
+                flipped = false;
             }
-        } else if *value != track.value {
+        } else if *value != golden {
             drifted(
                 f,
                 self.t,
                 "shadow replica diverged from golden (a dead-field flip steered live computation)",
             );
         }
-        if track.dead && !track.flipped {
+        if !flipped && !self.live[self.group_of[f] as usize] {
             *value ^= width_mask(width);
-            track.flipped = true;
+            flipped = true;
         }
+        self.flip[f] = if flipped { width_mask(width) } else { 0 };
+        *e = Expect { value: golden ^ self.flip[f], due: false };
     }
 }
 
-/// The build's per-field consistency failure, kept out of line: both
-/// walks check every field every cycle.
+/// The build's per-field consistency failure, kept out of line.
 #[cold]
 #[inline(never)]
 fn drifted(f: usize, t: u32, what: &str) -> ! {
@@ -486,9 +783,10 @@ fn overlap_len(runs: &[(u32, u32)], lo: u32, hi: u32) -> u64 {
 
 /// Field-table shape of one machine: per-field global bit offset, width
 /// and occupancy group, derived from one catalog + the first golden
-/// walk. Build and load both derive it fresh (it is cheap and
+/// capture. Build and load both derive it fresh (it is cheap and
 /// config-pinned), so the on-disk format only carries the interval
 /// arrays.
+#[derive(Debug)]
 struct Shape {
     field_starts: Vec<u64>,
     widths: Vec<u32>,
@@ -499,23 +797,25 @@ struct Shape {
 impl Shape {
     /// The shape of a fresh machine.
     fn of_pipeline(pipe: &mut Pipeline) -> Shape {
-        let mut walk = GoldenWalk::default();
-        walk.walk(pipe, 0);
-        Shape::of_walk(&pipe.catalog(), &walk)
+        let mut capture = Capture::default();
+        capture.take(pipe);
+        Shape::of_capture(&pipe.catalog(), &capture)
     }
 
-    /// The shape a cycle-0 golden walk laid out.
-    fn of_walk(catalog: &StateCatalog, walk: &GoldenWalk) -> Shape {
+    /// The shape a cycle-0 capture lays out. Only groups up to the last
+    /// field's count: a trailing group owns no field.
+    fn of_capture(catalog: &StateCatalog, capture: &Capture) -> Shape {
         assert_eq!(
-            walk.fields.len(),
+            capture.values.len(),
             catalog.fields.len(),
             "golden walk and catalog disagree on field count"
         );
+        let group_of = capture.group_of();
         Shape {
             field_starts: catalog.fields.iter().map(|&(s, _, _)| s).collect(),
             widths: catalog.fields.iter().map(|&(_, w, _)| w).collect(),
-            group_of: walk.group_of.clone(),
-            ngroups: walk.dead_runs.len(),
+            ngroups: group_of.last().map_or(0, |&g| g as usize + 1),
+            group_of,
         }
     }
 }
@@ -578,10 +878,11 @@ pub struct UarchMaskMap {
 
 impl UarchMaskMap {
     /// Builds the map by replaying the golden run from cycle 0 up to
-    /// `horizon` (or the run's end), one fused golden walk per cycle
-    /// plus one walk of the shadow replica. `digest` is the caller's
-    /// configuration digest, embedded so persisted maps can never be
-    /// misapplied.
+    /// `horizon` (or the run's end): per cycle, one store-only capture
+    /// of the golden machine, a diff of it against the previous
+    /// capture, and one walk of the shadow replica. `digest` is the
+    /// caller's configuration digest, embedded so persisted maps can
+    /// never be misapplied.
     pub fn build(
         uarch: &UarchConfig,
         program: &Program,
@@ -589,32 +890,21 @@ impl UarchMaskMap {
         digest: u64,
     ) -> UarchMaskMap {
         let mut pipe = Pipeline::new(uarch.clone(), program);
-        let mut golden = GoldenWalk::default();
-        golden.walk(&mut pipe, 0);
-        let shape = Shape::of_walk(&pipe.catalog(), &golden);
-        let nfields = shape.field_starts.len();
+        let catalog = pipe.catalog();
+        let mut golden = Tracker::new(&mut pipe, &catalog);
         // The shadow replica: the same machine replayed in lockstep
         // with every dead field flipped, re-flipped after each
         // detected write. Convergence back to the golden value is the
         // write detector behind `writes`.
         let mut shadow = Pipeline::new(uarch.clone(), program);
-        let mut writes: Vec<Vec<u32>> = vec![Vec::new(); nfields];
         let mut retired_at: Vec<u32> = Vec::new();
         let mut inflight_at: Vec<u32> = Vec::new();
-
-        let mut t: u32 = 0;
         loop {
+            let t = golden.t;
             retired_at
                 .push(u32::try_from(pipe.retired()).expect("retired fits interval coordinates"));
             inflight_at.push(u32::try_from(pipe.in_flight()).expect("in-flight count fits a u32"));
-            // Walk the shadow replica against this cycle's golden
-            // values: detect writes (flipped fields converging back to
-            // golden), assert the live trajectory is undisturbed, and
-            // re-arm flips in every currently-dead field.
-            let mut tracer =
-                ShadowWalk { fields: &mut golden.fields, writes: &mut writes, t, idx: 0 };
-            shadow.visit_state(&mut tracer);
-            assert_eq!(tracer.idx, nfields, "shadow walk and golden walk disagree on field count");
+            golden.shadow(&mut shadow);
             assert_eq!(
                 shadow.status(),
                 pipe.status(),
@@ -625,25 +915,10 @@ impl UarchMaskMap {
             }
             pipe.cycle();
             shadow.cycle();
-            t += 1;
-            golden.walk(&mut pipe, t);
+            golden.walk(&mut pipe);
         }
-        let GoldenWalk { fields, dead_since, mut dead_runs, mut stamps, mut mask_runs, .. } =
-            golden;
-        // Close runs still open at the end of the recording. Their ends
-        // are never consulted past a stamp (stamps stop at `last` too),
-        // so the clip to `last + 1` cannot over-claim protection.
-        let end = t + 1;
-        for (runs, open) in dead_runs.iter_mut().zip(dead_since) {
-            if let Some(s) = open {
-                runs.push((s, end));
-            }
-        }
-        for (runs, track) in mask_runs.iter_mut().zip(&fields) {
-            if track.mask != 0 {
-                runs.push((track.mask_start, end, track.mask));
-            }
-        }
+        let t = golden.t;
+        let Families { shape, dead_runs, stamps, mask_runs, writes } = golden.finish();
         // Drain horizon per cycle: first recorded cycle whose retired
         // count proves every instruction in flight has left the
         // machine. Squashed wrong-path instructions never retire, so
@@ -668,14 +943,6 @@ impl UarchMaskMap {
             };
             floor = floor.max(horizon);
             drain_end[tc] = floor;
-        }
-        // The per-field streams grew by doubling; the registry keeps
-        // every map for the life of the process, so return the slack.
-        for runs in &mut mask_runs {
-            runs.shrink_to_fit();
-        }
-        for cycles in stamps.iter_mut().chain(&mut writes) {
-            cycles.shrink_to_fit();
         }
         UarchMaskMap {
             digest,
@@ -890,8 +1157,8 @@ impl UarchMaskMap {
 
     /// Decodes a persisted map, re-deriving the field table from a
     /// fresh machine. Returns `None` (caller rebuilds) on any mismatch:
-    /// wrong kind/version/digest, or a field table that no longer
-    /// matches the simulator.
+    /// wrong kind/version/digest, a field table that no longer matches
+    /// the simulator, or content no build can produce.
     pub fn from_json(
         v: &Json,
         uarch: &UarchConfig,
@@ -933,7 +1200,7 @@ impl UarchMaskMap {
         if drain_end.len() != last as usize + 1 {
             return None;
         }
-        Some(UarchMaskMap {
+        let map = UarchMaskMap {
             digest,
             last,
             field_starts: shape.field_starts,
@@ -944,7 +1211,26 @@ impl UarchMaskMap {
             mask_runs: masks,
             writes,
             drain_end,
-        })
+        };
+        map.well_formed().then_some(map)
+    }
+
+    /// Whether the interval families are ones a build can produce:
+    /// nonempty runs ending by `last + 1`, strictly increasing stamps
+    /// and writes at or before `last`, and a nondecreasing drain
+    /// horizon at or before `last` or at the no-proof marker. A
+    /// persisted map that fails is rebuilt, never trusted.
+    fn well_formed(&self) -> bool {
+        let end = u64::from(self.last) + 1;
+        let run_fits = |s: u32, e: u32| s < e && u64::from(e) <= end;
+        let cycles_fit = |cycles: &Vec<u32>| {
+            cycles.windows(2).all(|w| w[0] < w[1]) && cycles.last().is_none_or(|&c| c <= self.last)
+        };
+        self.dead_runs.iter().flatten().all(|&(s, e)| run_fits(s, e))
+            && self.mask_runs.iter().flatten().all(|&(s, e, _)| run_fits(s, e))
+            && self.stamps.iter().chain(&self.writes).all(cycles_fit)
+            && self.drain_end.windows(2).all(|w| w[0] <= w[1])
+            && self.drain_end.iter().all(|&d| d <= self.last || d == u32::MAX)
     }
 }
 
@@ -1475,33 +1761,42 @@ mod tests {
         }
     }
 
-    fn walked(machine: &mut impl FaultState) -> GoldenWalk {
-        let mut walk = GoldenWalk::default();
-        walk.walk(machine, 0);
-        walk
+    /// The catalog of a toy machine's fields.
+    fn catalog_of(machine: &mut impl FaultState) -> StateCatalog {
+        let mut ranges = RangeRecorder::new();
+        machine.visit_state(&mut ranges);
+        ranges.into_catalog()
+    }
+
+    /// Bookkeeping laid out on `machine` as its state at cycle 0.
+    fn walked(machine: &mut impl FaultState) -> Tracker {
+        let catalog = catalog_of(machine);
+        Tracker::new(machine, &catalog)
+    }
+
+    impl Tracker {
+        /// Per field: dead at the latest capture.
+        fn dead(&self) -> Vec<bool> {
+            self.shape.group_of.iter().map(|&g| !self.live[g as usize]).collect()
+        }
     }
 
     #[test]
     fn golden_walk_captures_masks_liveness_and_groups() {
         let walk = walked(&mut PartMasked { flag: false, imm: 0xABCD, spare: 0x55 });
-        let values: Vec<u64> = walk.fields.iter().map(|f| f.value).collect();
-        let masks: Vec<u64> = walk.fields.iter().map(|f| f.mask).collect();
-        let dead: Vec<bool> = walk.fields.iter().map(|f| f.dead).collect();
-        assert_eq!(values, vec![0, 0xABCD, 0x55]);
-        assert_eq!(masks, vec![0, 0xFF00, 0], "one-shot mask hits only the next field");
-        assert_eq!(dead, vec![false, false, true]);
-        let armed: Vec<bool> = walk.fields.iter().map(|f| f.armed).collect();
-        assert_eq!(armed, vec![false, true, true], "masked or dead fields arm their stamps");
+        assert_eq!(walk.cur.values, vec![0, 0xABCD, 0x55]);
+        assert_eq!(walk.mask, vec![0, 0xFF00, 0], "one-shot mask hits only the next field");
+        assert_eq!(walk.dead(), vec![false, false, true]);
+        assert_eq!(walk.armed, vec![false, true, true], "masked or dead fields arm their stamps");
         // flag and imm precede the occupancy call; spare follows it.
-        assert_eq!(walk.group_of[0], walk.group_of[1]);
-        assert_ne!(walk.group_of[1], walk.group_of[2]);
+        assert_eq!(walk.shape.group_of[0], walk.shape.group_of[1]);
+        assert_ne!(walk.shape.group_of[1], walk.shape.group_of[2]);
     }
 
     #[test]
     fn golden_walk_mask_is_conditional_on_machine_state() {
         let walk = walked(&mut PartMasked { flag: true, imm: 0xABCD, spare: 0 });
-        let masks: Vec<u64> = walk.fields.iter().map(|f| f.mask).collect();
-        assert_eq!(masks, vec![0, 0, 0], "flag set ⇒ no mask declared");
+        assert_eq!(walk.mask, vec![0, 0, 0], "flag set ⇒ no mask declared");
     }
 
     #[test]
@@ -1515,12 +1810,13 @@ mod tests {
             }
         }
         let walk = walked(&mut Wide(0));
-        assert_eq!(walk.fields[0].mask, 0xFFF, "declared mask clipped to the field width");
+        assert_eq!(walk.mask[0], 0xFFF, "declared mask clipped to the field width");
     }
 
     /// Groups count `region` and `occupancy` calls: fields between two
     /// such calls share one, a group with no fields still takes a
-    /// number, and only groups that own fields get dead-run slots.
+    /// number but gets no dead runs, and a trailing group is not
+    /// counted.
     #[test]
     fn golden_walk_numbers_groups_across_region_and_occupancy_calls() {
         struct Grouped([u64; 4]);
@@ -1540,12 +1836,15 @@ mod tests {
         }
         let mut machine = Grouped([1, 2, 3, 4]);
         let mut walk = walked(&mut machine);
-        assert_eq!(walk.group_of, vec![1, 1, 3, 4]);
+        assert_eq!(walk.shape.group_of, vec![1, 1, 3, 4]);
         assert_eq!(walk.dead_runs.len(), 5, "groups 0..=4; the trailing empty one is not counted");
         // Later walks must number identically, and do.
         machine.0 = [9, 9, 9, 9];
-        walk.walk(&mut machine, 1);
-        assert_eq!(walk.group_of, vec![1, 1, 3, 4]);
+        walk.walk(&mut machine);
+        assert_eq!(walk.cur.group_of(), vec![1, 1, 3, 4]);
+        let families = walk.finish();
+        assert!(families.dead_runs[2].is_empty(), "a dead group with no fields gets no dead run");
+        assert!(families.dead_runs[0].is_empty(), "group 0 owns no field here");
     }
 
     #[test]
@@ -1567,37 +1866,201 @@ mod tests {
         let mut machine = Drifting(false, [0, 0]);
         let mut walk = walked(&mut machine);
         machine.0 = true;
-        walk.walk(&mut machine, 1);
+        walk.walk(&mut machine);
     }
 
     #[test]
     fn golden_walk_field_order_matches_catalog() {
         let walk = walked(&mut PartMasked { flag: false, imm: 0, spare: 0 });
-        let mut ranges = RangeRecorder::new();
-        PartMasked { flag: false, imm: 0, spare: 0 }.visit_state(&mut ranges);
-        let cat = ranges.into_catalog();
-        assert_eq!(walk.fields.len(), cat.fields.len());
-        assert_eq!(walk.group_of.len(), cat.fields.len());
+        let cat = catalog_of(&mut PartMasked { flag: false, imm: 0, spare: 0 });
+        assert_eq!(walk.cur.values.len(), cat.fields.len());
+        assert_eq!(walk.shape.group_of.len(), cat.fields.len());
         // Global bit 9 lands in the masked imm field; its mask covers
         // relative bit 8.
         let f = cat.field_index_of(9).unwrap();
         let (start, _, _) = cat.fields[f];
-        assert_ne!(walk.fields[f].mask & (1 << (9 - start)), 0);
-        // The real machine, too: the walk lays out exactly the catalog.
+        assert_ne!(walk.mask[f] & (1 << (9 - start)), 0);
+        // The real machine, too: the capture lays out exactly the
+        // catalog.
         let program = WorkloadId::Mcfx.build(Scale::smoke());
         let mut pipe = Pipeline::new(UarchConfig::default(), &program);
         let walk = walked(&mut pipe);
-        assert_eq!(walk.fields.len(), pipe.catalog().fields.len());
+        assert_eq!(walk.cur.values.len(), pipe.catalog().fields.len());
     }
 
-    /// The build's output, pinned by digest of its rendered JSON: the
-    /// values were recorded from the per-cycle snapshot build the fused
-    /// walk replaced, so they prove the two byte-identical.
+    /// A machine whose field count follows its `extra` flag.
+    struct Growing {
+        extra: bool,
+        words: [u64; 2],
+    }
+
+    impl FaultState for Growing {
+        fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+            v.region("growing", StateKind::Latch);
+            v.word(&mut self.words[0], 8, FieldClass::Data);
+            if self.extra {
+                v.word(&mut self.words[1], 8, FieldClass::Data);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "field count grew to 2 at cycle 1")]
+    fn golden_walk_rejects_field_count_growth() {
+        let mut machine = Growing { extra: false, words: [0, 0] };
+        let mut walk = walked(&mut machine);
+        machine.extra = true;
+        walk.walk(&mut machine);
+    }
+
+    #[test]
+    #[should_panic(expected = "field numbering drifted at cycle 1")]
+    fn golden_walk_rejects_field_numbering_drift() {
+        let mut machine = Growing { extra: true, words: [0, 0] };
+        let mut walk = walked(&mut machine);
+        machine.extra = false;
+        walk.walk(&mut machine);
+    }
+
+    /// A mask declaration lapses at the next `region` call but survives
+    /// an `occupancy` call, and of repeated declarations before one
+    /// field the last counts, zero included.
+    #[test]
+    fn golden_walk_applies_mask_declarations_like_the_visitor_contract() {
+        struct Declaring([u64; 4]);
+        impl FaultState for Declaring {
+            fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+                let [a, b, c, d] = &mut self.0;
+                v.region("first", StateKind::Latch);
+                v.masked(0xF0);
+                v.region("second", StateKind::Latch);
+                v.word(a, 8, FieldClass::Data);
+                v.masked(0x0F);
+                v.occupancy(true);
+                v.word(b, 8, FieldClass::Data);
+                v.masked(0x01);
+                v.masked(0x02);
+                v.word(c, 8, FieldClass::Data);
+                v.masked(0x04);
+                v.masked(0);
+                v.word(d, 8, FieldClass::Data);
+                v.masked(0x08);
+            }
+        }
+        let walk = walked(&mut Declaring([0; 4]));
+        assert_eq!(walk.mask, vec![0, 0x0F, 0x02, 0]);
+    }
+
+    /// A live word, then a word whose liveness follows `live`.
+    #[derive(Clone)]
+    struct Slots {
+        live: bool,
+        words: [u64; 2],
+    }
+
+    impl FaultState for Slots {
+        fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+            v.region("slots", StateKind::Ram);
+            v.word(&mut self.words[0], 64, FieldClass::Data);
+            v.occupancy(self.live);
+            v.word(&mut self.words[1], 8, FieldClass::Data);
+        }
+    }
+
+    /// A stamp is a value change at a field that was dead or masked at
+    /// the *previous* capture: turning dead while changing is no stamp,
+    /// turning live while changing is one.
+    #[test]
+    fn golden_walk_stamps_read_the_previous_armed_state() {
+        let mut machine = Slots { live: true, words: [1, 0] };
+        let mut walk = walked(&mut machine);
+        for (t, live, word) in [(1, false, 2), (2, true, 3), (3, true, 4)] {
+            machine.live = live;
+            machine.words[1] = word;
+            walk.walk(&mut machine);
+            assert_eq!(walk.t, t);
+        }
+        let families = walk.finish();
+        assert_eq!(families.stamps, vec![vec![], vec![2]]);
+        let g = families.shape.group_of[1] as usize;
+        assert_eq!(families.dead_runs[g], vec![(1, 2)]);
+    }
+
+    /// The shadow walk flips a dead field, records each write to it —
+    /// a same-value rewrite too — and re-flips it while it stays dead;
+    /// a flipped field holding neither golden's value nor its flip
+    /// stays flipped.
+    #[test]
+    fn shadow_walk_flips_dead_fields_and_records_writes() {
+        let mut golden = Slots { live: false, words: [1, 5] };
+        let mut replica = golden.clone();
+        let mut walk = walked(&mut golden);
+        walk.shadow(&mut replica);
+        assert_eq!(replica.words, [1, 5 ^ 0xFF], "the dead field is flipped at once");
+        // Cycle 1: the machine writes 7; cycle 2: it rewrites 7.
+        for _ in 1..=2 {
+            golden.words[1] = 7;
+            replica.words[1] = 7;
+            walk.walk(&mut golden);
+            walk.shadow(&mut replica);
+            assert_eq!(replica.words, [1, 7 ^ 0xFF], "re-flipped while dead");
+        }
+        // Cycle 3: live again, and the replica holds neither 9 nor its
+        // flip.
+        golden.live = true;
+        replica.live = true;
+        golden.words[1] = 9;
+        walk.walk(&mut golden);
+        walk.shadow(&mut replica);
+        assert_eq!(replica.words, [1, 7 ^ 0xFF], "left flipped");
+        assert_eq!(walk.flip, vec![0, 0xFF]);
+        let families = walk.finish();
+        assert_eq!(families.writes, vec![vec![], vec![1, 2]]);
+        assert_eq!(families.stamps, vec![vec![], vec![1, 3]], "value changes only");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "shadow replica diverged from golden (a dead-field flip steered live computation) at field 0, cycle 0"
+    )]
+    fn shadow_walk_rejects_divergence() {
+        let mut golden = Slots { live: true, words: [1, 5] };
+        let mut replica = Slots { live: true, words: [2, 5] };
+        let mut walk = walked(&mut golden);
+        walk.shadow(&mut replica);
+    }
+
+    #[test]
+    fn golden_walk_puts_fields_before_any_mark_in_dead_group_0() {
+        struct Early([u64; 2]);
+        impl FaultState for Early {
+            fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+                v.word(&mut self.0[0], 8, FieldClass::Data);
+                v.region("late", StateKind::Latch);
+                v.word(&mut self.0[1], 8, FieldClass::Data);
+            }
+        }
+        let walk = walked(&mut Early([0, 0]));
+        assert_eq!(walk.shape.group_of, vec![0, 1]);
+        assert_eq!(walk.dead(), vec![true, false]);
+        assert_eq!(walk.finish().dead_runs[0], vec![(0, 1)]);
+    }
+
+    /// The build's output, pinned by digest of its rendered JSON. The
+    /// mcfx and gccx pins were recorded from the per-cycle snapshot
+    /// build, the other five from the fused per-field walk that followed
+    /// it, so they prove the capture-and-diff build byte-identical to
+    /// both.
     #[test]
     fn build_renders_pinned_bytes() {
         let pins = [
             (WorkloadId::Mcfx, 595_215, 0x366b_526a_78c0_f32f_u64),
             (WorkloadId::Gccx, 544_317, 0x06ef_107f_76aa_c488),
+            (WorkloadId::Bzip2x, 810_011, 0x70c7_5919_4ef0_2d94),
+            (WorkloadId::Gapx, 822_481, 0x30dd_1e33_15e8_5832),
+            (WorkloadId::Gzipx, 612_979, 0xc754_6b7c_c2d8_75cf),
+            (WorkloadId::Parserx, 592_687, 0x6829_710f_363c_e46d),
+            (WorkloadId::Vortexx, 640_641, 0x593e_86fc_7336_67d8),
         ];
         for (id, len, digest) in pins {
             let program = id.build(Scale::smoke());
@@ -1663,5 +2126,58 @@ mod tests {
         assert_eq!(decode_pairs("").unwrap(), vec![]);
         assert!(decode_pairs("zz").is_none());
         assert!(decode_pairs("8f").is_none(), "truncated varint must fail");
+    }
+
+    /// `json` with `key` (entry `index` of it, for the per-field and
+    /// per-group arrays) replaced by `text`.
+    fn with_entry(json: &Json, key: &str, index: Option<usize>, text: &str) -> Json {
+        let Json::Obj(mut pairs) = json.clone() else { panic!("a map renders as an object") };
+        let (_, slot) = pairs.iter_mut().find(|(k, _)| k == key).expect("the map has the key");
+        match (slot, index) {
+            (Json::Arr(items), Some(i)) => items[i] = Json::Str(text.to_owned()),
+            (slot, None) => *slot = Json::Str(text.to_owned()),
+            (_, Some(_)) => panic!("{key} is not an array"),
+        }
+        Json::Obj(pairs)
+    }
+
+    /// A crafted map file is rejected, so the caller rebuilds, never
+    /// panics the decoder or passes it intervals no build produces.
+    #[test]
+    fn from_json_rejects_hostile_content() {
+        let program = WorkloadId::Mcfx.build(Scale::smoke());
+        let uarch = UarchConfig::default();
+        let mut map = UarchMaskMap::build(&uarch, &program, 60, 9);
+        let good = map.to_json();
+        assert!(UarchMaskMap::from_json(&good, &uarch, &program, 9).is_some());
+        let last = map.last;
+        // 2^64 - 1 as one varint: added to anything nonzero, it overflows.
+        let huge = "ffffffffffffffffff01";
+        let drain_past_last = vec![last + 1; map.drain_end.len()];
+        let hostile = [
+            ("dead", Some(1), format!("01{huge}"), "a run end past u64::MAX"),
+            ("masks", Some(0), format!("01{huge}01"), "a mask run end past u64::MAX"),
+            ("stamps", Some(0), format!("01{huge}"), "a stamp past u64::MAX"),
+            ("writes", Some(0), format!("01{huge}"), "a write past u64::MAX"),
+            ("drain", None, format!("01{huge}"), "a drain entry past u64::MAX"),
+            ("dead", Some(1), encode_pairs(&[(5, 5)]), "a zero-length dead run"),
+            ("masks", Some(0), encode_mask_runs(&[(5, 5, 1)]), "a zero-length mask run"),
+            ("stamps", Some(0), encode_stamps(&[5, 5]), "a repeated stamp"),
+            ("writes", Some(0), encode_stamps(&[5, 5]), "a repeated write"),
+            ("dead", Some(1), encode_pairs(&[(0, last + 2)]), "a dead run past last + 1"),
+            ("masks", Some(0), encode_mask_runs(&[(0, last + 2, 1)]), "a mask run past last + 1"),
+            ("stamps", Some(0), encode_stamps(&[last + 1]), "a stamp past last"),
+            ("writes", Some(0), encode_stamps(&[last + 1]), "a write past last"),
+            ("drain", None, encode_stamps(&drain_past_last), "a drain entry past last"),
+        ];
+        for (key, index, text, what) in hostile {
+            let v = with_entry(&good, key, index, &text);
+            assert!(UarchMaskMap::from_json(&v, &uarch, &program, 9).is_none(), "{what} decoded");
+        }
+        // The delta encoding cannot express a decreasing drain horizon,
+        // so it is checked on the decoded form.
+        assert!(map.well_formed());
+        (map.drain_end[0], map.drain_end[1]) = (1, 0);
+        assert!(!map.well_formed(), "a decreasing drain horizon passed");
     }
 }
