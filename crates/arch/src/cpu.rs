@@ -61,7 +61,8 @@ impl RegFile {
     /// walking it would let a flip create an unreadable nonzero residue
     /// that `arch_state_eq` could never observe through [`RegFile::read`].
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        for r in self.regs.iter_mut().take(31) {
+        let RegFile { regs } = self;
+        for r in regs.iter_mut().take(31) {
             v.word(r, 64, FieldClass::Data);
         }
     }
@@ -359,18 +360,10 @@ pub struct Cpu {
     /// Program counter.
     pub pc: u64,
     /// Memory image.
-    // audit: skip -- the memory image is not injection substrate at this
-    // level (§3.1 flips instruction results, not stored bits); it is
-    // compared whole by `arch_state_eq` and digested by `fingerprint`
     pub mem: Memory,
-    // audit: skip -- output log: write-only observable, never read back
     output: Vec<u64>,
-    // audit: skip -- retirement counter is simulation bookkeeping
     retired: u64,
-    // audit: skip -- halt flag is simulation bookkeeping, not a latch
     halted: bool,
-    // audit: skip -- decode cache of the text pages: derived from memory
-    // the walk excludes, and bypassed once an executable page changes
     text: Arc<DecodedText>,
 }
 
@@ -545,10 +538,24 @@ impl Cpu {
 /// simulation bookkeeping with no hardware latch behind them.
 impl FaultState for Cpu {
     fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+        let Cpu {
+            regs,
+            pc,
+            // Not injection substrate at this level (§3.1 flips instruction
+            // results, not stored bits): `arch_state_eq` compares it whole
+            // and `fingerprint` digests it.
+            mem: _,
+            output: _,  // write-only observable, never read back
+            retired: _, // retirement counter: simulation bookkeeping
+            halted: _,  // halt flag: simulation bookkeeping, not a latch
+            // Decode cache of the text pages: derived from the memory this
+            // walk excludes, and bypassed once an executable page changes.
+            text: _,
+        } = self;
         v.region("arch-regfile", StateKind::Ram);
-        self.regs.visit(v);
+        regs.visit(v);
         v.region("arch-pc", StateKind::Latch);
-        v.word(&mut self.pc, 64, FieldClass::Data);
+        v.word(pc, 64, FieldClass::Data);
     }
 }
 

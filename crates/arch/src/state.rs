@@ -128,6 +128,53 @@ pub fn width_mask(width: u32) -> u64 {
 }
 
 /// A component whose state bits can be visited.
+///
+/// A walk destructures `self` with a pattern that names every field and
+/// has no `..`. A field that is injectable state is bound and handed to
+/// the visitor; a field that is not (a predictor table, a cache, a
+/// simulation counter) is bound `_`, with the reason beside it. A field
+/// added to the struct then fails to compile until its walk classifies
+/// it:
+///
+/// ```compile_fail,E0027
+/// use restore_arch::state::{FaultState, FieldClass, StateKind, StateVisitor};
+///
+/// struct Latch {
+///     value: u64,
+///     added: u8,
+/// }
+///
+/// impl FaultState for Latch {
+///     fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+///         let Latch { value } = self; // `added` is neither visited nor excluded
+///         v.region("latch", StateKind::Latch);
+///         v.word(value, 64, FieldClass::Data);
+///     }
+/// }
+/// ```
+///
+/// A binding's only use is its visit: inputs derived from fields
+/// (occupancy, masks, pointer widths) are read from `self` before the
+/// pattern. So with `unused_variables` denied, as the workspace lints
+/// do, a field that is bound but never visited fails to compile too:
+///
+/// ```compile_fail
+/// #![deny(unused_variables)]
+/// use restore_arch::state::{FaultState, FieldClass, StateKind, StateVisitor};
+///
+/// struct Latch {
+///     value: u64,
+///     tag: u8,
+/// }
+///
+/// impl FaultState for Latch {
+///     fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+///         let Latch { value, tag } = self; // `tag` is bound but never visited
+///         v.region("latch", StateKind::Latch);
+///         v.word(value, 64, FieldClass::Data);
+///     }
+/// }
+/// ```
 pub trait FaultState {
     /// Walks every eligible state bit in deterministic order.
     fn visit_state<V: StateVisitor>(&mut self, v: &mut V);

@@ -1,11 +1,7 @@
 //! Banned nondeterministic constructs, scanned (never compiled) by the
-//! `restore-audit` tests. Like `lib.rs`, every defect here must keep
-//! producing its finding — if the determinism lint stops seeing one,
-//! the lint regressed, not this file.
-//!
-//! Nothing here carries a state walk, so the state-coverage scanner
-//! must see nothing in this file and `lib.rs`'s exact defect count is
-//! unaffected.
+//! `restore-audit` tests. Every defect here must keep producing its
+//! finding — if the determinism lint stops seeing one, the lint
+//! regressed, not this file.
 
 /// Banned-construct canaries for the determinism lint, one finding per
 /// line so the exact-count test stays legible.

@@ -1,85 +1,4 @@
-//! Deliberately drifted state walks, scanned (never compiled) by the
-//! `restore-audit` tests. Each defect here must keep producing its
-//! finding — if the scanner stops seeing them, the scanner regressed,
-//! not this file.
-
-/// A widget whose walk forgot a field.
-pub struct DriftWidget {
-    /// Covered.
-    pub valid: bool,
-    /// Covered.
-    pub payload: u64,
-    /// NOT covered by the walk below and NOT exempted: the scanner must
-    /// report `unvisited-field` for `DriftWidget.dropped_tag` at this
-    /// declaration's line.
-    pub dropped_tag: u8,
-    /// Exempted with a reason: no finding.
-    // audit: skip -- scratch buffer, rewritten before every read
-    pub scratch: u64,
-}
-
-impl FaultState for DriftWidget {
-    fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
-        v.region("drift-widget", StateKind::Latch);
-        v.flag(&mut self.valid);
-        v.word(&mut self.payload, 64, FieldClass::Data);
-    }
-}
-
-/// A snapshot-metadata record whose walk forgot the capture
-/// fingerprint — the exact defect that would let a corrupted checkpoint
-/// restore pass verification silently.
-pub struct StaleMeta {
-    /// Covered.
-    pub coord: u64,
-    /// NOT covered by the walk below and NOT exempted: the scanner must
-    /// report `unvisited-field` for `StaleMeta.capture_fingerprint`.
-    pub capture_fingerprint: u64,
-    /// Exempted usage counter (mirrors the live `SnapshotMeta.serves`).
-    // audit: skip -- serve counter, not captured machine state
-    pub serves: u64,
-}
-
-impl StaleMeta {
-    pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        v.region("stale-meta", StateKind::Ram);
-        v.word(&mut self.coord, 64, FieldClass::Data);
-    }
-}
-
-/// A trial-store content address whose walk forgot the campaign-config
-/// digest — the exact defect that would let records from different
-/// campaigns collide under one key and replay the wrong outcome.
-pub struct DriftKey {
-    /// NOT covered by the walk below and NOT exempted: the scanner must
-    /// report `unvisited-field` for `DriftKey.config`.
-    pub config: u64,
-    /// Covered.
-    pub workload: u64,
-    /// Covered.
-    pub point: u64,
-    /// Covered.
-    pub seed: u64,
-}
-
-impl DriftKey {
-    pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        v.region("drift-key", StateKind::Ram);
-        v.word(&mut self.workload, 64, FieldClass::Data);
-        v.word(&mut self.point, 64, FieldClass::Data);
-        v.word(&mut self.seed, 64, FieldClass::Data);
-    }
-}
-
-/// A widget that over-declares a width.
-pub struct WidthBuster {
-    /// Visited via `word8` with width 9 — the scanner must report
-    /// `width-unsound`.
-    pub tag: u8,
-}
-
-impl WidthBuster {
-    pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        v.word8(&mut self.tag, 9, FieldClass::Control);
-    }
-}
+//! Deliberately nondeterministic sources, scanned (never compiled) by
+//! the `restore-audit` tests: `determinism.rs` holds the determinism
+//! lint's canaries. Each defect there must keep producing its finding —
+//! if the lint stops seeing them, the lint regressed, not the fixture.

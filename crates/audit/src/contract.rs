@@ -1,14 +1,18 @@
 //! Runtime visitor-contract checker.
 //!
-//! The static scanner proves every field is *mentioned* by a walk; this
-//! module proves the walk itself behaves: [`ContractVisitor`] rides along
-//! a `visit_state` traversal recording a full event trace and flagging
-//! protocol violations, and [`check_contract`] drives a battery of walks
-//! over one machine to verify the cross-walk invariants the injection
-//! engine silently relies on:
+//! The compiler proves every field is *classified* by a walk: each walk
+//! destructures its struct exhaustively, and a bound field that is never
+//! visited is an `unused_variables` error. This module proves the walk
+//! itself behaves: [`ContractVisitor`] rides along a `visit_state`
+//! traversal recording a full event trace and flagging protocol
+//! violations, and [`check_contract`] drives a battery of walks over one
+//! machine to verify the cross-walk invariants the injection engine
+//! silently relies on:
 //!
 //! 1. every `word` is preceded by a `region` (no orphan bits),
-//! 2. declared widths are in `1..=64` and values fit their width mask,
+//! 2. declared widths are nonzero and within the visit method's limit
+//!    (`word` 64, `word32` 32, `word8` 8 bits), and values fit their
+//!    width mask,
 //! 3. two consecutive walks produce identical traces — the global bit
 //!    numbering is stable and a read-only visitor does not mutate state,
 //! 4. hash-path walks ([`StateHasher`]) do not mutate state either,
@@ -126,6 +130,28 @@ impl StateVisitor for ContractVisitor {
         }
         self.trace.push(TraceEvent::Word { value: *value, width, class });
         self.total_bits += width as u64;
+    }
+
+    /// Flags a width above 32, then forwards to [`StateVisitor::word`],
+    /// which flags a zero width.
+    fn word32(&mut self, value: &mut u32, width: u32, class: FieldClass) {
+        if width > 32 {
+            self.violate(format!("width {width} exceeds the 32-bit word32 limit"));
+        }
+        let mut v = u64::from(*value);
+        self.word(&mut v, width, class);
+        *value = v as u32;
+    }
+
+    /// Flags a width above 8, then forwards to [`StateVisitor::word`],
+    /// which flags a zero width.
+    fn word8(&mut self, value: &mut u8, width: u32, class: FieldClass) {
+        if width > 8 {
+            self.violate(format!("width {width} exceeds the 8-bit word8 limit"));
+        }
+        let mut v = u64::from(*value);
+        self.word(&mut v, width, class);
+        *value = v as u8;
     }
 
     fn occupancy(&mut self, live: bool) {
@@ -387,6 +413,46 @@ mod tests {
             "{:#?}",
             report.violations,
         );
+    }
+
+    /// Declares more bits than the visit method's field type holds.
+    struct Overwide {
+        tag: u8,
+        word: u32,
+    }
+
+    impl FaultState for Overwide {
+        fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+            let Overwide { tag, word } = self;
+            v.region("overwide", StateKind::Latch);
+            v.word8(tag, 9, FieldClass::Control);
+            v.word32(word, 33, FieldClass::Control);
+        }
+    }
+
+    #[test]
+    fn narrow_visit_wider_than_its_type_is_violated() {
+        let report = check_contract(&mut Overwide { tag: 1, word: 1 }, 0);
+        let what: Vec<&str> = report.violations.iter().map(|v| v.what.as_str()).collect();
+        assert_eq!(
+            what,
+            ["width 9 exceeds the 8-bit word8 limit", "width 33 exceeds the 32-bit word32 limit"],
+        );
+        assert_eq!(report.total_bits, 42, "the walk still counts every declared bit");
+    }
+
+    #[test]
+    fn zero_width_narrow_visit_is_violated() {
+        struct Empty(u8);
+        impl FaultState for Empty {
+            fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+                v.region("empty", StateKind::Latch);
+                v.word8(&mut self.0, 0, FieldClass::Control);
+            }
+        }
+        let report = check_contract(&mut Empty(0), 0);
+        let what: Vec<&str> = report.violations.iter().map(|v| v.what.as_str()).collect();
+        assert_eq!(what, ["zero-width word"]);
     }
 
     struct DeadTail(u64);

@@ -3,9 +3,9 @@
 //! The campaign contract — bit-identical results at any thread count,
 //! byte-identical warm/cold store replays — only holds while no
 //! result-shaping code path consults a nondeterministic source. This
-//! token-level pass (same dependency-free style as [`crate::scanner`])
-//! sweeps the campaign, bench and store crate roots for the constructs
-//! that historically break that contract:
+//! dependency-free, token-level pass sweeps the
+//! [`DETERMINISM_ROOTS`] for the constructs that historically break
+//! that contract:
 //!
 //! * `HashMap`/`HashSet` — randomized iteration order; anything that is
 //!   iterated for output must be a `BTreeMap`/`BTreeSet` or sort first
@@ -33,8 +33,22 @@
 //! may time and hash freely.
 
 use crate::lex::{skip_balanced, tokenize, Tok, Token};
-use crate::scanner::{Finding, Severity};
+use std::fmt;
 use std::path::{Path, PathBuf};
+
+/// The crate source roots the lint sweeps, relative to the repository
+/// root: the campaign, bench, store, snapshot, maskmap, perf and core
+/// crates. `restore-audit --determinism` and the tree-clean test both
+/// scan exactly these.
+pub const DETERMINISM_ROOTS: [&str; 7] = [
+    "crates/inject/src",
+    "crates/bench/src",
+    "crates/store/src",
+    "crates/snapshot/src",
+    "crates/maskmap/src",
+    "crates/perf/src",
+    "crates/core/src",
+];
 
 /// An `allow` directive reaches this many lines below itself.
 const ALLOW_REACH: u32 = 3;
@@ -43,6 +57,57 @@ const ALLOW_REACH: u32 = 3;
 /// and campaign drivers time themselves for `CampaignStats` throughput
 /// reporting, which is explicitly outside the byte-identical surface.
 const WALL_CLOCK_ALLOWLIST: [&str; 2] = ["inject/src/engine.rs", "inject/src/campaign.rs"];
+
+/// Severity of a finding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Severity {
+    /// Fails the lint.
+    Error,
+    /// Reported but does not fail the lint.
+    Note,
+}
+
+/// One lint finding.
+#[derive(Debug, Clone)]
+pub struct Finding {
+    /// Error or note.
+    pub severity: Severity,
+    /// Machine-readable kind (`hash-order`, `wall-clock`, …).
+    pub kind: &'static str,
+    /// Owning type, when applicable.
+    pub type_name: String,
+    /// The flagged identifier, when applicable.
+    pub field: String,
+    /// Source file.
+    pub file: PathBuf,
+    /// 1-based line.
+    pub line: u32,
+    /// Human-readable description.
+    pub detail: String,
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sev = match self.severity {
+            Severity::Error => "error",
+            Severity::Note => "note",
+        };
+        let subject = if self.field.is_empty() {
+            self.type_name.clone()
+        } else {
+            format!("{}.{}", self.type_name, self.field)
+        };
+        write!(
+            f,
+            "{sev}[{}]: {} — {}\n  --> {}:{}",
+            self.kind,
+            subject,
+            self.detail,
+            self.file.display(),
+            self.line
+        )
+    }
+}
 
 /// One flagged construct before exemption matching.
 struct Site {
@@ -82,7 +147,7 @@ impl DeterminismAnalysis {
 pub fn analyze_determinism_dirs(roots: &[PathBuf]) -> std::io::Result<DeterminismAnalysis> {
     let mut files = Vec::new();
     for root in roots {
-        super::scanner::rust_files(root, &mut files)?;
+        rust_files(root, &mut files)?;
     }
     let mut out = DeterminismAnalysis::default();
     for f in &files {
@@ -92,6 +157,21 @@ pub fn analyze_determinism_dirs(roots: &[PathBuf]) -> std::io::Result<Determinis
     out.files_scanned = files.len();
     sort_findings(&mut out);
     Ok(out)
+}
+
+/// Recursively collects `.rs` files under `root`, sorted for determinism.
+fn rust_files(root: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    let mut entries: Vec<_> = std::fs::read_dir(root)?.collect::<Result<Vec<_>, _>>()?;
+    entries.sort_by_key(std::fs::DirEntry::file_name);
+    for e in entries {
+        let p = e.path();
+        if p.is_dir() {
+            rust_files(&p, out)?;
+        } else if p.extension().is_some_and(|x| x == "rs") {
+            out.push(p);
+        }
+    }
+    Ok(())
 }
 
 /// Scans in-memory sources (used by tests); paths are labels only.
@@ -117,7 +197,7 @@ fn path_is_allowlisted(path: &Path) -> bool {
 fn scan_file(path: &Path, text: &str, out: &mut DeterminismAnalysis) {
     let (toks, directives) = tokenize(text);
     let mut allows: Vec<(u32, String, bool)> = Vec::new(); // (line, reason, used)
-    for d in directives.iter().filter(|d| d.prefix == "determinism") {
+    for d in &directives {
         match d.reason_for("allow") {
             Ok(reason) => allows.push((d.line, reason, false)),
             Err(raw) => out.findings.push(Finding {

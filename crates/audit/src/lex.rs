@@ -1,15 +1,10 @@
-//! The shared token stream behind every static pass in this crate.
+//! The token stream behind the determinism lint ([`crate::determinism`]).
 //!
-//! Both analyzers — the state-coverage [`crate::scanner`] and the
-//! determinism lint ([`crate::determinism`]) — work on the same
-//! dependency-free lexical view of Rust source: identifiers,
-//! punctuation and integer literals with their source lines, plus the
-//! harvested `// <prefix>:` exemption directives. Centralizing the
-//! lexer here keeps the two passes' view of a file identical (one
-//! string-literal or lifetime mis-parse would otherwise desynchronize
-//! them) and gives each pass only the directives of its own namespace,
-//! so an `// audit:` typo can never be mistaken for a determinism
-//! exemption or vice versa.
+//! A dependency-free lexical view of Rust source: identifiers,
+//! punctuation and integer literals with their source lines, with
+//! comments and strings stripped, plus the harvested
+//! `// determinism:` exemption directives. A comment whose leading word
+//! is anything else is prose, so no other comment can waive the lint.
 
 /// One lexical token with its source line.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,25 +33,15 @@ impl Tok {
     pub fn is_punct(&self, c: char) -> bool {
         matches!(self, Tok::Punct(p) if *p == c)
     }
-    pub fn ident(&self) -> Option<&str> {
-        match self {
-            Tok::Ident(i) => Some(i),
-            _ => None,
-        }
-    }
 }
 
-/// The directive namespaces the analyzers recognize. A comment whose
-/// leading word is none of these is ordinary prose and never harvested,
-/// so each pass sees exactly its own grammar (plus, via
-/// [`Directive::prefix`], nothing else's).
-pub(crate) const DIRECTIVE_PREFIXES: [&str; 2] = ["audit", "determinism"];
+/// The directive namespace: the word before the colon of a harvested
+/// comment.
+const DIRECTIVE_PREFIX: &str = "determinism";
 
-/// One `// <prefix>: …` comment found during tokenization.
+/// One `// determinism: …` comment found during tokenization.
 #[derive(Debug, Clone)]
 pub(crate) struct Directive {
-    /// Namespace word before the colon (`audit` or `determinism`).
-    pub prefix: &'static str,
     /// 1-based source line of the comment.
     pub line: u32,
     /// Trimmed text after the colon.
@@ -64,13 +49,12 @@ pub(crate) struct Directive {
 }
 
 impl Directive {
-    /// Parses the common `<keyword> -- <reason>` grammar shared by
-    /// every namespace (`audit: skip -- r`, `determinism: allow -- r`):
-    /// `Ok(reason)` for a well-formed
+    /// Parses the `<keyword> -- <reason>` grammar
+    /// (`determinism: allow -- r`): `Ok(reason)` for a well-formed
     /// directive with a non-empty reason, `Err(raw)` otherwise — the
     /// raw text lets the caller render the malformed directive.
     pub fn reason_for(&self, keyword: &str) -> Result<String, String> {
-        let raw = format!("{}: {}", self.prefix, self.text);
+        let raw = format!("{DIRECTIVE_PREFIX}: {}", self.text);
         match self.text.strip_prefix(keyword) {
             Some(tail) => match tail.trim().strip_prefix("--") {
                 Some(reason) if !reason.trim().is_empty() => Ok(reason.trim().to_string()),
@@ -82,7 +66,7 @@ impl Directive {
 }
 
 /// Tokenizes Rust source, stripping comments/strings but harvesting
-/// directive comments from every recognized namespace.
+/// directive comments.
 pub(crate) fn tokenize(text: &str) -> (Vec<Token>, Vec<Directive>) {
     let bytes: Vec<char> = text.chars().collect();
     let mut toks = Vec::new();
@@ -109,17 +93,10 @@ pub(crate) fn tokenize(text: &str) -> (Vec<Token>, Vec<Directive>) {
                 }
                 let comment: String = bytes[start..j].iter().collect();
                 let trimmed = comment.trim_start_matches(['/', '!']).trim();
-                for prefix in DIRECTIVE_PREFIXES {
-                    if let Some(rest) = trimmed.strip_prefix(prefix) {
-                        if let Some(text) = rest.strip_prefix(':') {
-                            directives.push(Directive {
-                                prefix,
-                                line,
-                                text: text.trim().to_string(),
-                            });
-                            break;
-                        }
-                    }
+                if let Some(text) =
+                    trimmed.strip_prefix(DIRECTIVE_PREFIX).and_then(|rest| rest.strip_prefix(':'))
+                {
+                    directives.push(Directive { line, text: text.trim().to_string() });
                 }
                 i = j;
             }
@@ -239,27 +216,6 @@ pub(crate) fn tokenize(text: &str) -> (Vec<Token>, Vec<Directive>) {
     (toks, directives)
 }
 
-/// Advances past a balanced `<…>` group if one starts at `i`.
-pub(crate) fn skip_generics(toks: &[Token], mut i: usize) -> usize {
-    if i < toks.len() && toks[i].tok.is_punct('<') {
-        let mut depth = 0i32;
-        while i < toks.len() {
-            match &toks[i].tok {
-                Tok::Punct('<') => depth += 1,
-                Tok::Punct('>') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return i + 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-    }
-    i
-}
-
 /// Advances past a balanced group opened by the delimiter at `i`.
 pub(crate) fn skip_balanced(toks: &[Token], mut i: usize, open: char, close: char) -> usize {
     let mut depth = 0i32;
@@ -283,27 +239,49 @@ mod tests {
 
     #[test]
     fn directives_of_every_namespace_are_harvested() {
-        let src = "// audit: skip -- a\nlet x = 1; // determinism: allow -- b\n\
-                   // plain comment: not a directive\n";
+        // Own-line, trailing and doc-comment forms of the one namespace.
+        let src = "// determinism: allow -- a\nlet x = 1; // determinism: allow -- b\n\
+                   //! determinism: allow -- c\n// plain comment: not a directive\n";
         let (_, dirs) = tokenize(src);
-        let seen: Vec<(&str, u32)> = dirs.iter().map(|d| (d.prefix, d.line)).collect();
-        assert_eq!(seen, vec![("audit", 1), ("determinism", 2)]);
-        assert_eq!(dirs[0].reason_for("skip").as_deref(), Ok("a"));
+        let seen: Vec<u32> = dirs.iter().map(|d| d.line).collect();
+        assert_eq!(seen, vec![1, 2, 3]);
+        assert_eq!(dirs[0].reason_for("allow").as_deref(), Ok("a"));
         assert_eq!(dirs[1].reason_for("allow").as_deref(), Ok("b"));
+        assert_eq!(dirs[2].reason_for("allow").as_deref(), Ok("c"));
     }
 
     #[test]
     fn malformed_directives_surface_their_raw_text() {
-        let (_, dirs) = tokenize("// determinism: allow\n// audit: skpi -- typo\n");
+        let (_, dirs) = tokenize("// determinism: allow\n// determinism: alow -- typo\n");
         assert_eq!(dirs[0].reason_for("allow"), Err("determinism: allow".to_string()));
-        assert_eq!(dirs[1].reason_for("skip"), Err("audit: skpi -- typo".to_string()));
+        assert_eq!(dirs[1].reason_for("allow"), Err("determinism: alow -- typo".to_string()));
+    }
+
+    #[test]
+    fn lifetimes_and_char_literals_do_not_derail_tokenizer() {
+        let src = "struct P<'a> { live: &'a [bool] }\n\
+                   let c = '\"'; let s = \"a \\\" Instant // b\";\n\
+                   let m = HashMap::new();\n";
+        let (toks, dirs) = tokenize(src);
+        let idents: Vec<(&str, u32)> = toks
+            .iter()
+            .filter_map(|t| match &t.tok {
+                Tok::Ident(i) => Some((i.as_str(), t.line)),
+                _ => None,
+            })
+            .collect();
+        assert!(idents.contains(&("HashMap", 3)), "{idents:?}");
+        assert!(!idents.iter().any(|&(i, _)| i == "Instant"), "string text leaked: {idents:?}");
+        assert!(dirs.is_empty());
     }
 
     #[test]
     fn wrong_namespace_is_not_cross_harvested() {
-        let (_, dirs) = tokenize("// determinism: allow -- fine\n// note: skip -- prose\n");
+        let src = "// determinism: allow -- fine\n// note: skip -- prose\n\
+                   // audit: prose -- any other namespace is prose too\n";
+        let (_, dirs) = tokenize(src);
         assert_eq!(dirs.len(), 1, "an unknown namespace is prose: {dirs:?}");
-        assert_eq!(dirs[0].prefix, "determinism");
+        assert_eq!(dirs[0].line, 1);
         assert_eq!(dirs[0].reason_for("skip"), Err("determinism: allow -- fine".to_string()));
     }
 }

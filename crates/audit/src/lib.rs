@@ -4,25 +4,26 @@
 //! the [`StateVisitor`](restore_arch::state::StateVisitor) walks cover
 //! every bit of architecturally interesting state, with stable global
 //! numbering and lossless flips, and the store keys a trial record by
-//! everything that shapes it, and by nothing else. This crate checks
-//! both:
+//! everything that shapes it, and by nothing else.
 //!
-//! * [`scanner`] — a static, dependency-free token-level analyzer over
-//!   the simulator sources. For every type with a `FaultState` impl or a
-//!   `visit`/`visit_state` method it cross-checks declared struct fields
-//!   against the fields the walk actually hands to the visitor, enforces
-//!   explicit `// audit: skip -- <reason>` exemptions for everything
-//!   else, and width/type soundness on direct visits.
+//! That every field is classified at all is checked by the compiler,
+//! not here: each walk body and each digest body destructures its
+//! struct with an exhaustive pattern, binding a covered field for its
+//! visit or fold and an excluded one `_` with its reason beside it. A
+//! new field does not compile until it is classified (E0027), and with
+//! the workspace's `unused_variables = "deny"` neither does a bound
+//! field that the walk never visits. This crate checks what a pattern
+//! cannot:
+//!
 //! * [`contract`] — a runtime checker that wraps real machine walks in a
 //!   [`ContractVisitor`] and verifies the
-//!   protocol invariants: region-before-word, stable bit numbering
-//!   across consecutive walks, non-mutating hash paths, and
-//!   flip ∘ flip = identity on sampled bits.
+//!   protocol invariants: region-before-word, declared widths within
+//!   each visit method's limit, stable bit numbering across consecutive
+//!   walks, non-mutating hash paths, and flip ∘ flip = identity on
+//!   sampled bits.
 //! * [`battery`] — the per-field digest perturbation battery: every
 //!   campaign-config field the digest body folds must rekey the store
-//!   when perturbed, and every field it binds `_` must not. The bodies
-//!   destructure every field, so the compiler has already made each
-//!   field one or the other.
+//!   when perturbed, and every field it binds `_` must not.
 //! * [`determinism`] — a token-level lint over the campaign crates that
 //!   rejects hash-order iteration, wall-clock reads and unseeded or
 //!   literal-seeded RNGs unless a `// determinism: allow -- <reason>`
@@ -31,8 +32,8 @@
 //!   of both machine models, for comparison against the paper's §4
 //!   numbers.
 //!
-//! The `restore-audit` binary runs each of them (`--check`,
-//! `--contract`, `--digests`, `--determinism`, `--census`) in CI.
+//! The `restore-audit` binary runs each of them (`--contract`,
+//! `--digests`, `--determinism`, `--census`) in CI.
 
 #![forbid(unsafe_code)]
 
@@ -41,10 +42,11 @@ pub mod census;
 pub mod contract;
 pub mod determinism;
 pub(crate) mod lex;
-pub mod scanner;
 
 pub use battery::{default_batteries, run_battery, BatteryReport, FieldPerturbation};
 pub use census::{cpu_census, pipeline_census, Census};
 pub use contract::{check_contract, ContractReport, ContractVisitor};
-pub use determinism::{analyze_determinism_dirs, analyze_determinism_sources, DeterminismAnalysis};
-pub use scanner::{analyze_dirs, analyze_sources, Analysis, Finding, Severity};
+pub use determinism::{
+    analyze_determinism_dirs, analyze_determinism_sources, DeterminismAnalysis, Finding, Severity,
+    DETERMINISM_ROOTS,
+};

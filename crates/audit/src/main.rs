@@ -1,14 +1,15 @@
 //! `restore-audit` CLI.
 //!
 //! ```text
-//! restore-audit [--check] [--digests] [--determinism] [--census]
-//!               [--contract] [--json] [--root DIR]
+//! restore-audit [--digests] [--determinism] [--census] [--contract]
+//!               [--json] [--root DIR]
 //! ```
 //!
-//! * `--check` (default): run the static field-coverage scanner over
-//!   `crates/uarch/src`, `crates/arch/src`, `crates/snapshot/src`,
-//!   `crates/store/src`, `crates/maskmap/src`, `crates/core/src` and
-//!   `crates/inject/src`; exit 1 on any finding.
+//! At least one mode flag is required; with none, the usage line is
+//! printed and the exit status is 2. That every field of a state walk
+//! is visited or excluded with a reason is checked by the compiler:
+//! each walk destructures its struct exhaustively.
+//!
 //! * `--digests`: run the per-field perturbation battery against the
 //!   default µarch and arch campaign configs; exit 1 if perturbing a
 //!   shaped field leaves the campaign digest unchanged, perturbing a
@@ -16,15 +17,17 @@
 //!   perturbation. That every field is classified at all is checked by
 //!   the compiler: the digest bodies destructure every field.
 //! * `--determinism`: run the nondeterminism lint over the campaign,
-//!   bench, store, snapshot, maskmap, perf and core crate roots; exit 1
-//!   on any unexempted banned construct.
+//!   bench, store, snapshot, maskmap, perf and core crate roots
+//!   ([`DETERMINISM_ROOTS`]); exit 1 on any unexempted banned
+//!   construct.
 //! * `--contract`: run the runtime invariant battery against a warmed
 //!   default-config pipeline and the architectural CPU; exit 1 on any
-//!   violation.
+//!   violation, a declared width outside its visit method's limit
+//!   included.
 //! * `--census`: print the per-region bit census of both machines.
-//! * `--json`: machine-readable output for `--check`/`--digests`/
-//!   `--determinism`/`--census`.
-//! * `--root DIR`: repository root to scan (defaults to the workspace
+//! * `--json`: machine-readable output for `--digests`/`--determinism`/
+//!   `--census`.
+//! * `--root DIR`: repository root to lint (defaults to the workspace
 //!   this binary was built from).
 
 #![forbid(unsafe_code)]
@@ -34,13 +37,13 @@ use std::process::ExitCode;
 
 use restore_audit::battery::default_batteries;
 use restore_audit::contract::check_contract;
-use restore_audit::scanner::{Finding, Severity};
-use restore_audit::{analyze_determinism_dirs, analyze_dirs, cpu_census, pipeline_census};
+use restore_audit::{
+    analyze_determinism_dirs, cpu_census, pipeline_census, Finding, Severity, DETERMINISM_ROOTS,
+};
 use restore_uarch::{Pipeline, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
 
 struct Options {
-    check: bool,
     digests: bool,
     determinism: bool,
     census: bool,
@@ -51,8 +54,8 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: restore-audit [--check] [--digests] [--determinism] [--census] [--contract] \
-         [--json] [--root DIR]"
+        "usage: restore-audit [--digests] [--determinism] [--census] [--contract] [--json] \
+         [--root DIR]"
     );
     std::process::exit(2);
 }
@@ -60,7 +63,6 @@ fn usage() -> ! {
 fn parse_args() -> Options {
     let default_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut opts = Options {
-        check: false,
         digests: false,
         determinism: false,
         census: false,
@@ -71,7 +73,6 @@ fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--check" => opts.check = true,
             "--digests" => opts.digests = true,
             "--determinism" => opts.determinism = true,
             "--census" => opts.census = true,
@@ -88,62 +89,10 @@ fn parse_args() -> Options {
             }
         }
     }
-    if !opts.check && !opts.digests && !opts.determinism && !opts.census && !opts.contract {
-        opts.check = true;
+    if !opts.digests && !opts.determinism && !opts.census && !opts.contract {
+        usage();
     }
     opts
-}
-
-fn run_check(opts: &Options) -> bool {
-    let roots = [
-        opts.root.join("crates/uarch/src"),
-        opts.root.join("crates/arch/src"),
-        opts.root.join("crates/snapshot/src"),
-        opts.root.join("crates/store/src"),
-        opts.root.join("crates/maskmap/src"),
-        // The detector plugin layer and the trial monitors that drive
-        // it: DetectorSet firing state and the per-trial observation
-        // records are visit-bearing state too.
-        opts.root.join("crates/core/src"),
-        opts.root.join("crates/inject/src"),
-    ];
-    let analysis = match analyze_dirs(&roots) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("restore-audit: cannot scan {}: {e}", opts.root.display());
-            return false;
-        }
-    };
-    if opts.json {
-        let mut out = String::from("{\"findings\":[");
-        for (i, f) in analysis.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&finding_json(f));
-        }
-        out.push_str(&format!(
-            "],\"files_scanned\":{},\"structs\":{},\"walks\":{},\"clean\":{}}}",
-            analysis.files_scanned,
-            analysis.structs.len(),
-            analysis.walks.len(),
-            analysis.is_clean(),
-        ));
-        println!("{out}");
-    } else {
-        for f in &analysis.findings {
-            println!("{f}");
-        }
-        let errors = analysis.errors().count();
-        println!(
-            "restore-audit: scanned {} files, {} structs, {} walk bodies: {}",
-            analysis.files_scanned,
-            analysis.structs.len(),
-            analysis.walks.len(),
-            if errors == 0 { "coverage clean".to_string() } else { format!("{errors} error(s)") },
-        );
-    }
-    analysis.is_clean()
 }
 
 fn finding_json(f: &Finding) -> String {
@@ -211,15 +160,7 @@ fn run_digests(json: bool) -> bool {
 }
 
 fn run_determinism(opts: &Options) -> bool {
-    let roots = [
-        opts.root.join("crates/inject/src"),
-        opts.root.join("crates/bench/src"),
-        opts.root.join("crates/store/src"),
-        opts.root.join("crates/snapshot/src"),
-        opts.root.join("crates/maskmap/src"),
-        opts.root.join("crates/perf/src"),
-        opts.root.join("crates/core/src"),
-    ];
+    let roots: Vec<PathBuf> = DETERMINISM_ROOTS.iter().map(|r| opts.root.join(r)).collect();
     let analysis = match analyze_determinism_dirs(&roots) {
         Ok(a) => a,
         Err(e) => {
@@ -319,9 +260,6 @@ fn run_census(json: bool) {
 fn main() -> ExitCode {
     let opts = parse_args();
     let mut ok = true;
-    if opts.check {
-        ok &= run_check(&opts);
-    }
     if opts.digests {
         ok &= run_digests(opts.json);
     }

@@ -134,8 +134,6 @@ pub struct SnapshotMeta {
     /// Full-machine fingerprint recorded at capture.
     pub fingerprint: u64,
     /// Materializations served from this snapshot so far.
-    // audit: skip -- usage counter for stats reporting, not captured
-    // machine state; restoring it would claim another run's history
     pub serves: u64,
 }
 
@@ -145,9 +143,16 @@ impl SnapshotMeta {
     /// one value (shards of a resumable campaign cross-check that they
     /// materialize from identical libraries).
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
+        let SnapshotMeta {
+            coord,
+            fingerprint,
+            // Usage counter for stats reporting, not captured machine
+            // state; restoring it would claim another run's history.
+            serves: _,
+        } = self;
         v.region("snapshot-meta", StateKind::Ram);
-        v.word(&mut self.coord, 64, FieldClass::Data);
-        v.word(&mut self.fingerprint, 64, FieldClass::Data);
+        v.word(coord, 64, FieldClass::Data);
+        v.word(fingerprint, 64, FieldClass::Data);
     }
 }
 
@@ -520,6 +525,26 @@ mod tests {
         assert_ne!(a.digest(), b.digest(), "frontier extension must change the digest");
         b.materialize(1_500).unwrap();
         assert_eq!(a.digest(), b.digest(), "identical golden runs must digest identically");
+    }
+
+    /// The digest folds each snapshot's capture coordinate and
+    /// fingerprint and nothing else: serves bump `SnapshotMeta::serves`
+    /// but leave it unchanged.
+    #[test]
+    fn serves_leave_the_digest_unchanged() {
+        let mut lib = GoldenCheckpointLibrary::new(smoke_cpu(), 400);
+        lib.materialize(1_500).unwrap();
+        let captured = lib.digest();
+        for coord in [500, 900, 1_300] {
+            assert!(matches!(lib.materialize(coord).unwrap().served, Served::Snapshot { .. }));
+        }
+        assert_eq!(lib.metas().map(|m| m.serves).collect::<Vec<_>>(), [0, 1, 1, 1]);
+        assert_eq!(lib.digest(), captured, "serving a snapshot must not move the digest");
+        lib.snaps[1].meta.coord += 1;
+        assert_ne!(lib.digest(), captured, "a different capture coordinate must");
+        lib.snaps[1].meta.coord -= 1;
+        lib.snaps[1].meta.fingerprint ^= 1;
+        assert_ne!(lib.digest(), captured, "a different capture fingerprint must");
     }
 
     #[test]

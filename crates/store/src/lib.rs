@@ -13,7 +13,9 @@
 //!   are single unbuffered writes; on open, each segment is validated
 //!   line-by-line and a torn tail (partial line, bad hash, malformed
 //!   JSON) is truncated away rather than poisoning the store. Nothing
-//!   before the tear is ever lost.
+//!   before the tear is ever lost. A bad line that validated lines
+//!   follow is damage, not a tear: the open fails
+//!   ([`StoreError::Damaged`]) and the file keeps every byte.
 //! * **Mergeability.** A store is a directory of segments named by
 //!   writer label (`seg-<label>-<n>.jsonl`); shards of one campaign use
 //!   distinct labels, so merging shard stores is plain file copying.
@@ -86,14 +88,16 @@ pub struct TrialKey {
 
 impl TrialKey {
     /// Walks the key's fields through a [`StateVisitor`] — the same
-    /// contract the machine models use, so the audit scanner can prove
-    /// no field is silently dropped from digests.
+    /// contract the machine models use. The walk destructures every
+    /// field, so a new field does not compile until this walk visits
+    /// it, and [`TrialStore::content_digest`] cannot silently drop it.
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
+        let TrialKey { config, workload, point, seed } = self;
         v.region("trial-key", StateKind::Ram);
-        v.word(&mut self.config, 64, FieldClass::Data);
-        v.word(&mut self.workload, 64, FieldClass::Data);
-        v.word(&mut self.point, 64, FieldClass::Data);
-        v.word(&mut self.seed, 64, FieldClass::Data);
+        v.word(config, 64, FieldClass::Data);
+        v.word(workload, 64, FieldClass::Data);
+        v.word(point, 64, FieldClass::Data);
+        v.word(seed, 64, FieldClass::Data);
     }
 }
 
@@ -127,12 +131,13 @@ impl TrialCost {
 
     /// Walks the cost's fields through a [`StateVisitor`].
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
+        let TrialCost { simulated, saved, cut, pruned, pruned_cycles } = self;
         v.region("trial-cost", StateKind::Ram);
-        v.word(&mut self.simulated, 64, FieldClass::Data);
-        v.word(&mut self.saved, 64, FieldClass::Data);
-        v.flag(&mut self.cut);
-        v.flag(&mut self.pruned);
-        v.word(&mut self.pruned_cycles, 64, FieldClass::Data);
+        v.word(simulated, 64, FieldClass::Data);
+        v.word(saved, 64, FieldClass::Data);
+        v.flag(cut);
+        v.flag(pruned);
+        v.word(pruned_cycles, 64, FieldClass::Data);
     }
 }
 
@@ -238,6 +243,16 @@ pub enum StoreError {
         /// What the codec rejected.
         detail: String,
     },
+    /// A segment line failed validation, yet later lines pass theirs:
+    /// damage inside the segment, not a torn tail. Truncating would
+    /// drop the validated records after it, so the open fails and the
+    /// file is left as it was.
+    Damaged {
+        /// Segment file.
+        file: PathBuf,
+        /// 1-based number of the first line that fails validation.
+        line: u64,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -247,6 +262,12 @@ impl fmt::Display for StoreError {
             StoreError::Undecodable { file, line, detail } => {
                 write!(f, "{}:{line}: checked record failed to decode: {detail}", file.display())
             }
+            StoreError::Damaged { file, line } => write!(
+                f,
+                "{}:{line}: line fails validation but later lines pass theirs: damage inside \
+                 the segment, not a torn tail; the file was left untouched",
+                file.display()
+            ),
         }
     }
 }
@@ -296,8 +317,9 @@ impl<T: Payload> TrialStore<T> {
     ///
     /// # Errors
     ///
-    /// I/O failures and checked-but-undecodable records
-    /// ([`StoreError::Undecodable`]).
+    /// I/O failures, checked-but-undecodable records
+    /// ([`StoreError::Undecodable`]) and damage inside a segment
+    /// ([`StoreError::Damaged`]).
     pub fn open(dir: &Path, label: &str) -> Result<TrialStore<T>, StoreError> {
         std::fs::create_dir_all(dir)?;
         let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)?
@@ -323,9 +345,12 @@ impl<T: Payload> TrialStore<T> {
         Ok(store)
     }
 
-    /// Reads one segment, truncating a torn tail in place. The whole
-    /// segment is skipped (counted, not errored) when its header names
-    /// a different payload kind or version.
+    /// Reads one segment, truncating a torn tail in place: everything
+    /// from the first line that fails validation on, provided no later
+    /// complete line validates. If one does, the bad line is damage,
+    /// and the segment is reported ([`StoreError::Damaged`]), not cut.
+    /// The whole segment is skipped (counted, not errored) when its
+    /// header names a different payload kind or version.
     fn load_segment(&mut self, path: &Path) -> Result<(), StoreError> {
         let bytes = std::fs::read(path)?;
         let mut offset = 0usize; // byte offset of the first unvalidated line
@@ -381,6 +406,9 @@ impl<T: Payload> TrialStore<T> {
             offset += nl + 1;
         }
         if offset < bytes.len() {
+            if later_line_validates(&bytes[offset..]) {
+                return Err(StoreError::Damaged { file: path.to_path_buf(), line: line_no });
+            }
             // Torn tail: drop everything from the first bad byte on.
             let file = OpenOptions::new().write(true).open(path)?;
             file.set_len(offset as u64)?;
@@ -550,6 +578,17 @@ fn validated_record(line: &str) -> Option<&str> {
     let check = u64::from_str_radix(hex, 16).ok()?;
     let record = rest.get(16..)?.strip_prefix("\",\"record\":")?.strip_suffix('}')?;
     (fnv1a(record.as_bytes()) == check).then_some(record)
+}
+
+/// Whether a complete line after the first one in `rest` passes its
+/// check hash. `rest` starts at a line that failed validation; a crash
+/// tears only the final line, so a validated line after it means the
+/// bad line is damage, not a tear.
+fn later_line_validates(rest: &[u8]) -> bool {
+    rest.split_inclusive(|&b| b == b'\n')
+        .skip(1)
+        .filter_map(|line| line.strip_suffix(b"\n"))
+        .any(|line| std::str::from_utf8(line).ok().and_then(validated_record).is_some())
 }
 
 /// Whether a segment's header record matches this store's payload.
@@ -781,6 +820,43 @@ mod tests {
         assert_eq!(merged.content_digest(), want, "merge is digest-identical to cold");
         std::fs::remove_dir_all(&cold_dir).unwrap();
         std::fs::remove_dir_all(&merged_dir).unwrap();
+    }
+
+    /// `content_digest` folds every `TrialKey` and `TrialCost` field:
+    /// changing any one of them changes it.
+    #[test]
+    fn every_key_and_cost_field_moves_the_content_digest() {
+        let digest = |rec: Stored<Blob>| {
+            let mut store = TrialStore {
+                dir: PathBuf::new(),
+                label: String::new(),
+                records: vec![rec],
+                index: BTreeMap::new(),
+                writer: None,
+                report: OpenReport::default(),
+            };
+            store.content_digest()
+        };
+        let base = rec(7, 5, 100);
+        let want = digest(base.clone());
+        let perturbed = |perturb: fn(&mut Stored<Blob>)| {
+            let mut changed = base.clone();
+            perturb(&mut changed);
+            digest(changed)
+        };
+        for (field, got) in [
+            ("key.config", perturbed(|r| r.key.config ^= 1)),
+            ("key.workload", perturbed(|r| r.key.workload ^= 1)),
+            ("key.point", perturbed(|r| r.key.point ^= 1)),
+            ("key.seed", perturbed(|r| r.key.seed ^= 1)),
+            ("cost.simulated", perturbed(|r| r.cost.simulated ^= 1)),
+            ("cost.saved", perturbed(|r| r.cost.saved ^= 1)),
+            ("cost.cut", perturbed(|r| r.cost.cut ^= true)),
+            ("cost.pruned", perturbed(|r| r.cost.pruned ^= true)),
+            ("cost.pruned_cycles", perturbed(|r| r.cost.pruned_cycles ^= 1)),
+        ] {
+            assert_ne!(got, want, "changing {field} left the digest unchanged");
+        }
     }
 
     #[test]

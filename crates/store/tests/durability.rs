@@ -7,7 +7,8 @@
 //! line entirely, or (b) leave a torn prefix of it. Tests simulate both
 //! by appending garbage/partial bytes directly to the live segment and
 //! asserting the next open truncates back to — exactly — the last
-//! complete record.
+//! complete record. A crash never leaves a bad line *before* a valid
+//! one, so such damage fails the open and the file keeps every byte.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -136,6 +137,34 @@ fn corrupted_final_line_is_dropped_not_trusted() {
     assert_eq!(r.open_report().truncated_bytes, (n - last_line_start) as u64);
     assert!(r.get(&probe_rec(2, 2).key).is_none());
     assert_eq!(r.get(&probe_rec(2, 1).key), Some(&probe_rec(2, 1)));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Damage inside a segment (one flipped byte in record 3 of 6) is not
+/// a torn tail: validated records follow it, so truncating there would
+/// drop them. Opening fails instead, naming the segment and its first
+/// bad line, and leaves the file byte-identical.
+#[test]
+fn mid_segment_damage_fails_the_open_and_keeps_every_byte() {
+    let dir = tmp("midrot");
+    let mut s = TrialStore::<Probe>::open(&dir, "all").unwrap();
+    for p in 0..6 {
+        s.append(probe_rec(5, p)).unwrap();
+    }
+    drop(s);
+    let seg = segments(&dir).pop().unwrap();
+    let mut bytes = std::fs::read(&seg).unwrap();
+    // Line 1 is the header, so record 3 is line 4; flip the first digit
+    // of its key's config word.
+    let line4 = bytes.split_inclusive(|&b| b == b'\n').take(3).map(<[u8]>::len).sum::<usize>();
+    let key_at = std::str::from_utf8(&bytes[line4..]).unwrap().find("\"key\":[").unwrap();
+    bytes[line4 + key_at + "\"key\":[".len()] ^= 1;
+    std::fs::write(&seg, &bytes).unwrap();
+
+    let err = TrialStore::<Probe>::open(&dir, "reader").unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.starts_with(&format!("{}:4:", seg.display())), "{msg}");
+    assert_eq!(std::fs::read(&seg).unwrap(), bytes, "the damaged segment keeps every byte");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

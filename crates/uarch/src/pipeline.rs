@@ -86,9 +86,11 @@ impl DecSlot {
     /// payload of an empty slot is dead (rename tests `valid` before
     /// reading anything else, and a refill rewrites every field).
     fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        v.flag(&mut self.valid);
-        v.occupancy(self.valid);
-        self.e.visit(v);
+        let live = self.valid;
+        let DecSlot { valid, e } = self;
+        v.flag(valid);
+        v.occupancy(live);
+        e.visit(v);
         v.occupancy(true);
     }
 }
@@ -96,18 +98,9 @@ impl DecSlot {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct BobEntry {
     rat: [u8; 32],
-    // audit: skip -- free-list head checkpoint: recovery metadata folded
-    // into the reconvergence fingerprint, not a modelled latch array
     fl_head: u64,
-    // audit: skip -- GHR snapshot feeds only predictor recovery, which
-    // the paper excludes from injection ("corrupt predictor table
-    // entries cannot lead to failure")
     ghr: u64,
-    // audit: skip -- RAS top snapshot: predictor recovery metadata,
-    // excluded like the predictor state it restores
     ras_top: u32,
-    // audit: skip -- allocation age is a simulation artifact, covered by
-    // the fingerprint's digest of checkpoint bookkeeping
     seq: u64,
 }
 
@@ -118,7 +111,19 @@ impl BobEntry {
     /// paper's predictor-state exclusion and is digested by
     /// [`Pipeline::fingerprint`] instead.
     fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        for t in self.rat.iter_mut() {
+        let BobEntry {
+            rat,
+            // Free-list head checkpoint: recovery metadata folded into the
+            // reconvergence fingerprint, not a modelled latch array.
+            fl_head: _,
+            // GHR snapshot: feeds only predictor recovery, which the paper
+            // excludes ("corrupt predictor table entries cannot lead to
+            // failure").
+            ghr: _,
+            ras_top: _, // RAS snapshot: excluded like the predictor state it restores
+            seq: _,     // age: simulation artifact, digested with the checkpoint bookkeeping
+        } = self;
+        for t in rat.iter_mut() {
             v.word8(t, 7, FieldClass::Control);
         }
     }
@@ -148,47 +153,28 @@ const EXEC_SLOTS: usize = 16;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pipeline {
-    // audit: skip -- static configuration, not machine state
     cfg: UarchConfig,
-    // audit: skip -- memory is DRAM behind the caches, outside the
-    // paper's "~46,000 bits of interesting state"; it is digested
-    // separately by `fingerprint` via `Memory::fingerprint`
     mem: Memory,
 
     // --- front end ---
     pc: u64,
     fetch_parked: bool,
-    // audit: skip -- fetch redirect latency countdown: timing model
-    // artifact with no latch-level equivalent, fingerprint-digested
     frontend_delay: u32,
-    // audit: skip -- icache/iTLB miss latency countdown: timing model
-    // artifact, fingerprint-digested
     fetch_stall: u32,
     fq: CircQ<FqEntry>,
     dec: Vec<DecSlot>,
 
     // --- predictors (excluded from injection) ---
-    // audit: skip -- predictor tables: "corrupt predictor table entries
-    // cannot lead to failure" (paper §4.2)
     bpred: BranchPredictor,
-    // audit: skip -- predictor state, excluded per paper §4.2
     btb: Btb,
-    // audit: skip -- predictor state, excluded per paper §4.2
     ras: Ras,
-    // audit: skip -- confidence estimator state, excluded per paper §4.2
     jrs: JrsConfidence,
-    // audit: skip -- memory-dependence predictor, excluded per paper §4.2
     memdep: MemDepPredictor,
 
     // --- caches/TLBs (excluded from injection) ---
-    // audit: skip -- "caches are easily protected by ECC or parity"
-    // (paper §4.2); digested by `fingerprint`
     icache: Cache,
-    // audit: skip -- cache array, excluded per paper §4.2
     dcache: Cache,
-    // audit: skip -- TLB array, excluded per paper §4.2
     itlb: Tlb,
-    // audit: skip -- TLB array, excluded per paper §4.2
     dtlb: Tlb,
 
     // --- out-of-order core ---
@@ -203,30 +189,18 @@ pub struct Pipeline {
     free_list: FreeList,
     phys_regs: Vec<u64>,
     phys_ready: Vec<bool>,
-    // audit: skip -- scratch list of issue/execute candidates, rebuilt
-    // inside one stage and left empty between cycles (no machine state)
     candidates: Vec<usize>,
 
     // --- bookkeeping (simulation artifacts, fingerprint-digested) ---
-    // audit: skip -- cycle counter is simulation bookkeeping
     cycle: u64,
-    // audit: skip -- global age source is simulation bookkeeping
     seq_counter: u64,
-    // audit: skip -- retirement counter is simulation bookkeeping
     retired_total: u64,
-    // audit: skip -- watchdog bookkeeping, not a modelled latch
     last_retire_cycle: u64,
-    // audit: skip -- stop reason is an output of the model, not state
     status: Stop,
-    // audit: skip -- output log: write-only observable, never read back
     output: Vec<u64>,
-    // audit: skip -- replay statistics counter, observability only
     replay_count: u64,
-    // audit: skip -- lockstep-comparison bookkeeping, fingerprint-digested
     last_retired_next_pc: u64,
-    // audit: skip -- exception-drain control: simulation sequencing flag
     fetch_enabled: bool,
-    // audit: skip -- JRS training gate: experiment-mode switch, not state
     confidence_training: bool,
 }
 
@@ -1484,54 +1458,104 @@ impl crate::state::FaultState for Pipeline {
             Vec::new()
         };
 
+        let Pipeline {
+            cfg: _, // static configuration, not machine state
+            // Memory is DRAM behind the caches, outside the paper's
+            // "~46,000 bits of interesting state"; `fingerprint` digests
+            // it separately via `Memory::fingerprint`.
+            mem: _,
+            pc,
+            fetch_parked,
+            frontend_delay: _, // fetch-redirect countdown: timing model, fingerprint-digested
+            fetch_stall: _,    // icache/iTLB miss countdown: timing model, fingerprint-digested
+            fq,
+            dec,
+            // Predictor tables: "corrupt predictor table entries cannot
+            // lead to failure" (paper §4.2).
+            bpred: _,
+            btb: _,
+            ras: _,
+            jrs: _,
+            memdep: _,
+            // Caches and TLBs: "caches are easily protected by ECC or
+            // parity" (paper §4.2); `fingerprint` digests them.
+            icache: _,
+            dcache: _,
+            itlb: _,
+            dtlb: _,
+            sched,
+            exec,
+            rob,
+            ldq,
+            stq,
+            bob,
+            spec_rat,
+            arch_rat,
+            free_list,
+            phys_regs,
+            phys_ready,
+            candidates: _, // scratch list rebuilt inside one stage, empty between cycles
+            // Simulation bookkeeping with no latch behind it.
+            cycle: _,
+            seq_counter: _,
+            retired_total: _,
+            last_retire_cycle: _,    // watchdog bookkeeping
+            status: _,               // stop reason: an output of the model
+            output: _,               // write-only observable, never read back
+            replay_count: _,         // replay statistics, observability only
+            last_retired_next_pc: _, // lockstep-comparison bookkeeping, fingerprint-digested
+            fetch_enabled: _,        // exception-drain sequencing flag
+            confidence_training: _,  // JRS training gate: an experiment-mode switch
+        } = self;
+
         v.region("pc-and-fetch-control", Latch);
-        v.word(&mut self.pc, 64, FieldClass::Data);
-        v.flag(&mut self.fetch_parked);
+        v.word(pc, 64, FieldClass::Data);
+        v.flag(fetch_parked);
 
         v.region("fetch-queue", Ram);
-        self.fq.visit_with(v, FqEntry::visit);
+        fq.visit_with(v, FqEntry::visit);
 
         v.region("decode-latch", Latch);
-        for d in self.dec.iter_mut() {
+        for d in dec.iter_mut() {
             d.visit(v);
         }
 
         v.region("scheduler", Latch);
-        for s in self.sched.iter_mut() {
+        for s in sched.iter_mut() {
             s.visit(v);
         }
 
         v.region("exec-latches", Latch);
-        for e in self.exec.iter_mut() {
+        for e in exec.iter_mut() {
             e.visit(v);
         }
 
         v.region("reorder-buffer", Ram);
-        self.rob.visit_with(v, RobEntry::visit);
+        rob.visit_with(v, RobEntry::visit);
 
         v.region("load-queue", Latch);
-        self.ldq.visit_with(v, LdqEntry::visit);
+        ldq.visit_with(v, LdqEntry::visit);
 
         v.region("store-queue", Latch);
-        self.stq.visit_with(v, StqEntry::visit);
+        stq.visit_with(v, StqEntry::visit);
 
         v.region("branch-order-buffer", Ram);
-        self.bob.visit_with(v, BobEntry::visit);
+        bob.visit_with(v, BobEntry::visit);
 
         v.region("spec-rat", Ram);
-        for t in self.spec_rat.iter_mut() {
+        for t in spec_rat.iter_mut() {
             v.word8(t, 7, FieldClass::Control);
         }
         v.region("arch-rat", Ram);
-        for t in self.arch_rat.iter_mut() {
+        for t in arch_rat.iter_mut() {
             v.word8(t, 7, FieldClass::Control);
         }
 
         v.region("free-list", Ram);
-        self.free_list.visit(v, &restorable_heads);
+        free_list.visit(v, &restorable_heads);
 
         v.region("phys-regfile", Ram);
-        for (i, r) in self.phys_regs.iter_mut().enumerate() {
+        for (i, r) in phys_regs.iter_mut().enumerate() {
             if occupancy {
                 v.occupancy(reg_live[i]);
             }
@@ -1539,7 +1563,7 @@ impl crate::state::FaultState for Pipeline {
         }
 
         v.region("ready-scoreboard", Latch);
-        for (i, b) in self.phys_ready.iter_mut().enumerate() {
+        for (i, b) in phys_ready.iter_mut().enumerate() {
             if occupancy {
                 v.occupancy(reg_live[i]);
             }

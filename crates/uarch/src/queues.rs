@@ -194,9 +194,10 @@ impl<T: Default + Clone> CircQ<T> {
         let ptr_width = (64 - (self.c2() - 1).leading_zeros()).max(1);
         let occupancy = v.wants_occupancy();
         let (cap, start, len) = (self.cap() as u64, self.head, self.len() as u64);
-        v.word(&mut self.head, ptr_width, FieldClass::Control);
-        v.word(&mut self.tail, ptr_width, FieldClass::Control);
-        for (i, s) in self.slots.iter_mut().enumerate() {
+        let CircQ { slots, head, tail } = self;
+        v.word(head, ptr_width, FieldClass::Control);
+        v.word(tail, ptr_width, FieldClass::Control);
+        for (i, s) in slots.iter_mut().enumerate() {
             if occupancy {
                 let offset = (i as u64 + cap - start % cap) % cap;
                 v.occupancy(offset < len);
@@ -350,13 +351,14 @@ impl FreeList {
     /// for occupancy-reporting purposes.
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V, restorable_heads: &[u64]) {
         let ptr_width = (64 - (2 * self.cap() - 1).leading_zeros()).max(1);
-        v.word(&mut self.head, ptr_width, FieldClass::Control);
-        v.word(&mut self.tail, ptr_width, FieldClass::Control);
         let occupancy = v.wants_occupancy();
         let (start, window) =
             if occupancy { self.restorable_window(restorable_heads) } else { (0, 0) };
         let cap = self.cap();
-        for (i, s) in self.slots.iter_mut().enumerate() {
+        let FreeList { slots, head, tail } = self;
+        v.word(head, ptr_width, FieldClass::Control);
+        v.word(tail, ptr_width, FieldClass::Control);
+        for (i, s) in slots.iter_mut().enumerate() {
             if occupancy {
                 let offset = (i as u64 + cap - start) % cap;
                 v.occupancy(offset < window);

@@ -127,16 +127,10 @@ pub struct PredInfo {
     /// Predicted next PC (target if taken, fall-through otherwise).
     pub next_pc: u64,
     /// Global history used for the prediction (excluded from injection).
-    // audit: skip -- GHR snapshot feeds only predictor training/recovery,
-    // excluded per paper §4.2; covered by digest_artifacts
     pub used_ghr: u64,
     /// JRS high-confidence flag at prediction time (excluded).
-    // audit: skip -- confidence snapshot feeds only retire-time JRS
-    // training, excluded like the estimator it updates
     pub high_conf: bool,
     /// RAS top-of-stack after fetch of this instruction (excluded).
-    // audit: skip -- RAS snapshot is predictor recovery metadata,
-    // excluded per paper §4.2
     pub ras_top: u32,
 }
 
@@ -145,14 +139,21 @@ impl PredInfo {
     /// statically masked — retire only consults a prediction snapshot for
     /// control-role uops.
     fn visit<V: StateVisitor>(&mut self, v: &mut V, unread: bool) {
+        let PredInfo {
+            taken,
+            next_pc,
+            used_ghr: _,  // GHR snapshot: predictor training/recovery only, paper §4.2
+            high_conf: _, // JRS snapshot: retire-time training only, excluded like the estimator
+            ras_top: _,   // RAS snapshot: predictor recovery metadata, paper §4.2
+        } = self;
         if unread {
             v.masked(1);
         }
-        v.flag(&mut self.taken);
+        v.flag(taken);
         if unread {
             v.masked(u64::MAX);
         }
-        v.word(&mut self.next_pc, 64, FieldClass::Data);
+        v.word(next_pc, 64, FieldClass::Data);
     }
 
     fn digest_artifacts(&self, f: &mut Fingerprint) {
@@ -178,11 +179,12 @@ pub struct FqEntry {
 impl FqEntry {
     /// Visits the slot's latch bits.
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        v.word(&mut self.pc, 64, FieldClass::Data);
-        v.word32(&mut self.word, 32, FieldClass::Control);
-        v.flag(&mut self.fetch_fault);
+        let FqEntry { pc, word, fetch_fault, pred } = self;
+        v.word(pc, 64, FieldClass::Data);
+        v.word32(word, 32, FieldClass::Control);
+        v.flag(fetch_fault);
         // No mask: decode consults the prediction for every fetched word.
-        self.pred.visit(v, false);
+        pred.visit(v, false);
     }
 
     /// Folds the fields `visit` skips into `f`.
@@ -210,15 +212,16 @@ impl SrcTag {
     /// is copied into the execute latch (only the gated operand values
     /// are). The `used` bit itself is always live.
     fn visit<V: StateVisitor>(&mut self, v: &mut V, unread: bool) {
+        let SrcTag { tag, ready, used } = self;
         if unread {
             v.masked(width_mask(7));
         }
-        v.word8(&mut self.tag, 7, FieldClass::Control);
+        v.word8(tag, 7, FieldClass::Control);
         if unread {
             v.masked(1);
         }
-        v.flag(&mut self.ready);
-        v.flag(&mut self.used);
+        v.flag(ready);
+        v.flag(used);
     }
 }
 
@@ -245,8 +248,6 @@ pub struct SchedEntry {
     /// Load/store queue slot for memory uops.
     pub mem_idx: u8,
     /// Age for oldest-first select (simulation artifact, not visited).
-    // audit: skip -- sequence numbers are simulation artifacts with no
-    // latch-level equivalent; covered by digest_artifacts
     pub seq: u64,
 }
 
@@ -255,20 +256,33 @@ impl SchedEntry {
     /// live; the payload of an invalid entry is dead — wakeup, select
     /// and squash all test `valid` before touching anything else.
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        v.flag(&mut self.valid);
-        v.occupancy(self.valid);
-        v.word32(&mut self.word, 32, FieldClass::Control);
-        v.word(&mut self.pc, 64, FieldClass::Data);
-        v.word8(&mut self.rob_idx, 7, FieldClass::Control);
-        v.word8(&mut self.role, 3, FieldClass::Control);
-        let masks = v.wants_masks() && self.valid;
-        for s in self.src.iter_mut() {
+        let live = self.valid;
+        let masks = v.wants_masks() && live;
+        let SchedEntry {
+            valid,
+            word,
+            pc,
+            rob_idx,
+            role,
+            src,
+            dest,
+            has_dest,
+            mem_idx,
+            seq: _, // age: simulation artifact, no latch; folded by digest_artifacts
+        } = self;
+        v.flag(valid);
+        v.occupancy(live);
+        v.word32(word, 32, FieldClass::Control);
+        v.word(pc, 64, FieldClass::Data);
+        v.word8(rob_idx, 7, FieldClass::Control);
+        v.word8(role, 3, FieldClass::Control);
+        for s in src.iter_mut() {
             let unread = masks && !s.used;
             s.visit(v, unread);
         }
-        v.word8(&mut self.dest, 7, FieldClass::Control);
-        v.flag(&mut self.has_dest);
-        v.word8(&mut self.mem_idx, 5, FieldClass::Control);
+        v.word8(dest, 7, FieldClass::Control);
+        v.flag(has_dest);
+        v.word8(mem_idx, 5, FieldClass::Control);
         v.occupancy(true);
     }
 
@@ -323,8 +337,6 @@ pub struct RobEntry {
     /// PC of the next instruction (resolved).
     pub next_pc: u64,
     /// Age (simulation artifact, not visited).
-    // audit: skip -- sequence numbers are simulation artifacts with no
-    // latch-level equivalent; covered by digest_artifacts
     pub seq: u64,
 }
 
@@ -348,47 +360,68 @@ impl RobEntry {
         let role = Role::from_bits(self.role);
         let no_dest = masks && !self.has_dest;
         let non_control = masks && !role.is_control();
-        v.word(&mut self.pc, 64, FieldClass::Data);
-        v.word32(&mut self.word, 32, FieldClass::Control);
-        v.word8(&mut self.role, 3, FieldClass::Control);
+        let no_exc_aux = masks && self.exc == 0 && role != Role::Store;
+        let RobEntry {
+            pc,
+            word,
+            role,
+            phys_dest,
+            old_dest,
+            arch_dest,
+            has_dest,
+            completed,
+            exc,
+            exc_aux,
+            mem_idx,
+            bob_idx,
+            pred,
+            trained,
+            replay,
+            actual_taken,
+            next_pc,
+            seq: _, // age: simulation artifact, no latch; folded by digest_artifacts
+        } = self;
+        v.word(pc, 64, FieldClass::Data);
+        v.word32(word, 32, FieldClass::Control);
+        v.word8(role, 3, FieldClass::Control);
         if no_dest {
             v.masked(width_mask(7));
         }
-        v.word8(&mut self.phys_dest, 7, FieldClass::Control);
+        v.word8(phys_dest, 7, FieldClass::Control);
         if no_dest {
             v.masked(width_mask(7));
         }
-        v.word8(&mut self.old_dest, 7, FieldClass::Control);
+        v.word8(old_dest, 7, FieldClass::Control);
         if no_dest {
             v.masked(width_mask(5));
         }
-        v.word8(&mut self.arch_dest, 5, FieldClass::Control);
-        v.flag(&mut self.has_dest);
-        v.flag(&mut self.completed);
-        v.word8(&mut self.exc, 3, FieldClass::Control);
-        if masks && self.exc == 0 && role != Role::Store {
+        v.word8(arch_dest, 5, FieldClass::Control);
+        v.flag(has_dest);
+        v.flag(completed);
+        v.word8(exc, 3, FieldClass::Control);
+        if no_exc_aux {
             v.masked(u64::MAX);
         }
-        v.word(&mut self.exc_aux, 64, FieldClass::Data);
+        v.word(exc_aux, 64, FieldClass::Data);
         if masks {
             v.masked(width_mask(5));
         }
-        v.word8(&mut self.mem_idx, 5, FieldClass::Control);
+        v.word8(mem_idx, 5, FieldClass::Control);
         if masks {
             v.masked(width_mask(4));
         }
-        v.word8(&mut self.bob_idx, 4, FieldClass::Control);
-        self.pred.visit(v, non_control);
+        v.word8(bob_idx, 4, FieldClass::Control);
+        pred.visit(v, non_control);
         if non_control {
             v.masked(1);
         }
-        v.flag(&mut self.trained);
-        v.flag(&mut self.replay);
+        v.flag(trained);
+        v.flag(replay);
         if non_control {
             v.masked(1);
         }
-        v.flag(&mut self.actual_taken);
-        v.word(&mut self.next_pc, 64, FieldClass::Data);
+        v.flag(actual_taken);
+        v.word(next_pc, 64, FieldClass::Data);
     }
 
     /// Folds the fields `visit` skips into `f`.
@@ -421,16 +454,10 @@ pub struct LdqEntry {
     /// Load has produced its value.
     pub completed: bool,
     /// Age (artifact).
-    // audit: skip -- sequence numbers are simulation artifacts; covered
-    // by digest_artifacts
     pub seq: u64,
     /// Cycle at which the cache/TLB latency expires (artifact).
-    // audit: skip -- latency timestamp is a timing-model artifact;
-    // covered by digest_artifacts
     pub ready_at: u64,
     /// Memory access issued, awaiting latency (artifact).
-    // audit: skip -- issue bookkeeping for the latency model; covered by
-    // digest_artifacts
     pub mem_issued: bool,
     /// Value was obtained speculatively, bypassing older stores with
     /// unresolved addresses (memory dependence speculation).
@@ -442,19 +469,35 @@ impl LdqEntry {
     /// masked: load completion forwards the value to a register only
     /// under `has_dest`.
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        v.word(&mut self.addr, 64, FieldClass::Data);
-        v.flag(&mut self.addr_ready);
-        v.word8(&mut self.width_log2, 2, FieldClass::Control);
-        v.flag(&mut self.sext);
-        if v.wants_masks() && !self.has_dest {
+        let prefetch = v.wants_masks() && !self.has_dest;
+        let LdqEntry {
+            addr,
+            addr_ready,
+            width_log2,
+            sext,
+            dest,
+            has_dest,
+            rob_idx,
+            value,
+            completed,
+            seq: _,        // age: simulation artifact, no latch; folded by digest_artifacts
+            ready_at: _,   // latency timestamp: timing model; folded by digest_artifacts
+            mem_issued: _, // latency-model bookkeeping; folded by digest_artifacts
+            speculative,
+        } = self;
+        v.word(addr, 64, FieldClass::Data);
+        v.flag(addr_ready);
+        v.word8(width_log2, 2, FieldClass::Control);
+        v.flag(sext);
+        if prefetch {
             v.masked(width_mask(7));
         }
-        v.word8(&mut self.dest, 7, FieldClass::Control);
-        v.flag(&mut self.has_dest);
-        v.word8(&mut self.rob_idx, 7, FieldClass::Control);
-        v.word(&mut self.value, 64, FieldClass::Data);
-        v.flag(&mut self.completed);
-        v.flag(&mut self.speculative);
+        v.word8(dest, 7, FieldClass::Control);
+        v.flag(has_dest);
+        v.word8(rob_idx, 7, FieldClass::Control);
+        v.word(value, 64, FieldClass::Data);
+        v.flag(completed);
+        v.flag(speculative);
     }
 
     /// Folds the fields `visit` skips into `f`.
@@ -481,8 +524,6 @@ pub struct StqEntry {
     /// ROB index to complete.
     pub rob_idx: u8,
     /// Age (artifact).
-    // audit: skip -- sequence numbers are simulation artifacts; covered
-    // by digest_artifacts
     pub seq: u64,
 }
 
@@ -492,15 +533,25 @@ impl StqEntry {
     /// index and retire pops the queue by sequence match, so this copy is
     /// written at rename and never read.
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        v.word(&mut self.addr, 64, FieldClass::Data);
-        v.flag(&mut self.addr_ready);
-        v.word(&mut self.data, 64, FieldClass::Data);
-        v.flag(&mut self.data_ready);
-        v.word8(&mut self.width_log2, 2, FieldClass::Control);
-        if v.wants_masks() {
+        let masks = v.wants_masks();
+        let StqEntry {
+            addr,
+            addr_ready,
+            data,
+            data_ready,
+            width_log2,
+            rob_idx,
+            seq: _, // age: simulation artifact, no latch; folded by digest_artifacts
+        } = self;
+        v.word(addr, 64, FieldClass::Data);
+        v.flag(addr_ready);
+        v.word(data, 64, FieldClass::Data);
+        v.flag(data_ready);
+        v.word8(width_log2, 2, FieldClass::Control);
+        if masks {
             v.masked(width_mask(7));
         }
-        v.word8(&mut self.rob_idx, 7, FieldClass::Control);
+        v.word8(rob_idx, 7, FieldClass::Control);
     }
 
     /// Folds the fields `visit` skips into `f`.
@@ -536,12 +587,8 @@ pub struct ExecLatch {
     /// Load/store queue slot for memory uops.
     pub mem_idx: u8,
     /// Age (artifact).
-    // audit: skip -- sequence numbers are simulation artifacts; covered
-    // by digest_artifacts
     pub seq: u64,
     /// Writeback cycle (artifact).
-    // audit: skip -- writeback timestamp is a timing-model artifact;
-    // covered by digest_artifacts
     pub finish_at: u64,
 }
 
@@ -561,19 +608,35 @@ impl ExecLatch {
     /// `c` is read only by conditional moves; `mem_idx` only by memory
     /// roles.
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        v.flag(&mut self.valid);
-        v.occupancy(self.valid);
-        let inst = if v.wants_masks() && self.valid {
+        let live = self.valid;
+        let inst = if v.wants_masks() && live {
             decode(self.word).ok().filter(|i| role_of(i) as u8 == self.role)
         } else {
             None
         };
-        v.word32(&mut self.word, 32, FieldClass::Control);
-        v.word(&mut self.pc, 64, FieldClass::Data);
+        let ExecLatch {
+            valid,
+            word,
+            pc,
+            a,
+            b,
+            c,
+            dest,
+            has_dest,
+            role,
+            rob_idx,
+            mem_idx,
+            seq: _,       // age: simulation artifact, no latch; folded by digest_artifacts
+            finish_at: _, // writeback timestamp: timing model; folded by digest_artifacts
+        } = self;
+        v.flag(valid);
+        v.occupancy(live);
+        v.word32(word, 32, FieldClass::Control);
+        v.word(pc, 64, FieldClass::Data);
         if matches!(inst, Some(Inst::Br { .. } | Inst::Bsr { .. })) {
             v.masked(u64::MAX);
         }
-        v.word(&mut self.a, 64, FieldClass::Data);
+        v.word(a, 64, FieldClass::Data);
         if matches!(
             inst,
             Some(
@@ -589,20 +652,20 @@ impl ExecLatch {
         ) {
             v.masked(u64::MAX);
         }
-        v.word(&mut self.b, 64, FieldClass::Data);
+        v.word(b, 64, FieldClass::Data);
         let c_read = matches!(inst, Some(Inst::Op { op, .. }) if op.is_cmov());
         if inst.is_some() && !c_read {
             v.masked(u64::MAX);
         }
-        v.word(&mut self.c, 64, FieldClass::Data);
-        v.word8(&mut self.dest, 7, FieldClass::Control);
-        v.flag(&mut self.has_dest);
-        v.word8(&mut self.role, 3, FieldClass::Control);
-        v.word8(&mut self.rob_idx, 7, FieldClass::Control);
+        v.word(c, 64, FieldClass::Data);
+        v.word8(dest, 7, FieldClass::Control);
+        v.flag(has_dest);
+        v.word8(role, 3, FieldClass::Control);
+        v.word8(rob_idx, 7, FieldClass::Control);
         if inst.as_ref().is_some_and(|i| !i.is_mem()) {
             v.masked(width_mask(5));
         }
-        v.word8(&mut self.mem_idx, 5, FieldClass::Control);
+        v.word8(mem_idx, 5, FieldClass::Control);
         v.occupancy(true);
     }
 
