@@ -115,6 +115,27 @@ pub trait StateVisitor {
     fn wants_masks(&self) -> bool {
         false
     }
+
+    /// Visits one entry of an array structure (a queue slot, a latch, a
+    /// checkpoint) by running `visit` on it. `visit` makes the entry's
+    /// field visits and whatever mask and occupancy declarations go with
+    /// them, and those may depend only on the entry's own fields; a mask
+    /// it declares applies to one of those fields. So an entry equal to
+    /// its copy at a visitor's previous walk of the same machine walks
+    /// exactly as it did then, and a visitor that remembers that walk
+    /// may skip `visit`. Declarations that depend on anything else (a
+    /// queue slot's occupancy, say) are made by the caller, outside
+    /// `visit`. The default runs `visit`, so every other visitor walks
+    /// every entry and the bit numbering does not depend on this hook.
+    fn entry<E: Copy + Eq + 'static>(
+        &mut self,
+        entry: &mut E,
+        visit: impl FnOnce(&mut E, &mut Self),
+    ) where
+        Self: Sized,
+    {
+        visit(entry, self);
+    }
 }
 
 /// Mask covering the low `width` bits of a field.
@@ -133,48 +154,15 @@ pub fn width_mask(width: u32) -> u64 {
 /// has no `..`. A field that is injectable state is bound and handed to
 /// the visitor; a field that is not (a predictor table, a cache, a
 /// simulation counter) is bound `_`, with the reason beside it. A field
-/// added to the struct then fails to compile until its walk classifies
-/// it:
-///
-/// ```compile_fail,E0027
-/// use restore_arch::state::{FaultState, FieldClass, StateKind, StateVisitor};
-///
-/// struct Latch {
-///     value: u64,
-///     added: u8,
-/// }
-///
-/// impl FaultState for Latch {
-///     fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
-///         let Latch { value } = self; // `added` is neither visited nor excluded
-///         v.region("latch", StateKind::Latch);
-///         v.word(value, 64, FieldClass::Data);
-///     }
-/// }
-/// ```
+/// added to the struct then fails to compile (E0027) until its walk
+/// classifies it.
 ///
 /// A binding's only use is its visit: inputs derived from fields
 /// (occupancy, masks, pointer widths) are read from `self` before the
 /// pattern. So with `unused_variables` denied, as the workspace lints
-/// do, a field that is bound but never visited fails to compile too:
-///
-/// ```compile_fail
-/// #![deny(unused_variables)]
-/// use restore_arch::state::{FaultState, FieldClass, StateKind, StateVisitor};
-///
-/// struct Latch {
-///     value: u64,
-///     tag: u8,
-/// }
-///
-/// impl FaultState for Latch {
-///     fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
-///         let Latch { value, tag } = self; // `tag` is bound but never visited
-///         v.region("latch", StateKind::Latch);
-///         v.word(value, 64, FieldClass::Data);
-///     }
-/// }
-/// ```
+/// do, a field that is bound but never visited fails to compile too.
+/// `tests/walk_guard.rs` compiles one walk with each defect and checks
+/// that each fails with its own diagnostic and its fixed twin compiles.
 pub trait FaultState {
     /// Walks every eligible state bit in deterministic order.
     fn visit_state<V: StateVisitor>(&mut self, v: &mut V);

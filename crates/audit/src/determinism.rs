@@ -58,26 +58,14 @@ const ALLOW_REACH: u32 = 3;
 /// reporting, which is explicitly outside the byte-identical surface.
 const WALL_CLOCK_ALLOWLIST: [&str; 2] = ["inject/src/engine.rs", "inject/src/campaign.rs"];
 
-/// Severity of a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the lint.
-    Error,
-    /// Reported but does not fail the lint.
-    Note,
-}
-
-/// One lint finding.
+/// One lint finding; every finding fails the lint.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Error or note.
-    pub severity: Severity,
     /// Machine-readable kind (`hash-order`, `wall-clock`, …).
     pub kind: &'static str,
-    /// Owning type, when applicable.
-    pub type_name: String,
-    /// The flagged identifier, when applicable.
-    pub field: String,
+    /// What is flagged: the banned identifier, or the text of the
+    /// directive comment at fault.
+    pub subject: String,
     /// Source file.
     pub file: PathBuf,
     /// 1-based line.
@@ -88,20 +76,11 @@ pub struct Finding {
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sev = match self.severity {
-            Severity::Error => "error",
-            Severity::Note => "note",
-        };
-        let subject = if self.field.is_empty() {
-            self.type_name.clone()
-        } else {
-            format!("{}.{}", self.type_name, self.field)
-        };
         write!(
             f,
-            "{sev}[{}]: {} — {}\n  --> {}:{}",
+            "error[{}]: {} — {}\n  --> {}:{}",
             self.kind,
-            subject,
+            self.subject,
             self.detail,
             self.file.display(),
             self.line
@@ -119,7 +98,7 @@ struct Site {
 /// The determinism pass result.
 #[derive(Debug, Default)]
 pub struct DeterminismAnalysis {
-    /// Everything noteworthy, errors first.
+    /// Every finding, by file and line.
     pub findings: Vec<Finding>,
     /// Number of `// determinism: allow` exemptions honored.
     pub allows_honored: usize,
@@ -128,14 +107,9 @@ pub struct DeterminismAnalysis {
 }
 
 impl DeterminismAnalysis {
-    /// Error-severity findings only.
-    pub fn errors(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.severity == Severity::Error)
-    }
-
-    /// True when no error-severity findings exist.
+    /// True when nothing was flagged.
     pub fn is_clean(&self) -> bool {
-        self.errors().count() == 0
+        self.findings.is_empty()
     }
 }
 
@@ -186,7 +160,7 @@ pub fn analyze_determinism_sources(sources: &[(&str, &str)]) -> DeterminismAnaly
 }
 
 fn sort_findings(out: &mut DeterminismAnalysis) {
-    out.findings.sort_by_key(|f| (f.severity != Severity::Error, f.file.clone(), f.line));
+    out.findings.sort_by_key(|f| (f.file.clone(), f.line));
 }
 
 fn path_is_allowlisted(path: &Path) -> bool {
@@ -201,16 +175,13 @@ fn scan_file(path: &Path, text: &str, out: &mut DeterminismAnalysis) {
         match d.reason_for("allow") {
             Ok(reason) => allows.push((d.line, reason, false)),
             Err(raw) => out.findings.push(Finding {
-                severity: Severity::Error,
                 kind: "malformed-determinism-exemption",
-                type_name: String::new(),
-                field: String::new(),
+                subject: format!("// {raw}"),
                 file: path.to_path_buf(),
                 line: d.line,
-                detail: format!(
-                    "unparseable determinism comment `// {raw}` — expected \
-                     `// determinism: allow -- <reason>`"
-                ),
+                detail: "unparseable determinism comment; expected \
+                         `// determinism: allow -- <reason>`"
+                    .to_string(),
             }),
         }
     }
@@ -233,15 +204,13 @@ fn scan_file(path: &Path, text: &str, out: &mut DeterminismAnalysis) {
     for (aline, reason, used) in &allows {
         if !used {
             out.findings.push(Finding {
-                severity: Severity::Error,
                 kind: "dangling-determinism-allow",
-                type_name: String::new(),
-                field: String::new(),
+                subject: format!("// determinism: allow -- {reason}"),
                 file: path.to_path_buf(),
                 line: *aline,
                 detail: format!(
-                    "`// determinism: allow -- {reason}` covers no flagged construct \
-                     within {ALLOW_REACH} lines — delete the stale exemption"
+                    "covers no flagged construct within {ALLOW_REACH} lines; delete the \
+                     stale exemption"
                 ),
             });
         }
@@ -276,10 +245,8 @@ fn scan_file(path: &Path, text: &str, out: &mut DeterminismAnalysis) {
             ),
         };
         out.findings.push(Finding {
-            severity: Severity::Error,
             kind: s.kind,
-            type_name: String::new(),
-            field: s.ident.clone(),
+            subject: s.ident.clone(),
             file: path.to_path_buf(),
             line: s.line,
             detail,
@@ -370,7 +337,7 @@ mod tests {
             }
         "#;
         let a = analyze_determinism_sources(&[("x.rs", src)]);
-        let kinds: Vec<_> = a.errors().map(|e| e.kind).collect();
+        let kinds: Vec<_> = a.findings.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
             ["hash-order", "hash-order", "wall-clock", "entropy-rng", "rng-seed-literal"]
@@ -412,7 +379,7 @@ mod tests {
             fn pure() {}
         "#;
         let a = analyze_determinism_sources(&[("x.rs", src)]);
-        let errs: Vec<_> = a.errors().collect();
+        let errs = &a.findings;
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert_eq!(errs[0].kind, "dangling-determinism-allow");
         assert_eq!(a.allows_honored, 1);
@@ -422,9 +389,62 @@ mod tests {
     fn reasonless_allow_is_malformed() {
         let src = "// determinism: allow\nfn f() { let t = Instant::now(); }";
         let a = analyze_determinism_sources(&[("x.rs", src)]);
-        let kinds: Vec<_> = a.errors().map(|e| e.kind).collect();
+        let kinds: Vec<_> = a.findings.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&"malformed-determinism-exemption"), "{kinds:?}");
         assert!(kinds.contains(&"wall-clock"), "{kinds:?}");
+    }
+
+    /// Every finding kind renders with a non-empty subject: the flagged
+    /// identifier, or the directive comment at fault.
+    #[test]
+    fn drift_fixture_findings_render_their_subject() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/drift/src");
+        let a =
+            analyze_determinism_dirs(std::slice::from_ref(&root)).expect("fixture dir readable");
+        let rendered: Vec<String> = a.findings.iter().map(ToString::to_string).collect();
+        let at = |line: u32| format!("\n  --> {}:{line}", root.join("determinism.rs").display());
+        let want = [
+            format!(
+                "error[hash-order]: HashMap — `HashMap` has randomized iteration order; use \
+                 `BTreeMap`/`BTreeSet` or sort before result-shaping output, or exempt a \
+                 keyed-lookup-only use with `// determinism: allow -- <reason>`{}",
+                at(9)
+            ),
+            format!(
+                "error[wall-clock]: Instant — `Instant` reads the wall clock outside the \
+                 accounting allowlist; results must not depend on time{}",
+                at(10)
+            ),
+            format!(
+                "error[entropy-rng]: thread_rng — `thread_rng` seeds an RNG from process \
+                 entropy; campaigns must draw every seed through the hierarchical `Seeder` \
+                 to stay replayable{}",
+                at(11)
+            ),
+            format!(
+                "error[rng-seed-literal]: seed_from_u64 — `seed_from_u64` seeds an RNG with \
+                 a hard-coded literal instead of a `Seeder`-derived value; literal seeds \
+                 silently correlate campaigns{}",
+                at(12)
+            ),
+            format!(
+                "error[dangling-determinism-allow]: // determinism: allow -- exempts nothing \
+                 and must be flagged as dangling — covers no flagged construct within 3 \
+                 lines; delete the stale exemption{}",
+                at(23)
+            ),
+            format!(
+                "error[malformed-determinism-exemption]: // determinism: allow — unparseable \
+                 determinism comment; expected `// determinism: allow -- <reason>`{}",
+                at(30)
+            ),
+            format!(
+                "error[wall-clock]: SystemTime — `SystemTime` reads the wall clock outside \
+                 the accounting allowlist; results must not depend on time{}",
+                at(32)
+            ),
+        ];
+        assert_eq!(rendered, want);
     }
 
     #[test]

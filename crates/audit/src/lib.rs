@@ -47,6 +47,6 @@ pub use battery::{default_batteries, run_battery, BatteryReport, FieldPerturbati
 pub use census::{cpu_census, pipeline_census, Census};
 pub use contract::{check_contract, ContractReport, ContractVisitor};
 pub use determinism::{
-    analyze_determinism_dirs, analyze_determinism_sources, DeterminismAnalysis, Finding, Severity,
+    analyze_determinism_dirs, analyze_determinism_sources, DeterminismAnalysis, Finding,
     DETERMINISM_ROOTS,
 };

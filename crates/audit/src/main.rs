@@ -38,7 +38,7 @@ use std::process::ExitCode;
 use restore_audit::battery::default_batteries;
 use restore_audit::contract::check_contract;
 use restore_audit::{
-    analyze_determinism_dirs, cpu_census, pipeline_census, Finding, Severity, DETERMINISM_ROOTS,
+    analyze_determinism_dirs, cpu_census, pipeline_census, Finding, DETERMINISM_ROOTS,
 };
 use restore_uarch::{Pipeline, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
@@ -97,15 +97,9 @@ fn parse_args() -> Options {
 
 fn finding_json(f: &Finding) -> String {
     format!(
-        "{{\"severity\":\"{}\",\"kind\":\"{}\",\"type\":\"{}\",\"field\":\"{}\",\
-         \"file\":\"{}\",\"line\":{}}}",
-        match f.severity {
-            Severity::Error => "error",
-            Severity::Note => "note",
-        },
+        "{{\"kind\":\"{}\",\"subject\":\"{}\",\"file\":\"{}\",\"line\":{}}}",
         f.kind,
-        f.type_name,
-        f.field,
+        f.subject,
         f.file.display(),
         f.line,
     )
@@ -187,7 +181,7 @@ fn run_determinism(opts: &Options) -> bool {
         for f in &analysis.findings {
             println!("{f}");
         }
-        let errors = analysis.errors().count();
+        let errors = analysis.findings.len();
         println!(
             "restore-audit: scanned {} files, {} exemptions honored: {}",
             analysis.files_scanned,

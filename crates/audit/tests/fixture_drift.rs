@@ -13,7 +13,7 @@ fn fixture_root() -> PathBuf {
 #[test]
 fn determinism_canaries_are_detected_exactly() {
     let analysis = analyze_determinism_dirs(&[fixture_root()]).expect("fixture dir readable");
-    let kinds: Vec<&str> = analysis.errors().map(|f| f.kind).collect();
+    let kinds: Vec<&str> = analysis.findings.iter().map(|f| f.kind).collect();
     for (kind, count) in [
         ("hash-order", 1),
         ("wall-clock", 2), // Instant in the soup, SystemTime under the reasonless allow

@@ -35,7 +35,7 @@ fn digest_coverage_scans_clean() {
 fn determinism_lint_scans_clean() {
     let roots: Vec<PathBuf> = DETERMINISM_ROOTS.iter().map(|r| repo_root().join(r)).collect();
     let analysis = analyze_determinism_dirs(&roots).expect("campaign sources readable");
-    let errors: Vec<String> = analysis.errors().map(ToString::to_string).collect();
+    let errors: Vec<String> = analysis.findings.iter().map(ToString::to_string).collect();
     assert!(errors.is_empty(), "determinism findings on the live tree:\n{}", errors.join("\n"));
     // The known keyed-lookup caches and stderr progress timers must stay
     // explicitly exempted — if an exemption disappears the count drops

@@ -8,10 +8,11 @@
 //! trial without simulating it:
 //!
 //! * **Microarchitectural map** ([`UarchMaskMap`]) — replays the golden
-//!   [`Pipeline`] once. Each cycle a store-only walk captures every
-//!   catalog field's value plus the positions of the occupancy and mask
-//!   declarations, and a diff against the previous cycle's capture
-//!   updates four families only where something changed: *dead runs*
+//!   [`Pipeline`] once. Each cycle a tracked walk updates, in place,
+//!   every catalog field's value plus the occupancy and mask
+//!   declarations, visiting a [`StateVisitor::entry`] (a queue slot, a
+//!   latch) only when it differs from its copy at the previous cycle,
+//!   and logs what changed; the log updates four families: *dead runs*
 //!   (cycle ranges an occupancy group is vacant), *mask runs* (cycle
 //!   ranges a field's statically-masked bits hold a constant nonzero
 //!   mask — unoccupied operand latches, dead ROB bookkeeping,
@@ -21,9 +22,10 @@
 //!   replica** run in lockstep with the golden replay, every dead field
 //!   flipped and re-flipped after each detected write — convergence
 //!   back to the golden value is the write detector, so even same-value
-//!   rewrites register; a replica field matching the value the diff
-//!   expects, with no flip due, costs its walk one compare). An
-//!   injection `(bit, cycle)` is provably
+//!   rewrites register; the replica's walk visits only the entries that
+//!   changed or hold a changed expectation). A full walk cross-checks
+//!   both tracked walks every cycle in debug builds and every 1,024
+//!   cycles in release builds. An injection `(bit, cycle)` is provably
 //!   destroyed when dead at injection and written before the window
 //!   closes, provably *residue* when dead and unwritten through the
 //!   window close's drain horizon, and provably masked when the bit
@@ -88,6 +90,7 @@ use restore_store::Json;
 use restore_uarch::state::{width_mask, StateVisitor};
 use restore_uarch::{FaultState, FieldClass, Pipeline, StateCatalog, StateKind, Stop, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
+use std::any::Any;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -125,11 +128,18 @@ fn hex(bytes: &[u8]) -> String {
     s
 }
 
+/// Decodes what [`hex`] writes: an even number of lowercase hex digits.
 fn unhex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    let digit = |b: u8| match b {
+        b'0'..=b'9' => Some(b - b'0'),
+        b'a'..=b'f' => Some(b - b'a' + 10),
+        _ => None,
+    };
+    let (pairs, rest) = s.as_bytes().as_chunks::<2>();
+    if !rest.is_empty() {
         return None;
     }
-    (0..s.len() / 2).map(|i| u8::from_str_radix(s.get(2 * i..2 * i + 2)?, 16).ok()).collect()
+    pairs.iter().map(|&[hi, lo]| Some(digit(hi)? << 4 | digit(lo)?)).collect()
 }
 
 /// Sequential varint reader over a decoded byte buffer.
@@ -270,86 +280,437 @@ fn mask_run_end(runs: &[(u32, u32, u64)], rel_bit: u32, pos: u32) -> Option<u32>
     (pos < e && (m >> rel_bit) & 1 == 1).then_some(e)
 }
 
-/// One store-only walk of a machine's state: the build's golden visitor.
+/// Where one [`StateVisitor::entry`] sits in the field and mark
+/// numbering, fixed by the layout walk.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    /// Its first field and first mark.
+    field: u32,
+    mark: u32,
+    /// How many fields and marks its walk makes.
+    fields: u32,
+    marks: u32,
+}
+
+/// `entry_of` for a field outside every entry.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// Each entry's copy from a walk, kept in runs of consecutive entries
+/// of one type (a queue's slots, say), so a walk's compares stream
+/// through memory.
+#[derive(Debug, Default)]
+struct Copies {
+    /// Per run: a `Vec<E>` of its entries' copies.
+    runs: Vec<Box<dyn Any>>,
+    /// Per entry: its run and its index there.
+    at: Vec<(u32, u32)>,
+}
+
+impl Copies {
+    /// Appends the copy of the next entry.
+    fn push<E: Copy + 'static>(&mut self, entry: E) {
+        if !self.runs.last().is_some_and(|run| run.is::<Vec<E>>()) {
+            self.runs.push(Box::new(Vec::<E>::new()));
+        }
+        let r = self.runs.len() - 1;
+        let run = self.runs[r].downcast_mut::<Vec<E>>().expect("the last run holds this type");
+        self.at.push((r as u32, run.len() as u32));
+        run.push(entry);
+    }
+
+    /// Entry `k`'s copy, if it has one of type `E`.
+    #[inline]
+    fn get<E: 'static>(&self, k: usize) -> Option<&E> {
+        let &(r, i) = self.at.get(k)?;
+        self.runs[r as usize].downcast_ref::<Vec<E>>()?.get(i as usize)
+    }
+
+    #[inline]
+    fn get_mut<E: 'static>(&mut self, k: usize) -> Option<&mut E> {
+        let &(r, i) = self.at.get(k)?;
+        self.runs[r as usize].downcast_mut::<Vec<E>>()?.get_mut(i as usize)
+    }
+}
+
+/// Per-key streams (per field or per group) of a build's output,
+/// appended through a short log that is distributed key by key when
+/// full: an append touches the log's tail, not one of thousands of
+/// stream tails, and each stream grows by whole runs.
+#[derive(Debug)]
+struct Streams<T> {
+    keys: Vec<Vec<T>>,
+    /// Appends not yet distributed, in order.
+    log: Vec<(u32, T)>,
+    /// Distribution scratch: per key its slots' end, and the log's
+    /// items grouped by key.
+    ends: Vec<u32>,
+    grouped: Vec<T>,
+}
+
+impl<T: Copy + Default> Streams<T> {
+    /// Appends the log holds before it is distributed.
+    const LOG: usize = 4096;
+
+    fn new(keys: usize) -> Streams<T> {
+        Streams {
+            keys: vec![Vec::new(); keys],
+            log: Vec::with_capacity(Self::LOG),
+            ends: Vec::new(),
+            grouped: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, key: usize, item: T) {
+        self.log.push((key as u32, item));
+        if self.log.len() == Self::LOG {
+            self.distribute();
+        }
+    }
+
+    /// Moves the log into the streams, keeping each key's order: a
+    /// counting sort by key, then one append per key.
+    #[inline(never)]
+    fn distribute(&mut self) {
+        self.ends.clear();
+        self.ends.resize(self.keys.len(), 0);
+        for &(k, _) in &self.log {
+            self.ends[k as usize] += 1;
+        }
+        let mut end = 0;
+        for n in &mut self.ends {
+            end += *n;
+            *n = end - *n;
+        }
+        // `ends[k]` is key `k`'s first slot; placing its items moves it
+        // to its last slot plus one.
+        self.grouped.clear();
+        self.grouped.resize(self.log.len(), T::default());
+        for &(k, item) in &self.log {
+            let slot = &mut self.ends[k as usize];
+            self.grouped[*slot as usize] = item;
+            *slot += 1;
+        }
+        let mut start = 0;
+        for (stream, &end) in self.keys.iter_mut().zip(&self.ends) {
+            if end > start {
+                stream.extend_from_slice(&self.grouped[start as usize..end as usize]);
+                start = end;
+            }
+        }
+        self.log.clear();
+    }
+
+    /// The streams, each with no spare capacity: the registry keeps
+    /// every map for the life of the process.
+    fn finish(mut self) -> Vec<Vec<T>> {
+        self.distribute();
+        for stream in &mut self.keys {
+            stream.shrink_to_fit();
+        }
+        self.keys
+    }
+}
+
+/// A machine's latest walk, kept in place: the build's golden visitor.
 ///
-/// A field costs one store, its value. The zero-bit side channels are
-/// logged by position rather than interpreted: each
-/// [`StateVisitor::region`] and [`StateVisitor::occupancy`] call as a
-/// *mark* (the index of the field it precedes and the liveness it
-/// declares, a region being live), each [`StateVisitor::masked`] call as
-/// a `(field, mask)` pair. A field's occupancy group is the number of
-/// marks at or before it, so the fields one occupancy declaration
-/// governs share a group, and fields before the first mark form group
-/// 0, which is dead. [`Tracker`] interprets the log.
+/// The first walk ([`Layout`]) lays out the tables: per field its value
+/// and effective mask, per [`Mark`] (each [`StateVisitor::region`] and
+/// [`StateVisitor::occupancy`] call) the index of the field it precedes
+/// and the liveness it declares, a region being live, and per
+/// [`StateVisitor::entry`] its [`Span`]. A field's occupancy group is
+/// the number of marks at or before it, so the fields one occupancy
+/// declaration governs share a group, and fields before the first mark
+/// form group 0, which is dead. A field's effective mask is the last
+/// [`StateVisitor::masked`] call before it that no `region` call
+/// cancelled, clipped to the field's width. [`Tracker`] interprets the
+/// tables.
+///
+/// Every later walk updates the tables in place and logs what changed.
+/// A tracked capture keeps each entry's copy from its previous walk and
+/// skips an entry equal to it: by the [`StateVisitor::entry`] contract
+/// its fields, masks and in-entry marks are then those of that walk,
+/// already in the tables. Scalars, queue pointers and the marks outside
+/// entries are visited every walk (a one-field scalar is its own copy,
+/// compared in place). Every walk must number fields and marks as the
+/// first did, or it panics.
 #[derive(Debug, Default)]
 struct Capture {
-    /// Field values, traversal order.
+    /// Skip entries equal to their copy.
+    track: bool,
+    /// Per field: the latest value and effective mask.
     values: Vec<u64>,
-    /// Per mark: the index of the next field.
-    mark_at: Vec<u32>,
-    /// Per mark: the liveness it declares.
-    mark_live: Vec<bool>,
-    /// `(field, mask)` per `masked` call that no later `region` call
-    /// cancelled, in field order; of repeated calls before one field,
-    /// the last counts.
+    masks: Vec<u64>,
+    marks: Vec<Mark>,
+    /// Per entry: its span, and (tracked) its copy at the latest walk.
+    spans: Vec<Span>,
+    copies: Copies,
+    changed: Changes,
+    /// The walk's cycle; its next field, mark and entry; and the mask
+    /// declared for the next field (`0`: none).
+    t: u32,
+    field: usize,
+    mark: usize,
+    entry: usize,
+    pending: u64,
+}
+
+/// One `region` or `occupancy` call: the index of the field after it
+/// and the liveness it declares, packed so one compare tests both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Mark(u64);
+
+impl Mark {
+    fn new(at: u32, live: bool) -> Mark {
+        Mark(u64::from(at) << 1 | u64::from(live))
+    }
+
+    fn at(self) -> u32 {
+        (self.0 >> 1) as u32
+    }
+
+    fn live(self) -> bool {
+        self.0 & 1 == 1
+    }
+}
+
+/// What one walk changed, in walk order. A layout walk logs the
+/// changes from every group live and every mask `0`.
+#[derive(Debug, Default)]
+struct Changes {
+    /// Fields whose value changed.
+    values: Vec<u32>,
+    /// Marks whose liveness changed.
+    marks: Vec<u32>,
+    /// Fields whose effective mask changed, with the mask before.
     masks: Vec<(u32, u64)>,
 }
 
 impl Capture {
-    /// Replaces the log with a walk of `machine`.
-    fn take(&mut self, machine: &mut impl FaultState) {
-        self.values.clear();
-        self.mark_at.clear();
-        self.mark_live.clear();
-        self.masks.clear();
+    /// The layout walk of `machine`.
+    fn of(machine: &mut impl FaultState, track: bool) -> Capture {
+        let mut layout = Layout(Capture { track, ..Capture::default() });
+        machine.visit_state(&mut layout);
+        layout.0
+    }
+
+    /// Walks `machine` as its state at cycle `t`.
+    fn walk(&mut self, machine: &mut impl FaultState, t: u32) {
+        self.t = t;
+        (self.field, self.mark, self.entry, self.pending) = (0, 0, 0, 0);
+        let Changes { values, marks, masks } = &mut self.changed;
+        values.clear();
+        marks.clear();
+        masks.clear();
         machine.visit_state(self);
-    }
-
-    /// Index of the next field.
-    fn next(&self) -> u32 {
-        self.values.len() as u32
-    }
-
-    /// The marks that precede one of the first `nfields` fields; later
-    /// ones govern no field.
-    fn governing(&self, nfields: usize) -> &[u32] {
-        &self.mark_at[..self.mark_at.partition_point(|&at| (at as usize) < nfields)]
+        let n = self.values.len();
+        if self.field > n {
+            panic!("field count grew to {} at cycle {t}", n + 1);
+        }
+        assert_eq!(self.field, n, "field numbering drifted at cycle {t}");
+        if let Some(m) = self.marks.get(self.mark) {
+            self.mark_moved(m.at());
+        }
     }
 
     /// Per field: its occupancy group.
     fn group_of(&self) -> Vec<u32> {
-        let mut marks = self.mark_at.iter().peekable();
+        let mut marks = self.marks.iter().peekable();
         let mut g = 0u32;
         (0..self.values.len())
             .map(|f| {
-                while marks.next_if(|&&at| at as usize <= f).is_some() {
+                while marks.next_if(|m| m.at() as usize <= f).is_some() {
                     g += 1;
                 }
                 g
             })
             .collect()
     }
+
+    /// A mark declaring `live` before the next field.
+    #[inline]
+    fn mark(&mut self, live: bool) {
+        let m = self.mark;
+        self.mark += 1;
+        let now = Mark::new(self.field as u32, live);
+        if self.marks.get(m) != Some(&now) {
+            self.mark_changed(m, now);
+        }
+    }
+
+    /// Mark `m` is `now`, not what the latest walk logged: a liveness
+    /// change, or a move.
+    #[inline(never)]
+    fn mark_changed(&mut self, m: usize, now: Mark) {
+        match self.marks.get(m) {
+            Some(was) if was.at() == now.at() => {
+                self.marks[m] = now;
+                self.changed.marks.push(m as u32);
+            }
+            Some(was) => self.mark_moved(was.at().min(now.at())),
+            None => self.mark_moved(now.at()),
+        }
+    }
+
+    /// A mark moved to or from the position before field `f`, so the
+    /// fields from `f` on change groups; past the last field, no field
+    /// does.
+    fn mark_moved(&self, f: u32) {
+        if (f as usize) < self.values.len() {
+            drifted(f as usize, self.t, "occupancy group numbering drifted");
+        }
+    }
+
+    /// Field `f` holds `value` under `mask`, not what the latest walk
+    /// logged.
+    #[inline(never)]
+    fn field_changed(&mut self, f: usize, value: u64, mask: u64) {
+        // A field past the layout is reported once the walk ends.
+        let (Some(v), Some(m)) = (self.values.get_mut(f), self.masks.get_mut(f)) else { return };
+        if *v != value {
+            *v = value;
+            self.changed.values.push(f as u32);
+        }
+        if *m != mask {
+            self.changed.masks.push((f as u32, *m));
+            *m = mask;
+        }
+    }
+
+    /// Visits entry `k`, which changed (or is untracked), and keeps its
+    /// copy.
+    #[inline(never)]
+    fn visit_entry<E: Copy + Eq + 'static>(
+        &mut self,
+        k: usize,
+        end: (usize, usize),
+        entry: &mut E,
+        visit: impl FnOnce(&mut E, &mut Self),
+    ) {
+        visit(entry, self);
+        self.no_pending_mask();
+        if (self.field, self.mark) != end {
+            panic!("field numbering drifted at cycle {}", self.t);
+        }
+        if let Some(copy) = self.copies.get_mut(k) {
+            *copy = *entry;
+        }
+    }
+
+    /// Entry `k` does not start where the layout put it.
+    #[cold]
+    #[inline(never)]
+    fn entry_moved(&self, k: usize) -> ! {
+        self.no_pending_mask();
+        match self.spans.get(k) {
+            Some(s) if s.field as usize == self.field => {
+                drifted(self.field, self.t, "occupancy group numbering drifted")
+            }
+            _ => panic!("field numbering drifted at cycle {}", self.t),
+        }
+    }
+
+    /// Panics if a mask is declared for the next field: at an entry
+    /// boundary it would outlive a skipped entry or miss a skipped
+    /// field.
+    fn no_pending_mask(&self) {
+        if self.pending != 0 {
+            drifted(self.field, self.t, "a mask declaration crosses an entry boundary");
+        }
+    }
 }
 
 impl StateVisitor for Capture {
+    #[inline]
     fn region(&mut self, _name: &'static str, _kind: StateKind) {
         // A region start cancels a mask declared for the next field.
-        let at = self.next();
-        while self.masks.last().is_some_and(|&(f, _)| f == at) {
-            self.masks.pop();
-        }
-        self.mark_at.push(at);
-        self.mark_live.push(true);
+        self.pending = 0;
+        self.mark(true);
     }
 
     #[inline]
-    fn word(&mut self, value: &mut u64, _width: u32, _class: FieldClass) {
-        self.values.push(*value);
+    fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
+        let f = self.field;
+        self.field += 1;
+        let mut mask = 0;
+        if self.pending != 0 {
+            mask = std::mem::take(&mut self.pending) & width_mask(width);
+        }
+        if self.values.get(f) != Some(value) || self.masks.get(f) != Some(&mask) {
+            self.field_changed(f, *value, mask);
+        }
+    }
+
+    #[inline]
+    fn occupancy(&mut self, live: bool) {
+        self.mark(live);
+    }
+
+    fn wants_occupancy(&self) -> bool {
+        true
+    }
+
+    #[inline]
+    fn masked(&mut self, mask: u64) {
+        self.pending = mask;
+    }
+
+    fn wants_masks(&self) -> bool {
+        true
+    }
+
+    #[inline]
+    fn entry<E: Copy + Eq + 'static>(
+        &mut self,
+        entry: &mut E,
+        visit: impl FnOnce(&mut E, &mut Self),
+    ) {
+        let k = self.entry;
+        self.entry += 1;
+        let span = match self.spans.get(k) {
+            Some(s)
+                if (s.field as usize, s.mark as usize, self.pending)
+                    == (self.field, self.mark, 0) =>
+            {
+                *s
+            }
+            _ => self.entry_moved(k),
+        };
+        let end = (self.field + span.fields as usize, self.mark + span.marks as usize);
+        if self.track && self.copies.get::<E>(k) == Some(entry) {
+            (self.field, self.mark) = end;
+        } else {
+            self.visit_entry(k, end, entry, visit);
+        }
+    }
+}
+
+/// The layout walk: lays out a [`Capture`]'s tables, logging every
+/// dead group and every nonzero mask as a change.
+struct Layout(Capture);
+
+impl StateVisitor for Layout {
+    fn region(&mut self, _name: &'static str, _kind: StateKind) {
+        self.0.pending = 0;
+        self.occupancy(true);
+    }
+
+    fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
+        let c = &mut self.0;
+        let mask = std::mem::take(&mut c.pending) & width_mask(width);
+        if mask != 0 {
+            c.changed.masks.push((c.values.len() as u32, 0));
+        }
+        c.values.push(*value);
+        c.masks.push(mask);
     }
 
     fn occupancy(&mut self, live: bool) {
-        self.mark_at.push(self.next());
-        self.mark_live.push(live);
+        let c = &mut self.0;
+        if !live {
+            c.changed.marks.push(c.marks.len() as u32);
+        }
+        c.marks.push(Mark::new(c.values.len() as u32, live));
     }
 
     fn wants_occupancy(&self) -> bool {
@@ -357,105 +718,152 @@ impl StateVisitor for Capture {
     }
 
     fn masked(&mut self, mask: u64) {
-        self.masks.push((self.next(), mask));
+        self.0.pending = mask;
     }
 
     fn wants_masks(&self) -> bool {
         true
     }
+
+    fn entry<E: Copy + Eq + 'static>(
+        &mut self,
+        entry: &mut E,
+        visit: impl FnOnce(&mut E, &mut Self),
+    ) {
+        let (field, mark) = (self.0.values.len(), self.0.marks.len());
+        self.0.field = field;
+        self.0.no_pending_mask();
+        visit(entry, self);
+        let c = &mut self.0;
+        c.field = c.values.len();
+        c.no_pending_mask();
+        let [field, mark, fields, marks] =
+            [field, mark, c.values.len() - field, c.marks.len() - mark].map(|n| n as u32);
+        c.spans.push(Span { field, mark, fields, marks });
+        if c.track {
+            c.copies.push(*entry);
+        }
+    }
 }
 
-/// What the shadow walk expects of one replica field.
+/// How a build replays the golden run.
 #[derive(Debug, Clone, Copy)]
-struct Expect {
-    /// Golden's value, XOR the width mask while the replica holds the
-    /// field flipped.
-    value: u64,
-    /// The field is dead but not flipped yet.
+struct Replay {
+    /// Skip entries equal to their copy from the previous walk. Off,
+    /// every entry counts as changed: the reference the tests compare
+    /// the tracked build with.
+    track: bool,
+    /// Cross-check the tracked walks against full ones every this many
+    /// cycles.
+    check_every: u32,
+}
+
+impl Replay {
+    /// The build's replay: tracked, cross-checked every cycle in debug
+    /// builds and every 1,024 cycles in release builds.
+    const DEFAULT: Replay =
+        Replay { track: true, check_every: if cfg!(debug_assertions) { 1 } else { 1024 } };
+}
+
+/// One field's bookkeeping, in one record so that a change to the field
+/// touches one cache line.
+#[derive(Debug, Clone, Copy)]
+struct Field {
+    /// What the shadow walk expects of the replica's field: golden's
+    /// value, XOR `flip`.
+    expect: u64,
+    /// The width mask while the shadow replica holds the field flipped,
+    /// else `0`.
+    flip: u64,
+    /// The cycle its open mask run (`cur.masks`) started.
+    mask_start: u32,
+    /// Its entry, or [`NO_ENTRY`].
+    entry: u32,
+    /// Its group is dead at the latest capture.
+    dead: bool,
+    /// Dead or masked at the latest capture, so a value change at the
+    /// next one is a wholesale overwrite (a stamp).
+    armed: bool,
+    /// Dead but not flipped yet: the shadow walk must flip it.
     due: bool,
 }
 
 /// The build's bookkeeping. The first capture lays out the field table;
-/// each later one is diffed against its predecessor, so stamps, mask
-/// runs, dead runs and the shadow walk's expectations move only where
-/// the capture changed.
+/// each later one logs what changed since its predecessor, so stamps,
+/// mask runs, dead runs and the shadow walk's expectations move only
+/// where the capture changed, and the shadow walk visits only entries
+/// that changed or hold a changed expectation.
 ///
 /// Every component issues a structurally fixed number of `region` and
 /// `occupancy` calls per walk (occupancy is emitted per slot, not per
 /// *live* slot), so every walk must number the groups as the first did;
-/// [`Tracker::walk`] asserts it does.
+/// [`Capture::walk`] asserts it does.
 #[derive(Debug)]
 struct Tracker {
     /// Cycle of the latest capture.
     t: u32,
-    /// The latest capture, and the buffer the next one fills.
+    /// The golden machine's capture.
     cur: Capture,
-    spare: Capture,
     shape: Shape,
-    /// The layout's marks that govern fields: group `g ≥ 1` starts at
-    /// field `marks[g - 1]`.
-    marks: Vec<u32>,
-    /// Per group: live at the latest capture.
-    live: Vec<bool>,
+    replay: Replay,
     /// Per group: start of its open dead run.
     dead_since: Vec<Option<u32>>,
-    /// The latest capture's masks, clipped to the field width, zeros
-    /// dropped, one per field; and the buffer for the next.
-    masks: Vec<(u32, u64)>,
-    spare_masks: Vec<(u32, u64)>,
-    /// Per field: the mask of its open mask run (`0`: no run open), and
-    /// the cycle the run started.
-    mask: Vec<u64>,
-    mask_start: Vec<u32>,
-    /// Per field: dead or masked at the latest capture, so a value
-    /// change at the next one is a wholesale overwrite (a stamp).
-    armed: Vec<bool>,
-    /// Per field: the width mask while the shadow replica holds the
-    /// field flipped, else `0`.
-    flip: Vec<u64>,
-    expect: Vec<Expect>,
-    dead_runs: Vec<Vec<(u32, u32)>>,
-    stamps: Vec<Vec<u32>>,
-    mask_runs: Vec<Vec<(u32, u32, u64)>>,
-    writes: Vec<Vec<u32>>,
+    fields: Vec<Field>,
+    /// Per entry: a field of it changed its expectation since the
+    /// shadow walk last visited it.
+    pending: Vec<bool>,
+    /// Per entry: the replica's copy after the latest shadow walk.
+    shadow_copies: Copies,
+    dead_runs: Streams<(u32, u32)>,
+    stamps: Streams<u32>,
+    mask_runs: Streams<(u32, u32, u64)>,
+    writes: Streams<u32>,
 }
 
 impl Tracker {
     /// Lays out the field table from `machine`, whose fields `catalog`
     /// lists, and records it as its state at cycle 0.
-    fn new(machine: &mut impl FaultState, catalog: &StateCatalog) -> Tracker {
-        let mut first = Capture::default();
-        first.take(machine);
-        let shape = Shape::of_capture(catalog, &first);
+    fn new(machine: &mut impl FaultState, catalog: &StateCatalog, replay: Replay) -> Tracker {
+        let cur = Capture::of(machine, replay.track);
+        let shape = Shape::of_capture(catalog, &cur);
         let nfields = shape.group_of.len();
         let ngroups = shape.ngroups;
+        // Cycle 0 is diffed against unchanged values, live groups and
+        // no masks: dead groups and masks open their runs at 0.
+        let mut fields: Vec<Field> = (cur.values.iter())
+            .map(|&expect| Field {
+                expect,
+                flip: 0,
+                mask_start: 0,
+                entry: NO_ENTRY,
+                dead: false,
+                armed: false,
+                due: false,
+            })
+            .collect();
+        for (k, s) in cur.spans.iter().enumerate() {
+            for field in &mut fields[s.field as usize..(s.field + s.fields) as usize] {
+                field.entry = k as u32;
+            }
+        }
         let mut tracker = Tracker {
             t: 0,
-            // Cycle 0 is diffed against unchanged values, live groups
-            // and no masks: dead groups and masks open their runs at 0.
-            cur: Capture { values: first.values.clone(), ..Capture::default() },
-            spare: Capture::default(),
-            marks: first.governing(nfields).to_vec(),
-            live: vec![true; ngroups],
+            replay,
             dead_since: vec![None; ngroups],
-            masks: Vec::new(),
-            spare_masks: Vec::new(),
-            mask: vec![0; nfields],
-            mask_start: vec![0; nfields],
-            armed: vec![false; nfields],
-            flip: vec![0; nfields],
-            expect: first.values.iter().map(|&value| Expect { value, due: false }).collect(),
-            dead_runs: vec![Vec::new(); ngroups],
-            stamps: vec![Vec::new(); nfields],
-            mask_runs: vec![Vec::new(); nfields],
-            writes: vec![Vec::new(); nfields],
+            fields,
+            pending: vec![false; cur.spans.len()],
+            shadow_copies: Copies::default(),
+            dead_runs: Streams::new(ngroups),
+            stamps: Streams::new(nfields),
+            mask_runs: Streams::new(nfields),
+            writes: Streams::new(nfields),
+            cur,
             shape,
         };
         if ngroups > 0 {
             tracker.set_live(0, false);
         }
-        tracker.diff(&first);
-        tracker.cur = first;
+        tracker.diff();
         tracker
     }
 
@@ -463,116 +871,89 @@ impl Tracker {
     /// capture and folds in what changed.
     fn walk(&mut self, machine: &mut impl FaultState) {
         self.t += 1;
-        let t = self.t;
-        let nfields = self.shape.group_of.len();
-        let mut next = std::mem::take(&mut self.spare);
-        next.take(machine);
-        if next.values.len() > nfields {
-            panic!("field count grew to {} at cycle {t}", nfields + 1);
+        self.cur.walk(machine, self.t);
+        if self.t.is_multiple_of(self.replay.check_every) {
+            self.check(machine);
         }
-        assert_eq!(next.values.len(), nfields, "field numbering drifted at cycle {t}");
-        if next.governing(nfields) != self.marks {
-            self.group_drift(&next);
-        }
-        self.diff(&next);
-        self.spare = std::mem::replace(&mut self.cur, next);
+        self.diff();
     }
 
-    /// Reports the first field whose group `next` numbers differently.
-    #[cold]
-    #[inline(never)]
-    fn group_drift(&self, next: &Capture) -> ! {
-        let f = (self.shape.group_of.iter().zip(next.group_of()))
-            .position(|(&was, now)| was != now)
-            .expect("governing marks that moved move some field's group");
-        drifted(f, self.t, "occupancy group numbering drifted")
-    }
-
-    /// Folds `next`, the capture at cycle `self.t`, into the
-    /// bookkeeping of `self.cur`, the one before it.
-    fn diff(&mut self, next: &Capture) {
+    /// Folds the changes the latest capture logged into the bookkeeping.
+    fn diff(&mut self) {
         let t = self.t;
+        let changed = std::mem::take(&mut self.cur.changed);
         // Value changes first: a stamp reads the previous capture's
         // armed state.
-        let Tracker { cur, armed, stamps, flip, expect, .. } = self;
-        for_each_change(&cur.values, &next.values, |f, value| {
-            if armed[f] {
-                stamps[f].push(t);
+        for &f in &changed.values {
+            let f = f as usize;
+            let field = &mut self.fields[f];
+            if field.armed {
+                self.stamps.push(f, t);
             }
-            expect[f].value = value ^ flip[f];
-        });
-        // Groups whose governing mark flipped liveness.
-        let live = &next.mark_live[..self.marks.len()];
-        if live != self.live.get(1..).unwrap_or_default() {
-            for (m, &l) in live.iter().enumerate() {
-                if l != self.live[m + 1] {
-                    self.set_live(m + 1, l);
-                }
+            field.expect = self.cur.values[f] ^ field.flip;
+            if field.entry != NO_ENTRY {
+                self.pending[field.entry as usize] = true;
             }
         }
-        // Fields whose effective mask changed.
-        let mut masks = std::mem::take(&mut self.spare_masks);
-        effective_masks(&next.masks, &self.shape.widths, &mut masks);
-        if masks != self.masks {
-            // Both lists are sorted by field: merge them. No field has
-            // index `u32::MAX`, which marks a drained list.
-            let old = std::mem::take(&mut self.masks);
-            let (mut was_it, mut now_it) = (old.iter().peekable(), masks.iter().peekable());
-            let field = |e: Option<&&(u32, u64)>| e.map_or(u32::MAX, |e| e.0);
-            loop {
-                let f = field(was_it.peek()).min(field(now_it.peek()));
-                if f == u32::MAX {
-                    break;
-                }
-                let was = was_it.next_if(|e| e.0 == f).map_or(0, |e| e.1);
-                let now = now_it.next_if(|e| e.0 == f).map_or(0, |e| e.1);
-                if was != now {
-                    self.set_mask(f as usize, now);
-                }
+        // Groups whose governing mark flipped liveness; later marks
+        // govern no field.
+        for &m in &changed.marks {
+            let g = m as usize + 1;
+            if g < self.shape.ngroups {
+                self.set_live(g, self.cur.marks[m as usize].live());
             }
-            self.masks = old;
         }
-        std::mem::swap(&mut self.masks, &mut masks);
-        self.spare_masks = masks;
+        for &(f, was) in &changed.masks {
+            self.set_mask(f as usize, was);
+        }
+        self.cur.changed = changed;
     }
 
-    /// Group `g` turns live or dead at the latest capture. Groups with
+    /// Group `g` turned live or dead at the latest capture. Groups with
     /// no fields get no dead runs.
     fn set_live(&mut self, g: usize, live: bool) {
-        self.live[g] = live;
-        let lo = if g == 0 { 0 } else { self.marks[g - 1] as usize };
-        let hi = self.marks.get(g).map_or(self.shape.group_of.len(), |&at| at as usize);
+        let nfields = self.fields.len();
+        let lo = if g == 0 { 0 } else { self.cur.marks[g - 1].at() as usize };
+        let hi = self.cur.marks.get(g).map_or(nfields, |m| nfields.min(m.at() as usize));
         if lo == hi {
             return;
         }
         let t = self.t;
+        let fields = (self.fields[lo..hi].iter_mut()).zip(&self.cur.masks[lo..hi]);
         if live {
             let s = self.dead_since[g].take().expect("a dead group has an open dead run");
-            self.dead_runs[g].push((s, t));
-            for f in lo..hi {
-                self.armed[f] = self.mask[f] != 0;
+            self.dead_runs.push(g, (s, t));
+            for (field, &mask) in fields {
+                field.dead = false;
+                field.armed = mask != 0;
             }
         } else {
             self.dead_since[g] = Some(t);
-            for f in lo..hi {
-                self.armed[f] = true;
+            for (field, _) in fields {
+                field.dead = true;
+                field.armed = true;
                 // The shadow walk flips every dead field it holds
                 // unflipped.
-                self.expect[f].due = self.flip[f] == 0;
+                if field.flip == 0 {
+                    field.due = true;
+                    if field.entry != NO_ENTRY {
+                        self.pending[field.entry as usize] = true;
+                    }
+                }
             }
         }
     }
 
-    /// Field `f`'s effective mask becomes `mask` at the latest capture.
-    fn set_mask(&mut self, f: usize, mask: u64) {
+    /// Field `f`'s effective mask changed from `was` at the latest
+    /// capture.
+    fn set_mask(&mut self, f: usize, was: u64) {
         let t = self.t;
-        let was = self.mask[f];
+        let field = &mut self.fields[f];
         if was != 0 {
-            self.mask_runs[f].push((self.mask_start[f], t, was));
+            self.mask_runs.push(f, (field.mask_start, t, was));
         }
-        self.mask[f] = mask;
-        self.mask_start[f] = t;
-        self.armed[f] = mask != 0 || !self.live[self.shape.group_of[f] as usize];
+        field.mask_start = t;
+        field.armed = self.cur.masks[f] != 0 || field.dead;
     }
 
     /// Walks the shadow replica against the latest capture: detects
@@ -581,23 +962,46 @@ impl Tracker {
     /// holds unflipped.
     fn shadow(&mut self, replica: &mut impl FaultState) {
         let mut walk = ShadowWalk {
-            expect: &mut self.expect,
+            fields: &mut self.fields,
             idx: 0,
-            slow: SlowPath {
-                golden: &self.cur.values,
-                flip: &mut self.flip,
-                live: &self.live,
-                group_of: &self.shape.group_of,
-                writes: &mut self.writes,
-                t: self.t,
-            },
+            spans: &self.cur.spans,
+            pending: &mut self.pending,
+            copies: &mut self.shadow_copies,
+            entry: 0,
+            track: self.replay.track,
+            writes: &mut self.writes,
+            t: self.t,
         };
         replica.visit_state(&mut walk);
         assert_eq!(
             walk.idx,
-            self.shape.group_of.len(),
+            self.fields.len(),
             "shadow walk and golden walk disagree on field count"
         );
+        if self.t.is_multiple_of(self.replay.check_every) {
+            replica.visit_state(&mut Settled { fields: &self.fields, idx: 0, t: self.t });
+        }
+    }
+
+    /// Cross-checks the tracked capture against a full walk of
+    /// `machine`: a change the tracked walk skipped panics with its
+    /// field.
+    #[cold]
+    #[inline(never)]
+    fn check(&self, machine: &mut impl FaultState) {
+        let full = Capture::of(machine, false);
+        let cur = &self.cur;
+        let governing = self.shape.ngroups.saturating_sub(1);
+        let missed = (0..cur.values.len())
+            .find(|&f| (cur.values[f], cur.masks[f]) != (full.values[f], full.masks[f]))
+            .or_else(|| {
+                (0..governing)
+                    .find(|&m| cur.marks[m] != full.marks[m])
+                    .map(|m| cur.marks[m].at() as usize)
+            });
+        if let Some(f) = missed {
+            drifted(f, self.t, "the tracked capture disagrees with a full one");
+        }
     }
 
     /// Closes the runs still open at the latest capture and returns the
@@ -607,36 +1011,34 @@ impl Tracker {
     fn finish(self) -> Families {
         let Tracker {
             t,
+            cur,
             shape,
             dead_since,
+            fields,
             mut dead_runs,
-            mut stamps,
+            stamps,
             mut mask_runs,
-            mut writes,
-            mask,
-            mask_start,
+            writes,
             ..
         } = self;
         let end = t + 1;
-        for (runs, open) in dead_runs.iter_mut().zip(dead_since) {
+        for (g, open) in dead_since.into_iter().enumerate() {
             if let Some(s) = open {
-                runs.push((s, end));
+                dead_runs.push(g, (s, end));
             }
         }
-        for (f, runs) in mask_runs.iter_mut().enumerate() {
-            if mask[f] != 0 {
-                runs.push((mask_start[f], end, mask[f]));
+        for (f, (field, &mask)) in fields.iter().zip(&cur.masks).enumerate() {
+            if mask != 0 {
+                mask_runs.push(f, (field.mask_start, end, mask));
             }
         }
-        // The per-field streams grew by doubling; the registry keeps
-        // every map for the life of the process, so return the slack.
-        for runs in &mut mask_runs {
-            runs.shrink_to_fit();
+        Families {
+            shape,
+            dead_runs: dead_runs.finish(),
+            stamps: stamps.finish(),
+            mask_runs: mask_runs.finish(),
+            writes: writes.finish(),
         }
-        for cycles in stamps.iter_mut().chain(&mut writes) {
-            cycles.shrink_to_fit();
-        }
-        Families { shape, dead_runs, stamps, mask_runs, writes }
     }
 }
 
@@ -649,54 +1051,25 @@ struct Families {
     writes: Vec<Vec<u32>>,
 }
 
-/// Calls `f(index, new value)` for each position where `new` differs
-/// from `old`, skipping equal blocks a vector compare at a time.
-#[inline]
-fn for_each_change(old: &[u64], new: &[u64], mut f: impl FnMut(usize, u64)) {
-    const BLOCK: usize = 8;
-    let (old_blocks, old_tail) = old.as_chunks::<BLOCK>();
-    let (new_blocks, new_tail) = new.as_chunks::<BLOCK>();
-    for (b, (o, n)) in old_blocks.iter().zip(new_blocks).enumerate() {
-        if o != n {
-            for i in 0..BLOCK {
-                if o[i] != n[i] {
-                    f(b * BLOCK + i, n[i]);
-                }
-            }
-        }
-    }
-    let base = old_blocks.len() * BLOCK;
-    for (i, (o, &n)) in old_tail.iter().zip(new_tail).enumerate() {
-        if *o != n {
-            f(base + i, n);
-        }
-    }
-}
-
-/// Normalizes a capture's `(field, mask)` log into `out`: one entry per
-/// field (the last call counts), clipped to the field's width, zero
-/// masks and positions past the last field dropped.
-fn effective_masks(log: &[(u32, u64)], widths: &[u32], out: &mut Vec<(u32, u64)>) {
-    out.clear();
-    for &(f, mask) in log {
-        let Some(&width) = widths.get(f as usize) else { break };
-        let mask = mask & width_mask(width);
-        if out.last().is_some_and(|&(prev, _)| prev == f) {
-            out.pop();
-        }
-        if mask != 0 {
-            out.push((f, mask));
-        }
-    }
-}
-
 /// The shadow replica's walk: fields matching their expectation with no
 /// flip due pass at the cost of one compare; the rest take
-/// [`SlowPath::visit`].
+/// [`ShadowWalk::slow`]. An entry equal to its copy after the previous
+/// walk, none of whose expectations changed since (`pending`), is
+/// skipped whole: a visit would change nothing, as it changed nothing
+/// of it then.
 struct ShadowWalk<'a> {
-    expect: &'a mut [Expect],
+    fields: &'a mut [Field],
     idx: usize,
-    slow: SlowPath<'a>,
+    /// Per entry: its span in the golden layout, whether it must be
+    /// visited, and the replica's copy of it.
+    spans: &'a [Span],
+    pending: &'a mut [bool],
+    copies: &'a mut Copies,
+    entry: usize,
+    track: bool,
+    /// Per-field detected write cycles (output).
+    writes: &'a mut Streams<u32>,
+    t: u32,
 }
 
 impl StateVisitor for ShadowWalk<'_> {
@@ -706,43 +1079,71 @@ impl StateVisitor for ShadowWalk<'_> {
     fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
         let f = self.idx;
         self.idx += 1;
-        match self.expect.get(f) {
-            Some(e) if *value == e.value && !e.due => {}
-            _ => self.slow.visit(f, value, width, self.expect),
+        match self.fields.get(f) {
+            Some(field) if *value == field.expect && !field.due => {}
+            _ => self.slow(f, value, width),
+        }
+    }
+
+    #[inline]
+    fn entry<E: Copy + Eq + 'static>(
+        &mut self,
+        entry: &mut E,
+        visit: impl FnOnce(&mut E, &mut Self),
+    ) {
+        let k = self.entry;
+        self.entry += 1;
+        let fields = match self.spans.get(k) {
+            Some(s) if s.field as usize == self.idx => s.fields as usize,
+            _ => panic!("shadow walk and golden walk disagree on field count"),
+        };
+        if self.track && !self.pending[k] && self.copies.get::<E>(k) == Some(entry) {
+            self.idx += fields;
+        } else {
+            self.visit_entry(k, entry, visit);
         }
     }
 }
 
-/// The per-field shadow logic for fields off the fast path.
-///
-/// A field flipped on a previous walk converging back to its golden
-/// value can only mean the machine wrote it (the live trajectories are
-/// identical, so golden's write lands in the shadow too — with the
-/// same value). A field that is *not* flipped must always equal
-/// golden: any mismatch means a dead flip steered live computation,
-/// which falsifies the occupancy axiom, so the walk fails loudly. A
-/// flipped field holding neither value stays flipped.
-struct SlowPath<'a> {
-    golden: &'a [u64],
-    flip: &'a mut [u64],
-    live: &'a [bool],
-    group_of: &'a [u32],
-    /// Per-field detected write cycles (output).
-    writes: &'a mut [Vec<u32>],
-    t: u32,
-}
-
-impl SlowPath<'_> {
-    #[cold]
+impl ShadowWalk<'_> {
+    /// Visits entry `k`, which changed, holds a changed expectation or
+    /// is untracked, and keeps the replica's copy of it.
     #[inline(never)]
-    fn visit(&mut self, f: usize, value: &mut u64, width: u32, expect: &mut [Expect]) {
+    fn visit_entry<E: Copy + Eq + 'static>(
+        &mut self,
+        k: usize,
+        entry: &mut E,
+        visit: impl FnOnce(&mut E, &mut Self),
+    ) {
+        self.pending[k] = false;
+        visit(entry, self);
+        if !self.track {
+            return;
+        }
+        match self.copies.get_mut(k) {
+            Some(copy) => *copy = *entry,
+            None => self.copies.push(*entry),
+        }
+    }
+
+    /// The per-field shadow logic for fields off the fast path.
+    ///
+    /// A field flipped on a previous walk converging back to its golden
+    /// value can only mean the machine wrote it (the live trajectories
+    /// are identical, so golden's write lands in the shadow too — with
+    /// the same value). A field that is *not* flipped must always equal
+    /// golden: any mismatch means a dead flip steered live computation,
+    /// which falsifies the occupancy axiom, so the walk fails loudly. A
+    /// flipped field holding neither value stays flipped.
+    #[inline(never)]
+    fn slow(&mut self, f: usize, value: &mut u64, width: u32) {
         // A field past the layout is reported once the walk ends.
-        let Some(e) = expect.get_mut(f) else { return };
-        let golden = self.golden[f];
-        let mut flipped = self.flip[f] != 0;
+        let Some(field) = self.fields.get_mut(f) else { return };
+        let golden = field.expect ^ field.flip;
+        let mut flipped = field.flip != 0;
         if flipped {
             if *value == golden {
-                self.writes[f].push(self.t);
+                self.writes.push(f, self.t);
                 flipped = false;
             }
         } else if *value != golden {
@@ -752,12 +1153,37 @@ impl SlowPath<'_> {
                 "shadow replica diverged from golden (a dead-field flip steered live computation)",
             );
         }
-        if !flipped && !self.live[self.group_of[f] as usize] {
+        if !flipped && field.dead {
             *value ^= width_mask(width);
             flipped = true;
         }
-        self.flip[f] = if flipped { width_mask(width) } else { 0 };
-        *e = Expect { value: golden ^ self.flip[f], due: false };
+        field.flip = if flipped { width_mask(width) } else { 0 };
+        field.expect = golden ^ field.flip;
+        field.due = false;
+    }
+}
+
+/// Checks that a shadow walk left nothing for a full walk to do: every
+/// replica field matches its expectation with no flip due, or stays
+/// flipped holding neither golden's value nor its flip.
+struct Settled<'a> {
+    fields: &'a [Field],
+    idx: usize,
+    t: u32,
+}
+
+impl StateVisitor for Settled<'_> {
+    fn region(&mut self, _name: &'static str, _kind: StateKind) {}
+
+    fn word(&mut self, value: &mut u64, _width: u32, _class: FieldClass) {
+        let f = self.idx;
+        self.idx += 1;
+        let field = self.fields[f];
+        let golden = field.expect ^ field.flip;
+        let stays_flipped = field.flip != 0 && *value != golden;
+        if field.due || (*value != field.expect && !stays_flipped) {
+            drifted(f, self.t, "the tracked shadow walk skipped a field it had to visit");
+        }
     }
 }
 
@@ -797,9 +1223,7 @@ struct Shape {
 impl Shape {
     /// The shape of a fresh machine.
     fn of_pipeline(pipe: &mut Pipeline) -> Shape {
-        let mut capture = Capture::default();
-        capture.take(pipe);
-        Shape::of_capture(&pipe.catalog(), &capture)
+        Shape::of_capture(&pipe.catalog(), &Capture::of(pipe, false))
     }
 
     /// The shape a cycle-0 capture lays out. Only groups up to the last
@@ -878,20 +1302,34 @@ pub struct UarchMaskMap {
 
 impl UarchMaskMap {
     /// Builds the map by replaying the golden run from cycle 0 up to
-    /// `horizon` (or the run's end): per cycle, one store-only capture
-    /// of the golden machine, a diff of it against the previous
-    /// capture, and one walk of the shadow replica. `digest` is the
-    /// caller's configuration digest, embedded so persisted maps can
-    /// never be misapplied.
+    /// `horizon` (or the run's end): per cycle, one tracked capture of
+    /// the golden machine that visits only the entries that changed
+    /// since the previous cycle, a fold of the changes it logged, and
+    /// one walk of the shadow replica that visits only the entries that
+    /// changed or hold a changed expectation. Full walks cross-check
+    /// both every cycle in debug builds and every 1,024 cycles in
+    /// release builds. `digest` is the caller's configuration digest,
+    /// embedded so persisted maps can never be misapplied.
     pub fn build(
         uarch: &UarchConfig,
         program: &Program,
         horizon: u64,
         digest: u64,
     ) -> UarchMaskMap {
+        UarchMaskMap::replay(uarch, program, horizon, digest, Replay::DEFAULT)
+    }
+
+    /// [`UarchMaskMap::build`], replayed as `replay` says.
+    fn replay(
+        uarch: &UarchConfig,
+        program: &Program,
+        horizon: u64,
+        digest: u64,
+        replay: Replay,
+    ) -> UarchMaskMap {
         let mut pipe = Pipeline::new(uarch.clone(), program);
         let catalog = pipe.catalog();
-        let mut golden = Tracker::new(&mut pipe, &catalog);
+        let mut golden = Tracker::new(&mut pipe, &catalog, replay);
         // The shadow replica: the same machine replayed in lockstep
         // with every dead field flipped, re-flipped after each
         // detected write. Convergence back to the golden value is the
@@ -1771,13 +2209,28 @@ mod tests {
     /// Bookkeeping laid out on `machine` as its state at cycle 0.
     fn walked(machine: &mut impl FaultState) -> Tracker {
         let catalog = catalog_of(machine);
-        Tracker::new(machine, &catalog)
+        Tracker::new(machine, &catalog, Replay::DEFAULT)
     }
 
     impl Tracker {
         /// Per field: dead at the latest capture.
         fn dead(&self) -> Vec<bool> {
-            self.shape.group_of.iter().map(|&g| !self.live[g as usize]).collect()
+            let dead: Vec<bool> = self.fields.iter().map(|f| f.dead).collect();
+            // Group `g ≥ 1` follows mark `g - 1`; group 0 is dead.
+            let live = |g: u32| g.checked_sub(1).is_some_and(|m| self.cur.marks[m as usize].live());
+            let of_groups: Vec<bool> = self.shape.group_of.iter().map(|&g| !live(g)).collect();
+            assert_eq!(dead, of_groups, "per-field deadness follows the group marks");
+            dead
+        }
+
+        /// Per field: armed at the latest capture.
+        fn armed(&self) -> Vec<bool> {
+            self.fields.iter().map(|f| f.armed).collect()
+        }
+
+        /// Per field: the shadow replica's flip.
+        fn flips(&self) -> Vec<u64> {
+            self.fields.iter().map(|f| f.flip).collect()
         }
     }
 
@@ -1785,9 +2238,9 @@ mod tests {
     fn golden_walk_captures_masks_liveness_and_groups() {
         let walk = walked(&mut PartMasked { flag: false, imm: 0xABCD, spare: 0x55 });
         assert_eq!(walk.cur.values, vec![0, 0xABCD, 0x55]);
-        assert_eq!(walk.mask, vec![0, 0xFF00, 0], "one-shot mask hits only the next field");
+        assert_eq!(walk.cur.masks, vec![0, 0xFF00, 0], "one-shot mask hits only the next field");
         assert_eq!(walk.dead(), vec![false, false, true]);
-        assert_eq!(walk.armed, vec![false, true, true], "masked or dead fields arm their stamps");
+        assert_eq!(walk.armed(), vec![false, true, true], "masked or dead fields arm their stamps");
         // flag and imm precede the occupancy call; spare follows it.
         assert_eq!(walk.shape.group_of[0], walk.shape.group_of[1]);
         assert_ne!(walk.shape.group_of[1], walk.shape.group_of[2]);
@@ -1796,7 +2249,7 @@ mod tests {
     #[test]
     fn golden_walk_mask_is_conditional_on_machine_state() {
         let walk = walked(&mut PartMasked { flag: true, imm: 0xABCD, spare: 0 });
-        assert_eq!(walk.mask, vec![0, 0, 0], "flag set ⇒ no mask declared");
+        assert_eq!(walk.cur.masks, vec![0, 0, 0], "flag set ⇒ no mask declared");
     }
 
     #[test]
@@ -1810,7 +2263,7 @@ mod tests {
             }
         }
         let walk = walked(&mut Wide(0));
-        assert_eq!(walk.mask[0], 0xFFF, "declared mask clipped to the field width");
+        assert_eq!(walk.cur.masks[0], 0xFFF, "declared mask clipped to the field width");
     }
 
     /// Groups count `region` and `occupancy` calls: fields between two
@@ -1837,7 +2290,11 @@ mod tests {
         let mut machine = Grouped([1, 2, 3, 4]);
         let mut walk = walked(&mut machine);
         assert_eq!(walk.shape.group_of, vec![1, 1, 3, 4]);
-        assert_eq!(walk.dead_runs.len(), 5, "groups 0..=4; the trailing empty one is not counted");
+        assert_eq!(
+            walk.dead_runs.keys.len(),
+            5,
+            "groups 0..=4; the trailing empty one is not counted"
+        );
         // Later walks must number identically, and do.
         machine.0 = [9, 9, 9, 9];
         walk.walk(&mut machine);
@@ -1879,7 +2336,7 @@ mod tests {
         // relative bit 8.
         let f = cat.field_index_of(9).unwrap();
         let (start, _, _) = cat.fields[f];
-        assert_ne!(walk.mask[f] & (1 << (9 - start)), 0);
+        assert_ne!(walk.cur.masks[f] & (1 << (9 - start)), 0);
         // The real machine, too: the capture lays out exactly the
         // catalog.
         let program = WorkloadId::Mcfx.build(Scale::smoke());
@@ -1948,7 +2405,7 @@ mod tests {
             }
         }
         let walk = walked(&mut Declaring([0; 4]));
-        assert_eq!(walk.mask, vec![0, 0x0F, 0x02, 0]);
+        assert_eq!(walk.cur.masks, vec![0, 0x0F, 0x02, 0]);
     }
 
     /// A live word, then a word whose liveness follows `live`.
@@ -2013,7 +2470,7 @@ mod tests {
         walk.walk(&mut golden);
         walk.shadow(&mut replica);
         assert_eq!(replica.words, [1, 7 ^ 0xFF], "left flipped");
-        assert_eq!(walk.flip, vec![0, 0xFF]);
+        assert_eq!(walk.flips(), vec![0, 0xFF]);
         let families = walk.finish();
         assert_eq!(families.writes, vec![vec![], vec![1, 2]]);
         assert_eq!(families.stamps, vec![vec![], vec![1, 3]], "value changes only");
@@ -2044,6 +2501,183 @@ mod tests {
         assert_eq!(walk.shape.group_of, vec![0, 1]);
         assert_eq!(walk.dead(), vec![true, false]);
         assert_eq!(walk.finish().dead_runs[0], vec![(0, 1)]);
+    }
+
+    /// A queue slot whose walk declares its occupancy and a mask from
+    /// its own fields, as the pipeline's entries do.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    struct Slot {
+        valid: bool,
+        tag: u8,
+        data: u64,
+    }
+
+    impl Slot {
+        fn visit<V: StateVisitor>(&mut self, v: &mut V) {
+            let live = self.valid;
+            let Slot { valid, tag, data } = self;
+            v.flag(valid);
+            v.occupancy(live);
+            if v.wants_masks() && !live {
+                v.masked(0xF0);
+            }
+            v.word8(tag, 8, FieldClass::Data);
+            v.word(data, 16, FieldClass::Data);
+            v.occupancy(true);
+        }
+    }
+
+    /// A head pointer, then four slots, each behind the occupancy mark
+    /// the pointer decides. With `leak` set, a slot's walk also masks
+    /// its data by the head pointer, which breaks the entry contract.
+    #[derive(Debug, Clone)]
+    struct Queue {
+        head: u64,
+        slots: [Slot; 4],
+        leak: bool,
+    }
+
+    impl FaultState for Queue {
+        fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+            let (head, leak) = (self.head, self.leak);
+            let Queue { head: h, slots, leak: _ } = self;
+            v.region("queue", StateKind::Ram);
+            v.word(h, 2, FieldClass::Control);
+            for (i, slot) in slots.iter_mut().enumerate() {
+                v.occupancy(i as u64 != head);
+                v.entry(slot, |slot, v| {
+                    let Slot { valid, tag, data } = slot;
+                    if !leak {
+                        return slot.visit(v);
+                    }
+                    v.flag(valid);
+                    v.word8(tag, 8, FieldClass::Data);
+                    if v.wants_masks() {
+                        v.masked(head);
+                    }
+                    v.word(data, 16, FieldClass::Data);
+                });
+            }
+        }
+    }
+
+    /// Replays a scripted queue, golden and replica alike, under
+    /// `replay`, and returns the families.
+    fn replay_queue(replay: Replay, leak: bool) -> Families {
+        let slot = |valid, tag, data| Slot { valid, tag, data };
+        let mut golden = Queue { head: 0, slots: [Slot::default(); 4], leak };
+        let mut replica = golden.clone();
+        let catalog = catalog_of(&mut golden);
+        let mut walk = Tracker::new(&mut golden, &catalog, replay);
+        walk.shadow(&mut replica);
+        let script: [(u64, usize, Slot); 6] = [
+            (1, 1, slot(true, 7, 100)),
+            (1, 2, slot(true, 8, 200)),
+            (2, 1, slot(false, 7, 100)),
+            (2, 1, slot(false, 7, 100)),
+            (3, 0, slot(true, 9, 300)),
+            (0, 3, slot(false, 1, 5)),
+        ];
+        for (head, i, s) in script {
+            for machine in [&mut golden, &mut replica] {
+                machine.head = head;
+                // A write lands in the replica too, over its flips.
+                machine.slots[i] = s;
+            }
+            walk.walk(&mut golden);
+            walk.shadow(&mut replica);
+        }
+        walk.finish()
+    }
+
+    /// Skipping unchanged entries changes nothing: stamps, mask runs,
+    /// dead runs and writes equal those of a replay that walks every
+    /// entry, checked against full walks at every cycle.
+    #[test]
+    fn tracked_walks_equal_untracked_walks_on_a_queue() {
+        let tracked = replay_queue(Replay { track: true, check_every: 1 }, false);
+        let untracked = replay_queue(Replay { track: false, check_every: 1 }, false);
+        assert_eq!(tracked.stamps, untracked.stamps);
+        assert_eq!(tracked.mask_runs, untracked.mask_runs);
+        assert_eq!(tracked.dead_runs, untracked.dead_runs);
+        assert_eq!(tracked.writes, untracked.writes);
+        assert!(tracked.writes.iter().any(|w| !w.is_empty()), "the script writes dead fields");
+        assert!(tracked.mask_runs.iter().any(|r| !r.is_empty()), "the script declares masks");
+    }
+
+    /// An entry whose walk depends on a field outside it is skipped
+    /// while that field changes; the cross-check names the field whose
+    /// mask the tracked capture missed.
+    #[test]
+    #[should_panic(expected = "the tracked capture disagrees with a full one at field 3, cycle 1")]
+    fn cross_check_catches_an_entry_that_reads_outside_itself() {
+        replay_queue(Replay { track: true, check_every: 1 }, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "a mask declaration crosses an entry boundary at field 1, cycle 0")]
+    fn mask_declared_across_an_entry_boundary_panics() {
+        struct Straddling(u64, u64);
+        impl FaultState for Straddling {
+            fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+                let Straddling(a, b) = self;
+                v.region("straddling", StateKind::Latch);
+                v.word(a, 8, FieldClass::Data);
+                v.masked(1);
+                v.entry(b, |b, v| v.word(b, 8, FieldClass::Data));
+            }
+        }
+        walked(&mut Straddling(0, 0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4))]
+        /// The tracked build equals one whose change test says "changed"
+        /// for every entry, on every smoke workload, over queue
+        /// capacities that include non-powers of two (so `CircQ` slot
+        /// reduction and pointer wrap run both ways).
+        #[test]
+        fn tracked_build_equals_untracked_build(
+            fetch_queue in 3usize..=33,
+            sched_entries in 3usize..=33,
+            rob_entries in 33usize..=70,
+            ldq_entries in 2usize..=20,
+            stq_entries in 2usize..=20,
+            bob_entries in 2usize..=12,
+            phys_regs in 72usize..=110,
+        ) {
+            let uarch = UarchConfig {
+                fetch_queue,
+                sched_entries,
+                rob_entries,
+                ldq_entries,
+                stq_entries,
+                bob_entries,
+                phys_regs,
+                ..UarchConfig::default()
+            };
+            for id in WorkloadId::ALL {
+                let program = id.build(Scale::smoke());
+                let build = |track| {
+                    UarchMaskMap::replay(&uarch, &program, 300, 3, Replay { track, check_every: 1 })
+                };
+                proptest::prop_assert_eq!(build(true), build(false), "{:?} under {:?}", id, uarch);
+            }
+        }
+    }
+
+    /// gccx's campaign-scale map, cross-checked against full walks at
+    /// every cycle, equals the build's. Release builds only: it replays
+    /// 55,000 cycles.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "replays 55,000 cycles; run with --release")]
+    fn campaign_scale_build_passes_the_cross_check_at_every_cycle() {
+        let program = WorkloadId::Gccx.build(Scale::campaign());
+        let uarch = UarchConfig::default();
+        let every = Replay { track: true, check_every: 1 };
+        let checked = UarchMaskMap::replay(&uarch, &program, 55_000, 4, every);
+        assert_eq!(checked.last_cycle(), 55_000);
+        assert_eq!(checked, UarchMaskMap::build(&uarch, &program, 55_000, 4));
     }
 
     /// The build's output, pinned by digest of its rendered JSON. The
@@ -2170,9 +2804,37 @@ mod tests {
             ("writes", Some(0), encode_stamps(&[last + 1]), "a write past last"),
             ("drain", None, encode_stamps(&drain_past_last), "a drain entry past last"),
         ];
+        // Damaged text, in every family: a varint cut off after a
+        // continuation byte, an odd-length hex string, and a non-hex
+        // digit (`+` included: `from_str_radix` would take `+1` for 1).
+        let whole = [
+            ("dead", Some(1), "0102"),
+            ("masks", Some(0), "010201"),
+            ("stamps", Some(0), "01"),
+            ("writes", Some(0), "01"),
+            ("drain", None, &encode_stamps(&map.drain_end)[..]),
+        ];
+        let damaged = whole.iter().flat_map(|&(key, index, text)| {
+            [
+                (key, index, format!("{text}85"), "a varint cut off after a continuation byte"),
+                (key, index, format!("{text}0"), "an odd-length hex string"),
+                (key, index, format!("{text}0g"), "a non-hex digit"),
+                (key, index, format!("+1{text}"), "a sign where a hex digit belongs"),
+            ]
+        });
+        let hostile = hostile.into_iter().chain(damaged);
         for (key, index, text, what) in hostile {
             let v = with_entry(&good, key, index, &text);
-            assert!(UarchMaskMap::from_json(&v, &uarch, &program, 9).is_none(), "{what} decoded");
+            assert!(
+                UarchMaskMap::from_json(&v, &uarch, &program, 9).is_none(),
+                "{key}: {what} decoded"
+            );
+        }
+        // The undamaged texts decode, so each rejection above is the
+        // damage's.
+        for (key, index, text) in whole {
+            let v = with_entry(&good, key, index, text);
+            assert!(UarchMaskMap::from_json(&v, &uarch, &program, 9).is_some(), "{key}: {text}");
         }
         // The delta encoding cannot express a decreasing drain horizon,
         // so it is checked on the decoded form.

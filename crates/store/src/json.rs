@@ -199,21 +199,31 @@ impl From<i64> for Json {
     }
 }
 
+/// Appends `s` as a JSON string literal. Runs of bytes that need no
+/// escape are copied whole: every byte that does is ASCII, so a run
+/// boundary never splits a UTF-8 sequence.
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..0x20 => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if escape.is_empty() {
+            out.push_str(&format!("\\u{b:04x}"));
+        } else {
+            out.push_str(escape);
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -435,6 +445,27 @@ mod tests {
         roundtrip(&Json::Str(String::new()));
         roundtrip(&Json::Str("plain region-name".into()));
         roundtrip(&Json::Str("esc \"q\" \\ \n \t \r \u{1} π".into()));
+    }
+
+    /// Escape-free runs are copied whole around each escape, so the
+    /// rendering is pinned byte for byte: the five short escapes, `\u`
+    /// for the other control characters, and non-ASCII text verbatim.
+    #[test]
+    fn strings_render_escapes_between_verbatim_runs() {
+        let cases = [
+            ("", r#""""#),
+            ("0123456789abcdef", r#""0123456789abcdef""#),
+            ("say \"hi\"", r#""say \"hi\"""#),
+            ("a\\b\\", r#""a\\b\\""#),
+            ("\n\r\tx", r#""\n\r\tx""#),
+            ("\u{0}\u{1}\u{1f}\u{20}", r#""\u0000\u0001\u001f ""#),
+            ("π≈3\t→ \"ü\"\\", r#""π≈3\t→ \"ü\"\\""#),
+            ("\u{7f}é\u{8}", "\"\u{7f}é\\u0008\""),
+        ];
+        for (s, want) in cases {
+            assert_eq!(Json::Str(s.to_owned()).render(), want, "{s:?}");
+            assert_eq!(Json::parse(want).unwrap(), Json::Str(s.to_owned()), "{want}");
+        }
     }
 
     #[test]

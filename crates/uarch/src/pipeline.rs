@@ -1517,17 +1517,17 @@ impl crate::state::FaultState for Pipeline {
 
         v.region("decode-latch", Latch);
         for d in dec.iter_mut() {
-            d.visit(v);
+            v.entry(d, DecSlot::visit);
         }
 
         v.region("scheduler", Latch);
         for s in sched.iter_mut() {
-            s.visit(v);
+            v.entry(s, SchedEntry::visit);
         }
 
         v.region("exec-latches", Latch);
         for e in exec.iter_mut() {
-            e.visit(v);
+            v.entry(e, ExecLatch::visit);
         }
 
         v.region("reorder-buffer", Ram);

@@ -43,6 +43,18 @@ fn distance(from: u64, to: u64, m: u64) -> u64 {
     }
 }
 
+/// Slot `i`'s distance past a window starting at slot `start`, both
+/// below `cap`: `(i - start) mod cap` without a division, which the
+/// per-slot occupancy of a walk would otherwise pay for every slot.
+#[inline]
+fn window_offset(i: u64, start: u64, cap: u64) -> u64 {
+    if i >= start {
+        i - start
+    } else {
+        i + cap - start
+    }
+}
+
 /// Fixed-capacity circular queue addressed by absolute slot index.
 ///
 /// Entries are pushed at the tail and popped from the head; `slot`/`slot_mut`
@@ -189,20 +201,25 @@ impl<T: Default + Clone> CircQ<T> {
     /// Visits the head/tail pointers (latch bits) and every slot's
     /// payload via `f`, reporting per-slot occupancy to visitors that
     /// ask: slots outside the `[head, tail)` window are dead — their
-    /// contents cannot be read before a push overwrites them.
-    pub fn visit_with<V: StateVisitor>(&mut self, v: &mut V, mut f: impl FnMut(&mut T, &mut V)) {
+    /// contents cannot be read before a push overwrites them. Each slot
+    /// is one [`StateVisitor::entry`]; its occupancy, which the pointers
+    /// decide, is declared outside it.
+    pub fn visit_with<V: StateVisitor>(&mut self, v: &mut V, mut f: impl FnMut(&mut T, &mut V))
+    where
+        T: Copy + Eq + 'static,
+    {
         let ptr_width = (64 - (self.c2() - 1).leading_zeros()).max(1);
         let occupancy = v.wants_occupancy();
-        let (cap, start, len) = (self.cap() as u64, self.head, self.len() as u64);
+        let cap = self.cap() as u64;
+        let (start, len) = if occupancy { (self.head % cap, self.len() as u64) } else { (0, 0) };
         let CircQ { slots, head, tail } = self;
         v.word(head, ptr_width, FieldClass::Control);
         v.word(tail, ptr_width, FieldClass::Control);
         for (i, s) in slots.iter_mut().enumerate() {
             if occupancy {
-                let offset = (i as u64 + cap - start % cap) % cap;
-                v.occupancy(offset < len);
+                v.occupancy(window_offset(i as u64, start, cap) < len);
             }
-            f(s, v);
+            v.entry(s, &mut f);
         }
         if occupancy {
             v.occupancy(true);
@@ -320,8 +337,9 @@ impl FreeList {
     /// them and writeback overwrites them.
     pub fn free_tags(&self) -> impl Iterator<Item = u8> + '_ {
         let cap = self.cap();
-        let n = self.available().min(cap);
-        (0..n).map(move |k| self.slots[reduce(self.head + k, cap) as usize])
+        let n = self.available().min(cap) as usize;
+        let (wrapped, from_head) = self.slots.split_at(reduce(self.head, cap) as usize);
+        from_head.iter().chain(wrapped).take(n).copied()
     }
 
     /// The conservative live window of free-list *slots*: everything
@@ -360,8 +378,7 @@ impl FreeList {
         v.word(tail, ptr_width, FieldClass::Control);
         for (i, s) in slots.iter_mut().enumerate() {
             if occupancy {
-                let offset = (i as u64 + cap - start) % cap;
-                v.occupancy(offset < window);
+                v.occupancy(window_offset(i as u64, start, cap) < window);
             }
             v.word8(s, 7, FieldClass::Control);
         }
