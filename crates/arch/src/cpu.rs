@@ -13,7 +13,7 @@ use restore_isa::{decode, Inst, PalFunc, Program, Reg};
 use std::sync::Arc;
 
 /// The 32-entry architectural register file with a hardwired zero.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegFile {
     regs: [u64; 32],
 }

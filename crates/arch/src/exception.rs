@@ -9,7 +9,7 @@ use crate::{AccessKind, MemError};
 use core::fmt;
 
 /// An architecturally visible exception.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Exception {
     /// Load/store to an unmapped page or one whose permissions forbid it.
     AccessViolation {

@@ -19,7 +19,7 @@ pub const PAGE_SIZE: u64 = 4096;
 const PAGE_SHIFT: u32 = 12;
 
 /// Page permissions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Perm {
     /// Loads allowed.
     pub read: bool,
@@ -39,7 +39,7 @@ impl Perm {
 }
 
 /// The kind of access that failed (reported in exceptions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Data load.
     Load,

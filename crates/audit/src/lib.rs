@@ -24,16 +24,20 @@
 //! * [`battery`] — the per-field digest perturbation battery: every
 //!   campaign-config field the digest body folds must rekey the store
 //!   when perturbed, and every field it binds `_` must not.
-//! * [`determinism`] — a token-level lint over the campaign crates that
-//!   rejects hash-order iteration, wall-clock reads and unseeded or
-//!   literal-seeded RNGs unless a `// determinism: allow -- <reason>`
-//!   comment covers them.
 //! * [`census`] — the per-region bit census (latch/RAM × control/data)
 //!   of both machine models, for comparison against the paper's §4
 //!   numbers.
 //!
-//! The `restore-audit` binary runs each of them (`--contract`,
-//! `--digests`, `--determinism`, `--census`) in CI.
+//! * [`determinism`] — runs `clippy-driver` on a snippet under the
+//!   repository's `clippy.toml`, for the canary tests of the
+//!   determinism rules (no hash-order iteration, wall-clock reads or
+//!   unseeded RNGs where they could shape a result). The rules
+//!   themselves are clippy's `disallowed-types` and
+//!   `disallowed-methods`, with each exempt site carrying a reasoned
+//!   `#[expect]`.
+//!
+//! The `restore-audit` binary runs the first three (`--contract`,
+//! `--digests`, `--census`) in CI.
 
 #![forbid(unsafe_code)]
 
@@ -41,12 +45,7 @@ pub mod battery;
 pub mod census;
 pub mod contract;
 pub mod determinism;
-pub(crate) mod lex;
 
 pub use battery::{default_batteries, run_battery, BatteryReport, FieldPerturbation};
 pub use census::{cpu_census, pipeline_census, Census};
 pub use contract::{check_contract, ContractReport, ContractVisitor};
-pub use determinism::{
-    analyze_determinism_dirs, analyze_determinism_sources, DeterminismAnalysis, Finding,
-    DETERMINISM_ROOTS,
-};

@@ -1,8 +1,7 @@
 //! `restore-audit` CLI.
 //!
 //! ```text
-//! restore-audit [--digests] [--determinism] [--census] [--contract]
-//!               [--json] [--root DIR]
+//! restore-audit [--digests] [--census] [--contract] [--json]
 //! ```
 //!
 //! At least one mode flag is required; with none, the usage line is
@@ -16,72 +15,46 @@
 //!   neutral field changes it, or a declared field has no
 //!   perturbation. That every field is classified at all is checked by
 //!   the compiler: the digest bodies destructure every field.
-//! * `--determinism`: run the nondeterminism lint over the campaign,
-//!   bench, store, snapshot, maskmap, perf and core crate roots
-//!   ([`DETERMINISM_ROOTS`]); exit 1 on any unexempted banned
-//!   construct.
 //! * `--contract`: run the runtime invariant battery against a warmed
 //!   default-config pipeline and the architectural CPU; exit 1 on any
 //!   violation, a declared width outside its visit method's limit
 //!   included.
 //! * `--census`: print the per-region bit census of both machines.
-//! * `--json`: machine-readable output for `--digests`/`--determinism`/
-//!   `--census`.
-//! * `--root DIR`: repository root to lint (defaults to the workspace
-//!   this binary was built from).
+//! * `--json`: machine-readable output for `--digests`/`--census`.
+//!
+//! The determinism rules are clippy's, not this binary's: see the
+//! repository's `clippy.toml`.
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use restore_audit::battery::default_batteries;
 use restore_audit::contract::check_contract;
-use restore_audit::{
-    analyze_determinism_dirs, cpu_census, pipeline_census, Finding, DETERMINISM_ROOTS,
-};
+use restore_audit::{cpu_census, pipeline_census};
 use restore_uarch::{Pipeline, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
 
 struct Options {
     digests: bool,
-    determinism: bool,
     census: bool,
     contract: bool,
     json: bool,
-    root: PathBuf,
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: restore-audit [--digests] [--determinism] [--census] [--contract] [--json] \
-         [--root DIR]"
-    );
+    eprintln!("usage: restore-audit [--digests] [--census] [--contract] [--json]");
     std::process::exit(2);
 }
 
 fn parse_args() -> Options {
-    let default_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut opts = Options {
-        digests: false,
-        determinism: false,
-        census: false,
-        contract: false,
-        json: false,
-        root: default_root,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    let mut opts = Options { digests: false, census: false, contract: false, json: false };
+    for a in std::env::args().skip(1) {
         match a.as_str() {
             "--digests" => opts.digests = true,
-            "--determinism" => opts.determinism = true,
             "--census" => opts.census = true,
             "--contract" => opts.contract = true,
             "--json" => opts.json = true,
-            "--root" => match args.next() {
-                Some(d) => opts.root = PathBuf::from(d),
-                None => usage(),
-            },
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -89,20 +62,10 @@ fn parse_args() -> Options {
             }
         }
     }
-    if !opts.digests && !opts.determinism && !opts.census && !opts.contract {
+    if !opts.digests && !opts.census && !opts.contract {
         usage();
     }
     opts
-}
-
-fn finding_json(f: &Finding) -> String {
-    format!(
-        "{{\"kind\":\"{}\",\"subject\":\"{}\",\"file\":\"{}\",\"line\":{}}}",
-        f.kind,
-        f.subject,
-        f.file.display(),
-        f.line,
-    )
 }
 
 fn run_digests(json: bool) -> bool {
@@ -151,49 +114,6 @@ fn run_digests(json: bool) -> bool {
         );
     }
     clean
-}
-
-fn run_determinism(opts: &Options) -> bool {
-    let roots: Vec<PathBuf> = DETERMINISM_ROOTS.iter().map(|r| opts.root.join(r)).collect();
-    let analysis = match analyze_determinism_dirs(&roots) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("restore-audit: cannot scan {}: {e}", opts.root.display());
-            return false;
-        }
-    };
-    if opts.json {
-        let mut out = String::from("{\"findings\":[");
-        for (i, f) in analysis.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&finding_json(f));
-        }
-        out.push_str(&format!(
-            "],\"files_scanned\":{},\"allows_honored\":{},\"clean\":{}}}",
-            analysis.files_scanned,
-            analysis.allows_honored,
-            analysis.is_clean(),
-        ));
-        println!("{out}");
-    } else {
-        for f in &analysis.findings {
-            println!("{f}");
-        }
-        let errors = analysis.findings.len();
-        println!(
-            "restore-audit: scanned {} files, {} exemptions honored: {}",
-            analysis.files_scanned,
-            analysis.allows_honored,
-            if errors == 0 {
-                "determinism clean".to_string()
-            } else {
-                format!("{errors} error(s)")
-            },
-        );
-    }
-    analysis.is_clean()
 }
 
 fn run_contract() -> bool {
@@ -256,9 +176,6 @@ fn main() -> ExitCode {
     let mut ok = true;
     if opts.digests {
         ok &= run_digests(opts.json);
-    }
-    if opts.determinism {
-        ok &= run_determinism(&opts);
     }
     if opts.contract {
         ok &= run_contract();

@@ -19,6 +19,8 @@
 //! `ledger/history/bench_1core.jsonl` — the warm replay is well over an
 //! order of magnitude faster than the cold run it replaces).
 
+#![allow(clippy::disallowed_methods, reason = "a benchmark times its own phases")]
+
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use restore_inject::{
     run_uarch_campaign_io, uarch_campaign_digest, Shard, TrialCache, UarchCampaignConfig,

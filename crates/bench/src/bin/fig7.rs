@@ -51,7 +51,10 @@ fn main() {
     }
 
     eprintln!("fig7: profiling 7 workloads for {cycles} cycles each ...");
-    // determinism: allow -- stderr progress timing; figure output is time-free
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stderr progress timing; figure output is time-free"
+    )]
     let start = std::time::Instant::now();
     let profiles = profile_all(scale, &UarchConfig::default(), cycles);
     eprintln!("fig7: profiled in {:.1}s", start.elapsed().as_secs_f64());

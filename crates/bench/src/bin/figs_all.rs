@@ -21,7 +21,10 @@ const USAGE: &str = "figs_all [--points N] [--trials N] [--arch-trials N] [--see
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    // determinism: allow -- stderr progress timing; figure output is time-free
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stderr progress timing; figure output is time-free"
+    )]
     let t0 = std::time::Instant::now();
     cli::or_exit(cli::reject_unknown(&args, &cli::uarch_flags_plus(&["--arch-trials"])), USAGE);
 

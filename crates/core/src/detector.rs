@@ -177,7 +177,10 @@ impl Overhead {
         Overhead { extra_instr_frac: 0.0, table_bits: 0, checkpoint_bits: 0 };
 
     /// Component-wise sum.
-    #[allow(clippy::should_implement_trait)]
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "a named component-wise sum for folds; an `Add` impl would suggest arithmetic on a cost report"
+    )]
     pub fn add(self, other: Overhead) -> Overhead {
         Overhead {
             extra_instr_frac: self.extra_instr_frac + other.extra_instr_frac,

@@ -1,6 +1,8 @@
 //! End-to-end ReStore behaviour: fault-free transparency, soft-error
 //! recovery, genuine-exception delivery, and rollback accounting.
 
+#![allow(clippy::disallowed_methods, reason = "tests seed their fault draws with literals")]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use restore_core::{RestoreConfig, RestoreController, RestoreOutcome, SymptomConfig};

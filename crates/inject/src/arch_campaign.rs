@@ -28,9 +28,9 @@ use crate::cache::TrialCache;
 use crate::campaign::{self, CampaignIo, FaultModel, TrialCost, CUTOFF_STRIDE};
 use crate::classify::{ArchCategory, Symptom, SymptomLatencies};
 use crate::engine::CampaignStats;
-use crate::seeding::DOMAIN_ARCH;
+use crate::seeding::{self, DOMAIN_ARCH};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use restore_arch::{effective_address, execute, AccessKind, Cpu, ExecState, MemError, Retired};
 use restore_core::{
     config_digest, ConfigDigest, DetectorConfig, DetectorSet, Observation, RetiredCompare,
@@ -241,7 +241,7 @@ impl FaultModel for ArchModel<'_> {
     /// same instruction, not a double-weighted point.
     fn plan(&self, id: WorkloadId, point_seed: u64) -> Vec<u64> {
         let run_len = run_length(id, self.cfg.scale);
-        let mut rng = StdRng::seed_from_u64(point_seed);
+        let mut rng = seeding::rng(point_seed);
         let mut points: Vec<u64> = (0..self.cfg.trials_per_workload)
             .map(|_| rng.gen_range(run_len / 20..run_len.saturating_sub(10).max(run_len / 20 + 1)))
             .collect();

@@ -3,7 +3,7 @@
 //! ([`Payload`]) for both trial record types.
 //!
 //! The codecs are hand-rolled over `restore_store::Json` (the
-//! workspace's `serde` is an offline shim). Workloads travel by their
+//! workspace has no serialization dependency). Workloads travel by their
 //! stable [`WorkloadId::name`]; region names — `&'static str` borrowed
 //! from the machine catalogs when simulating — decode through a
 //! leak-bounded interner, so a decoded record leaks each *distinct*
@@ -12,10 +12,10 @@
 use crate::arch_campaign::ArchTrial;
 use crate::classify::SymptomLatencies;
 use crate::uarch_trial::{EndState, UarchTrial};
-use parking_lot::Mutex;
 use restore_store::{Json, Payload, StoreError, Stored, TrialKey, TrialStore};
 use restore_workloads::WorkloadId;
 use std::path::Path;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A thread-shared handle on one campaign's trial store, pinned to the
 /// campaign digest every key it reads or writes must carry.
@@ -49,15 +49,21 @@ impl<T: Payload> TrialCache<T> {
         self.config
     }
 
+    /// Locks the store. A worker that panicked holding the lock fails
+    /// its campaign anyway, so poisoning is ignored.
+    fn store(&self) -> MutexGuard<'_, TrialStore<T>> {
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Looks one trial up by its content address.
     pub fn lookup(&self, key: &TrialKey) -> Option<Stored<T>> {
-        self.store.lock().get(key).cloned()
+        self.store().get(key).cloned()
     }
 
     /// Whether the store holds a trial under `key`, without decoding
     /// or cloning it.
     pub(crate) fn contains(&self, key: &TrialKey) -> bool {
-        self.store.lock().contains(key)
+        self.store().contains(key)
     }
 
     /// Records one finished trial (idempotent on duplicate keys).
@@ -68,29 +74,29 @@ impl<T: Payload> TrialCache<T> {
     /// let a later `--resume` re-simulate work this run claims to have
     /// saved, so a dying disk fails the campaign loudly.
     pub fn record(&self, rec: Stored<T>) {
-        self.store.lock().append(rec).expect("trial store append failed");
+        self.store().append(rec).expect("trial store append failed");
     }
 
     /// Total records in the store, any campaign digest.
     pub fn len(&self) -> usize {
-        self.store.lock().len()
+        self.store().len()
     }
 
     /// `true` when the store holds no records at all.
     pub fn is_empty(&self) -> bool {
-        self.store.lock().is_empty()
+        self.store().is_empty()
     }
 
     /// Records carrying *this* campaign's digest — what a resumed run
     /// can actually skip.
     pub fn cached_for_config(&self) -> usize {
-        self.store.lock().cached_for_config(self.config)
+        self.store().cached_for_config(self.config)
     }
 
     /// Order-independent digest of the store's full content
     /// ([`TrialStore::content_digest`]).
     pub fn content_digest(&self) -> u64 {
-        self.store.lock().content_digest()
+        self.store().content_digest()
     }
 
     /// Flushes written records to stable storage.
@@ -99,7 +105,7 @@ impl<T: Payload> TrialCache<T> {
     ///
     /// Propagates the underlying `fsync` failure.
     pub fn sync(&self) -> Result<(), StoreError> {
-        self.store.lock().sync()
+        self.store().sync()
     }
 }
 
@@ -107,7 +113,7 @@ impl<T: Payload> TrialCache<T> {
 /// str` the trial type demands. Bounded by the number of distinct
 /// region names across all machine catalogs.
 fn intern(name: &str) -> &'static str {
-    static INTERNED: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
+    static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
     let mut table = INTERNED.lock().expect("interner poisoned");
     if let Some(hit) = table.iter().find(|s| **s == name) {
         return hit;

@@ -18,9 +18,14 @@
 //! sweeper instead of letting it race ahead. `--threads 1` is the same
 //! engine with one worker, not a separate code path.
 
-use crossbeam::channel;
-use parking_lot::Mutex;
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the engine times itself for CampaignStats; wall time never reaches a result"
+)]
+
 use std::fmt;
+use std::sync::mpsc::sync_channel;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Resolves a requested worker count: an explicit request wins, and 0
@@ -336,7 +341,11 @@ where
     // 2× bound: enough slack that workers never starve while the sweeper
     // advances to the next point, small enough that snapshot memory
     // stays O(threads).
-    let (tx, rx) = channel::bounded::<(usize, U)>(threads * 2);
+    let (tx, rx) = sync_channel::<(usize, U)>(threads * 2);
+    // The workers share the one receiver; it drops with the last of
+    // them, so a pool that died (a panic included) fails the producer's
+    // next send instead of leaving it blocked on a full channel.
+    let rx = Arc::new(Mutex::new(rx));
     let collected: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
     let stage_secs: Mutex<(f64, f64, f64)> = Mutex::new((0.0, 0.0, 0.0));
     let cycle_counts: Mutex<[u64; 10]> = Mutex::new([0; 10]);
@@ -347,44 +356,45 @@ where
 
     std::thread::scope(|s| {
         for _ in 0..threads {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             let work = &work;
             let collected = &collected;
             let stage_secs = &stage_secs;
             let cycle_counts = &cycle_counts;
-            s.spawn(move || {
-                for (index, unit) in rx {
-                    let out = work(unit);
-                    {
-                        let mut st = stage_secs.lock();
-                        st.0 += out.sweep_secs;
-                        st.1 += out.golden_secs;
-                        st.2 += out.trial_secs;
-                    }
-                    {
-                        let mut cc = cycle_counts.lock();
-                        cc[0] += out.cycles_simulated;
-                        cc[1] += out.cycles_saved;
-                        cc[2] += out.trials_cut;
-                        cc[3] += out.trials_pruned;
-                        cc[4] += out.cycles_pruned;
-                        cc[5] += out.checkpoint_hits;
-                        cc[6] += out.checkpoint_misses;
-                        cc[7] += out.warmup_cycles_saved;
-                        cc[8] += out.trials_cached;
-                        cc[9] += out.cycles_cached;
-                    }
-                    collected.lock().push((index, out.results));
+            s.spawn(move || loop {
+                // The receiver's guard drops at the end of this
+                // statement, so the lock is held only while waiting.
+                let Ok((index, unit)) = lock(&rx).recv() else { break };
+                let out = work(unit);
+                {
+                    let mut st = lock(stage_secs);
+                    st.0 += out.sweep_secs;
+                    st.1 += out.golden_secs;
+                    st.2 += out.trial_secs;
                 }
+                {
+                    let mut cc = lock(cycle_counts);
+                    cc[0] += out.cycles_simulated;
+                    cc[1] += out.cycles_saved;
+                    cc[2] += out.trials_cut;
+                    cc[3] += out.trials_pruned;
+                    cc[4] += out.cycles_pruned;
+                    cc[5] += out.checkpoint_hits;
+                    cc[6] += out.checkpoint_misses;
+                    cc[7] += out.warmup_cycles_saved;
+                    cc[8] += out.trials_cached;
+                    cc[9] += out.cycles_cached;
+                }
+                lock(collected).push((index, out.results));
             });
         }
         drop(rx);
 
         let p0 = Instant::now();
         let mut emit = |unit: U| {
-            // Workers only exit once all senders drop, so send cannot
-            // fail unless a worker panicked — propagate that instead of
-            // deadlocking.
+            // Workers only exit once the sender drops, so send cannot
+            // fail unless every worker panicked — propagate that instead
+            // of deadlocking.
             if tx.send((units, unit)).is_err() {
                 panic!("campaign worker pool shut down early");
             }
@@ -395,13 +405,14 @@ where
         drop(tx);
     });
 
-    let mut collected = collected.into_inner();
+    let mut collected = collected.into_inner().unwrap_or_else(PoisonError::into_inner);
     collected.sort_unstable_by_key(|&(index, _)| index);
     debug_assert!(collected.iter().enumerate().all(|(i, (idx, _))| i == *idx));
 
-    let (sweep_secs, golden_secs, trial_secs) = stage_secs.into_inner();
+    let (sweep_secs, golden_secs, trial_secs) =
+        stage_secs.into_inner().unwrap_or_else(PoisonError::into_inner);
     let [cycles_simulated, cycles_saved, trials_cut, trials_pruned, cycles_pruned, checkpoint_hits, checkpoint_misses, warmup_cycles_saved, trials_cached, cycles_cached] =
-        cycle_counts.into_inner();
+        cycle_counts.into_inner().unwrap_or_else(PoisonError::into_inner);
     let results: Vec<R> = collected.into_iter().flat_map(|(_, r)| r).collect();
     let stats = CampaignStats {
         threads,
@@ -429,6 +440,13 @@ where
         maps_loaded: 0,
     };
     (results, stats)
+}
+
+/// Locks `m`, ignoring poisoning: a worker that panicked holding a lock
+/// is propagated by the thread scope, and the counters it guards are
+/// only read after every worker has stopped.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -597,6 +615,29 @@ mod tests {
             reversed.merge(s);
         }
         assert_eq!(reversed, single);
+    }
+
+    /// Every worker panics on its first unit while the producer emits far
+    /// more units than the channel holds: once the last worker is gone
+    /// the producer's send must fail and panic, not block forever.
+    #[test]
+    fn panicking_workers_fail_the_producer_instead_of_deadlocking() {
+        let (done, outcome) = std::sync::mpsc::channel();
+        let campaign = std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                run_ordered(
+                    2,
+                    |emit| (0..1_000u32).for_each(emit),
+                    |_: u32| -> UnitOutput<u32> { panic!("worker failure") },
+                )
+            });
+            done.send(run.err().and_then(|e| e.downcast_ref::<&str>().copied())).ok();
+        });
+        let message = outcome
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the producer is still blocked a minute after its workers died");
+        assert_eq!(message, Some("campaign worker pool shut down early"));
+        campaign.join().expect("the campaign's panic was caught");
     }
 
     #[test]

@@ -38,6 +38,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_types,
+        reason = "unit tests may hash freely; no result depends on it"
+    )
+)]
 
 mod arch_campaign;
 mod cache;

@@ -17,6 +17,13 @@
 //!   coordinates yield independent, well-distributed seeds. Which
 //!   uniform sample each trial receives changes versus the serial
 //!   implementation; their joint distribution does not.
+//!
+//! Every campaign RNG is built by [`rng`] from a seed these streams
+//! derive; clippy's `disallowed-methods` rejects `seed_from_u64`
+//! anywhere else in the campaign code.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// One splitmix64 output step (Steele, Lea & Flood; public-domain
 /// constants). Advances `state` and returns the mixed output.
@@ -45,6 +52,15 @@ pub(crate) const DOMAIN_ARCH: u64 = 0x0061_7263_6841; // "archA"
 const STREAM_POINTS: u64 = 1;
 /// Stream tag: per-trial fault selection.
 const STREAM_TRIAL: u64 = 2;
+
+/// The campaign RNG for `seed`, a value drawn from a [`Seeder`] stream.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one campaign RNG constructor; its callers pass Seeder-derived seeds"
+)]
+pub(crate) fn rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed)
+}
 
 /// Derives per-unit seeds for one campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

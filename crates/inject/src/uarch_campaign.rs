@@ -29,12 +29,12 @@
 use crate::cache::TrialCache;
 use crate::campaign::{self, CampaignIo, FaultModel, TrialCost};
 use crate::engine::CampaignStats;
-use crate::seeding::DOMAIN_UARCH;
+use crate::seeding::{self, DOMAIN_UARCH};
 use crate::uarch_trial::{
     draw_bit, golden_run, predict_dead_trial, run_trial, GoldenRun, UarchTrial,
 };
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use restore_core::{config_digest, ConfigDigest, DetectorConfig};
 use restore_maskmap::{MapSource, UarchMaskMap};
 use restore_snapshot::SnapshotMachine;
@@ -167,7 +167,7 @@ impl Default for UarchCampaignConfig {
 /// plan is seeded per workload, so it never depends on other workloads
 /// or on execution order.
 fn plan_points(cfg: &UarchCampaignConfig, seed: u64) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = seeding::rng(seed);
     let span = (cfg.window_cycles * 4).max(1);
     // More points than span would make distinctness unsatisfiable.
     let want = cfg.points_per_workload.min(span as usize);
@@ -525,7 +525,7 @@ mod tests {
         let program = WorkloadId::Mcfx.build(cfg.scale);
         let mut pipe = restore_uarch::Pipeline::new(cfg.uarch.clone(), &program);
         let catalog = pipe.catalog();
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = seeding::rng(9);
         for _ in 0..200 {
             let bit = draw_bit(&mut rng, &catalog, cfg.target);
             let region = catalog.region_of(bit).unwrap();

@@ -10,7 +10,7 @@ use crate::Reg;
 use core::fmt;
 
 /// Width of a memory access in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemWidth {
     /// One byte (`ldbu`/`stb`), never alignment-checked.
     Byte,
@@ -43,7 +43,7 @@ impl MemWidth {
 
 /// Second source operand of an operate-format instruction: either a
 /// register or an 8-bit zero-extended literal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// Register operand (`rb`).
     Reg(Reg),
@@ -88,7 +88,7 @@ impl fmt::Display for Operand {
 /// The `*V` variants raise an arithmetic overflow trap on signed overflow,
 /// mirroring Alpha's `/V` qualifier; they are one of the exception sources
 /// the ReStore paper lists as a soft error symptom.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
     /// 32-bit add; the result is sign-extended to 64 bits.
     Addl,
@@ -251,7 +251,7 @@ impl AluOp {
 }
 
 /// Conditional branch conditions, evaluated against register `ra`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchCond {
     /// Branch if low bit clear.
     Lbc,
@@ -308,7 +308,7 @@ impl BranchCond {
 /// The hint does not change dataflow semantics (all jump to `rb & !3` and
 /// write the return address to `ra`) but steers the return address stack in
 /// the branch predictor, which matters for ReStore's mispredict symptom.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JumpKind {
     /// Plain indirect jump.
     Jmp,
@@ -333,7 +333,7 @@ impl JumpKind {
 }
 
 /// PAL (privileged architecture library) calls — the ISA's syscall layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PalFunc {
     /// Stop the machine; the program is complete.
     Halt,
@@ -344,7 +344,7 @@ pub enum PalFunc {
 }
 
 /// Memory barrier flavours (checkpoint-forcing synchronisation events).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FenceKind {
     /// Memory barrier.
     Mb,
@@ -359,9 +359,11 @@ pub enum FenceKind {
 /// (used by fault injection into instruction-carrying latches) is produced
 /// by [`Inst::encode`] and consumed by
 /// [`decode`](crate::decode()).
-#[allow(missing_docs)]
-// operand roles (`ra`, `rb`, `rc`, `disp`) are fixed by the format and described in each variant's doc
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[allow(
+    missing_docs,
+    reason = "operand roles (`ra`, `rb`, `rc`, `disp`) are fixed by the format and described in each variant's doc"
+)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// PAL call.
     Pal(PalFunc),

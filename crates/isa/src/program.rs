@@ -23,7 +23,7 @@ pub mod layout {
 }
 
 /// One contiguous initialised data region.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataSegment {
     /// Base virtual address.
     pub base: u64,
@@ -38,7 +38,7 @@ pub struct DataSegment {
 /// Produced by [`Asm::finish`](crate::Asm::finish) (text) plus manual
 /// data-segment construction; consumed by the architectural simulator and
 /// the microarchitectural pipeline's memory image loader.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// Human-readable name (workload id).
     pub name: String,

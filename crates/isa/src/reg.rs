@@ -21,9 +21,7 @@ use core::fmt;
 /// assert_eq!(r, Reg::SP);
 /// assert!(Reg::new(32).is_none());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(u8);
 
 impl Reg {

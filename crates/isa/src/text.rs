@@ -27,7 +27,7 @@
 //! ```
 
 use crate::{layout, AluOp, Asm, AsmError, BranchCond, Inst, JumpKind, Label, Program, Reg};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Errors from the text assembler, with a 1-based line number.
@@ -140,12 +140,12 @@ enum Section {
 /// ```
 pub fn assemble_text(source: &str) -> Result<Program, ParseError> {
     let mut a = Asm::new("text-asm", layout::TEXT_BASE);
-    let mut labels: HashMap<String, Label> = HashMap::new();
+    let mut labels: BTreeMap<String, Label> = BTreeMap::new();
     let mut segments: Vec<(u64, Vec<u8>, bool)> = Vec::new();
     let mut section = Section::Text;
     let err = |line: usize, m: String| ParseError { line, message: m };
 
-    fn label_of(labels: &mut HashMap<String, Label>, a: &mut Asm, name: &str) -> Label {
+    fn label_of(labels: &mut BTreeMap<String, Label>, a: &mut Asm, name: &str) -> Label {
         *labels.entry(name.to_string()).or_insert_with(|| a.label())
     }
 

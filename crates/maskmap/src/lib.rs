@@ -91,7 +91,6 @@ use restore_uarch::state::{width_mask, StateVisitor};
 use restore_uarch::{FaultState, FieldClass, Pipeline, StateCatalog, StateKind, Stop, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
 use std::any::Any;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -1199,9 +1198,16 @@ fn clipped_len(runs: &[(u32, u32)], clip: u32) -> u64 {
     runs.iter().map(|&(s, e)| u64::from(e.min(clip).saturating_sub(s))).sum()
 }
 
-/// Length of the intersection of `runs` with `[lo, hi)`.
+/// Length of the intersection of `runs` (sorted, disjoint) with
+/// `[lo, hi)`: the scan starts at the first run ending after `lo` and
+/// stops at the first one starting at or after `hi`.
 fn overlap_len(runs: &[(u32, u32)], lo: u32, hi: u32) -> u64 {
-    runs.iter().map(|&(s, e)| u64::from(e.min(hi).saturating_sub(s.max(lo)))).sum()
+    let first = runs.partition_point(|&(_, e)| e <= lo);
+    runs[first..]
+        .iter()
+        .take_while(|&&(s, _)| s < hi)
+        .map(|&(s, e)| u64::from(e.min(hi) - s.max(lo)))
+        .sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -1877,8 +1883,12 @@ pub enum MapSource {
 /// only to find or insert the slot, and the slot's `OnceLock` runs the
 /// load-or-build exactly once while every other caller for the same
 /// key waits on it. Distinct keys resolve concurrently.
-// determinism: allow -- keyed lookup only; the registry is never iterated for output
-type Registry<M> = OnceLock<Mutex<HashMap<(WorkloadId, u64), Arc<OnceLock<Arc<M>>>>>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookup only; the registry is never iterated for output"
+)]
+type Registry<M> =
+    OnceLock<Mutex<std::collections::HashMap<(WorkloadId, u64), Arc<OnceLock<Arc<M>>>>>>;
 
 /// Serves `key` from `registry`, running `resolve` if no caller has.
 fn resolve_slot<M>(
@@ -2628,6 +2638,32 @@ mod tests {
             }
         }
         walked(&mut Straddling(0, 0));
+    }
+
+    proptest::proptest! {
+        /// The early-stopping overlap scan equals the sum over every run
+        /// on sorted, disjoint runs (adjacent ones included), for
+        /// windows inside, across and beyond them.
+        #[test]
+        fn overlap_len_equals_the_naive_sum(
+            gaps in proptest::collection::vec((0u32..6, 1u32..6), 0..24),
+            lo in 0u32..150,
+            len in 0u32..150,
+        ) {
+            let mut end = 0;
+            let runs: Vec<(u32, u32)> = gaps
+                .iter()
+                .map(|&(gap, run)| {
+                    let s = end + gap;
+                    end = s + run;
+                    (s, end)
+                })
+                .collect();
+            let hi = lo + len;
+            let naive: u64 =
+                runs.iter().map(|&(s, e)| u64::from(e.min(hi).saturating_sub(s.max(lo)))).sum();
+            proptest::prop_assert_eq!(overlap_len(&runs, lo, hi), naive, "{:?} over [{}, {})", runs, lo, hi);
+        }
     }
 
     proptest::proptest! {

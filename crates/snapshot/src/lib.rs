@@ -54,13 +54,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use parking_lot::Mutex;
 use restore_arch::state::{FieldClass, StateHasher, StateKind, StateVisitor};
 use restore_arch::Cpu;
 use restore_uarch::{Pipeline, Stop};
 use std::any::Any;
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A machine whose golden run can be checkpointed: it advances along a
 /// monotone sweep coordinate (pipeline cycles, retired instructions),
@@ -373,12 +371,21 @@ pub struct LibraryKey {
     pub stride: u64,
 }
 
-// determinism: allow -- keyed lookup only; the cache is never iterated for output
-type CacheMap = HashMap<LibraryKey, Arc<dyn Any + Send + Sync>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookup only; the cache is never iterated for output"
+)]
+type CacheMap = std::collections::HashMap<LibraryKey, Arc<dyn Any + Send + Sync>>;
 
-fn cache() -> &'static Mutex<CacheMap> {
+fn cache() -> MutexGuard<'static, CacheMap> {
     static CACHE: OnceLock<Mutex<CacheMap>> = OnceLock::new();
-    CACHE.get_or_init(Mutex::default)
+    lock(CACHE.get_or_init(Mutex::default))
+}
+
+/// Locks `m`, ignoring poisoning as the cache always has: a panic under
+/// the lock already fails the campaign that held it.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs `f` with exclusive access to the library for `key`, creating it
@@ -408,7 +415,7 @@ where
     M: SnapshotMachine + Send + 'static,
 {
     let (slot, created): (Arc<Mutex<GoldenCheckpointLibrary<M>>>, bool) = {
-        let mut map = cache().lock();
+        let mut map = cache();
         match map.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => (
                 Arc::clone(e.get())
@@ -423,20 +430,20 @@ where
             }
         }
     };
-    let mut lib = slot.lock();
+    let mut lib = lock(&slot);
     f(&mut lib, created)
 }
 
 /// Number of libraries currently memoized (all machine types).
 pub fn cached_libraries() -> usize {
-    cache().lock().len()
+    cache().len()
 }
 
 /// Drops every memoized library, forcing the next campaign to rebuild
 /// cold. Benchmarks use this to measure cold-vs-warm producer cost;
 /// in-flight campaigns keep their own `Arc` and are unaffected.
 pub fn clear_library_cache() {
-    cache().lock().clear();
+    cache().clear();
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Minimal JSON value model, parser and canonical writer.
 //!
-//! The workspace's `serde` is an offline shim (marker traits only), so
-//! the store hand-rolls its wire format the way `restore-audit` does.
+//! The workspace has no serialization dependency (the build is
+//! offline), so the store hand-rolls its wire format the way
+//! `restore-audit` does.
 //! The subset is exactly what trial records need — `null`, booleans,
 //! integers (unsigned and signed, never floats), strings, arrays and
 //! objects — and the writer is *canonical*: objects preserve insertion

@@ -28,9 +28,9 @@
 //!   lookup — stale records are inert, never corrupting.
 //!
 //! The record payload is pluggable via [`Payload`]; `restore-inject`
-//! provides codecs for its arch and µarch trial types. The workspace's
-//! `serde` is an offline shim, so the wire format is the hand-rolled
-//! [`Json`] model in this crate.
+//! provides codecs for its arch and µarch trial types. The workspace
+//! has no serialization dependency, so the wire format is the
+//! hand-rolled [`Json`] model in this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

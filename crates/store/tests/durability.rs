@@ -10,6 +10,12 @@
 //! complete record. A crash never leaves a bad line *before* a valid
 //! one, so such damage fails the open and the file keeps every byte.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the reference model is checked entry by entry, and each proptest case seeds its RNG"
+)]
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -35,6 +35,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_types,
+        reason = "unit tests may hash freely; no result depends on it"
+    )
+)]
 
 pub mod bzip2x;
 pub mod gapx;
@@ -186,9 +193,13 @@ const RUN_LENGTH_BUDGET: u64 = 5_000_000;
 /// Panics if the kernel faults (workloads are exception-free by
 /// construction).
 pub fn run_length(id: WorkloadId, scale: Scale) -> u64 {
-    use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<HashMap<(WorkloadId, Scale), u64>>> = OnceLock::new();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only; the cache is never iterated for output"
+    )]
+    static CACHE: OnceLock<Mutex<std::collections::HashMap<(WorkloadId, Scale), u64>>> =
+        OnceLock::new();
     let cache = CACHE.get_or_init(Mutex::default);
     if let Some(&len) = cache.lock().unwrap().get(&(id, scale)) {
         return len;

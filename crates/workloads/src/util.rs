@@ -10,6 +10,10 @@ pub fn words_to_bytes(words: &[u64]) -> Vec<u8> {
 }
 
 /// Deterministic RNG for workload data generation.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "workload data is seeded by each generator's fixed scale seed, not a campaign stream"
+)]
 pub fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }

@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(clippy::disallowed_methods, reason = "a benchmark harness measures wall time")]
 
 use std::io::Write as _;
 use std::time::{Duration, Instant};

@@ -11,6 +11,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "case RNGs are seeded from the case number, which is what makes failures replay"
+)]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -13,6 +13,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "this crate defines `seed_from_u64`; its tests seed literals to pin its streams"
+)]
 
 use std::ops::{Range, RangeInclusive};
 
