@@ -27,11 +27,6 @@
 //! `(workload, point, trial)` coordinates ([`crate::seeding`]), and the
 //! engine reassembles unit results in emission (= plan) order.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "the campaign driver times its phases for CampaignStats; wall time never reaches a result"
-)]
-
 use crate::cache::TrialCache;
 use crate::engine::{effective_threads, run_ordered, CampaignStats, UnitOutput};
 use crate::seeding::{self, Seeder};
@@ -263,6 +258,10 @@ where
 /// and the machine a worker ends up with there is the golden run's
 /// whichever way the library served it: the simulators are
 /// deterministic and snapshot restores are fingerprint-verified.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the campaign driver times its phases for CampaignStats; wall time never reaches a result"
+)]
 fn run_campaign<F: FaultModel>(
     model: &F,
     workloads: &[(usize, WorkloadId)],

@@ -18,11 +18,6 @@
 //! sweeper instead of letting it race ahead. `--threads 1` is the same
 //! engine with one worker, not a separate code path.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "the engine times itself for CampaignStats; wall time never reaches a result"
-)]
-
 use std::fmt;
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -328,6 +323,10 @@ impl<R> Default for UnitOutput<R> {
 /// flattened results are returned ordered by emission index. `work` runs
 /// concurrently with `produce`, so a unit emitted while the sweeper is
 /// still advancing may already be complete.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the engine times itself for CampaignStats; wall time never reaches a result"
+)]
 pub(crate) fn run_ordered<U, R>(
     threads: usize,
     produce: impl FnOnce(&mut dyn FnMut(U)),

@@ -68,10 +68,13 @@
 //! ([`UarchMaskMap::census_check`]), and by `--prune audit`, which runs
 //! every trial as the exhaustive reference too.
 //!
-//! µarch maps are memoized process-wide (like the golden checkpoint
-//! library) and persisted next to the trial store as
-//! `maskmap-uarch-<workload>-<digest>.json`, varint+hex delta-encoded
-//! so sharded campaign runs compute each map once per shard *set*.
+//! A map holds each interval family in its wire encoding: one buffer of
+//! canonical varint deltas per family, with a sparse skip index that
+//! keeps every lookup logarithmic. µarch maps are memoized process-wide
+//! (like the golden checkpoint library) and persisted next to the trial
+//! store as `maskmap-uarch-<workload>-<digest>.json`, the same bytes
+//! hex-encoded, so sharded campaign runs compute each map once per
+//! shard *set*.
 //! Each `(workload, digest)` key builds at most once per process, and
 //! distinct keys build concurrently: campaigns resolve their maps up
 //! front over their worker threads ([`resolve_maps`]).
@@ -91,6 +94,9 @@ use restore_uarch::state::{width_mask, StateVisitor};
 use restore_uarch::{FaultState, FieldClass, Pipeline, StateCatalog, StateKind, Stop, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
 use std::any::Any;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -100,10 +106,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 const VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------------
-// Varint + hex wire helpers — the map's run lists are long arrays of
-// small deltas; LEB128 varints inside hex strings keep the JSON files
-// ~5-10x smaller than literal integer arrays while staying inside the
-// store's float-free `Json` model.
+// The wire encoding, which maps also keep in memory. An interval family
+// is one buffer of LEB128 varints: per key (an occupancy group or a
+// field) a stream of entries, each delta-coded against the end of the
+// entry before it. The map files hex-encode each stream as one JSON
+// string, ~5-10x smaller than literal integer arrays while staying
+// inside the store's float-free `Json` model; in memory the bytes take
+// about a quarter of the decoded vectors' space.
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -117,18 +126,23 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn hex(bytes: &[u8]) -> String {
+/// Writes `bytes` as a JSON string of lowercase hex digits.
+fn write_hex(out: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        s.push(char::from(DIGITS[usize::from(b >> 4)]));
-        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
+    let mut buf = [0u8; 1024];
+    out.write_all(b"\"")?;
+    for chunk in bytes.chunks(buf.len() / 2) {
+        for (pair, &b) in buf.as_chunks_mut::<2>().0.iter_mut().zip(chunk) {
+            *pair = [DIGITS[usize::from(b >> 4)], DIGITS[usize::from(b & 0xf)]];
+        }
+        out.write_all(&buf[..2 * chunk.len()])?;
     }
-    s
+    out.write_all(b"\"")
 }
 
-/// Decodes what [`hex`] writes: an even number of lowercase hex digits.
-fn unhex(s: &str) -> Option<Vec<u8>> {
+/// Appends to `out` what [`write_hex`] writes between its quotes: an
+/// even number of lowercase hex digits.
+fn unhex_into(s: &str, out: &mut Vec<u8>) -> Option<()> {
     let digit = |b: u8| match b {
         b'0'..=b'9' => Some(b - b'0'),
         b'a'..=b'f' => Some(b - b'a' + 10),
@@ -138,35 +152,45 @@ fn unhex(s: &str) -> Option<Vec<u8>> {
     if !rest.is_empty() {
         return None;
     }
-    pairs.iter().map(|&[hi, lo]| Some(digit(hi)? << 4 | digit(lo)?)).collect()
+    out.reserve(pairs.len());
+    for &[hi, lo] in pairs {
+        out.push(digit(hi)? << 4 | digit(lo)?);
+    }
+    Some(())
 }
 
-/// Sequential varint reader over a decoded byte buffer.
+/// Sequential reader of canonical varints: each value's shortest
+/// encoding, so a stream's bytes are a function of its entries and
+/// byte equality is map equality.
 struct VarReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> VarReader<'a> {
-    fn new(bytes: &'a [u8]) -> VarReader<'a> {
-        VarReader { bytes, pos: 0 }
+impl VarReader<'_> {
+    #[inline]
+    fn read(&mut self) -> Option<u64> {
+        let b = *self.bytes.get(self.pos)?;
+        if b < 0x80 {
+            self.pos += 1;
+            return Some(u64::from(b));
+        }
+        self.read_long()
     }
 
-    fn read(&mut self) -> Option<u64> {
+    fn read_long(&mut self) -> Option<u64> {
         let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
+        for shift in (0..64).step_by(7) {
             let b = *self.bytes.get(self.pos)?;
             self.pos += 1;
-            if shift >= 64 {
-                return None;
-            }
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
-                return Some(v);
+                // A zero last byte only pads, and a tenth byte holds
+                // bit 63 alone.
+                return (b != 0 && (shift < 63 || b == 1)).then_some(v);
             }
-            shift += 7;
         }
+        None
     }
 
     fn done(&self) -> bool {
@@ -174,109 +198,299 @@ impl<'a> VarReader<'a> {
     }
 }
 
-fn encode_pairs(runs: &[(u32, u32)]) -> String {
+/// `base` plus the next varint, if the sum is a cycle.
+#[inline]
+fn cycle_after(r: &mut VarReader<'_>, base: u32) -> Option<u32> {
+    u32::try_from(u64::from(base).checked_add(r.read()?)?).ok()
+}
+
+/// One entry of an interval stream: a cycle (a stamp, a write), a dead
+/// run `(start, end)` or a mask run `(start, end, mask)`, runs half-open.
+trait Entry: Copy {
+    /// Decodes the entry after one ending at `prev` (`0` for the first).
+    fn read(r: &mut VarReader<'_>, prev: u32) -> Option<Self>;
+    /// Encodes it after one ending at `prev`.
+    fn write(self, out: &mut Vec<u8>, prev: u32);
+    /// Its first cycle.
+    fn start(self) -> u32;
+    /// The cycle it ends at, which the next entry is coded against.
+    fn end(self) -> u32;
+    /// Whether a build recording cycles `0..=last` can produce it after
+    /// an entry ending at `prev` (`None`: it is the first).
+    fn fits(self, prev: Option<u32>, last: u32) -> bool;
+}
+
+/// A dead run: `[start, end)`.
+type Run = (u32, u32);
+/// A mask run: `[start, end)` and the mask it holds.
+type MaskRun = (u32, u32, u64);
+
+impl Entry for u32 {
+    #[inline]
+    fn read(r: &mut VarReader<'_>, prev: u32) -> Option<u32> {
+        cycle_after(r, prev)
+    }
+
+    fn write(self, out: &mut Vec<u8>, prev: u32) {
+        push_varint(out, u64::from(self - prev));
+    }
+
+    fn start(self) -> u32 {
+        self
+    }
+
+    fn end(self) -> u32 {
+        self
+    }
+
+    /// Strictly increasing, at or before `last`.
+    fn fits(self, prev: Option<u32>, last: u32) -> bool {
+        prev.is_none_or(|p| p < self) && self <= last
+    }
+}
+
+impl Entry for Run {
+    #[inline]
+    fn read(r: &mut VarReader<'_>, prev: u32) -> Option<Run> {
+        let s = cycle_after(r, prev)?;
+        Some((s, cycle_after(r, s)?))
+    }
+
+    fn write(self, out: &mut Vec<u8>, prev: u32) {
+        let (s, e) = self;
+        push_varint(out, u64::from(s - prev));
+        push_varint(out, u64::from(e - s));
+    }
+
+    fn start(self) -> u32 {
+        self.0
+    }
+
+    fn end(self) -> u32 {
+        self.1
+    }
+
+    /// Nonempty, ending by `last + 1`.
+    fn fits(self, _prev: Option<u32>, last: u32) -> bool {
+        let (s, e) = self;
+        s < e && u64::from(e) <= u64::from(last) + 1
+    }
+}
+
+impl Entry for MaskRun {
+    #[inline]
+    fn read(r: &mut VarReader<'_>, prev: u32) -> Option<MaskRun> {
+        let (s, e) = Run::read(r, prev)?;
+        Some((s, e, r.read()?))
+    }
+
+    fn write(self, out: &mut Vec<u8>, prev: u32) {
+        let (s, e, m) = self;
+        (s, e).write(out, prev);
+        push_varint(out, m);
+    }
+
+    fn start(self) -> u32 {
+        self.0
+    }
+
+    fn end(self) -> u32 {
+        self.1
+    }
+
+    fn fits(self, prev: Option<u32>, last: u32) -> bool {
+        let (s, e, _) = self;
+        (s, e).fits(prev, last)
+    }
+}
+
+/// Entries between two marks of a stream's skip index.
+const SKIP: u32 = 32;
+
+/// Where a key's stream starts in [`Family::bytes`] and its marks in
+/// [`Family::skips`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Start {
+    byte: u32,
+    skip: u32,
+}
+
+/// A skip-index mark: the end of the entry before the marked one,
+/// which decoding resumes from, and the marked entry's byte offset.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Skip {
+    prev: u32,
+    at: u32,
+}
+
+/// One interval family in its wire encoding: every key's stream of
+/// entries, concatenated, and a skip index marking every [`SKIP`]-th
+/// entry of each stream after its first. A lookup binary-searches the
+/// marks and decodes at most one gap between them.
+#[derive(Debug, PartialEq)]
+struct Family<E> {
+    bytes: Vec<u8>,
+    /// Per key, and once more past the last one.
+    starts: Vec<Start>,
+    skips: Vec<Skip>,
+    entry: PhantomData<E>,
+}
+
+impl<E: Entry> Family<E> {
+    fn new() -> Family<E> {
+        Family {
+            bytes: Vec::new(),
+            starts: vec![Start { byte: 0, skip: 0 }],
+            skips: Vec::new(),
+            entry: PhantomData,
+        }
+    }
+
+    /// Number of streams.
+    fn keys(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Closes the next key's stream, the bytes appended since the
+    /// previous one, and indexes it, in one decoding pass. `None` if an
+    /// entry is not one a build recording cycles `0..=last` produces, or
+    /// its varints are not canonical; the family is then unusable.
+    fn close(&mut self, last: u32) -> Option<()> {
+        let from = self.starts[self.keys()].byte as usize;
+        let mut r = VarReader { bytes: &self.bytes, pos: from };
+        let (mut prev, mut n) = (None, 0u32);
+        while !r.done() {
+            if let Some(prev) = prev.filter(|_| n.is_multiple_of(SKIP)) {
+                self.skips.push(Skip { prev, at: u32::try_from(r.pos).ok()? });
+            }
+            let e = E::read(&mut r, prev.unwrap_or(0))?;
+            if !e.fits(prev, last) {
+                return None;
+            }
+            (prev, n) = (Some(e.end()), n + 1);
+        }
+        let byte = u32::try_from(self.bytes.len()).ok()?;
+        let skip = u32::try_from(self.skips.len()).ok()?;
+        self.starts.push(Start { byte, skip });
+        Some(())
+    }
+
+    /// Key `k`'s entries, in order.
+    fn entries(&self, k: usize) -> Entries<'_, E> {
+        let (lo, hi) = (self.starts[k], self.starts[k + 1]);
+        Entries::at(&self.bytes[..hi.byte as usize], lo.byte, 0)
+    }
+
+    /// Key `k`'s entries from one at or before the first that ends
+    /// after `c`: every entry it skips ends at or before `c`.
+    #[inline]
+    fn from(&self, k: usize, c: u32) -> Entries<'_, E> {
+        let (lo, hi) = (self.starts[k], self.starts[k + 1]);
+        let skips = &self.skips[lo.skip as usize..hi.skip as usize];
+        let (prev, at) = match skips.partition_point(|s| s.prev <= c) {
+            0 => (0, lo.byte),
+            i => (skips[i - 1].prev, skips[i - 1].at),
+        };
+        Entries::at(&self.bytes[..hi.byte as usize], at, prev)
+    }
+
+    /// Key `k`'s first entry ending after `c`.
+    #[inline]
+    fn first_after(&self, k: usize, c: u32) -> Option<E> {
+        self.from(k, c).find(|e| e.end() > c)
+    }
+
+    /// Key `k`'s run containing `c`, if any.
+    #[inline]
+    fn run_at(&self, k: usize, c: u32) -> Option<E> {
+        self.first_after(k, c).filter(|e| e.start() <= c)
+    }
+
+    /// Writes `,"key":[…]`, one hex string per stream.
+    fn write_json(&self, out: &mut impl Write, key: &str) -> io::Result<()> {
+        write!(out, ",\"{key}\":[")?;
+        for (k, w) in self.starts.windows(2).enumerate() {
+            if k > 0 {
+                out.write_all(b",")?;
+            }
+            write_hex(out, &self.bytes[w[0].byte as usize..w[1].byte as usize])?;
+        }
+        out.write_all(b"]")
+    }
+
+    /// Decodes `v[key]`, an array of `keys` hex strings, as a build
+    /// recording cycles `0..=last` would have written it.
+    fn decode(v: &Json, key: &str, keys: usize, last: u32) -> Option<Family<E>> {
+        let texts = v.get(key).and_then(Json::as_array).filter(|t| t.len() == keys)?;
+        let mut family = Family::new();
+        let bytes = texts.iter().filter_map(Json::as_str).map(|s| s.len() / 2).sum();
+        family.bytes.reserve_exact(bytes);
+        family.starts.reserve_exact(keys);
+        for text in texts {
+            unhex_into(text.as_str()?, &mut family.bytes)?;
+            family.close(last)?;
+        }
+        family.skips.shrink_to_fit();
+        Some(family)
+    }
+}
+
+/// A stream's entries from one byte offset on.
+struct Entries<'a, E> {
+    r: VarReader<'a>,
+    prev: u32,
+    entry: PhantomData<E>,
+}
+
+impl<'a, E> Entries<'a, E> {
+    /// Decodes `bytes` from offset `at`, the entry there coded against
+    /// `prev`.
+    #[inline]
+    fn at(bytes: &'a [u8], at: u32, prev: u32) -> Entries<'a, E> {
+        Entries { r: VarReader { bytes, pos: at as usize }, prev, entry: PhantomData }
+    }
+}
+
+impl<E: Entry> Iterator for Entries<'_, E> {
+    type Item = E;
+
+    #[inline]
+    fn next(&mut self) -> Option<E> {
+        if self.r.done() {
+            return None;
+        }
+        let e = E::read(&mut self.r, self.prev)?;
+        self.prev = e.end();
+        Some(e)
+    }
+}
+
+/// The drain horizon's wire bytes: each cycle's delta from the one
+/// before.
+fn encode_drain(drain_end: &[u32]) -> Vec<u8> {
     let mut bytes = Vec::new();
-    let mut prev_end = 0u32;
-    for &(s, e) in runs {
-        push_varint(&mut bytes, u64::from(s - prev_end));
-        push_varint(&mut bytes, u64::from(e - s));
-        prev_end = e;
+    let mut prev = 0;
+    for &d in drain_end {
+        d.write(&mut bytes, prev);
+        prev = d;
     }
-    hex(&bytes)
+    bytes
 }
 
-fn decode_pairs(text: &str) -> Option<Vec<(u32, u32)>> {
-    let bytes = unhex(text)?;
-    let mut r = VarReader::new(&bytes);
-    let mut runs = Vec::new();
-    let mut prev_end = 0u64;
-    while !r.done() {
-        let s = prev_end.checked_add(r.read()?)?;
-        let e = s.checked_add(r.read()?)?;
-        runs.push((u32::try_from(s).ok()?, u32::try_from(e).ok()?));
-        prev_end = e;
-    }
-    Some(runs)
-}
-
-fn encode_stamps(stamps: &[u32]) -> String {
+/// Decodes a drain horizon: `last + 1` cycles, nondecreasing (the
+/// delta encoding cannot express a decrease), each at or before `last`
+/// or at the no-proof marker.
+fn decode_drain(text: &str, last: u32) -> Option<Vec<u32>> {
     let mut bytes = Vec::new();
-    let mut prev = 0u32;
-    for &s in stamps {
-        push_varint(&mut bytes, u64::from(s - prev));
-        prev = s;
-    }
-    hex(&bytes)
-}
-
-fn decode_stamps(text: &str) -> Option<Vec<u32>> {
-    let bytes = unhex(text)?;
-    let mut r = VarReader::new(&bytes);
-    let mut stamps = Vec::new();
-    let mut prev = 0u64;
+    unhex_into(text, &mut bytes)?;
+    let mut r = VarReader { bytes: &bytes, pos: 0 };
+    let mut drain = Vec::with_capacity(bytes.len().min(last as usize + 1));
+    let mut prev = 0;
     while !r.done() {
-        prev = prev.checked_add(r.read()?)?;
-        stamps.push(u32::try_from(prev).ok()?);
+        prev = cycle_after(&mut r, prev).filter(|&d| d <= last || d == u32::MAX)?;
+        drain.push(prev);
     }
-    Some(stamps)
-}
-
-fn encode_mask_runs(runs: &[(u32, u32, u64)]) -> String {
-    let mut bytes = Vec::new();
-    let mut prev_end = 0u32;
-    for &(s, e, m) in runs {
-        push_varint(&mut bytes, u64::from(s - prev_end));
-        push_varint(&mut bytes, u64::from(e - s));
-        push_varint(&mut bytes, m);
-        prev_end = e;
-    }
-    hex(&bytes)
-}
-
-fn decode_mask_runs(text: &str) -> Option<Vec<(u32, u32, u64)>> {
-    let bytes = unhex(text)?;
-    let mut r = VarReader::new(&bytes);
-    let mut runs = Vec::new();
-    let mut prev_end = 0u64;
-    while !r.done() {
-        let s = prev_end.checked_add(r.read()?)?;
-        let e = s.checked_add(r.read()?)?;
-        let m = r.read()?;
-        runs.push((u32::try_from(s).ok()?, u32::try_from(e).ok()?, m));
-        prev_end = e;
-    }
-    Some(runs)
-}
-
-fn str_array<'j>(v: &'j Json, key: &str, len: usize) -> Option<Vec<&'j str>> {
-    let arr = v.get(key).and_then(Json::as_array)?;
-    if arr.len() != len {
-        return None;
-    }
-    arr.iter().map(Json::as_str).collect()
-}
-
-// ---------------------------------------------------------------------------
-// Interval query helpers.
-
-/// End of the run in `runs` (sorted, disjoint, half-open) containing
-/// `pos`, if any.
-fn run_end(runs: &[(u32, u32)], pos: u32) -> Option<u32> {
-    run_at(runs, pos).map(|(_, e)| e)
-}
-
-/// Index and end of the run in `runs` containing `pos`, if any.
-fn run_at(runs: &[(u32, u32)], pos: u32) -> Option<(usize, u32)> {
-    let i = runs.partition_point(|&(s, _)| s <= pos).checked_sub(1)?;
-    let (_, e) = runs[i];
-    (pos < e).then_some((i, e))
-}
-
-/// End of the mask run containing `pos` whose mask covers `rel_bit`.
-fn mask_run_end(runs: &[(u32, u32, u64)], rel_bit: u32, pos: u32) -> Option<u32> {
-    let i = runs.partition_point(|&(s, _, _)| s <= pos).checked_sub(1)?;
-    let (_, e, m) = runs[i];
-    (pos < e && (m >> rel_bit) & 1 == 1).then_some(e)
+    (drain.len() == last as usize + 1).then_some(drain)
 }
 
 /// Where one [`StateVisitor::entry`] sits in the field and mark
@@ -331,28 +545,32 @@ impl Copies {
     }
 }
 
-/// Per-key streams (per field or per group) of a build's output,
-/// appended through a short log that is distributed key by key when
-/// full: an append touches the log's tail, not one of thousands of
-/// stream tails, and each stream grows by whole runs.
+/// Per-key streams (per field or per group) of one family of a build's
+/// output, encoded as they grow. Appends go through a short log that is
+/// distributed key by key when full: an append touches the log's tail,
+/// not one of thousands of stream tails, and each stream grows by whole
+/// runs.
 #[derive(Debug)]
-struct Streams<T> {
-    keys: Vec<Vec<T>>,
+struct Streams<E> {
+    /// Per key: its entries' wire bytes, and the end of its latest entry.
+    keys: Vec<Vec<u8>>,
+    prev: Vec<u32>,
     /// Appends not yet distributed, in order.
-    log: Vec<(u32, T)>,
+    log: Vec<(u32, E)>,
     /// Distribution scratch: per key its slots' end, and the log's
     /// items grouped by key.
     ends: Vec<u32>,
-    grouped: Vec<T>,
+    grouped: Vec<E>,
 }
 
-impl<T: Copy + Default> Streams<T> {
+impl<E: Entry + Default> Streams<E> {
     /// Appends the log holds before it is distributed.
     const LOG: usize = 4096;
 
-    fn new(keys: usize) -> Streams<T> {
+    fn new(keys: usize) -> Streams<E> {
         Streams {
             keys: vec![Vec::new(); keys],
+            prev: vec![0; keys],
             log: Vec::with_capacity(Self::LOG),
             ends: Vec::new(),
             grouped: Vec::new(),
@@ -360,15 +578,15 @@ impl<T: Copy + Default> Streams<T> {
     }
 
     #[inline]
-    fn push(&mut self, key: usize, item: T) {
+    fn push(&mut self, key: usize, item: E) {
         self.log.push((key as u32, item));
         if self.log.len() == Self::LOG {
             self.distribute();
         }
     }
 
-    /// Moves the log into the streams, keeping each key's order: a
-    /// counting sort by key, then one append per key.
+    /// Encodes the log into the streams, keeping each key's order: a
+    /// counting sort by key, then one run of appends per key.
     #[inline(never)]
     fn distribute(&mut self) {
         self.ends.clear();
@@ -384,30 +602,38 @@ impl<T: Copy + Default> Streams<T> {
         // `ends[k]` is key `k`'s first slot; placing its items moves it
         // to its last slot plus one.
         self.grouped.clear();
-        self.grouped.resize(self.log.len(), T::default());
+        self.grouped.resize(self.log.len(), E::default());
         for &(k, item) in &self.log {
             let slot = &mut self.ends[k as usize];
             self.grouped[*slot as usize] = item;
             *slot += 1;
         }
         let mut start = 0;
-        for (stream, &end) in self.keys.iter_mut().zip(&self.ends) {
-            if end > start {
-                stream.extend_from_slice(&self.grouped[start as usize..end as usize]);
-                start = end;
+        for ((stream, prev), &end) in self.keys.iter_mut().zip(&mut self.prev).zip(&self.ends) {
+            for &item in &self.grouped[start as usize..end as usize] {
+                item.write(stream, *prev);
+                *prev = item.end();
             }
+            start = end;
         }
         self.log.clear();
     }
 
-    /// The streams, each with no spare capacity: the registry keeps
-    /// every map for the life of the process.
-    fn finish(mut self) -> Vec<Vec<T>> {
+    /// The family the streams make, for a build that recorded cycles
+    /// `0..=last`. Each stream is freed once copied, so the family's one
+    /// buffer, which the registry keeps for the life of the process, is
+    /// the only one left.
+    fn finish(mut self, last: u32) -> Family<E> {
         self.distribute();
-        for stream in &mut self.keys {
-            stream.shrink_to_fit();
+        let mut family = Family::new();
+        family.bytes.reserve_exact(self.keys.iter().map(Vec::len).sum());
+        family.starts.reserve_exact(self.keys.len());
+        for stream in self.keys {
+            family.bytes.extend_from_slice(&stream);
+            family.close(last).expect("a build records canonical, well-formed streams");
         }
-        self.keys
+        family.skips.shrink_to_fit();
+        family
     }
 }
 
@@ -813,9 +1039,9 @@ struct Tracker {
     pending: Vec<bool>,
     /// Per entry: the replica's copy after the latest shadow walk.
     shadow_copies: Copies,
-    dead_runs: Streams<(u32, u32)>,
+    dead_runs: Streams<Run>,
     stamps: Streams<u32>,
-    mask_runs: Streams<(u32, u32, u64)>,
+    mask_runs: Streams<MaskRun>,
     writes: Streams<u32>,
 }
 
@@ -1033,10 +1259,10 @@ impl Tracker {
         }
         Families {
             shape,
-            dead_runs: dead_runs.finish(),
-            stamps: stamps.finish(),
-            mask_runs: mask_runs.finish(),
-            writes: writes.finish(),
+            dead_runs: dead_runs.finish(t),
+            stamps: stamps.finish(t),
+            mask_runs: mask_runs.finish(t),
+            writes: writes.finish(t),
         }
     }
 }
@@ -1044,10 +1270,10 @@ impl Tracker {
 /// A finished build's field table and interval families.
 struct Families {
     shape: Shape,
-    dead_runs: Vec<Vec<(u32, u32)>>,
-    stamps: Vec<Vec<u32>>,
-    mask_runs: Vec<Vec<(u32, u32, u64)>>,
-    writes: Vec<Vec<u32>>,
+    dead_runs: Family<Run>,
+    stamps: Family<u32>,
+    mask_runs: Family<MaskRun>,
+    writes: Family<u32>,
 }
 
 /// The shadow replica's walk: fields matching their expectation with no
@@ -1270,6 +1496,10 @@ pub struct MapPrune {
 /// Cycle coordinates match the campaign's: "cycle `t`" is machine state
 /// after `t` calls to [`Pipeline::cycle`], the state a campaign fork at
 /// coordinate `t` injects into.
+///
+/// The four interval families are held in their wire encoding, whose
+/// varints are canonical, so two maps are equal exactly when their map
+/// files are.
 #[derive(Debug, PartialEq)]
 pub struct UarchMaskMap {
     digest: u64,
@@ -1279,14 +1509,14 @@ pub struct UarchMaskMap {
     widths: Vec<u32>,
     group_of: Vec<u32>,
     /// Per occupancy group: half-open cycle ranges the group is dead.
-    dead_runs: Vec<Vec<(u32, u32)>>,
+    dead_runs: Family<Run>,
     /// Per field: cycles at which the field's value changed while the
     /// field was protected (dead or masked) on the *previous* cycle —
     /// the wholesale overwrites that destroy an injected corruption.
-    stamps: Vec<Vec<u32>>,
+    stamps: Family<u32>,
     /// Per field: maximal half-open cycle ranges over which the field's
     /// declared static mask is constant and nonzero.
-    mask_runs: Vec<Vec<(u32, u32, u64)>>,
+    mask_runs: Family<MaskRun>,
     /// Per field: cycles at which the field was **written**, detected
     /// by the build's shadow replica (golden replayed with every dead
     /// field flipped, re-flipped after each detected write). Unlike value-change stamps this sees *same-value*
@@ -1294,7 +1524,7 @@ pub struct UarchMaskMap {
     /// cycle `c` inside a dead run, the first entry after `c` is the
     /// first write after `c` (the field stays flipped from `c` until
     /// that write, so the write cannot hide).
-    writes: Vec<Vec<u32>>,
+    writes: Family<u32>,
     /// Per cycle `t`: the **drain horizon** — the first recorded cycle
     /// by which every instruction in flight at `t` has retired (the
     /// golden run retires in order, so `retired ≥ retired(t) +
@@ -1454,12 +1684,11 @@ impl UarchMaskMap {
         let g = self.group_of[f] as usize;
         let c = u32::try_from(cycle).ok()?;
 
-        if run_end(&self.dead_runs[g], c).is_some() {
+        if self.dead_runs.run_at(g, c).is_some() {
             // The shadow replica holds the field flipped from `c` until
             // its next write, so the first entry past `c` is exactly
             // the first write after injection.
-            let ws = &self.writes[f];
-            let v1 = ws.get(ws.partition_point(|&w| u64::from(w) <= cycle)).copied();
+            let v1 = self.writes.first_after(f, c);
             if v1.is_some_and(|w| u64::from(w) <= deadline) {
                 return Some(MapPrune { dead_at_injection: true, written: true });
             }
@@ -1474,8 +1703,7 @@ impl UarchMaskMap {
             return clean.then_some(MapPrune { dead_at_injection: true, written: false });
         }
 
-        let stamps = &self.stamps[f];
-        let next = stamps.get(stamps.partition_point(|&s| u64::from(s) <= cycle)).copied();
+        let next = self.stamps.first_after(f, c);
         // Masked at injection: protected walk over [c, s) — dead runs
         // of the bit's group and mask runs covering the bit — to the
         // overwriting stamp. Protection over the whole span means any
@@ -1484,9 +1712,12 @@ impl UarchMaskMap {
         let s = next.filter(|&s| u64::from(s) <= deadline)?;
         let mut pos = c;
         while pos < s {
-            if let Some(e) = run_end(&self.dead_runs[g], pos) {
+            if let Some((_, e)) = self.dead_runs.run_at(g, pos) {
                 pos = e;
-            } else if let Some(e) = mask_run_end(&self.mask_runs[f], rel, pos) {
+            } else if let Some((_, e, m)) = self.mask_runs.run_at(f, pos) {
+                if (m >> rel) & 1 == 0 {
+                    return None;
+                }
                 pos = e;
             } else {
                 return None;
@@ -1538,6 +1769,10 @@ impl UarchMaskMap {
     /// runs are counted once, as dead).
     pub fn avf(&self, catalog: &StateCatalog) -> Vec<AvfRow> {
         let span = self.last;
+        // The dead runs of the latest field's group, decoded once per
+        // group: a group's fields are consecutive.
+        let mut druns: Vec<Run> = Vec::new();
+        let mut decoded = None;
         catalog
             .regions
             .iter()
@@ -1548,12 +1783,17 @@ impl UarchMaskMap {
                     if start < r.start || start >= r.start + r.len {
                         continue;
                     }
-                    let druns = &self.dead_runs[self.group_of[f] as usize];
-                    dead += u64::from(width) * clipped_len(druns, span);
-                    for &(ms, me, m) in &self.mask_runs[f] {
+                    let g = self.group_of[f] as usize;
+                    if decoded != Some(g) {
+                        druns.clear();
+                        druns.extend(self.dead_runs.entries(g));
+                        decoded = Some(g);
+                    }
+                    dead += u64::from(width) * clipped_len(&druns, span);
+                    for (ms, me, m) in self.mask_runs.entries(f) {
                         let (ms, me) = (ms.min(span), me.min(span));
                         if ms < me {
-                            let live_part = u64::from(me - ms) - overlap_len(druns, ms, me);
+                            let live_part = u64::from(me - ms) - overlap_len(&druns, ms, me);
                             masked += u64::from(m.count_ones()) * live_part;
                         }
                     }
@@ -1569,40 +1809,34 @@ impl UarchMaskMap {
             .collect()
     }
 
-    /// Canonical JSON form (interval arrays only; the field table is
-    /// re-derived from the machine at load time).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("kind".to_owned(), Json::from("uarch-maskmap")),
-            ("version".to_owned(), Json::UInt(VERSION)),
-            ("digest".to_owned(), Json::UInt(self.digest)),
-            ("last".to_owned(), Json::UInt(u64::from(self.last))),
-            ("fields".to_owned(), Json::UInt(self.field_starts.len() as u64)),
-            ("groups".to_owned(), Json::UInt(self.dead_runs.len() as u64)),
-            (
-                "dead".to_owned(),
-                Json::Arr(self.dead_runs.iter().map(|r| Json::Str(encode_pairs(r))).collect()),
-            ),
-            (
-                "stamps".to_owned(),
-                Json::Arr(self.stamps.iter().map(|s| Json::Str(encode_stamps(s))).collect()),
-            ),
-            (
-                "masks".to_owned(),
-                Json::Arr(self.mask_runs.iter().map(|r| Json::Str(encode_mask_runs(r))).collect()),
-            ),
-            (
-                "writes".to_owned(),
-                Json::Arr(self.writes.iter().map(|w| Json::Str(encode_stamps(w))).collect()),
-            ),
-            ("drain".to_owned(), Json::Str(encode_stamps(&self.drain_end))),
-        ])
+    /// Writes the map file: the canonical rendering of the map's JSON
+    /// form (kind, version, digest, `last`, the field and group counts,
+    /// then one hex string per stream; the field table is re-derived
+    /// from the machine at load time), streamed from the resident bytes
+    /// with no JSON tree or whole-file string in between.
+    fn write_json(&self, out: &mut impl Write) -> io::Result<()> {
+        write!(
+            out,
+            "{{\"kind\":\"uarch-maskmap\",\"version\":{VERSION},\"digest\":{},\"last\":{},\"fields\":{},\"groups\":{}",
+            self.digest,
+            self.last,
+            self.field_starts.len(),
+            self.dead_runs.keys()
+        )?;
+        self.dead_runs.write_json(out, "dead")?;
+        self.stamps.write_json(out, "stamps")?;
+        self.mask_runs.write_json(out, "masks")?;
+        self.writes.write_json(out, "writes")?;
+        out.write_all(b",\"drain\":")?;
+        write_hex(out, &encode_drain(&self.drain_end))?;
+        out.write_all(b"}")
     }
 
     /// Decodes a persisted map, re-deriving the field table from a
     /// fresh machine. Returns `None` (caller rebuilds) on any mismatch:
     /// wrong kind/version/digest, a field table that no longer matches
-    /// the simulator, or content no build can produce.
+    /// the simulator, or content no build can produce (non-canonical
+    /// varints included).
     pub fn from_json(
         v: &Json,
         uarch: &UarchConfig,
@@ -1624,57 +1858,26 @@ impl UarchMaskMap {
             return None;
         }
         let last = u32::try_from(v.get("last").and_then(Json::as_u64)?).ok()?;
-        let dead = str_array(v, "dead", shape.ngroups)?
-            .into_iter()
-            .map(decode_pairs)
-            .collect::<Option<Vec<_>>>()?;
-        let stamps = str_array(v, "stamps", nfields)?
-            .into_iter()
-            .map(decode_stamps)
-            .collect::<Option<Vec<_>>>()?;
-        let masks = str_array(v, "masks", nfields)?
-            .into_iter()
-            .map(decode_mask_runs)
-            .collect::<Option<Vec<_>>>()?;
-        let writes = str_array(v, "writes", nfields)?
-            .into_iter()
-            .map(decode_stamps)
-            .collect::<Option<Vec<_>>>()?;
-        let drain_end = decode_stamps(v.get("drain").and_then(Json::as_str)?)?;
-        if drain_end.len() != last as usize + 1 {
-            return None;
-        }
-        let map = UarchMaskMap {
+        // Each family is checked as it decodes: nonempty runs ending by
+        // `last + 1`, strictly increasing stamps and writes at or before
+        // `last`, canonical varints throughout.
+        let dead_runs = Family::decode(v, "dead", shape.ngroups, last)?;
+        let stamps = Family::decode(v, "stamps", nfields, last)?;
+        let mask_runs = Family::decode(v, "masks", nfields, last)?;
+        let writes = Family::decode(v, "writes", nfields, last)?;
+        let drain_end = decode_drain(v.get("drain").and_then(Json::as_str)?, last)?;
+        Some(UarchMaskMap {
             digest,
             last,
             field_starts: shape.field_starts,
             widths: shape.widths,
             group_of: shape.group_of,
-            dead_runs: dead,
+            dead_runs,
             stamps,
-            mask_runs: masks,
+            mask_runs,
             writes,
             drain_end,
-        };
-        map.well_formed().then_some(map)
-    }
-
-    /// Whether the interval families are ones a build can produce:
-    /// nonempty runs ending by `last + 1`, strictly increasing stamps
-    /// and writes at or before `last`, and a nondecreasing drain
-    /// horizon at or before `last` or at the no-proof marker. A
-    /// persisted map that fails is rebuilt, never trusted.
-    fn well_formed(&self) -> bool {
-        let end = u64::from(self.last) + 1;
-        let run_fits = |s: u32, e: u32| s < e && u64::from(e) <= end;
-        let cycles_fit = |cycles: &Vec<u32>| {
-            cycles.windows(2).all(|w| w[0] < w[1]) && cycles.last().is_none_or(|&c| c <= self.last)
-        };
-        self.dead_runs.iter().flatten().all(|&(s, e)| run_fits(s, e))
-            && self.mask_runs.iter().flatten().all(|&(s, e, _)| run_fits(s, e))
-            && self.stamps.iter().chain(&self.writes).all(cycles_fit)
-            && self.drain_end.windows(2).all(|w| w[0] <= w[1])
-            && self.drain_end.iter().all(|&d| d <= self.last || d == u32::MAX)
+        })
     }
 }
 
@@ -1842,12 +2045,18 @@ pub fn map_path(dir: &Path, domain: &str, workload: WorkloadId, digest: u64) -> 
     dir.join(format!("maskmap-{domain}-{}-{digest:016x}.json", workload.name()))
 }
 
-/// Writes `v` to `path` atomically enough for concurrent shard writers:
-/// full write to a process-unique temp name, then rename. Every shard
-/// computes byte-identical content, so last-rename-wins is harmless.
-fn persist(path: &Path, v: &Json) {
+/// Writes a map to `path` atomically enough for concurrent shard
+/// writers: a buffered write to a process-unique temp name, then rename.
+/// Every shard computes byte-identical content, so last-rename-wins is
+/// harmless.
+fn persist(path: &Path, write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>) {
     let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-    if std::fs::write(&tmp, v.render()).is_ok() {
+    let written = File::create(&tmp).and_then(|file| {
+        let mut out = BufWriter::new(file);
+        write(&mut out)?;
+        out.flush()
+    });
+    if written.is_ok() {
         let _ = std::fs::rename(&tmp, path);
     }
 }
@@ -1918,14 +2127,14 @@ fn load_or_build<M>(
     path: Option<PathBuf>,
     decode: impl FnOnce(&Json) -> Option<M>,
     build: impl FnOnce() -> M,
-    encode: impl FnOnce(&M) -> Json,
+    write: impl FnOnce(&M, &mut BufWriter<File>) -> io::Result<()>,
 ) -> (M, MapSource) {
     if let Some(map) = path.as_deref().and_then(read_json).and_then(|v| decode(&v)) {
         return (map, MapSource::Loaded);
     }
     let map = build();
     if let Some(p) = &path {
-        persist(p, &encode(&map));
+        persist(p, |out| write(&map, out));
     }
     (map, MapSource::Built)
 }
@@ -1962,7 +2171,7 @@ pub fn uarch_map_sourced(
             map_dir.map(|d| map_path(d, "uarch", workload, digest)),
             |v| UarchMaskMap::from_json(v, uarch, &program, digest),
             || UarchMaskMap::build(uarch, &program, horizon, digest),
-            UarchMaskMap::to_json,
+            UarchMaskMap::write_json,
         )
     })
 }
@@ -2012,6 +2221,38 @@ mod tests {
         let uarch = UarchConfig::default();
         let map = UarchMaskMap::build(&uarch, &program, horizon, 0xDEAD);
         (map, Pipeline::new(uarch, &program))
+    }
+
+    /// The seven smoke-scale maps at horizon 1,500, built once, in
+    /// [`WorkloadId::ALL`] order.
+    fn smoke_maps() -> &'static [UarchMaskMap] {
+        static MAPS: OnceLock<Vec<UarchMaskMap>> = OnceLock::new();
+        MAPS.get_or_init(|| {
+            (WorkloadId::ALL.iter())
+                .map(|id| {
+                    UarchMaskMap::build(
+                        &UarchConfig::default(),
+                        &id.build(Scale::smoke()),
+                        1_500,
+                        0x5EED,
+                    )
+                })
+                .collect()
+        })
+    }
+
+    /// The map file's text.
+    fn render(map: &UarchMaskMap) -> String {
+        let mut out = Vec::new();
+        map.write_json(&mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    impl<E: Entry> Family<E> {
+        /// Per key: its entries, decoded.
+        fn decoded(&self) -> Vec<Vec<E>> {
+            (0..self.keys()).map(|k| self.entries(k).collect()).collect()
+        }
     }
 
     #[test]
@@ -2105,7 +2346,7 @@ mod tests {
         let program = WorkloadId::Mcfx.build(Scale::smoke());
         let uarch = UarchConfig::default();
         let map = UarchMaskMap::build(&uarch, &program, 200, 77);
-        let text = map.to_json().render();
+        let text = render(&map);
         let back = UarchMaskMap::from_json(&Json::parse(&text).unwrap(), &uarch, &program, 77)
             .expect("roundtrip decode");
         assert_eq!(map, back);
@@ -2309,9 +2550,9 @@ mod tests {
         machine.0 = [9, 9, 9, 9];
         walk.walk(&mut machine);
         assert_eq!(walk.cur.group_of(), vec![1, 1, 3, 4]);
-        let families = walk.finish();
-        assert!(families.dead_runs[2].is_empty(), "a dead group with no fields gets no dead run");
-        assert!(families.dead_runs[0].is_empty(), "group 0 owns no field here");
+        let dead_runs = walk.finish().dead_runs.decoded();
+        assert!(dead_runs[2].is_empty(), "a dead group with no fields gets no dead run");
+        assert!(dead_runs[0].is_empty(), "group 0 owns no field here");
     }
 
     #[test]
@@ -2448,9 +2689,9 @@ mod tests {
             assert_eq!(walk.t, t);
         }
         let families = walk.finish();
-        assert_eq!(families.stamps, vec![vec![], vec![2]]);
+        assert_eq!(families.stamps.decoded(), vec![vec![], vec![2]]);
         let g = families.shape.group_of[1] as usize;
-        assert_eq!(families.dead_runs[g], vec![(1, 2)]);
+        assert_eq!(families.dead_runs.decoded()[g], vec![(1, 2)]);
     }
 
     /// The shadow walk flips a dead field, records each write to it —
@@ -2482,8 +2723,8 @@ mod tests {
         assert_eq!(replica.words, [1, 7 ^ 0xFF], "left flipped");
         assert_eq!(walk.flips(), vec![0, 0xFF]);
         let families = walk.finish();
-        assert_eq!(families.writes, vec![vec![], vec![1, 2]]);
-        assert_eq!(families.stamps, vec![vec![], vec![1, 3]], "value changes only");
+        assert_eq!(families.writes.decoded(), vec![vec![], vec![1, 2]]);
+        assert_eq!(families.stamps.decoded(), vec![vec![], vec![1, 3]], "value changes only");
     }
 
     #[test]
@@ -2510,7 +2751,7 @@ mod tests {
         let walk = walked(&mut Early([0, 0]));
         assert_eq!(walk.shape.group_of, vec![0, 1]);
         assert_eq!(walk.dead(), vec![true, false]);
-        assert_eq!(walk.finish().dead_runs[0], vec![(0, 1)]);
+        assert_eq!(walk.finish().dead_runs.decoded()[0], vec![(0, 1)]);
     }
 
     /// A queue slot whose walk declares its occupancy and a mask from
@@ -2611,8 +2852,8 @@ mod tests {
         assert_eq!(tracked.mask_runs, untracked.mask_runs);
         assert_eq!(tracked.dead_runs, untracked.dead_runs);
         assert_eq!(tracked.writes, untracked.writes);
-        assert!(tracked.writes.iter().any(|w| !w.is_empty()), "the script writes dead fields");
-        assert!(tracked.mask_runs.iter().any(|r| !r.is_empty()), "the script declares masks");
+        assert!(!tracked.writes.bytes.is_empty(), "the script writes dead fields");
+        assert!(!tracked.mask_runs.bytes.is_empty(), "the script declares masks");
     }
 
     /// An entry whose walk depends on a field outside it is skipped
@@ -2733,10 +2974,8 @@ mod tests {
             (WorkloadId::Vortexx, 640_641, 0x593e_86fc_7336_67d8),
         ];
         for (id, len, digest) in pins {
-            let program = id.build(Scale::smoke());
-            let text = UarchMaskMap::build(&UarchConfig::default(), &program, 1_500, 0x5EED)
-                .to_json()
-                .render();
+            let map = &smoke_maps()[WorkloadId::ALL.iter().position(|&w| w == id).unwrap()];
+            let text = render(map);
             assert_eq!((text.len(), config_digest(&text)), (len, digest), "{id:?} map bytes moved");
         }
     }
@@ -2763,7 +3002,7 @@ mod tests {
                 assert_eq!(**map, serial, "{id:?} at {threads} threads");
                 let persisted =
                     std::fs::read_to_string(map_path(&dir, "uarch", id, digest)).unwrap();
-                assert_eq!(persisted, serial.to_json().render(), "{id:?} at {threads} threads");
+                assert_eq!(persisted, render(&serial), "{id:?} at {threads} threads");
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
@@ -2785,17 +3024,227 @@ mod tests {
         assert_eq!(again, MapSource::Memo);
     }
 
+    /// The hex text of one stream of `entries`.
+    fn hex_of<E: Entry>(entries: &[E]) -> String {
+        let mut bytes = Vec::new();
+        let mut prev = 0;
+        for &e in entries {
+            e.write(&mut bytes, prev);
+            prev = e.end();
+        }
+        hex(&bytes)
+    }
+
+    /// `text` decoded as one stream of a family over cycles `0..=last`.
+    fn stream_of<E: Entry>(text: &str, last: u32) -> Option<Vec<E>> {
+        let mut family = Family::<E>::new();
+        unhex_into(text, &mut family.bytes)?;
+        family.close(last)?;
+        Some(family.entries(0).collect())
+    }
+
     #[test]
     fn varint_wire_roundtrips() {
         let pairs = vec![(3u32, 9u32), (9, 10), (500, 100_000)];
-        assert_eq!(decode_pairs(&encode_pairs(&pairs)).unwrap(), pairs);
+        assert_eq!(stream_of::<Run>(&hex_of(&pairs), 100_000).unwrap(), pairs);
         let stamps = vec![1u32, 2, 128, 70_000];
-        assert_eq!(decode_stamps(&encode_stamps(&stamps)).unwrap(), stamps);
+        assert_eq!(stream_of::<u32>(&hex_of(&stamps), 70_000).unwrap(), stamps);
         let masks = vec![(0u32, 5u32, u64::MAX), (5, 6, 0xFF00)];
-        assert_eq!(decode_mask_runs(&encode_mask_runs(&masks)).unwrap(), masks);
-        assert_eq!(decode_pairs("").unwrap(), vec![]);
-        assert!(decode_pairs("zz").is_none());
-        assert!(decode_pairs("8f").is_none(), "truncated varint must fail");
+        assert_eq!(stream_of::<MaskRun>(&hex_of(&masks), 5).unwrap(), masks);
+        assert_eq!(stream_of::<Run>("", 0).unwrap(), vec![]);
+        assert!(stream_of::<Run>("zz", 9).is_none());
+        assert!(stream_of::<u32>("8f", 9).is_none(), "truncated varint must fail");
+        // Each value has one encoding: the shortest.
+        let read = |bytes: &[u8]| VarReader { bytes, pos: 0 }.read();
+        assert_eq!(read(&[0x00]), Some(0));
+        assert_eq!(read(&[0x80, 0x01]), Some(128));
+        assert_eq!(
+            read(&[0xff; 9].iter().chain(&[0x01]).copied().collect::<Vec<_>>()),
+            Some(u64::MAX)
+        );
+        assert_eq!(read(&[0x80, 0x00]), None, "a padded zero decoded");
+        assert_eq!(read(&[0x81, 0x80, 0x00]), None, "a padded one decoded");
+        let tenth = [0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02];
+        assert_eq!(read(&tenth), None, "a tenth byte past bit 63 decoded");
+        assert_eq!(read(&[0x80; 10]), None, "an eleventh byte was read");
+    }
+
+    /// Streams long enough to carry skip marks, at the marks' edges:
+    /// every entry is found from every cycle around it.
+    #[test]
+    fn skip_marks_resume_decoding_exactly() {
+        for n in [SKIP - 1, SKIP, SKIP + 1, 3 * SKIP, 3 * SKIP + 7] {
+            let stamps: Vec<u32> = (0..n).map(|i| 3 * i + i % 2).collect();
+            let runs: Vec<Run> = stamps.iter().map(|&c| (2 * c, 2 * c + 1 + c % 3)).collect();
+            let last = 8 * n;
+            let mut cycles = Family::<u32>::new();
+            let mut dead = Family::<Run>::new();
+            unhex_into(&hex_of(&stamps), &mut cycles.bytes).unwrap();
+            unhex_into(&hex_of(&runs), &mut dead.bytes).unwrap();
+            cycles.close(last).unwrap();
+            dead.close(last).unwrap();
+            assert_eq!(cycles.skips.len() as u32, (n - 1) / SKIP);
+            for c in 0..=last {
+                let first = stamps.iter().copied().find(|&s| s > c);
+                assert_eq!(cycles.first_after(0, c), first, "{n} stamps, cycle {c}");
+                let run = runs.iter().copied().find(|&(s, e)| s <= c && c < e);
+                assert_eq!(dead.run_at(0, c), run, "{n} runs, cycle {c}");
+            }
+        }
+    }
+
+    /// The query [`UarchMaskMap::proves`] replaced: binary searches of
+    /// per-key `Vec`s, decoded from the map's own bytes.
+    struct Reference<'m> {
+        map: &'m UarchMaskMap,
+        dead_runs: Vec<Vec<Run>>,
+        stamps: Vec<Vec<u32>>,
+        mask_runs: Vec<Vec<MaskRun>>,
+        writes: Vec<Vec<u32>>,
+    }
+
+    /// End of the run in `runs` (sorted, disjoint, half-open) containing
+    /// `pos`, if any.
+    fn run_end(runs: &[Run], pos: u32) -> Option<u32> {
+        let i = runs.partition_point(|&(s, _)| s <= pos).checked_sub(1)?;
+        let (_, e) = runs[i];
+        (pos < e).then_some(e)
+    }
+
+    /// End of the mask run containing `pos` whose mask covers `rel_bit`.
+    fn mask_run_end(runs: &[MaskRun], rel_bit: u32, pos: u32) -> Option<u32> {
+        let i = runs.partition_point(|&(s, _, _)| s <= pos).checked_sub(1)?;
+        let (_, e, m) = runs[i];
+        (pos < e && (m >> rel_bit) & 1 == 1).then_some(e)
+    }
+
+    impl Reference<'_> {
+        fn of(map: &UarchMaskMap) -> Reference<'_> {
+            Reference {
+                map,
+                dead_runs: map.dead_runs.decoded(),
+                stamps: map.stamps.decoded(),
+                mask_runs: map.mask_runs.decoded(),
+                writes: map.writes.decoded(),
+            }
+        }
+
+        fn proves(&self, bit: u64, cycle: u64, deadline: u64) -> Option<MapPrune> {
+            let map = self.map;
+            let f = map.field_of(bit)?;
+            let rel = u32::try_from(bit - map.field_starts[f]).ok()?;
+            let g = map.group_of[f] as usize;
+            let c = u32::try_from(cycle).ok()?;
+            if run_end(&self.dead_runs[g], c).is_some() {
+                let ws = &self.writes[f];
+                let v1 = ws.get(ws.partition_point(|&w| u64::from(w) <= cycle)).copied();
+                if v1.is_some_and(|w| u64::from(w) <= deadline) {
+                    return Some(MapPrune { dead_at_injection: true, written: true });
+                }
+                let hash_end = u64::from(*map.drain_end.get(usize::try_from(deadline).ok()?)?);
+                if hash_end > u64::from(map.last) {
+                    return None;
+                }
+                let clean = v1.is_none_or(|w| u64::from(w) > hash_end);
+                return clean.then_some(MapPrune { dead_at_injection: true, written: false });
+            }
+            let stamps = &self.stamps[f];
+            let next = stamps.get(stamps.partition_point(|&s| u64::from(s) <= cycle)).copied();
+            let s = next.filter(|&s| u64::from(s) <= deadline)?;
+            let mut pos = c;
+            while pos < s {
+                if let Some(e) = run_end(&self.dead_runs[g], pos) {
+                    pos = e;
+                } else if let Some(e) = mask_run_end(&self.mask_runs[f], rel, pos) {
+                    pos = e;
+                } else {
+                    return None;
+                }
+            }
+            Some(MapPrune { dead_at_injection: false, written: true })
+        }
+
+        /// A query from random draws, biased to the map's edges: the
+        /// injection cycle lands within two cycles of cycle 0, of
+        /// `last`, of a dead-run, stamp, write or mask-run boundary of
+        /// the bit's field, or anywhere up to two past `last`; the
+        /// deadline sits a few cycles after it, near one of the field's
+        /// stamps or writes, past `last`, or anywhere in the recording.
+        fn query(&self, [field, rel, anchor, pick, nudge, until, span]: [u64; 7]) -> [u64; 3] {
+            let map = self.map;
+            let last = u64::from(map.last);
+            let pick_in = |cycles: &[u32]| {
+                (!cycles.is_empty()).then(|| u64::from(cycles[pick as usize % cycles.len()]))
+            };
+            let edges = |runs: &mut dyn Iterator<Item = (u32, u32)>| -> Vec<u32> {
+                runs.flat_map(|(s, e)| [s, e]).collect()
+            };
+            // Fields whose stream of the anchor's kind has entries, so
+            // the anchor has edges to land near.
+            let nfields = map.field_starts.len();
+            let candidates: Vec<usize> = (0..nfields)
+                .filter(|&f| match anchor % 7 {
+                    2 => !self.dead_runs[map.group_of[f] as usize].is_empty(),
+                    3 => !self.stamps[f].is_empty(),
+                    4 => !self.writes[f].is_empty(),
+                    5 => !self.mask_runs[f].is_empty(),
+                    _ => true,
+                })
+                .collect();
+            let f = candidates[field as usize % candidates.len()];
+            let bit = map.field_starts[f] + rel % u64::from(map.widths[f]);
+            let g = map.group_of[f] as usize;
+            let anchor_at = match anchor % 7 {
+                0 => Some(0),
+                1 => Some(last),
+                2 => pick_in(&edges(&mut self.dead_runs[g].iter().copied())),
+                3 => pick_in(&self.stamps[f]),
+                4 => pick_in(&self.writes[f]),
+                5 => pick_in(&edges(&mut self.mask_runs[f].iter().map(|&(s, e, _)| (s, e)))),
+                _ => None,
+            };
+            let cycle = match anchor_at {
+                Some(at) => (at + nudge % 5).saturating_sub(2),
+                None => pick % (last + 3),
+            };
+            let near = |cycles: &[u32]| {
+                let after: Vec<u32> =
+                    cycles.iter().copied().filter(|&w| u64::from(w) >= cycle).collect();
+                pick_in(&after).map(|at| (at + span % 5).saturating_sub(2).max(cycle))
+            };
+            let deadline = match until % 5 {
+                0 => Some(cycle + span % 4),
+                1 => near(&self.writes[f]),
+                2 => near(&self.stamps[f]),
+                3 => Some(last + 1 + span % 64),
+                _ => None,
+            }
+            .unwrap_or(cycle + span % (last + 1));
+            [bit, cycle, deadline]
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+        /// The compact query equals the `Vec`-family one it replaced, on
+        /// the seven smoke maps, at queries biased to their edges.
+        #[test]
+        fn compact_proves_equals_the_vec_reference(
+            w in 0usize..7,
+            draws in proptest::collection::vec(proptest::prelude::any::<u64>(), 7 * 400),
+        ) {
+            let map = &smoke_maps()[w];
+            proptest::prop_assert!(!map.writes.skips.is_empty(), "no stream reaches a skip mark");
+            let reference = Reference::of(map);
+            for &draw in draws.as_chunks::<7>().0 {
+                let [bit, cycle, deadline] = reference.query(draw);
+                proptest::prop_assert_eq!(
+                    map.proves(bit, cycle, deadline),
+                    reference.proves(bit, cycle, deadline),
+                    "{:?}: bit {}, cycle {}, deadline {}", WorkloadId::ALL[w], bit, cycle, deadline
+                );
+            }
+        }
     }
 
     /// `json` with `key` (entry `index` of it, for the per-field and
@@ -2811,18 +3260,47 @@ mod tests {
         Json::Obj(pairs)
     }
 
+    /// `text` with its first varint spelled two non-canonical ways that
+    /// decode to the same value if canonical form is not enforced:
+    /// padded by a zero last byte, and padded to ten bytes whose tenth
+    /// sets a bit past bit 63.
+    fn non_canonical(text: &str) -> [String; 2] {
+        let mut bytes = Vec::new();
+        unhex_into(text, &mut bytes).unwrap();
+        let mut r = VarReader { bytes: &bytes, pos: 0 };
+        let mut canonical = Vec::new();
+        push_varint(&mut canonical, r.read().unwrap());
+        let rest = &bytes[r.pos..];
+        let continued = |n: usize| -> Vec<u8> {
+            canonical.iter().map(|b| b | 0x80).chain(std::iter::repeat(0x80)).take(n).collect()
+        };
+        let padded = [continued(canonical.len()), vec![0x00], rest.to_vec()].concat();
+        let tenth = [continued(9), vec![0x02], rest.to_vec()].concat();
+        [padded, tenth].map(|b| hex(&b))
+    }
+
+    /// `bytes` as lowercase hex digits.
+    fn hex(bytes: &[u8]) -> String {
+        let mut out = Vec::new();
+        write_hex(&mut out, bytes).unwrap();
+        String::from_utf8(out).unwrap().trim_matches('"').to_owned()
+    }
+
     /// A crafted map file is rejected, so the caller rebuilds, never
-    /// panics the decoder or passes it intervals no build produces.
+    /// panics the decoder or passes it intervals no build produces or
+    /// bytes a build does not write.
     #[test]
     fn from_json_rejects_hostile_content() {
         let program = WorkloadId::Mcfx.build(Scale::smoke());
         let uarch = UarchConfig::default();
-        let mut map = UarchMaskMap::build(&uarch, &program, 60, 9);
-        let good = map.to_json();
+        let map = UarchMaskMap::build(&uarch, &program, 60, 9);
+        let good = Json::parse(&render(&map)).unwrap();
         assert!(UarchMaskMap::from_json(&good, &uarch, &program, 9).is_some());
         let last = map.last;
         // 2^64 - 1 as one varint: added to anything nonzero, it overflows.
         let huge = "ffffffffffffffffff01";
+        // u32::MAX, then one more: a cycle past u32::MAX.
+        let past_u32 = format!("{}01", hex_of(&[u32::MAX]));
         let drain_past_last = vec![last + 1; map.drain_end.len()];
         let hostile = [
             ("dead", Some(1), format!("01{huge}"), "a run end past u64::MAX"),
@@ -2830,32 +3308,42 @@ mod tests {
             ("stamps", Some(0), format!("01{huge}"), "a stamp past u64::MAX"),
             ("writes", Some(0), format!("01{huge}"), "a write past u64::MAX"),
             ("drain", None, format!("01{huge}"), "a drain entry past u64::MAX"),
-            ("dead", Some(1), encode_pairs(&[(5, 5)]), "a zero-length dead run"),
-            ("masks", Some(0), encode_mask_runs(&[(5, 5, 1)]), "a zero-length mask run"),
-            ("stamps", Some(0), encode_stamps(&[5, 5]), "a repeated stamp"),
-            ("writes", Some(0), encode_stamps(&[5, 5]), "a repeated write"),
-            ("dead", Some(1), encode_pairs(&[(0, last + 2)]), "a dead run past last + 1"),
-            ("masks", Some(0), encode_mask_runs(&[(0, last + 2, 1)]), "a mask run past last + 1"),
-            ("stamps", Some(0), encode_stamps(&[last + 1]), "a stamp past last"),
-            ("writes", Some(0), encode_stamps(&[last + 1]), "a write past last"),
-            ("drain", None, encode_stamps(&drain_past_last), "a drain entry past last"),
+            ("dead", Some(1), past_u32.clone(), "a dead run end past u32::MAX"),
+            ("masks", Some(0), format!("{past_u32}01"), "a mask run end past u32::MAX"),
+            ("stamps", Some(0), past_u32.clone(), "a stamp past u32::MAX"),
+            ("writes", Some(0), past_u32.clone(), "a write past u32::MAX"),
+            ("drain", None, past_u32, "a drain entry past u32::MAX"),
+            ("dead", Some(1), hex_of(&[(5, 5)]), "a zero-length dead run"),
+            ("masks", Some(0), hex_of(&[(5, 5, 1)]), "a zero-length mask run"),
+            ("stamps", Some(0), hex_of(&[5, 5]), "a repeated stamp"),
+            ("writes", Some(0), hex_of(&[5, 5]), "a repeated write"),
+            ("dead", Some(1), hex_of(&[(0, last + 2)]), "a dead run past last + 1"),
+            ("masks", Some(0), hex_of(&[(0, last + 2, 1)]), "a mask run past last + 1"),
+            ("stamps", Some(0), hex_of(&[last + 1]), "a stamp past last"),
+            ("writes", Some(0), hex_of(&[last + 1]), "a write past last"),
+            ("drain", None, hex_of(&drain_past_last), "a drain entry past last"),
         ];
         // Damaged text, in every family: a varint cut off after a
-        // continuation byte, an odd-length hex string, and a non-hex
-        // digit (`+` included: `from_str_radix` would take `+1` for 1).
+        // continuation byte, an odd-length hex string, a non-hex digit
+        // (`+` included: `from_str_radix` would take `+1` for 1), and
+        // the two non-canonical spellings of a varint.
+        let drain = hex_of(&map.drain_end);
         let whole = [
             ("dead", Some(1), "0102"),
             ("masks", Some(0), "010201"),
             ("stamps", Some(0), "01"),
             ("writes", Some(0), "01"),
-            ("drain", None, &encode_stamps(&map.drain_end)[..]),
+            ("drain", None, &drain[..]),
         ];
         let damaged = whole.iter().flat_map(|&(key, index, text)| {
+            let [padded, tenth] = non_canonical(text);
             [
                 (key, index, format!("{text}85"), "a varint cut off after a continuation byte"),
                 (key, index, format!("{text}0"), "an odd-length hex string"),
                 (key, index, format!("{text}0g"), "a non-hex digit"),
                 (key, index, format!("+1{text}"), "a sign where a hex digit belongs"),
+                (key, index, padded, "a varint padded with a zero byte"),
+                (key, index, tenth, "a tenth varint byte past bit 63"),
             ]
         });
         let hostile = hostile.into_iter().chain(damaged);
@@ -2872,10 +3360,5 @@ mod tests {
             let v = with_entry(&good, key, index, text);
             assert!(UarchMaskMap::from_json(&v, &uarch, &program, 9).is_some(), "{key}: {text}");
         }
-        // The delta encoding cannot express a decreasing drain horizon,
-        // so it is checked on the decoded form.
-        assert!(map.well_formed());
-        (map.drain_end[0], map.drain_end[1]) = (1, 0);
-        assert!(!map.well_formed(), "a decreasing drain horizon passed");
     }
 }
