@@ -16,7 +16,9 @@
 //!   known flag that takes one ([`reject_unknown`]), so a typo or a
 //!   stray word fails instead of running the default or being ignored.
 //!   Each binary checks against [`UARCH_FLAGS`] or [`ARCH_FLAGS`] plus
-//!   its own extras, and its usage line lists exactly those flags.
+//!   its own extras, and its usage line lists exactly those flags;
+//! * a flag given twice is an error, since [`value`] and [`flag`] read
+//!   only its first occurrence and the second would be ignored.
 //!
 //! Errors print the binary's usage line and exit with status 2 via
 //! [`or_exit`].
@@ -56,8 +58,9 @@ pub fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// The raw value following `name`, if the flag is present. A flag at
-/// the end of the line or followed by another `--flag` is an error.
+/// The raw value following `name`'s first occurrence, if the flag is
+/// present ([`reject_unknown`] rejects a second). A flag at the end of
+/// the line or followed by another `--flag` is an error.
 pub fn value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, CliError> {
     match args.iter().position(|a| a == name) {
         None => Ok(None),
@@ -104,10 +107,12 @@ pub const BARE_FLAGS: [&str; 4] = ["--low32", "--latches-only", "--resume", "--p
 
 /// Errors on any token after `args[0]` that is neither a flag in
 /// `known` nor the value directly after a known flag that takes one
-/// (every flag but [`BARE_FLAGS`]). A typo would otherwise run the
-/// default experiment, and a stray word would run and be ignored. The
-/// first offending token is the one reported.
+/// (every flag but [`BARE_FLAGS`]), and on a known flag given twice. A
+/// typo would otherwise run the default experiment, and a stray word or
+/// a repeated flag's second value would run and be ignored. The first
+/// offending token is the one reported.
 pub fn reject_unknown(args: &[String], known: &[&str]) -> Result<(), CliError> {
+    let mut seen: Vec<&str> = Vec::new();
     let mut tokens = args.iter().skip(1).peekable();
     while let Some(a) = tokens.next() {
         if !a.starts_with("--") {
@@ -116,6 +121,10 @@ pub fn reject_unknown(args: &[String], known: &[&str]) -> Result<(), CliError> {
         if !known.contains(&a.as_str()) {
             return Err(CliError(format!("unknown flag {a}")));
         }
+        if seen.contains(&a.as_str()) {
+            return Err(CliError(format!("{a} given more than once")));
+        }
+        seen.push(a);
         if !BARE_FLAGS.contains(&a.as_str()) {
             // A missing value is left to `value` to report.
             tokens.next_if(|v| !v.starts_with("--"));
@@ -438,6 +447,20 @@ mod tests {
         assert_eq!(reject_unknown(&a, &known), stray("extra"));
         let a = args(&["--domain", "arch", "--store", "/tmp/s", "--resume", "--shard", "0/2"]);
         assert_eq!(reject_unknown(&a, &known), Ok(()));
+    }
+
+    /// `fig4 --points 1 --points 40`: the second value would be ignored,
+    /// so a repeated flag, bare or not, is an error naming it.
+    #[test]
+    fn a_repeated_flag_is_rejected() {
+        let known = uarch_flags_plus(&["--latches-only"]);
+        let twice = |flag: &str| Err(CliError(format!("{flag} given more than once")));
+        let a = args(&["--points", "1", "--points", "40"]);
+        assert_eq!(reject_unknown(&a, &known), twice("--points"));
+        let a = args(&["--latches-only", "--trials", "2", "--latches-only"]);
+        assert_eq!(reject_unknown(&a, &known), twice("--latches-only"));
+        let a = args(&["--low32", "--low32"]);
+        assert_eq!(reject_unknown(&a, &ARCH_FLAGS), twice("--low32"));
     }
 
     /// `fig2 --trials 1 --low32 7`: a bare flag takes no value, so the

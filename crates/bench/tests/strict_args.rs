@@ -1,15 +1,17 @@
 //! A malformed command line exits 2 with the usage line before any
 //! campaign runs: a stray word, a second value after a flag, a value
-//! after a bare flag, and a bad value on a path (`fig8 --paper`) that
-//! runs no campaign.
+//! after a bare flag, a repeated flag, and a bad value on a path
+//! (`fig8 --paper`) that runs no campaign.
 
 use std::process::Command;
 
 #[test]
 fn malformed_command_lines_exit_2_with_the_usage_line() {
-    let cases: [(&str, &[&str]); 5] = [
+    let cases: [(&str, &[&str]); 7] = [
         (env!("CARGO_BIN_EXE_fig4"), &["--points", "1", "--trials", "1", "bogus"]),
+        (env!("CARGO_BIN_EXE_fig4"), &["--points", "1", "--points", "2"]),
         (env!("CARGO_BIN_EXE_fig2"), &["--trials", "1", "--low32", "7"]),
+        (env!("CARGO_BIN_EXE_fig2"), &["--low32", "--low32"]),
         (env!("CARGO_BIN_EXE_fig8"), &["--paper", "--points", "x"]),
         (
             env!("CARGO_BIN_EXE_figs_all"),

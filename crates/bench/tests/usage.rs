@@ -6,8 +6,11 @@
 //! its flags with `cli::reject_unknown` before it does any work, and
 //! that check reports the *first* unknown flag. So `BIN --flag --zz`
 //! fails on `--flag` when the binary does not take it, and on the
-//! sentinel `--zz` when it does.
+//! sentinel `--zz` when it does. A flag the prefix already gives
+//! (`--domain`) fails as given twice, which the check reports only for
+//! a known flag.
 
+use restore_bench::cli::BARE_FLAGS;
 use std::collections::BTreeSet;
 use std::process::Command;
 
@@ -70,6 +73,14 @@ fn accepts(bin: &Bin, flag: &str) -> bool {
     if err.contains(&format!("unknown flag {flag}\n")) {
         return false;
     }
+    if bin.prefix.contains(&flag) {
+        assert!(
+            err.contains(&format!("{flag} given more than once\n")),
+            "{} {flag}: {err}",
+            bin.src
+        );
+        return true;
+    }
     assert!(err.contains(&format!("unknown flag {SENTINEL}\n")), "{} {flag}: {err}", bin.src);
     true
 }
@@ -115,5 +126,28 @@ fn usage_lines_list_exactly_the_accepted_flags() {
         let bins: Vec<&Bin> = BINS.iter().filter(|b| b.src == src).collect();
         let printed: BTreeSet<String> = bins.iter().flat_map(|b| flags(&usage(b))).collect();
         assert_eq!(flags(&header(bins[0])), printed, "{src}: //! Usage: header vs usage line");
+    }
+}
+
+/// A flag given twice exits 2 with the usage line on every binary,
+/// before any work: its second value would otherwise be ignored.
+#[test]
+fn a_repeated_flag_exits_2_everywhere() {
+    for bin in &BINS {
+        let flag = flags(&usage(bin))
+            .into_iter()
+            .find(|f| !bin.prefix.contains(&f.as_str()))
+            .expect("a flag beyond the prefix");
+        let flag = flag.as_str();
+        let args: &[&str] =
+            if BARE_FLAGS.contains(&flag) { &[flag, flag] } else { &[flag, "1", flag, "1"] };
+        let (code, err) = run(bin, args);
+        assert_eq!(code, Some(2), "{} {args:?}: {err}", bin.src);
+        assert!(
+            err.contains(&format!("error: {flag} given more than once\n")),
+            "{}: {err}",
+            bin.src
+        );
+        assert!(err.contains("\nusage: "), "{} {args:?}: {err}", bin.src);
     }
 }

@@ -336,13 +336,6 @@ pub fn run_arch_campaign_with_stats(cfg: &ArchCampaignConfig) -> (Vec<ArchTrial>
     campaign::run_all(&ArchModel { cfg, stride: CUTOFF_STRIDE })
 }
 
-/// Runs trials for a single workload (exposed for focused experiments).
-/// The result is exactly the workload's slice of the full campaign with
-/// the same seed.
-pub fn run_workload(cfg: &ArchCampaignConfig, id: WorkloadId) -> Vec<ArchTrial> {
-    campaign::run_single(&ArchModel { cfg, stride: CUTOFF_STRIDE }, id).0
-}
-
 /// Golden's state where it differs from the injected machine's, while
 /// their control flow agrees — so PC, retirement count, halt flag and
 /// page table are equal by construction and only registers, data bytes

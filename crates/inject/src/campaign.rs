@@ -59,13 +59,27 @@ pub(crate) use restore_store::TrialCost;
 pub(crate) const CUTOFF_STRIDE: u64 = 250;
 
 impl<R> UnitOutput<R> {
-    /// Folds one trial's cost into the unit's accounting.
-    pub(crate) fn absorb(&mut self, cost: TrialCost) {
-        self.cycles_simulated += cost.simulated;
-        self.cycles_saved += cost.saved;
-        self.trials_cut += cost.cut as u64;
-        self.trials_pruned += cost.pruned as u64;
-        self.cycles_pruned += cost.pruned_cycles;
+    /// Folds one simulated trial's cost into the unit's accounting.
+    /// `trials_interval_pruned` counts the same trials as
+    /// `trials_pruned`: the masking map is the only pruner.
+    fn absorb(&mut self, cost: TrialCost) {
+        let stats = &mut self.stats;
+        stats.cycles_simulated += cost.simulated;
+        stats.cycles_saved += cost.saved;
+        stats.trials_cut += u64::from(cost.cut);
+        stats.trials_pruned += u64::from(cost.pruned);
+        stats.trials_interval_pruned += u64::from(cost.pruned);
+        stats.cycles_pruned += cost.pruned_cycles;
+    }
+
+    /// Replays one stored record into the unit: the record's full
+    /// planned window lands in the cached counters (zero cycles
+    /// simulated this run), its outcome — if the trial produced one —
+    /// in the results.
+    fn absorb_cached(&mut self, rec: Stored<R>) {
+        self.stats.trials_cached += 1;
+        self.stats.cycles_cached += rec.cost.planned();
+        self.results.extend(rec.trial);
     }
 }
 
@@ -322,7 +336,7 @@ where
                 Unit::Cached(recs) => {
                     let mut out = UnitOutput::default();
                     for rec in recs {
-                        absorb_cached(&mut out, rec);
+                        out.absorb_cached(rec);
                     }
                     return out;
                 }
@@ -338,16 +352,22 @@ where
             let golden_secs = g0.elapsed().as_secs_f64();
 
             let t0 = Instant::now();
-            let mut out = UnitOutput { sweep_secs, golden_secs, ..UnitOutput::default() };
-            out.checkpoint_hits = u64::from(unit.ckpt_hit);
-            out.checkpoint_misses = u64::from(!unit.ckpt_hit);
-            out.warmup_cycles_saved = unit.warmup_saved;
-            out.results.reserve(model.trials_per_point());
+            let mut out = UnitOutput {
+                results: Vec::with_capacity(model.trials_per_point()),
+                stats: CampaignStats {
+                    sweep_secs,
+                    golden_secs,
+                    checkpoint_hits: u64::from(unit.ckpt_hit),
+                    checkpoint_misses: u64::from(!unit.ckpt_hit),
+                    warmup_cycles_saved: unit.warmup_saved,
+                    ..CampaignStats::default()
+                },
+            };
             for t in 0..model.trials_per_point() {
                 let seed = seeder.trial(unit.wl, unit.point, t);
                 let key = TrialKey { config, workload: unit.wl as u64, point: unit.coord, seed };
                 if let Some(rec) = io.cache.and_then(|c| c.lookup(&key)) {
-                    absorb_cached(&mut out, rec);
+                    out.absorb_cached(rec);
                     continue;
                 }
                 let rng = seeding::rng(seed);
@@ -358,7 +378,7 @@ where
                 out.absorb(cost);
                 out.results.extend(trial);
             }
-            out.trial_secs = t0.elapsed().as_secs_f64();
+            out.stats.trial_secs = t0.elapsed().as_secs_f64();
             out
         },
     );
@@ -379,15 +399,6 @@ struct Points {
     base: u64,
     /// Sorted injection coordinates.
     plan: Vec<u64>,
-}
-
-/// Replays one stored record into a unit's output: the record's full
-/// planned window lands in the cached counters (zero cycles simulated
-/// this run), its outcome — if the trial produced one — in the results.
-fn absorb_cached<R>(out: &mut UnitOutput<R>, rec: Stored<R>) {
-    out.trials_cached += 1;
-    out.cycles_cached += rec.cost.planned();
-    out.results.extend(rec.trial);
 }
 
 /// The point's full trial record set, when *every* trial is in the

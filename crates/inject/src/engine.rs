@@ -262,56 +262,19 @@ impl fmt::Display for CampaignStats {
 pub(crate) struct UnitOutput<R> {
     /// The unit's results, in the unit's own deterministic order.
     pub results: Vec<R>,
-    /// Seconds spent sweeping from the unit's checkpoint to its
-    /// injection coordinate.
-    pub sweep_secs: f64,
-    /// Seconds spent establishing the golden reference.
-    pub golden_secs: f64,
-    /// Seconds spent running injected trials.
-    pub trial_secs: f64,
-    /// 1 when this unit was served from a pre-campaign (warm)
-    /// checkpoint, 0 for a cold serve.
-    pub checkpoint_hits: u64,
-    /// 1 when this unit was served cold by this campaign, 0 otherwise.
-    pub checkpoint_misses: u64,
-    /// Warm-up cycles the unit's warm checkpoint skipped.
-    pub warmup_cycles_saved: u64,
-    /// Trial window cycles simulated in this unit.
-    pub cycles_simulated: u64,
-    /// Trial window cycles skipped by the reconvergence cutoff.
-    pub cycles_saved: u64,
-    /// Trials this unit cut short at a fingerprint match.
-    pub trials_cut: u64,
-    /// Trials this unit classified via the masking-interval map.
-    pub trials_pruned: u64,
-    /// Trial window cycles the pruned trials would have needed.
-    pub cycles_pruned: u64,
-    /// Trials this unit served from the trial store.
-    pub trials_cached: u64,
-    /// Planned window cycles those cached trials replayed.
-    pub cycles_cached: u64,
+    /// The unit's share of the campaign's worker-side counters: stage
+    /// seconds, checkpoint serves and window-cycle accounting.
+    /// [`run_ordered`] folds every unit's with [`CampaignStats::merge`]
+    /// and fills in the campaign-wide fields (threads, units, trials,
+    /// wall and producer time) itself.
+    pub stats: CampaignStats,
 }
 
 /// An empty unit: no results, zero time, zero cycle accounting. (Not
 /// derived — that would demand `R: Default` for no reason.)
 impl<R> Default for UnitOutput<R> {
     fn default() -> Self {
-        UnitOutput {
-            results: Vec::new(),
-            sweep_secs: 0.0,
-            golden_secs: 0.0,
-            trial_secs: 0.0,
-            checkpoint_hits: 0,
-            checkpoint_misses: 0,
-            warmup_cycles_saved: 0,
-            cycles_simulated: 0,
-            cycles_saved: 0,
-            trials_cut: 0,
-            trials_pruned: 0,
-            cycles_pruned: 0,
-            trials_cached: 0,
-            cycles_cached: 0,
-        }
+        UnitOutput { results: Vec::new(), stats: CampaignStats::default() }
     }
 }
 
@@ -346,8 +309,7 @@ where
     // next send instead of leaving it blocked on a full channel.
     let rx = Arc::new(Mutex::new(rx));
     let collected: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
-    let stage_secs: Mutex<(f64, f64, f64)> = Mutex::new((0.0, 0.0, 0.0));
-    let cycle_counts: Mutex<[u64; 10]> = Mutex::new([0; 10]);
+    let totals: Mutex<CampaignStats> = Mutex::new(CampaignStats::default());
 
     let wall0 = Instant::now();
     let mut produce_secs = 0.0;
@@ -358,32 +320,13 @@ where
             let rx = Arc::clone(&rx);
             let work = &work;
             let collected = &collected;
-            let stage_secs = &stage_secs;
-            let cycle_counts = &cycle_counts;
+            let totals = &totals;
             s.spawn(move || loop {
                 // The receiver's guard drops at the end of this
                 // statement, so the lock is held only while waiting.
                 let Ok((index, unit)) = lock(&rx).recv() else { break };
                 let out = work(unit);
-                {
-                    let mut st = lock(stage_secs);
-                    st.0 += out.sweep_secs;
-                    st.1 += out.golden_secs;
-                    st.2 += out.trial_secs;
-                }
-                {
-                    let mut cc = lock(cycle_counts);
-                    cc[0] += out.cycles_simulated;
-                    cc[1] += out.cycles_saved;
-                    cc[2] += out.trials_cut;
-                    cc[3] += out.trials_pruned;
-                    cc[4] += out.cycles_pruned;
-                    cc[5] += out.checkpoint_hits;
-                    cc[6] += out.checkpoint_misses;
-                    cc[7] += out.warmup_cycles_saved;
-                    cc[8] += out.trials_cached;
-                    cc[9] += out.cycles_cached;
-                }
+                lock(totals).merge(&out.stats);
                 lock(collected).push((index, out.results));
             });
         }
@@ -408,10 +351,6 @@ where
     collected.sort_unstable_by_key(|&(index, _)| index);
     debug_assert!(collected.iter().enumerate().all(|(i, (idx, _))| i == *idx));
 
-    let (sweep_secs, golden_secs, trial_secs) =
-        stage_secs.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let [cycles_simulated, cycles_saved, trials_cut, trials_pruned, cycles_pruned, checkpoint_hits, checkpoint_misses, warmup_cycles_saved, trials_cached, cycles_cached] =
-        cycle_counts.into_inner().unwrap_or_else(PoisonError::into_inner);
     let results: Vec<R> = collected.into_iter().flat_map(|(_, r)| r).collect();
     let stats = CampaignStats {
         threads,
@@ -419,24 +358,7 @@ where
         trials: results.len() as u64,
         wall_secs: wall0.elapsed().as_secs_f64(),
         produce_secs,
-        sweep_secs,
-        golden_secs,
-        trial_secs,
-        cycles_simulated,
-        cycles_saved,
-        trials_cut,
-        trials_pruned,
-        cycles_pruned,
-        trials_interval_pruned: trials_pruned,
-        shadow_runs: 0,
-        checkpoint_hits,
-        checkpoint_misses,
-        warmup_cycles_saved,
-        trials_cached,
-        cycles_cached,
-        maskmap_secs: 0.0,
-        maps_built: 0,
-        maps_loaded: 0,
+        ..totals.into_inner().unwrap_or_else(PoisonError::into_inner)
     };
     (results, stats)
 }
@@ -455,19 +377,23 @@ mod tests {
     fn double_unit(u: u32) -> UnitOutput<u32> {
         UnitOutput {
             results: vec![u * 2, u * 2 + 1],
-            sweep_secs: 0.005,
-            golden_secs: 0.01,
-            trial_secs: 0.02,
-            checkpoint_hits: u64::from(u.is_multiple_of(2)),
-            checkpoint_misses: u64::from(!u.is_multiple_of(2)),
-            warmup_cycles_saved: 10,
-            cycles_simulated: 100,
-            cycles_saved: 50,
-            trials_cut: 1,
-            trials_pruned: 1,
-            cycles_pruned: 25,
-            trials_cached: 1,
-            cycles_cached: 40,
+            stats: CampaignStats {
+                sweep_secs: 0.005,
+                golden_secs: 0.01,
+                trial_secs: 0.02,
+                checkpoint_hits: u64::from(u.is_multiple_of(2)),
+                checkpoint_misses: u64::from(!u.is_multiple_of(2)),
+                warmup_cycles_saved: 10,
+                cycles_simulated: 100,
+                cycles_saved: 50,
+                trials_cut: 1,
+                trials_pruned: 1,
+                cycles_pruned: 25,
+                trials_interval_pruned: 1,
+                trials_cached: 1,
+                cycles_cached: 40,
+                ..CampaignStats::default()
+            },
         }
     }
 

@@ -56,7 +56,6 @@ pub mod stats;
 mod uarch_campaign;
 mod uarch_trial;
 
-pub use arch_campaign::run_workload as run_arch_workload;
 pub use arch_campaign::{
     arch_campaign_digest, run_arch_campaign, run_arch_campaign_io, run_arch_campaign_with_stats,
     ArchCampaignConfig, ArchTrial,

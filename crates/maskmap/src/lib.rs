@@ -2031,8 +2031,8 @@ impl AvfRow {
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide memoized loaders (the checkpoint-library pattern), with
-// persistence next to the trial store.
+// The process-wide memoized map loader (the checkpoint-library pattern),
+// with persistence next to the trial store.
 
 /// Digest pinning everything that shapes a µarch map: workload program
 /// (scale), simulator configuration, and recording horizon.
@@ -2049,11 +2049,11 @@ pub fn map_path(dir: &Path, domain: &str, workload: WorkloadId, digest: u64) -> 
 /// writers: a buffered write to a process-unique temp name, then rename.
 /// Every shard computes byte-identical content, so last-rename-wins is
 /// harmless.
-fn persist(path: &Path, write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>) {
+fn persist(path: &Path, map: &UarchMaskMap) {
     let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
     let written = File::create(&tmp).and_then(|file| {
         let mut out = BufWriter::new(file);
-        write(&mut out)?;
+        map.write_json(&mut out)?;
         out.flush()
     });
     if written.is_ok() {
@@ -2096,48 +2096,7 @@ pub enum MapSource {
     clippy::disallowed_types,
     reason = "keyed lookup only; the registry is never iterated for output"
 )]
-type Registry<M> =
-    OnceLock<Mutex<std::collections::HashMap<(WorkloadId, u64), Arc<OnceLock<Arc<M>>>>>>;
-
-/// Serves `key` from `registry`, running `resolve` if no caller has.
-fn resolve_slot<M>(
-    registry: &'static Registry<M>,
-    key: (WorkloadId, u64),
-    resolve: impl FnOnce() -> (M, MapSource),
-) -> (Arc<M>, MapSource) {
-    let slot = Arc::clone(
-        registry
-            .get_or_init(Mutex::default)
-            .lock()
-            .expect("maskmap registry poisoned")
-            .entry(key)
-            .or_default(),
-    );
-    let mut source = MapSource::Memo;
-    let map = slot.get_or_init(|| {
-        let (map, how) = resolve();
-        source = how;
-        Arc::new(map)
-    });
-    (Arc::clone(map), source)
-}
-
-/// Loads `path`'s map if it decodes, else builds and persists one.
-fn load_or_build<M>(
-    path: Option<PathBuf>,
-    decode: impl FnOnce(&Json) -> Option<M>,
-    build: impl FnOnce() -> M,
-    write: impl FnOnce(&M, &mut BufWriter<File>) -> io::Result<()>,
-) -> (M, MapSource) {
-    if let Some(map) = path.as_deref().and_then(read_json).and_then(|v| decode(&v)) {
-        return (map, MapSource::Loaded);
-    }
-    let map = build();
-    if let Some(p) = &path {
-        persist(p, |out| write(&map, out));
-    }
-    (map, MapSource::Built)
-}
+type Registry = std::collections::HashMap<(WorkloadId, u64), Arc<OnceLock<Arc<UarchMaskMap>>>>;
 
 /// The process-wide µarch map registry: one [`UarchMaskMap`] per
 /// `(workload, digest)`, built (or loaded from `map_dir`) on first use
@@ -2163,17 +2122,34 @@ pub fn uarch_map_sourced(
     horizon: u64,
     map_dir: Option<&Path>,
 ) -> (Arc<UarchMaskMap>, MapSource) {
-    static CACHE: Registry<UarchMaskMap> = OnceLock::new();
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
     let digest = uarch_map_digest(scale, uarch, horizon);
-    resolve_slot(&CACHE, (workload, digest), || {
+    let slot = Arc::clone(
+        REGISTRY
+            .get_or_init(Mutex::default)
+            .lock()
+            .expect("maskmap registry poisoned")
+            .entry((workload, digest))
+            .or_default(),
+    );
+    let mut source = MapSource::Memo;
+    let map = slot.get_or_init(|| {
         let program = workload.build(scale);
-        load_or_build(
-            map_dir.map(|d| map_path(d, "uarch", workload, digest)),
-            |v| UarchMaskMap::from_json(v, uarch, &program, digest),
-            || UarchMaskMap::build(uarch, &program, horizon, digest),
-            UarchMaskMap::write_json,
-        )
-    })
+        let path = map_dir.map(|d| map_path(d, "uarch", workload, digest));
+        let loaded = (path.as_deref().and_then(read_json))
+            .and_then(|v| UarchMaskMap::from_json(&v, uarch, &program, digest));
+        if let Some(map) = loaded {
+            source = MapSource::Loaded;
+            return Arc::new(map);
+        }
+        let map = UarchMaskMap::build(uarch, &program, horizon, digest);
+        if let Some(p) = &path {
+            persist(p, &map);
+        }
+        source = MapSource::Built;
+        Arc::new(map)
+    });
+    (Arc::clone(map), source)
 }
 
 /// Calls `resolve` on every workload over up to `threads` scoped
