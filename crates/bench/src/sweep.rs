@@ -18,7 +18,7 @@
 //! Coverage is the fraction of failures the enabled sources catch
 //! within the interval; overhead folds the false-positive rollback cost
 //! (the Figure 7 analytic model, immediate policy) together with the
-//! software sources' dynamic instruction expansion. The frontier is
+//! software detectors' dynamic instruction expansion. The frontier is
 //! marked per workload and for the pooled suite by [`pareto_indices`].
 
 use crate::pareto_indices;
@@ -145,7 +145,7 @@ pub struct SweepPoint {
     /// `covered / failures` (1 when there are no failures).
     pub coverage: f64,
     /// `1 −` relative performance: false-positive rollbacks plus the
-    /// software sources' dynamic instruction expansion.
+    /// software detectors' dynamic instruction expansion.
     pub overhead: f64,
     /// Dedicated detector storage (bits).
     pub table_bits: u64,
@@ -170,7 +170,7 @@ fn false_positives(p: &WorkloadProfile, sel: &SourceSet) -> f64 {
 
 /// Relative performance of one workload under a configuration: the
 /// Figure 7 immediate-rollback model (expected 1.5-interval re-execution
-/// per false positive) times the software sources' instruction-expansion
+/// per false positive) times the software detectors' instruction-expansion
 /// slowdown.
 fn speedup(
     model: &PerfModel,

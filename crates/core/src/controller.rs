@@ -11,7 +11,6 @@
 //! delivered.
 
 use crate::checkpoint::{Checkpoint, CheckpointStore};
-use crate::detector::DetectorSet;
 use crate::event_log::{EventLog, LogCheck};
 use crate::symptom::{Symptom, SymptomConfig};
 use restore_arch::Exception;
@@ -114,8 +113,6 @@ enum Mode {
 pub struct RestoreController {
     pipe: Pipeline,
     cfg: RestoreConfig,
-    /// The armed detector bank, built once from `cfg.symptoms`.
-    detectors: DetectorSet,
     ckpts: CheckpointStore,
     log: EventLog,
     mode: Mode,
@@ -142,7 +139,6 @@ impl RestoreController {
         RestoreController {
             pipe,
             cfg,
-            detectors: DetectorSet::live(&cfg.symptoms),
             ckpts: CheckpointStore::new(initial),
             log: EventLog::new(),
             mode: Mode::Normal,
@@ -266,7 +262,7 @@ impl RestoreController {
             }
 
             // Symptom detection and rollback.
-            let symptoms = self.detectors.scan_cycle(&report);
+            let symptoms = self.cfg.symptoms.detect(&report);
             if let Some(symptom) = self.select_symptom(&symptoms) {
                 match self.mode {
                     Mode::Reexec { symptom_at, was_exception }

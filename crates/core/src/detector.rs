@@ -1,87 +1,29 @@
-//! The pluggable `SymptomSource` detector layer.
+//! The trial detectors: one concrete [`DetectorSet`] that latches the
+//! first firing of every observable a trial records.
 //!
-//! ReStore's detectors were originally scattered: the live pipeline
-//! monitor ([`crate::RestoreController`]) matched on [`CycleReport`]
-//! fields through [`SymptomConfig`], while the two fault-injection
-//! campaign monitors each re-implemented exception/watchdog/cfv/
-//! mispredict bookkeeping inline. This module turns every detector into
-//! an instance of one trait:
+//! The paper's detectors are a fixed set: ISA exceptions, JRS
+//! high-confidence mispredictions and the retirement watchdog (§3). Two
+//! software-only detectors from the Azambuja et al. SEU/SET hardening
+//! toolbox join them: control-flow signature checking and selective
+//! variable duplication, configured by [`DetectorConfig`], whose knobs
+//! shape trial records and therefore fold into the campaign digests.
+//! A trial keeps every detector's first-firing latency, plus the
+//! ground-truth observables (perfect cfv, any-confidence mispredicts,
+//! value divergence, the memory classes), in one [`Firings`] record;
+//! which detectors are *enabled* is chosen afterwards from those
+//! latencies ([`SourceSet`], [`CfvMode`]), so no detector needs to be
+//! an object. Three plain paths cover them:
 //!
-//! * [`SymptomSource::observe`] consumes domain-neutral [`Observation`]
-//!   events (a retired-stream comparison against golden, a fault-novel
+//! * both trial monitors feed domain-neutral [`Observation`] events (a
+//!   retired-stream comparison against golden, a fault-novel
 //!   misprediction, an exception, watchdog saturation, a memory-effect
-//!   mismatch) and reports the latency of the source's *first firing*;
-//! * [`SymptomSource::live`] is the on-line face of the same detector:
-//!   it scans one [`CycleReport`] — no golden run available — and emits
-//!   [`Symptom`] occurrences for the rollback controller;
-//! * [`SymptomSource::overhead`] is the static cost model ([`Overhead`]):
-//!   extra instructions executed, detector table bits, and extra state
-//!   each checkpoint must carry.
-//!
-//! Sources register in a [`DetectorSet`]; both the architectural and the
-//! microarchitectural trial monitors drive their sets through one shared
-//! observation loop, and the sweep binary reads coverage/overhead off
-//! the same instances. Two of the sources are *software-only* detectors
-//! from the Azambuja et al. SEU/SET hardening toolbox — control-flow
-//! signature checking ([`SignatureSource`]) and selective variable
-//! duplication ([`DupSource`]) — configured by [`DetectorConfig`], whose
-//! knobs shape trial records and therefore fold into the campaign
-//! digests.
-
-use crate::symptom::{Symptom, SymptomConfig};
-use core::fmt;
-use restore_uarch::CycleReport;
-
-/// The symptom class a [`SymptomSource`] reports under. One slot per
-/// *observable* — the perfect-cfv, JRS-confidence and any-mispredict
-/// detectors are distinct sources (a trial record keeps all three, so
-/// detection models can be swept post-hoc).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SymptomKind {
-    /// Retirement watchdog saturation.
-    Deadlock,
-    /// An ISA-defined exception.
-    Exception,
-    /// Sustained control-flow divergence (perfect cfv identification).
-    Cfv,
-    /// A fault-novel high-confidence (JRS) misprediction.
-    HcMispredict,
-    /// A fault-novel misprediction of any confidence (the §5.2.1
-    /// perfect-confidence-predictor ablation).
-    AnyMispredict,
-    /// Any dataflow divergence from golden (ground-truth observable,
-    /// not a deployable detector).
-    ValueDivergence,
-    /// Control-flow signature block mismatch (software-only).
-    Signature,
-    /// Selective variable-duplication compare mismatch (software-only).
-    Dup,
-    /// A memory access with a corrupted address (architectural level).
-    MemAddr,
-    /// A store of corrupted data to a correct address.
-    MemData,
-    /// Data-cache miss (§3.3's cautionary generalised symptom).
-    CacheMiss,
-}
-
-impl SymptomKind {
-    /// Stable short name for reports and sweep labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            SymptomKind::Deadlock => "watchdog",
-            SymptomKind::Exception => "exception",
-            SymptomKind::Cfv => "cfv",
-            SymptomKind::HcMispredict => "hc-mispredict",
-            SymptomKind::AnyMispredict => "any-mispredict",
-            SymptomKind::ValueDivergence => "value",
-            SymptomKind::Signature => "signature",
-            SymptomKind::Dup => "dup",
-            SymptomKind::MemAddr => "mem-addr",
-            SymptomKind::MemData => "mem-data",
-            SymptomKind::CacheMiss => "cache-miss",
-        }
-    }
-}
+//!   mismatch) to [`DetectorSet::observe`], whose one `match` latches
+//!   each first firing; the µarch and arch sets differ only in the cfv
+//!   rule;
+//! * the live rollback controller has no golden run: it scans each
+//!   cycle's report with [`crate::SymptomConfig::detect`];
+//! * [`SourceSet::overhead`] is the static cost model ([`Overhead`])
+//!   the sweep trades against coverage.
 
 /// One retired instruction compared against the golden stream, as seen
 /// by a trial monitor. All mismatch flags are relative to the golden
@@ -105,9 +47,9 @@ pub struct RetiredCompare {
     pub golden_reg: Option<u8>,
 }
 
-/// One domain-neutral event fed to every source of a [`DetectorSet`].
-/// The architectural and microarchitectural monitors emit the subset
-/// their fault model can observe; sources simply never fire on events
+/// One domain-neutral event fed to a [`DetectorSet`]. The
+/// architectural and microarchitectural monitors emit the subset their
+/// fault model can observe; an observable simply never fires on events
 /// that never arrive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Observation {
@@ -157,7 +99,7 @@ pub enum Observation {
 }
 
 /// Static overhead of keeping a detector armed: the axis the sweep
-/// trades against coverage.
+/// trades against coverage ([`SourceSet::overhead`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Overhead {
     /// Extra dynamic instructions per original instruction (software
@@ -169,25 +111,6 @@ pub struct Overhead {
     /// Extra state bits every checkpoint must additionally carry
     /// (shadow copies, signature registers live across a rollback).
     pub checkpoint_bits: u64,
-}
-
-impl Overhead {
-    /// A free detector.
-    pub const NONE: Overhead =
-        Overhead { extra_instr_frac: 0.0, table_bits: 0, checkpoint_bits: 0 };
-
-    /// Component-wise sum.
-    #[allow(
-        clippy::should_implement_trait,
-        reason = "a named component-wise sum for folds; an `Add` impl would suggest arithmetic on a cost report"
-    )]
-    pub fn add(self, other: Overhead) -> Overhead {
-        Overhead {
-            extra_instr_frac: self.extra_instr_frac + other.extra_instr_frac,
-            table_bits: self.table_bits + other.table_bits,
-            checkpoint_bits: self.checkpoint_bits + other.checkpoint_bits,
-        }
-    }
 }
 
 /// How the cfv symptom is identified when classifying a trial record.
@@ -220,11 +143,11 @@ impl CfvMode {
 }
 
 /// Observation-time detector configuration. These knobs shape what a
-/// trial *record* contains (the latencies the software-only sources
+/// trial *record* contains (the latencies the software-only detectors
 /// fire at), so both campaign digests fold them in — cached trials
-/// never cross detector configurations. Post-hoc knobs (which sources
-/// are *enabled* when classifying, the checkpoint interval, the
-/// [`CfvMode`]) are deliberately absent: they are resolved from the
+/// never cross detector configurations. Post-hoc knobs (which
+/// detectors are *enabled* when classifying, the checkpoint interval,
+/// the [`CfvMode`]) are deliberately absent: they are resolved from the
 /// recorded observables for free and must not rekey stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectorConfig {
@@ -270,543 +193,151 @@ impl Default for DetectorConfig {
     }
 }
 
-/// A pluggable symptom detector.
-///
-/// A source is driven two ways: trial monitors feed golden-relative
-/// [`Observation`] events through [`SymptomSource::observe`] and read
-/// the first-firing latency; the live rollback controller scans raw
-/// [`CycleReport`]s through [`SymptomSource::live`] (no golden run
-/// exists on-line, so only the hardware-visible sources fire there).
-pub trait SymptomSource: fmt::Debug {
-    /// Stable name for reports.
-    fn name(&self) -> &'static str;
-
-    /// The symptom class this source reports under.
-    fn kind(&self) -> SymptomKind;
-
-    /// Consumes one observation; returns `Some(latency)` at the moment
-    /// of the source's first firing. The surrounding [`DetectorSet`]
-    /// latches the first value, so later returns are ignored.
-    fn observe(&mut self, obs: &Observation) -> Option<u64>;
-
-    /// Scans one live cycle report, appending each symptom occurrence.
-    /// Default: the source has no on-line face (golden-relative sources
-    /// cannot run without a reference stream).
-    fn live(&self, report: &CycleReport, out: &mut Vec<Symptom>) {
-        let _ = (report, out);
-    }
-
-    /// Static overhead of keeping this source armed.
-    fn overhead(&self) -> Overhead {
-        Overhead::NONE
-    }
+/// The first-firing latency of every observable a trial records, `None`
+/// until it fires. Each monitor emits only what its fault model can
+/// observe: the memory classes stay `None` at the µarch level, and the
+/// watchdog, mispredict and value observables at the architectural one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Firings {
+    /// Retirement watchdog saturation (§5.1.1).
+    pub deadlock: Option<u64>,
+    /// An ISA-defined exception (§3.2.1).
+    pub exception: Option<u64>,
+    /// A control-flow violation: retired-stream divergence from golden
+    /// (perfect cfv identification), under the set's cfv rule.
+    pub cfv: Option<u64>,
+    /// A fault-novel high-confidence (JRS) misprediction (§3.2.2).
+    pub hc_mispredict: Option<u64>,
+    /// A fault-novel misprediction of any confidence (the §5.2.1
+    /// perfect-confidence-predictor ablation).
+    pub any_mispredict: Option<u64>,
+    /// Any dataflow divergence from golden on an aligned stream. Not a
+    /// deployable detector: it is the failure judgement's ground truth.
+    pub value: Option<u64>,
+    /// Control-flow signature checking: the first retired-PC mismatch,
+    /// rounded up to its signature block boundary (software-only).
+    pub signature: Option<u64>,
+    /// Selective variable duplication: a mismatching write to a
+    /// protected register, or an arch trial's flip of one at the
+    /// injection site (software-only).
+    pub dup: Option<u64>,
+    /// A memory access with a corrupted address (architectural level).
+    pub mem_addr: Option<u64>,
+    /// A store of corrupted data to a correct address (architectural
+    /// level).
+    pub mem_data: Option<u64>,
 }
 
-/// ISA exceptions as symptoms (§3.2.1). Free: the exception path
-/// already exists; ReStore merely redirects delivery through a
-/// rollback first.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExceptionSource;
-
-impl SymptomSource for ExceptionSource {
-    fn name(&self) -> &'static str {
-        "exception"
-    }
-    fn kind(&self) -> SymptomKind {
-        SymptomKind::Exception
-    }
-    fn observe(&mut self, obs: &Observation) -> Option<u64> {
-        match obs {
-            Observation::Exception { latency } => Some(*latency),
-            _ => None,
-        }
-    }
-    fn live(&self, report: &CycleReport, out: &mut Vec<Symptom>) {
-        if let Some(e) = report.exception {
-            out.push(Symptom::Exception(e));
-        }
-    }
-}
-
-/// Retirement watchdog saturation (§5.1.1). One saturating counter.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WatchdogSource;
-
-impl SymptomSource for WatchdogSource {
-    fn name(&self) -> &'static str {
-        "watchdog"
-    }
-    fn kind(&self) -> SymptomKind {
-        SymptomKind::Deadlock
-    }
-    fn observe(&mut self, obs: &Observation) -> Option<u64> {
-        match obs {
-            Observation::Deadlock { latency } => Some(*latency),
-            _ => None,
-        }
-    }
-    fn live(&self, report: &CycleReport, out: &mut Vec<Symptom>) {
-        if report.deadlock {
-            out.push(Symptom::Watchdog);
-        }
-    }
-    fn overhead(&self) -> Overhead {
-        // The watchdog is one 64-bit saturating counter.
-        Overhead { table_bits: 64, ..Overhead::NONE }
-    }
-}
-
-/// Fault-novel branch mispredictions as symptoms (§3.2.2). With
-/// `high_confidence_only`, only mispredictions the JRS confidence
-/// estimator vouched for fire — the paper's realistic detector; without
-/// it, every fault-novel misprediction fires (the §5.2.1 ablation).
-#[derive(Debug, Clone, Copy)]
-pub struct MispredictSource {
-    /// Fire only on high-confidence (JRS) mispredictions.
-    pub high_confidence_only: bool,
-    /// JRS table entries (rounded up to a power of two by the
-    /// estimator) — the overhead model's table geometry.
-    pub jrs_entries: usize,
-    /// Saturating-counter ceiling; the counter width is
-    /// `bits(jrs_max)`.
-    pub jrs_max: u8,
-}
-
-impl SymptomSource for MispredictSource {
-    fn name(&self) -> &'static str {
-        if self.high_confidence_only {
-            "hc-mispredict"
-        } else {
-            "any-mispredict"
-        }
-    }
-    fn kind(&self) -> SymptomKind {
-        if self.high_confidence_only {
-            SymptomKind::HcMispredict
-        } else {
-            SymptomKind::AnyMispredict
-        }
-    }
-    fn observe(&mut self, obs: &Observation) -> Option<u64> {
-        match obs {
-            Observation::NovelMispredict { latency, any, high_confidence } => {
-                let fire = if self.high_confidence_only { *high_confidence } else { *any };
-                fire.then_some(*latency)
-            }
-            _ => None,
-        }
-    }
-    fn live(&self, report: &CycleReport, out: &mut Vec<Symptom>) {
-        for m in &report.mispredicts {
-            let fire = !self.high_confidence_only || m.high_confidence;
-            if fire && m.conditional {
-                out.push(Symptom::HighConfidenceMispredict { pc: m.pc });
-            }
-        }
-    }
-    fn overhead(&self) -> Overhead {
-        if !self.high_confidence_only {
-            // The perfect-confidence ablation is an oracle, not a
-            // buildable table.
-            return Overhead::NONE;
-        }
-        let entries = self.jrs_entries.next_power_of_two() as u64;
-        let counter_bits = u64::from(u8::BITS - self.jrs_max.leading_zeros());
-        Overhead { table_bits: entries * counter_bits, ..Overhead::NONE }
-    }
-}
-
-/// Control-flow violation via retired-stream divergence. `sustained`
-/// (the microarchitectural monitor) requires two consecutive PC
-/// mismatches — a single-event label mismatch that immediately
-/// re-aligns is a corrupted reporting field, i.e. data corruption, not
-/// cfv; the architectural monitor compares whole-machine control flow
-/// directly and fires on the first mismatch.
-#[derive(Debug, Clone, Copy)]
-pub struct CfvSource {
-    /// Require a second consecutive mismatch before firing.
-    pub sustained: bool,
-    pending: Option<u64>,
-}
-
-impl CfvSource {
-    /// A cfv observer; `sustained` per the monitor's alignment model.
-    pub fn new(sustained: bool) -> CfvSource {
-        CfvSource { sustained, pending: None }
-    }
-}
-
-impl SymptomSource for CfvSource {
-    fn name(&self) -> &'static str {
-        "cfv"
-    }
-    fn kind(&self) -> SymptomKind {
-        SymptomKind::Cfv
-    }
-    fn observe(&mut self, obs: &Observation) -> Option<u64> {
-        let Observation::Retired(r) = obs else { return None };
-        if r.pc_mismatch {
-            if !self.sustained {
-                return Some(r.latency);
-            }
-            match self.pending {
-                Some(at) => Some(at),
-                None => {
-                    self.pending = Some(r.latency);
-                    None
-                }
-            }
-        } else {
-            self.pending = None;
-            None
-        }
-    }
-}
-
-/// Ground-truth value divergence: any dataflow difference from golden
-/// on an aligned stream. Not a deployable detector — it exists so the
-/// failure judgement and the software sources read the same events.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ValueSource;
-
-impl SymptomSource for ValueSource {
-    fn name(&self) -> &'static str {
-        "value"
-    }
-    fn kind(&self) -> SymptomKind {
-        SymptomKind::ValueDivergence
-    }
-    fn observe(&mut self, obs: &Observation) -> Option<u64> {
-        match obs {
-            Observation::Retired(r) if r.value_mismatch => Some(r.latency),
-            _ => None,
-        }
-    }
-}
-
-/// Software control-flow signature checking (Azambuja et al.): the
-/// compiler embeds a running signature update per block of
-/// `chunk` retired instructions and compares it against the
-/// compile-time value at each block boundary. A corrupted retired-PC
-/// stream is therefore caught at the end of the block containing the
-/// first mismatch — the firing latency rounds the mismatch latency up
-/// to its block boundary. Unlike the sustained-divergence cfv model,
-/// the signature also catches one-off PC label corruptions.
-#[derive(Debug, Clone, Copy)]
-pub struct SignatureSource {
-    /// Retired instructions per signature block (`0` disables).
-    pub chunk: u64,
-}
-
-impl SymptomSource for SignatureSource {
-    fn name(&self) -> &'static str {
-        "signature"
-    }
-    fn kind(&self) -> SymptomKind {
-        SymptomKind::Signature
-    }
-    fn observe(&mut self, obs: &Observation) -> Option<u64> {
-        if self.chunk == 0 {
-            return None;
-        }
-        match obs {
-            Observation::Retired(r) if r.pc_mismatch => {
-                // The block-boundary check that covers retirement
-                // `latency` runs at the next multiple of `chunk`.
-                Some(r.latency.div_ceil(self.chunk) * self.chunk)
-            }
-            _ => None,
-        }
-    }
-    fn overhead(&self) -> Overhead {
-        if self.chunk == 0 {
-            return Overhead::NONE;
-        }
-        Overhead {
-            // One signature update plus one compare-and-branch per
-            // block of `chunk` instructions.
-            extra_instr_frac: 2.0 / self.chunk as f64,
-            // The running signature register.
-            table_bits: 64,
-            // The signature is live across a rollback, so checkpoints
-            // must carry it.
-            checkpoint_bits: 64,
-        }
-    }
-}
-
-/// Selective variable duplication (Azambuja et al.): writes to a
-/// protected subset of architectural registers are recomputed through a
-/// shadow copy and compared at the write. Fires when an aligned retired
-/// instruction's register write differs from golden and either side's
-/// destination is protected — or, at the architectural level, when the
-/// fault is injected straight into a protected register's write result
-/// (the duplicate compare at the injection site itself).
-#[derive(Debug, Clone, Copy)]
-pub struct DupSource {
-    /// Protected architectural registers (bit *r* ⇒ register *r*).
-    pub mask: u32,
-}
-
-impl DupSource {
-    fn covers(&self, reg: Option<u8>) -> bool {
-        reg.is_some_and(|r| r < 32 && self.mask & (1 << r) != 0)
-    }
-}
-
-impl SymptomSource for DupSource {
-    fn name(&self) -> &'static str {
-        "dup"
-    }
-    fn kind(&self) -> SymptomKind {
-        SymptomKind::Dup
-    }
-    fn observe(&mut self, obs: &Observation) -> Option<u64> {
-        if self.mask == 0 {
-            return None;
-        }
-        match obs {
-            Observation::Retired(r)
-                if r.reg_write_mismatch
-                    && (self.covers(r.trial_reg) || self.covers(r.golden_reg)) =>
-            {
-                Some(r.latency)
-            }
-            Observation::InjectedRegFlip { reg, latency } if self.covers(Some(*reg)) => {
-                Some(*latency)
-            }
-            _ => None,
-        }
-    }
-    fn overhead(&self) -> Overhead {
-        let protected = u64::from(self.mask.count_ones());
-        if protected == 0 {
-            return Overhead::NONE;
-        }
-        Overhead {
-            // Duplicate-and-compare roughly re-executes the producer and
-            // adds a compare: ~1.5 extra instructions per protected
-            // write, scaled by the protected fraction of the register
-            // file.
-            extra_instr_frac: 1.5 * protected as f64 / 32.0,
-            table_bits: 0,
-            // Shadow copies are architectural state a rollback must
-            // restore.
-            checkpoint_bits: protected * 64,
-        }
-    }
-}
-
-/// A memory access whose address was corrupted (architectural level).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MemAddrSource;
-
-impl SymptomSource for MemAddrSource {
-    fn name(&self) -> &'static str {
-        "mem-addr"
-    }
-    fn kind(&self) -> SymptomKind {
-        SymptomKind::MemAddr
-    }
-    fn observe(&mut self, obs: &Observation) -> Option<u64> {
-        match obs {
-            Observation::MemAddrMismatch { latency } => Some(*latency),
-            _ => None,
-        }
-    }
-}
-
-/// A store of corrupted data to a correct address (architectural
-/// level).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MemDataSource;
-
-impl SymptomSource for MemDataSource {
-    fn name(&self) -> &'static str {
-        "mem-data"
-    }
-    fn kind(&self) -> SymptomKind {
-        SymptomKind::MemData
-    }
-    fn observe(&mut self, obs: &Observation) -> Option<u64> {
-        match obs {
-            Observation::MemDataMismatch { latency } => Some(*latency),
-            _ => None,
-        }
-    }
-}
-
-/// Data-cache misses as symptoms — §3.3's generalised-symptom example
-/// with poor false-positive behaviour; live-scan only.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheMissSource;
-
-impl SymptomSource for CacheMissSource {
-    fn name(&self) -> &'static str {
-        "cache-miss"
-    }
-    fn kind(&self) -> SymptomKind {
-        SymptomKind::CacheMiss
-    }
-    fn observe(&mut self, _obs: &Observation) -> Option<u64> {
-        None
-    }
-    fn live(&self, report: &CycleReport, out: &mut Vec<Symptom>) {
-        if report.dcache_misses > 0 {
-            out.push(Symptom::CacheMiss);
-        }
-    }
-}
-
-/// A registry of [`SymptomSource`] instances plus their first-firing
-/// latencies — the one observation loop both trial monitors drive.
+/// A trial monitor's detectors: the observation-time
+/// [`DetectorConfig`], the cfv rule with its pending mismatch, and the
+/// [`Firings`] latched so far. Every observable latches its first
+/// firing; no later observation moves it.
+#[derive(Debug)]
 pub struct DetectorSet {
-    sources: Vec<Box<dyn SymptomSource + Send>>,
-    fired: Vec<Option<u64>>,
-}
-
-impl fmt::Debug for DetectorSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DetectorSet")
-            .field("sources", &self.sources.iter().map(|s| s.name()).collect::<Vec<_>>())
-            .field("fired", &self.fired)
-            .finish()
-    }
+    det: DetectorConfig,
+    /// Cfv waits for a second consecutive PC mismatch (µarch monitor)
+    /// instead of firing on the first (arch monitor).
+    sustained_cfv: bool,
+    /// Latency of the PC mismatch a sustained cfv is waiting to confirm.
+    pending_cfv: Option<u64>,
+    firings: Firings,
 }
 
 impl DetectorSet {
-    /// An empty registry.
-    pub fn new() -> DetectorSet {
-        DetectorSet { sources: Vec::new(), fired: Vec::new() }
-    }
-
-    /// Registers a source.
-    pub fn register(&mut self, source: Box<dyn SymptomSource + Send>) {
-        self.sources.push(source);
-        self.fired.push(None);
-    }
-
-    /// The microarchitectural trial monitor's detector bank: watchdog,
-    /// exception, sustained-divergence cfv, ground-truth value
-    /// divergence, both mispredict observables (JRS geometry from
-    /// `uarch`), and the software-only sources from `det`.
-    pub fn uarch_trial(det: &DetectorConfig, uarch: &restore_uarch::UarchConfig) -> DetectorSet {
-        let mut set = DetectorSet::new();
-        set.register(Box::new(WatchdogSource));
-        set.register(Box::new(ExceptionSource));
-        set.register(Box::new(CfvSource::new(true)));
-        set.register(Box::new(ValueSource));
-        set.register(Box::new(MispredictSource {
-            high_confidence_only: true,
-            jrs_entries: uarch.jrs_entries,
-            jrs_max: uarch.jrs_max,
-        }));
-        set.register(Box::new(MispredictSource {
-            high_confidence_only: false,
-            jrs_entries: uarch.jrs_entries,
-            jrs_max: uarch.jrs_max,
-        }));
-        set.register(Box::new(SignatureSource { chunk: det.sig_chunk }));
-        set.register(Box::new(DupSource { mask: det.dup_mask }));
-        set
-    }
-
-    /// The architectural trial monitor's detector bank: exception,
-    /// immediate cfv, the two memory symptom classes, and the
-    /// software-only sources from `det`.
+    /// The microarchitectural trial monitor's detectors, with
+    /// *sustained* cfv: a retired-PC mismatch fires only when the next
+    /// compared retirement mismatches too, at the first one's latency.
+    /// A single-event label mismatch that immediately re-aligns is a
+    /// corrupted reporting field, i.e. data corruption, not cfv.
     ///
-    /// No source of this bank reacts to a fully matching
+    /// `_uarch` is unused: the JRS geometry matters only to
+    /// [`SourceSet::overhead`]. The parameter stays because the traced
+    /// benchmark run (`ledger/trace`) calls this signature, just as it
+    /// reads `CampaignStats::shadow_runs`, which stays for it too.
+    pub fn uarch_trial(det: &DetectorConfig, _uarch: &restore_uarch::UarchConfig) -> DetectorSet {
+        DetectorSet { sustained_cfv: true, ..DetectorSet::arch_trial(det) }
+    }
+
+    /// The architectural trial monitor's detectors: whole-machine
+    /// control flow is directly comparable at this level, so cfv fires
+    /// on the first retired-PC mismatch.
+    ///
+    /// No observable of this set reacts to a fully matching
     /// [`Observation::Retired`] (no PC, value or register-write
     /// mismatch): inserting any number of them anywhere into an
     /// observation sequence changes no firing latency. The architectural
     /// campaign relies on this to skip the observation for every
-    /// instruction golden provably retires identically. The µarch bank
-    /// ([`DetectorSet::uarch_trial`]) has no such property: its
-    /// sustained cfv source reads matching events to clear a pending
-    /// mismatch.
+    /// instruction golden provably retires identically. The µarch set
+    /// ([`DetectorSet::uarch_trial`]) has no such property: a matching
+    /// retirement clears its pending cfv mismatch.
     pub fn arch_trial(det: &DetectorConfig) -> DetectorSet {
-        let mut set = DetectorSet::new();
-        set.register(Box::new(ExceptionSource));
-        set.register(Box::new(CfvSource::new(false)));
-        set.register(Box::new(MemAddrSource));
-        set.register(Box::new(MemDataSource));
-        set.register(Box::new(SignatureSource { chunk: det.sig_chunk }));
-        set.register(Box::new(DupSource { mask: det.dup_mask }));
-        set
+        DetectorSet {
+            det: *det,
+            sustained_cfv: false,
+            pending_cfv: None,
+            firings: Firings::default(),
+        }
     }
 
-    /// The live rollback controller's bank: exactly the detectors
-    /// `cfg` arms, in the historical scan order (watchdog, exception,
-    /// mispredicts, cache misses). `all_mispredicts` subsumes
-    /// `high_conf_mispredicts` — one source fires per mispredict event
-    /// either way, matching the original single-pass scan.
-    pub fn live(cfg: &SymptomConfig) -> DetectorSet {
-        let mut set = DetectorSet::new();
-        if cfg.watchdog {
-            set.register(Box::new(WatchdogSource));
-        }
-        if cfg.exceptions {
-            set.register(Box::new(ExceptionSource));
-        }
-        if cfg.all_mispredicts || cfg.high_conf_mispredicts {
-            set.register(Box::new(MispredictSource {
-                high_confidence_only: !cfg.all_mispredicts,
-                jrs_entries: 1024,
-                jrs_max: 15,
-            }));
-        }
-        if cfg.cache_misses {
-            set.register(Box::new(CacheMissSource));
-        }
-        set
+    /// The first firings latched so far.
+    pub fn firings(&self) -> &Firings {
+        &self.firings
     }
 
-    /// Broadcasts one observation to every source, latching each
-    /// source's first firing.
+    /// Consumes one observation, latching the first firing of every
+    /// observable it fires.
     pub fn observe(&mut self, obs: &Observation) {
-        for (i, src) in self.sources.iter_mut().enumerate() {
-            if self.fired[i].is_none() {
-                self.fired[i] = src.observe(obs);
+        let f = &mut self.firings;
+        match *obs {
+            Observation::Retired(r) => {
+                if r.pc_mismatch {
+                    match self.pending_cfv {
+                        Some(at) => latch(&mut f.cfv, at),
+                        None if self.sustained_cfv => self.pending_cfv = Some(r.latency),
+                        None => latch(&mut f.cfv, r.latency),
+                    }
+                    let chunk = self.det.sig_chunk;
+                    if chunk > 0 {
+                        // The block-boundary check that covers
+                        // retirement `latency` runs at the next multiple
+                        // of `chunk`.
+                        latch(&mut f.signature, r.latency.div_ceil(chunk) * chunk);
+                    }
+                } else {
+                    self.pending_cfv = None;
+                }
+                if r.value_mismatch {
+                    latch(&mut f.value, r.latency);
+                }
+                let covered = |reg: Option<u8>| reg.is_some_and(|r| self.det.dup_covers(r));
+                if r.reg_write_mismatch && (covered(r.trial_reg) || covered(r.golden_reg)) {
+                    latch(&mut f.dup, r.latency);
+                }
+            }
+            Observation::NovelMispredict { latency, any, high_confidence } => {
+                if high_confidence {
+                    latch(&mut f.hc_mispredict, latency);
+                }
+                if any {
+                    latch(&mut f.any_mispredict, latency);
+                }
+            }
+            Observation::Exception { latency } => latch(&mut f.exception, latency),
+            Observation::Deadlock { latency } => latch(&mut f.deadlock, latency),
+            Observation::MemAddrMismatch { latency } => latch(&mut f.mem_addr, latency),
+            Observation::MemDataMismatch { latency } => latch(&mut f.mem_data, latency),
+            Observation::InjectedRegFlip { reg, latency } => {
+                if self.det.dup_covers(reg) {
+                    latch(&mut f.dup, latency);
+                }
             }
         }
     }
-
-    /// The earliest firing latency among sources of `kind`, if any
-    /// fired.
-    pub fn first(&self, kind: SymptomKind) -> Option<u64> {
-        self.sources
-            .iter()
-            .zip(&self.fired)
-            .filter(|(s, _)| s.kind() == kind)
-            .filter_map(|(_, f)| *f)
-            .min()
-    }
-
-    /// Scans one live cycle report through every registered source, in
-    /// registration order.
-    pub fn scan_cycle(&self, report: &CycleReport) -> Vec<Symptom> {
-        let mut out = Vec::new();
-        for src in &self.sources {
-            src.live(report, &mut out);
-        }
-        out
-    }
-
-    /// Combined static overhead of every registered source.
-    pub fn overhead(&self) -> Overhead {
-        self.sources.iter().fold(Overhead::NONE, |acc, s| acc.add(s.overhead()))
-    }
-
-    /// Registered source names, in order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.sources.iter().map(|s| s.name()).collect()
-    }
 }
 
-impl Default for DetectorSet {
-    fn default() -> Self {
-        DetectorSet::new()
-    }
+/// Records `at` as an observable's firing unless it already fired.
+fn latch(slot: &mut Option<u64>, at: u64) {
+    slot.get_or_insert(at);
 }
 
 /// A post-hoc *enabled subset* of detectors evaluated against recorded
@@ -874,31 +405,49 @@ impl SourceSet {
     }
 
     /// Static overhead of the selection, given the observation config
-    /// and JRS geometry the records were taken under.
+    /// and JRS geometry the records were taken under. Cfv costs only in
+    /// the JRS mode: perfect identification and the perfect-confidence
+    /// ablation are oracles, not buildable tables.
     pub fn overhead(&self, det: &DetectorConfig, jrs_entries: usize, jrs_max: u8) -> Overhead {
-        let mut total = Overhead::NONE;
+        let mut total = Overhead::default();
         if self.watchdog {
-            total = total.add(WatchdogSource.overhead());
+            // One 64-bit saturating counter.
+            total.table_bits += 64;
         }
         if self.cfv == Some(CfvMode::HighConfidence) {
-            total = total.add(
-                MispredictSource { high_confidence_only: true, jrs_entries, jrs_max }.overhead(),
-            );
+            // The estimator rounds its table up to a power of two; each
+            // counter is `bits(jrs_max)` wide.
+            let entries = jrs_entries.next_power_of_two() as u64;
+            total.table_bits += entries * u64::from(u8::BITS - jrs_max.leading_zeros());
         }
-        if self.signature {
-            total = total.add(SignatureSource { chunk: det.sig_chunk }.overhead());
+        if self.signature && det.sig_chunk > 0 {
+            // One signature update plus one compare-and-branch per block
+            // of `sig_chunk` instructions, and a running signature
+            // register that is live across a rollback, so checkpoints
+            // carry it too.
+            total.extra_instr_frac += 2.0 / det.sig_chunk as f64;
+            total.table_bits += 64;
+            total.checkpoint_bits += 64;
         }
-        if self.dup {
-            total = total.add(DupSource { mask: det.dup_mask }.overhead());
+        let protected = u64::from(det.dup_mask.count_ones());
+        if self.dup && protected > 0 {
+            // Duplicate-and-compare roughly re-executes the producer and
+            // adds a compare: ~1.5 extra instructions per protected
+            // write, scaled by the protected fraction of the register
+            // file. Shadow copies are architectural state a rollback
+            // must restore.
+            total.extra_instr_frac += 1.5 * protected as f64 / 32.0;
+            total.checkpoint_bits += protected * 64;
         }
         total
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symptom::{Symptom, SymptomConfig};
     use proptest::prelude::*;
+    use restore_uarch::{CycleReport, MispredictEvent, UarchConfig};
 
     fn retired(latency: u64, pc_mismatch: bool) -> Observation {
         Observation::Retired(RetiredCompare {
@@ -911,32 +460,45 @@ mod tests {
         })
     }
 
+    /// The µarch trial set, `det` armed.
+    fn uarch(det: DetectorConfig) -> DetectorSet {
+        DetectorSet::uarch_trial(&det, &UarchConfig::default())
+    }
+
+    /// The firings of `set` after it observes `obs`.
+    fn fire(mut set: DetectorSet, obs: &[Observation]) -> Firings {
+        for o in obs {
+            set.observe(o);
+        }
+        *set.firings()
+    }
+
     #[test]
     fn sustained_cfv_requires_two_consecutive_mismatches() {
-        let mut cfv = CfvSource::new(true);
-        assert_eq!(cfv.observe(&retired(5, true)), None, "first mismatch only pends");
-        assert_eq!(cfv.observe(&retired(6, false)), None, "re-alignment clears the pending");
-        assert_eq!(cfv.observe(&retired(7, true)), None);
-        assert_eq!(cfv.observe(&retired(8, true)), Some(7), "fires at the pending latency");
+        // The first mismatch only pends, re-alignment clears it, and a
+        // second consecutive mismatch fires at the pending latency.
+        let obs = [retired(5, true), retired(6, false), retired(7, true), retired(8, true)];
+        let cfv = |n| fire(uarch(DetectorConfig::paper()), &obs[..n]).cfv;
+        assert_eq!([cfv(1), cfv(2), cfv(3), cfv(4)], [None, None, None, Some(7)]);
     }
 
     #[test]
     fn immediate_cfv_fires_on_first_mismatch() {
-        let mut cfv = CfvSource::new(false);
-        assert_eq!(cfv.observe(&retired(3, false)), None);
-        assert_eq!(cfv.observe(&retired(4, true)), Some(4));
+        let obs = [retired(3, false), retired(4, true)];
+        let cfv = |n| fire(DetectorSet::arch_trial(&DetectorConfig::paper()), &obs[..n]).cfv;
+        assert_eq!([cfv(1), cfv(2)], [None, Some(4)]);
     }
 
     #[test]
     fn signature_rounds_up_to_its_block_boundary() {
-        let mut sig = SignatureSource { chunk: 64 };
-        assert_eq!(sig.observe(&retired(1, true)), Some(64));
-        let mut sig = SignatureSource { chunk: 64 };
-        assert_eq!(sig.observe(&retired(64, true)), Some(64));
-        let mut sig = SignatureSource { chunk: 64 };
-        assert_eq!(sig.observe(&retired(65, true)), Some(128));
-        let mut off = SignatureSource { chunk: 0 };
-        assert_eq!(off.observe(&retired(65, true)), None, "chunk 0 disables the source");
+        let sig = |sig_chunk, latency| {
+            let det = DetectorConfig { sig_chunk, dup_mask: 0 };
+            fire(DetectorSet::arch_trial(&det), &[retired(latency, true)]).signature
+        };
+        assert_eq!(sig(64, 1), Some(64));
+        assert_eq!(sig(64, 64), Some(64));
+        assert_eq!(sig(64, 65), Some(128));
+        assert_eq!(sig(0, 65), None, "chunk 0 disables the detector");
     }
 
     #[test]
@@ -944,70 +506,76 @@ mod tests {
         // A single-event PC mismatch that immediately re-aligns: the
         // sustained cfv model calls it data corruption, the signature
         // checker still fires at the block boundary.
-        let mut cfv = CfvSource::new(true);
-        let mut sig = SignatureSource { chunk: 32 };
-        assert_eq!(cfv.observe(&retired(10, true)), None);
-        assert_eq!(sig.observe(&retired(10, true)), Some(32));
-        assert_eq!(cfv.observe(&retired(11, false)), None);
+        let det = DetectorConfig { sig_chunk: 32, dup_mask: 0 };
+        let f = fire(uarch(det), &[retired(10, true), retired(11, false)]);
+        assert_eq!((f.cfv, f.signature), (None, Some(32)));
     }
 
     #[test]
     fn dup_fires_only_on_protected_register_mismatches() {
-        let mut dup = DupSource { mask: 0b0000_0110 }; // r1, r2
-        let hit = Observation::Retired(RetiredCompare {
-            latency: 9,
-            pc_mismatch: false,
-            value_mismatch: true,
-            reg_write_mismatch: true,
-            trial_reg: Some(2),
-            golden_reg: Some(2),
-        });
-        let miss = Observation::Retired(RetiredCompare {
-            latency: 4,
-            pc_mismatch: false,
-            value_mismatch: true,
-            reg_write_mismatch: true,
-            trial_reg: Some(5),
-            golden_reg: Some(5),
-        });
-        assert_eq!(dup.observe(&miss), None, "unprotected register");
-        assert_eq!(dup.observe(&hit), Some(9));
+        let r1_r2 = DetectorConfig { sig_chunk: 0, dup_mask: 0b0000_0110 };
+        let dup =
+            |det: DetectorConfig, obs: Observation| fire(DetectorSet::arch_trial(&det), &[obs]).dup;
+        let write = |latency, reg| {
+            Observation::Retired(RetiredCompare {
+                latency,
+                pc_mismatch: false,
+                value_mismatch: true,
+                reg_write_mismatch: true,
+                trial_reg: Some(reg),
+                golden_reg: Some(reg),
+            })
+        };
+        assert_eq!(dup(r1_r2, write(4, 5)), None, "unprotected register");
+        assert_eq!(dup(r1_r2, write(9, 2)), Some(9));
         assert_eq!(
-            dup.observe(&Observation::InjectedRegFlip { reg: 1, latency: 1 }),
+            dup(r1_r2, Observation::InjectedRegFlip { reg: 1, latency: 1 }),
             Some(1),
             "the injection-site compare fires for a protected victim"
         );
-        assert_eq!(dup.observe(&Observation::InjectedRegFlip { reg: 7, latency: 1 }), None);
-        let mut off = DupSource { mask: 0 };
-        assert_eq!(off.observe(&hit), None, "mask 0 disables the source");
+        assert_eq!(dup(r1_r2, Observation::InjectedRegFlip { reg: 7, latency: 1 }), None);
+        let off = DetectorConfig { dup_mask: 0, ..r1_r2 };
+        assert_eq!(dup(off, write(9, 2)), None, "mask 0 disables the detector");
     }
 
     #[test]
     fn detector_set_latches_first_firing_per_source() {
-        let mut set = DetectorSet::new();
-        set.register(Box::new(CfvSource::new(false)));
-        set.register(Box::new(SignatureSource { chunk: 16 }));
-        set.observe(&retired(3, true));
-        set.observe(&retired(4, true));
-        assert_eq!(set.first(SymptomKind::Cfv), Some(3), "first firing is latched");
-        assert_eq!(set.first(SymptomKind::Signature), Some(16));
-        assert_eq!(set.first(SymptomKind::Dup), None, "unregistered kinds report None");
+        let det = DetectorConfig { sig_chunk: 16, dup_mask: 0 };
+        let f = fire(DetectorSet::arch_trial(&det), &[retired(3, true), retired(4, true)]);
+        assert_eq!(f.cfv, Some(3), "first firing is latched");
+        assert_eq!(f.signature, Some(16));
+        assert_eq!(f.dup, None, "observables that never fired report None");
     }
 
-    /// Every kind a bank can report, for whole-bank comparisons.
-    const KINDS: [SymptomKind; 11] = [
-        SymptomKind::Deadlock,
-        SymptomKind::Exception,
-        SymptomKind::Cfv,
-        SymptomKind::HcMispredict,
-        SymptomKind::AnyMispredict,
-        SymptomKind::ValueDivergence,
-        SymptomKind::Signature,
-        SymptomKind::Dup,
-        SymptomKind::MemAddr,
-        SymptomKind::MemData,
-        SymptomKind::CacheMiss,
-    ];
+    /// Every observable of a [`Firings`] record, for field-wise
+    /// comparisons; the exhaustive pattern fails to compile when a field
+    /// is added.
+    fn fields(f: &Firings) -> [Option<u64>; 10] {
+        let Firings {
+            deadlock,
+            exception,
+            cfv,
+            hc_mispredict,
+            any_mispredict,
+            value,
+            signature,
+            dup,
+            mem_addr,
+            mem_data,
+        } = *f;
+        [
+            deadlock,
+            exception,
+            cfv,
+            hc_mispredict,
+            any_mispredict,
+            value,
+            signature,
+            dup,
+            mem_addr,
+            mem_data,
+        ]
+    }
 
     fn reg_field() -> impl Strategy<Value = Option<u8>> {
         (0u8..40).prop_map(|r| (r < 32).then_some(r))
@@ -1057,10 +625,6 @@ mod tests {
         })
     }
 
-    fn firings(set: &DetectorSet) -> Vec<Option<u64>> {
-        KINDS.iter().map(|&k| set.first(k)).collect()
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
@@ -1072,35 +636,50 @@ mod tests {
             dup_mask in any::<u32>(),
         ) {
             let det = DetectorConfig { sig_chunk, dup_mask };
-            let mut plain = DetectorSet::arch_trial(&det);
-            for o in &seq {
-                plain.observe(o);
-            }
-            let mut padded = DetectorSet::arch_trial(&det);
+            let plain = fire(DetectorSet::arch_trial(&det), &seq);
+            let mut padded = Vec::new();
             for at in 0..=seq.len() {
-                for (_, m) in inserts.iter().filter(|(pos, _)| *pos == at) {
-                    padded.observe(m);
-                }
-                if let Some(o) = seq.get(at) {
-                    padded.observe(o);
+                padded.extend(inserts.iter().filter(|(pos, _)| *pos == at).map(|(_, m)| *m));
+                padded.extend(seq.get(at).copied());
+            }
+            prop_assert_eq!(plain, fire(DetectorSet::arch_trial(&det), &padded));
+        }
+
+        /// Latching is spread over one `match` arm per observable, so
+        /// each field is checked on its own: in either set, under any
+        /// config, whatever has fired by any point of any sequence stays
+        /// put through the rest of it.
+        #[test]
+        fn a_latched_firing_never_moves_in_either_bank(
+            seq in proptest::collection::vec(observation(), 0..60),
+            split in 0usize..61,
+            sig_chunk in 0u64..100,
+            dup_mask in any::<u32>(),
+            sustained in any::<bool>(),
+        ) {
+            let det = DetectorConfig { sig_chunk, dup_mask };
+            let mut set = if sustained { uarch(det) } else { DetectorSet::arch_trial(&det) };
+            let (prefix, suffix) = seq.split_at(split.min(seq.len()));
+            for o in prefix {
+                set.observe(o);
+            }
+            let before = fields(set.firings());
+            for o in suffix {
+                set.observe(o);
+            }
+            for (was, now) in before.iter().zip(fields(set.firings())) {
+                if was.is_some() {
+                    prop_assert_eq!(*was, now);
                 }
             }
-            prop_assert_eq!(firings(&plain), firings(&padded));
         }
     }
 
     #[test]
     fn a_matching_retirement_clears_the_uarch_banks_pending_cfv() {
-        let uarch = restore_uarch::UarchConfig::default();
-        let run = |obs: &[Observation]| {
-            let mut set = DetectorSet::uarch_trial(&DetectorConfig::paper(), &uarch);
-            for o in obs {
-                set.observe(o);
-            }
-            set.first(SymptomKind::Cfv)
-        };
-        assert_eq!(run(&[retired(5, true), retired(6, true)]), Some(5));
-        assert_eq!(run(&[retired(5, true), retired(6, false), retired(7, true)]), None);
+        let cfv = |obs: &[Observation]| fire(uarch(DetectorConfig::paper()), obs).cfv;
+        assert_eq!(cfv(&[retired(5, true), retired(6, true)]), Some(5));
+        assert_eq!(cfv(&[retired(5, true), retired(6, false), retired(7, true)]), None);
     }
 
     #[test]
@@ -1113,30 +692,52 @@ mod tests {
 
     #[test]
     fn overhead_model_tracks_geometry() {
-        let jrs = MispredictSource { high_confidence_only: true, jrs_entries: 1024, jrs_max: 15 };
-        assert_eq!(jrs.overhead().table_bits, 1024 * 4, "1024 4-bit counters");
-        let small = MispredictSource { high_confidence_only: true, jrs_entries: 256, jrs_max: 3 };
-        assert_eq!(small.overhead().table_bits, 256 * 2);
-        let oracle =
-            MispredictSource { high_confidence_only: false, jrs_entries: 1024, jrs_max: 15 };
-        assert_eq!(oracle.overhead(), Overhead::NONE, "the ablation is an oracle, not a table");
-        let sig = SignatureSource { chunk: 64 };
-        assert!((sig.overhead().extra_instr_frac - 2.0 / 64.0).abs() < 1e-12);
-        let dup = DupSource { mask: LHF_DUP_MASK };
-        assert_eq!(dup.overhead().checkpoint_bits, 9 * 64);
-        let sum = sig.overhead().add(dup.overhead());
-        assert_eq!(sum.table_bits, 64);
-        assert_eq!(sum.checkpoint_bits, 64 + 9 * 64);
+        let none = SourceSet { exceptions: false, watchdog: false, ..SourceSet::baseline() };
+        let cost = |set: SourceSet, jrs_entries, jrs_max| {
+            set.overhead(&DetectorConfig::lhf(), jrs_entries, jrs_max)
+        };
+        let jrs = SourceSet { cfv: Some(CfvMode::HighConfidence), ..none };
+        assert_eq!(cost(jrs, 1024, 15).table_bits, 1024 * 4, "1024 4-bit counters");
+        assert_eq!(cost(jrs, 256, 3).table_bits, 256 * 2);
+        let oracle = SourceSet { cfv: Some(CfvMode::AnyMispredict), ..none };
+        assert_eq!(cost(oracle, 1024, 15), Overhead::default(), "an oracle, not a table");
+        let sig = cost(SourceSet { signature: true, ..none }, 1024, 15);
+        assert!((sig.extra_instr_frac - 2.0 / 64.0).abs() < 1e-12);
+        let dup = cost(SourceSet { dup: true, ..none }, 1024, 15);
+        assert_eq!(dup.checkpoint_bits, 9 * 64);
+        let both = SourceSet { signature: true, dup: true, ..none };
+        let sum = cost(both, 1024, 15);
+        assert_eq!((sum.table_bits, sum.checkpoint_bits), (64, 64 + 9 * 64));
+        let off = DetectorConfig { sig_chunk: 0, dup_mask: 0 };
+        assert_eq!(both.overhead(&off, 1024, 15), Overhead::default(), "disabled knobs are free");
     }
 
     #[test]
     fn live_bank_matches_symptom_config_arming() {
-        let set = DetectorSet::live(&SymptomConfig::paper());
-        assert_eq!(set.names(), vec!["watchdog", "exception", "hc-mispredict"]);
-        let set = DetectorSet::live(&SymptomConfig::perfect_cfv());
-        assert_eq!(set.names(), vec!["watchdog", "exception", "any-mispredict"]);
-        let set = DetectorSet::live(&SymptomConfig::none());
-        assert!(set.names().is_empty());
+        // One cycle in which every live detector has something to see,
+        // scanned in order: watchdog, exception, mispredicts, cache miss.
+        let exc = restore_arch::Exception::ArithmeticTrap { pc: 4 };
+        let m = |pc, hc| MispredictEvent {
+            pc,
+            high_confidence: hc,
+            conditional: true,
+            retired_before: 0,
+        };
+        let report = CycleReport {
+            deadlock: true,
+            exception: Some(exc),
+            mispredicts: vec![m(0x10, true), m(0x20, false)],
+            dcache_misses: 1,
+            ..CycleReport::default()
+        };
+        let (wd, ex) = (Symptom::Watchdog, Symptom::Exception(exc));
+        let cfv = |pc| Symptom::HighConfidenceMispredict { pc };
+        assert_eq!(SymptomConfig::paper().detect(&report), [wd, ex, cfv(0x10)]);
+        let any = SymptomConfig::perfect_cfv().detect(&report);
+        assert_eq!(any, [wd, ex, cfv(0x10), cfv(0x20)], "all_mispredicts subsumes hc");
+        let cache = SymptomConfig { cache_misses: true, ..SymptomConfig::paper() };
+        assert_eq!(cache.detect(&report), [wd, ex, cfv(0x10), Symptom::CacheMiss]);
+        assert!(SymptomConfig::none().detect(&report).is_empty());
     }
 
     #[test]

@@ -18,10 +18,13 @@
 //!
 //! * [`CheckpointStore`] — two-deep architectural checkpoints with a
 //!   store undo log (the gated store buffer of §2.1);
-//! * [`SymptomConfig`] / [`Symptom`] — the detector bank of §3, built on
-//!   the pluggable [`SymptomSource`] layer in [`detector`] (one trait per
-//!   detector: golden-relative observation, live cycle scan, and a static
-//!   overhead model);
+//! * [`SymptomConfig`] / [`Symptom`] — the detector bank of §3 as the
+//!   live controller scans it, cycle by cycle;
+//! * [`DetectorSet`] in [`detector`] — the same detectors, plus
+//!   software-only signature checking and selective duplication, as the
+//!   fault-injection trials observe them against golden: one latched
+//!   first-firing latency per observable ([`Firings`]), with the static
+//!   overhead model on [`SourceSet`];
 //! * [`EventLog`] — branch-outcome logs comparing original and redundant
 //!   executions (§3.2.3), enabling positive error detection and the
 //!   dynamic false-positive throttle;
@@ -64,8 +67,8 @@ mod symptom;
 pub use checkpoint::{Checkpoint, CheckpointStore, UndoRecord};
 pub use controller::{RestoreConfig, RestoreController, RestoreOutcome, RestoreStats};
 pub use detector::{
-    CfvMode, DetectorConfig, DetectorSet, Observation, Overhead, RetiredCompare, SourceSet,
-    SymptomKind, SymptomSource, LHF_DUP_MASK,
+    CfvMode, DetectorConfig, DetectorSet, Firings, Observation, Overhead, RetiredCompare,
+    SourceSet, LHF_DUP_MASK,
 };
 pub use digest::{
     config_digest, ConfigDigest, PINNED_ARCH_DEFAULT_DIGEST, PINNED_UARCH_DEFAULT_DIGEST,

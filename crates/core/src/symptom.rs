@@ -94,12 +94,30 @@ impl SymptomConfig {
         SymptomConfig { all_mispredicts: true, ..SymptomConfig::paper() }
     }
 
-    /// Extracts the symptoms present in one cycle's report by scanning
-    /// it through the armed [`crate::DetectorSet`]. Callers on a hot
-    /// path should build the set once with [`crate::DetectorSet::live`]
-    /// and call [`crate::DetectorSet::scan_cycle`] directly.
+    /// Extracts the symptoms present in one cycle's report, scanning the
+    /// armed detectors in a fixed order: watchdog, exception,
+    /// conditional mispredicts, cache misses. `all_mispredicts` subsumes
+    /// `high_conf_mispredicts`, so each mispredict fires at most once.
     pub fn detect(&self, report: &CycleReport) -> Vec<Symptom> {
-        crate::DetectorSet::live(self).scan_cycle(report)
+        let mut out = Vec::new();
+        if self.watchdog && report.deadlock {
+            out.push(Symptom::Watchdog);
+        }
+        if self.exceptions {
+            if let Some(e) = report.exception {
+                out.push(Symptom::Exception(e));
+            }
+        }
+        for m in &report.mispredicts {
+            let fire = self.all_mispredicts || (self.high_conf_mispredicts && m.high_confidence);
+            if fire && m.conditional {
+                out.push(Symptom::HighConfidenceMispredict { pc: m.pc });
+            }
+        }
+        if self.cache_misses && report.dcache_misses > 0 {
+            out.push(Symptom::CacheMiss);
+        }
+        out
     }
 }
 

@@ -34,7 +34,7 @@ use rand::Rng;
 use restore_arch::{effective_address, execute, AccessKind, Cpu, ExecState, MemError, Retired};
 use restore_core::{
     config_digest, ConfigDigest, DetectorConfig, DetectorSet, Observation, RetiredCompare,
-    SourceSet, SymptomKind,
+    SourceSet,
 };
 use restore_isa::{Inst, Reg};
 use restore_snapshot::SnapshotMachine;
@@ -72,7 +72,7 @@ pub struct ArchCampaignConfig {
     pub ckpt_stride: u64,
     /// Observation-time software-detector configuration (signature block
     /// size, duplication mask). Result-shaping: the knobs set the
-    /// latencies the software sources record, so they fold into
+    /// latencies the software detectors record, so they fold into
     /// [`arch_campaign_digest`].
     pub detectors: DetectorConfig,
 }
@@ -521,7 +521,7 @@ fn store_target(cpu: &Cpu, inst: Inst) -> Option<(u64, [u8; 8])> {
 /// the flipped register or stored byte. An instruction whose read set
 /// misses the overlay retires identically in golden, so it only clears
 /// the entries it overwrites, and its `Retired` observation — all
-/// matches, to which no [`DetectorSet::arch_trial`] source reacts — is
+/// matches, to which no [`DetectorSet::arch_trial`] observable reacts — is
 /// skipped. An instruction that reads the overlay is evaluated for
 /// golden through it with the same [`execute`] the injected machine
 /// runs, compared exactly as two stepped machines would be, and the
@@ -545,9 +545,9 @@ fn lockstep_trial(
     let mut injected = at.clone();
     let mut diff = Overlay::default();
 
-    // The detector bank: exception, immediate cfv (whole-machine control
+    // The detectors: exception, immediate cfv (whole-machine control
     // flow is directly comparable at this level), the memory symptom
-    // classes and the software-only sources.
+    // classes and the software-only detectors.
     let mut set = DetectorSet::arch_trial(&cfg.detectors);
 
     // Execute the victim instruction (golden retires it identically),
@@ -568,14 +568,6 @@ fn lockstep_trial(
     } else {
         return (None, TrialCost::default());
     }
-
-    let mut trial = ArchTrial {
-        workload: id,
-        symptoms: SymptomLatencies::default(),
-        sig_mismatch: None,
-        dup_mismatch: None,
-        masked: false,
-    };
 
     let mut executed = 0u64;
     let mut cut = false;
@@ -614,10 +606,10 @@ fn lockstep_trial(
                 golden_reg: g.reg_write.map(|(reg, _)| reg.index() as u8),
             }));
             if pc_mismatch {
-                // Control flow diverged (the immediate cfv source fired at
-                // `n`): stop instruction-wise comparison of memory effects
-                // (streams no longer align) but keep running the injected
-                // side alone looking for a late exception.
+                // Control flow diverged (immediate cfv fired at `n`): stop
+                // instruction-wise comparison of memory effects (streams no
+                // longer align) but keep running the injected side alone
+                // looking for a late exception.
                 for m in n + 1..=cfg.window {
                     if injected.is_halted() {
                         break;
@@ -650,13 +642,16 @@ fn lockstep_trial(
         }
     }
 
-    // Harvest the bank into the record (both exit paths below read it).
-    trial.symptoms.exception = set.first(SymptomKind::Exception);
-    trial.symptoms.cfv = set.first(SymptomKind::Cfv);
-    trial.symptoms.mem_addr = set.first(SymptomKind::MemAddr);
-    trial.symptoms.mem_data = set.first(SymptomKind::MemData);
-    trial.sig_mismatch = set.first(SymptomKind::Signature);
-    trial.dup_mismatch = set.first(SymptomKind::Dup);
+    // The record takes the latched firings (both exit paths below
+    // return it).
+    let f = set.firings();
+    let mut trial = ArchTrial {
+        workload: id,
+        symptoms: f.into(),
+        sig_mismatch: f.signature,
+        dup_mismatch: f.dup,
+        masked: false,
+    };
 
     let mut cost = TrialCost { simulated: executed, cut, ..TrialCost::default() };
     if cut {
@@ -750,9 +745,9 @@ mod tests {
         let mut golden = at.clone();
         let mut injected = at.clone();
 
-        // The detector bank: exception, immediate cfv (whole-machine control
+        // The detectors: exception, immediate cfv (whole-machine control
         // flow is directly comparable at this level), the memory symptom
-        // classes and the software-only sources.
+        // classes and the software-only detectors.
         let mut set = DetectorSet::arch_trial(&cfg.detectors);
 
         // Execute the victim instruction on both, then corrupt its result in
@@ -775,14 +770,6 @@ mod tests {
         } else {
             return (None, TrialCost::default());
         }
-
-        let mut trial = ArchTrial {
-            workload: id,
-            symptoms: SymptomLatencies::default(),
-            sig_mismatch: None,
-            dup_mismatch: None,
-            masked: false,
-        };
 
         let mut executed = 0u64;
         let mut cut = false;
@@ -808,10 +795,10 @@ mod tests {
                 golden_reg: g.reg_write.map(|(reg, _)| reg.index() as u8),
             }));
             if pc_mismatch {
-                // Control flow diverged (the immediate cfv source fired at
-                // `n`): stop instruction-wise comparison of memory effects
-                // (streams no longer align) but keep running the injected
-                // side alone looking for a late exception.
+                // Control flow diverged (immediate cfv fired at `n`): stop
+                // instruction-wise comparison of memory effects (streams no
+                // longer align) but keep running the injected side alone
+                // looking for a late exception.
                 for m in n + 1..=cfg.window {
                     if injected.is_halted() {
                         break;
@@ -847,13 +834,16 @@ mod tests {
             }
         }
 
-        // Harvest the bank into the record (both exit paths below read it).
-        trial.symptoms.exception = set.first(SymptomKind::Exception);
-        trial.symptoms.cfv = set.first(SymptomKind::Cfv);
-        trial.symptoms.mem_addr = set.first(SymptomKind::MemAddr);
-        trial.symptoms.mem_data = set.first(SymptomKind::MemData);
-        trial.sig_mismatch = set.first(SymptomKind::Signature);
-        trial.dup_mismatch = set.first(SymptomKind::Dup);
+        // The record takes the latched firings (both exit paths below
+        // return it).
+        let f = set.firings();
+        let mut trial = ArchTrial {
+            workload: id,
+            symptoms: f.into(),
+            sig_mismatch: f.signature,
+            dup_mismatch: f.dup,
+            masked: false,
+        };
 
         let mut cost = TrialCost { simulated: executed, cut, ..TrialCost::default() };
         if cut {

@@ -2,6 +2,7 @@
 //! shared symptom-latency record both campaign levels classify from.
 
 use core::fmt;
+use restore_core::Firings;
 
 /// A detectable symptom class, in the paper's detection-precedence
 /// order (deadlock > exception > cfv > mem-addr > mem-data). Both
@@ -72,6 +73,16 @@ impl SymptomLatencies {
         } else {
             None
         }
+    }
+}
+
+impl From<&Firings> for SymptomLatencies {
+    /// A trial's symptom latencies from its latched firings. Each fault
+    /// model observes only its own classes, so the rest stay `None`: the
+    /// memory classes at the µarch level, deadlock at the arch level.
+    fn from(f: &Firings) -> SymptomLatencies {
+        let Firings { deadlock, exception, cfv, mem_addr, mem_data, .. } = *f;
+        SymptomLatencies { deadlock, exception, cfv, mem_addr, mem_data }
     }
 }
 

@@ -52,8 +52,8 @@ pub enum InjectionTarget {
     LatchesOnly,
 }
 
-// The cfv detection model moved into the detector layer with the cfv
-// `SymptomSource`; re-exported here for the historical path.
+// The cfv detection model lives with the detectors in `restore-core`;
+// re-exported here for the historical path.
 pub use restore_core::CfvMode;
 
 /// Injection pruning mode of a µarch campaign
@@ -126,7 +126,7 @@ pub struct UarchCampaignConfig {
     pub ckpt_stride: u64,
     /// Observation-time software-detector configuration (signature block
     /// size, duplication mask). Result-shaping: the knobs set the
-    /// latencies the software sources record, so they fold into
+    /// latencies the software detectors record, so they fold into
     /// [`uarch_campaign_digest`]. The golden run and the checkpoint
     /// library are detector-blind, so sweeps across these knobs start
     /// warm.

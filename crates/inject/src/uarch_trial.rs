@@ -18,7 +18,7 @@ use crate::uarch_campaign::{CfvMode, InjectionTarget, UarchCampaignConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
 use restore_arch::Retired;
-use restore_core::{DetectorSet, Observation, RetiredCompare, SourceSet, SymptomKind};
+use restore_core::{DetectorSet, Observation, RetiredCompare, SourceSet};
 use restore_uarch::{Pipeline, StateCatalog, Stop};
 use restore_workloads::WorkloadId;
 use std::collections::BTreeSet;
@@ -66,13 +66,13 @@ pub struct UarchTrial {
     /// confidence (the perfect-confidence-predictor ablation).
     pub any_mispredict: Option<u64>,
     /// Latency at which software control-flow signature checking
-    /// ([`restore_core::detector::SignatureSource`]) would flag the
-    /// trial: the first retired-PC mismatch, rounded up to its signature
-    /// block boundary. `None` when control flow never diverged (or the
-    /// source is disabled by `sig_chunk = 0`).
+    /// ([`restore_core::Firings::signature`]) would flag the trial: the
+    /// first retired-PC mismatch, rounded up to its signature block
+    /// boundary. `None` when control flow never diverged (or the
+    /// detector is disabled by `sig_chunk = 0`).
     pub sig_mismatch: Option<u64>,
     /// Latency at which selective variable duplication
-    /// ([`restore_core::detector::DupSource`]) would flag the trial: the
+    /// ([`restore_core::Firings::dup`]) would flag the trial: the
     /// first aligned register-write mismatch whose destination is a
     /// protected register. `None` when no protected write diverged (or
     /// `dup_mask = 0`).
@@ -292,7 +292,7 @@ pub(crate) fn predict_dead_trial(
         hc_mispredict: None,
         any_mispredict: None,
         // A proved flip never perturbs the retired stream, so the
-        // software sources (signature, duplication) see only aligned,
+        // software detectors (signature, duplication) see only aligned,
         // matching events and stay silent.
         sig_mismatch: None,
         dup_mismatch: None,
@@ -334,29 +334,12 @@ pub(crate) fn run_trial(
     let base_retired = pipe.retired();
     pipe.flip_bit(bit);
 
-    let region = catalog.region_of(bit).map(|r| r.name).unwrap_or("?");
-    let mut trial = UarchTrial {
-        workload: id,
-        bit,
-        region,
-        lhf_protected: catalog.lhf_protected(bit),
-        symptoms: SymptomLatencies::default(),
-        value_divergence: None,
-        hc_mispredict: None,
-        any_mispredict: None,
-        sig_mismatch: None,
-        dup_mismatch: None,
-        extra_dcache_misses: 0,
-        extra_dtlb_misses: 0,
-        end: EndState::MaskedClean,
-    };
-
-    // The detector bank: every symptom latency this monitor records is
-    // the first firing of a registered `SymptomSource`. The sustained
-    // cfv model (a control-flow violation means the *wrong instruction
-    // executed* — a single-event PC label mismatch that immediately
-    // re-aligns is a corrupted reporting field, i.e. data corruption,
-    // not cfv) lives inside the cfv source.
+    // The detectors: every symptom latency this monitor records is a
+    // first firing latched by the set. The sustained cfv model (a
+    // control-flow violation means the *wrong instruction executed* — a
+    // single-event PC label mismatch that immediately re-aligns is a
+    // corrupted reporting field, i.e. data corruption, not cfv) lives
+    // inside the set.
     let mut set = DetectorSet::uarch_trial(&cfg.detectors, &cfg.uarch);
     let mut idx = 0usize; // next golden trace index to compare
     let mut terminated = false;
@@ -385,7 +368,7 @@ pub(crate) fn run_trial(
             }
         }
         for ret in &r.retired {
-            if set.first(SymptomKind::Cfv).is_some() {
+            if set.firings().cfv.is_some() {
                 break; // streams no longer aligned; nothing to compare
             }
             let Some(g) = golden.trace.get(idx) else { break };
@@ -430,19 +413,26 @@ pub(crate) fn run_trial(
             break;
         }
     }
-    // Harvest the bank into the record. (A cfv still pending on the
+    // The record takes the latched firings. (A cfv still pending on the
     // final compared event is indistinguishable from a label flip and
     // never fires; end-of-trial state comparison adjudicates it.) The
-    // cut/drain endings below back-fill via `get_or_insert`, so the
-    // harvest must precede them.
-    trial.symptoms.deadlock = set.first(SymptomKind::Deadlock);
-    trial.symptoms.exception = set.first(SymptomKind::Exception);
-    trial.symptoms.cfv = set.first(SymptomKind::Cfv);
-    trial.value_divergence = set.first(SymptomKind::ValueDivergence);
-    trial.hc_mispredict = set.first(SymptomKind::HcMispredict);
-    trial.any_mispredict = set.first(SymptomKind::AnyMispredict);
-    trial.sig_mismatch = set.first(SymptomKind::Signature);
-    trial.dup_mismatch = set.first(SymptomKind::Dup);
+    // cut/drain endings below back-fill via `get_or_insert`.
+    let f = set.firings();
+    let mut trial = UarchTrial {
+        workload: id,
+        bit,
+        region: catalog.region_of(bit).map(|r| r.name).unwrap_or("?"),
+        lhf_protected: catalog.lhf_protected(bit),
+        symptoms: f.into(),
+        value_divergence: f.value,
+        hc_mispredict: f.hc_mispredict,
+        any_mispredict: f.any_mispredict,
+        sig_mismatch: f.signature,
+        dup_mismatch: f.dup,
+        extra_dcache_misses: 0,
+        extra_dtlb_misses: 0,
+        end: EndState::MaskedClean,
+    };
 
     let mut cost = TrialCost { simulated: executed, cut, ..TrialCost::default() };
     if cut {

@@ -218,3 +218,29 @@ fn uarch_software_detectors_match_pinned_vector_and_never_perturb() {
     };
     assert_eq!(strip(&trials), strip(&baseline), "detector knobs perturbed trial evolution");
 }
+
+/// The arch-level twin of the fixture above: it pins the signature
+/// path of the immediate-cfv monitor and the duplicate compare at the
+/// injection site (`dup=1`), which no historical fixture renders, and
+/// proves the knobs never perturb an arch trial either.
+#[test]
+fn arch_software_detectors_match_pinned_vector_and_never_perturb() {
+    let armed = ArchCampaignConfig { detectors: DetectorConfig::lhf(), ..arch_cfg(false) };
+    let trials = run_arch_campaign(&armed);
+    assert!(
+        trials.iter().any(|t| t.sig_mismatch.is_some() || t.dup_mismatch.is_some()),
+        "smoke campaign never fired a software detector — fixture would pin nothing"
+    );
+    let row = |t: &ArchTrial| {
+        format!("wl={} sig={} dup={}\n", t.workload, opt(t.sig_mismatch), opt(t.dup_mismatch))
+    };
+    check("arch_software_detectors", &trials.iter().map(row).collect::<String>());
+
+    let paper = ArchCampaignConfig { detectors: DetectorConfig::paper(), ..arch_cfg(false) };
+    let strip = |t: &ArchTrial| ArchTrial { sig_mismatch: None, dup_mismatch: None, ..*t };
+    assert_eq!(
+        trials.iter().map(strip).collect::<Vec<_>>(),
+        run_arch_campaign(&paper).iter().map(strip).collect::<Vec<_>>(),
+        "detector knobs perturbed trial evolution"
+    );
+}

@@ -12,7 +12,9 @@
 //! the architectural register file / PC) and, with `--json`, writes the
 //! same rows as a JSON report. `--census` cross-checks every µarch
 //! map's field table against the state catalog's bit census and exits
-//! nonzero on the first mismatch.
+//! nonzero on the first mismatch; it takes neither `--avf` nor
+//! `--json`. A repeated flag, like any malformed command line, exits 2
+//! with the usage line before any map is built.
 //!
 //! µarch maps are keyed at the horizon a µarch campaign with the same
 //! `--warmup` and `--window` (and the default drain) uses, so the maps
@@ -77,8 +79,16 @@ impl Opts {
 
 fn parse_args() -> Opts {
     let mut opts = Opts::default();
+    let mut seen: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        // Only a known flag can reach its second occurrence: an unknown
+        // word exits at its first.
+        if seen.contains(&arg) {
+            eprintln!("{arg} given more than once");
+            usage()
+        }
+        seen.push(arg.clone());
         let mut value = |flag: &str| {
             args.next().unwrap_or_else(|| {
                 eprintln!("{flag} needs a value");
@@ -115,6 +125,10 @@ fn parse_args() -> Opts {
                 usage()
             }
         }
+    }
+    if opts.census && (opts.avf || opts.json.is_some()) {
+        eprintln!("--census cannot be combined with --avf or --json");
+        usage()
     }
     opts
 }
