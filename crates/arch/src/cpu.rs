@@ -148,7 +148,7 @@ pub trait ExecState {
     /// As [`Memory::store`].
     fn store(&mut self, addr: u64, len: u64, v: u64) -> Result<(), MemError>;
     /// Appends a value to the output log (`call_pal putc` / `outq`).
-    fn emit(&mut self, v: u64);
+    fn put_output(&mut self, v: u64);
 }
 
 /// Effective address of a load or store: base register plus the
@@ -178,8 +178,8 @@ pub fn execute<S: ExecState>(s: &mut S, pc: u64, inst: Inst) -> Result<Retired, 
     match inst {
         Inst::Pal(f) => match f {
             PalFunc::Halt => halted = true,
-            PalFunc::Putc => s.emit(s.reg(Reg::A0) & 0xff),
-            PalFunc::Outq => s.emit(s.reg(Reg::A0)),
+            PalFunc::Putc => s.put_output(s.reg(Reg::A0) & 0xff),
+            PalFunc::Outq => s.put_output(s.reg(Reg::A0)),
         },
         Inst::Lda { ra, rb, disp } => {
             let v = s.reg(rb).wrapping_add(disp as i64 as u64);
@@ -282,7 +282,7 @@ impl ExecState for Datapath<'_> {
         self.mem.store(addr, len, v)
     }
     #[inline]
-    fn emit(&mut self, v: u64) {
+    fn put_output(&mut self, v: u64) {
         self.output.push(v);
     }
 }

@@ -21,9 +21,7 @@
 
 use crate::{config_digest, Checkpoint};
 use restore_arch::Cpu;
-use restore_snapshot::{
-    with_library, GoldenCheckpointLibrary, LibraryKey, Served, SnapshotMachine,
-};
+use restore_snapshot::{library, GoldenCheckpointLibrary, LibraryKey, Served, SnapshotMachine};
 use restore_workloads::{Scale, WorkloadId};
 
 /// Library-key seeding domain for replay measurements (decorrelated
@@ -122,61 +120,56 @@ pub fn measure_rollbacks(
         config: config_digest(&format!("{scale:?}")),
         stride,
     };
-    let events = rollback_events(interval, policy, symptoms);
-    with_library(
-        key,
-        || GoldenCheckpointLibrary::new(Cpu::new(&id.build(scale)), stride),
-        |lib, _| {
-            let mut out = ReplayMeasurement {
-                rollbacks: 0,
-                reexec_instructions: 0,
-                analytic_instructions: 0.0,
-                restores_verified: 0,
-            };
-            for (restore_at, resume_at) in events {
-                let Some(m) = lib.materialize(restore_at) else {
-                    // The golden run never reaches this restore point
-                    // (symptom positions past the measured halt); the
-                    // analytic model charges nothing real here either.
-                    continue;
-                };
-                let mut cpu = m.machine;
-                // Finish the residual walk to the checkpoint coordinate
-                // and prove the restore: the state must reproduce its
-                // capture fingerprint (when a snapshot itself sits on
-                // the restore coordinate) and must be exactly where the
-                // paper's two-deep store would roll back to. A frontier
-                // serve is already there.
-                match m.served {
-                    Served::Snapshot { fingerprint, .. } if cpu.coord() == restore_at => {
-                        assert_eq!(
-                            cpu.fingerprint(),
-                            fingerprint,
-                            "restored state diverged from its capture fingerprint"
-                        );
-                    }
-                    _ => {
-                        assert!(cpu.step_to(restore_at), "golden run is live at the restore point");
-                    }
-                }
-                let ck = Checkpoint::of_cpu(&cpu);
-                assert_eq!(ck.retired, restore_at, "checkpoint is at the rollback coordinate");
-                out.restores_verified += 1;
-
-                // Re-execute to the resume point on the restored state,
-                // counting what replay really costs (halting early is a
-                // genuine saving the analytic form cannot see).
-                cpu.step_to(resume_at);
-                out.rollbacks += 1;
-                out.reexec_instructions += cpu.retired() - restore_at;
-                out.analytic_instructions += match policy {
-                    RollbackPolicy::Immediate => 1.5 * interval as f64,
-                    RollbackPolicy::Delayed => 2.0 * interval as f64,
-                };
+    let (lib, _) =
+        library(key, || GoldenCheckpointLibrary::new(Cpu::new(&id.build(scale)), stride));
+    let mut lib = lib.lock().expect("a panic poisoned this golden checkpoint library");
+    let mut out = ReplayMeasurement {
+        rollbacks: 0,
+        reexec_instructions: 0,
+        analytic_instructions: 0.0,
+        restores_verified: 0,
+    };
+    for (restore_at, resume_at) in rollback_events(interval, policy, symptoms) {
+        let Some(m) = lib.materialize(restore_at) else {
+            // The golden run never reaches this restore point (symptom
+            // positions past the measured halt); the analytic model
+            // charges nothing real here either.
+            continue;
+        };
+        let mut cpu = m.machine;
+        // Finish the residual walk to the checkpoint coordinate and
+        // prove the restore: the state must reproduce its capture
+        // fingerprint (when a snapshot itself sits on the restore
+        // coordinate) and must be exactly where the paper's two-deep
+        // store would roll back to. A frontier serve is already there.
+        match m.served {
+            Served::Snapshot { fingerprint, .. } if cpu.coord() == restore_at => {
+                assert_eq!(
+                    cpu.fingerprint(),
+                    fingerprint,
+                    "restored state diverged from its capture fingerprint"
+                );
             }
-            out
-        },
-    )
+            _ => {
+                assert!(cpu.step_to(restore_at), "golden run is live at the restore point");
+            }
+        }
+        let ck = Checkpoint::of_cpu(&cpu);
+        assert_eq!(ck.retired, restore_at, "checkpoint is at the rollback coordinate");
+        out.restores_verified += 1;
+
+        // Re-execute to the resume point on the restored state, counting
+        // what replay really costs (halting early is a genuine saving
+        // the analytic form cannot see).
+        cpu.step_to(resume_at);
+        out.rollbacks += 1;
+        out.reexec_instructions += cpu.retired() - restore_at;
+        out.analytic_instructions += match policy {
+            RollbackPolicy::Immediate => 1.5 * interval as f64,
+            RollbackPolicy::Delayed => 2.0 * interval as f64,
+        };
+    }
+    out
 }
 
 #[cfg(test)]

@@ -67,8 +67,8 @@ pub struct ArchCampaignConfig {
     /// positive. A cold campaign walks the library's frontier through
     /// its sorted points once; a repeat campaign in the same process
     /// materializes each point from the nearest checkpoint at-or-before
-    /// it. Results are bit-identical at every stride — only producer
-    /// cost changes.
+    /// it. Results are bit-identical at every stride — only the cost of
+    /// reaching the points changes.
     pub ckpt_stride: u64,
     /// Observation-time software-detector configuration (signature block
     /// size, duplication mask). Result-shaping: the knobs set the
@@ -305,35 +305,32 @@ pub fn arch_campaign_digest(cfg: &ArchCampaignConfig) -> u64 {
         .finish()
 }
 
-/// Runs the campaign over all seven workloads.
+/// Runs the campaign over all seven workloads, in memory.
 ///
 /// # Panics
 ///
 /// Panics if a workload faults during its fault-free golden run (the
 /// workloads are exception-free by construction).
 pub fn run_arch_campaign(cfg: &ArchCampaignConfig) -> Vec<ArchTrial> {
-    run_arch_campaign_with_stats(cfg).0
+    let io = CampaignIo { cache: None, shard: Shard::ALL };
+    campaign::run_campaign(&ArchModel { cfg, stride: CUTOFF_STRIDE }, &io).0
 }
 
-/// [`run_arch_campaign_with_stats`] against a trial store and a shard
-/// of the plan: cached trials replay from `cache` with zero simulated
-/// window instructions, fresh trials are recorded into it, and only
-/// plan positions owned by `shard` run at all. `cache` must have been
-/// opened under [`arch_campaign_digest`] of this `cfg`.
+/// Runs the campaign over all seven workloads against an optional trial
+/// store and a shard of the plan, and also reports throughput
+/// instrumentation: cached trials replay from `cache` with zero
+/// simulated window instructions, fresh trials are recorded into it,
+/// and only plan positions owned by `shard` run at all. `cache` must
+/// have been opened under [`arch_campaign_digest`] of this `cfg`.
+///
+/// Trials come back in plan order `(workload, point)` and are
+/// bit-identical for a given `(cfg.seed, cfg)` at every thread count.
 pub fn run_arch_campaign_io(
     cfg: &ArchCampaignConfig,
     cache: Option<&TrialCache<ArchTrial>>,
     shard: Shard,
 ) -> (Vec<ArchTrial>, CampaignStats) {
-    campaign::run_all_io(&ArchModel { cfg, stride: CUTOFF_STRIDE }, &CampaignIo { cache, shard })
-}
-
-/// Runs the campaign and also reports throughput instrumentation.
-///
-/// Trials come back in plan order `(workload, point)` and are
-/// bit-identical for a given `(cfg.seed, cfg)` at every thread count.
-pub fn run_arch_campaign_with_stats(cfg: &ArchCampaignConfig) -> (Vec<ArchTrial>, CampaignStats) {
-    campaign::run_all(&ArchModel { cfg, stride: CUTOFF_STRIDE })
+    campaign::run_campaign(&ArchModel { cfg, stride: CUTOFF_STRIDE }, &CampaignIo { cache, shard })
 }
 
 /// Golden's state where it differs from the injected machine's, while
@@ -351,8 +348,8 @@ struct Overlay {
     /// stores put bytes here, and text pages are never writable, so the
     /// two machines always fetch the same instruction.
     mem: BTreeMap<u64, u8>,
-    /// The output logs differ. Both machines emit in lockstep, so once
-    /// they differ they always will.
+    /// The output logs differ. Both machines append output in lockstep,
+    /// so once they differ they always will.
     output: bool,
 }
 
@@ -414,7 +411,7 @@ impl Overlay {
     }
 
     /// Updates the overlay after an instruction that read it, from
-    /// golden's retirement `g` (and emitted value `g_out`) and the
+    /// golden's retirement `g` (and output value `g_out`) and the
     /// injected machine's `i`, already committed to `injected`. `before`
     /// is the injected store's address and target bytes before it ran.
     fn settle(
@@ -462,7 +459,7 @@ impl Overlay {
 /// A machine seen read-only through an overlay: golden through a trial's
 /// overlay, or the injected machine itself through an empty one. Writes
 /// are not applied — callers read them off the [`Retired`] record — and
-/// an emitted output value lands in `out`.
+/// an output value lands in `out`.
 struct Through<'a> {
     cpu: &'a Cpu,
     overlay: &'a Overlay,
@@ -492,7 +489,7 @@ impl ExecState for Through<'_> {
         self.cpu.mem.check(addr, len, AccessKind::Store)
     }
 
-    fn emit(&mut self, v: u64) {
+    fn put_output(&mut self, v: u64) {
         self.out = Some(v);
     }
 }
@@ -1047,8 +1044,9 @@ mod tests {
     #[test]
     fn cutoff_saves_cycles_without_changing_trials() {
         let cfg = quick_cfg();
-        let (t_on, s_on) = run_arch_campaign_with_stats(&cfg);
-        let (t_off, s_off) = campaign::run_all(&ArchModel { cfg: &cfg, stride: 0 });
+        let (t_on, s_on) = run_arch_campaign_io(&cfg, None, Shard::ALL);
+        let io = CampaignIo { cache: None, shard: Shard::ALL };
+        let (t_off, s_off) = campaign::run_campaign(&ArchModel { cfg: &cfg, stride: 0 }, &io);
         assert_eq!(t_on, t_off, "cutoff changed trial records");
         assert!(s_on.trials_cut > 0, "cutoff never fired on the smoke campaign");
         assert!(s_on.cycles_saved > 0);

@@ -3,14 +3,14 @@
 //!
 //! The architectural (Figure 2) and microarchitectural (Figures 4–8)
 //! campaigns decompose identically — plan per-workload injection
-//! coordinates, sweep one walker forward emitting a machine snapshot at
-//! each reachable point, fan the snapshots over the parallel engine,
-//! run a golden observation plus seeded trials per point, and account
-//! window cycles simulated/saved/pruned — but the two drivers used to
-//! each own a private copy of that loop, and optimisations landed in
-//! one without reaching the other (the reconvergence cutoff existed
-//! only at the µarch level; the arch campaign's cycle counters were
-//! hard-coded to zero). Following DETOx's structural argument
+//! coordinates, walk the golden run forward to hand out a machine
+//! snapshot at each reachable point as a unit the parallel engine's
+//! workers claim in plan order, run a golden observation plus seeded
+//! trials per point, and account window cycles simulated/saved/pruned
+//! — but the two drivers used to each own a private copy of that loop,
+//! and optimisations landed in one without reaching the other (the
+//! reconvergence cutoff existed only at the µarch level; the arch
+//! campaign's cycle counters were hard-coded to zero). Following DETOx's structural argument
 //! (Lenz & Schirmeier, 2016), the loop now exists exactly once, here:
 //! a [`FaultModel`] supplies the model-specific primitives (spawning
 //! and sweeping a machine, the golden observation, one injected
@@ -25,16 +25,14 @@
 //! thread count, for every model): injection plans are drawn from a
 //! per-workload seed stream, each trial's RNG is seeded from its
 //! `(workload, point, trial)` coordinates ([`crate::seeding`]), and the
-//! engine reassembles unit results in emission (= plan) order.
+//! engine reassembles unit results in claim (= plan) order.
 
 use crate::cache::TrialCache;
 use crate::engine::{effective_threads, run_ordered, CampaignStats, UnitOutput};
 use crate::seeding::{self, Seeder};
 use rand::rngs::StdRng;
 use restore_maskmap::MapSource;
-use restore_snapshot::{
-    with_library, GoldenCheckpointLibrary, LibraryKey, Served, SnapshotMachine,
-};
+use restore_snapshot::{library, GoldenCheckpointLibrary, LibraryKey, Served, SnapshotMachine};
 use restore_store::{Payload, Shard, Stored, TrialKey};
 use restore_workloads::WorkloadId;
 use std::time::Instant;
@@ -57,6 +55,11 @@ pub(crate) use restore_store::TrialCost;
 /// the exhaustive reference trial that `PruneMode::Audit` and the
 /// in-crate tests compare against.
 pub(crate) const CUTOFF_STRIDE: u64 = 250;
+
+/// Why a golden checkpoint library's lock may fail: a claim that
+/// panicked inside `materialize` can leave the frontier between two
+/// coordinates, so a poisoned library is never served again.
+const POISONED_LIBRARY: &str = "a panicked claim poisoned this golden checkpoint library";
 
 impl<R> UnitOutput<R> {
     /// Folds one simulated trial's cost into the unit's accounting.
@@ -91,8 +94,8 @@ impl<R> UnitOutput<R> {
 pub(crate) trait FaultModel: Sync {
     /// A machine snapshot: cloned at each injection point from the
     /// golden checkpoint library, walked forward in between (by the
-    /// library's frontier, or by workers finishing the residual from a
-    /// checkpoint).
+    /// library's frontier inside a claim, or by workers finishing the
+    /// residual from a checkpoint).
     type Machine: Send + SnapshotMachine + 'static;
     /// Per-point golden observation shared by the point's trials.
     type Golden;
@@ -141,7 +144,7 @@ pub(crate) trait FaultModel: Sync {
         Vec::new()
     }
     /// The golden observation at a fork (runs once per point, on the
-    /// worker).
+    /// worker, outside the claim).
     fn golden(&self, fork: &Self::Machine, id: WorkloadId) -> Self::Golden;
     /// Runs one injected trial against the fork and its golden
     /// observation. `rng` is seeded from the trial's plan coordinates.
@@ -190,8 +193,7 @@ enum Unit<M, T> {
 
 /// Campaign I/O context: an optional content-addressed trial cache to
 /// consult before simulating (and record into after), plus the shard
-/// of plan positions this run owns. [`CampaignIo::none`] is the
-/// historical in-memory campaign.
+/// of plan positions this run owns.
 pub(crate) struct CampaignIo<'a, T> {
     /// Trial store handle, keyed by the model's campaign digest.
     pub cache: Option<&'a TrialCache<T>>,
@@ -201,74 +203,18 @@ pub(crate) struct CampaignIo<'a, T> {
     pub shard: Shard,
 }
 
-impl<'a, T> CampaignIo<'a, T> {
-    /// No store, whole plan.
-    pub(crate) fn none() -> CampaignIo<'a, T> {
-        CampaignIo { cache: None, shard: Shard::ALL }
-    }
-}
-
-/// Index of `id` in [`WorkloadId::ALL`] — the stable workload seeding
-/// coordinate.
-fn workload_index(id: WorkloadId) -> usize {
-    WorkloadId::ALL.iter().position(|&w| w == id).expect("id is in ALL")
-}
-
-/// Runs a model's campaign over all seven workloads.
-pub(crate) fn run_all<F: FaultModel>(model: &F) -> (Vec<F::Trial>, CampaignStats)
-where
-    F::Trial: Payload,
-{
-    run_all_io(model, &CampaignIo::none())
-}
-
-/// [`run_all`] with a trial store and shard selection.
-pub(crate) fn run_all_io<F: FaultModel>(
-    model: &F,
-    io: &CampaignIo<'_, F::Trial>,
-) -> (Vec<F::Trial>, CampaignStats)
-where
-    F::Trial: Payload,
-{
-    run_campaign(model, &WorkloadId::ALL.map(|id| (workload_index(id), id)), io)
-}
-
-/// Runs a model's campaign over a single workload. Seeding coordinates
-/// are absolute, so the result is exactly the workload's slice of the
-/// full campaign with the same seed.
-pub(crate) fn run_single<F: FaultModel>(model: &F, id: WorkloadId) -> (Vec<F::Trial>, CampaignStats)
-where
-    F::Trial: Payload,
-{
-    run_single_io(model, id, &CampaignIo::none())
-}
-
-/// [`run_single`] with a trial store and shard selection. Plan
-/// positions stay workload-local slices of the full campaign's
-/// numbering only when the workload set matches, so shard selections
-/// are comparable across runs of the *same* workload set.
-pub(crate) fn run_single_io<F: FaultModel>(
-    model: &F,
-    id: WorkloadId,
-    io: &CampaignIo<'_, F::Trial>,
-) -> (Vec<F::Trial>, CampaignStats)
-where
-    F::Trial: Payload,
-{
-    run_campaign(model, &[(workload_index(id), id)], io)
-}
-
-/// The one campaign loop. It first draws every workload's plan and has
-/// the model [`FaultModel::prepare`] the workloads with at least one
-/// owned, not-fully-cached point, over the campaign's worker threads.
-/// The [`run_ordered`] producer then materializes each workload's
-/// planned points from the golden checkpoint library
-/// ([`library_produce`]) and forks a [`PointUnit`] at each; workers
-/// finish the residual sweep to the injection coordinate, run the
-/// point's golden observation and its coordinate-seeded trials, and
-/// results reassemble in plan order `(workload, point, trial)`.
+/// The one campaign loop, over all seven workloads. It first draws
+/// every workload's plan and has the model [`FaultModel::prepare`] the
+/// workloads with at least one owned, not-fully-cached point, over the
+/// campaign's worker threads. It then hands [`run_ordered`] the
+/// workloads' units in plan order ([`library_units`]): each claim
+/// materializes the next planned point from the golden checkpoint
+/// library as a [`PointUnit`]; the claiming worker finishes the
+/// residual sweep to the injection coordinate, runs the point's golden
+/// observation and its coordinate-seeded trials, and results reassemble
+/// in plan order `(workload, point, trial)`.
 ///
-/// A unit is emitted iff the golden run is live *at* its coordinate,
+/// A unit is claimed iff the golden run is live *at* its coordinate,
 /// and the machine a worker ends up with there is the golden run's
 /// whichever way the library served it: the simulators are
 /// deterministic and snapshot restores are fingerprint-verified.
@@ -276,9 +222,8 @@ where
     clippy::disallowed_methods,
     reason = "the campaign driver times its phases for CampaignStats; wall time never reaches a result"
 )]
-fn run_campaign<F: FaultModel>(
+pub(crate) fn run_campaign<F: FaultModel>(
     model: &F,
-    workloads: &[(usize, WorkloadId)],
     io: &CampaignIo<'_, F::Trial>,
 ) -> (Vec<F::Trial>, CampaignStats)
 where
@@ -300,9 +245,10 @@ where
     // ended, whatever actually runs, so every shard numbers every point
     // identically.
     let mut base = 0u64;
-    let plans: Vec<Points> = workloads
-        .iter()
-        .map(|&(wl, id)| {
+    let plans: Vec<Points> = WorkloadId::ALL
+        .into_iter()
+        .enumerate()
+        .map(|(wl, id)| {
             let plan = model.plan(id, seeder.points(wl));
             let points = Points { wl, id, base, plan };
             base += points.plan.len() as u64;
@@ -326,11 +272,7 @@ where
 
     let (results, mut stats) = run_ordered(
         threads,
-        |emit| {
-            for points in &plans {
-                library_produce(model, points, &seeder, io, emit);
-            }
-        },
+        plans.iter().flat_map(|points| library_units(model, points, &seeder, io)),
         |unit: Unit<F::Machine, F::Trial>| {
             let mut unit = match unit {
                 Unit::Cached(recs) => {
@@ -345,7 +287,7 @@ where
             let s0 = Instant::now();
             let live = unit.machine.step_to(unit.coord);
             let sweep_secs = s0.elapsed().as_secs_f64();
-            assert!(live, "emitted units are live at their injection coordinate");
+            assert!(live, "claimed units are live at their injection coordinate");
 
             let g0 = Instant::now();
             let golden = model.golden(&unit.machine, unit.id);
@@ -389,7 +331,7 @@ where
     (results, stats)
 }
 
-/// One workload's plan, as the producers walk it.
+/// One workload's plan, as the claims walk it.
 struct Points {
     /// Workload index in [`WorkloadId::ALL`] (a seeding coordinate).
     wl: usize,
@@ -463,22 +405,24 @@ fn trial_key<T: Payload>(
     }
 }
 
-/// The producer: points materialize from the process-wide golden
-/// library for `(domain, workload, config, stride)`. Points past the
+/// One workload's units, in plan order: points materialize from the
+/// process-wide golden library for `(domain, workload, config,
+/// stride)`, each inside the claim that yields it. Points past the
 /// library's frontier are clones of the frontier walked there — for a
-/// cold library, exactly the work of one serial forward walk — and
-/// points behind it come from the nearest snapshot at-or-before them.
-/// The workload's golden prefix is simulated at most once per process.
-/// Points outside the shard, and fully-cached points, are skipped
-/// without materializing anything, and emission stops at exactly the
-/// first coordinate where the golden run is no longer live.
-fn library_produce<F: FaultModel>(
-    model: &F,
-    points: &Points,
-    seeder: &Seeder,
-    io: &CampaignIo<'_, F::Trial>,
-    emit: &mut dyn FnMut(Unit<F::Machine, F::Trial>),
-) where
+/// cold library, exactly the work of one serial forward walk, since
+/// claims arrive in plan order — and points behind it come from the
+/// nearest snapshot at-or-before them. The workload's golden prefix is
+/// simulated at most once per process. Points outside the shard, and
+/// fully-cached points, are skipped without materializing anything,
+/// and the units stop at exactly the first coordinate where the golden
+/// run is no longer live.
+fn library_units<'a, F: FaultModel>(
+    model: &'a F,
+    points: &'a Points,
+    seeder: &'a Seeder,
+    io: &'a CampaignIo<'a, F::Trial>,
+) -> impl Iterator<Item = Unit<F::Machine, F::Trial>> + 'a
+where
     F::Trial: Payload,
 {
     let Points { wl, id, base, ref plan } = *points;
@@ -489,36 +433,28 @@ fn library_produce<F: FaultModel>(
         config: model.config_digest(),
         stride,
     };
-    with_library(
-        key,
-        || GoldenCheckpointLibrary::new(model.spawn(id), stride),
-        |lib, created| {
-            // A snapshot is "warm" only if it predates this campaign
-            // entirely; a just-created library's origin snapshot is as
-            // cold as the captures that follow it.
-            let warm_snaps = if created { 0 } else { lib.len() };
-            for (point, &coord) in plan.iter().enumerate() {
-                if !io.shard.owns(base + point as u64) {
-                    continue;
-                }
-                if let Some(recs) = cached_point(model, io.cache, seeder, wl, point, coord) {
-                    emit(Unit::Cached(recs));
-                    continue;
-                }
-                let Some(m) = lib.materialize(coord) else {
-                    break;
-                };
-                let hit = matches!(m.served, Served::Snapshot { index, .. } if index < warm_snaps);
-                emit(Unit::Live(PointUnit {
-                    wl,
-                    id,
-                    point,
-                    coord,
-                    machine: m.machine,
-                    ckpt_hit: hit,
-                    warmup_saved: if hit { m.base_coord - lib.origin_coord() } else { 0 },
-                }));
-            }
-        },
-    );
+    let (lib, created) = library(key, || GoldenCheckpointLibrary::new(model.spawn(id), stride));
+    // A snapshot is "warm" only if it predates this campaign entirely; a
+    // just-created library's origin snapshot is as cold as the captures
+    // that follow it.
+    let warm_snaps = if created { 0 } else { lib.lock().expect(POISONED_LIBRARY).len() };
+    let owned =
+        plan.iter().enumerate().filter(move |&(point, _)| io.shard.owns(base + point as u64));
+    owned.map_while(move |(point, &coord)| {
+        if let Some(recs) = cached_point(model, io.cache, seeder, wl, point, coord) {
+            return Some(Unit::Cached(recs));
+        }
+        let mut lib = lib.lock().expect(POISONED_LIBRARY);
+        let m = lib.materialize(coord)?;
+        let hit = matches!(m.served, Served::Snapshot { index, .. } if index < warm_snaps);
+        Some(Unit::Live(PointUnit {
+            wl,
+            id,
+            point,
+            coord,
+            machine: m.machine,
+            ckpt_hit: hit,
+            warmup_saved: if hit { m.base_coord - lib.origin_coord() } else { 0 },
+        }))
+    })
 }

@@ -1,26 +1,31 @@
-//! Parallel campaign engine: a bounded work-unit pipeline with
+//! Parallel campaign engine: workers that pull their own units, with
 //! deterministic reassembly.
 //!
-//! Both campaign types decompose the same way: a **serial sweeper** (the
-//! producer) advances one simulator forward through pre-selected
-//! injection points — inherently ordered work, since reaching cycle *c*
-//! requires simulating cycles *0..c* — and at each point forks a cheap
-//! snapshot into a bounded channel. A pool of scoped **workers** drains
-//! the channel, runs the expensive part (golden run + trials, ~10⁴
-//! cycles each) against the snapshot, and tags results with the unit's
-//! plan index. Reassembly sorts by that index, so output order is the
-//! campaign *plan* order `(workload, point, trial)` regardless of worker
-//! interleaving; combined with per-unit seeding ([`crate::seeding`])
-//! the full trial vector is bit-identical at every thread count.
+//! Both campaign types decompose the same way: one ordered spine — the
+//! golden walk through a workload's sorted injection points, since
+//! reaching cycle *c* requires simulating cycles *0..c* — and, at each
+//! point, an expensive independent part (golden run + trials, ~10⁴
+//! cycles each) against a snapshot of the machine there. The campaign
+//! hands [`run_ordered`] its units as one lazy iterator in plan order,
+//! and exactly `threads` scoped **workers** share it behind a lock:
+//! each worker *claims* its next unit by advancing the iterator under
+//! the lock (which is where the spine runs: walking the golden
+//! checkpoint library's frontier, cloning a snapshot, or reading a
+//! fully cached point's records), then runs the unit outside it. The
+//! lock makes claims strictly sequential in plan order, so the frontier
+//! only ever walks forward; each claim is tagged with its claim index,
+//! and reassembly sorts by that index, so output order is the campaign
+//! *plan* order `(workload, point, trial)` regardless of worker
+//! interleaving. Combined with per-unit seeding ([`crate::seeding`]) the
+//! full trial vector is bit-identical at every thread count.
 //!
-//! The channel bound keeps at most a few pipeline snapshots in flight,
-//! so memory stays O(threads), and it applies backpressure to the
-//! sweeper instead of letting it race ahead. `--threads 1` is the same
+//! No unit is claimed before a worker is free to run it, so at most
+//! `threads` snapshots are in flight, and `--threads N` means N busy
+//! threads: the calling thread only waits. `--threads 1` is the same
 //! engine with one worker, not a separate code path.
 
 use std::fmt;
-use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Resolves a requested worker count: an explicit request wins, and 0
@@ -35,12 +40,12 @@ pub fn effective_threads(requested: usize) -> usize {
 /// Throughput instrumentation for one campaign run.
 ///
 /// Stage seconds are *summed across workers*, so on `t` threads
-/// `golden_secs + trial_secs` can approach `t × wall_secs`; the ratio of
-/// the two is the parallel efficiency. `produce_secs` is the sweeper's
-/// wall time and includes any backpressure waits on the full channel.
+/// `produce_secs + sweep_secs + golden_secs + trial_secs` can approach
+/// `t × wall_secs`; the ratio of the two is the parallel efficiency.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CampaignStats {
-    /// Worker threads used.
+    /// Worker threads used: every claim and every unit ran on one of
+    /// them, and the calling thread only waited.
     pub threads: usize,
     /// Work units (injection points) executed.
     pub units: u64,
@@ -48,12 +53,16 @@ pub struct CampaignStats {
     pub trials: u64,
     /// End-to-end wall-clock seconds.
     pub wall_secs: f64,
-    /// Sweeper (producer) wall seconds, including channel backpressure.
+    /// Worker seconds spent inside claims, summed across workers:
+    /// advancing the campaign's unit iterator under its lock, which
+    /// walks the golden checkpoint library's frontier, clones snapshots
+    /// and reads fully cached points. Waits for the lock are not
+    /// counted.
     pub produce_secs: f64,
     /// Worker seconds spent sweeping materialized machines from their
     /// checkpoint to the injection coordinate (the residual O(stride)
     /// walk), summed across workers. Near zero on a cold campaign: the
-    /// producer pays the golden walk in `produce_secs` and hands out
+    /// claims pay the golden walk in `produce_secs` and hand out
     /// machines already at their coordinates; only units served from a
     /// snapshot behind the library's frontier have a residual to walk.
     pub sweep_secs: f64,
@@ -266,7 +275,7 @@ pub(crate) struct UnitOutput<R> {
     /// seconds, checkpoint serves and window-cycle accounting.
     /// [`run_ordered`] folds every unit's with [`CampaignStats::merge`]
     /// and fills in the campaign-wide fields (threads, units, trials,
-    /// wall and producer time) itself.
+    /// wall and claim time) itself.
     pub stats: CampaignStats,
 }
 
@@ -278,94 +287,74 @@ impl<R> Default for UnitOutput<R> {
     }
 }
 
-/// Fans units out over `threads` scoped workers and reassembles results
-/// in emission order.
+/// Runs `units` over exactly `threads` scoped workers and reassembles
+/// the results in iterator order.
 ///
-/// `produce` runs on the calling thread and receives an `emit` callback;
-/// every emitted unit is processed by `work` on some worker, and the
-/// flattened results are returned ordered by emission index. `work` runs
-/// concurrently with `produce`, so a unit emitted while the sweeper is
-/// still advancing may already be complete.
+/// Each worker claims its next unit by advancing `units` under a lock —
+/// so claims happen one at a time, in iterator order, and whatever the
+/// iterator computes to yield a unit runs inside the claim — then runs
+/// `work` on it outside the lock. The flattened results are returned
+/// ordered by claim index. A panic in `work` or in the iterator fails
+/// the whole run once the other workers stop: a panicked claim poisons
+/// the lock, and no worker claims past it.
 #[expect(
     clippy::disallowed_methods,
     reason = "the engine times itself for CampaignStats; wall time never reaches a result"
 )]
 pub(crate) fn run_ordered<U, R>(
     threads: usize,
-    produce: impl FnOnce(&mut dyn FnMut(U)),
+    units: impl IntoIterator<Item = U, IntoIter: Send>,
     work: impl Fn(U) -> UnitOutput<R> + Sync,
 ) -> (Vec<R>, CampaignStats)
 where
-    U: Send,
     R: Send,
 {
     let threads = threads.max(1);
-    // 2× bound: enough slack that workers never starve while the sweeper
-    // advances to the next point, small enough that snapshot memory
-    // stays O(threads).
-    let (tx, rx) = sync_channel::<(usize, U)>(threads * 2);
-    // The workers share the one receiver; it drops with the last of
-    // them, so a pool that died (a panic included) fails the producer's
-    // next send instead of leaving it blocked on a full channel.
-    let rx = Arc::new(Mutex::new(rx));
+    let source = Mutex::new(units.into_iter().fuse().enumerate());
     let collected: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
     let totals: Mutex<CampaignStats> = Mutex::new(CampaignStats::default());
 
     let wall0 = Instant::now();
-    let mut produce_secs = 0.0;
-    let mut units = 0usize;
-
     std::thread::scope(|s| {
         for _ in 0..threads {
-            let rx = Arc::clone(&rx);
-            let work = &work;
-            let collected = &collected;
-            let totals = &totals;
-            s.spawn(move || loop {
-                // The receiver's guard drops at the end of this
-                // statement, so the lock is held only while waiting.
-                let Ok((index, unit)) = lock(&rx).recv() else { break };
-                let out = work(unit);
-                lock(totals).merge(&out.stats);
-                lock(collected).push((index, out.results));
+            s.spawn(|| {
+                let mut claim_secs = 0.0;
+                loop {
+                    // A poisoned lock means a claim panicked: stop.
+                    let Ok(mut source) = source.lock() else { break };
+                    let c0 = Instant::now();
+                    let claimed = source.next();
+                    claim_secs += c0.elapsed().as_secs_f64();
+                    drop(source);
+                    let Some((index, unit)) = claimed else { break };
+                    let out = work(unit);
+                    lock(&totals).merge(&out.stats);
+                    lock(&collected).push((index, out.results));
+                }
+                lock(&totals).produce_secs += claim_secs;
             });
         }
-        drop(rx);
-
-        let p0 = Instant::now();
-        let mut emit = |unit: U| {
-            // Workers only exit once the sender drops, so send cannot
-            // fail unless every worker panicked — propagate that instead
-            // of deadlocking.
-            if tx.send((units, unit)).is_err() {
-                panic!("campaign worker pool shut down early");
-            }
-            units += 1;
-        };
-        produce(&mut emit);
-        produce_secs = p0.elapsed().as_secs_f64();
-        drop(tx);
     });
 
     let mut collected = collected.into_inner().unwrap_or_else(PoisonError::into_inner);
     collected.sort_unstable_by_key(|&(index, _)| index);
     debug_assert!(collected.iter().enumerate().all(|(i, (idx, _))| i == *idx));
 
+    let units = collected.len() as u64;
     let results: Vec<R> = collected.into_iter().flat_map(|(_, r)| r).collect();
     let stats = CampaignStats {
         threads,
-        units: units as u64,
+        units,
         trials: results.len() as u64,
         wall_secs: wall0.elapsed().as_secs_f64(),
-        produce_secs,
         ..totals.into_inner().unwrap_or_else(PoisonError::into_inner)
     };
     (results, stats)
 }
 
 /// Locks `m`, ignoring poisoning: a worker that panicked holding a lock
-/// is propagated by the thread scope, and the counters it guards are
-/// only read after every worker has stopped.
+/// is propagated by the thread scope, and what the lock guards is only
+/// read after every worker has stopped.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -400,17 +389,13 @@ mod tests {
     #[test]
     fn results_come_back_in_emission_order() {
         for threads in [1, 2, 4, 8] {
-            let (results, stats) = run_ordered(
-                threads,
-                |emit| (0..57u32).for_each(emit),
-                |u| {
-                    // Stagger work so completion order scrambles.
-                    if u % 3 == 0 {
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                    double_unit(u)
-                },
-            );
+            let (results, stats) = run_ordered(threads, 0..57u32, |u| {
+                // Stagger work so completion order scrambles.
+                if u % 3 == 0 {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+                double_unit(u)
+            });
             let expect: Vec<u32> = (0..57u32).flat_map(|u| [u * 2, u * 2 + 1]).collect();
             assert_eq!(results, expect, "threads={threads}");
             assert_eq!(stats.units, 57);
@@ -542,32 +527,74 @@ mod tests {
         assert_eq!(reversed, single);
     }
 
-    /// Every worker panics on its first unit while the producer emits far
-    /// more units than the channel holds: once the last worker is gone
-    /// the producer's send must fail and panic, not block forever.
+    /// Units are claimed strictly in iterator order, and the claims and
+    /// the work on them run on at most `threads` distinct threads: the
+    /// calling thread claims nothing and runs nothing.
+    #[test]
+    fn claims_follow_iterator_order_on_at_most_threads_threads() {
+        use std::thread::{self, ThreadId};
+        for threads in [1, 2, 4] {
+            let claims: Mutex<Vec<(u32, ThreadId)>> = Mutex::new(Vec::new());
+            let workers: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+            let units = (0..200u32).inspect(|&u| lock(&claims).push((u, thread::current().id())));
+            let (results, stats) = run_ordered(threads, units, |u| {
+                lock(&workers).push(thread::current().id());
+                if u % 7 == 0 {
+                    thread::sleep(std::time::Duration::from_micros(100));
+                }
+                double_unit(u)
+            });
+            let claims = claims.into_inner().unwrap();
+            let order: Vec<u32> = claims.iter().map(|&(u, _)| u).collect();
+            assert_eq!(order, (0..200).collect::<Vec<_>>(), "threads={threads}");
+            let seen: std::collections::HashSet<ThreadId> =
+                claims.iter().map(|&(_, t)| t).chain(workers.into_inner().unwrap()).collect();
+            assert!(seen.len() <= threads, "{} threads busy at threads={threads}", seen.len());
+            assert!(!seen.contains(&thread::current().id()), "the caller only waits");
+            assert_eq!(results.len(), 400);
+            assert_eq!(stats.units, 200);
+            assert!(stats.produce_secs > 0.0, "claims are timed");
+        }
+    }
+
+    /// A campaign whose every unit panics, or whose unit iterator panics
+    /// mid-campaign, fails as a whole within a minute: the scope
+    /// propagates the panic once the other workers stop, and no worker
+    /// claims past a panicked claim.
     #[test]
     fn panicking_workers_fail_the_producer_instead_of_deadlocking() {
-        let (done, outcome) = std::sync::mpsc::channel();
-        let campaign = std::thread::spawn(move || {
-            let run = std::panic::catch_unwind(|| {
-                run_ordered(
-                    2,
-                    |emit| (0..1_000u32).for_each(emit),
-                    |_: u32| -> UnitOutput<u32> { panic!("worker failure") },
-                )
+        fn fails_within_a_minute(
+            run: impl FnOnce() -> (Vec<u32>, CampaignStats) + Send + std::panic::UnwindSafe + 'static,
+        ) {
+            let campaign = std::thread::spawn(move || {
+                std::panic::catch_unwind(run).err().and_then(|e| e.downcast_ref::<&str>().copied())
             });
-            done.send(run.err().and_then(|e| e.downcast_ref::<&str>().copied())).ok();
+            // 6,000 polls 10 ms apart: a minute.
+            for _ in 0..6_000 {
+                if campaign.is_finished() {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            assert!(
+                campaign.is_finished(),
+                "the campaign is still running a minute after it failed"
+            );
+            let message = campaign.join().expect("the campaign's panic was caught");
+            assert_eq!(message, Some("a scoped thread panicked"));
+        }
+        fails_within_a_minute(|| {
+            run_ordered(2, 0..1_000u32, |_: u32| -> UnitOutput<u32> { panic!("worker failure") })
         });
-        let message = outcome
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("the producer is still blocked a minute after its workers died");
-        assert_eq!(message, Some("campaign worker pool shut down early"));
-        campaign.join().expect("the campaign's panic was caught");
+        fails_within_a_minute(|| {
+            let units = (0..1_000u32).inspect(|&u| assert!(u != 9, "claim failure"));
+            run_ordered(2, units, double_unit)
+        });
     }
 
     #[test]
     fn empty_campaign_is_fine() {
-        let (results, stats) = run_ordered(4, |_emit| {}, double_unit);
+        let (results, stats) = run_ordered(4, std::iter::empty(), double_unit);
         assert!(results.is_empty());
         assert_eq!(stats.units, 0);
         assert_eq!(stats.trials_per_sec(), 0.0);

@@ -57,8 +57,7 @@ mod uarch_campaign;
 mod uarch_trial;
 
 pub use arch_campaign::{
-    arch_campaign_digest, run_arch_campaign, run_arch_campaign_io, run_arch_campaign_with_stats,
-    ArchCampaignConfig, ArchTrial,
+    arch_campaign_digest, run_arch_campaign, run_arch_campaign_io, ArchCampaignConfig, ArchTrial,
 };
 pub use cache::TrialCache;
 pub use classify::{ArchCategory, Symptom, SymptomLatencies, UarchCategory};
@@ -66,9 +65,8 @@ pub use engine::{effective_threads, CampaignStats};
 pub use restore_core::{DetectorConfig, DetectorSet, SourceSet, LHF_DUP_MASK};
 pub use restore_store::{Payload, Shard, Stored, TrialCost, TrialKey};
 pub use stats::{worst_case_ci95, Proportion};
-pub use uarch_campaign::run_workload as run_uarch_workload;
 pub use uarch_campaign::{
-    maskmap_horizon, run_uarch_campaign, run_uarch_campaign_io, run_uarch_campaign_with_stats,
-    uarch_campaign_digest, CfvMode, InjectionTarget, PruneMode, UarchCampaignConfig,
+    maskmap_horizon, run_uarch_campaign, run_uarch_campaign_io, uarch_campaign_digest, CfvMode,
+    InjectionTarget, PruneMode, UarchCampaignConfig,
 };
 pub use uarch_trial::{EndState, UarchTrial};

@@ -121,8 +121,8 @@ pub struct UarchCampaignConfig {
     /// positive. A cold campaign walks the library's frontier through
     /// its sorted points once; a repeat campaign in the same process
     /// materializes each point from the nearest checkpoint at-or-before
-    /// it. Results are bit-identical at every stride — only producer
-    /// cost changes.
+    /// it. Results are bit-identical at every stride — only the cost of
+    /// reaching the points changes.
     pub ckpt_stride: u64,
     /// Observation-time software-detector configuration (signature block
     /// size, duplication mask). Result-shaping: the knobs set the
@@ -393,44 +393,30 @@ pub fn uarch_campaign_digest(cfg: &UarchCampaignConfig) -> u64 {
         .finish()
 }
 
-/// Runs the campaign over all seven workloads.
+/// Runs the campaign over all seven workloads, in memory.
 pub fn run_uarch_campaign(cfg: &UarchCampaignConfig) -> Vec<UarchTrial> {
-    run_uarch_campaign_with_stats(cfg).0
+    campaign::run_campaign(&UarchModel { cfg }, &CampaignIo { cache: None, shard: Shard::ALL }).0
 }
 
-/// [`run_uarch_campaign_with_stats`] against a trial store and a shard
-/// of the plan: cached trials replay from `cache` with zero simulated
-/// window cycles, fresh trials are recorded into it, and only plan
-/// positions owned by `shard` run at all. `cache` must have been opened
-/// under [`uarch_campaign_digest`] of this `cfg`.
+/// Runs the campaign over all seven workloads against an optional trial
+/// store and a shard of the plan, and also reports throughput
+/// instrumentation: cached trials replay from `cache` with zero
+/// simulated window cycles, fresh trials are recorded into it, and only
+/// plan positions owned by `shard` run at all. `cache` must have been
+/// opened under [`uarch_campaign_digest`] of this `cfg`.
 ///
+/// Trials come back in plan order `(workload, point, trial)` and are
+/// bit-identical for a given `(cfg.seed, cfg)` at every thread count.
 /// With a warm full-coverage cache the trial vector — and every
-/// non-timing counter — is bit-identical to a cold
-/// [`run_uarch_campaign_with_stats`]; merging the stats of the `N`
-/// shards of a campaign reproduces the unsharded run
-/// ([`CampaignStats::merge`]).
+/// non-timing counter — is bit-identical to a cold run without one;
+/// merging the stats of the `N` shards of a campaign reproduces the
+/// unsharded run ([`CampaignStats::merge`]).
 pub fn run_uarch_campaign_io(
     cfg: &UarchCampaignConfig,
     cache: Option<&TrialCache<UarchTrial>>,
     shard: Shard,
 ) -> (Vec<UarchTrial>, CampaignStats) {
-    campaign::run_all_io(&UarchModel { cfg }, &CampaignIo { cache, shard })
-}
-
-/// Runs the campaign and also reports throughput instrumentation.
-///
-/// Trials come back in plan order `(workload, point, trial)` and are
-/// bit-identical for a given `(cfg.seed, cfg)` at every thread count.
-pub fn run_uarch_campaign_with_stats(
-    cfg: &UarchCampaignConfig,
-) -> (Vec<UarchTrial>, CampaignStats) {
-    campaign::run_all(&UarchModel { cfg })
-}
-
-/// Runs trials for a single workload. The result is exactly the
-/// workload's slice of the full campaign with the same seed.
-pub fn run_workload(cfg: &UarchCampaignConfig, id: WorkloadId) -> Vec<UarchTrial> {
-    campaign::run_single(&UarchModel { cfg }, id).0
+    campaign::run_campaign(&UarchModel { cfg }, &CampaignIo { cache, shard })
 }
 
 #[cfg(test)]
@@ -494,16 +480,6 @@ mod tests {
         };
         let pts = plan_points(&cfg, 7);
         assert_eq!(pts, vec![10, 11, 12, 13]);
-    }
-
-    #[test]
-    fn single_workload_matches_campaign_slice() {
-        let cfg = quick();
-        let full = run_uarch_campaign(&cfg);
-        let solo = run_workload(&cfg, WorkloadId::Mcfx);
-        let slice: Vec<_> =
-            full.iter().filter(|t| t.workload == WorkloadId::Mcfx).cloned().collect();
-        assert_eq!(solo, slice);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! golden's and the exhaustive verdict is `masked` without running the
 //! rest of the window.
 
-use restore_inject::{run_arch_campaign_with_stats, ArchCampaignConfig, ArchTrial};
+use restore_inject::{run_arch_campaign_io, ArchCampaignConfig, ArchTrial, Shard};
 use restore_workloads::Scale;
 
 /// The fixtures' campaign.
@@ -59,7 +59,7 @@ fn cut_runs_match_the_exhaustive_fixture(name: &str, low32: bool) {
     let want = std::fs::read_to_string(path).expect("fixture exists");
     let mut planned = None;
     for threads in [1, 2, 4] {
-        let (got, stats) = run_arch_campaign_with_stats(&fixture_cfg(threads, low32));
+        let (got, stats) = run_arch_campaign_io(&fixture_cfg(threads, low32), None, Shard::ALL);
         assert_eq!(render(&got), want, "{name}: the cut campaign diverged at {threads} threads");
         assert!(
             stats.trials_cut > 0 && stats.cycles_saved > 0,
@@ -92,7 +92,7 @@ fn default_arch_config_has_cutoff_on_and_saving() {
         seed: 0xA7C4,
         ..ArchCampaignConfig::default()
     };
-    let (_, stats) = run_arch_campaign_with_stats(&cfg);
+    let (_, stats) = run_arch_campaign_io(&cfg, None, Shard::ALL);
     assert!(
         stats.trials_cut > 0 && stats.cycles_saved > 0,
         "the default config saved nothing: {}",

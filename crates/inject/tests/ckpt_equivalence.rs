@@ -15,12 +15,12 @@
 //!
 //! Checkpoint libraries are memoized process-wide by
 //! `(domain, workload, config, stride)`, and the whole test binary is
-//! one process — so each test uses a stride of its own, making its
-//! first run provably cold and later runs provably warm.
+//! one process — so each cold run uses a stride of its own, making it
+//! provably cold and later runs at that stride provably warm.
 
 use restore_inject::{
-    run_arch_campaign_with_stats, run_uarch_campaign_with_stats, ArchCampaignConfig, CampaignStats,
-    PruneMode, UarchCampaignConfig,
+    run_arch_campaign_io, run_uarch_campaign_io, ArchCampaignConfig, CampaignStats, PruneMode,
+    Shard, UarchCampaignConfig,
 };
 use restore_workloads::Scale;
 use std::fmt::Debug;
@@ -53,18 +53,30 @@ fn arch_cfg(threads: usize, ckpt: u64) -> ArchCampaignConfig {
     }
 }
 
-/// Runs a campaign cold at 1 thread, then warm at 1, 2 and 4: the
-/// trials and cycle accounting never move, the first run is served
-/// entirely from the frontier, and every repeat entirely from
-/// snapshots, skipping warm-up.
+/// Runs a campaign cold at 1, 2 and 4 threads, each at a stride of its
+/// own so every one of those runs is provably cold, then warm at 1, 2
+/// and 4 at the first run's stride: the trials and cycle accounting
+/// never move, every cold run is served entirely from the frontier
+/// (workers claim points in plan order, so the frontier only walks
+/// forward), and every repeat entirely from snapshots, skipping
+/// warm-up.
 fn warm_runs_match_the_cold_run<T: PartialEq + Debug>(
-    run: impl Fn(usize) -> (Vec<T>, CampaignStats),
+    strides: [u64; 3],
+    run: impl Fn(usize, u64) -> (Vec<T>, CampaignStats),
 ) {
-    let (cold, s_cold) = run(1);
+    let (cold, s_cold) = run(1, strides[0]);
     assert!(!cold.is_empty());
     assert_eq!(s_cold.checkpoint_misses, s_cold.units, "the first run must be cold");
+    for (threads, stride) in [(2, strides[1]), (4, strides[2])] {
+        let (got, s) = run(threads, stride);
+        assert_eq!(got, cold, "cold frontier serves diverged at {threads} threads");
+        assert_eq!(s.units, s_cold.units);
+        assert_eq!(s.checkpoint_misses, s.units, "a fresh stride must run cold at {threads}");
+        assert_eq!(s.cycles_simulated, s_cold.cycles_simulated);
+        assert_eq!(s.cycles_saved, s_cold.cycles_saved);
+    }
     for threads in [1, 2, 4] {
-        let (got, s) = run(threads);
+        let (got, s) = run(threads, strides[0]);
         assert_eq!(got, cold, "snapshot serves diverged at {threads} threads");
         assert_eq!(s.checkpoint_hits, s.units, "repeat campaigns must run warm");
         assert!(s.warmup_cycles_saved > 0, "warm runs past the first stride must skip warm-up");
@@ -76,12 +88,16 @@ fn warm_runs_match_the_cold_run<T: PartialEq + Debug>(
 
 #[test]
 fn uarch_library_on_equals_off_at_every_thread_count() {
-    warm_runs_match_the_cold_run(|threads| run_uarch_campaign_with_stats(&uarch_cfg(threads, 930)));
+    warm_runs_match_the_cold_run([930, 940, 950], |threads, stride| {
+        run_uarch_campaign_io(&uarch_cfg(threads, stride), None, Shard::ALL)
+    });
 }
 
 #[test]
 fn arch_library_on_equals_off_at_every_thread_count() {
-    warm_runs_match_the_cold_run(|threads| run_arch_campaign_with_stats(&arch_cfg(threads, 1_170)));
+    warm_runs_match_the_cold_run([1_170, 1_180, 1_190], |threads, stride| {
+        run_arch_campaign_io(&arch_cfg(threads, stride), None, Shard::ALL)
+    });
 }
 
 /// The fast path's three layers compose: snapshot serves, the
@@ -91,9 +107,9 @@ fn arch_library_on_equals_off_at_every_thread_count() {
 /// for its window cycles.
 #[test]
 fn library_composes_with_cutoff_and_pruning() {
-    let (baseline, s_plain) = run_uarch_campaign_with_stats(&uarch_cfg(1, 1_210));
+    let (baseline, s_plain) = run_uarch_campaign_io(&uarch_cfg(1, 1_210), None, Shard::ALL);
     let stacked = UarchCampaignConfig { prune: PruneMode::Audit, ..uarch_cfg(4, 1_210) };
-    let (got, s) = run_uarch_campaign_with_stats(&stacked);
+    let (got, s) = run_uarch_campaign_io(&stacked, None, Shard::ALL);
     assert_eq!(got, baseline, "stacked layers changed trial results");
     assert_eq!(s.checkpoint_hits, s.units, "the stacked run is served from snapshots");
     assert!(s.trials_cut > 0 && s.trials_pruned > 0, "both trial layers fired: {s}");

@@ -19,7 +19,7 @@
 //! state-level property).
 
 use restore_inject::{
-    run_uarch_campaign_with_stats, CampaignStats, InjectionTarget, PruneMode, UarchCampaignConfig,
+    run_uarch_campaign_io, CampaignStats, InjectionTarget, PruneMode, Shard, UarchCampaignConfig,
 };
 
 /// Small plan, small window: fast enough to run the reference in debug
@@ -47,11 +47,11 @@ fn planned(s: &CampaignStats) -> u64 {
 /// at 1, 2 and 4 threads against the audited vector.
 fn cut_runs_match_the_reference(target: InjectionTarget) {
     let (baseline, audited) =
-        run_uarch_campaign_with_stats(&small_cfg(target, 1, PruneMode::Audit));
+        run_uarch_campaign_io(&small_cfg(target, 1, PruneMode::Audit), None, Shard::ALL);
     assert!(!baseline.is_empty());
     for threads in [1, 2, 4] {
         let (got, stats) =
-            run_uarch_campaign_with_stats(&small_cfg(target, threads, PruneMode::Off));
+            run_uarch_campaign_io(&small_cfg(target, threads, PruneMode::Off), None, Shard::ALL);
         assert_eq!(got, baseline, "{target:?}: cutoff diverged at {threads} threads");
         assert!(
             stats.trials_cut > 0 && stats.cycles_saved > 0,
@@ -93,7 +93,7 @@ fn default_window_cutoff_saves_at_least_30_percent() {
         prune: PruneMode::Audit,
         ..UarchCampaignConfig::default()
     };
-    let (trials, stats) = run_uarch_campaign_with_stats(&cfg);
+    let (trials, stats) = run_uarch_campaign_io(&cfg, None, Shard::ALL);
     assert!(!trials.is_empty());
     assert!(
         stats.cycles_saved_fraction() >= 0.30,

@@ -26,8 +26,8 @@
 //! make an unintentional difference pass.
 
 use restore_inject::{
-    run_arch_campaign, run_uarch_campaign, run_uarch_campaign_with_stats, ArchCampaignConfig,
-    ArchTrial, CampaignStats, DetectorConfig, InjectionTarget, PruneMode, UarchCampaignConfig,
+    run_arch_campaign, run_uarch_campaign, run_uarch_campaign_io, ArchCampaignConfig, ArchTrial,
+    CampaignStats, DetectorConfig, InjectionTarget, PruneMode, Shard, UarchCampaignConfig,
     UarchTrial,
 };
 use restore_workloads::Scale;
@@ -136,7 +136,7 @@ fn uarch_matrix(name: &str, target: InjectionTarget) {
     for prune in PRUNE_MODES {
         for threads in THREAD_COUNTS {
             let cfg = UarchCampaignConfig { prune, threads, ..uarch_cfg(target) };
-            let (trials, stats) = run_uarch_campaign_with_stats(&cfg);
+            let (trials, stats) = run_uarch_campaign_io(&cfg, None, Shard::ALL);
             assert!(!trials.is_empty());
             check(name, &render_uarch(&trials));
             let want = *first.get_or_insert(planned(&stats));

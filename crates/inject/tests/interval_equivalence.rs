@@ -19,8 +19,8 @@
 //! warm replay resolves none at all.
 
 use restore_inject::{
-    run_uarch_campaign_io, run_uarch_campaign_with_stats, uarch_campaign_digest, CampaignStats,
-    InjectionTarget, PruneMode, Shard, TrialCache, UarchCampaignConfig, UarchTrial,
+    run_uarch_campaign_io, uarch_campaign_digest, CampaignStats, InjectionTarget, PruneMode, Shard,
+    TrialCache, UarchCampaignConfig, UarchTrial,
 };
 use std::path::PathBuf;
 
@@ -57,12 +57,14 @@ fn tmp(name: &str) -> PathBuf {
 
 #[test]
 fn uarch_interval_equals_off_at_every_thread_count() {
-    let (baseline, stats_off) = run_uarch_campaign_with_stats(&small_cfg(1, PruneMode::Off));
+    let (baseline, stats_off) =
+        run_uarch_campaign_io(&small_cfg(1, PruneMode::Off), None, Shard::ALL);
     assert!(!baseline.is_empty());
     assert_eq!(stats_off.trials_pruned, 0, "PruneMode::Off must not consult the map");
     assert_eq!(stats_off.cycles_pruned, 0);
     for threads in [1, 2, 4] {
-        let (got, stats) = run_uarch_campaign_with_stats(&small_cfg(threads, PruneMode::Interval));
+        let (got, stats) =
+            run_uarch_campaign_io(&small_cfg(threads, PruneMode::Interval), None, Shard::ALL);
         assert_eq!(got, baseline, "interval pruning diverged at {threads} threads");
         assert!(
             stats.trials_pruned > 0,
@@ -83,10 +85,11 @@ fn uarch_interval_equals_off_for_latch_campaign() {
         target: InjectionTarget::LatchesOnly,
         ..small_cfg(threads, prune)
     };
-    let (baseline, stats_off) = run_uarch_campaign_with_stats(&cfg(1, PruneMode::Off));
+    let (baseline, stats_off) = run_uarch_campaign_io(&cfg(1, PruneMode::Off), None, Shard::ALL);
     assert!(!baseline.is_empty());
     for threads in [1, 2, 4] {
-        let (got, stats) = run_uarch_campaign_with_stats(&cfg(threads, PruneMode::Interval));
+        let (got, stats) =
+            run_uarch_campaign_io(&cfg(threads, PruneMode::Interval), None, Shard::ALL);
         assert_eq!(got, baseline, "latch campaign diverged at {threads} threads");
         assert!(stats.trials_pruned > 0, "latches draw dead fetch/decode/IQ slots too");
         assert_eq!(planned(&stats), planned(&stats_off));
@@ -100,8 +103,9 @@ fn uarch_interval_equals_off_for_latch_campaign() {
 /// every planned window cycle is counted exactly once.
 #[test]
 fn uarch_audit_mode_verifies_map_against_simulation() {
-    let (baseline, stats_off) = run_uarch_campaign_with_stats(&small_cfg(1, PruneMode::Off));
-    let (got, stats) = run_uarch_campaign_with_stats(&small_cfg(1, PruneMode::Audit));
+    let (baseline, stats_off) =
+        run_uarch_campaign_io(&small_cfg(1, PruneMode::Off), None, Shard::ALL);
+    let (got, stats) = run_uarch_campaign_io(&small_cfg(1, PruneMode::Audit), None, Shard::ALL);
     assert_eq!(got, baseline, "audit mode changed trial results");
     assert!(stats.trials_pruned > 0, "audit found no map-classified trials to check");
     assert!(stats.cycles_simulated > 0, "trials the map cannot prove still simulate");
@@ -119,10 +123,11 @@ fn uarch_audit_mode_verifies_map_against_simulation() {
 /// cycles never move.
 #[test]
 fn interval_composes_with_cutoff_and_checkpoint_strides() {
-    let (baseline, stats_off) = run_uarch_campaign_with_stats(&small_cfg(1, PruneMode::Off));
+    let (baseline, stats_off) =
+        run_uarch_campaign_io(&small_cfg(1, PruneMode::Off), None, Shard::ALL);
     for ckpt in [130, 450] {
         let cfg = UarchCampaignConfig { ckpt_stride: ckpt, ..small_cfg(1, PruneMode::Audit) };
-        let (got, stats) = run_uarch_campaign_with_stats(&cfg);
+        let (got, stats) = run_uarch_campaign_io(&cfg, None, Shard::ALL);
         assert_eq!(got, baseline, "diverged at ckpt={ckpt}");
         assert!(stats.trials_pruned > 0 && stats.trials_cut > 0, "ckpt={ckpt}: {stats}");
         assert_eq!(planned(&stats), planned(&stats_off), "ckpt={ckpt}");

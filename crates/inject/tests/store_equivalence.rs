@@ -27,9 +27,9 @@
 //! its cold-library assumption violated).
 
 use restore_inject::{
-    arch_campaign_digest, run_arch_campaign_io, run_uarch_campaign_io,
-    run_uarch_campaign_with_stats, uarch_campaign_digest, ArchCampaignConfig, ArchTrial,
-    CampaignStats, PruneMode, Shard, TrialCache, UarchCampaignConfig, UarchTrial,
+    arch_campaign_digest, run_arch_campaign_io, run_uarch_campaign_io, uarch_campaign_digest,
+    ArchCampaignConfig, ArchTrial, CampaignStats, PruneMode, Shard, TrialCache,
+    UarchCampaignConfig, UarchTrial,
 };
 use restore_snapshot::clear_library_cache;
 use restore_workloads::Scale;
@@ -109,7 +109,7 @@ fn uarch_three_shards_merge_to_the_cold_run() {
         let cfg = uarch_cfg(1, ckpt);
         let digest = uarch_campaign_digest(&cfg);
         clear_library_cache();
-        let (baseline, base_stats) = run_uarch_campaign_with_stats(&cfg);
+        let (baseline, base_stats) = run_uarch_campaign_io(&cfg, None, Shard::ALL);
         assert!(!baseline.is_empty());
 
         // Three cold shard runs, each recording into its own store.
@@ -234,7 +234,7 @@ fn partially_covered_points_replay_cached_trials_and_simulate_the_rest() {
     let (recorded, _) = run_uarch_campaign_io(&record_cfg, Some(&cache), Shard::ALL);
 
     clear_library_cache();
-    let (baseline, _) = run_uarch_campaign_with_stats(&full_cfg);
+    let (baseline, _) = run_uarch_campaign_io(&full_cfg, None, Shard::ALL);
 
     clear_library_cache();
     let (mixed, stats) = run_uarch_campaign_io(&full_cfg, Some(&cache), Shard::ALL);
@@ -259,9 +259,9 @@ fn audit_reports_interval_trials_and_counters() {
     let _gate = GATE.lock().unwrap();
     let cfg = |prune| UarchCampaignConfig { prune, ..uarch_cfg(2, 700) };
     clear_library_cache();
-    let (interval, si) = run_uarch_campaign_with_stats(&cfg(PruneMode::Interval));
+    let (interval, si) = run_uarch_campaign_io(&cfg(PruneMode::Interval), None, Shard::ALL);
     clear_library_cache();
-    let (audit, sa) = run_uarch_campaign_with_stats(&cfg(PruneMode::Audit));
+    let (audit, sa) = run_uarch_campaign_io(&cfg(PruneMode::Audit), None, Shard::ALL);
     assert!(!interval.is_empty());
     assert_eq!(audit, interval, "audit must return the fast path's trials");
     assert_eq!(counters(&sa), counters(&si), "audit must report the fast path's counters");

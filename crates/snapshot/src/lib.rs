@@ -27,7 +27,10 @@
 //! Libraries are memoized process-wide by [`LibraryKey`] — (seeding
 //! domain, workload, config digest, stride) — so repeated campaigns
 //! over the same workload start from warm checkpoints instead of
-//! re-simulating the golden prefix.
+//! re-simulating the golden prefix. [`library`] hands out a shared
+//! handle; callers lock it for each [`GoldenCheckpointLibrary::materialize`]
+//! (a campaign locks it inside each claim of its unit iterator), so the
+//! lock is never held while a unit runs.
 //!
 //! # Examples
 //!
@@ -54,7 +57,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use restore_arch::state::{FieldClass, StateHasher, StateKind, StateVisitor};
 use restore_arch::Cpu;
 use restore_uarch::{Pipeline, Stop};
 use std::any::Any;
@@ -80,7 +82,7 @@ pub trait SnapshotMachine: Clone {
 
     /// Advances to `coord`, stopping early if the machine halts.
     /// Returns `true` iff the machine is still live *at* `coord` —
-    /// exactly the historical campaign sweepers' emission condition.
+    /// exactly the condition for a campaign to claim a unit there.
     fn step_to(&mut self, coord: u64) -> bool;
 
     /// Full-machine state digest (`&mut` only to refresh internal
@@ -122,42 +124,15 @@ impl SnapshotMachine for Pipeline {
     }
 }
 
-/// Bookkeeping carried by one captured snapshot. The capture/restore
-/// proof obligation lives here: `fingerprint` is recorded at capture
-/// and every materialization must reproduce it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotMeta {
-    /// Sweep coordinate the snapshot was captured at.
-    pub coord: u64,
-    /// Full-machine fingerprint recorded at capture.
-    pub fingerprint: u64,
-    /// Materializations served from this snapshot so far.
-    pub serves: u64,
-}
-
-impl SnapshotMeta {
-    /// Walks the capture-proof fields through a [`StateVisitor`], so
-    /// [`GoldenCheckpointLibrary::digest`] can fold a whole library into
-    /// one value (shards of a resumable campaign cross-check that they
-    /// materialize from identical libraries).
-    pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        let SnapshotMeta {
-            coord,
-            fingerprint,
-            // Usage counter for stats reporting, not captured machine
-            // state; restoring it would claim another run's history.
-            serves: _,
-        } = self;
-        v.region("snapshot-meta", StateKind::Ram);
-        v.word(coord, 64, FieldClass::Data);
-        v.word(fingerprint, 64, FieldClass::Data);
-    }
-}
-
-/// One captured snapshot: the machine clone plus its proof metadata.
+/// One captured snapshot: the machine clone plus its capture proof —
+/// the fingerprint recorded at capture, which every materialization
+/// must reproduce.
 #[derive(Debug, Clone)]
 struct Snapshot<M> {
-    meta: SnapshotMeta,
+    /// Sweep coordinate the snapshot was captured at.
+    coord: u64,
+    /// Full-machine fingerprint recorded at capture.
+    fingerprint: u64,
     machine: M,
 }
 
@@ -213,7 +188,7 @@ pub struct GoldenCheckpointLibrary<M> {
     frontier: M,
     /// Coordinate where the golden run stopped being live, once known.
     /// Coordinates at or past it are unreachable (`materialize` returns
-    /// `None`, matching the serial sweepers' abandonment semantics).
+    /// `None`, which ends a campaign's units for the workload).
     stop: Option<u64>,
 }
 
@@ -227,26 +202,17 @@ impl<M: SnapshotMachine> GoldenCheckpointLibrary<M> {
     pub fn new(mut origin: M, stride: u64) -> GoldenCheckpointLibrary<M> {
         assert!(stride > 0, "checkpoint stride must be positive");
         let origin_coord = origin.coord();
-        let meta =
-            SnapshotMeta { coord: origin_coord, fingerprint: origin.fingerprint(), serves: 0 };
-        let snaps = vec![Snapshot { meta, machine: origin.clone() }];
+        let snaps = vec![Snapshot {
+            coord: origin_coord,
+            fingerprint: origin.fingerprint(),
+            machine: origin.clone(),
+        }];
         GoldenCheckpointLibrary { stride, origin_coord, snaps, frontier: origin, stop: None }
-    }
-
-    /// The capture stride.
-    pub fn stride(&self) -> u64 {
-        self.stride
     }
 
     /// The origin machine's coordinate (usually 0).
     pub fn origin_coord(&self) -> u64 {
         self.origin_coord
-    }
-
-    /// The origin machine — the spawn-state snapshot. Campaign planners
-    /// read run metadata from here instead of spawning a fresh machine.
-    pub fn origin(&self) -> &M {
-        &self.snaps[0].machine
     }
 
     /// Snapshots captured so far (the origin counts).
@@ -257,27 +223,6 @@ impl<M: SnapshotMachine> GoldenCheckpointLibrary<M> {
     /// Never true: the origin snapshot always exists.
     pub fn is_empty(&self) -> bool {
         self.snaps.is_empty()
-    }
-
-    /// Where the golden run stopped, if the frontier has discovered it.
-    pub fn stop_coord(&self) -> Option<u64> {
-        self.stop
-    }
-
-    /// Per-snapshot metadata in capture order (coordinates ascending).
-    pub fn metas(&self) -> impl Iterator<Item = &SnapshotMeta> {
-        self.snaps.iter().map(|s| &s.meta)
-    }
-
-    /// Order-sensitive digest of every snapshot's (coordinate,
-    /// fingerprint) pair: two libraries digest equal iff they captured
-    /// the same golden states at the same coordinates.
-    pub fn digest(&mut self) -> u64 {
-        let mut h = StateHasher::new();
-        for s in &mut self.snaps {
-            s.meta.visit(&mut h);
-        }
-        h.finish()
     }
 
     /// Advances the frontier to `coord`, capturing a snapshot at every
@@ -292,12 +237,9 @@ impl<M: SnapshotMachine> GoldenCheckpointLibrary<M> {
                 return;
             }
             if self.frontier.coord() == boundary {
-                let meta = SnapshotMeta {
-                    coord: boundary,
-                    fingerprint: self.frontier.fingerprint(),
-                    serves: 0,
-                };
-                self.snaps.push(Snapshot { meta, machine: self.frontier.clone() });
+                let fingerprint = self.frontier.fingerprint();
+                let machine = self.frontier.clone();
+                self.snaps.push(Snapshot { coord: boundary, fingerprint, machine });
             }
         }
     }
@@ -331,23 +273,22 @@ impl<M: SnapshotMachine> GoldenCheckpointLibrary<M> {
                 served: Served::Frontier,
             });
         }
-        let index = self.snaps.partition_point(|s| s.meta.coord <= coord) - 1;
-        let snap = &mut self.snaps[index];
-        snap.meta.serves += 1;
+        let index = self.snaps.partition_point(|s| s.coord <= coord) - 1;
+        let snap = &self.snaps[index];
         let machine = snap.machine.clone();
         if cfg!(debug_assertions) {
             let mut probe = machine.clone();
             assert_eq!(
                 probe.fingerprint(),
-                snap.meta.fingerprint,
+                snap.fingerprint,
                 "restored snapshot at coord {} does not reproduce its capture fingerprint",
-                snap.meta.coord
+                snap.coord
             );
         }
         Some(Materialized {
             machine,
-            base_coord: snap.meta.coord,
-            served: Served::Snapshot { index, fingerprint: snap.meta.fingerprint },
+            base_coord: snap.coord,
+            served: Served::Snapshot { index, fingerprint: snap.fingerprint },
         })
     }
 }
@@ -377,71 +318,54 @@ pub struct LibraryKey {
 )]
 type CacheMap = std::collections::HashMap<LibraryKey, Arc<dyn Any + Send + Sync>>;
 
+/// Locks the process-wide cache, ignoring poisoning: a panic under the
+/// lock already fails the campaign that held it.
 fn cache() -> MutexGuard<'static, CacheMap> {
     static CACHE: OnceLock<Mutex<CacheMap>> = OnceLock::new();
-    lock(CACHE.get_or_init(Mutex::default))
+    CACHE.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Locks `m`, ignoring poisoning as the cache always has: a panic under
-/// the lock already fails the campaign that held it.
-fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs `f` with exclusive access to the library for `key`, creating it
-/// via `init` on first use. Libraries persist for the life of the
-/// process, so later campaigns with the same key find warm snapshots.
-/// `f`'s second argument is `true` when this call created the library —
-/// callers distinguishing warm reuse from cold capture must treat
-/// everything in a just-created library (the origin snapshot included)
-/// as cold.
+/// The process-wide library for `key`, created via `init` on first use,
+/// and whether this call created it. Libraries persist for the life of
+/// the process, so later campaigns with the same key find warm
+/// snapshots; callers distinguishing warm reuse from cold capture must
+/// treat everything in a just-created library (the origin snapshot
+/// included) as cold.
 ///
-/// The per-library lock is held for the whole of `f`: a campaign
-/// producer materializes all its points under one hold, so two
-/// campaigns over the same key serialize their production (their
-/// workers still overlap). Campaigns with different keys are
-/// independent.
+/// The handle is shared: lock it for as long as one request needs it.
+/// A campaign locks it once per claimed unit, inside the claim, so two
+/// campaigns over the same key interleave their materializations, and
+/// campaigns with different keys are independent.
 ///
 /// # Panics
 ///
 /// Panics if `key` was previously used with a different machine type —
 /// keys embed the seeding domain precisely so that cannot happen.
-pub fn with_library<M, R>(
+pub fn library<M>(
     key: LibraryKey,
     init: impl FnOnce() -> GoldenCheckpointLibrary<M>,
-    f: impl FnOnce(&mut GoldenCheckpointLibrary<M>, bool) -> R,
-) -> R
+) -> (Arc<Mutex<GoldenCheckpointLibrary<M>>>, bool)
 where
     M: SnapshotMachine + Send + 'static,
 {
-    let (slot, created): (Arc<Mutex<GoldenCheckpointLibrary<M>>>, bool) = {
-        let mut map = cache();
-        match map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => (
-                Arc::clone(e.get())
-                    .downcast::<Mutex<GoldenCheckpointLibrary<M>>>()
-                    .expect("one machine type per library key"),
-                false,
-            ),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let fresh = Arc::new(Mutex::new(init()));
-                v.insert(fresh.clone());
-                (fresh, true)
-            }
+    match cache().entry(key) {
+        std::collections::hash_map::Entry::Occupied(e) => (
+            Arc::clone(e.get())
+                .downcast::<Mutex<GoldenCheckpointLibrary<M>>>()
+                .expect("one machine type per library key"),
+            false,
+        ),
+        std::collections::hash_map::Entry::Vacant(v) => {
+            let fresh = Arc::new(Mutex::new(init()));
+            v.insert(fresh.clone());
+            (fresh, true)
         }
-    };
-    let mut lib = lock(&slot);
-    f(&mut lib, created)
-}
-
-/// Number of libraries currently memoized (all machine types).
-pub fn cached_libraries() -> usize {
-    cache().len()
+    }
 }
 
 /// Drops every memoized library, forcing the next campaign to rebuild
-/// cold. Benchmarks use this to measure cold-vs-warm producer cost;
-/// in-flight campaigns keep their own `Arc` and are unaffected.
+/// cold. Tests use this to make a run provably cold; in-flight
+/// campaigns keep their own `Arc` and are unaffected.
 pub fn clear_library_cache() {
     cache().clear();
 }
@@ -461,7 +385,7 @@ mod tests {
         let m = lib.materialize(1_000).unwrap();
         assert_eq!((m.base_coord, m.served), (1_000, Served::Frontier));
         assert_eq!(m.machine.retired(), 1_000, "a frontier serve needs no residual sweep");
-        let coords: Vec<u64> = lib.metas().map(|m| m.coord).collect();
+        let coords: Vec<u64> = lib.snaps.iter().map(|s| s.coord).collect();
         assert_eq!(coords, vec![0, 300, 600, 900]);
         // The frontier stands at 1000 now, so the same request is a
         // snapshot serve from 900.
@@ -485,7 +409,7 @@ mod tests {
             assert!(swept.step_to(coord));
             assert_eq!(served.fingerprint(), swept.fingerprint(), "coord {coord}");
         }
-        let coords: Vec<u64> = lib.metas().map(|m| m.coord).collect();
+        let coords: Vec<u64> = lib.snaps.iter().map(|s| s.coord).collect();
         assert_eq!(coords, vec![0, 250, 500]);
     }
 
@@ -519,39 +443,9 @@ mod tests {
         let len = restore_workloads::run_length(WorkloadId::Gzipx, Scale::smoke());
         let mut lib = GoldenCheckpointLibrary::new(smoke_cpu(), 1_000);
         assert!(lib.materialize(len + 5).is_none());
-        assert_eq!(lib.stop_coord(), Some(len));
+        assert_eq!(lib.stop, Some(len));
         // Coordinates strictly before the halt stay live.
         assert!(lib.materialize(len - 1).is_some());
-    }
-
-    #[test]
-    fn digest_tracks_captured_state() {
-        let mut a = GoldenCheckpointLibrary::new(smoke_cpu(), 400);
-        let mut b = GoldenCheckpointLibrary::new(smoke_cpu(), 400);
-        a.materialize(1_500).unwrap();
-        assert_ne!(a.digest(), b.digest(), "frontier extension must change the digest");
-        b.materialize(1_500).unwrap();
-        assert_eq!(a.digest(), b.digest(), "identical golden runs must digest identically");
-    }
-
-    /// The digest folds each snapshot's capture coordinate and
-    /// fingerprint and nothing else: serves bump `SnapshotMeta::serves`
-    /// but leave it unchanged.
-    #[test]
-    fn serves_leave_the_digest_unchanged() {
-        let mut lib = GoldenCheckpointLibrary::new(smoke_cpu(), 400);
-        lib.materialize(1_500).unwrap();
-        let captured = lib.digest();
-        for coord in [500, 900, 1_300] {
-            assert!(matches!(lib.materialize(coord).unwrap().served, Served::Snapshot { .. }));
-        }
-        assert_eq!(lib.metas().map(|m| m.serves).collect::<Vec<_>>(), [0, 1, 1, 1]);
-        assert_eq!(lib.digest(), captured, "serving a snapshot must not move the digest");
-        lib.snaps[1].meta.coord += 1;
-        assert_ne!(lib.digest(), captured, "a different capture coordinate must");
-        lib.snaps[1].meta.coord -= 1;
-        lib.snaps[1].meta.fingerprint ^= 1;
-        assert_ne!(lib.digest(), captured, "a different capture fingerprint must");
     }
 
     #[test]
@@ -564,26 +458,18 @@ mod tests {
             config: 0x7e57_c0ff_1231_4159,
             stride: 350,
         };
-        let before = cached_libraries();
-        let first = with_library(
-            key,
-            || GoldenCheckpointLibrary::new(smoke_cpu(), 350),
-            |lib, created| {
-                assert!(created, "first use must initialize the library");
-                lib.materialize(700).map(|m| m.served)
-            },
-        );
-        assert!(cached_libraries() > before);
-        let warm_len = with_library::<Cpu, _>(
-            key,
-            || panic!("second use must not re-initialize"),
-            |lib, created| {
-                assert!(!created, "second use must find the cached library");
-                lib.len()
-            },
-        );
-        assert_eq!(first, Some(Served::Frontier));
-        assert_eq!(warm_len, 3, "origin plus two strided snapshots");
+        let (first, created) = library(key, || GoldenCheckpointLibrary::new(smoke_cpu(), 350));
+        assert!(created, "first use must initialize the library");
+        let served = first.lock().unwrap().materialize(700).map(|m| m.served);
+        assert_eq!(served, Some(Served::Frontier));
+        let (warm, created) = library::<Cpu>(key, || panic!("second use must not re-initialize"));
+        assert!(!created, "second use must find the cached library");
+        assert!(Arc::ptr_eq(&first, &warm), "one library per key");
+        assert_eq!(warm.lock().unwrap().len(), 3, "origin plus two strided snapshots");
+        let other = LibraryKey { stride: 351, ..key };
+        let (fresh, created) = library(other, || GoldenCheckpointLibrary::new(smoke_cpu(), 351));
+        assert!(created, "a different key is a different library");
+        assert_eq!(fresh.lock().unwrap().len(), 1, "a fresh library holds its origin only");
     }
 
     #[test]
