@@ -10,10 +10,11 @@ use crate::state::{FaultState, FieldClass, Fingerprint, StateKind, StateVisitor}
 use crate::{Exception, MemError, Memory, Perm};
 use core::fmt;
 use restore_isa::{decode, Inst, PalFunc, Program, Reg};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// The 32-entry architectural register file with a hardwired zero.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct RegFile {
     regs: [u64; 32],
 }
@@ -371,12 +372,21 @@ pub struct Cpu {
 /// excluded.
 impl PartialEq for Cpu {
     fn eq(&self, other: &Cpu) -> bool {
-        self.regs == other.regs
-            && self.pc == other.pc
-            && self.mem == other.mem
-            && self.output == other.output
-            && self.retired == other.retired
-            && self.halted == other.halted
+        let Cpu {
+            regs,
+            pc,
+            mem,
+            output,
+            retired,
+            halted,
+            text: _, // decode cache: a function of `mem`'s text pages, bypassed once they change
+        } = self;
+        *regs == other.regs
+            && *pc == other.pc
+            && *mem == other.mem
+            && *output == other.output
+            && *retired == other.retired
+            && *halted == other.halted
     }
 }
 
@@ -492,32 +502,35 @@ impl Cpu {
     }
 
     /// Full-machine fingerprint for reconvergence detection, analogous
-    /// to the pipeline's: registers, PC, halt flag, retirement count,
-    /// the output log and the memory-image digest, folded one word at a
-    /// time through [`Fingerprint::mix`]. Equal fingerprints mean — up to
-    /// 64-bit collisions, negligible at campaign scale — equal machines,
-    /// and the simulator is deterministic, so equal machines have
-    /// identical futures *including* the masking judgement (the output
-    /// log is part of the digest precisely so a converged pair cannot
-    /// still differ in anything the end-of-trial comparison reads).
+    /// to the pipeline's: the derived `Hash` of every field — registers,
+    /// PC, memory, the output log, retirement count and halt flag — fed
+    /// through a [`Fingerprint`]. The pattern names every field with no
+    /// `..`, so a field added to `Cpu` does not compile until it is
+    /// hashed here or excluded with its reason; the decoded-text cache
+    /// is the one exclusion. Equal fingerprints mean — up to 64-bit
+    /// collisions, negligible at campaign scale — equal machines, and
+    /// the simulator is deterministic, so equal machines have identical
+    /// futures *including* the masking judgement (the output log is part
+    /// of the digest precisely so a converged pair cannot still differ in
+    /// anything the end-of-trial comparison reads).
     ///
-    /// `&mut self` because the memory digest reuses cached per-page
-    /// digests ([`Memory::fingerprint`]), refreshed incrementally for
-    /// pages dirtied since the last call — so a steady-state call costs
-    /// O(registers + output + dirty pages), not O(memory image).
+    /// `&mut self` because memory enters as its own digest
+    /// ([`Memory::fingerprint`]), which reuses cached per-page digests
+    /// and refreshes only pages dirtied since the last call — so a
+    /// steady-state call costs O(registers + output + dirty pages), not
+    /// O(memory image).
     pub fn fingerprint(&mut self) -> u64 {
+        let Cpu {
+            regs,
+            pc,
+            mem,
+            output,
+            retired,
+            halted,
+            text: _, // decode cache: a function of `mem`'s text pages, bypassed once they change
+        } = self;
         let mut f = Fingerprint::new();
-        for &r in self.regs.as_array() {
-            f.mix(r);
-        }
-        f.mix(self.pc);
-        f.mix(self.retired);
-        f.mix(self.halted as u64);
-        f.mix(self.output.len() as u64);
-        for &v in &self.output {
-            f.mix(v);
-        }
-        f.mix(self.mem.fingerprint());
+        (regs, pc, output, retired, halted, mem.fingerprint()).hash(&mut f);
         f.finish()
     }
 

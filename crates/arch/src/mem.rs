@@ -9,6 +9,7 @@
 use crate::state::Fingerprint;
 use core::fmt;
 use std::collections::BTreeMap;
+use std::hash::Hasher as _;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -175,7 +176,7 @@ fn page_digest(base: u64, page: &Page) -> u64 {
     let mut f = Fingerprint::new();
     f.mix(base);
     f.mix(page.perm.read as u64 | (page.perm.write as u64) << 1 | (page.perm.execute as u64) << 2);
-    f.mix_bytes(&page.data);
+    f.write(&page.data);
     f.finish()
 }
 

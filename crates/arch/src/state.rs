@@ -21,6 +21,8 @@
 //! excludes them ("caches are easily protected by ECC or parity and
 //! corrupt predictor table entries cannot lead to failure").
 
+use std::hash::Hasher;
+
 /// Latch vs. SRAM classification of a component (paper §5.1.2 runs a
 /// latches-only campaign; §5.2.2 protects SRAMs with ECC).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,7 +93,7 @@ pub trait StateVisitor {
 
     /// `true` if this visitor consumes [`StateVisitor::occupancy`] calls.
     /// Components may skip *computing* occupancy (not the bit walk!) for
-    /// visitors that ignore it — the hash/fingerprint hot paths.
+    /// visitors that ignore it — the hash and flip hot paths.
     fn wants_occupancy(&self) -> bool {
         false
     }
@@ -111,7 +113,7 @@ pub trait StateVisitor {
     /// `true` if this visitor consumes [`StateVisitor::masked`] calls.
     /// Mask computation requires decoding in-flight instruction words,
     /// so components skip it entirely — not just the call — for the
-    /// hash/fingerprint/flip hot paths that ignore it.
+    /// hash and flip hot paths that ignore it.
     fn wants_masks(&self) -> bool {
         false
     }
@@ -245,16 +247,19 @@ impl StateVisitor for StateHasher {
 
 /// Order-sensitive word accumulator: the one mixer behind every
 /// in-process digest — [`StateHasher`], the per-page digest behind
-/// `Memory::fingerprint`, `Cpu::fingerprint` and the full-machine
+/// `Memory::fingerprint`, and, as a [`Hasher`], the derived `Hash` of
+/// every component that `Cpu::fingerprint` and the full-machine
 /// reconvergence fingerprint (`Pipeline::fingerprint` in
-/// `restore-uarch`).
+/// `restore-uarch`) fold in.
 ///
 /// It mixes one word per step (a splitmix64-style avalanche), because
 /// those digests are sampled every few hundred cycles over tens of
 /// thousands of words (predictor tables, cache tag arrays, dirty memory
-/// pages). None of them is persisted: the digests that outlive a process
-/// (the trial store's check hash, `ConfigDigest`, masking-map files)
-/// stay FNV-1a and unchanged.
+/// pages). A slice of integers reaches [`Hasher::write`] as one byte
+/// run, folded eight bytes per step, so a table costs one mix per
+/// word, not per element. None of these digests is persisted: the ones
+/// that outlive a process (the trial store's check hash,
+/// `ConfigDigest`, masking-map files) stay FNV-1a and unchanged.
 #[derive(Debug)]
 pub struct Fingerprint {
     hash: u64,
@@ -277,10 +282,23 @@ impl Fingerprint {
         x ^= x >> 27;
         self.hash = x;
     }
+}
 
-    /// Folds a byte slice in as packed little-endian words.
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Fingerprint::new()
+    }
+}
+
+/// Each integer the machine types hold is one [`Fingerprint::mix`];
+/// byte runs fold in as packed little-endian words.
+impl Hasher for Fingerprint {
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+
     #[inline]
-    pub fn mix_bytes(&mut self, bytes: &[u8]) {
+    fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
             self.mix(u64::from_le_bytes(c.try_into().expect("chunk of 8")));
@@ -294,15 +312,24 @@ impl Fingerprint {
         }
     }
 
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.hash
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.mix(u64::from(v));
     }
-}
 
-impl Default for Fingerprint {
-    fn default() -> Self {
-        Fingerprint::new()
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.mix(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
     }
 }
 
@@ -829,7 +856,7 @@ mod tests {
     fn fingerprint_bytes_tag_the_tail() {
         let digest = |bytes: &[u8]| {
             let mut f = Fingerprint::new();
-            f.mix_bytes(bytes);
+            f.write(bytes);
             f.finish()
         };
         assert_eq!(digest(&[1, 2, 3]), digest(&[1, 2, 3]));

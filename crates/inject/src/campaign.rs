@@ -272,7 +272,9 @@ where
 
     let (results, mut stats) = run_ordered(
         threads,
-        plans.iter().flat_map(|points| library_units(model, points, &seeder, io)),
+        plans.iter().flat_map(|points| {
+            library_units(model, points, live.contains(&points.id), &seeder, io)
+        }),
         |unit: Unit<F::Machine, F::Trial>| {
             let mut unit = match unit {
                 Unit::Cached(recs) => {
@@ -415,10 +417,12 @@ fn trial_key<T: Payload>(
 /// simulated at most once per process. Points outside the shard, and
 /// fully-cached points, are skipped without materializing anything,
 /// and the units stop at exactly the first coordinate where the golden
-/// run is no longer live.
+/// run is no longer live. A workload that is not `live` (every owned
+/// point fully cached) builds no library at all.
 fn library_units<'a, F: FaultModel>(
     model: &'a F,
     points: &'a Points,
+    live: bool,
     seeder: &'a Seeder,
     io: &'a CampaignIo<'a, F::Trial>,
 ) -> impl Iterator<Item = Unit<F::Machine, F::Trial>> + 'a
@@ -433,20 +437,24 @@ where
         config: model.config_digest(),
         stride,
     };
-    let (lib, created) = library(key, || GoldenCheckpointLibrary::new(model.spawn(id), stride));
-    // A snapshot is "warm" only if it predates this campaign entirely; a
-    // just-created library's origin snapshot is as cold as the captures
-    // that follow it.
-    let warm_snaps = if created { 0 } else { lib.lock().expect(POISONED_LIBRARY).len() };
+    let lib = live.then(|| {
+        let (lib, created) = library(key, || GoldenCheckpointLibrary::new(model.spawn(id), stride));
+        // A snapshot is "warm" only if it predates this campaign
+        // entirely; a just-created library's origin snapshot is as cold
+        // as the captures that follow it.
+        let warm_snaps = if created { 0 } else { lib.lock().expect(POISONED_LIBRARY).len() };
+        (lib, warm_snaps)
+    });
     let owned =
         plan.iter().enumerate().filter(move |&(point, _)| io.shard.owns(base + point as u64));
     owned.map_while(move |(point, &coord)| {
         if let Some(recs) = cached_point(model, io.cache, seeder, wl, point, coord) {
             return Some(Unit::Cached(recs));
         }
+        let (lib, warm_snaps) = lib.as_ref().expect("a workload with an uncached point is live");
         let mut lib = lib.lock().expect(POISONED_LIBRARY);
         let m = lib.materialize(coord)?;
-        let hit = matches!(m.served, Served::Snapshot { index, .. } if index < warm_snaps);
+        let hit = matches!(m.served, Served::Snapshot { index, .. } if index < *warm_snaps);
         Some(Unit::Live(PointUnit {
             wl,
             id,

@@ -155,31 +155,58 @@ impl CampaignStats {
     /// takes the maximum, matching what a single run at that width
     /// would report. Merging the per-shard stats of a sharded campaign
     /// reproduces the single cold run's counters exactly — proved by
-    /// `tests/store_equivalence.rs`.
+    /// `tests/store_equivalence.rs`. The pattern names every field with
+    /// no `..`, so a counter added to the struct does not compile until
+    /// it is merged here.
     pub fn merge(&mut self, other: &CampaignStats) {
-        self.threads = self.threads.max(other.threads);
-        self.units += other.units;
-        self.trials += other.trials;
-        self.wall_secs += other.wall_secs;
-        self.produce_secs += other.produce_secs;
-        self.sweep_secs += other.sweep_secs;
-        self.golden_secs += other.golden_secs;
-        self.trial_secs += other.trial_secs;
-        self.checkpoint_hits += other.checkpoint_hits;
-        self.checkpoint_misses += other.checkpoint_misses;
-        self.warmup_cycles_saved += other.warmup_cycles_saved;
-        self.cycles_simulated += other.cycles_simulated;
-        self.cycles_saved += other.cycles_saved;
-        self.trials_cut += other.trials_cut;
-        self.trials_pruned += other.trials_pruned;
-        self.cycles_pruned += other.cycles_pruned;
-        self.trials_interval_pruned += other.trials_interval_pruned;
-        self.shadow_runs += other.shadow_runs;
-        self.trials_cached += other.trials_cached;
-        self.cycles_cached += other.cycles_cached;
-        self.maskmap_secs += other.maskmap_secs;
-        self.maps_built += other.maps_built;
-        self.maps_loaded += other.maps_loaded;
+        let CampaignStats {
+            threads,
+            units,
+            trials,
+            wall_secs,
+            produce_secs,
+            sweep_secs,
+            golden_secs,
+            trial_secs,
+            checkpoint_hits,
+            checkpoint_misses,
+            warmup_cycles_saved,
+            cycles_simulated,
+            cycles_saved,
+            trials_cut,
+            trials_pruned,
+            cycles_pruned,
+            trials_interval_pruned,
+            shadow_runs,
+            trials_cached,
+            cycles_cached,
+            maskmap_secs,
+            maps_built,
+            maps_loaded,
+        } = *other;
+        self.threads = self.threads.max(threads);
+        self.units += units;
+        self.trials += trials;
+        self.wall_secs += wall_secs;
+        self.produce_secs += produce_secs;
+        self.sweep_secs += sweep_secs;
+        self.golden_secs += golden_secs;
+        self.trial_secs += trial_secs;
+        self.checkpoint_hits += checkpoint_hits;
+        self.checkpoint_misses += checkpoint_misses;
+        self.warmup_cycles_saved += warmup_cycles_saved;
+        self.cycles_simulated += cycles_simulated;
+        self.cycles_saved += cycles_saved;
+        self.trials_cut += trials_cut;
+        self.trials_pruned += trials_pruned;
+        self.cycles_pruned += cycles_pruned;
+        self.trials_interval_pruned += trials_interval_pruned;
+        self.shadow_runs += shadow_runs;
+        self.trials_cached += trials_cached;
+        self.cycles_cached += cycles_cached;
+        self.maskmap_secs += maskmap_secs;
+        self.maps_built += maps_built;
+        self.maps_loaded += maps_loaded;
     }
 }
 

@@ -495,6 +495,44 @@ mod tests {
         assert!(trials.iter().any(|t| t.end != EndState::Terminated));
     }
 
+    /// A fully warm replay simulates nothing, so it builds nothing
+    /// either: no workload's golden checkpoint library (program build,
+    /// spawn, origin fingerprint) exists after it.
+    #[test]
+    fn fully_warm_replay_builds_no_library() {
+        use restore_snapshot::{clear_library_cache, library, GoldenCheckpointLibrary, LibraryKey};
+        // No other test uses this stride, so no concurrent campaign can
+        // create one of these libraries between the clear and the check.
+        let cfg = UarchCampaignConfig {
+            points_per_workload: 1,
+            trials_per_point: 2,
+            ckpt_stride: 1_013,
+            ..quick()
+        };
+        let dir = std::env::temp_dir()
+            .join(format!("restore-warm-builds-no-library-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = TrialCache::open(&dir, "all", uarch_campaign_digest(&cfg)).unwrap();
+        let (cold, _) = run_uarch_campaign_io(&cfg, Some(&cache), Shard::ALL);
+        clear_library_cache();
+        let (warm, stats) = run_uarch_campaign_io(&cfg, Some(&cache), Shard::ALL);
+        assert_eq!(warm, cold, "the warm replay returns the cold trials");
+        assert_eq!(stats.trials_cached, stats.trials, "the store serves every trial");
+        let model = UarchModel { cfg: &cfg };
+        for (wl, id) in WorkloadId::ALL.into_iter().enumerate() {
+            let key = LibraryKey {
+                domain: DOMAIN_UARCH,
+                workload: wl as u64,
+                config: model.config_digest(),
+                stride: cfg.ckpt_stride,
+            };
+            let (_, created) =
+                library(key, || GoldenCheckpointLibrary::new(model.spawn(id), cfg.ckpt_stride));
+            assert!(created, "{id:?}: the warm replay built a golden library");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn latch_only_draws_from_latch_regions() {
         let cfg = UarchCampaignConfig { target: InjectionTarget::LatchesOnly, ..quick() };

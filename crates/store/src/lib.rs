@@ -40,10 +40,10 @@ mod json;
 
 pub use json::{Json, JsonError};
 
-use restore_arch::{FieldClass, StateKind, StateVisitor};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
+use std::hash::{Hash, Hasher};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -52,16 +52,32 @@ const MAGIC: &str = "restore-trials";
 /// On-disk format version.
 const VERSION: u64 = 1;
 
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over raw bytes — the line-level check hash. (Config-level
 /// digesting lives in `restore_core::ConfigDigest`; this is the same
 /// function applied at a different layer: record text, not configs.)
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+    let mut h = Fnv1a(FNV_OFFSET);
+    h.write(bytes);
+    h.finish()
+}
+
+/// FNV-1a as a [`Hasher`], one byte at a time.
+struct Fnv1a(u64);
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
     }
-    h
+
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
 }
 
 /// The content address of one trial.
@@ -86,24 +102,9 @@ pub struct TrialKey {
     pub seed: u64,
 }
 
-impl TrialKey {
-    /// Walks the key's fields through a [`StateVisitor`] — the same
-    /// contract the machine models use. The walk destructures every
-    /// field, so a new field does not compile until this walk visits
-    /// it, and [`TrialStore::content_digest`] cannot silently drop it.
-    pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        let TrialKey { config, workload, point, seed } = self;
-        v.region("trial-key", StateKind::Ram);
-        v.word(config, 64, FieldClass::Data);
-        v.word(workload, 64, FieldClass::Data);
-        v.word(point, 64, FieldClass::Data);
-        v.word(seed, 64, FieldClass::Data);
-    }
-}
-
 /// What one trial cost the simulator, persisted alongside the outcome
 /// so cached hits keep campaign cycle accounting exact.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct TrialCost {
     /// Cycles (or instructions) actually simulated.
     pub simulated: u64,
@@ -127,17 +128,6 @@ impl TrialCost {
     /// holds across any cold/warm mix.
     pub fn planned(&self) -> u64 {
         self.simulated + self.saved + self.pruned_cycles
-    }
-
-    /// Walks the cost's fields through a [`StateVisitor`].
-    pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        let TrialCost { simulated, saved, cut, pruned, pruned_cycles } = self;
-        v.region("trial-cost", StateKind::Ram);
-        v.word(simulated, 64, FieldClass::Data);
-        v.word(saved, 64, FieldClass::Data);
-        v.flag(cut);
-        v.flag(pruned);
-        v.word(pruned_cycles, 64, FieldClass::Data);
     }
 }
 
@@ -526,39 +516,21 @@ impl<T: Payload> TrialStore<T> {
     }
 
     /// Order-independent digest of the store's content: every record's
-    /// key, cost and encoded outcome, folded in key order. A store
+    /// key and cost (their derived `Hash`, so no field can be left out)
+    /// and encoded outcome, folded in key order through FNV-1a. A store
     /// merged from shard segments digests identically to the store one
     /// cold run wrote, whatever the segment layout.
-    pub fn content_digest(&mut self) -> u64 {
-        let mut order: Vec<usize> = (0..self.records.len()).collect();
-        order.sort_by_key(|&i| self.records[i].key);
-        let mut v = DigestVisitor { h: 0xcbf2_9ce4_8422_2325 };
-        for i in order {
-            let rec = &mut self.records[i];
-            rec.key.visit(&mut v);
-            rec.cost.visit(&mut v);
+    pub fn content_digest(&self) -> u64 {
+        let mut order: Vec<&Stored<T>> = self.records.iter().collect();
+        order.sort_by_key(|rec| rec.key);
+        let mut h = Fnv1a(FNV_OFFSET);
+        for rec in order {
+            rec.key.hash(&mut h);
+            rec.cost.hash(&mut h);
             let outcome = rec.trial.as_ref().map_or(Json::Null, Payload::encode);
-            v.h ^= fnv1a(outcome.render().as_bytes());
-            v.h = v.h.wrapping_mul(0x100_0000_01b3);
+            outcome.render().hash(&mut h);
         }
-        v.h
-    }
-}
-
-/// Order-sensitive fold of visited words — reuses the [`StateVisitor`]
-/// walk as the canonical field enumeration.
-struct DigestVisitor {
-    h: u64,
-}
-
-impl StateVisitor for DigestVisitor {
-    fn region(&mut self, name: &'static str, _kind: StateKind) {
-        self.h ^= fnv1a(name.as_bytes());
-        self.h = self.h.wrapping_mul(0x100_0000_01b3);
-    }
-    fn word(&mut self, value: &mut u64, _width: u32, _class: FieldClass) {
-        self.h ^= *value;
-        self.h = self.h.wrapping_mul(0x100_0000_01b3);
+        h.finish()
     }
 }
 
@@ -710,7 +682,7 @@ mod tests {
         let d = s.content_digest();
         drop(s);
 
-        let mut r = TrialStore::<Blob>::open(&dir, "all").unwrap();
+        let r = TrialStore::<Blob>::open(&dir, "all").unwrap();
         assert_eq!(r.len(), 5);
         assert_eq!(r.open_report(), OpenReport { segments: 1, ..OpenReport::default() });
         assert_eq!(r.get(&rec(7, 3, 0).key), Some(&rec(7, 3, 103)));
@@ -815,7 +787,7 @@ mod tests {
             }
             std::fs::remove_dir_all(&shard_dir).unwrap();
         }
-        let mut merged = TrialStore::<Blob>::open(&merged_dir, "all").unwrap();
+        let merged = TrialStore::<Blob>::open(&merged_dir, "all").unwrap();
         assert_eq!(merged.len(), recs.len());
         assert_eq!(merged.content_digest(), want, "merge is digest-identical to cold");
         std::fs::remove_dir_all(&cold_dir).unwrap();
@@ -827,7 +799,7 @@ mod tests {
     #[test]
     fn every_key_and_cost_field_moves_the_content_digest() {
         let digest = |rec: Stored<Blob>| {
-            let mut store = TrialStore {
+            let store = TrialStore {
                 dir: PathBuf::new(),
                 label: String::new(),
                 records: vec![rec],

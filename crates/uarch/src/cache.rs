@@ -8,14 +8,13 @@
 //!
 //! Being injection-excluded does not make them fingerprint-excluded: tag
 //! and LRU state steer future hit/miss timing, and the miss counters are
-//! trial observables, so both [`Cache::digest`] and [`Tlb::digest`] feed
-//! the full-machine reconvergence fingerprint.
-
-use crate::state::Fingerprint;
+//! trial observables, so both [`Cache`] and [`Tlb`] derive `Hash` over
+//! every field, and the full-machine reconvergence fingerprint hashes
+//! them whole.
 
 /// LRU set-associative tag array (data lives in [`restore_arch::Memory`];
 /// this tracks presence only).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cache {
     sets: usize,
     ways: usize,
@@ -82,21 +81,10 @@ impl Cache {
     pub fn miss_ratio(&self) -> f64 {
         self.misses as f64 / self.accesses.max(1) as f64
     }
-
-    /// Folds the complete cache state — tags, LRU ranks and the
-    /// access/miss counters — into `f`.
-    pub fn digest(&self, f: &mut Fingerprint) {
-        for &t in &self.tags {
-            f.mix(t);
-        }
-        f.mix_bytes(&self.lru);
-        f.mix(self.accesses);
-        f.mix(self.misses);
-    }
 }
 
 /// Fully-associative TLB over 4 KiB pages with round-robin replacement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Tlb {
     pages: Vec<u64>,
     next: usize,
@@ -125,22 +113,26 @@ impl Tlb {
             false
         }
     }
-
-    /// Folds the complete TLB state — entries, replacement cursor and the
-    /// access/miss counters — into `f`.
-    pub fn digest(&self, f: &mut Fingerprint) {
-        for &p in &self.pages {
-            f.mix(p);
-        }
-        f.mix(self.next as u64);
-        f.mix(self.accesses);
-        f.mix(self.misses);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Perturbations for the pipeline's fingerprint-coverage test: each
+    // changes state that only replacement reads, and keeps the ranks a
+    // permutation and the cursor in range.
+    impl Cache {
+        pub(crate) fn swap_lru_ranks(&mut self) {
+            self.lru.swap(0, 1);
+        }
+    }
+
+    impl Tlb {
+        pub(crate) fn advance_cursor(&mut self) {
+            self.next = (self.next + 1) % self.pages.len();
+        }
+    }
 
     #[test]
     fn cold_miss_then_hit() {

@@ -18,6 +18,7 @@ use crate::uop::{
 use crate::UarchConfig;
 use restore_arch::{AccessKind, BranchEffect, Exception, MemEffect, Memory, Perm, Retired};
 use restore_isa::{decode, Inst, JumpKind, MemWidth, Operand, PalFunc, Program, Reg};
+use std::hash::{Hash, Hasher};
 
 /// A branch misprediction discovered at execute — the raw material of the
 /// ReStore cfv symptom.
@@ -63,7 +64,7 @@ pub struct CycleReport {
 }
 
 /// Why the pipeline stopped advancing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stop {
     /// Still running.
     Running,
@@ -75,7 +76,7 @@ pub enum Stop {
     Halted,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 struct DecSlot {
     valid: bool,
     e: FqEntry,
@@ -95,7 +96,7 @@ impl DecSlot {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 struct BobEntry {
     rat: [u8; 32],
     fl_head: u64,
@@ -108,8 +109,8 @@ impl BobEntry {
     /// Visits the checkpoint's RAT shadow copy — the SRAM the hardware
     /// would dedicate to per-branch alias-table snapshots. The recovery
     /// metadata (free-list head, GHR, RAS snapshots, age) follows the
-    /// paper's predictor-state exclusion and is digested by
-    /// [`Pipeline::fingerprint`] instead.
+    /// paper's predictor-state exclusion; [`Pipeline::fingerprint`]
+    /// hashes the whole entry instead.
     fn visit<V: StateVisitor>(&mut self, v: &mut V) {
         let BobEntry {
             rat,
@@ -121,7 +122,7 @@ impl BobEntry {
             // failure").
             ghr: _,
             ras_top: _, // RAS snapshot: excluded like the predictor state it restores
-            seq: _,     // age: simulation artifact, digested with the checkpoint bookkeeping
+            seq: _,     // age: simulation artifact, no latch; hashed by the fingerprint
         } = self;
         for t in rat.iter_mut() {
             v.word8(t, 7, FieldClass::Control);
@@ -191,7 +192,7 @@ pub struct Pipeline {
     phys_ready: Vec<bool>,
     candidates: Vec<usize>,
 
-    // --- bookkeeping (simulation artifacts, fingerprint-digested) ---
+    // --- bookkeeping (simulation artifacts; `fingerprint` hashes all but `output`) ---
     cycle: u64,
     seq_counter: u64,
     retired_total: u64,
@@ -1439,7 +1440,7 @@ impl crate::state::FaultState for Pipeline {
 
         // Occupancy-dependent inputs, gathered up front so the walk
         // itself stays borrow-clean. Skipped entirely for visitors that
-        // ignore occupancy (the hash/fingerprint hot paths).
+        // ignore occupancy (the hash and flip hot paths).
         let occupancy = v.wants_occupancy();
         let restorable_heads: Vec<u64> =
             if occupancy { self.bob.iter().map(|(_, b)| b.fl_head).collect() } else { Vec::new() };
@@ -1612,86 +1613,147 @@ impl Pipeline {
     }
 
     /// Full-machine fingerprint: a digest of *everything* that can steer
-    /// the machine's future evolution, folded in this order:
+    /// the machine's future evolution. Every component derives `Hash`
+    /// over all of its fields, so a field added to one is hashed, and
+    /// the pattern below names every field of the pipeline with no `..`,
+    /// so a field added here does not compile until it is hashed or
+    /// excluded with its reason. That covers the injectable state, the
+    /// simulation artifacts `visit_state` skips (uop ages, latency
+    /// timestamps, prediction snapshots, the BOB's recovery
+    /// checkpoints), dead queue slots, predictors, caches and TLBs with
+    /// their access/miss counters (the §3.3 symptom observables) and the
+    /// bookkeeping scalars. Memory enters as
+    /// [`restore_arch::Memory::fingerprint`]'s incremental per-page
+    /// digest (O(pages stored to since the last call)).
     ///
-    /// 1. the injectable latch/RAM state ([`Pipeline::state_hash`]),
-    /// 2. the simulation-artifact fields `visit_state` skips — uop ages,
-    ///    latency timestamps, prediction snapshots and the BOB's
-    ///    recovery checkpoints,
-    /// 3. predictors and the memory-dependence table,
-    /// 4. caches and TLBs, including their access/miss counters (the
-    ///    §3.3 symptom observables),
-    /// 5. memory, via [`restore_arch::Memory::fingerprint`]'s incremental
-    ///    per-page digest (O(pages stored to since the last call)),
-    /// 6. bookkeeping scalars (cycle, sequence counter, retirement
-    ///    state, fetch/stall control).
-    ///
-    /// The `output` log is the one deliberate exclusion: the machine
-    /// never reads it back, so it cannot influence evolution, and
-    /// campaigns observe results through registers, memory and the
-    /// retired stream rather than through it. With that caveat, equal
-    /// fingerprints at the same cycle mean identical futures in this
-    /// deterministic simulator — the property the fault-injection
-    /// campaign's reconvergence cutoff relies on to stop a trial early
-    /// and back-fill the rest from the golden run.
+    /// Three fields are excluded: the static `cfg`, equal across every
+    /// machine a campaign compares; the `candidates` scratch list, empty
+    /// between cycles; and the `output` log, which the machine never
+    /// reads back, so it cannot influence evolution, and campaigns
+    /// observe results through registers, memory and the retired stream
+    /// rather than through it. With that caveat, equal fingerprints at
+    /// the same cycle mean identical futures in this deterministic
+    /// simulator — the property the fault-injection campaign's
+    /// reconvergence cutoff relies on to stop a trial early and back-fill
+    /// the rest from the golden run.
     pub fn fingerprint(&mut self) -> u64 {
+        let Pipeline {
+            cfg: _, // static configuration: equal across every machine compared
+            mem,
+            pc,
+            fetch_parked,
+            frontend_delay,
+            fetch_stall,
+            fq,
+            dec,
+            bpred,
+            btb,
+            ras,
+            jrs,
+            memdep,
+            icache,
+            dcache,
+            itlb,
+            dtlb,
+            sched,
+            exec,
+            rob,
+            ldq,
+            stq,
+            bob,
+            spec_rat,
+            arch_rat,
+            free_list,
+            phys_regs,
+            phys_ready,
+            candidates: _, // scratch list rebuilt inside one stage, empty between cycles
+            cycle,
+            seq_counter,
+            retired_total,
+            last_retire_cycle,
+            status,
+            output: _, // write-only observable, never read back
+            replay_count,
+            last_retired_next_pc,
+            fetch_enabled,
+            confidence_training,
+        } = self;
         let mut f = crate::state::Fingerprint::new();
-        f.mix(self.state_hash());
-        for e in self.fq.raw_slots() {
-            e.digest_artifacts(&mut f);
-        }
-        for d in &self.dec {
-            d.e.digest_artifacts(&mut f);
-        }
-        for s in &self.sched {
-            s.digest_artifacts(&mut f);
-        }
-        for e in &self.exec {
-            e.digest_artifacts(&mut f);
-        }
-        for e in self.rob.raw_slots() {
-            e.digest_artifacts(&mut f);
-        }
-        for e in self.ldq.raw_slots() {
-            e.digest_artifacts(&mut f);
-        }
-        for e in self.stq.raw_slots() {
-            e.digest_artifacts(&mut f);
-        }
-        for b in self.bob.raw_slots() {
-            // visit_state walks only the RAT snapshot; the rest of the
-            // checkpoint steers misprediction recovery.
-            f.mix(b.fl_head);
-            f.mix(b.ghr);
-            f.mix(b.ras_top as u64);
-            f.mix(b.seq);
-        }
-        self.bpred.digest(&mut f);
-        self.btb.digest(&mut f);
-        self.ras.digest(&mut f);
-        self.jrs.digest(&mut f);
-        self.memdep.digest(&mut f);
-        self.icache.digest(&mut f);
-        self.dcache.digest(&mut f);
-        self.itlb.digest(&mut f);
-        self.dtlb.digest(&mut f);
-        f.mix(self.mem.fingerprint());
-        f.mix(self.cycle);
-        f.mix(self.seq_counter);
-        f.mix(self.retired_total);
-        f.mix(self.last_retire_cycle);
-        f.mix(self.frontend_delay as u64);
-        f.mix(self.fetch_stall as u64);
-        f.mix(self.replay_count);
-        f.mix(self.last_retired_next_pc);
-        f.mix(self.fetch_enabled as u64);
-        f.mix(self.confidence_training as u64);
-        f.mix(match self.status {
-            Stop::Running => 0,
-            Stop::Exception(_) => 1,
-            Stop::Deadlock => 2,
-            Stop::Halted => 3,
-        });
+        (pc, fetch_parked, frontend_delay, fetch_stall, fq, dec).hash(&mut f);
+        (bpred, btb, ras, jrs, memdep).hash(&mut f);
+        (icache, dcache, itlb, dtlb).hash(&mut f);
+        (sched, exec, rob, ldq, stq, bob).hash(&mut f);
+        (spec_rat, arch_rat, free_list, phys_regs, phys_ready).hash(&mut f);
+        (cycle, seq_counter, retired_total, last_retire_cycle, status, replay_count).hash(&mut f);
+        (last_retired_next_pc, fetch_enabled, confidence_training, mem.fingerprint()).hash(&mut f);
         f.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use restore_workloads::{Scale, WorkloadId};
+
+    /// A PC outside the program's text: no table entry holds it yet.
+    const PC: u64 = 0xdead_beec;
+
+    /// A named change to one field of a pipeline.
+    type Perturbation = (&'static str, fn(&mut Pipeline));
+
+    /// Catalog flips reach only injectable bits, so they never show that
+    /// the fingerprint covers the rest of the machine. Each perturbation
+    /// here changes state `visit_state` skips: the fingerprint must move
+    /// and `state_hash` must not. The named exclusions move neither.
+    #[test]
+    fn fingerprint_covers_the_state_the_walk_skips() {
+        let program = WorkloadId::Mcfx.build(Scale::campaign());
+        let mut warm = Pipeline::new(UarchConfig::default(), &program);
+        for _ in 0..3_000 {
+            warm.cycle();
+        }
+        assert_eq!(warm.status(), Stop::Running);
+        let (fingerprint, state_hash) = (warm.fingerprint(), warm.state_hash());
+        let skipped: &[Perturbation] = &[
+            ("rob seq", |p| p.rob.slot_mut(0).seq ^= 1),
+            ("ldq ready_at", |p| p.ldq.slot_mut(0).ready_at ^= 1),
+            ("exec finish_at", |p| p.exec[0].finish_at ^= 1),
+            ("bob fl_head", |p| p.bob.slot_mut(0).fl_head ^= 1),
+            ("sched seq", |p| p.sched[0].seq ^= 1),
+            ("fetch-queue ghr snapshot", |p| p.fq.slot_mut(0).pred.used_ghr ^= 1),
+            ("bpred ghr", |p| p.bpred.ghr ^= 1),
+            ("btb entry", |p| p.btb.update(PC, PC + 4)),
+            ("ras entry", |p| p.ras.push(PC)),
+            ("jrs entry", |p| p.jrs.update(PC, 0, true)),
+            ("memdep entry", |p| p.memdep.record_violation(PC)),
+            ("dcache lru rank", |p| p.dcache.swap_lru_ranks()),
+            ("dtlb cursor", |p| p.dtlb.advance_cursor()),
+            ("icache accesses", |p| p.icache.accesses += 1),
+            ("cycle", |p| p.cycle += 1),
+            ("seq_counter", |p| p.seq_counter += 1),
+            ("retired_total", |p| p.retired_total += 1),
+            ("last_retire_cycle", |p| p.last_retire_cycle += 1),
+            ("frontend_delay", |p| p.frontend_delay += 1),
+            ("fetch_stall", |p| p.fetch_stall += 1),
+            ("replay_count", |p| p.replay_count += 1),
+            ("last_retired_next_pc", |p| p.last_retired_next_pc += 4),
+            ("fetch_enabled", |p| p.fetch_enabled ^= true),
+            ("confidence_training", |p| p.confidence_training ^= true),
+            ("status", |p| p.status = Stop::Deadlock),
+        ];
+        for &(what, perturb) in skipped {
+            let mut p = warm.clone();
+            perturb(&mut p);
+            assert_ne!(p.fingerprint(), fingerprint, "{what} must move the fingerprint");
+            assert_eq!(p.state_hash(), state_hash, "{what} is not injectable state");
+        }
+        let excluded: &[Perturbation] =
+            &[("output", |p| p.output.push(7)), ("candidates", |p| p.candidates.push(3))];
+        for &(what, perturb) in excluded {
+            let mut p = warm.clone();
+            perturb(&mut p);
+            assert_eq!(p.fingerprint(), fingerprint, "{what} is excluded from the fingerprint");
+            assert_eq!(p.state_hash(), state_hash, "{what} is not injectable state");
+        }
     }
 }

@@ -13,10 +13,10 @@
 //! so none of these structures implement
 //! [`FaultState`](crate::state::FaultState). They are still part of the
 //! full-machine reconvergence fingerprint — a diverged table entry can
-//! steer a later prediction, so each structure exposes a `digest` that
-//! folds its complete state into a [`Fingerprint`].
+//! steer a later prediction, so each structure derives `Hash` over its
+//! complete state, and every table is a slice of integers the
+//! fingerprint folds in as one byte run.
 
-use crate::state::Fingerprint;
 use crate::UarchConfig;
 
 #[inline]
@@ -29,7 +29,7 @@ fn ctr_update(ctr: &mut u8, taken: bool) {
 }
 
 /// McFarling combining predictor: bimodal + gshare + chooser.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BranchPredictor {
     bimodal: Vec<u8>,
     gshare: Vec<u8>,
@@ -99,18 +99,10 @@ impl BranchPredictor {
     pub fn repair(&mut self, used_ghr: u64, actual_taken: bool) {
         self.ghr = ((used_ghr << 1) | actual_taken as u64) & self.history_mask;
     }
-
-    /// Folds the complete predictor state into `f`.
-    pub fn digest(&self, f: &mut Fingerprint) {
-        f.mix_bytes(&self.bimodal);
-        f.mix_bytes(&self.gshare);
-        f.mix_bytes(&self.chooser);
-        f.mix(self.ghr);
-    }
 }
 
 /// Direct-mapped branch target buffer for jump/indirect targets.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Btb {
     tags: Vec<u64>,
     targets: Vec<u64>,
@@ -141,18 +133,10 @@ impl Btb {
         self.tags[i] = pc;
         self.targets[i] = target;
     }
-
-    /// Folds the complete BTB state into `f`.
-    pub fn digest(&self, f: &mut Fingerprint) {
-        for (&t, &tgt) in self.tags.iter().zip(&self.targets) {
-            f.mix(t);
-            f.mix(tgt);
-        }
-    }
 }
 
 /// Circular return address stack, speculatively pushed/popped at fetch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Ras {
     stack: Vec<u64>,
     /// Top-of-stack index (modular counter). Snapshotted into the BOB and
@@ -181,14 +165,6 @@ impl Ras {
         self.top = self.top.wrapping_sub(1);
         v
     }
-
-    /// Folds the complete RAS state into `f`.
-    pub fn digest(&self, f: &mut Fingerprint) {
-        for &a in &self.stack {
-            f.mix(a);
-        }
-        f.mix(self.top as u64);
-    }
 }
 
 /// Memory dependence predictor (the paper's "memory dependence
@@ -197,9 +173,11 @@ impl Ras {
 /// a load PC that has ever caused a memory-order violation becomes
 /// conservative (sticky — real designs clear periodically; sticky is the
 /// safe long-run behaviour and keeps the model deterministic).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MemDepPredictor {
-    conflict: Vec<bool>,
+    /// One conflict bit per entry, 64 to a word, so the table hashes as
+    /// one run of words rather than one `bool` at a time.
+    conflict: Vec<u64>,
     mask: u64,
 }
 
@@ -207,7 +185,7 @@ impl MemDepPredictor {
     /// Builds an all-speculate table.
     pub fn new(entries: usize) -> MemDepPredictor {
         let n = entries.next_power_of_two();
-        MemDepPredictor { conflict: vec![false; n], mask: n as u64 - 1 }
+        MemDepPredictor { conflict: vec![0; n.div_ceil(64)], mask: n as u64 - 1 }
     }
 
     #[inline]
@@ -218,33 +196,19 @@ impl MemDepPredictor {
     /// `true` if a load at `pc` may bypass older stores with unknown
     /// addresses.
     pub fn may_speculate(&self, pc: u64) -> bool {
-        !self.conflict[self.idx(pc)]
+        let i = self.idx(pc);
+        (self.conflict[i / 64] >> (i % 64)) & 1 == 0
     }
 
     /// Records a memory-order violation by the load at `pc`.
     pub fn record_violation(&mut self, pc: u64) {
         let i = self.idx(pc);
-        self.conflict[i] = true;
-    }
-
-    /// Folds the complete conflict table into `f`, bit-packed.
-    pub fn digest(&self, f: &mut Fingerprint) {
-        let mut word = 0u64;
-        for (i, &c) in self.conflict.iter().enumerate() {
-            word = (word << 1) | c as u64;
-            if i % 64 == 63 {
-                f.mix(word);
-                word = 0;
-            }
-        }
-        if !self.conflict.len().is_multiple_of(64) {
-            f.mix(word);
-        }
+        self.conflict[i / 64] |= 1 << (i % 64);
     }
 }
 
 /// JRS confidence estimator: a table of resetting counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JrsConfidence {
     counters: Vec<u8>,
     mask: u64,
@@ -281,11 +245,6 @@ impl JrsConfidence {
         let i = self.idx(pc, ghr);
         let c = &mut self.counters[i];
         *c = if correct { (*c + 1).min(self.max) } else { 0 };
-    }
-
-    /// Folds the complete confidence table into `f`.
-    pub fn digest(&self, f: &mut Fingerprint) {
-        f.mix_bytes(&self.counters);
     }
 }
 

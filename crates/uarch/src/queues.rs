@@ -59,7 +59,11 @@ fn window_offset(i: u64, start: u64, cap: u64) -> u64 {
 ///
 /// Entries are pushed at the tail and popped from the head; `slot`/`slot_mut`
 /// give direct access for out-of-order completion by stored index.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The derived `Hash` covers every slot, live or not: a corrupted pointer
+/// can re-expose a dead slot, so the reconvergence fingerprint must see
+/// them all.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CircQ<T> {
     slots: Vec<T>,
     /// Pop pointer (modular counter over `2 * cap`).
@@ -177,13 +181,6 @@ impl<T: Default + Clone> CircQ<T> {
         &mut self.slots[i]
     }
 
-    /// Every slot (live or not) in storage order, plus the head/tail
-    /// pointers folded in by the caller. Dead slots matter to the
-    /// reconvergence fingerprint: a corrupted pointer can re-expose them.
-    pub fn raw_slots(&self) -> &[T] {
-        &self.slots
-    }
-
     /// Iterates `(absolute_slot_index, &entry)` oldest→youngest.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
         let head = self.head;
@@ -231,7 +228,7 @@ impl<T: Default + Clone> CircQ<T> {
 /// rename advances the head (allocate) and retire advances the tail
 /// (release). Branch checkpoints snapshot only the head pointer; restoring
 /// it instantly re-frees every register allocated down the wrong path.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FreeList {
     slots: Vec<u8>,
     /// Allocation pointer (modular counter over `2 * cap`).

@@ -13,10 +13,10 @@
 //!
 //! Those artifacts still determine future evolution — ages pick the
 //! oldest-ready uop, timestamps gate writeback, prediction snapshots feed
-//! retire-time training and recovery — so every entry type also exposes a
-//! `digest_artifacts` that folds the unvisited fields into the
-//! full-machine reconvergence fingerprint, which must witness *complete*
-//! machine equality before a trial may be cut short.
+//! retire-time training and recovery — so every entry type derives
+//! `Hash` over all of its fields, and the full-machine reconvergence
+//! fingerprint, which must witness *complete* machine equality before a
+//! trial may be cut short, hashes each entry whole.
 //!
 //! For mask-consuming visitors ([`StateVisitor::wants_masks`]) the walks
 //! additionally declare, via [`StateVisitor::masked`], which bits of an
@@ -30,7 +30,7 @@
 //! declaration below cites the consumer it was checked against.
 
 use crate::pipeline::role_of;
-use crate::state::{width_mask, FieldClass, Fingerprint, StateVisitor};
+use crate::state::{width_mask, FieldClass, StateVisitor};
 use restore_isa::{decode, Inst, Operand};
 
 /// Exception codes carried in ROB entries (3 bits + a 64-bit auxiliary
@@ -120,7 +120,7 @@ impl Role {
 /// `taken`/`target` are latch bits (injectable); the history snapshot,
 /// confidence assessment and RAS snapshot feed only predictor updates and
 /// recovery, so they follow the paper's predictor-state exclusion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct PredInfo {
     /// Predicted direction (always `true` for unconditional control).
     pub taken: bool,
@@ -155,16 +155,10 @@ impl PredInfo {
         }
         v.word(next_pc, 64, FieldClass::Data);
     }
-
-    fn digest_artifacts(&self, f: &mut Fingerprint) {
-        f.mix(self.used_ghr);
-        f.mix(self.high_conf as u64);
-        f.mix(self.ras_top as u64);
-    }
 }
 
 /// One fetch-queue slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct FqEntry {
     /// Fetch PC.
     pub pc: u64,
@@ -186,15 +180,10 @@ impl FqEntry {
         // No mask: decode consults the prediction for every fetched word.
         pred.visit(v, false);
     }
-
-    /// Folds the fields `visit` skips into `f`.
-    pub fn digest_artifacts(&self, f: &mut Fingerprint) {
-        self.pred.digest_artifacts(f);
-    }
 }
 
 /// A source operand tag in the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct SrcTag {
     /// Physical register tag.
     pub tag: u8,
@@ -226,7 +215,7 @@ impl SrcTag {
 }
 
 /// One scheduler (issue window) entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct SchedEntry {
     /// Occupied flag.
     pub valid: bool,
@@ -268,7 +257,7 @@ impl SchedEntry {
             dest,
             has_dest,
             mem_idx,
-            seq: _, // age: simulation artifact, no latch; folded by digest_artifacts
+            seq: _, // age: simulation artifact, no latch; hashed by the fingerprint
         } = self;
         v.flag(valid);
         v.occupancy(live);
@@ -290,15 +279,10 @@ impl SchedEntry {
     pub fn ready(&self) -> bool {
         self.valid && self.src.iter().all(|s| !s.used || s.ready)
     }
-
-    /// Folds the fields `visit` skips into `f`.
-    pub fn digest_artifacts(&self, f: &mut Fingerprint) {
-        f.mix(self.seq);
-    }
 }
 
 /// One reorder-buffer entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct RobEntry {
     /// Instruction PC.
     pub pc: u64,
@@ -379,7 +363,7 @@ impl RobEntry {
             replay,
             actual_taken,
             next_pc,
-            seq: _, // age: simulation artifact, no latch; folded by digest_artifacts
+            seq: _, // age: simulation artifact, no latch; hashed by the fingerprint
         } = self;
         v.word(pc, 64, FieldClass::Data);
         v.word32(word, 32, FieldClass::Control);
@@ -423,16 +407,10 @@ impl RobEntry {
         v.flag(actual_taken);
         v.word(next_pc, 64, FieldClass::Data);
     }
-
-    /// Folds the fields `visit` skips into `f`.
-    pub fn digest_artifacts(&self, f: &mut Fingerprint) {
-        self.pred.digest_artifacts(f);
-        f.mix(self.seq);
-    }
 }
 
 /// One load-queue entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct LdqEntry {
     /// Effective address (valid once `addr_ready`).
     pub addr: u64,
@@ -480,9 +458,9 @@ impl LdqEntry {
             rob_idx,
             value,
             completed,
-            seq: _,        // age: simulation artifact, no latch; folded by digest_artifacts
-            ready_at: _,   // latency timestamp: timing model; folded by digest_artifacts
-            mem_issued: _, // latency-model bookkeeping; folded by digest_artifacts
+            seq: _,        // age: simulation artifact, no latch; hashed by the fingerprint
+            ready_at: _,   // latency timestamp: timing model; hashed by the fingerprint
+            mem_issued: _, // latency-model bookkeeping; hashed by the fingerprint
             speculative,
         } = self;
         v.word(addr, 64, FieldClass::Data);
@@ -499,17 +477,10 @@ impl LdqEntry {
         v.flag(completed);
         v.flag(speculative);
     }
-
-    /// Folds the fields `visit` skips into `f`.
-    pub fn digest_artifacts(&self, f: &mut Fingerprint) {
-        f.mix(self.seq);
-        f.mix(self.ready_at);
-        f.mix(self.mem_issued as u64);
-    }
 }
 
 /// One store-queue entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct StqEntry {
     /// Effective address (valid once `addr_ready`).
     pub addr: u64,
@@ -541,7 +512,7 @@ impl StqEntry {
             data_ready,
             width_log2,
             rob_idx,
-            seq: _, // age: simulation artifact, no latch; folded by digest_artifacts
+            seq: _, // age: simulation artifact, no latch; hashed by the fingerprint
         } = self;
         v.word(addr, 64, FieldClass::Data);
         v.flag(addr_ready);
@@ -553,16 +524,11 @@ impl StqEntry {
         }
         v.word8(rob_idx, 7, FieldClass::Control);
     }
-
-    /// Folds the fields `visit` skips into `f`.
-    pub fn digest_artifacts(&self, f: &mut Fingerprint) {
-        f.mix(self.seq);
-    }
 }
 
 /// An instruction in flight between register read and writeback: the
 /// regread/execute pipeline latches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct ExecLatch {
     /// Occupied flag.
     pub valid: bool,
@@ -626,8 +592,8 @@ impl ExecLatch {
             role,
             rob_idx,
             mem_idx,
-            seq: _,       // age: simulation artifact, no latch; folded by digest_artifacts
-            finish_at: _, // writeback timestamp: timing model; folded by digest_artifacts
+            seq: _,       // age: simulation artifact, no latch; hashed by the fingerprint
+            finish_at: _, // writeback timestamp: timing model; hashed by the fingerprint
         } = self;
         v.flag(valid);
         v.occupancy(live);
@@ -667,12 +633,6 @@ impl ExecLatch {
         }
         v.word8(mem_idx, 5, FieldClass::Control);
         v.occupancy(true);
-    }
-
-    /// Folds the fields `visit` skips into `f`.
-    pub fn digest_artifacts(&self, f: &mut Fingerprint) {
-        f.mix(self.seq);
-        f.mix(self.finish_at);
     }
 }
 
