@@ -95,9 +95,9 @@ fn main() {
         (covered, lats)
     };
 
-    let (exc_c, exc_l) = collect(&|t| t.symptoms.exception.or(t.symptoms.deadlock));
-    let (hc_c, hc_l) = collect(&|t| t.hc_mispredict);
-    let (any_c, any_l) = collect(&|t| t.any_mispredict);
+    let (exc_c, exc_l) = collect(&|t| t.firings.exception.or(t.firings.deadlock));
+    let (hc_c, hc_l) = collect(&|t| t.firings.hc_mispredict);
+    let (any_c, any_l) = collect(&|t| t.firings.any_mispredict);
     let (dc_c, dc_l) = collect(&|t| (t.extra_dcache_misses > 0).then_some(0));
     let (dt_c, dt_l) = collect(&|t| (t.extra_dtlb_misses > 0).then_some(0));
 

@@ -155,7 +155,7 @@ pub fn pareto_indices(points: &[(f64, f64)]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use restore_inject::EndState;
+    use restore_inject::{EndState, Firings};
     use restore_workloads::WorkloadId;
 
     fn trial(exc: Option<u64>, end: EndState) -> UarchTrial {
@@ -164,12 +164,7 @@ mod tests {
             bit: 0,
             region: "scheduler",
             lhf_protected: false,
-            symptoms: restore_inject::SymptomLatencies { exception: exc, ..Default::default() },
-            value_divergence: None,
-            hc_mispredict: None,
-            any_mispredict: None,
-            sig_mismatch: None,
-            dup_mismatch: None,
+            firings: Firings { exception: exc, ..Firings::default() },
             extra_dcache_misses: 0,
             extra_dtlb_misses: 0,
             end,

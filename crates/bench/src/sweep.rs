@@ -12,8 +12,7 @@
 //!   cell's trials separately and re-sweeps start warm.
 //! * **Post-hoc knobs** are free — the enabled-source subset
 //!   ([`SourceSet`]) and the checkpoint interval only select among the
-//!   already-recorded first-firing latencies
-//!   ([`UarchTrial::detected_within`]).
+//!   already-recorded first-firing latencies ([`SourceSet::detects`]).
 //!
 //! Coverage is the fraction of failures the enabled sources catch
 //! within the interval; overhead folds the false-positive rollback cost
@@ -211,7 +210,7 @@ pub fn evaluate_cell(
                     .filter(in_group)
                     .filter(|t| t.is_failure() && !(cell.hardened && t.lhf_protected))
                     .collect();
-                let covered = failing.iter().filter(|t| t.detected_within(sel, interval)).count();
+                let covered = failing.iter().filter(|t| sel.detects(&t.firings, interval)).count();
                 let geo: f64 = {
                     let ps: Vec<&WorkloadProfile> =
                         profiles.iter().filter(|p| group.is_none_or(|w| p.workload == w)).collect();
@@ -334,7 +333,7 @@ pub fn render_json(points: &[SweepPoint]) -> String {
 mod tests {
     use super::*;
     use crate::coverage_summary;
-    use restore_inject::run_uarch_campaign;
+    use restore_inject::{run_uarch_campaign, InjectionTarget};
     use restore_perf::profile_workload;
 
     fn smoke_base() -> UarchCampaignConfig {
@@ -387,6 +386,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The sweep's scorer and the figures' classifier count coverage
+    /// the same way, record by record: on every failing trial of the
+    /// `uarch_allstate` and `uarch_latches` golden-vector campaigns (this
+    /// base at either target), at every Figure 4–6 interval and in each
+    /// cfv mode, `exc+wd+cfv(mode)` detects the trial exactly when
+    /// `classify` calls it covered. Masked trials are left out: a novel
+    /// mispredict on one fires the scorer but is no failure.
+    #[test]
+    fn scorer_detects_exactly_the_failures_the_classifier_covers() {
+        let modes = [CfvMode::Perfect, CfvMode::HighConfidence, CfvMode::AnyMispredict];
+        let (mut detected, mut missed) = (0, 0);
+        for target in [InjectionTarget::AllState, InjectionTarget::LatchesOnly] {
+            let trials = run_uarch_campaign(&UarchCampaignConfig { target, ..smoke_base() });
+            for t in trials.iter().filter(|t| t.is_failure()) {
+                for mode in modes {
+                    let sel = SourceSet { cfv: Some(mode), ..SourceSet::baseline() };
+                    for interval in crate::FIG46_INTERVALS {
+                        let hit = sel.detects(&t.firings, interval);
+                        assert_eq!(
+                            hit,
+                            t.classify(interval, mode, false).is_covered(),
+                            "{target:?} {mode:?}@{interval}: scorer and classifier disagree \
+                             on {t:?}"
+                        );
+                        if hit {
+                            detected += 1;
+                        } else {
+                            missed += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(detected > 0 && missed > 0, "{detected} detected, {missed} missed: no contrast");
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! toolbox join them: control-flow signature checking and selective
 //! variable duplication, configured by [`DetectorConfig`], whose knobs
 //! shape trial records and therefore fold into the campaign digests.
-//! A trial keeps every detector's first-firing latency, plus the
+//! A trial record keeps every detector's first-firing latency, plus the
 //! ground-truth observables (perfect cfv, any-confidence mispredicts,
-//! value divergence, the memory classes), in one [`Firings`] record;
+//! value divergence, the memory classes), as one [`Firings`] field;
 //! which detectors are *enabled* is chosen afterwards from those
-//! latencies ([`SourceSet`], [`CfvMode`]), so no detector needs to be
-//! an object. Three plain paths cover them:
+//! latencies ([`SourceSet::detects`], [`CfvMode::resolve`]), so no
+//! detector needs to be an object. Three plain paths cover them:
 //!
 //! * both trial monitors feed domain-neutral [`Observation`] events (a
 //!   retired-stream comparison against golden, a fault-novel
@@ -37,9 +37,11 @@ pub struct RetiredCompare {
     /// The retired PC differs from the golden stream.
     pub pc_mismatch: bool,
     /// Any dataflow difference: register write, memory effect or halt
-    /// status (aligned streams only).
+    /// status (aligned streams only). The architectural monitor, whose
+    /// record keeps no value observable, always reports `false`.
     pub value_mismatch: bool,
-    /// The register-write component of `value_mismatch` alone.
+    /// A register-write difference alone (aligned streams only): what
+    /// the duplication detector compares.
     pub reg_write_mismatch: bool,
     /// Destination register written by the trial's instruction, if any.
     pub trial_reg: Option<u8>,
@@ -129,15 +131,15 @@ pub enum CfvMode {
 }
 
 impl CfvMode {
-    /// Resolves the effective cfv detection latency for this mode from
-    /// a trial record's three cfv observables. This is the cfv
-    /// detector's own model selection — classification then reads only
-    /// `SymptomLatencies::first_within`, with no per-mode special case.
-    pub fn resolve(self, perfect: Option<u64>, hc: Option<u64>, any: Option<u64>) -> Option<u64> {
+    /// The cfv detection latency this mode reads from a trial's
+    /// firings. This is the cfv detector's own model selection:
+    /// classification then reads only the shared symptom precedence,
+    /// with no per-mode special case.
+    pub fn resolve(self, f: &Firings) -> Option<u64> {
         match self {
-            CfvMode::Perfect => perfect,
-            CfvMode::HighConfidence => hc,
-            CfvMode::AnyMispredict => any,
+            CfvMode::Perfect => f.cfv,
+            CfvMode::HighConfidence => f.hc_mispredict,
+            CfvMode::AnyMispredict => f.any_mispredict,
         }
     }
 }
@@ -402,6 +404,21 @@ impl SourceSet {
         } else {
             parts.join("+")
         }
+    }
+
+    /// Does the enabled subset catch a trial with firings `f` within
+    /// `bound` retired instructions of the flip? Post-hoc and free: it
+    /// reads the recorded first-firing latencies. An observable a fault
+    /// model never records stays `None` and never detects.
+    pub fn detects(&self, f: &Firings, bound: u64) -> bool {
+        let armed = [
+            if self.watchdog { f.deadlock } else { None },
+            if self.exceptions { f.exception } else { None },
+            self.cfv.and_then(|m| m.resolve(f)),
+            if self.signature { f.signature } else { None },
+            if self.dup { f.dup } else { None },
+        ];
+        armed.iter().flatten().any(|&l| l <= bound)
     }
 
     /// Static overhead of the selection, given the observation config
@@ -684,10 +701,15 @@ mod tests {
 
     #[test]
     fn cfv_mode_resolution_selects_the_right_observable() {
-        let (p, hc, any) = (Some(20), Some(80), Some(30));
-        assert_eq!(CfvMode::Perfect.resolve(p, hc, any), Some(20));
-        assert_eq!(CfvMode::HighConfidence.resolve(p, hc, any), Some(80));
-        assert_eq!(CfvMode::AnyMispredict.resolve(p, hc, any), Some(30));
+        let f = Firings {
+            cfv: Some(20),
+            hc_mispredict: Some(80),
+            any_mispredict: Some(30),
+            ..Firings::default()
+        };
+        assert_eq!(CfvMode::Perfect.resolve(&f), Some(20));
+        assert_eq!(CfvMode::HighConfidence.resolve(&f), Some(80));
+        assert_eq!(CfvMode::AnyMispredict.resolve(&f), Some(30));
     }
 
     #[test]

@@ -25,20 +25,19 @@
 //! map at this level.
 
 use crate::cache::TrialCache;
-use crate::campaign::{self, CampaignIo, FaultModel, TrialCost, CUTOFF_STRIDE};
-use crate::classify::{ArchCategory, Symptom, SymptomLatencies};
+use crate::campaign::{self, CampaignIo, FaultModel, CUTOFF_STRIDE};
+use crate::classify::{ArchCategory, Symptom};
 use crate::engine::CampaignStats;
 use crate::seeding::{self, DOMAIN_ARCH};
 use rand::rngs::StdRng;
 use rand::Rng;
 use restore_arch::{effective_address, execute, AccessKind, Cpu, ExecState, MemError, Retired};
 use restore_core::{
-    config_digest, ConfigDigest, DetectorConfig, DetectorSet, Observation, RetiredCompare,
-    SourceSet,
+    config_digest, ConfigDigest, DetectorConfig, DetectorSet, Firings, Observation, RetiredCompare,
 };
 use restore_isa::{Inst, Reg};
 use restore_snapshot::SnapshotMachine;
-use restore_store::Shard;
+use restore_store::{Shard, TrialCost};
 use restore_workloads::{run_length, Scale, WorkloadId};
 use std::collections::BTreeMap;
 
@@ -97,26 +96,18 @@ impl Default for ArchCampaignConfig {
 }
 
 /// Outcome of one architectural injection trial: the latency (retired
-/// instructions after injection) to each first symptom, if observed.
+/// instructions after injection) to each first firing, if observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchTrial {
     /// Workload injected into.
     pub workload: WorkloadId,
-    /// First-observation symptom latencies. This fault model observes
-    /// exception, cfv, mem-addr and mem-data; deadlock is a
-    /// microarchitectural observable and stays `None`.
-    pub symptoms: SymptomLatencies,
-    /// Latency at which software control-flow signature checking would
-    /// flag the trial (first control-flow divergence, rounded up to its
-    /// signature block boundary); `None` when control flow never
-    /// diverged or `sig_chunk = 0`.
-    pub sig_mismatch: Option<u64>,
-    /// Latency at which selective variable duplication would flag the
-    /// trial — the duplicate compare at the injection site itself when
-    /// the victim register is protected, else the first aligned
-    /// register-write mismatch on a protected destination; `None` when
-    /// neither occurred or `dup_mask = 0`.
-    pub dup_mismatch: Option<u64>,
+    /// The first firing of every observable, as the trial's
+    /// [`DetectorSet`] latched it. This fault model observes exception,
+    /// immediate cfv, mem-addr, mem-data, signature checking and
+    /// duplication (the duplicate compare at the injection site itself
+    /// when the victim register is protected); the watchdog, mispredict
+    /// and value observables stay `None`.
+    pub firings: Firings,
     /// Architectural state re-converged with golden by trial end.
     pub masked: bool,
 }
@@ -124,12 +115,12 @@ pub struct ArchTrial {
 impl ArchTrial {
     /// Classifies the trial at a detection-latency bound, with the
     /// paper's precedence (exception > cfv > mem-addr > mem-data >
-    /// register) via the shared [`SymptomLatencies::first_within`].
+    /// register) via the shared [`Symptom::first_within`].
     pub fn classify(&self, latency_bound: u64) -> ArchCategory {
         if self.masked {
             return ArchCategory::Masked;
         }
-        match self.symptoms.first_within(latency_bound) {
+        match Symptom::first_within(&self.firings, latency_bound) {
             Some(Symptom::Exception) => ArchCategory::Exception,
             Some(Symptom::Cfv) => ArchCategory::Cfv,
             Some(Symptom::MemAddr) => ArchCategory::MemAddr,
@@ -138,21 +129,6 @@ impl ArchTrial {
             // failing trial has corrupted registers only (so far).
             Some(Symptom::Deadlock) | None => ArchCategory::Register,
         }
-    }
-
-    /// Would the enabled detector subset catch this trial within
-    /// `bound` retired instructions of the flip? Post-hoc and free:
-    /// every selection reads the recorded first-firing latencies. The
-    /// watchdog and the mispredict-based cfv models have no observables
-    /// at this level, so only perfect cfv can resolve.
-    pub fn detected_within(&self, sel: &SourceSet, bound: u64) -> bool {
-        let firings = [
-            if sel.exceptions { self.symptoms.exception } else { None },
-            sel.cfv.and_then(|m| m.resolve(self.symptoms.cfv, None, None)),
-            if sel.signature { self.sig_mismatch } else { None },
-            if sel.dup { self.dup_mismatch } else { None },
-        ];
-        firings.iter().flatten().any(|&l| l <= bound)
     }
 }
 
@@ -597,7 +573,9 @@ fn lockstep_trial(
             set.observe(&Observation::Retired(RetiredCompare {
                 latency: n,
                 pc_mismatch,
-                value_mismatch: reg_write_mismatch,
+                // No value observable at this level: the end-of-trial
+                // comparison judges masking, and the record keeps none.
+                value_mismatch: false,
                 reg_write_mismatch,
                 trial_reg: i.reg_write.map(|(reg, _)| reg.index() as u8),
                 golden_reg: g.reg_write.map(|(reg, _)| reg.index() as u8),
@@ -641,14 +619,7 @@ fn lockstep_trial(
 
     // The record takes the latched firings (both exit paths below
     // return it).
-    let f = set.firings();
-    let mut trial = ArchTrial {
-        workload: id,
-        symptoms: f.into(),
-        sig_mismatch: f.signature,
-        dup_mismatch: f.dup,
-        masked: false,
-    };
+    let mut trial = ArchTrial { workload: id, firings: *set.firings(), masked: false };
 
     let mut cost = TrialCost { simulated: executed, cut, ..TrialCost::default() };
     if cut {
@@ -672,7 +643,7 @@ fn lockstep_trial(
     } else {
         diff.reg_mask == 0 && diff.mem.is_empty()
     };
-    trial.masked = trial.symptoms.exception.is_none() && trial.symptoms.cfv.is_none() && clean;
+    trial.masked = trial.firings.exception.is_none() && trial.firings.cfv.is_none() && clean;
     (Some(trial), cost)
 }
 
@@ -786,7 +757,9 @@ mod tests {
             set.observe(&Observation::Retired(RetiredCompare {
                 latency: n,
                 pc_mismatch,
-                value_mismatch: reg_write_mismatch,
+                // No value observable at this level: the end-of-trial
+                // comparison judges masking, and the record keeps none.
+                value_mismatch: false,
                 reg_write_mismatch,
                 trial_reg: i.reg_write.map(|(reg, _)| reg.index() as u8),
                 golden_reg: g.reg_write.map(|(reg, _)| reg.index() as u8),
@@ -833,14 +806,7 @@ mod tests {
 
         // The record takes the latched firings (both exit paths below
         // return it).
-        let f = set.firings();
-        let mut trial = ArchTrial {
-            workload: id,
-            symptoms: f.into(),
-            sig_mismatch: f.signature,
-            dup_mismatch: f.dup,
-            masked: false,
-        };
+        let mut trial = ArchTrial { workload: id, firings: *set.firings(), masked: false };
 
         let mut cost = TrialCost { simulated: executed, cut, ..TrialCost::default() };
         if cut {
@@ -862,7 +828,7 @@ mod tests {
         } else {
             injected.is_halted() == golden.is_halted() && injected.arch_state_eq(&golden)
         };
-        trial.masked = trial.symptoms.exception.is_none() && trial.symptoms.cfv.is_none() && clean;
+        trial.masked = trial.firings.exception.is_none() && trial.firings.cfv.is_none() && clean;
         (Some(trial), cost)
     }
 
@@ -968,7 +934,7 @@ mod tests {
                     None => outcomes.insert("no result"),
                 };
                 let Some(t) = trial else { continue };
-                let s = t.symptoms;
+                let s = t.firings;
                 for (hit, name) in [
                     (cost.cut, "cut"),
                     (s.exception.is_some(), "exception"),
@@ -1091,14 +1057,13 @@ mod tests {
     fn classification_respects_precedence_and_latency() {
         let t = ArchTrial {
             workload: WorkloadId::Mcfx,
-            symptoms: SymptomLatencies {
+            firings: Firings {
                 exception: Some(50),
                 cfv: Some(10),
                 mem_addr: Some(5),
-                ..SymptomLatencies::default()
+                signature: Some(64),
+                ..Firings::default()
             },
-            sig_mismatch: Some(64),
-            dup_mismatch: None,
             masked: false,
         };
         assert_eq!(t.classify(4), ArchCategory::Register);
@@ -1110,13 +1075,7 @@ mod tests {
 
     #[test]
     fn masked_trials_classify_masked_at_any_latency() {
-        let t = ArchTrial {
-            workload: WorkloadId::Gapx,
-            symptoms: SymptomLatencies::default(),
-            sig_mismatch: None,
-            dup_mismatch: None,
-            masked: true,
-        };
+        let t = ArchTrial { workload: WorkloadId::Gapx, firings: Firings::default(), masked: true };
         for l in [0, 100, 1_000_000] {
             assert_eq!(t.classify(l), ArchCategory::Masked);
         }

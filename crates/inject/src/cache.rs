@@ -10,8 +10,8 @@
 //! region name at most once per process.
 
 use crate::arch_campaign::ArchTrial;
-use crate::classify::SymptomLatencies;
 use crate::uarch_trial::{EndState, UarchTrial};
+use restore_core::Firings;
 use restore_store::{Json, Payload, StoreError, Stored, TrialKey, TrialStore};
 use restore_workloads::WorkloadId;
 use std::path::Path;
@@ -160,24 +160,30 @@ fn str_of<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
     v.get(key).and_then(Json::as_str).ok_or_else(|| format!("missing {key}"))
 }
 
-fn symptoms_json(s: &SymptomLatencies) -> Json {
+/// The five precedence-ordered symptom latencies of `f`, which both
+/// record kinds store nested under `symptoms`; each kind stores the
+/// other observables it records as top-level keys of its own.
+fn symptoms_json(f: &Firings) -> Json {
     Json::Obj(vec![
-        ("deadlock".to_owned(), Json::from(s.deadlock)),
-        ("exception".to_owned(), Json::from(s.exception)),
-        ("cfv".to_owned(), Json::from(s.cfv)),
-        ("mem_addr".to_owned(), Json::from(s.mem_addr)),
-        ("mem_data".to_owned(), Json::from(s.mem_data)),
+        ("deadlock".to_owned(), Json::from(f.deadlock)),
+        ("exception".to_owned(), Json::from(f.exception)),
+        ("cfv".to_owned(), Json::from(f.cfv)),
+        ("mem_addr".to_owned(), Json::from(f.mem_addr)),
+        ("mem_data".to_owned(), Json::from(f.mem_data)),
     ])
 }
 
-fn symptoms_of(v: &Json, key: &str) -> Result<SymptomLatencies, String> {
+/// Firings holding the symptom latencies nested under `key`, every
+/// other observable `None`.
+fn symptoms_of(v: &Json, key: &str) -> Result<Firings, String> {
     let s = v.get(key).ok_or_else(|| format!("missing {key}"))?;
-    Ok(SymptomLatencies {
+    Ok(Firings {
         deadlock: opt_u64_of(s, "deadlock")?,
         exception: opt_u64_of(s, "exception")?,
         cfv: opt_u64_of(s, "cfv")?,
         mem_addr: opt_u64_of(s, "mem_addr")?,
         mem_data: opt_u64_of(s, "mem_data")?,
+        ..Firings::default()
     })
 }
 
@@ -210,11 +216,12 @@ impl Payload for ArchTrial {
     }
 
     fn encode(&self) -> Json {
+        let f = &self.firings;
         Json::Obj(vec![
             ("workload".to_owned(), workload_json(self.workload)),
-            ("symptoms".to_owned(), symptoms_json(&self.symptoms)),
-            ("sig_mismatch".to_owned(), Json::from(self.sig_mismatch)),
-            ("dup_mismatch".to_owned(), Json::from(self.dup_mismatch)),
+            ("symptoms".to_owned(), symptoms_json(f)),
+            ("sig_mismatch".to_owned(), Json::from(f.signature)),
+            ("dup_mismatch".to_owned(), Json::from(f.dup)),
             ("masked".to_owned(), Json::Bool(self.masked)),
         ])
     }
@@ -222,9 +229,11 @@ impl Payload for ArchTrial {
     fn decode(v: &Json) -> Result<ArchTrial, String> {
         Ok(ArchTrial {
             workload: workload_of(v, "workload")?,
-            symptoms: symptoms_of(v, "symptoms")?,
-            sig_mismatch: opt_u64_of(v, "sig_mismatch")?,
-            dup_mismatch: opt_u64_of(v, "dup_mismatch")?,
+            firings: Firings {
+                signature: opt_u64_of(v, "sig_mismatch")?,
+                dup: opt_u64_of(v, "dup_mismatch")?,
+                ..symptoms_of(v, "symptoms")?
+            },
             masked: bool_of(v, "masked")?,
         })
     }
@@ -236,17 +245,18 @@ impl Payload for UarchTrial {
     }
 
     fn encode(&self) -> Json {
+        let f = &self.firings;
         Json::Obj(vec![
             ("workload".to_owned(), workload_json(self.workload)),
             ("bit".to_owned(), Json::UInt(self.bit)),
             ("region".to_owned(), Json::from(self.region)),
             ("lhf_protected".to_owned(), Json::Bool(self.lhf_protected)),
-            ("symptoms".to_owned(), symptoms_json(&self.symptoms)),
-            ("value_divergence".to_owned(), Json::from(self.value_divergence)),
-            ("hc_mispredict".to_owned(), Json::from(self.hc_mispredict)),
-            ("any_mispredict".to_owned(), Json::from(self.any_mispredict)),
-            ("sig_mismatch".to_owned(), Json::from(self.sig_mismatch)),
-            ("dup_mismatch".to_owned(), Json::from(self.dup_mismatch)),
+            ("symptoms".to_owned(), symptoms_json(f)),
+            ("value_divergence".to_owned(), Json::from(f.value)),
+            ("hc_mispredict".to_owned(), Json::from(f.hc_mispredict)),
+            ("any_mispredict".to_owned(), Json::from(f.any_mispredict)),
+            ("sig_mismatch".to_owned(), Json::from(f.signature)),
+            ("dup_mismatch".to_owned(), Json::from(f.dup)),
             ("extra_dcache_misses".to_owned(), Json::from(self.extra_dcache_misses)),
             ("extra_dtlb_misses".to_owned(), Json::from(self.extra_dtlb_misses)),
             ("end".to_owned(), Json::from(end_tag(self.end))),
@@ -259,12 +269,14 @@ impl Payload for UarchTrial {
             bit: u64_of(v, "bit")?,
             region: intern(str_of(v, "region")?),
             lhf_protected: bool_of(v, "lhf_protected")?,
-            symptoms: symptoms_of(v, "symptoms")?,
-            value_divergence: opt_u64_of(v, "value_divergence")?,
-            hc_mispredict: opt_u64_of(v, "hc_mispredict")?,
-            any_mispredict: opt_u64_of(v, "any_mispredict")?,
-            sig_mismatch: opt_u64_of(v, "sig_mismatch")?,
-            dup_mismatch: opt_u64_of(v, "dup_mismatch")?,
+            firings: Firings {
+                value: opt_u64_of(v, "value_divergence")?,
+                hc_mispredict: opt_u64_of(v, "hc_mispredict")?,
+                any_mispredict: opt_u64_of(v, "any_mispredict")?,
+                signature: opt_u64_of(v, "sig_mismatch")?,
+                dup: opt_u64_of(v, "dup_mismatch")?,
+                ..symptoms_of(v, "symptoms")?
+            },
             extra_dcache_misses: i64_of(v, "extra_dcache_misses")?,
             extra_dtlb_misses: i64_of(v, "extra_dtlb_misses")?,
             end: end_of(str_of(v, "end")?)?,
@@ -280,13 +292,12 @@ mod tests {
     fn arch_trial_roundtrips() {
         let t = ArchTrial {
             workload: WorkloadId::Parserx,
-            symptoms: SymptomLatencies {
+            firings: Firings {
                 exception: Some(42),
                 mem_data: Some(0),
-                ..SymptomLatencies::default()
+                signature: Some(100),
+                ..Firings::default()
             },
-            sig_mismatch: Some(100),
-            dup_mismatch: None,
             masked: false,
         };
         let wire = t.encode().render();
@@ -302,12 +313,14 @@ mod tests {
             bit: 31_337,
             region: "rob",
             lhf_protected: true,
-            symptoms: SymptomLatencies { deadlock: Some(9_999), ..SymptomLatencies::default() },
-            value_divergence: None,
-            hc_mispredict: Some(17),
-            any_mispredict: Some(3),
-            sig_mismatch: Some(64),
-            dup_mismatch: Some(12),
+            firings: Firings {
+                deadlock: Some(9_999),
+                hc_mispredict: Some(17),
+                any_mispredict: Some(3),
+                signature: Some(64),
+                dup: Some(12),
+                ..Firings::default()
+            },
             extra_dcache_misses: -4,
             extra_dtlb_misses: 0,
             end: EndState::Terminated,
@@ -339,12 +352,7 @@ mod tests {
             bit: 1,
             region: "iq",
             lhf_protected: false,
-            symptoms: SymptomLatencies::default(),
-            value_divergence: None,
-            hc_mispredict: None,
-            any_mispredict: None,
-            sig_mismatch: None,
-            dup_mismatch: None,
+            firings: Firings::default(),
             extra_dcache_misses: 0,
             extra_dtlb_misses: 0,
             end: EndState::Completed,

@@ -33,17 +33,9 @@ use crate::seeding::{self, Seeder};
 use rand::rngs::StdRng;
 use restore_maskmap::MapSource;
 use restore_snapshot::{library, GoldenCheckpointLibrary, LibraryKey, Served, SnapshotMachine};
-use restore_store::{Payload, Shard, Stored, TrialKey};
+use restore_store::{Payload, Shard, Stored, TrialCost, TrialKey};
 use restore_workloads::WorkloadId;
 use std::time::Instant;
-
-/// Window-cycle accounting for one trial ("cycles" are the model's
-/// window unit: pipeline cycles at the µarch level, retired
-/// instructions at the arch level). The definition lives in
-/// `restore-store` — it is persisted in every trial record so cached
-/// hits replay exact accounting — and is re-exported here so the fault
-/// models keep their historical path.
-pub(crate) use restore_store::TrialCost;
 
 /// Window units between reconvergence checks, in both fault models: at
 /// each multiple a trial whose machine equals golden's is cut, and the

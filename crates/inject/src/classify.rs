@@ -1,5 +1,6 @@
 //! Trial outcome categories — the paper's Tables 1 and 2 — and the
-//! shared symptom-latency record both campaign levels classify from.
+//! symptom precedence both campaign levels classify a trial's
+//! [`Firings`] by ([`Symptom::first_within`]).
 
 use core::fmt;
 use restore_core::Firings;
@@ -23,66 +24,24 @@ pub enum Symptom {
     MemData,
 }
 
-/// First-observation latencies (retired instructions after injection)
-/// of each symptom class, shared by [`crate::ArchTrial`] and
-/// [`crate::UarchTrial`].
-///
-/// This is the one place the paper's detection precedence lives:
-/// [`SymptomLatencies::first_within`] resolves which symptom detects a
-/// trial at a given latency bound, so the two campaign classifiers
-/// cannot drift apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SymptomLatencies {
-    /// Latency to watchdog saturation.
-    pub deadlock: Option<u64>,
-    /// Latency to the first spurious exception.
-    pub exception: Option<u64>,
-    /// Latency to the first control-flow divergence from golden.
-    pub cfv: Option<u64>,
-    /// Latency to the first memory access with a corrupted address.
-    pub mem_addr: Option<u64>,
-    /// Latency to the first store of corrupted data (correct address).
-    pub mem_data: Option<u64>,
-}
-
-impl SymptomLatencies {
-    /// `true` if any symptom was observed at all.
-    pub fn any(&self) -> bool {
-        self.deadlock.is_some()
-            || self.exception.is_some()
-            || self.cfv.is_some()
-            || self.mem_addr.is_some()
-            || self.mem_data.is_some()
-    }
-
-    /// The highest-precedence symptom whose latency is within `bound`
-    /// (paper precedence: deadlock > exception > cfv > mem-addr >
-    /// mem-data), or `None` if nothing fired in time.
-    pub fn first_within(&self, bound: u64) -> Option<Symptom> {
-        let within = |l: Option<u64>| l.is_some_and(|v| v <= bound);
-        if within(self.deadlock) {
-            Some(Symptom::Deadlock)
-        } else if within(self.exception) {
-            Some(Symptom::Exception)
-        } else if within(self.cfv) {
-            Some(Symptom::Cfv)
-        } else if within(self.mem_addr) {
-            Some(Symptom::MemAddr)
-        } else if within(self.mem_data) {
-            Some(Symptom::MemData)
-        } else {
-            None
-        }
-    }
-}
-
-impl From<&Firings> for SymptomLatencies {
-    /// A trial's symptom latencies from its latched firings. Each fault
-    /// model observes only its own classes, so the rest stay `None`: the
-    /// memory classes at the µarch level, deadlock at the arch level.
-    fn from(f: &Firings) -> SymptomLatencies {
-        let Firings { deadlock, exception, cfv, mem_addr, mem_data, .. } = *f;
-        SymptomLatencies { deadlock, exception, cfv, mem_addr, mem_data }
+impl Symptom {
+    /// The highest-precedence symptom in `f` that fired within `bound`
+    /// retired instructions of the flip (deadlock > exception > cfv >
+    /// mem-addr > mem-data), or `None` if nothing fired in time.
+    ///
+    /// This is the one place the paper's detection precedence lives:
+    /// both campaign classifiers resolve through it, so they cannot
+    /// drift apart.
+    pub fn first_within(f: &Firings, bound: u64) -> Option<Symptom> {
+        [
+            (f.deadlock, Symptom::Deadlock),
+            (f.exception, Symptom::Exception),
+            (f.cfv, Symptom::Cfv),
+            (f.mem_addr, Symptom::MemAddr),
+            (f.mem_data, Symptom::MemData),
+        ]
+        .into_iter()
+        .find_map(|(at, s)| at.is_some_and(|l| l <= bound).then_some(s))
     }
 }
 
@@ -214,23 +173,32 @@ mod tests {
 
     #[test]
     fn precedence_resolves_in_paper_order() {
-        let s = SymptomLatencies {
+        let f = Firings {
             deadlock: Some(500),
             exception: Some(50),
             cfv: Some(20),
             mem_addr: Some(5),
             mem_data: Some(2),
+            ..Firings::default()
         };
-        assert_eq!(s.first_within(1), None);
-        assert_eq!(s.first_within(2), Some(Symptom::MemData));
-        assert_eq!(s.first_within(5), Some(Symptom::MemAddr));
-        assert_eq!(s.first_within(20), Some(Symptom::Cfv));
-        assert_eq!(s.first_within(50), Some(Symptom::Exception));
-        assert_eq!(s.first_within(500), Some(Symptom::Deadlock));
-        assert_eq!(s.first_within(u64::MAX), Some(Symptom::Deadlock));
-        assert!(s.any());
-        assert!(!SymptomLatencies::default().any());
-        assert_eq!(SymptomLatencies::default().first_within(u64::MAX), None);
+        let first = |bound| Symptom::first_within(&f, bound);
+        assert_eq!(first(1), None);
+        assert_eq!(first(2), Some(Symptom::MemData));
+        assert_eq!(first(5), Some(Symptom::MemAddr));
+        assert_eq!(first(20), Some(Symptom::Cfv));
+        assert_eq!(first(50), Some(Symptom::Exception));
+        assert_eq!(first(500), Some(Symptom::Deadlock));
+        assert_eq!(first(u64::MAX), Some(Symptom::Deadlock));
+        // The other observables never classify as a symptom.
+        let others = Firings {
+            hc_mispredict: Some(1),
+            any_mispredict: Some(1),
+            value: Some(1),
+            signature: Some(1),
+            dup: Some(1),
+            ..Firings::default()
+        };
+        assert_eq!(Symptom::first_within(&others, u64::MAX), None);
     }
 
     #[test]

@@ -142,12 +142,6 @@ impl CampaignStats {
         }
     }
 
-    /// One-line human summary for progress logs (same text as the
-    /// [`fmt::Display`] impl).
-    pub fn summary(&self) -> String {
-        self.to_string()
-    }
-
     /// Folds another run's stats into this one — the shard-merge
     /// operation. Counters sum exactly; stage seconds sum (so a merged
     /// `wall_secs` is the *sequential-equivalent* wall time of the
@@ -444,7 +438,6 @@ mod tests {
             assert_eq!(stats.cycles_cached, 57 * 40);
             assert!((stats.cycles_saved_fraction() - 1.0 / 3.0).abs() < 1e-12);
             let line = stats.to_string();
-            assert_eq!(line, stats.summary());
             assert!(line.contains("cutoff ended 57/114 trials early"), "{line}");
             assert!(
                 line.contains("liveness oracle pruned 57/114 trials, skipping 1425 window cycles"),

@@ -17,6 +17,13 @@
 //!   supports perfect vs. JRS-confidence cfv detection (Figure 4 vs. 5)
 //!   and the hardened parity/ECC pipeline (Figure 6).
 //!
+//! Each trial record ([`ArchTrial`], [`UarchTrial`]) carries the
+//! detectors' latched first firings as one [`Firings`] field. The
+//! classifiers resolve them through one symptom precedence
+//! ([`Symptom::first_within`], with [`CfvMode::resolve`] picking the cfv
+//! model), and the sweep's post-hoc detector selection reads them
+//! through [`SourceSet::detects`]; neither re-simulates.
+//!
 //! Sampling follows §4.4: pre-selected random injection points, uniform
 //! bit choice over eligible state, and binomial confidence intervals on
 //! every reported fraction ([`stats`]).
@@ -60,13 +67,13 @@ pub use arch_campaign::{
     arch_campaign_digest, run_arch_campaign, run_arch_campaign_io, ArchCampaignConfig, ArchTrial,
 };
 pub use cache::TrialCache;
-pub use classify::{ArchCategory, Symptom, SymptomLatencies, UarchCategory};
+pub use classify::{ArchCategory, Symptom, UarchCategory};
 pub use engine::{effective_threads, CampaignStats};
-pub use restore_core::{DetectorConfig, DetectorSet, SourceSet, LHF_DUP_MASK};
+pub use restore_core::{CfvMode, DetectorConfig, DetectorSet, Firings, SourceSet, LHF_DUP_MASK};
 pub use restore_store::{Payload, Shard, Stored, TrialCost, TrialKey};
 pub use stats::{worst_case_ci95, Proportion};
 pub use uarch_campaign::{
-    maskmap_horizon, run_uarch_campaign, run_uarch_campaign_io, uarch_campaign_digest, CfvMode,
+    maskmap_horizon, run_uarch_campaign, run_uarch_campaign_io, uarch_campaign_digest,
     InjectionTarget, PruneMode, UarchCampaignConfig,
 };
 pub use uarch_trial::{EndState, UarchTrial};

@@ -27,7 +27,7 @@
 //! no cutoff and no map — and asserts both return the same record.
 
 use crate::cache::TrialCache;
-use crate::campaign::{self, CampaignIo, FaultModel, TrialCost};
+use crate::campaign::{self, CampaignIo, FaultModel};
 use crate::engine::CampaignStats;
 use crate::seeding::{self, DOMAIN_UARCH};
 use crate::uarch_trial::{
@@ -38,7 +38,7 @@ use rand::Rng;
 use restore_core::{config_digest, ConfigDigest, DetectorConfig};
 use restore_maskmap::{MapSource, UarchMaskMap};
 use restore_snapshot::SnapshotMachine;
-use restore_store::Shard;
+use restore_store::{Shard, TrialCost};
 use restore_uarch::{Pipeline, StateCatalog, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
 use std::sync::Arc;
@@ -51,10 +51,6 @@ pub enum InjectionTarget {
     /// Pipeline latches only (§5.1.2).
     LatchesOnly,
 }
-
-// The cfv detection model lives with the detectors in `restore-core`;
-// re-exported here for the historical path.
-pub use restore_core::CfvMode;
 
 /// Injection pruning mode of a µarch campaign
 /// ([`UarchCampaignConfig::prune`]).
@@ -424,6 +420,7 @@ mod tests {
     use super::*;
     use crate::seeding::Seeder;
     use crate::uarch_trial::EndState;
+    use restore_core::CfvMode;
 
     fn quick() -> UarchCampaignConfig {
         UarchCampaignConfig {

@@ -12,13 +12,14 @@
 //! parallelism — lives in [`crate::campaign`]; this module only ever sees
 //! one fork, one golden run, and one bit.
 
-use crate::campaign::{TrialCost, CUTOFF_STRIDE};
-use crate::classify::{Symptom, SymptomLatencies, UarchCategory};
-use crate::uarch_campaign::{CfvMode, InjectionTarget, UarchCampaignConfig};
+use crate::campaign::CUTOFF_STRIDE;
+use crate::classify::{Symptom, UarchCategory};
+use crate::uarch_campaign::{InjectionTarget, UarchCampaignConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
 use restore_arch::Retired;
-use restore_core::{DetectorSet, Observation, RetiredCompare, SourceSet};
+use restore_core::{CfvMode, DetectorSet, Firings, Observation, RetiredCompare};
+use restore_store::TrialCost;
 use restore_uarch::{Pipeline, StateCatalog, Stop};
 use restore_workloads::WorkloadId;
 use std::collections::BTreeSet;
@@ -52,31 +53,14 @@ pub struct UarchTrial {
     pub region: &'static str,
     /// `true` if the hardened pipeline's parity/ECC covers this bit.
     pub lhf_protected: bool,
-    /// First-observation symptom latencies. This fault model observes
-    /// deadlock, exception and cfv (the latency to the first
-    /// control-flow divergence from golden); the memory-symptom classes
-    /// are architectural-level observables and stay `None`.
-    pub symptoms: SymptomLatencies,
-    /// Latency to the first value divergence (register write or store
-    /// data/address) from golden.
-    pub value_divergence: Option<u64>,
-    /// Latency to the first fault-induced high-confidence misprediction.
-    pub hc_mispredict: Option<u64>,
-    /// Latency to the first fault-induced misprediction of any
-    /// confidence (the perfect-confidence-predictor ablation).
-    pub any_mispredict: Option<u64>,
-    /// Latency at which software control-flow signature checking
-    /// ([`restore_core::Firings::signature`]) would flag the trial: the
-    /// first retired-PC mismatch, rounded up to its signature block
-    /// boundary. `None` when control flow never diverged (or the
-    /// detector is disabled by `sig_chunk = 0`).
-    pub sig_mismatch: Option<u64>,
-    /// Latency at which selective variable duplication
-    /// ([`restore_core::Firings::dup`]) would flag the trial: the
-    /// first aligned register-write mismatch whose destination is a
-    /// protected register. `None` when no protected write diverged (or
-    /// `dup_mask = 0`).
-    pub dup_mismatch: Option<u64>,
+    /// The first firing of every observable, as the trial's
+    /// [`DetectorSet`] latched it, plus the deadlock or exception the
+    /// cut or drain endings back-fill. This fault model observes
+    /// deadlock, exception, sustained cfv, both novel-mispredict
+    /// classes, value divergence (register write, store data/address or
+    /// halt status) and the software detectors; the memory-symptom
+    /// classes are architectural-level observables and stay `None`.
+    pub firings: Firings,
     /// Data-cache misses beyond the golden run's count (§3.3 candidate
     /// symptom; can be negative when the fault shortens execution).
     pub extra_dcache_misses: i64,
@@ -90,7 +74,9 @@ impl UarchTrial {
     /// Ground truth: did this fault cause (or remain able to cause) a
     /// failure?
     pub fn is_failure(&self) -> bool {
-        self.symptoms.any() || self.value_divergence.is_some() || self.end == EndState::Latent
+        Symptom::first_within(&self.firings, u64::MAX).is_some()
+            || self.firings.value.is_some()
+            || self.end == EndState::Latent
     }
 
     /// Classifies the trial for a checkpoint interval (detection-latency
@@ -111,42 +97,23 @@ impl UarchTrial {
         }
         // The cfv detector resolves its own model ([`CfvMode::resolve`]);
         // classification then reads only the shared precedence
-        // ([`SymptomLatencies::first_within`]), with no per-mode special
-        // case here.
-        let detected = SymptomLatencies {
-            cfv: cfv.resolve(self.symptoms.cfv, self.hc_mispredict, self.any_mispredict),
-            ..self.symptoms
-        };
-        match detected.first_within(interval) {
+        // ([`Symptom::first_within`]), with no per-mode special case
+        // here.
+        let detected = Firings { cfv: cfv.resolve(&self.firings), ..self.firings };
+        match Symptom::first_within(&detected, interval) {
             Some(Symptom::Deadlock) => UarchCategory::Deadlock,
             Some(Symptom::Exception) => UarchCategory::Exception,
             Some(Symptom::Cfv) => UarchCategory::Cfv,
             // The memory-symptom classes stay `None` at this level, so
             // only the undetected-failure split remains.
             _ => {
-                if self.symptoms.cfv.is_some() || self.value_divergence.is_some() {
+                if self.firings.cfv.is_some() || self.firings.value.is_some() {
                     UarchCategory::Sdc
                 } else {
                     UarchCategory::Latent
                 }
             }
         }
-    }
-
-    /// Would the enabled detector subset catch this trial within
-    /// `interval` retired instructions of the flip? Post-hoc and free:
-    /// every selection reads the recorded first-firing latencies.
-    pub fn detected_within(&self, sel: &SourceSet, interval: u64) -> bool {
-        let firings = [
-            if sel.watchdog { self.symptoms.deadlock } else { None },
-            if sel.exceptions { self.symptoms.exception } else { None },
-            sel.cfv.and_then(|m| {
-                m.resolve(self.symptoms.cfv, self.hc_mispredict, self.any_mispredict)
-            }),
-            if sel.signature { self.sig_mismatch } else { None },
-            if sel.dup { self.dup_mismatch } else { None },
-        ];
-        firings.iter().flatten().any(|&l| l <= interval)
     }
 }
 
@@ -287,15 +254,9 @@ pub(crate) fn predict_dead_trial(
         bit,
         region: catalog.region_of(bit).map(|r| r.name).unwrap_or("?"),
         lhf_protected: catalog.lhf_protected(bit),
-        symptoms: SymptomLatencies::default(),
-        value_divergence: None,
-        hc_mispredict: None,
-        any_mispredict: None,
-        // A proved flip never perturbs the retired stream, so the
-        // software detectors (signature, duplication) see only aligned,
-        // matching events and stay silent.
-        sig_mismatch: None,
-        dup_mismatch: None,
+        // A proved flip never perturbs the retired stream, so every
+        // detector, the software ones included, stays silent.
+        firings: Firings::default(),
         extra_dcache_misses: 0,
         extra_dtlb_misses: 0,
         end: EndState::MaskedClean,
@@ -305,11 +266,11 @@ pub(crate) fn predict_dead_trial(
         (Stop::Running, true) => EndState::MaskedClean,
         (Stop::Halted | Stop::Running, false) => EndState::DeadResidue,
         (Stop::Deadlock, _) => {
-            trial.symptoms.deadlock = Some(golden.retired - base_retired);
+            trial.firings.deadlock = Some(golden.retired - base_retired);
             EndState::Terminated
         }
         (Stop::Exception(_), _) => {
-            trial.symptoms.exception = Some(golden.retired - base_retired);
+            trial.firings.exception = Some(golden.retired - base_retired);
             EndState::Terminated
         }
     };
@@ -417,18 +378,12 @@ pub(crate) fn run_trial(
     // final compared event is indistinguishable from a label flip and
     // never fires; end-of-trial state comparison adjudicates it.) The
     // cut/drain endings below back-fill via `get_or_insert`.
-    let f = set.firings();
     let mut trial = UarchTrial {
         workload: id,
         bit,
         region: catalog.region_of(bit).map(|r| r.name).unwrap_or("?"),
         lhf_protected: catalog.lhf_protected(bit),
-        symptoms: f.into(),
-        value_divergence: f.value,
-        hc_mispredict: f.hc_mispredict,
-        any_mispredict: f.any_mispredict,
-        sig_mismatch: f.signature,
-        dup_mismatch: f.dup,
+        firings: *set.firings(),
         extra_dcache_misses: 0,
         extra_dtlb_misses: 0,
         end: EndState::MaskedClean,
@@ -450,11 +405,11 @@ pub(crate) fn run_trial(
             Stop::Halted => EndState::Completed,
             Stop::Running => EndState::MaskedClean,
             Stop::Deadlock => {
-                trial.symptoms.deadlock.get_or_insert(golden.retired - base_retired);
+                trial.firings.deadlock.get_or_insert(golden.retired - base_retired);
                 EndState::Terminated
             }
             Stop::Exception(_) => {
-                trial.symptoms.exception.get_or_insert(golden.retired - base_retired);
+                trial.firings.exception.get_or_insert(golden.retired - base_retired);
                 EndState::Terminated
             }
         };
@@ -467,11 +422,11 @@ pub(crate) fn run_trial(
         match pipe.status() {
             Stop::Deadlock => {
                 // Saturation during the drain still counts.
-                trial.symptoms.deadlock.get_or_insert(pipe.retired() - base_retired);
+                trial.firings.deadlock.get_or_insert(pipe.retired() - base_retired);
                 EndState::Terminated
             }
             Stop::Exception(_) => {
-                trial.symptoms.exception.get_or_insert(pipe.retired() - base_retired);
+                trial.firings.exception.get_or_insert(pipe.retired() - base_retired);
                 EndState::Terminated
             }
             _ => {
@@ -509,6 +464,7 @@ mod tests {
     use super::*;
     use crate::uarch_campaign::maskmap_horizon;
     use proptest::prelude::*;
+    use restore_core::SourceSet;
     use restore_maskmap::UarchMaskMap;
     use restore_workloads::Scale;
     use std::sync::OnceLock;
@@ -594,12 +550,7 @@ mod tests {
             bit: 0,
             region: "phys-regfile",
             lhf_protected: true,
-            symptoms: SymptomLatencies { exception: Some(10), ..SymptomLatencies::default() },
-            value_divergence: None,
-            hc_mispredict: None,
-            any_mispredict: None,
-            sig_mismatch: None,
-            dup_mismatch: None,
+            firings: Firings { exception: Some(10), ..Firings::default() },
             extra_dcache_misses: 0,
             extra_dtlb_misses: 0,
             end: EndState::Terminated,
@@ -615,17 +566,16 @@ mod tests {
             bit: 0,
             region: "scheduler",
             lhf_protected: false,
-            symptoms: SymptomLatencies {
+            firings: Firings {
                 deadlock: Some(500),
                 exception: Some(50),
                 cfv: Some(20),
-                ..SymptomLatencies::default()
+                value: Some(5),
+                hc_mispredict: Some(80),
+                any_mispredict: Some(30),
+                signature: Some(64),
+                ..Firings::default()
             },
-            value_divergence: Some(5),
-            hc_mispredict: Some(80),
-            any_mispredict: Some(30),
-            sig_mismatch: Some(64),
-            dup_mismatch: None,
             extra_dcache_misses: 0,
             extra_dtlb_misses: 0,
             end: EndState::Terminated,
@@ -643,8 +593,8 @@ mod tests {
 
         // The post-hoc detector selection reads the same observables.
         let paper = SourceSet::paper();
-        assert!(!t.detected_within(&paper, 20), "hc cfv fires at 80, not 20");
-        assert!(t.detected_within(&paper, 50), "the exception at 50 covers it");
+        assert!(!paper.detects(&t.firings, 20), "hc cfv fires at 80, not 20");
+        assert!(paper.detects(&t.firings, 50), "the exception at 50 covers it");
         let sig_only = SourceSet {
             exceptions: false,
             watchdog: false,
@@ -652,9 +602,9 @@ mod tests {
             signature: true,
             dup: false,
         };
-        assert!(t.detected_within(&sig_only, 64), "signature fires at its block boundary");
-        assert!(!t.detected_within(&sig_only, 63));
+        assert!(sig_only.detects(&t.firings, 64), "signature fires at its block boundary");
+        assert!(!sig_only.detects(&t.firings, 63));
         let dup_only = SourceSet { signature: false, dup: true, ..sig_only };
-        assert!(!t.detected_within(&dup_only, 10_000), "no protected write diverged");
+        assert!(!dup_only.detects(&t.firings, 10_000), "no protected write diverged");
     }
 }

@@ -41,10 +41,10 @@ fn render(trials: &[ArchTrial]) -> String {
             format!(
                 "wl={} exception={} cfv={} mem_addr={} mem_data={} masked={}\n",
                 t.workload,
-                opt(t.symptoms.exception),
-                opt(t.symptoms.cfv),
-                opt(t.symptoms.mem_addr),
-                opt(t.symptoms.mem_data),
+                opt(t.firings.exception),
+                opt(t.firings.cfv),
+                opt(t.firings.mem_addr),
+                opt(t.firings.mem_data),
                 t.masked as u8,
             )
         })
@@ -96,6 +96,6 @@ fn default_arch_config_has_cutoff_on_and_saving() {
     assert!(
         stats.trials_cut > 0 && stats.cycles_saved > 0,
         "the default config saved nothing: {}",
-        stats.summary()
+        stats
     );
 }

@@ -99,6 +99,6 @@ fn default_window_cutoff_saves_at_least_30_percent() {
         stats.cycles_saved_fraction() >= 0.30,
         "cutoff saved only {:.1}% of window cycles: {}",
         100.0 * stats.cycles_saved_fraction(),
-        stats.summary()
+        stats
     );
 }

@@ -21,16 +21,23 @@
 //! layout, so the record types can be reshaped (and were) without
 //! touching the fixtures.
 //!
+//! The two `*_wire` fixtures pin the other contract: the bytes the
+//! trial store writes. They hold every record of the software-detector
+//! campaigns exactly as `Payload::encode` renders it, so a record type
+//! can change shape only if its stored form does not.
+//!
 //! To regenerate after an intentional behaviour change, run with
 //! `RESTORE_UPDATE_GOLDEN=1` and commit the diff — never regenerate to
 //! make an unintentional difference pass.
 
 use restore_inject::{
     run_arch_campaign, run_uarch_campaign, run_uarch_campaign_io, ArchCampaignConfig, ArchTrial,
-    CampaignStats, DetectorConfig, InjectionTarget, PruneMode, Shard, UarchCampaignConfig,
-    UarchTrial,
+    CampaignStats, DetectorConfig, Firings, InjectionTarget, Payload, PruneMode, Shard,
+    UarchCampaignConfig, UarchTrial,
 };
+use restore_store::Json;
 use restore_workloads::Scale;
+use std::fmt::Debug;
 
 /// Thread counts every fixture is replayed at: the campaigns promise
 /// bit-identical trial vectors at any worker count, so each rendering
@@ -54,12 +61,12 @@ fn render_uarch(trials: &[UarchTrial]) -> String {
             t.bit,
             t.region,
             t.lhf_protected as u8,
-            opt(t.symptoms.deadlock),
-            opt(t.symptoms.exception),
-            opt(t.symptoms.cfv),
-            opt(t.value_divergence),
-            opt(t.hc_mispredict),
-            opt(t.any_mispredict),
+            opt(t.firings.deadlock),
+            opt(t.firings.exception),
+            opt(t.firings.cfv),
+            opt(t.firings.value),
+            opt(t.firings.hc_mispredict),
+            opt(t.firings.any_mispredict),
             t.extra_dcache_misses,
             t.extra_dtlb_misses,
             t.end,
@@ -74,14 +81,19 @@ fn render_arch(trials: &[ArchTrial]) -> String {
         out.push_str(&format!(
             "wl={} exception={} cfv={} mem_addr={} mem_data={} masked={}\n",
             t.workload,
-            opt(t.symptoms.exception),
-            opt(t.symptoms.cfv),
-            opt(t.symptoms.mem_addr),
-            opt(t.symptoms.mem_data),
+            opt(t.firings.exception),
+            opt(t.firings.cfv),
+            opt(t.firings.mem_addr),
+            opt(t.firings.mem_data),
             t.masked as u8,
         ));
     }
     out
+}
+
+/// `f` with the software-only detectors' firings cleared.
+fn software_stripped(f: &Firings) -> Firings {
+    Firings { signature: None, dup: None, ..*f }
 }
 
 /// Compares `got` against the named fixture, or rewrites the fixture
@@ -195,7 +207,7 @@ fn uarch_software_detectors_match_pinned_vector_and_never_perturb() {
     let trials = run_uarch_campaign(&armed);
     assert!(!trials.is_empty());
     assert!(
-        trials.iter().any(|t| t.sig_mismatch.is_some() || t.dup_mismatch.is_some()),
+        trials.iter().any(|t| t.firings.signature.is_some() || t.firings.dup.is_some()),
         "smoke campaign never fired a software source — fixture would pin nothing"
     );
     let mut out = String::new();
@@ -204,8 +216,8 @@ fn uarch_software_detectors_match_pinned_vector_and_never_perturb() {
             "wl={} bit={} sig={} dup={}\n",
             t.workload,
             t.bit,
-            opt(t.sig_mismatch),
-            opt(t.dup_mismatch),
+            opt(t.firings.signature),
+            opt(t.firings.dup),
         ));
     }
     check("uarch_software_detectors", &out);
@@ -213,7 +225,7 @@ fn uarch_software_detectors_match_pinned_vector_and_never_perturb() {
     let baseline = run_uarch_campaign(&uarch_cfg(InjectionTarget::AllState));
     let strip = |ts: &[UarchTrial]| {
         ts.iter()
-            .map(|t| UarchTrial { sig_mismatch: None, dup_mismatch: None, ..t.clone() })
+            .map(|t| UarchTrial { firings: software_stripped(&t.firings), ..t.clone() })
             .collect::<Vec<_>>()
     };
     assert_eq!(strip(&trials), strip(&baseline), "detector knobs perturbed trial evolution");
@@ -228,19 +240,49 @@ fn arch_software_detectors_match_pinned_vector_and_never_perturb() {
     let armed = ArchCampaignConfig { detectors: DetectorConfig::lhf(), ..arch_cfg(false) };
     let trials = run_arch_campaign(&armed);
     assert!(
-        trials.iter().any(|t| t.sig_mismatch.is_some() || t.dup_mismatch.is_some()),
+        trials.iter().any(|t| t.firings.signature.is_some() || t.firings.dup.is_some()),
         "smoke campaign never fired a software detector — fixture would pin nothing"
     );
     let row = |t: &ArchTrial| {
-        format!("wl={} sig={} dup={}\n", t.workload, opt(t.sig_mismatch), opt(t.dup_mismatch))
+        format!("wl={} sig={} dup={}\n", t.workload, opt(t.firings.signature), opt(t.firings.dup))
     };
     check("arch_software_detectors", &trials.iter().map(row).collect::<String>());
 
     let paper = ArchCampaignConfig { detectors: DetectorConfig::paper(), ..arch_cfg(false) };
-    let strip = |t: &ArchTrial| ArchTrial { sig_mismatch: None, dup_mismatch: None, ..*t };
+    let strip = |t: &ArchTrial| ArchTrial { firings: software_stripped(&t.firings), ..*t };
     assert_eq!(
         trials.iter().map(strip).collect::<Vec<_>>(),
         run_arch_campaign(&paper).iter().map(strip).collect::<Vec<_>>(),
         "detector knobs perturbed trial evolution"
     );
+}
+
+/// Every record rendered as the trial store writes it, one a line,
+/// each checked to decode back to itself.
+fn render_wire<T: Payload + PartialEq + Debug>(trials: &[T]) -> String {
+    let mut out = String::new();
+    for t in trials {
+        let line = t.encode().render();
+        let back = T::decode(&Json::parse(&line).expect("a rendered record parses"));
+        assert_eq!(back.as_ref(), Ok(t), "record does not round-trip: {line}");
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out
+}
+
+/// The stored form of both record types: every record of the two
+/// software-detector campaigns above (`DetectorConfig::lhf()`, so the
+/// signature and duplication keys take values too) must encode to the
+/// pinned bytes and decode back to itself. Warm stores, content digests
+/// and `restore-campaign` stdout all rest on these bytes.
+#[test]
+fn trial_records_keep_their_wire_format() {
+    let uarch = UarchCampaignConfig {
+        detectors: DetectorConfig::lhf(),
+        ..uarch_cfg(InjectionTarget::AllState)
+    };
+    check("uarch_wire", &render_wire(&run_uarch_campaign(&uarch)));
+    let arch = ArchCampaignConfig { detectors: DetectorConfig::lhf(), ..arch_cfg(false) };
+    check("arch_wire", &render_wire(&run_arch_campaign(&arch)));
 }

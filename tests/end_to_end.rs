@@ -110,10 +110,8 @@ fn arch_campaign_symptoms_are_fast() {
             )
         })
         .count();
-    let sym_total = failing
-        .iter()
-        .filter(|t| t.symptoms.exception.is_some() || t.symptoms.cfv.is_some())
-        .count();
+    let sym_total =
+        failing.iter().filter(|t| t.firings.exception.is_some() || t.firings.cfv.is_some()).count();
     // Most symptomatic trials fire within 100 instructions (the paper:
     // "the majority of the coverage is still obtained with relatively
     // short latency").
